@@ -3,11 +3,10 @@ first-order deformation spaces over the rationals."""
 
 __version__ = "0.1.0"
 
-from .poly import Polynomial, PolyMatrix, WeightSystem, poly_from_text, poly_to_text
+from .poly import Polynomial, WeightSystem, poly_from_text, poly_to_text
 
 __all__ = [
     "Polynomial",
-    "PolyMatrix",
     "WeightSystem",
     "poly_from_text",
     "poly_to_text",

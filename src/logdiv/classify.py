@@ -13,8 +13,6 @@ from .groebner import krull_dimension
 from .logder import (
     VectorField,
     annihilator_fields,
-    lie_bracket,
-    structure_constants,
     weight_zero_part,
 )
 from .poly import (
@@ -22,7 +20,6 @@ from .poly import (
     WeightSystem,
     detect_weight_system,
     partial_derivative,
-    weighted_degree,
 )
 
 
@@ -201,25 +198,6 @@ class LieAlgebraMatrices:
         if not rows:
             return self.dim
         return self.dim - linalg.rank(rows, self.dim)
-
-    def center_coords(self):
-        rows = []
-        for i in range(self.dim):
-            rows.extend(self.ad(i))
-        if not rows:
-            return [[Fraction(1) if a == b else Fraction(0)
-                     for b in range(self.dim)] for a in range(self.dim)]
-        return linalg.nullspace(rows, self.dim)
-
-    def combine(self, coords):
-        n = self.n
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for c, m in zip(coords, self.matrices):
-            if c:
-                for i in range(n):
-                    for j in range(n):
-                        out[i][j] += c * m[i][j]
-        return out
 
 
 def lie_algebra_matrices(saito):
@@ -400,26 +378,3 @@ def is_diagonalizable(a):
     m = minimal_polynomial(a)
     dm = partial_derivative(m, 0)
     return poly_gcd(m, dm).is_constant()
-
-
-class DivisorProfile:
-    """Aggregated classification flags for one divisor."""
-
-    __slots__ = ("f", "free", "saito", "linear", "weights", "koszul",
-                 "reductive", "connection_ok", "notes")
-
-    def __init__(self, f, free=False, saito=None, linear=False, weights=None,
-                 koszul=None, reductive=None, connection_ok=None, notes=None):
-        if linear and not free:
-            raise ValueError("linear implies free")
-        if reductive is not None and not linear:
-            raise ValueError("reductive is decided only for linear divisors")
-        self.f = f
-        self.free = free
-        self.saito = saito
-        self.linear = linear
-        self.weights = weights
-        self.koszul = koszul
-        self.reductive = reductive
-        self.connection_ok = connection_ok
-        self.notes = notes or []

@@ -29,7 +29,8 @@ exhausted.
 
 The Groebner step budget can be overridden with the LOGDIV_BUDGET
 environment variable (a positive integer of elementary reduction
-steps; the default is groebner.DEFAULT_STEP_BUDGET).
+steps; the default is groebner.DEFAULT_STEP_BUDGET). The budget is per
+call: every Buchberger run and every normal form gets the full amount.
 """
 
 import argparse
@@ -40,14 +41,14 @@ import sys
 import time
 
 from . import groebner
-from .classify import (DivisorProfile, connection_conditions, detect_weights,
-                       is_koszul, is_linear, is_reductive,
-                       lie_algebra_matrices, trace_test)
-from .cohomology import ft1, h0, jacobian_degree_bound, lft1
+from .classify import (connection_conditions, detect_weights, is_koszul,
+                       is_linear, is_reductive, lie_algebra_matrices,
+                       trace_test)
+from .cohomology import ft1, jacobian_degree_bound, linear_basis
 from .cylinder import split_cylindrical
 from .errors import (BudgetExceeded, LogdivError, NonReduced, NotFree,
-                     NotHomogeneous, NotLinear, NotWeightedHomogeneous,
-                     ParseError, ZeroOrConstantInput)
+                     NotHomogeneous, NotLinear, ParseError,
+                     ZeroOrConstantInput)
 from .logder import (SaitoBasis, VectorField, compute_der_log,
                      find_saito_basis, format_field, structure_constants,
                      verify_saito, _check_divisor)
@@ -161,6 +162,14 @@ def _slice_weight_guard(w, field_weights, max_weight):
     if worst > max_weight:
         raise BudgetExceeded(
             f"slice weight {worst} exceeds --max-weight {max_weight}")
+
+
+def _computed(rep):
+    return {
+        "status": "computed",
+        "dimension": rep.dimension,
+        "representatives": [poly_to_text(p) for p in rep.deformed_equations],
+    }
 
 
 def analyze_document(doc, stages, max_weight=DEFAULT_MAX_WEIGHT):
@@ -284,7 +293,18 @@ def analyze_document(doc, stages, max_weight=DEFAULT_MAX_WEIGHT):
             sc_cache.append(structure_constants(saito))
         return sc_cache[0]
 
-    linear = None
+    # ft1, lft1 and h0 share one slice complex per (basis, grading)
+    deformations = {}
+
+    def deformation(basis, grading):
+        key = (basis, grading.weights, grading.degree)
+        if key not in deformations:
+            deformations[key] = ft1(work_f, saito=basis, w=grading)
+        return deformations[key]
+
+    # ft1 re-derives a graded basis when the given one is not homogeneous
+    graded_saito = saito if field_weights else None
+
     if "classify" in stages:
         def classify_stage():
             result = {}
@@ -310,7 +330,6 @@ def analyze_document(doc, stages, max_weight=DEFAULT_MAX_WEIGHT):
 
         outcome = run_stage("classify", classify_stage)
         profile.update(outcome)
-        linear = outcome["linear"]
 
     if "koszul" in stages:
         profile["koszul"] = run_stage("koszul", lambda: is_koszul(saito))
@@ -320,35 +339,24 @@ def analyze_document(doc, stages, max_weight=DEFAULT_MAX_WEIGHT):
             if w is None:
                 return {"status": "refused: not weighted homogeneous"}
             _slice_weight_guard(w, field_weights or [], max_weight)
-            rep = ft1(work_f, saito=saito if field_weights else None, w=w)
-            return {
-                "status": "computed",
-                "dimension": rep.dimension,
-                "representatives": [poly_to_text(p)
-                                    for p in rep.deformed_equations],
-            }
+            return _computed(deformation(graded_saito, w))
 
         report["ft1"] = run_stage("ft1", ft1_stage)
 
     if "lft1" in stages:
         def lft1_stage():
             try:
-                rep = lft1(work_f, saito=saito)
+                basis, grading = linear_basis(work_f, saito=saito)
             except NotLinear:
                 return {"status": "refused: not a linear free divisor"}
-            return {
-                "status": "computed",
-                "dimension": rep.dimension,
-                "representatives": [poly_to_text(p)
-                                    for p in rep.deformed_equations],
-            }
+            return _computed(deformation(basis, grading))
 
         report["lft1"] = run_stage("lft1", lft1_stage)
 
     if "ft1" in stages or "lft1" in stages:
         def h0_stage():
             if w is not None:
-                return h0(work_f, saito=saito, w=w)
+                return deformation(graded_saito, w).notes["h0"]
             return "not computed"
 
         report["h0"] = run_stage("h0", h0_stage)

@@ -19,10 +19,11 @@ whose composition vanishes by the Jacobi identity. dim ker d1 - rank d0 is
 the dimension of the deformation space; representatives are normalized to
 monomial deformed equations whenever the class space allows it.
 
-Linear free divisors additionally get a Chevalley-Eilenberg route: the
-weight-zero fields form an n-dimensional Lie algebra acting on the
-weight-zero quotient slice by bracket, with constant structure constants,
-so the whole complex is assembled from constant matrices.
+lft1 is the same complex for a linear free divisor, built on a basis of
+weight-zero (linear) fields under the standard grading (1, ..., 1): those
+fields span a Lie algebra g, and the slice cohomology is H^1(g, gl_n / g).
+The tests check it against an independent Chevalley-Eilenberg oracle
+(tests/ce_oracle.py).
 """
 
 from fractions import Fraction
@@ -134,12 +135,18 @@ def _transpose_columns(cols, nrows):
     return [[col[r] for col in cols] for r in range(nrows)]
 
 
-def _matmul_rows(a_rows, b_rows, inner):
-    """Rows of A*B where a_rows maps inner->out and b_rows maps in->inner."""
+def _matmul_rows(a_rows, b_rows):
+    """Rows of A*B, exact; zero entries of A are skipped, so a sparse A
+    costs one row of B per nonzero entry."""
+    width = len(b_rows[0]) if b_rows else 0
     out = []
     for ar in a_rows:
-        row = [sum(ar[k] * b_rows[k][c] for k in range(inner))
-               for c in range(len(b_rows[0]) if b_rows else 0)]
+        row = [ZERO] * width
+        for k, a in enumerate(ar):
+            if a:
+                for c, b in enumerate(b_rows[k]):
+                    if b:
+                        row[c] += a * b
         out.append(row)
     return out
 
@@ -173,7 +180,7 @@ class SliceComplex:
         self.dim_c2 = self.offsets2[-1]
         self.d0_rows = self._build_d0()
         self.d1_rows = self._build_d1()
-        comp = _matmul_rows(self.d1_rows, self.d0_rows, self.dim_c1)
+        comp = _matmul_rows(self.d1_rows, self.d0_rows)
         if any(any(x != 0 for x in row) for row in comp):
             raise InternalInconsistency("d1 after d0 is not zero")
 
@@ -227,9 +234,7 @@ class SliceComplex:
     # -- derived data ------------------------------------------------
 
     def h0_dimension(self):
-        if self.dim_c0 == 0:
-            return 0
-        return self.dim_c0 - linalg.rank(self.d0_rows, self.dim_c0)
+        return self.dim_c0 - self.rank_d0()
 
     def kernel_d1(self):
         if self.dim_c1 == 0:
@@ -256,9 +261,14 @@ class SliceComplex:
         n = len(self.saito.ring)
         return [self._psi_component(vec, i) for i in range(n)]
 
+    def h2_dimension(self):
+        """dim ker d2 - rank d1; d2 is built only on this call."""
+        rank2 = linalg.rank(self.build_d2(), self.dim_c2)
+        return self.dim_c2 - rank2 - linalg.rank(self.d1_rows, self.dim_c1)
+
     def build_d2(self):
-        """Rows of d2 on the weight-zero slice; only used to check that
-        d2 after d1 vanishes."""
+        """Rows of d2 on the weight-zero slice, for h2_dimension and for
+        checking that d2 after d1 vanishes."""
         n = len(self.saito.ring)
         triples = [(a, b, c) for a in range(n) for b in range(a + 1, n)
                    for c in range(b + 1, n)]
@@ -516,7 +526,7 @@ def ft1(f, saito=None, w=None):
     rank0 = cx.rank_d0()
     reps, eqs = _select_representatives(cx, saito, w, kernel, rank0)
     notes = {
-        "h0": cx.h0_dimension(),
+        "h0": cx.dim_c0 - rank0,
         "dim_c0": cx.dim_c0,
         "dim_c1": cx.dim_c1,
         "dim_c2": cx.dim_c2,
@@ -569,165 +579,9 @@ def ft1_plane_curve(f):
                              {"weights": list(w.weights), "degree": w.degree})
 
 
-class CEComplex:
-    """Chevalley-Eilenberg complex of the weight-zero Lie algebra of a
-    linear free divisor acting on the weight-zero quotient slice.
-
-    Everything is constant linear algebra: action matrices act[i] give
-    the bracket [delta_i, -] on M0 and the structure constants are
-    rational numbers.
-    """
-
-    __slots__ = ("saito", "sc", "slice0", "n", "m", "act", "c",
-                 "pairs", "dim_c0", "dim_c1", "dim_c2", "d0_rows", "d1_rows")
-
-    def __init__(self, saito, sc, slice0):
-        self.saito = saito
-        self.sc = sc
-        self.slice0 = slice0
-        n = len(saito.ring)
-        m = slice0.dim
-        self.n = n
-        self.m = m
-        self.act = []
-        for i in range(n):
-            cols = []
-            for s in range(m):
-                sigma = slice0.basis_field(s)
-                img = lie_bracket(saito.fields[i], sigma)
-                cols.append(slice0.project(img))
-            self.act.append(_transpose_columns(cols, m))
-        self.c = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    p = sc.b[i][j][k]
-                    if not p.is_constant():
-                        raise NotLinear("structure constants are not constant")
-                    self.c[i][j][k] = p.constant_value()
-        self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        self.dim_c0 = m
-        self.dim_c1 = n * m
-        self.dim_c2 = len(self.pairs) * m
-        self.d0_rows = self._build_d0()
-        self.d1_rows = self._build_d1()
-        comp = _matmul_rows(self.d1_rows, self.d0_rows, self.dim_c1)
-        if any(any(x != 0 for x in row) for row in comp):
-            raise InternalInconsistency("CE d1 after d0 is not zero")
-
-    def _build_d0(self):
-        rows = []
-        for i in range(self.n):
-            rows.extend(self.act[i])
-        return rows
-
-    def _build_d1(self):
-        m, n = self.m, self.n
-        rows = []
-        for pi, (p, q) in enumerate(self.pairs):
-            for r in range(m):
-                row = [ZERO] * self.dim_c1
-                for i in range(n):
-                    base = i * m
-                    for cidx in range(m):
-                        val = ZERO
-                        if i == q:
-                            val -= self.act[p][r][cidx]
-                        if i == p:
-                            val += self.act[q][r][cidx]
-                        if cidx == r:
-                            val += self.c[p][q][i]
-                        if val:
-                            row[base + cidx] += val
-                rows.append(row)
-        return rows
-
-    def _build_d2(self):
-        m, n = self.m, self.n
-        triples = [(a, b, c) for a in range(n) for b in range(a + 1, n)
-                   for c in range(b + 1, n)]
-        pair_index = {pq: k for k, pq in enumerate(self.pairs)}
-
-        def block(vec, k, l):
-            if k == l:
-                return None, 1
-            if k < l:
-                return vec[pair_index[(k, l)] * m:(pair_index[(k, l)] + 1) * m], 1
-            return vec[pair_index[(l, k)] * m:(pair_index[(l, k)] + 1) * m], -1
-
-        cols = []
-        for pos in range(self.dim_c2):
-            vec = [ZERO] * self.dim_c2
-            vec[pos] = Fraction(1)
-            col = []
-            for (a, b, c) in triples:
-                acc = [ZERO] * m
-                for sign, head, rest in ((-1, a, (b, c)), (1, b, (a, c)),
-                                         (-1, c, (a, b))):
-                    blk, s = block(vec, *rest)
-                    if blk is None or all(x == 0 for x in blk):
-                        continue
-                    img = [sum(self.act[head][r][t] * blk[t] for t in range(m))
-                           for r in range(m)]
-                    for r in range(m):
-                        acc[r] += sign * s * img[r]
-                for sign, (p, q), tail in ((1, (a, b), c), (-1, (a, c), b),
-                                           (1, (b, c), a)):
-                    for k in range(self.n):
-                        ck = self.c[p][q][k]
-                        if ck == 0:
-                            continue
-                        blk, s = block(vec, k, tail)
-                        if blk is None:
-                            continue
-                        for r in range(m):
-                            acc[r] += sign * s * ck * blk[r]
-                col.extend(acc)
-            cols.append(col)
-        return _transpose_columns(cols, len(triples) * m)
-
-    def h0_dimension(self):
-        if self.dim_c0 == 0:
-            return 0
-        return self.dim_c0 - linalg.rank(self.d0_rows, self.dim_c0)
-
-    def kernel_d1(self):
-        if self.dim_c1 == 0:
-            return []
-        return linalg.nullspace(self.d1_rows, self.dim_c1)
-
-    def rank_d0(self):
-        if self.dim_c0 == 0:
-            return 0
-        return linalg.rank(self.d0_rows, self.dim_c0)
-
-    def h1_dimension(self):
-        return len(self.kernel_d1()) - self.rank_d0()
-
-    def h2_dimension(self):
-        d2 = self._build_d2()
-        rank1 = linalg.rank(self.d1_rows, self.dim_c1) if self.d1_rows else 0
-        if self.dim_c2 == 0:
-            return 0
-        ker2 = self.dim_c2 - (linalg.rank(d2, self.dim_c2) if d2 else 0)
-        return ker2 - rank1
-
-    def lift_cocycle(self, vec):
-        m = self.m
-        return [self.slice0.lift(vec[i * m:(i + 1) * m]) for i in range(self.n)]
-
-    def apply_d1(self, coords):
-        return [sum(row[c] * coords[c] for c in range(self.dim_c1))
-                for row in self.d1_rows]
-
-    @property
-    def dim_c1_layout(self):
-        return [self.m] * self.n
-
-
-def lft1(f, saito=None):
-    """Deformation space of a linear free divisor by Chevalley-Eilenberg
-    cohomology of its weight-zero algebra; includes H2 in the notes."""
+def linear_basis(f, saito=None):
+    """A weight-zero Saito basis of a linear free divisor and the standard
+    grading (1, ..., 1; n) it is graded by; raises NotLinear otherwise."""
     from .classify import is_linear
 
     n = len(f.ring)
@@ -736,25 +590,17 @@ def lft1(f, saito=None):
         saito = find_saito_basis(compute_der_log(f), f, w)
     if not is_linear(saito):
         raise NotLinear("not a linear free divisor")
-    weights = saito.field_weights(w)
-    if any(t != 0 for t in weights):
+    if any(t != 0 for t in saito.field_weights(w)):
         # re-derive a weight-zero basis; for a linear divisor the graded
         # minimal generating set consists of weight-zero fields
         saito = find_saito_basis(saito.fields, f, w)
-        weights = saito.field_weights(w)
-        if any(t != 0 for t in weights):
+        if any(t != 0 for t in saito.field_weights(w)):
             raise NotLinear("no weight-zero basis found")
-    sc = structure_constants(saito)
-    slice0 = QuotientSlice(saito, weights, w, 0)
-    ce = CEComplex(saito, sc, slice0)
-    kernel = ce.kernel_d1()
-    rank0 = ce.rank_d0()
-    reps, eqs = _select_representatives(ce, saito, w, kernel, rank0)
-    notes = {
-        "h0": ce.h0_dimension(),
-        "h2": ce.h2_dimension(),
-        "dim_m0": ce.m,
-        "dim_c1": ce.dim_c1,
-        "dim_c2": ce.dim_c2,
-    }
-    return DeformationReport(len(reps), reps, eqs, "lie-algebra", notes)
+    return saito, w
+
+
+def lft1(f, saito=None):
+    """Deformation space of a linear free divisor: the weight-zero slice
+    complex of a weight-zero basis under the standard grading, whose
+    cohomology is H^1(g, gl_n / g) for the weight-zero Lie algebra g."""
+    return ft1(f, *linear_basis(f, saito))

@@ -316,36 +316,6 @@ def _compositions(total, n):
             yield (first,) + rest
 
 
-class PolyMatrix:
-    """Rectangular matrix of polynomials over one ring."""
-
-    __slots__ = ("ring", "rows")
-
-    def __init__(self, ring, rows):
-        self.ring = ring
-        self.rows = [list(r) for r in rows]
-        width = len(self.rows[0]) if self.rows else 0
-        for r in self.rows:
-            if len(r) != width:
-                raise ValueError("ragged matrix")
-            for p in r:
-                if p.ring != ring:
-                    raise ValueError("mixed rings in matrix")
-
-    @property
-    def shape(self):
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
-
-    def column(self, j):
-        return [r[j] for r in self.rows]
-
-    def det(self):
-        return poly_det(self.rows)
-
-    def __eq__(self, other):
-        return isinstance(other, PolyMatrix) and self.ring == other.ring and self.rows == other.rows
-
-
 def poly_det(rows):
     """Determinant of a square matrix of polynomials.
 

@@ -23,11 +23,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-_TERM = re.compile(r"([+-]?)(?:(\d+)\*)?([A-Za-z]\w*)")
+_TERM = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)\*)?([A-Za-z]\w*)")
 
 
 def linear_form(text, variables):
-    """Coefficients of a linear form such as ``"2*x4 - x3"`` or ``"0"``."""
+    """Coefficients of a linear form such as ``"2*x4 - 1/2*x3"`` or ``"0"``."""
     compact = text.replace(" ", "")
     coeffs = [Fraction(0)] * len(variables)
     if compact == "0":

@@ -303,10 +303,13 @@ def test_criterion_09(corpus):
             assert tj.reduces_to_zero(fprime), m["label"]
             coboundaries += 1
 
+    # ft1 and lft1 share the slice complex, so lft1 is checked against
+    # the oracle, which reads only the text of the Saito matrix
     linear_members = [m for m in corpus if is_linear(m["saito"])]
     for m in linear_members:
         dim_l = lft1(m["f"], saito=m["saito"]).dimension
-        assert m["ft1"].dimension == dim_l, m["label"]
+        rows = [[poly_to_text(p) for p in row] for row in m["saito"].matrix()]
+        assert dim_l == cohomology(rows, m["f"].ring, 1), m["label"]
 
     plane = [m for m in corpus if len(m["f"].ring) == 2]
     for m in plane:
@@ -322,9 +325,10 @@ def test_criterion_09(corpus):
     report(9, True, "{} round trips, {} graded members with d1 d0 = 0 and"
            " h0 = 0 and ft1 within the jacobian bound, {} random"
            " coboundaries in the Tjurina ideal, {} linear members with"
-           " ft1 = lft1, {} plane members invariant under cylindrical"
-           " embedding".format(len(corpus), len(graded), coboundaries,
-                               len(linear_members), len(plane)))
+           " lft1 = H^1(g, gl_n / g) from the oracle, {} plane members"
+           " invariant under cylindrical embedding".format(
+               len(corpus), len(graded), coboundaries,
+               len(linear_members), len(plane)))
 
 
 def test_criterion_10(corpus):

@@ -237,3 +237,49 @@ class TestCorpusRun:
         write_doc(golden_path, golden)
         res = run_cli("corpus-run", str(tmp_path))
         assert res.returncode == 0
+
+
+class TestDeformationComplexIsBuiltOnce:
+    """ft1, lft1 and h0 read one memoized report per (basis, grading), so a
+    linear divisor graded by (1, ..., 1) builds a single slice complex."""
+
+    @staticmethod
+    def count_constructions(monkeypatch):
+        from logdiv import cohomology
+
+        built = []
+        original = cohomology.SliceComplex.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cohomology.SliceComplex, "__init__", counting_init)
+        return built
+
+    @pytest.mark.parametrize("name", ["nc-3", "quartic-cross"])
+    def test_one_slice_complex_per_analysis(self, name, monkeypatch):
+        from logdiv import cli
+
+        built = self.count_constructions(monkeypatch)
+        doc = cli.load_document(os.path.join(CORPUS, f"{name}.json"))
+        report = cli.analyze_document(doc, cli.ALL_STAGES)
+        assert len(built) == 1
+        with open(os.path.join(CORPUS, f"{name}.expected.json"),
+                  encoding="utf-8") as fh:
+            golden = json.load(fh)
+        assert strip_timings(report) == strip_timings(golden)
+
+    def test_h0_uses_the_graded_basis_of_ft1(self, monkeypatch):
+        # the supplied basis is not homogeneous, so ft1 re-derives a graded
+        # one; h0 must read that report instead of grading the supplied one
+        from logdiv import cli
+
+        built = self.count_constructions(monkeypatch)
+        doc = {"label": "inhomogeneous-basis", "variables": ["x", "y"],
+               "f": "x*y", "saito_matrix": [["x", "x^2"], ["0", "y"]]}
+        report = cli.analyze_document(doc, {"ft1"})
+        assert report["profile"]["field_weights"] is None
+        assert report["ft1"]["dimension"] == 0
+        assert report["h0"] == 0
+        assert len(built) == 1

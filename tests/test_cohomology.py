@@ -6,9 +6,7 @@ import pytest
 
 from ce_oracle import cohomology, normal_crossing_rows
 from logdiv.cohomology import (
-    CEComplex,
     Cocycle,
-    QuotientSlice,
     build_slice,
     cocycle_check,
     deformation_equation,
@@ -18,6 +16,7 @@ from logdiv.cohomology import (
     is_coboundary,
     jacobian_degree_bound,
     lft1,
+    linear_basis,
 )
 from logdiv.errors import NotLinear, NotWeightedHomogeneous
 from logdiv.groebner import buchberger
@@ -81,12 +80,14 @@ def five_var_saito():
 
 
 @pytest.fixture(scope="module")
-def five_var_ce(five_var_saito):
-    saito = five_var_saito
+def five_var_complex(five_var_saito):
     w = WeightSystem((1,) * 5, 5)
-    sc = structure_constants(saito)
-    slice0 = QuotientSlice(saito, saito.field_weights(w), w, 0)
-    return CEComplex(saito, sc, slice0)
+    return build_slice(five_var_saito, structure_constants(five_var_saito), w)
+
+
+def saito_rows(saito):
+    """The Saito matrix as texts, the input format of the oracle."""
+    return [[poly_to_text(p) for p in row] for row in saito.matrix()]
 
 
 class TestFt1PlaneCurves:
@@ -217,12 +218,15 @@ class TestLft1:
         assert rep.dimension == 0
 
     def test_cone_example(self):
-        rep = lft1(poly_from_text("y^2*z + x*z^2", R3))
+        f = poly_from_text("y^2*z + x*z^2", R3)
+        rep = lft1(f)
         assert rep.dimension == 0
         assert rep.notes["h0"] == 0
-        assert rep.notes["h2"] == 0
-        assert (rep.notes["dim_m0"], rep.notes["dim_c1"], rep.notes["dim_c2"]) \
+        assert (rep.notes["dim_c0"], rep.notes["dim_c1"], rep.notes["dim_c2"]) \
             == (6, 18, 18)
+        saito, w = linear_basis(f)
+        cx = build_slice(saito, structure_constants(saito), w)
+        assert cx.h2_dimension() == 0
 
     def test_rejects_nonlinear(self):
         with pytest.raises(NotLinear):
@@ -234,34 +238,42 @@ class TestLft1:
         ("y^2*z + x*z^2", R3),
     ])
     def test_agrees_with_ft1_on_linear_members(self, text, ring):
+        # ft1 and lft1 share the slice complex, so the oracle, which
+        # shares no code with either, is what makes the check independent
         f = poly_from_text(text, ring)
-        assert lft1(f).dimension == ft1(f).dimension
+        saito, _ = linear_basis(f)
+        dim = lft1(f).dimension
+        assert dim == cohomology(saito_rows(saito), ring, 1)
+        assert dim == ft1(f).dimension
 
 
 class TestFiveVariableExample:
-    def test_dimension_and_representative(self, five_var_saito):
+    def test_dimension_and_representative(self, five_var_saito,
+                                          five_var_complex):
         rep = lft1(FIVE_VAR_F, saito=five_var_saito)
         assert rep.dimension == 1
         assert [poly_to_text(p) for p in rep.deformed_equations] \
             == ["x3*x4^2*x5^2"]
-        assert rep.notes == {"h0": 0, "h2": 2, "dim_m0": 20,
-                             "dim_c1": 100, "dim_c2": 200}
+        assert rep.notes == {"h0": 0, "dim_c0": 20, "dim_c1": 100,
+                             "dim_c2": 200, "field_weights": [0] * 5}
+        assert five_var_complex.h2_dimension() == 2
 
-    def test_displayed_cocycle_spans_the_space(self, five_var_saito, five_var_ce):
+    def test_displayed_cocycle_spans_the_space(self, five_var_saito,
+                                               five_var_complex):
         saito = five_var_saito
-        ce = five_var_ce
+        cx = five_var_complex
         alpha_field = field(R5, "0", "2*x3", "-2*x4", "0", "0")
         psi = [VectorField(R5, [Polynomial.zero(R5)] * 5) for _ in range(5)]
         psi[2] = alpha_field
-        sc = ce.sc
+        sc = cx.sc
         assert cocycle_check(psi, saito, sc)
-        coords = [Fraction(0)] * ce.dim_c1
-        block = ce.slice0.project(alpha_field)
+        coords = [Fraction(0)] * cx.dim_c1
+        block = cx.slices1[2].project(alpha_field)
         for t, v in enumerate(block):
-            coords[2 * ce.m + t] = v
-        alpha = Cocycle(ce, coords)
+            coords[cx.offsets1[2] + t] = v
+        alpha = Cocycle(cx, coords)
         assert alpha.is_cocycle()
-        assert is_coboundary(alpha, ce) is None
+        assert is_coboundary(alpha, cx) is None
         fprime = deformation_equation(psi, saito)
         assert poly_to_text(fprime) == "-2*x4^4*x5"
         gb = tjurina_gb(FIVE_VAR_F)
@@ -294,7 +306,8 @@ class TestLft1AgainstOracle:
     def test_five_variable_divisor(self):
         assert cohomology(FIVE_VAR_ROWS, R5, 1) == 1
         assert cohomology(FIVE_VAR_ROWS, R5, 1, quotient=False) == 4
-        # the h0 and h2 notes of lft1, asserted in TestFiveVariableExample
+        # the h0 note of lft1 and h2 of its complex, asserted in
+        # TestFiveVariableExample
         assert cohomology(FIVE_VAR_ROWS, R5, 0) == 0
         assert cohomology(FIVE_VAR_ROWS, R5, 2) == 2
 

@@ -6,7 +6,6 @@ import pytest
 
 from logdiv.errors import NotHomogeneous, ParseError, ZeroOrConstantInput
 from logdiv.poly import (
-    PolyMatrix,
     Polynomial,
     WeightSystem,
     exact_div,
@@ -255,12 +254,3 @@ class TestDeterminant:
             sm = sympy.Matrix([[to_sympy(e, syms) for e in row] for row in m])
             theirs = from_sympy(sm.det(), R3, syms)
             assert ours == theirs
-
-    def test_polymatrix(self):
-        x, y = (Polynomial.variable(R2, i) for i in range(2))
-        pm = PolyMatrix(R2, [[x, y], [y, x]])
-        assert pm.shape == (2, 2)
-        assert pm.column(1) == [y, x]
-        assert pm.det() == x * x - y * y
-        with pytest.raises(ValueError):
-            PolyMatrix(R2, [[x], [x, y]])

@@ -30,27 +30,11 @@ def detect_weights(f):
     return detect_weight_system(f)
 
 
-def _standard_system(ring, degree):
-    return WeightSystem((1,) * len(ring), degree)
-
-
 def is_linear(saito):
     """True iff the module admits a basis of fields with linear
     coefficients: f must be homogeneous of degree n and the weight-zero
     part of the basis must generate the whole module."""
-    f = saito.divisor
-    n = len(f.ring)
-    deg = f.total_degree()
-    if deg != n or not all(sum(m) == deg for m in f.terms):
-        return False
-    w = _standard_system(f.ring, deg)
-    wz = weight_zero_part(saito.fields, w)
-    if len(wz) < n:
-        return False
-    from .groebner import buchberger
-
-    gb = buchberger([list(d.components) for d in wz.fields])
-    return all(gb.reduces_to_zero(list(d.components)) for d in saito.fields)
+    return saito.linear_part() is not None
 
 
 def _fresh_symbol_names(ring):
@@ -88,12 +72,12 @@ def principal_symbols(saito):
     return out
 
 
-def is_koszul(saito, budget=None):
+def is_koszul(saito):
     """Koszul freeness: the n principal symbols form a regular sequence in
     the 2n-variable polynomial ring, i.e. the symbol ideal has Krull
     dimension n."""
     symbols = principal_symbols(saito)
-    return krull_dimension(symbols, budget=budget) == len(saito.ring)
+    return krull_dimension(symbols) == len(saito.ring)
 
 
 class LieAlgebraMatrices:
@@ -202,11 +186,9 @@ class LieAlgebraMatrices:
 
 def lie_algebra_matrices(saito):
     """Weight-zero algebra of a linear free divisor as constant matrices."""
-    if not is_linear(saito):
+    wz = saito.linear_part()
+    if wz is None:
         raise NotLinear("divisor is not a linear free divisor")
-    f = saito.divisor
-    w = _standard_system(f.ring, f.total_degree())
-    wz = weight_zero_part(saito.fields, w)
     return LieAlgebraMatrices(wz.matrices)
 
 
@@ -297,7 +279,8 @@ def trace_test(f, ann=None):
     when one exists."""
     if ann is None:
         ann = annihilator_fields(f)
-    w = _standard_system(f.ring, len(f.ring))
+    n = len(f.ring)
+    w = WeightSystem((1,) * n, n)
     wz = weight_zero_part(ann, w)
     witnesses = []
     for diag in diagonal_annihilators(f):

@@ -27,38 +27,36 @@ Exit codes: 0 success (stages skipped by flags read "not computed"),
 (or a provided matrix failed verification), 5 timeout or budget
 exhausted.
 
-The Groebner step budget can be overridden with the LOGDIV_BUDGET
-environment variable (a positive integer of elementary reduction
-steps; the default is groebner.DEFAULT_STEP_BUDGET). The budget is per
-call: every Buchberger run and every normal form gets the full amount.
+Each analysis, and each corpus-run entry, runs under one errors.Budget:
+--timeout SECONDS is its deadline, and the LOGDIV_BUDGET environment
+variable (an integer, default errors.DEFAULT_STEPS) its steps, which
+Groebner reductions, linear algebra and slice construction share. A
+corpus entry that runs out of budget is a mismatch.
 """
 
 import argparse
 import json
 import os
-import signal
 import sys
 import time
 
-from . import groebner
 from .classify import (connection_conditions, detect_weights, is_koszul,
                        is_linear, is_reductive, lie_algebra_matrices,
                        trace_test)
 from .cohomology import ft1, jacobian_degree_bound, linear_basis
 from .cylinder import split_cylindrical
-from .errors import (BudgetExceeded, LogdivError, NonReduced, NotFree,
-                     NotHomogeneous, NotLinear, ParseError,
-                     ZeroOrConstantInput)
+from .errors import (DEFAULT_STEPS, Budget, BudgetExceeded, LogdivError,
+                     NonReduced, NotFree, NotHomogeneous, NotLinear,
+                     ParseError, ZeroOrConstantInput, current_budget)
 from .logder import (SaitoBasis, VectorField, compute_der_log,
-                     find_saito_basis, format_field, structure_constants,
-                     verify_saito, _check_divisor)
+                     find_saito_basis, format_field, verify_saito,
+                     _check_divisor)
 from .poly import (WeightSystem, poly_from_text, poly_to_text,
                    try_exact_div, weighted_degree)
 from . import __version__
 
 SCHEMA = 1
 ALL_STAGES = ("classify", "koszul", "ft1", "lft1")
-DEFAULT_MAX_WEIGHT = 64
 
 
 class StageFailure(Exception):
@@ -129,6 +127,8 @@ def _parse_poly(text, ring, what):
         return poly_from_text(text, ring)
     except ParseError as e:
         _fail(2, "input", f"{what}: {e}")
+    except BudgetExceeded as e:
+        _fail(5, "input", f"{what}: {e}")
 
 
 # ---- pipeline ----------------------------------------------------------
@@ -152,18 +152,6 @@ def _field_texts(fields, n):
             for r in range(n)]
 
 
-def _slice_weight_guard(w, field_weights, max_weight):
-    targets = {0, w.degree}
-    for a in field_weights:
-        targets.add(a)
-        for b in field_weights:
-            targets.add(a + b)
-    worst = max(abs(t) for t in targets)
-    if worst > max_weight:
-        raise BudgetExceeded(
-            f"slice weight {worst} exceeds --max-weight {max_weight}")
-
-
 def _computed(rep):
     return {
         "status": "computed",
@@ -172,11 +160,13 @@ def _computed(rep):
     }
 
 
-def analyze_document(doc, stages, max_weight=DEFAULT_MAX_WEIGHT):
+def analyze_document(doc, stages):
     """Run the analysis pipeline on a validated document.
 
     Returns the report dict; raises StageFailure for error exits. The
     partially filled report is attached to the failure as .report.
+    Work is charged to the budget of the enclosing ``with Budget(...)``
+    block, if any; its deadline is also checked between stages.
     """
     timings = {}
     report = {
@@ -195,6 +185,7 @@ def analyze_document(doc, stages, max_weight=DEFAULT_MAX_WEIGHT):
     def run_stage(name, fn):
         t0 = time.perf_counter()
         try:
+            current_budget().spend(0)
             return fn()
         except BudgetExceeded as e:
             failure = StageFailure(5, name, str(e))
@@ -286,13 +277,6 @@ def analyze_document(doc, stages, max_weight=DEFAULT_MAX_WEIGHT):
     }
     report["profile"] = profile
 
-    sc_cache = []
-
-    def get_sc():
-        if not sc_cache:
-            sc_cache.append(structure_constants(saito))
-        return sc_cache[0]
-
     # ft1, lft1 and h0 share one slice complex per (basis, grading)
     deformations = {}
 
@@ -324,7 +308,8 @@ def analyze_document(doc, stages, max_weight=DEFAULT_MAX_WEIGHT):
             else:
                 result["reductive"] = None
                 result["trace_witness"] = None
-            c1, c2 = connection_conditions(saito, get_sc())
+            c1, c2 = connection_conditions(saito,
+                                           saito.structure_constants())
             result["connection_conditions"] = [c1, c2]
             return result
 
@@ -338,7 +323,6 @@ def analyze_document(doc, stages, max_weight=DEFAULT_MAX_WEIGHT):
         def ft1_stage():
             if w is None:
                 return {"status": "refused: not weighted homogeneous"}
-            _slice_weight_guard(w, field_weights or [], max_weight)
             return _computed(deformation(graded_saito, w))
 
         report["ft1"] = run_stage("ft1", ft1_stage)
@@ -458,7 +442,9 @@ def _diff_fields(expected, actual, path, out):
         out.append(path)
 
 
-def run_corpus(directory, max_weight):
+def run_corpus(directory, steps=DEFAULT_STEPS, seconds=None):
+    """Re-run every entry of a corpus directory, each with its own budget,
+    against its stored report; returns the exit code."""
     entries = []
     try:
         names = sorted(os.listdir(directory))
@@ -477,7 +463,8 @@ def run_corpus(directory, max_weight):
             continue
         mismatches = []
         try:
-            report = analyze_document(doc, ALL_STAGES, max_weight)
+            with Budget(steps, seconds):
+                report = analyze_document(doc, ALL_STAGES)
         except StageFailure as e:
             report = getattr(e, "report", {})
             report = dict(report)
@@ -523,16 +510,14 @@ def _build_parser():
     an.add_argument("--all", action="store_true", help="run every stage")
     an.add_argument("--json", metavar="PATH",
                     help="also write the machine report to PATH")
-    an.add_argument("--timeout", type=float, metavar="SECONDS")
-    an.add_argument("--max-weight", type=int, default=DEFAULT_MAX_WEIGHT,
-                    metavar="N", help="refuse slices beyond weight N")
+    an.add_argument("--timeout", type=float, metavar="SECONDS",
+                    help="stop the analysis after SECONDS (exit 5)")
 
     co = sub.add_parser("corpus-run",
                         help="re-run a corpus directory against stored reports")
     co.add_argument("directory")
-    co.add_argument("--timeout", type=float, metavar="SECONDS")
-    co.add_argument("--max-weight", type=int, default=DEFAULT_MAX_WEIGHT,
-                    metavar="N")
+    co.add_argument("--timeout", type=float, metavar="SECONDS",
+                    help="stop each entry after SECONDS (a mismatch)")
     return parser
 
 
@@ -553,39 +538,26 @@ def _stage_set(args):
     return stages
 
 
-def _install_timeout(seconds):
-    def on_alarm(signum, frame):
-        raise BudgetExceeded(f"timed out after {seconds} seconds")
-
-    signal.signal(signal.SIGALRM, on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-
-
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    steps = DEFAULT_STEPS
     override = os.environ.get("LOGDIV_BUDGET")
     if override:
         try:
-            groebner.DEFAULT_STEP_BUDGET = int(override)
+            steps = int(override)
         except ValueError:
             print(f"LOGDIV_BUDGET must be an integer, got {override!r}",
                   file=sys.stderr)
             return 2
-    if args.timeout:
-        _install_timeout(args.timeout)
+    seconds = args.timeout or None
 
     if args.command == "corpus-run":
-        try:
-            return run_corpus(args.directory, args.max_weight)
-        except BudgetExceeded as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 5
+        return run_corpus(args.directory, steps, seconds)
 
     try:
         doc = load_document(args.path)
-        report = analyze_document(doc, _stage_set(args), args.max_weight)
-        if args.timeout:
-            signal.setitimer(signal.ITIMER_REAL, 0)
+        with Budget(steps, seconds):
+            report = analyze_document(doc, _stage_set(args))
     except StageFailure as e:
         report = getattr(e, "report", None)
         if report is not None:
@@ -594,9 +566,6 @@ def main(argv=None):
         else:
             print(f"error: {e.message}", file=sys.stderr)
         return e.code
-    except BudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 5
     except LogdivError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -33,6 +33,7 @@ from .errors import (
     InternalInconsistency,
     NotLinear,
     NotWeightedHomogeneous,
+    current_budget,
 )
 from .groebner import buchberger, weighted_monomials
 from .logder import (
@@ -40,7 +41,6 @@ from .logder import (
     compute_der_log,
     find_saito_basis,
     lie_bracket,
-    structure_constants,
 )
 from .poly import (
     Polynomial,
@@ -70,7 +70,11 @@ def _ambient_fields(ring, w, weight):
 
 class QuotientSlice:
     """Weight-w piece of (all fields) / (module spanned by the basis
-    fields), coordinates on monomial fields not hit by the relations."""
+    fields), coordinates on monomial fields not hit by the relations.
+
+    The dense relation matrix is charged to the budget, one step per
+    cell, before it is allocated.
+    """
 
     __slots__ = ("ring", "weight", "ambient", "_index", "_ech", "_pivots", "basis")
 
@@ -79,12 +83,14 @@ class QuotientSlice:
         self.weight = weight
         self.ambient = _ambient_fields(self.ring, w, weight)
         self._index = {t: k for k, t in enumerate(self.ambient)}
+        shifts = [(delta, weighted_monomials(w.weights, weight - wk))
+                  for delta, wk in zip(saito.fields, field_weights)
+                  if wk is not None]
+        current_budget().spend(
+            sum(len(ms) for _, ms in shifts) * len(self.ambient))
         relations = []
-        for k, delta in enumerate(saito.fields):
-            wk = field_weights[k]
-            if wk is None:
-                continue
-            for m in weighted_monomials(w.weights, weight - wk):
+        for delta, ms in shifts:
+            for m in ms:
                 vec = [ZERO] * len(self.ambient)
                 for i, p in enumerate(delta.components):
                     for mm, c in p.terms.items():
@@ -347,9 +353,6 @@ class Cocycle:
         self.complex = cx
         self.coords = list(coords)
 
-    def lifted_fields(self):
-        return self.complex.lift_cocycle(self.coords)
-
     def is_cocycle(self):
         return all(x == 0 for x in self.complex.apply_d1(self.coords))
 
@@ -463,7 +466,7 @@ def _select_representatives(cx, saito, w, kernel, rank0):
             f"class space dimension {len(ech)} != cohomology dimension {h1}")
     reps = []
     equations = []
-    chosen = []
+    chosen = linalg.Span()  # classes of the selected representatives
     for m in space.scan_order():
         if len(reps) == h1:
             break
@@ -474,8 +477,7 @@ def _select_representatives(cx, saito, w, kernel, rank0):
         residual = linalg.in_row_space(ech, pivots, cvec)
         if any(x != 0 for x in residual):
             continue  # class not realized by any cocycle
-        trial = chosen + [cvec]
-        if linalg.rank(trial, width) <= len(chosen):
+        if not chosen.add(dict(enumerate(cvec))):
             continue  # dependent on already selected classes
         sol = linalg.solve([[classes[u][pos] for u in range(len(kernel))]
                             for pos in range(width)], len(kernel), cvec)
@@ -485,19 +487,16 @@ def _select_representatives(cx, saito, w, kernel, rank0):
                   for c in range(cx.dim_c1)]
         reps.append(Cocycle(cx, coords))
         equations.append(mono)
-        chosen.append(cvec)
     if len(reps) < h1:
         # fall back to raw kernel vectors with independent classes
         for vec, cvec in zip(kernel, classes):
             if len(reps) == h1:
                 break
-            trial = chosen + [cvec]
-            if linalg.rank(trial, width) <= len(chosen):
+            if not chosen.add(dict(enumerate(cvec))):
                 continue
             fields = cx.lift_cocycle(vec)
             reps.append(Cocycle(cx, vec))
             equations.append(deformation_equation(fields, saito))
-            chosen.append(cvec)
     if len(reps) != h1:
         raise InternalInconsistency("failed to assemble a full set of representatives")
     return reps, equations
@@ -520,8 +519,7 @@ def ft1(f, saito=None, w=None):
     weight-zero slice cohomology ker d1 / im d0 with normalized
     representatives and deformed equations."""
     saito, w = _prepare_graded(f, saito, w)
-    sc = structure_constants(saito)
-    cx = build_slice(saito, sc, w)
+    cx = build_slice(saito, saito.structure_constants(), w)
     kernel = cx.kernel_d1()
     rank0 = cx.rank_d0()
     reps, eqs = _select_representatives(cx, saito, w, kernel, rank0)
@@ -539,8 +537,7 @@ def h0(f, saito=None, w=None):
     """Kernel dimension of d0 on the weight-zero slice (always 0: the
     logarithmic fields are self-normalizing)."""
     saito, w = _prepare_graded(f, saito, w)
-    sc = structure_constants(saito)
-    cx = build_slice(saito, sc, w)
+    cx = build_slice(saito, saito.structure_constants(), w)
     return cx.h0_dimension()
 
 
@@ -582,13 +579,11 @@ def ft1_plane_curve(f):
 def linear_basis(f, saito=None):
     """A weight-zero Saito basis of a linear free divisor and the standard
     grading (1, ..., 1; n) it is graded by; raises NotLinear otherwise."""
-    from .classify import is_linear
-
     n = len(f.ring)
     w = WeightSystem((1,) * n, n)
     if saito is None:
         saito = find_saito_basis(compute_der_log(f), f, w)
-    if not is_linear(saito):
+    if saito.linear_part() is None:
         raise NotLinear("not a linear free divisor")
     if any(t != 0 for t in saito.field_weights(w)):
         # re-derive a weight-zero basis; for a linear divisor the graded

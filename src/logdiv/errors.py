@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the run-scoped budget."""
+
+import contextvars
+import time
 
 
 class LogdivError(Exception):
@@ -45,8 +48,53 @@ class NotWeightedHomogeneous(LogdivError):
 
 
 class BudgetExceeded(LogdivError):
-    """A step or weight budget ran out before the computation finished."""
+    """A step budget or a deadline ran out before the computation finished."""
 
 
 class InternalInconsistency(LogdivError):
     """A mathematically guaranteed condition failed; indicates a bug upstream."""
+
+
+DEFAULT_STEPS = 2_000_000
+
+_ACTIVE = contextvars.ContextVar("logdiv_budget", default=None)
+
+
+class Budget:
+    """Steps left plus an optional time.monotonic() deadline.
+
+    A step is one Groebner reduction or S-pair, one row eliminated in
+    linear algebra, one cell of a slice relation matrix, or one pair of
+    terms multiplied in a polynomial power. Inside
+    ``with budget:`` every charge made in this thread or task goes to
+    ``budget``; see current_budget.
+    """
+
+    __slots__ = ("steps", "left", "seconds", "deadline", "_token")
+
+    def __init__(self, steps=DEFAULT_STEPS, seconds=None):
+        self.steps = steps
+        self.left = steps
+        self.seconds = seconds
+        self.deadline = None if seconds is None else time.monotonic() + seconds
+
+    def spend(self, n=1):
+        """Charge n steps; spend(0) only checks the deadline."""
+        self.left -= n
+        if self.left < 0:
+            raise BudgetExceeded(f"step budget of {self.steps} exhausted")
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceeded(f"timed out after {self.seconds} seconds")
+
+    def __enter__(self):
+        self._token = _ACTIVE.set(self)
+        return self
+
+    def __exit__(self, *exc):
+        _ACTIVE.reset(self._token)
+
+
+def current_budget():
+    """The budget of the enclosing ``with`` block; outside one, a fresh
+    default budget, so each library call is bounded on its own."""
+    return _ACTIVE.get() or Budget()

@@ -14,7 +14,8 @@ from fractions import Fraction
 import heapq
 import itertools
 
-from .errors import BudgetExceeded, InternalInconsistency, NotHomogeneous
+from . import linalg
+from .errors import InternalInconsistency, NotHomogeneous, current_budget
 from .poly import (
     Polynomial,
     degrevlex_key,
@@ -25,8 +26,6 @@ from .poly import (
     m_mul,
     m_weighted_degree,
 )
-
-DEFAULT_STEP_BUDGET = 2_000_000
 
 
 class DegRevLex:
@@ -106,18 +105,6 @@ def _v_iadd_scaled(target, src, expo, coeff):
 
 def _v_scale(v, coeff):
     return {t: coeff * co for t, co in v.items()}
-
-
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, limit):
-        self.left = limit if limit is not None else DEFAULT_STEP_BUDGET
-
-    def spend(self, n=1):
-        self.left -= n
-        if self.left < 0:
-            raise BudgetExceeded("step budget exhausted in Groebner engine")
 
 
 def _reduce_full(v, basis, leads, tkey, budget, track=False, sugar=None, sugars=None):
@@ -314,17 +301,17 @@ class GroebnerBasis:
     def __len__(self):
         return len(self._flat)
 
-    def normal_form(self, elem, budget=None):
+    def normal_form(self, elem):
         vec = _as_vector(elem, self.rank)
         v = _flatten(vec)
         rem, _ = _reduce_full(
-            v, self._flat, self._leads, _term_key(self.order), _Budget(budget)
+            v, self._flat, self._leads, _term_key(self.order), current_budget()
         )
         out = _unflatten(rem, self.ring, self.rank)
         return out[0] if self.rank == 1 else out
 
-    def reduces_to_zero(self, elem, budget=None):
-        nf = self.normal_form(elem, budget)
+    def reduces_to_zero(self, elem):
+        nf = self.normal_form(elem)
         if isinstance(nf, Polynomial):
             return nf.is_zero()
         return all(p.is_zero() for p in nf)
@@ -364,38 +351,29 @@ def _prepare(gens, rank=None):
     return ring, r, vecs
 
 
-def buchberger(gens, order=DEGREVLEX, budget=None):
+def buchberger(gens, order=DEGREVLEX):
     """Reduced Groebner basis of the ideal/submodule generated by gens."""
     ring, rank, vecs = _prepare(gens)
     flat = [f for f in map(_flatten, vecs) if f]
-    b = _Budget(budget)
+    b = current_budget()
     if not flat:
         return GroebnerBasis(ring, rank, order, [])
     basis, _, _, _ = _run_buchberger(flat, order, b, track=False)
     return GroebnerBasis(ring, rank, order, _interreduce(basis, order, b))
 
 
-def normal_form(elem, gb, order=DEGREVLEX, budget=None):
-    """Fully reduced remainder of elem against a GroebnerBasis or a plain
-    list of generators (a basis is computed first in the latter case)."""
-    if not isinstance(gb, GroebnerBasis):
-        gb = buchberger(gb, order, budget)
-    return gb.normal_form(elem, budget)
-
-
 class TrackedBasis:
     """Working (non-reduced) basis with expressions over the original
     generators; used for syzygies and for division with quotients."""
 
-    __slots__ = ("ring", "rank", "ngens", "order", "_flat", "_reps", "_zsyz", "_budget")
+    __slots__ = ("ring", "rank", "ngens", "order", "_flat", "_reps", "_zsyz")
 
-    def __init__(self, gens, order=DEGREVLEX, budget=None):
+    def __init__(self, gens, order=DEGREVLEX):
         ring, rank, vecs = _prepare(gens)
         self.ring = ring
         self.rank = rank
         self.ngens = len(vecs)
         self.order = order
-        self._budget = _Budget(budget)
         flat = []
         keep_idx = []
         for i, v in enumerate(map(_flatten, vecs)):
@@ -404,7 +382,7 @@ class TrackedBasis:
                 keep_idx.append(i)
         if not flat:
             raise ValueError("all generators are zero")
-        basis, _, reps, zsyz = _run_buchberger(flat, order, self._budget, track=True)
+        basis, _, reps, zsyz = _run_buchberger(flat, order, current_budget(), track=True)
         remap = {j: keep_idx[j] for j in range(len(keep_idx))}
         self._flat = basis
         self._reps = [self._remap(r, remap) for r in reps]
@@ -420,7 +398,8 @@ class TrackedBasis:
         v = _flatten(vec)
         tkey = _term_key(self.order)
         leads = [max(b, key=tkey) for b in self._flat]
-        rem, quots = _reduce_full(v, self._flat, leads, tkey, self._budget, track=True)
+        rem, quots = _reduce_full(v, self._flat, leads, tkey, current_budget(),
+                                   track=True)
         acc = {}
         for j, q in enumerate(quots):
             for shift, coeff in q.items():
@@ -438,7 +417,7 @@ class TrackedBasis:
         return qs
 
 
-def syzygies(gens, order=DEGREVLEX, budget=None):
+def syzygies(gens, order=DEGREVLEX):
     """Generating set of the first syzygy module of gens."""
     ring, rank, vecs = _prepare(gens)
     m = len(vecs)
@@ -452,7 +431,7 @@ def syzygies(gens, order=DEGREVLEX, budget=None):
             row[i] = Polynomial.one(ring)
             out.append(row)
     if nonzero:
-        tracked = TrackedBasis([vecs[i] for i in nonzero], order, budget)
+        tracked = TrackedBasis([vecs[i] for i in nonzero], order)
         remap = {j: nonzero[j] for j in range(len(nonzero))}
         # syzygies discovered from S-pairs that reduced to zero
         for z in tracked._zsyz:
@@ -510,7 +489,7 @@ def _spread(e):
     return (max(e) - min(e)) if e else 0
 
 
-def graded_quotient_basis(sub, target_weight, w, component_weights=None, order=DEGREVLEX, budget=None):
+def graded_quotient_basis(sub, target_weight, w, component_weights=None, order=DEGREVLEX):
     """Monomial representatives of a Q-basis of the target_weight graded
     piece of (free module) / (submodule generated by sub).
 
@@ -532,7 +511,7 @@ def graded_quotient_basis(sub, target_weight, w, component_weights=None, order=D
                 degs.add(m_weighted_degree(m, weights) + component_weights[c])
         if len(degs) > 1:
             raise NotHomogeneous(degs)
-    gb = buchberger(sub, order, budget)
+    gb = buchberger(sub, order)
     candidates = []
     for c in range(rank):
         for e in weighted_monomials(weights, target_weight - component_weights[c]):
@@ -542,43 +521,18 @@ def graded_quotient_basis(sub, target_weight, w, component_weights=None, order=D
     candidates.sort(key=lambda t: t[0])
     candidates.sort(key=lambda t: degrevlex_key(t[1]), reverse=True)
     candidates.sort(key=lambda t: _spread(t[1]))
+    span = linalg.Span()
     selected = []
-    rows = []
-    coords = {}
-    from . import linalg
-
-    def coord_vector(flat):
-        vec = [Fraction(0)] * len(coords)
-        grew = False
-        for t, co in flat.items():
-            if t not in coords:
-                coords[t] = len(coords)
-                grew = True
-            if coords[t] < len(vec):
-                vec[coords[t]] = co
-        if grew:
-            vec = [Fraction(0)] * len(coords)
-            for t, co in flat.items():
-                vec[coords[t]] = co
-        return vec
-
     for c, e in candidates:
         elem = [Polynomial.zero(ring) for _ in range(rank)]
         elem[c] = Polynomial.monomial(ring, e)
-        nf = gb.normal_form(elem[0] if rank == 1 else elem)
-        flat = _flatten(_as_vector(nf, rank))
-        if not flat:
-            continue
-        vec = coord_vector(flat)
-        width = len(coords)
-        padded = [r + [Fraction(0)] * (width - len(r)) for r in rows]
-        if linalg.rank(padded + [vec], width) > len(rows):
-            rows = padded + [vec]
-            selected.append(elem[0] if rank == 1 else elem)
+        elem = elem[0] if rank == 1 else elem
+        if span.add(_flatten(_as_vector(gb.normal_form(elem), rank))):
+            selected.append(elem)
     return selected
 
 
-def krull_dimension(gens, order=DEGREVLEX, budget=None):
+def krull_dimension(gens, order=DEGREVLEX):
     """Krull dimension of (polynomial ring)/(ideal gens), by the maximal
     size of a variable subset meeting no initial-ideal support.
 
@@ -589,7 +543,7 @@ def krull_dimension(gens, order=DEGREVLEX, budget=None):
     if rank != 1:
         raise ValueError("krull_dimension expects ideal generators")
     n = len(ring)
-    gb = buchberger(gens, order, budget)
+    gb = buchberger(gens, order)
     supports = []
     for v in gb._flat:
         (_, e) = max(v, key=_term_key(order))

@@ -7,6 +7,8 @@ repeated runs produce identical echelon forms and kernel bases.
 
 from fractions import Fraction
 
+from .errors import current_budget
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -18,6 +20,7 @@ def rref(rows, ncols):
     Zero rows are dropped from the result.
     """
     work = [list(map(Fraction, r)) for r in rows]
+    budget = current_budget()
     pivots = []
     r = 0
     for c in range(ncols):
@@ -31,11 +34,14 @@ def rref(rows, ncols):
         work[r], work[pr] = work[pr], work[r]
         inv = ONE / work[r][c]
         work[r] = [x * inv for x in work[r]]
+        eliminated = 0
         for i in range(len(work)):
             if i != r and work[i][c] != 0:
                 f = work[i][c]
                 row_r = work[r]
                 work[i] = [a - f * b for a, b in zip(work[i], row_r)]
+                eliminated += 1
+        budget.spend(eliminated)
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -85,6 +91,39 @@ def in_row_space(ech, pivots, vec):
             f = v[pc]
             v = [a - f * b for a, b in zip(v, row)]
     return v
+
+
+class Span:
+    """Echelon basis of the span of the sparse vectors added so far; a
+    sparse vector is a dict from any coordinate key to its entry."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows = []  # (pivot key, row with entry 1 at the pivot)
+
+    def add(self, vec):
+        """Reduce vec against the kept rows and keep the residual iff it is
+        nonzero; returns whether vec was independent of the span."""
+        v = {k: x for k, x in vec.items() if x}
+        eliminated = 0
+        for pivot, row in self.rows:
+            f = v.get(pivot)
+            if f:
+                for k, x in row.items():
+                    s = v.get(k, ZERO) - f * x
+                    if s:
+                        v[k] = s
+                    else:
+                        del v[k]
+                eliminated += 1
+        current_budget().spend(eliminated)
+        if not v:
+            return False
+        pivot = next(iter(v))
+        inv = ONE / v[pivot]
+        self.rows.append((pivot, {k: x * inv for k, x in v.items()}))
+        return True
 
 
 def det_bareiss(rows):

@@ -13,6 +13,7 @@ of the j-th field.
 from fractions import Fraction
 import itertools
 
+from . import linalg
 from .errors import (
     InternalInconsistency,
     NonReduced,
@@ -29,6 +30,7 @@ from .groebner import (
 )
 from .poly import (
     Polynomial,
+    WeightSystem,
     is_squarefree,
     m_weighted_degree,
     partial_derivative,
@@ -166,14 +168,14 @@ def _fields_from_syzygies(gens, ring, drop_first):
     return out
 
 
-def compute_der_log(f, budget=None):
+def compute_der_log(f):
     """Generators of Der(-log f) from syzygies of (f, gradient of f)."""
     _check_divisor(f)
     gens = [f] + [partial_derivative(f, i) for i in range(len(f.ring))]
     return _fields_from_syzygies(gens, f.ring, drop_first=True)
 
 
-def annihilator_fields(f, budget=None):
+def annihilator_fields(f):
     """Generators of {delta : delta(f) = 0}, syzygies of the gradient."""
     if f.is_zero() or f.is_constant():
         from .errors import ZeroOrConstantInput
@@ -200,15 +202,19 @@ class VerifyResult:
 
 
 class SaitoBasis:
-    """Verified free basis of Der(-log f); fields are matrix columns."""
+    """Verified free basis of Der(-log f); fields are matrix columns.
 
-    __slots__ = ("ring", "fields", "divisor", "unit")
+    What is derived from the basis alone is computed once per basis.
+    """
+
+    __slots__ = ("ring", "fields", "divisor", "unit", "_memo")
 
     def __init__(self, fields, divisor, unit):
         self.fields = list(fields)
         self.divisor = divisor
         self.ring = divisor.ring
         self.unit = unit
+        self._memo = {}
 
     def __len__(self):
         return len(self.fields)
@@ -220,6 +226,34 @@ class SaitoBasis:
 
     def field_weights(self, w):
         return [delta.weight(w) for delta in self.fields]
+
+    def structure_constants(self):
+        """The StructureConstants of this basis."""
+        if "sc" not in self._memo:
+            self._memo["sc"] = structure_constants(self)
+        return self._memo["sc"]
+
+    def linear_part(self):
+        """The weight-zero part under the standard grading when it
+        generates the module, i.e. when the divisor is a linear free
+        divisor (f homogeneous of degree n); None otherwise."""
+        if "linear" not in self._memo:
+            self._memo["linear"] = _linear_part(self)
+        return self._memo["linear"]
+
+
+def _linear_part(saito):
+    f = saito.divisor
+    n = len(f.ring)
+    if f.total_degree() != n or not all(sum(m) == n for m in f.terms):
+        return None
+    wz = weight_zero_part(saito.fields, WeightSystem((1,) * n, n))
+    if len(wz) < n:
+        return None
+    gb = buchberger([list(d.components) for d in wz.fields])
+    if all(gb.reduces_to_zero(list(d.components)) for d in saito.fields):
+        return wz
+    return None
 
 
 def verify_saito(fields, f):
@@ -321,9 +355,6 @@ class StructureConstants:
         self.n = n
         self.b = b
 
-    def coeffs(self, i, j):
-        return self.b[i][j]
-
     def is_constant(self):
         return all(p.is_constant() for row in self.b for col in row for p in col)
 
@@ -380,38 +411,20 @@ def weight_zero_part(gens, w):
     monomials m with wt(m) = -wt(g); a deterministic greedy scan keeps a
     linearly independent subset.
     """
-    from . import linalg
-
-    ring = gens[0].ring
-    n = len(ring)
-    candidates = []
+    span = linalg.Span()
+    fields = []
     for g in gens:
         for part in g.weight_parts(w):
             tag = part.weight(w)
             if tag is None or tag > 0:
                 continue
             for m in weighted_monomials(w.weights, -tag):
-                mono = Polynomial.monomial(ring, m)
-                candidates.append(VectorField(ring, [mono * p for p in part.components]))
-    coords = {}
-    rows = []
-    fields = []
-    for delta in candidates:
-        flat = {}
-        for i, p in enumerate(delta.components):
-            for mm, c in p.terms.items():
-                flat[(i, mm)] = c
-        for t in flat:
-            if t not in coords:
-                coords[t] = len(coords)
-        width = len(coords)
-        vec = [Fraction(0)] * width
-        for t, c in flat.items():
-            vec[coords[t]] = c
-        padded = [r + [Fraction(0)] * (width - len(r)) for r in rows]
-        if linalg.rank(padded + [vec], width) > len(rows):
-            rows = padded + [vec]
-            fields.append(delta)
+                mono = Polynomial.monomial(g.ring, m)
+                delta = VectorField(g.ring, [mono * p for p in part.components])
+                if span.add({(i, mm): c for i, p in enumerate(delta.components)
+                             for mm, c in p.terms.items()}):
+                    fields.append(delta)
+    n = len(w.weights)
     matrices = None
     if w.is_standard():
         matrices = []

@@ -12,7 +12,8 @@ ring's variable order.
 from fractions import Fraction
 import re
 
-from .errors import NotHomogeneous, ParseError, ZeroOrConstantInput
+from .errors import (NotHomogeneous, ParseError, ZeroOrConstantInput,
+                     current_budget)
 from . import linalg
 
 Monomial = tuple  # exponent vector; length == number of ring variables
@@ -175,14 +176,20 @@ class Polynomial:
         return Polynomial(self.ring, {m_mul(m, expo): c * v for m, v in self.terms.items()}, False)
 
     def __pow__(self, n):
+        """Repeated squaring; each product is charged to the budget, one
+        step per pair of terms, before it is formed."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        budget = current_budget()
         result = Polynomial.one(self.ring)
         base = self
         while n:
             if n & 1:
+                budget.spend(len(result.terms) * len(base.terms))
                 result = result * base
-            base = base * base if n > 1 else base
+            if n > 1:
+                budget.spend(len(base.terms) ** 2)
+                base = base * base
             n >>= 1
         return result
 
@@ -397,15 +404,6 @@ def _univariate_view(p, v):
         for d, t in out.items()
         if any(c != 0 for c in t.values())
     }
-
-
-def _from_univariate(ring, v, coeffs):
-    acc = Polynomial.zero(ring)
-    for d, cp in coeffs.items():
-        e = [0] * len(ring)
-        e[v] = d
-        acc = acc + cp.mul_term(tuple(e), 1)
-    return acc
 
 
 def _deg_in(p, v):

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -181,10 +182,40 @@ class TestAnalyzeErrors:
         assert res.returncode == 5
         assert "timed out" in res.stdout
 
+    def test_timeout_works_outside_the_main_thread(self, capsys):
+        from logdiv import cli
+
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(cli.main([
+            "analyze", os.path.join(CORPUS, "linear-nonreductive-5.json"),
+            "--all", "--timeout", "0.3"])))
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive()
+        assert codes == [5]
+        assert "timed out" in capsys.readouterr().out
+
     def test_budget_env_override_exits_5(self):
         res = run_cli("analyze", os.path.join(CORPUS, "discriminant-234.json"),
                       env_extra={"LOGDIV_BUDGET": "1"})
         assert res.returncode == 5
+
+    def test_budget_is_one_per_analysis(self):
+        # the largest single call spends 230 steps, the whole default
+        # analysis 432: only a budget shared by the calls runs out
+        res = run_cli("analyze", os.path.join(CORPUS, "discriminant-234.json"),
+                      env_extra={"LOGDIV_BUDGET": "300"})
+        assert res.returncode == 5
+        assert "step budget of 300 exhausted" in res.stdout
+
+    def test_huge_power_is_refused_before_it_is_expanded(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_doc(path, {"label": "p", "variables": ["x", "y"],
+                         "f": "(x+y)^1000000"})
+        res = run_cli("analyze", str(path),
+                      env_extra={"LOGDIV_BUDGET": "100000"})
+        assert res.returncode == 5
+        assert "f: step budget of 100000 exhausted" in res.stderr
 
     def test_bad_budget_value_rejected(self):
         res = run_cli("analyze", os.path.join(CORPUS, "nc-2.json"),
@@ -227,6 +258,27 @@ class TestCorpusRun:
         assert res.returncode == 1
         assert "expected report file missing" in res.stdout
 
+    def test_timeout_is_per_entry(self, tmp_path):
+        # the heavy entry runs twice (files sort as lnr5, nc-2, copy):
+        # each run gets its own deadline, and the light entry between
+        # them is not touched by either
+        for name in ("nc-2.json", "nc-2.expected.json"):
+            shutil.copy(os.path.join(CORPUS, name), tmp_path / name)
+        for prefix in ("", "zz-copy-of-"):
+            for suffix in (".json", ".expected.json"):
+                shutil.copy(
+                    os.path.join(CORPUS, "linear-nonreductive-5" + suffix),
+                    tmp_path / f"{prefix}linear-nonreductive-5{suffix}")
+        res = run_cli("corpus-run", str(tmp_path), "--timeout", "0.3")
+        assert res.returncode == 1
+        *heavy, light, total = res.stdout.splitlines()
+        assert len(heavy) == 2
+        for line in heavy:
+            assert line.startswith("linear-nonreductive-5    MISMATCH  ")
+            assert "error (unexpected)" in line
+        assert light == "nc-2                     ok"
+        assert total == "3 corpus entries, 2 mismatched"
+
     def test_timings_are_ignored(self, tmp_path):
         for name in ("nc-2.json", "nc-2.expected.json"):
             shutil.copy(os.path.join(CORPUS, name), tmp_path / name)
@@ -237,6 +289,21 @@ class TestCorpusRun:
         write_doc(golden_path, golden)
         res = run_cli("corpus-run", str(tmp_path))
         assert res.returncode == 0
+
+
+class TestOneVariable:
+    def test_line_in_the_line_is_linear_reductive_and_rigid(self, tmp_path):
+        path = tmp_path / "i.json"
+        write_doc(path, {"label": "i", "variables": ["x"], "f": "x"})
+        out = tmp_path / "report.json"
+        res = run_cli("analyze", str(path), "--all", "--json", str(out))
+        assert res.returncode == 0, res.stderr
+        with open(out, encoding="utf-8") as fh:
+            report = json.load(fh)
+        assert report["profile"]["linear"] is True
+        assert report["profile"]["reductive"] is True
+        assert report["ft1"]["dimension"] == 0
+        assert report["lft1"]["dimension"] == 0
 
 
 class TestDeformationComplexIsBuiltOnce:
@@ -283,3 +350,27 @@ class TestDeformationComplexIsBuiltOnce:
         assert report["ft1"]["dimension"] == 0
         assert report["h0"] == 0
         assert len(built) == 1
+
+
+class TestArtefactsComputedOnce:
+    def test_structure_constants_and_weight_zero_parts(self, monkeypatch):
+        from logdiv import classify, cli, logder
+
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(logder, "structure_constants", counting(
+            "structure_constants", logder.structure_constants))
+        wz = counting("weight_zero_part", logder.weight_zero_part)
+        monkeypatch.setattr(logder, "weight_zero_part", wz)
+        monkeypatch.setattr(classify, "weight_zero_part", wz)
+        doc = cli.load_document(os.path.join(CORPUS, "linear-nonreductive-5.json"))
+        cli.analyze_document(doc, cli.ALL_STAGES)
+        # weight_zero_part: once for the basis, once for the annihilator
+        assert calls.count("structure_constants") == 1
+        assert calls.count("weight_zero_part") == 2

@@ -7,6 +7,7 @@ import pytest
 from ce_oracle import cohomology, normal_crossing_rows
 from logdiv.cohomology import (
     Cocycle,
+    QuotientSlice,
     build_slice,
     cocycle_check,
     deformation_equation,
@@ -18,7 +19,8 @@ from logdiv.cohomology import (
     lft1,
     linear_basis,
 )
-from logdiv.errors import NotLinear, NotWeightedHomogeneous
+from logdiv.errors import (Budget, BudgetExceeded, NotLinear,
+                           NotWeightedHomogeneous)
 from logdiv.groebner import buchberger
 from logdiv.logder import (
     SaitoBasis,
@@ -337,3 +339,19 @@ class TestSliceInternals:
             out = [sum(row[c] * img[c] for c in range(cx.dim_c2))
                    for row in d2]
             assert all(x == 0 for x in out)
+
+
+class TestSliceBudget:
+    def test_relation_matrix_is_charged_before_it_is_built(self):
+        # x*y*z: three weight-zero fields against nine weight-zero
+        # monomial fields, so the weight-0 relation matrix has 27 cells
+        f = P("x*y*z", R3)
+        saito = saito_for(f)
+        w = WeightSystem((1, 1, 1), 3)
+        weights = saito.field_weights(w)
+        with pytest.raises(BudgetExceeded):
+            with Budget(steps=26):
+                QuotientSlice(saito, weights, w, 0)
+        with Budget(steps=27 + 100) as budget:
+            assert QuotientSlice(saito, weights, w, 0).dim == 6
+        assert budget.steps - budget.left >= 27

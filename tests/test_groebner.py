@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from logdiv.errors import BudgetExceeded, NotHomogeneous
+from logdiv.errors import Budget, BudgetExceeded, NotHomogeneous
 from logdiv.groebner import (
     DEGREVLEX,
     LEX,
@@ -14,7 +14,6 @@ from logdiv.groebner import (
     buchberger,
     graded_quotient_basis,
     krull_dimension,
-    normal_form,
     syzygies,
     weighted_monomials,
 )
@@ -92,7 +91,22 @@ class TestBuchberger:
         # leads share a variable, so S-pairs must actually be processed
         gens = [P("x^3 - 2*x*y"), P("x^2*y - 2*y^2 + x")]
         with pytest.raises(BudgetExceeded):
-            buchberger(gens, budget=1)
+            with Budget(steps=1):
+                buchberger(gens)
+
+    def test_budget_is_shared_by_the_calls_in_one_block(self):
+        gens = [P("x^3 - 2*x*y"), P("x^2*y - 2*y^2 + x")]
+        with Budget() as spent:
+            buchberger(gens)
+        one_call = spent.steps - spent.left
+        assert one_call >= 2
+        steps = one_call + one_call // 2
+        with Budget(steps=steps):
+            buchberger(gens)
+        with pytest.raises(BudgetExceeded):
+            with Budget(steps=steps):
+                buchberger(gens)
+                buchberger(gens)
 
     def test_module_gb(self):
         x, y = (Polynomial.variable(R2, i) for i in range(2))

@@ -1,8 +1,10 @@
 """Classification predicates for free divisors.
 
-Decides: weighted homogeneity (with detected weights), linearity, Koszul
-freeness, reductivity of the weight-zero Lie algebra, and the two
-connection-existence conditions on structure constants.
+Decides: linearity, Koszul freeness, reductivity of the Lie algebra g_D
+of weight-zero logarithmic fields, the trace test, and the two
+connection-existence conditions on structure constants. Weighted
+homogeneity is poly.detect_weight_system. Everything about g_D is read
+from one basis, SaitoBasis.linear_part().
 """
 
 from fractions import Fraction
@@ -10,30 +12,14 @@ from fractions import Fraction
 from . import linalg
 from .errors import InternalInconsistency, NotLinear
 from .groebner import krull_dimension
-from .logder import (
-    VectorField,
-    annihilator_fields,
-    weight_zero_part,
-)
-from .poly import (
-    Polynomial,
-    WeightSystem,
-    detect_weight_system,
-    partial_derivative,
-)
-
-
-def detect_weights(f):
-    """Minimal positive coprime integer weights making f weighted
-    homogeneous, with the resulting degree; None when no positive weight
-    vector exists."""
-    return detect_weight_system(f)
+from .logder import VectorField
+from .poly import Polynomial, partial_derivative
 
 
 def is_linear(saito):
     """True iff the module admits a basis of fields with linear
-    coefficients: f must be homogeneous of degree n and the weight-zero
-    part of the basis must generate the whole module."""
+    coefficients: f must be homogeneous of degree n and its homogeneous
+    basis under the standard grading must have only weight-zero fields."""
     return saito.linear_part() is not None
 
 
@@ -80,54 +66,15 @@ def is_koszul(saito):
     return krull_dimension(symbols) == len(saito.ring)
 
 
-class LieAlgebraMatrices:
-    """Finite-dimensional matrix Lie algebra spanned by the weight-zero
-    fields of a linear free divisor; A[j][i] is the x_i coefficient of the
-    d/dx_j component, so the field is (A x) . d.
+class LieAlgebra:
+    """Finite-dimensional Lie algebra given by its bracket table:
+    bracket_table[(i, j)], i < j, holds the coordinates of [e_i, e_j]."""
 
-    The commutator of field matrices reverses order relative to the field
-    bracket; the Killing form and all dimension counts are unaffected.
-    """
+    __slots__ = ("dim", "bracket_table")
 
-    __slots__ = ("matrices", "dim", "n", "bracket_table")
-
-    def __init__(self, matrices):
-        self.matrices = [tuple(tuple(Fraction(e) for e in row) for row in a)
-                         for a in matrices]
-        self.dim = len(self.matrices)
-        self.n = len(self.matrices[0]) if self.matrices else 0
-        self.bracket_table = self._close()
-
-    @staticmethod
-    def _commutator(a, b):
-        n = len(a)
-        ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-              for i in range(n)]
-        ba = [[sum(b[i][k] * a[k][j] for k in range(n)) for j in range(n)]
-              for i in range(n)]
-        return [[ab[i][j] - ba[i][j] for j in range(n)] for i in range(n)]
-
-    def _flat(self, a):
-        return [a[i][j] for i in range(self.n) for j in range(self.n)]
-
-    def coords(self, a):
-        """Coordinates of a matrix in the span of the basis, or None."""
-        cols = [self._flat(m) for m in self.matrices]
-        rows = [[cols[k][pos] for k in range(self.dim)]
-                for pos in range(self.n * self.n)]
-        return linalg.solve(rows, self.dim, self._flat(a))
-
-    def _close(self):
-        table = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                c = self._commutator(self.matrices[i], self.matrices[j])
-                sol = self.coords(c)
-                if sol is None:
-                    raise InternalInconsistency(
-                        "weight-zero matrices are not closed under commutator")
-                table[(i, j)] = sol
-        return table
+    def __init__(self, dim, bracket_table):
+        self.dim = dim
+        self.bracket_table = bracket_table
 
     def ad(self, i):
         """Matrix of ad(basis_i) in the basis, columns = bracket coords."""
@@ -185,11 +132,19 @@ class LieAlgebraMatrices:
 
 
 def lie_algebra_matrices(saito):
-    """Weight-zero algebra of a linear free divisor as constant matrices."""
-    wz = saito.linear_part()
-    if wz is None:
+    """The Lie algebra g_D of a linear free divisor: the weight-zero basis
+    fields, bracketed by their structure constants, which are rational
+    numbers because brackets of weight-zero fields have weight zero."""
+    linear = saito.linear_part()
+    if linear is None:
         raise NotLinear("divisor is not a linear free divisor")
-    return LieAlgebraMatrices(wz.matrices)
+    sc = linear.structure_constants()
+    if not sc.is_constant():
+        raise InternalInconsistency(
+            "weight-zero fields have nonconstant structure constants")
+    table = {(i, j): [p.constant_value() for p in sc.b[i][j]]
+             for i in range(sc.n) for j in range(i + 1, sc.n)}
+    return LieAlgebra(sc.n, table)
 
 
 def is_reductive(g):
@@ -272,22 +227,37 @@ def diagonal_annihilators(f):
     return out
 
 
-def trace_test(f, ann=None):
+def linear_annihilators(f):
+    """Basis of the fields (A x) . d, A in gl_n, with (A x) . grad f = 0:
+    the nullspace of a linear system in the n^2 entries of A."""
+    n = len(f.ring)
+    x = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    images = []  # column j*n + i, for the entry A[j][i]: x_i * df/dx_j
+    for j in range(n):
+        dj = partial_derivative(f, j)
+        for i in range(n):
+            images.append(dj.mul_term(x[i], 1).terms)
+    monomials = sorted({m for t in images for m in t})
+    rows = [[t.get(m, 0) for t in images] for m in monomials]
+    out = []
+    for v in linalg.nullspace(rows, n * n):
+        comps = [Polynomial(f.ring, {x[i]: v[j * n + i] for i in range(n)})
+                 for j in range(n)]
+        out.append(VectorField(f.ring, comps))
+    return out
+
+
+def trace_test(f):
     """Necessary condition for reductivity of a linear free divisor: every
     weight-zero annihilator field must be traceless. On failure the first
     witness is canonical: a diagonal annihilator field with positive trace
     when one exists."""
-    if ann is None:
-        ann = annihilator_fields(f)
-    n = len(f.ring)
-    w = WeightSystem((1,) * n, n)
-    wz = weight_zero_part(ann, w)
     witnesses = []
     for diag in diagonal_annihilators(f):
         tr = field_trace(diag)
         if tr != 0:
             witnesses.append((diag, tr))
-    for delta in wz.fields:
+    for delta in linear_annihilators(f):
         tr = field_trace(delta)
         if tr != 0:
             prim = _primitive_field(delta)

@@ -40,9 +40,8 @@ import os
 import sys
 import time
 
-from .classify import (connection_conditions, detect_weights, is_koszul,
-                       is_linear, is_reductive, lie_algebra_matrices,
-                       trace_test)
+from .classify import (connection_conditions, is_koszul, is_linear,
+                       is_reductive, lie_algebra_matrices, trace_test)
 from .cohomology import ft1, jacobian_degree_bound, linear_basis
 from .cylinder import split_cylindrical
 from .errors import (DEFAULT_STEPS, Budget, BudgetExceeded, LogdivError,
@@ -51,8 +50,8 @@ from .errors import (DEFAULT_STEPS, Budget, BudgetExceeded, LogdivError,
 from .logder import (SaitoBasis, VectorField, compute_der_log,
                      find_saito_basis, format_field, verify_saito,
                      _check_divisor)
-from .poly import (WeightSystem, poly_from_text, poly_to_text,
-                   try_exact_div, weighted_degree)
+from .poly import (WeightSystem, detect_weight_system, poly_from_text,
+                   poly_to_text, try_exact_div, weighted_degree)
 from . import __version__
 
 SCHEMA = 1
@@ -143,7 +142,7 @@ def _detect_grading(f, provided):
                   f"f is not homogeneous for the given weights "
                   f"(degrees {sorted(e.degrees)})")
         return WeightSystem(weights, k)
-    return detect_weights(f)
+    return detect_weight_system(f)
 
 
 def _field_texts(fields, n):
@@ -277,17 +276,15 @@ def analyze_document(doc, stages):
     }
     report["profile"] = profile
 
-    # ft1, lft1 and h0 share one slice complex per (basis, grading)
+    # ft1, lft1 and h0 share one slice complex per (graded basis, grading)
     deformations = {}
 
     def deformation(basis, grading):
+        basis = basis.graded(grading)
         key = (basis, grading.weights, grading.degree)
         if key not in deformations:
             deformations[key] = ft1(work_f, saito=basis, w=grading)
         return deformations[key]
-
-    # ft1 re-derives a graded basis when the given one is not homogeneous
-    graded_saito = saito if field_weights else None
 
     if "classify" in stages:
         def classify_stage():
@@ -323,7 +320,7 @@ def analyze_document(doc, stages):
         def ft1_stage():
             if w is None:
                 return {"status": "refused: not weighted homogeneous"}
-            return _computed(deformation(graded_saito, w))
+            return _computed(deformation(saito, w))
 
         report["ft1"] = run_stage("ft1", ft1_stage)
 
@@ -340,7 +337,7 @@ def analyze_document(doc, stages):
     if "ft1" in stages or "lft1" in stages:
         def h0_stage():
             if w is not None:
-                return deformation(graded_saito, w).notes["h0"]
+                return deformation(saito, w).notes["h0"]
             return "not computed"
 
         report["h0"] = run_stage("h0", h0_stage)

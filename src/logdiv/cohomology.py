@@ -511,13 +511,13 @@ def _prepare_graded(f, saito=None, w=None):
             "computation does not apply")
     if saito is None:
         saito = find_saito_basis(compute_der_log(f), f, w)
-    return saito, w
+    return saito.graded(w), w
 
 
 def ft1(f, saito=None, w=None):
     """Deformation space of a weighted homogeneous free divisor: the
-    weight-zero slice cohomology ker d1 / im d0 with normalized
-    representatives and deformed equations."""
+    weight-zero slice cohomology ker d1 / im d0 of saito.graded(w), with
+    normalized representatives and deformed equations."""
     saito, w = _prepare_graded(f, saito, w)
     cx = build_slice(saito, saito.structure_constants(), w)
     kernel = cx.kernel_d1()
@@ -577,21 +577,16 @@ def ft1_plane_curve(f):
 
 
 def linear_basis(f, saito=None):
-    """A weight-zero Saito basis of a linear free divisor and the standard
-    grading (1, ..., 1; n) it is graded by; raises NotLinear otherwise."""
-    n = len(f.ring)
-    w = WeightSystem((1,) * n, n)
+    """The weight-zero Saito basis of a linear free divisor,
+    SaitoBasis.linear_part(), and the standard grading (1, ..., 1; n) it
+    is graded by; raises NotLinear otherwise."""
     if saito is None:
-        saito = find_saito_basis(compute_der_log(f), f, w)
-    if saito.linear_part() is None:
+        saito = find_saito_basis(compute_der_log(f), f)
+    linear = saito.linear_part()
+    if linear is None:
         raise NotLinear("not a linear free divisor")
-    if any(t != 0 for t in saito.field_weights(w)):
-        # re-derive a weight-zero basis; for a linear divisor the graded
-        # minimal generating set consists of weight-zero fields
-        saito = find_saito_basis(saito.fields, f, w)
-        if any(t != 0 for t in saito.field_weights(w)):
-            raise NotLinear("no weight-zero basis found")
-    return saito, w
+    n = len(f.ring)
+    return linear, WeightSystem((1,) * n, n)
 
 
 def lft1(f, saito=None):

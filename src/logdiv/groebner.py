@@ -5,8 +5,8 @@ fixed rank); ideals are handled as the rank-1 case and plain Polynomials are
 accepted anywhere a module element is. Internally an element is flattened to
 a dict mapping (component, exponent-tuple) terms to coefficients.
 
-The module term order is position-over-term: component 0 dominates, ties are
-broken by the chosen monomial order. Reduced bases are interreduced, monic,
+The module term order is fixed: position-over-term, component 0 dominates,
+ties are broken by degrevlex. Reduced bases are interreduced, monic,
 and sorted, so a Groebner basis is a canonical object here.
 """
 
@@ -28,42 +28,9 @@ from .poly import (
 )
 
 
-class DegRevLex:
-    name = "degrevlex"
-
-    def key(self, e):
-        return degrevlex_key(e)
-
-
-class Lex:
-    name = "lex"
-
-    def key(self, e):
-        return e
-
-
-class WeightedDegRevLex:
-    """Degree by positive weights first, degrevlex tie-break."""
-
-    def __init__(self, weights):
-        self.weights = tuple(weights)
-        self.name = f"wdegrevlex{self.weights}"
-
-    def key(self, e):
-        return (m_weighted_degree(e, self.weights), tuple(-x for x in reversed(e)))
-
-
-DEGREVLEX = DegRevLex()
-LEX = Lex()
-
-
-def _term_key(order):
-    okey = order.key
-
-    def key(t):
-        return (-t[0], okey(t[1]))
-
-    return key
+def _term_key(t):
+    """Position over term: component 0 dominates, then degrevlex."""
+    return (-t[0], degrevlex_key(t[1]))
 
 
 # ---- flattened module elements -----------------------------------------
@@ -107,7 +74,7 @@ def _v_scale(v, coeff):
     return {t: coeff * co for t, co in v.items()}
 
 
-def _reduce_full(v, basis, leads, tkey, budget, track=False, sugar=None, sugars=None):
+def _reduce_full(v, basis, leads, budget, track=False, sugar=None, sugars=None):
     """Fully reduce flattened element v against monic basis elements.
 
     Returns (remainder, quotients) where quotients[j] is a dict
@@ -117,7 +84,7 @@ def _reduce_full(v, basis, leads, tkey, budget, track=False, sugar=None, sugars=
     rem = {}
     quots = [dict() for _ in basis] if track else None
     while p:
-        t = max(p, key=tkey)
+        t = max(p, key=_term_key)
         c = p[t]
         comp, expo = t
         hit = None
@@ -144,7 +111,7 @@ def _sugar_of(v):
     return max((m_degree(m) for (_, m) in v), default=0)
 
 
-def _run_buchberger(gen_vecs, order, budget, track):
+def _run_buchberger(gen_vecs, budget, track):
     """Core loop. gen_vecs: list of flattened nonzero elements.
 
     Returns (basis, sugars, reps, zero_syzygies) where reps[j] expresses
@@ -153,7 +120,6 @@ def _run_buchberger(gen_vecs, order, budget, track):
     None unless track is set. Criteria pruning is disabled in track mode so
     the collected relations generate the full first syzygy module.
     """
-    tkey = _term_key(order)
     rank1 = all(c == 0 for v in gen_vecs for (c, _) in v)
     basis = []
     sugars = []
@@ -164,7 +130,7 @@ def _run_buchberger(gen_vecs, order, budget, track):
     counter = itertools.count()
 
     def lead(v):
-        return max(v, key=tkey)
+        return max(v, key=_term_key)
 
     def push_pairs(j):
         cj, ej = lead(basis[j])
@@ -216,7 +182,7 @@ def _run_buchberger(gen_vecs, order, budget, track):
             _v_iadd_scaled(rep, reps[j], sj, Fraction(-1))
         sug_box = [sug]
         rem, quots = _reduce_full(
-            s, basis, [lead(b) for b in basis], tkey, budget,
+            s, basis, [lead(b) for b in basis], budget,
             track=track, sugar=sug_box, sugars=sugars,
         )
         if track:
@@ -250,12 +216,11 @@ def _nvars(v):
     raise ValueError("cannot infer variable count from zero element")
 
 
-def _interreduce(basis, order, budget):
-    tkey = _term_key(order)
+def _interreduce(basis, budget):
     work = [dict(b) for b in basis]
     # drop elements whose lead is divisible by another lead
     keep = []
-    leads = [max(b, key=tkey) for b in work]
+    leads = [max(b, key=_term_key) for b in work]
     for i, b in enumerate(work):
         ci, ei = leads[i]
         redundant = False
@@ -274,27 +239,25 @@ def _interreduce(basis, order, budget):
     out = []
     for i, b in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
-        lds = [max(o, key=tkey) for o in others]
-        rem, _ = _reduce_full(b, others, lds, tkey, budget)
+        lds = [max(o, key=_term_key) for o in others]
+        rem, _ = _reduce_full(b, others, lds, budget)
         if rem:
-            lc = rem[max(rem, key=tkey)]
+            lc = rem[max(rem, key=_term_key)]
             out.append(_v_scale(rem, Fraction(1) / lc))
-    out.sort(key=lambda v: tkey(max(v, key=tkey)), reverse=True)
+    out.sort(key=lambda v: _term_key(max(v, key=_term_key)), reverse=True)
     return out
 
 
 class GroebnerBasis:
     """Reduced, monic, deterministically sorted basis."""
 
-    __slots__ = ("ring", "rank", "order", "elements", "_flat", "_leads")
+    __slots__ = ("ring", "rank", "elements", "_flat", "_leads")
 
-    def __init__(self, ring, rank, order, flat_elements):
+    def __init__(self, ring, rank, flat_elements):
         self.ring = ring
         self.rank = rank
-        self.order = order
         self._flat = flat_elements
-        tkey = _term_key(order)
-        self._leads = [max(v, key=tkey) for v in flat_elements]
+        self._leads = [max(v, key=_term_key) for v in flat_elements]
         vecs = [_unflatten(v, ring, rank) for v in flat_elements]
         self.elements = [v[0] for v in vecs] if rank == 1 else vecs
 
@@ -304,9 +267,7 @@ class GroebnerBasis:
     def normal_form(self, elem):
         vec = _as_vector(elem, self.rank)
         v = _flatten(vec)
-        rem, _ = _reduce_full(
-            v, self._flat, self._leads, _term_key(self.order), current_budget()
-        )
+        rem, _ = _reduce_full(v, self._flat, self._leads, current_budget())
         out = _unflatten(rem, self.ring, self.rank)
         return out[0] if self.rank == 1 else out
 
@@ -351,29 +312,28 @@ def _prepare(gens, rank=None):
     return ring, r, vecs
 
 
-def buchberger(gens, order=DEGREVLEX):
+def buchberger(gens):
     """Reduced Groebner basis of the ideal/submodule generated by gens."""
     ring, rank, vecs = _prepare(gens)
     flat = [f for f in map(_flatten, vecs) if f]
     b = current_budget()
     if not flat:
-        return GroebnerBasis(ring, rank, order, [])
-    basis, _, _, _ = _run_buchberger(flat, order, b, track=False)
-    return GroebnerBasis(ring, rank, order, _interreduce(basis, order, b))
+        return GroebnerBasis(ring, rank, [])
+    basis, _, _, _ = _run_buchberger(flat, b, track=False)
+    return GroebnerBasis(ring, rank, _interreduce(basis, b))
 
 
 class TrackedBasis:
     """Working (non-reduced) basis with expressions over the original
     generators; used for syzygies and for division with quotients."""
 
-    __slots__ = ("ring", "rank", "ngens", "order", "_flat", "_reps", "_zsyz")
+    __slots__ = ("ring", "rank", "ngens", "_flat", "_reps", "_zsyz")
 
-    def __init__(self, gens, order=DEGREVLEX):
+    def __init__(self, gens):
         ring, rank, vecs = _prepare(gens)
         self.ring = ring
         self.rank = rank
         self.ngens = len(vecs)
-        self.order = order
         flat = []
         keep_idx = []
         for i, v in enumerate(map(_flatten, vecs)):
@@ -382,7 +342,7 @@ class TrackedBasis:
                 keep_idx.append(i)
         if not flat:
             raise ValueError("all generators are zero")
-        basis, _, reps, zsyz = _run_buchberger(flat, order, current_budget(), track=True)
+        basis, _, reps, zsyz = _run_buchberger(flat, current_budget(), track=True)
         remap = {j: keep_idx[j] for j in range(len(keep_idx))}
         self._flat = basis
         self._reps = [self._remap(r, remap) for r in reps]
@@ -396,9 +356,8 @@ class TrackedBasis:
         """elem = sum_i q_i * gens[i] + remainder; returns (q list, remainder)."""
         vec = _as_vector(elem, self.rank)
         v = _flatten(vec)
-        tkey = _term_key(self.order)
-        leads = [max(b, key=tkey) for b in self._flat]
-        rem, quots = _reduce_full(v, self._flat, leads, tkey, current_budget(),
+        leads = [max(b, key=_term_key) for b in self._flat]
+        rem, quots = _reduce_full(v, self._flat, leads, current_budget(),
                                    track=True)
         acc = {}
         for j, q in enumerate(quots):
@@ -417,7 +376,7 @@ class TrackedBasis:
         return qs
 
 
-def syzygies(gens, order=DEGREVLEX):
+def syzygies(gens):
     """Generating set of the first syzygy module of gens."""
     ring, rank, vecs = _prepare(gens)
     m = len(vecs)
@@ -431,7 +390,7 @@ def syzygies(gens, order=DEGREVLEX):
             row[i] = Polynomial.one(ring)
             out.append(row)
     if nonzero:
-        tracked = TrackedBasis([vecs[i] for i in nonzero], order)
+        tracked = TrackedBasis([vecs[i] for i in nonzero])
         remap = {j: nonzero[j] for j in range(len(nonzero))}
         # syzygies discovered from S-pairs that reduced to zero
         for z in tracked._zsyz:
@@ -489,7 +448,7 @@ def _spread(e):
     return (max(e) - min(e)) if e else 0
 
 
-def graded_quotient_basis(sub, target_weight, w, component_weights=None, order=DEGREVLEX):
+def graded_quotient_basis(sub, target_weight, w, component_weights=None):
     """Monomial representatives of a Q-basis of the target_weight graded
     piece of (free module) / (submodule generated by sub).
 
@@ -511,7 +470,7 @@ def graded_quotient_basis(sub, target_weight, w, component_weights=None, order=D
                 degs.add(m_weighted_degree(m, weights) + component_weights[c])
         if len(degs) > 1:
             raise NotHomogeneous(degs)
-    gb = buchberger(sub, order)
+    gb = buchberger(sub)
     candidates = []
     for c in range(rank):
         for e in weighted_monomials(weights, target_weight - component_weights[c]):
@@ -532,7 +491,7 @@ def graded_quotient_basis(sub, target_weight, w, component_weights=None, order=D
     return selected
 
 
-def krull_dimension(gens, order=DEGREVLEX):
+def krull_dimension(gens):
     """Krull dimension of (polynomial ring)/(ideal gens), by the maximal
     size of a variable subset meeting no initial-ideal support.
 
@@ -543,10 +502,10 @@ def krull_dimension(gens, order=DEGREVLEX):
     if rank != 1:
         raise ValueError("krull_dimension expects ideal generators")
     n = len(ring)
-    gb = buchberger(gens, order)
+    gb = buchberger(gens)
     supports = []
     for v in gb._flat:
-        (_, e) = max(v, key=_term_key(order))
+        (_, e) = max(v, key=_term_key)
         if not any(e):
             return -1
         supports.append(frozenset(i for i, x in enumerate(e) if x))

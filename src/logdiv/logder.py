@@ -13,29 +13,26 @@ of the j-th field.
 from fractions import Fraction
 import itertools
 
-from . import linalg
 from .errors import (
     InternalInconsistency,
     NonReduced,
     NotFree,
     NotHomogeneous,
     NotWeightedHomogeneous,
+    ZeroOrConstantInput,
 )
-from .groebner import (
-    DEGREVLEX,
-    TrackedBasis,
-    buchberger,
-    syzygies,
-    weighted_monomials,
-)
+from .groebner import TrackedBasis, buchberger, syzygies
 from .poly import (
     Polynomial,
     WeightSystem,
+    detect_weight_system,
     is_squarefree,
     m_weighted_degree,
     partial_derivative,
     poly_det,
     poly_to_text,
+    try_exact_div,
+    weighted_degree,
 )
 
 
@@ -141,23 +138,25 @@ def lie_bracket(delta, nu):
     return VectorField(delta.ring, comps)
 
 
-def _check_divisor(f):
+def _check_equation(f):
     if f.is_zero() or f.is_constant():
-        from .errors import ZeroOrConstantInput
         raise ZeroOrConstantInput("divisor polynomial must be nonconstant")
     if f.terms.get((0,) * len(f.ring)) is not None:
         raise ValueError("divisor must pass through the origin")
+
+
+def _check_divisor(f):
+    _check_equation(f)
     if not is_squarefree(f):
         raise NonReduced("divisor polynomial is not squarefree")
 
 
-def _fields_from_syzygies(gens, ring, drop_first):
+def _fields_from_syzygies(gens, ring):
     rows = syzygies(gens)
     out = []
     seen = []
     for row in rows.elements:
-        comps = row[1:] if drop_first else row
-        delta = VectorField(ring, comps)
+        delta = VectorField(ring, row[1:])
         if delta.is_zero():
             continue
         key = tuple(tuple(sorted(p.terms.items())) for p in delta.components)
@@ -169,19 +168,11 @@ def _fields_from_syzygies(gens, ring, drop_first):
 
 
 def compute_der_log(f):
-    """Generators of Der(-log f) from syzygies of (f, gradient of f)."""
-    _check_divisor(f)
+    """Generators of Der(-log f) from syzygies of (f, gradient of f).
+    Squarefreeness is left to find_saito_basis and verify_saito."""
+    _check_equation(f)
     gens = [f] + [partial_derivative(f, i) for i in range(len(f.ring))]
-    return _fields_from_syzygies(gens, f.ring, drop_first=True)
-
-
-def annihilator_fields(f):
-    """Generators of {delta : delta(f) = 0}, syzygies of the gradient."""
-    if f.is_zero() or f.is_constant():
-        from .errors import ZeroOrConstantInput
-        raise ZeroOrConstantInput("divisor polynomial must be nonconstant")
-    gens = [partial_derivative(f, i) for i in range(len(f.ring))]
-    return _fields_from_syzygies(gens, f.ring, drop_first=False)
+    return _fields_from_syzygies(gens, f.ring)
 
 
 class VerifyResult:
@@ -233,27 +224,35 @@ class SaitoBasis:
             self._memo["sc"] = structure_constants(self)
         return self._memo["sc"]
 
+    def graded(self, w):
+        """A w-homogeneous basis of the same module: this one when every
+        field is w-homogeneous, otherwise the graded minimal generating
+        set of the weight parts of its fields (the weight parts of a
+        logarithmic field are logarithmic, f being w-homogeneous)."""
+        key = ("graded", w.weights, w.degree)
+        if key not in self._memo:
+            try:
+                self.field_weights(w)
+                self._memo[key] = self
+            except NotHomogeneous:
+                self._memo[key] = find_saito_basis(self.fields, self.divisor, w)
+        return self._memo[key]
+
     def linear_part(self):
-        """The weight-zero part under the standard grading when it
-        generates the module, i.e. when the divisor is a linear free
-        divisor (f homogeneous of degree n); None otherwise."""
+        """The homogeneous basis under the standard grading when all its
+        fields have weight zero (linear coefficients), i.e. when the
+        divisor is a linear free divisor; None otherwise. Its fields span
+        the Lie algebra g_D."""
         if "linear" not in self._memo:
-            self._memo["linear"] = _linear_part(self)
+            n = len(self.ring)
+            std = WeightSystem((1,) * n, n)
+            linear = None
+            if all(sum(m) == n for m in self.divisor.terms):
+                graded = self.graded(std)
+                if all(t == 0 for t in graded.field_weights(std)):
+                    linear = graded
+            self._memo["linear"] = linear
         return self._memo["linear"]
-
-
-def _linear_part(saito):
-    f = saito.divisor
-    n = len(f.ring)
-    if f.total_degree() != n or not all(sum(m) == n for m in f.terms):
-        return None
-    wz = weight_zero_part(saito.fields, WeightSystem((1,) * n, n))
-    if len(wz) < n:
-        return None
-    gb = buchberger([list(d.components) for d in wz.fields])
-    if all(gb.reduces_to_zero(list(d.components)) for d in saito.fields):
-        return wz
-    return None
 
 
 def verify_saito(fields, f):
@@ -263,20 +262,22 @@ def verify_saito(fields, f):
     n = len(f.ring)
     if len(fields) != n:
         return VerifyResult(False, reason=f"need {n} fields, got {len(fields)}")
-    from .errors import ZeroOrConstantInput
-
     try:
         _check_divisor(f)
     except NonReduced:
         return VerifyResult(False, reason="divisor is not squarefree")
     except (ValueError, ZeroOrConstantInput) as e:
         return VerifyResult(False, reason=str(e))
+    return _determinant_test(fields, f)
+
+
+def _determinant_test(fields, f):
+    """verify_saito for n fields and an already checked divisor."""
+    n = len(f.ring)
     mat = [[fields[j].components[i] for j in range(n)] for i in range(n)]
     det = poly_det(mat)
     if det.is_zero():
         return VerifyResult(False, reason="determinant vanishes")
-    from .poly import try_exact_div
-
     u = try_exact_div(det, f)
     if u is None:
         return VerifyResult(False, reason="determinant is not a multiple of f")
@@ -294,19 +295,23 @@ def _as_module_elements(fields):
     return [list(delta.components) for delta in fields]
 
 
-def find_saito_basis(gens, f, w=None, subset_budget=300):
+SUBSET_BUDGET = 300
+
+
+def find_saito_basis(gens, f, w=None):
     """Select a free basis among generators of Der(-log f).
 
     Weighted homogeneous f: generators are split into weight-homogeneous
     parts and greedily minimalized in ascending weight order (a graded
-    minimal generating set); exactly n survivors means free. Otherwise
-    n-subsets are tried in order of total degree, up to subset_budget.
+    minimal generating set). The scan stops once n kept parts pass the
+    determinant test: by Saito's criterion they are a basis, so every
+    later part would reduce to zero. Otherwise n-subsets are tried in
+    order of total degree, up to SUBSET_BUDGET of them.
     """
     _check_divisor(f)
     n = len(f.ring)
     gens = [g for g in gens if not g.is_zero()]
     if w is None:
-        from .poly import detect_weight_system
         w = detect_weight_system(f)
     if w is not None:
         parts = []
@@ -314,20 +319,23 @@ def find_saito_basis(gens, f, w=None, subset_budget=300):
             parts.extend(g.weight_parts(w))
         parts.sort(key=lambda d: _field_sort_key(d, w))
         kept = []
+        gb = None  # Groebner basis of kept, recomputed after a keep
         for delta in parts:
-            if not kept:
-                kept.append(delta)
-                continue
-            gb = buchberger(_as_module_elements(kept))
-            if not gb.reduces_to_zero(list(delta.components)):
-                kept.append(delta)
+            if kept:
+                if gb is None:
+                    gb = buchberger(_as_module_elements(kept))
+                if gb.reduces_to_zero(list(delta.components)):
+                    continue
+            kept.append(delta)
+            gb = None
+            if len(kept) == n:
+                res = _determinant_test(kept, f)
+                if res:
+                    return SaitoBasis(kept, f, res.unit)
         if len(kept) != n:
             raise NotFree(
                 f"graded minimal generating set has {len(kept)} elements, need {n}")
-        res = verify_saito(kept, f)
-        if not res:
-            raise NotFree(f"minimal generating set fails the determinant test: {res.reason}")
-        return SaitoBasis(kept, f, res.unit)
+        raise NotFree(f"minimal generating set fails the determinant test: {res.reason}")
     # non-homogeneous fallback: degree-ordered subset search
     def total_deg(delta):
         return sum(p.total_degree() or 0 for p in delta.components)
@@ -335,11 +343,11 @@ def find_saito_basis(gens, f, w=None, subset_budget=300):
     order = sorted(range(len(gens)), key=lambda i: (total_deg(gens[i]), i))
     tried = 0
     for combo in itertools.combinations(order, n):
-        if tried >= subset_budget:
-            raise NotFree(f"no free basis found within {subset_budget} subsets")
+        if tried >= SUBSET_BUDGET:
+            raise NotFree(f"no free basis found within {SUBSET_BUDGET} subsets")
         tried += 1
         fields = [gens[i] for i in combo]
-        res = verify_saito(fields, f)
+        res = _determinant_test(fields, f)
         if res:
             return SaitoBasis(fields, f, res.unit)
     raise NotFree("no n-subset of the generators satisfies the determinant test")
@@ -389,59 +397,8 @@ def reconstruct_bracket(sc, basis, i, j):
     return acc
 
 
-class WeightZeroPart:
-    """Q-basis of the weight-zero graded piece of the module the input
-    generates; matrices[j] is the constant matrix A with field = (A x) . d
-    when the grading is standard (None otherwise)."""
-
-    __slots__ = ("fields", "matrices")
-
-    def __init__(self, fields, matrices):
-        self.fields = fields
-        self.matrices = matrices
-
-    def __len__(self):
-        return len(self.fields)
-
-
-def weight_zero_part(gens, w):
-    """Weight-zero piece of the graded module generated by gens.
-
-    Spanning set: m * (weight-homogeneous part g of a generator) over
-    monomials m with wt(m) = -wt(g); a deterministic greedy scan keeps a
-    linearly independent subset.
-    """
-    span = linalg.Span()
-    fields = []
-    for g in gens:
-        for part in g.weight_parts(w):
-            tag = part.weight(w)
-            if tag is None or tag > 0:
-                continue
-            for m in weighted_monomials(w.weights, -tag):
-                mono = Polynomial.monomial(g.ring, m)
-                delta = VectorField(g.ring, [mono * p for p in part.components])
-                if span.add({(i, mm): c for i, p in enumerate(delta.components)
-                             for mm, c in p.terms.items()}):
-                    fields.append(delta)
-    n = len(w.weights)
-    matrices = None
-    if w.is_standard():
-        matrices = []
-        for delta in fields:
-            a = [[Fraction(0)] * n for _ in range(n)]
-            for jcomp, p in enumerate(delta.components):
-                for m, c in p.terms.items():
-                    i = next(k for k, e in enumerate(m) if e)
-                    a[jcomp][i] = c
-            matrices.append(a)
-    return WeightZeroPart(fields, matrices)
-
-
 def euler_field(f, w):
     """chi = sum (w_i / k) x_i d/dx_i, normalized so that chi(f) = f."""
-    from .poly import weighted_degree
-
     k = weighted_degree(f, w.weights)
     if k is None or k == 0:
         raise NotWeightedHomogeneous("need nonzero weighted degree")

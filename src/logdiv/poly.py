@@ -275,13 +275,17 @@ def _primitive_positive(vec):
     return tuple(v // g for v in ints)
 
 
-def detect_weight_system(f, sum_cap=64):
-    """Minimal positive integer weights making f weighted homogeneous.
+WEIGHT_SUM_CAP = 64
+
+
+def detect_weight_system(f):
+    """Minimal positive integer weights making f weighted homogeneous,
+    with the resulting degree.
 
     Weight vectors lie in the nullspace of the exponent-difference matrix.
     Minimality is by (sum of weights, lexicographic); the result is
     normalized coprime. Returns None when no positive weight vector exists
-    (or none with weight sum <= sum_cap when the solution space has
+    (or none with weight sum <= WEIGHT_SUM_CAP when the solution space has
     dimension above one).
     """
     if f.is_zero() or f.is_constant():
@@ -306,7 +310,7 @@ def detect_weight_system(f, sum_cap=64):
     def satisfied(w):
         return all(sum(r[i] * w[i] for i in range(n)) == 0 for r in ech)
 
-    for total in range(n, sum_cap + 1):
+    for total in range(n, WEIGHT_SUM_CAP + 1):
         for w in _compositions(total, n):
             if satisfied(w):
                 return WeightSystem(w, m_weighted_degree(base, w))

@@ -19,7 +19,6 @@ import pytest
 from ce_oracle import cohomology
 from logdiv import linalg
 from logdiv.classify import (
-    detect_weights,
     is_koszul,
     is_linear,
     is_reductive,
@@ -50,6 +49,7 @@ from logdiv.poly import (
     Polynomial,
     WeightSystem,
     degrevlex_key,
+    detect_weight_system,
     m_div,
     m_lcm,
     partial_derivative,
@@ -134,7 +134,7 @@ def corpus():
             weights = tuple(doc["weights"])
             ws = WeightSystem(weights, weighted_degree(f, weights))
         else:
-            ws = detect_weights(f)
+            ws = detect_weight_system(f)
         saito = find_saito_basis(compute_der_log(f), f, w=ws)
         members.append(
             {"label": doc["label"], "f": f, "ws": ws, "saito": saito})

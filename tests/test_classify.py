@@ -6,7 +6,6 @@ import pytest
 
 from logdiv.classify import (
     connection_conditions,
-    detect_weights,
     diagonal_annihilators,
     field_trace,
     is_diagonalizable,
@@ -28,7 +27,12 @@ from logdiv.logder import (
     structure_constants,
     verify_saito,
 )
-from logdiv.poly import Polynomial, poly_from_text, poly_to_text
+from logdiv.poly import (
+    Polynomial,
+    detect_weight_system,
+    poly_from_text,
+    poly_to_text,
+)
 
 R2 = ("x", "y")
 R3 = ("x", "y", "z")
@@ -50,22 +54,22 @@ FOUR_LINES = "x^2*y^2 + x*y^3 + x^3*y*z + x^2*y^2*z"
 
 class TestDetectWeights:
     def test_standard_homogeneous(self):
-        w = detect_weights(poly_from_text("x^3*y - x*y^3", R2))
+        w = detect_weight_system(poly_from_text("x^3*y - x*y^3", R2))
         assert w.weights == (1, 1)
         assert w.degree == 4
 
     def test_quasi_homogeneous(self):
-        w = detect_weights(poly_from_text("x^5 + y^4", R2))
+        w = detect_weight_system(poly_from_text("x^5 + y^4", R2))
         assert w.weights == (4, 5)
         assert w.degree == 20
 
     def test_discriminant(self):
-        w = detect_weights(poly_from_text(DISCRIMINANT, R3))
+        w = detect_weight_system(poly_from_text(DISCRIMINANT, R3))
         assert w.weights == (2, 3, 4)
         assert w.degree == 12
 
     def test_not_weighted_homogeneous(self):
-        assert detect_weights(poly_from_text(FOUR_LINES, R3)) is None
+        assert detect_weight_system(poly_from_text(FOUR_LINES, R3)) is None
 
 
 class TestIsLinear:

@@ -306,6 +306,45 @@ class TestOneVariable:
         assert report["lft1"]["dimension"] == 0
 
 
+class TestInhomogeneousSuppliedBasis:
+    """A verified Saito basis of normal crossings whose second field,
+    x^2*d_x + y*d_y, is not homogeneous: lft1 grades it first."""
+
+    DOC = {"label": "nc-inhomogeneous", "variables": ["x", "y"], "f": "x*y",
+           "saito_matrix": [["x", "x^2"], ["0", "y"]]}
+
+    @pytest.mark.parametrize("flag", ["--lft1", "--all"])
+    def test_analyze_grades_the_basis(self, flag, tmp_path):
+        path = tmp_path / "doc.json"
+        write_doc(path, self.DOC)
+        out = tmp_path / "report.json"
+        res = run_cli("analyze", str(path), flag, "--json", str(out))
+        assert res.returncode == 0, res.stderr
+        with open(out, encoding="utf-8") as fh:
+            report = json.load(fh)
+        assert report["lft1"]["dimension"] == 0
+        if flag == "--all":
+            assert report["profile"]["linear"] is True
+            assert report["profile"]["reductive"] is True
+            assert report["ft1"]["dimension"] == 0
+
+    def test_corpus_run_reports_the_entry(self, tmp_path):
+        write_doc(tmp_path / "doc.json", self.DOC)
+        res = run_cli("corpus-run", str(tmp_path))
+        assert "Traceback" not in res.stderr
+        assert res.returncode == 1
+        assert res.stdout.splitlines() == [
+            "nc-inhomogeneous         MISMATCH  expected report file missing",
+            "1 corpus entries, 1 mismatched",
+        ]
+        res = run_cli("analyze", str(tmp_path / "doc.json"), "--all",
+                      "--json", str(tmp_path / "doc.expected.json"))
+        assert res.returncode == 0, res.stderr
+        res = run_cli("corpus-run", str(tmp_path))
+        assert res.returncode == 0, res.stdout
+        assert res.stdout.splitlines()[-1] == "1 corpus entries, 0 mismatched"
+
+
 class TestDeformationComplexIsBuiltOnce:
     """ft1, lft1 and h0 read one memoized report per (basis, grading), so a
     linear divisor graded by (1, ..., 1) builds a single slice complex."""
@@ -338,8 +377,8 @@ class TestDeformationComplexIsBuiltOnce:
         assert strip_timings(report) == strip_timings(golden)
 
     def test_h0_uses_the_graded_basis_of_ft1(self, monkeypatch):
-        # the supplied basis is not homogeneous, so ft1 re-derives a graded
-        # one; h0 must read that report instead of grading the supplied one
+        # the supplied basis is not homogeneous: ft1 and h0 both read the
+        # one report of its memoized graded basis
         from logdiv import cli
 
         built = self.count_constructions(monkeypatch)
@@ -354,7 +393,9 @@ class TestDeformationComplexIsBuiltOnce:
 
 class TestArtefactsComputedOnce:
     def test_structure_constants_and_weight_zero_parts(self, monkeypatch):
-        from logdiv import classify, cli, logder
+        # the supplied basis is its own weight-zero part: g_D, the trace
+        # test and lft1 need no syzygies and no basis search
+        from logdiv import cli, cohomology, groebner, logder
 
         calls = []
 
@@ -364,13 +405,35 @@ class TestArtefactsComputedOnce:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(logder, "structure_constants", counting(
-            "structure_constants", logder.structure_constants))
-        wz = counting("weight_zero_part", logder.weight_zero_part)
-        monkeypatch.setattr(logder, "weight_zero_part", wz)
-        monkeypatch.setattr(classify, "weight_zero_part", wz)
+        for mod, name in ((logder, "structure_constants"),
+                          (logder, "find_saito_basis"),
+                          (cli, "find_saito_basis"),
+                          (cohomology, "find_saito_basis"),
+                          (groebner, "syzygies"),
+                          (logder, "syzygies")):
+            monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
         doc = cli.load_document(os.path.join(CORPUS, "linear-nonreductive-5.json"))
-        cli.analyze_document(doc, cli.ALL_STAGES)
-        # weight_zero_part: once for the basis, once for the annihilator
+        report = cli.analyze_document(doc, cli.ALL_STAGES)
+        assert report["profile"]["linear"] is True
+        assert report["lft1"]["dimension"] == 1
         assert calls.count("structure_constants") == 1
-        assert calls.count("weight_zero_part") == 2
+        assert calls.count("find_saito_basis") == 0
+        assert calls.count("syzygies") == 0
+
+    def test_squarefree_is_checked_twice(self, monkeypatch):
+        # once in the divisor stage, once on entry to the basis search
+        from logdiv import cli, cohomology, logder
+
+        calls = []
+        original = logder.is_squarefree
+
+        def counting(f):
+            calls.append(f)
+            return original(f)
+
+        monkeypatch.setattr(logder, "is_squarefree", counting)
+        monkeypatch.setattr(cohomology, "is_squarefree", counting)
+        doc = cli.load_document(os.path.join(CORPUS, "discriminant-234.json"))
+        report = cli.analyze_document(doc, cli.ALL_STAGES)
+        assert report["ft1"]["dimension"] == 0
+        assert len(calls) == 2

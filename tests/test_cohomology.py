@@ -234,6 +234,12 @@ class TestLft1:
         with pytest.raises(NotLinear):
             lft1(P("x^3*y - x*y^3"))
 
+    def test_rejects_free_curve_of_another_grading(self):
+        # free, but graded by (4, 5): the basis is searched under its own
+        # grading, not the standard one
+        with pytest.raises(NotLinear):
+            lft1(P("x^5 + y^4"))
+
     @pytest.mark.parametrize("text,ring", [
         ("x*y", R2),
         ("x*y*z", R3),

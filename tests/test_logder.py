@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from logdiv import linalg
+from logdiv.classify import linear_annihilators
 from logdiv.errors import NonReduced, NotFree, ZeroOrConstantInput
 from logdiv.groebner import buchberger
 from logdiv.logder import (
     VectorField,
-    annihilator_fields,
     compute_der_log,
     euler_field,
     find_saito_basis,
@@ -16,7 +17,6 @@ from logdiv.logder import (
     reconstruct_bracket,
     structure_constants,
     verify_saito,
-    weight_zero_part,
 )
 from logdiv.poly import (
     Polynomial,
@@ -180,6 +180,37 @@ class TestFindSaitoBasis:
         with pytest.raises(NotFree):
             find_saito_basis(compute_der_log(f), f)
 
+    @pytest.mark.parametrize("ring,text,exponents", [
+        # braid arrangement A3 in four variables (not essential, so it
+        # keeps the constant field, exponent 0)
+        (("x1", "x2", "x3", "x4"),
+         "(x1-x2)*(x1-x3)*(x1-x4)*(x2-x3)*(x2-x4)*(x3-x4)", [0, 1, 2, 3]),
+        # Coxeter arrangement B3
+        (("x1", "x2", "x3"),
+         "x1*x2*x3*(x1^2-x2^2)*(x1^2-x3^2)*(x2^2-x3^2)", [1, 3, 5]),
+    ])
+    def test_one_groebner_basis_per_kept_field(self, ring, text, exponents,
+                                               monkeypatch):
+        # field weights are Terao's exponents minus one, and the scan
+        # recomputes the Groebner basis of the kept fields only on a keep
+        from logdiv import logder
+
+        runs = []
+        original = logder.buchberger
+
+        def counting(gens):
+            runs.append(len(gens))
+            return original(gens)
+
+        monkeypatch.setattr(logder, "buchberger", counting)
+        f = poly_from_text(text, ring)
+        saito = find_saito_basis(compute_der_log(f), f)
+        n = len(ring)
+        assert saito.field_weights(WeightSystem((1,) * n, n)) == [
+            d - 1 for d in exponents]
+        assert len(runs) <= len(saito)
+        assert runs == sorted(set(runs))
+
     def test_subset_fallback_without_weights(self):
         f = poly_from_text("x^3*y*z + x^2*y^2*z + x^2*y^2 + x*y^3", R3)
         saito = find_saito_basis(compute_der_log(f), f)
@@ -220,25 +251,35 @@ class TestStructureConstants:
                 assert direct.components == rebuilt.components
 
 
+def coefficient_rows(fields):
+    """One row per field: its coefficients on the (component, monomial)
+    terms that occur in any of the fields."""
+    keys = sorted({(i, m) for d in fields for i, p in enumerate(d.components)
+                   for m in p.terms})
+    rows = [[d.components[i].terms.get(m, 0) for i, m in keys] for d in fields]
+    return rows, len(keys)
+
+
 class TestAnnihilatorAndWeightZero:
     def test_annihilator_contains_diagonal_field(self):
         f = poly_from_text("y^2*z + x*z^2", R3)
-        ann = annihilator_fields(f)
-        gb = module_gb(ann)
+        ann = linear_annihilators(f)
+        assert all(delta.apply(f).is_zero() for delta in ann)
         sigma = field(R3, "4*x", "y", "-2*z")
         assert sigma.apply(f).is_zero()
-        assert gb.reduces_to_zero(list(sigma.components))
+        rows, ncols = coefficient_rows(ann + [sigma])
+        assert linalg.rank(rows, ncols) == linalg.rank(rows[:-1], ncols) == len(ann)
 
     def test_weight_zero_part_of_linear_divisor(self):
         f = poly_from_text("x*y*z", R3)
-        gens = compute_der_log(f)
-        w = WeightSystem((1, 1, 1), 3)
-        wz = weight_zero_part(gens, w)
-        assert len(wz) == 3
-        assert wz.matrices is not None
-        for a in wz.matrices:
-            offdiag = [a[i][j] for i in range(3) for j in range(3) if i != j]
-            assert all(x == 0 for x in offdiag)
+        saito = find_saito_basis(compute_der_log(f), f)
+        linear = saito.linear_part()
+        assert len(linear) == 3
+        assert linear.field_weights(WeightSystem((1, 1, 1), 3)) == [0, 0, 0]
+        for delta in linear.fields:
+            for i, p in enumerate(delta.components):
+                # the d/dx_i coefficient is a multiple of x_i
+                assert all(m[j] == (j == i) for m in p.terms for j in range(3))
 
 
 class TestEulerField:

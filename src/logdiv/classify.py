@@ -297,37 +297,3 @@ def connection_conditions(saito, sc):
             if not first and not second:
                 return (False, False)
     return (first, second)
-
-
-def minimal_polynomial(a):
-    """Minimal polynomial of a square rational matrix, monic, as a
-    univariate Polynomial in the ring ('t',)."""
-    n = len(a)
-    ring = ("t",)
-    power = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-             for i in range(n)]
-    flats = [[power[i][j] for i in range(n) for j in range(n)]]
-    while True:
-        power = [[sum(power[i][k] * a[k][j] for k in range(n)) for j in range(n)]
-                 for i in range(n)]
-        flat = [power[i][j] for i in range(n) for j in range(n)]
-        rows = [[flats[k][pos] for k in range(len(flats))]
-                for pos in range(n * n)]
-        sol = linalg.solve(rows, len(flats), flat)
-        if sol is not None:
-            terms = {(len(flats),): Fraction(1)}
-            for d, c in enumerate(sol):
-                if c:
-                    terms[(d,)] = -c
-            return Polynomial(ring, terms)
-        flats.append(flat)
-
-
-def is_diagonalizable(a):
-    """Squarefree minimal polynomial criterion; valid over any extension
-    of Q since squarefreeness is preserved by field extension."""
-    from .poly import poly_gcd
-
-    m = minimal_polynomial(a)
-    dm = partial_derivative(m, 0)
-    return poly_gcd(m, dm).is_constant()

@@ -42,7 +42,7 @@ import time
 
 from .classify import (connection_conditions, is_koszul, is_linear,
                        is_reductive, lie_algebra_matrices, trace_test)
-from .cohomology import ft1, jacobian_degree_bound, linear_basis
+from .cohomology import ft1, linear_basis
 from .cylinder import split_cylindrical
 from .errors import (DEFAULT_STEPS, Budget, BudgetExceeded, LogdivError,
                      NonReduced, NotFree, NotHomogeneous, NotLinear,
@@ -87,6 +87,8 @@ def load_document(path):
         _fail(2, "input", f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         _fail(2, "input", f"{path} is not valid JSON: {e}")
+    except RecursionError:
+        _fail(2, "input", f"{path} nests JSON too deeply")
     if not isinstance(doc, dict):
         _fail(2, "input", "document root must be an object")
     unknown = sorted(set(doc) - set(_REQUIRED) - set(_OPTIONAL))
@@ -276,7 +278,8 @@ def analyze_document(doc, stages):
     }
     report["profile"] = profile
 
-    # ft1, lft1 and h0 share one slice complex per (graded basis, grading)
+    # ft1, lft1, h0 and the bounds share one deformation report, with its
+    # slice complex and class space, per (graded basis, grading)
     deformations = {}
 
     def deformation(basis, grading):
@@ -344,7 +347,8 @@ def analyze_document(doc, stages):
 
         def bounds_stage():
             if w is not None:
-                return {"jacobian_degree_bound": jacobian_degree_bound(work_f, w=w)}
+                bound = deformation(saito, w).jacobian_degree_bound
+                return {"jacobian_degree_bound": bound}
             return "not computed"
 
         report["bounds"] = run_stage("bounds", bounds_stage)

@@ -1,8 +1,11 @@
 """First-order deformation spaces of free divisors.
 
-Everything happens in finite-dimensional graded slices. For a weighted
-homogeneous divisor with Saito basis delta_1..delta_n (field weights w_i),
-the weight-zero part of the deformation complex is
+Everything happens in finite-dimensional graded quotients, all of one
+type: a QuotientSlice is the weight-w piece of a free module modulo the
+submodule spanned by homogeneous generators, found by exact linear algebra
+on monomials, with no Groebner basis. For a weighted homogeneous divisor
+with Saito basis delta_1..delta_n (field weights w_i), the weight-zero
+part of the deformation complex is
 
     C0 = M_0  --d0-->  C1 = (+)_i M_{w_i}  --d1-->  C2 = (+)_{i<j} M_{w_i + w_j}
 
@@ -16,8 +19,15 @@ positive. The differentials follow the sign convention
                                      + [delta_j, psi(delta_i)]
 
 whose composition vanishes by the Jacobi identity. dim ker d1 - rank d0 is
-the dimension of the deformation space; representatives are normalized to
-monomial deformed equations whenever the class space allows it.
+the dimension of the deformation space.
+
+A cocycle deforms f of weighted degree k by a degree-k polynomial, whose
+class lives in the degree-k piece of Q[x] / (f, df/dx_1, ..., df/dx_n).
+By Euler's identity k*f = sum_i w_i x_i df/dx_i that ideal is the Jacobian
+ideal, so the class space is the QuotientSlice of Q[x] by the nonzero
+partials; its dimension is the Jacobian degree bound. Representatives are
+normalized to monomial deformed equations whenever the class space allows
+it.
 
 lft1 is the same complex for a linear free divisor, built on a basis of
 weight-zero (linear) fields under the standard grading (1, ..., 1): those
@@ -31,11 +41,12 @@ from fractions import Fraction
 from . import linalg
 from .errors import (
     InternalInconsistency,
+    NotHomogeneous,
     NotLinear,
     NotWeightedHomogeneous,
     current_budget,
 )
-from .groebner import buchberger, weighted_monomials
+from .groebner import buchberger
 from .logder import (
     VectorField,
     compute_der_log,
@@ -47,85 +58,100 @@ from .poly import (
     WeightSystem,
     degrevlex_key,
     detect_weight_system,
-    is_squarefree,
     partial_derivative,
     poly_det,
+    weighted_degree,
 )
 
 ZERO = Fraction(0)
 
 
-def _ambient_fields(ring, w, weight):
-    """Monomial fields x^alpha d/dx_i of the given weight, i.e. with
-    wt(alpha) = weight + w_i; deterministic order."""
+def weighted_monomials(weights, target):
+    """All exponent tuples e with sum(w_i e_i) = target, degrevlex descending."""
+    n = len(weights)
     out = []
-    for i in range(len(ring)):
-        for e in weighted_monomials(w.weights, weight + w.weights[i]):
-            out.append((i, e))
-    out.sort(key=lambda t: (t[0], degrevlex_key(t[1])))
-    out.reverse()
-    out.sort(key=lambda t: t[0])
+
+    def rec(i, rest, acc):
+        if i == n:
+            if rest == 0:
+                out.append(tuple(acc))
+            return
+        w = weights[i]
+        top = rest // w
+        for e in range(top + 1):
+            acc.append(e)
+            rec(i + 1, rest - e * w, acc)
+            acc.pop()
+
+    if target >= 0:
+        rec(0, target, [])
+    out.sort(key=degrevlex_key, reverse=True)
     return out
 
 
 class QuotientSlice:
-    """Weight-w piece of (all fields) / (module spanned by the basis
-    fields), coordinates on monomial fields not hit by the relations.
+    """Weight-w piece of a free module modulo the submodule spanned by
+    homogeneous generators, coordinates on the monomials not hit by the
+    relations.
 
+    A generator is a list of component polynomials with its weight; a
+    monomial x^e in component c has weight wt(e) - shifts[c]. Vector fields
+    are the module with shifts w_1..w_n, Q[x] the one with shift 0.
     The dense relation matrix is charged to the budget, one step per
     cell, before it is allocated.
     """
 
-    __slots__ = ("ring", "weight", "ambient", "_index", "_ech", "_pivots", "basis")
+    __slots__ = ("ring", "weight", "ambient", "basis", "_image")
 
-    def __init__(self, saito, field_weights, w, weight):
-        self.ring = saito.ring
+    def __init__(self, gens, gen_weights, shifts, w, weight):
+        self.ring = gens[0][0].ring
         self.weight = weight
-        self.ambient = _ambient_fields(self.ring, w, weight)
-        self._index = {t: k for k, t in enumerate(self.ambient)}
-        shifts = [(delta, weighted_monomials(w.weights, weight - wk))
-                  for delta, wk in zip(saito.fields, field_weights)
-                  if wk is not None]
+        self.ambient = [(c, e) for c, s in enumerate(shifts)
+                        for e in weighted_monomials(w.weights, weight + s)]
+        index = {t: k for k, t in enumerate(self.ambient)}
+        multipliers = [(gen, weighted_monomials(w.weights, weight - wk))
+                       for gen, wk in zip(gens, gen_weights) if wk is not None]
         current_budget().spend(
-            sum(len(ms) for _, ms in shifts) * len(self.ambient))
+            sum(len(ms) for _, ms in multipliers) * len(self.ambient))
         relations = []
-        for delta, ms in shifts:
+        for gen, ms in multipliers:
             for m in ms:
                 vec = [ZERO] * len(self.ambient)
-                for i, p in enumerate(delta.components):
-                    for mm, c in p.terms.items():
-                        t = (i, tuple(a + b for a, b in zip(mm, m)))
-                        vec[self._index[t]] += c
+                for c, p in enumerate(gen):
+                    for mm, co in p.terms.items():
+                        t = (c, tuple(a + b for a, b in zip(mm, m)))
+                        vec[index[t]] += co
                 relations.append(vec)
-        if relations:
-            self._ech, self._pivots = linalg.rref(relations, len(self.ambient))
-        else:
-            self._ech, self._pivots = [], []
-        pivot_set = set(self._pivots)
+        ech, pivots = (linalg.rref(relations, len(self.ambient)) if relations
+                       else ([], []))
+        pivot_set = set(pivots)
         self.basis = [k for k in range(len(self.ambient)) if k not in pivot_set]
+        # the class of each ambient monomial, sparse in basis coordinates:
+        # a basis monomial is a unit vector, a pivot monomial minus the
+        # rest of its reduced echelon row
+        self._image = {self.ambient[k]: [(j, Fraction(1))]
+                       for j, k in enumerate(self.basis)}
+        for row, pc in zip(ech, pivots):
+            self._image[self.ambient[pc]] = [
+                (j, -row[k]) for j, k in enumerate(self.basis) if row[k]]
 
     @property
     def dim(self):
         return len(self.basis)
 
-    def basis_field(self, k):
-        i, e = self.ambient[self.basis[k]]
-        comps = [Polynomial.zero(self.ring) for _ in self.ring]
-        comps[i] = Polynomial.monomial(self.ring, e)
-        return VectorField(self.ring, comps)
-
-    def project(self, delta):
-        """Coordinates of the class of a concrete weight-w field."""
-        vec = [ZERO] * len(self.ambient)
-        for i, p in enumerate(delta.components):
-            for m, c in p.terms.items():
-                t = (i, m)
-                if t not in self._index:
+    def project(self, elem):
+        """Coordinates of the class of a concrete weight-w element, a
+        vector field or a list of component polynomials."""
+        coords = [ZERO] * len(self.basis)
+        for c, p in enumerate(getattr(elem, "components", elem)):
+            for m, co in p.terms.items():
+                image = self._image.get((c, m))
+                if image is None:
                     raise InternalInconsistency(
-                        f"field term {t} is not of slice weight {self.weight}")
-                vec[self._index[t]] += c
-        residual = linalg.in_row_space(self._ech, self._pivots, vec)
-        return [residual[k] for k in self.basis]
+                        f"term {(c, m)} is not of slice weight {self.weight}")
+                for j, x in image:
+                    coords[j] += co * x
+        return coords
 
     def lift(self, coords):
         terms = [dict() for _ in self.ring]
@@ -193,14 +219,16 @@ class SliceComplex:
     def _slice(self, weight):
         if weight not in self._slices:
             self._slices[weight] = QuotientSlice(
-                self.saito, self.field_weights, self.w, weight)
+                [d.components for d in self.saito.fields], self.field_weights,
+                self.w.weights, self.w, weight)
         return self._slices[weight]
 
     def _build_d0(self):
         n = len(self.saito.ring)
         cols = []
         for s in range(self.dim_c0):
-            sigma = self.slice0.basis_field(s)
+            sigma = self.slice0.lift([Fraction(1) if c == s else ZERO
+                                      for c in range(self.dim_c0)])
             col = []
             for i in range(n):
                 img = lie_bracket(self.saito.fields[i], sigma)
@@ -359,16 +387,16 @@ class Cocycle:
 
 class DeformationReport:
     __slots__ = ("dimension", "representatives", "deformed_equations",
-                 "method", "notes")
+                 "jacobian_degree_bound", "notes")
 
     def __init__(self, dimension, representatives, deformed_equations,
-                 method, notes=None):
+                 jacobian_degree_bound, notes=None):
         if len(representatives) != dimension or len(deformed_equations) != dimension:
             raise InternalInconsistency("representative count must match dimension")
         self.dimension = dimension
         self.representatives = representatives
         self.deformed_equations = deformed_equations
-        self.method = method
+        self.jacobian_degree_bound = jacobian_degree_bound
         self.notes = notes or {}
 
 
@@ -417,61 +445,46 @@ def is_coboundary(psi, cx):
     return linalg.solve(cx.d0_rows, cx.dim_c0, coords)
 
 
-class _ClassSpace:
-    """Degree-k piece of Q[x] / Tjurina ideal, coordinates on the weight-k
-    monomials."""
-
-    __slots__ = ("ring", "w", "k", "monomials", "_index", "gb")
-
-    def __init__(self, f, w):
-        self.ring = f.ring
-        self.w = w
-        self.k = w.degree
-        gens = [f] + [partial_derivative(f, i) for i in range(len(f.ring))]
-        self.gb = buchberger(gens)
-        self.monomials = weighted_monomials(w.weights, self.k)
-        self._index = {m: i for i, m in enumerate(self.monomials)}
-
-    def coords(self, p):
-        nf = self.gb.normal_form(p)
-        vec = [ZERO] * len(self.monomials)
-        for m, c in nf.terms.items():
-            if m not in self._index:
-                raise InternalInconsistency("normal form left the graded piece")
-            vec[self._index[m]] += c
-        return vec
-
-    def scan_order(self):
-        """Weight-k monomials, lowest exponent spread first, degrevlex
-        descending inside a spread class."""
-        ms = sorted(self.monomials, key=degrevlex_key, reverse=True)
-        ms.sort(key=lambda e: max(e) - min(e))
-        return ms
+def _class_space(f, w):
+    """Degree-k piece of Q[x] / (f, df/dx_1, ..., df/dx_n), where deformed
+    equations live. By Euler, k*f = sum w_i x_i df/dx_i, so the ideal is
+    the Jacobian ideal and the generators are the nonzero partials."""
+    k = weighted_degree(f, w.weights)
+    if k != w.degree:
+        raise NotHomogeneous({k})
+    gens = [(partial_derivative(f, i), k - wi) for i, wi in enumerate(w.weights)]
+    gens = [(g, wg) for g, wg in gens if not g.is_zero()]
+    if not gens:
+        raise InternalInconsistency("zero gradient of a nonconstant polynomial")
+    return QuotientSlice([[g] for g, _ in gens], [wg for _, wg in gens], [0],
+                         w, k)
 
 
-def _select_representatives(cx, saito, w, kernel, rank0):
+def _select_representatives(cx, saito, space, kernel, rank0):
     """Echelonize the cocycle classes modulo coboundaries and realize as
-    many classes as possible by single-monomial deformed equations."""
+    many classes as possible by single-monomial deformed equations, scanned
+    by ascending exponent spread, degrevlex descending within a spread."""
     h1 = len(kernel) - rank0
-    space = _ClassSpace(saito.divisor, w)
-    width = len(space.monomials)
+    width = space.dim
     classes = []
     for vec in kernel:
         fields = cx.lift_cocycle(vec)
         fp = deformation_equation(fields, saito)
-        classes.append(space.coords(fp))
+        classes.append(space.project([fp]))
     ech, pivots = linalg.rref(classes, width) if classes else ([], [])
     if len(ech) != h1:
         raise InternalInconsistency(
             f"class space dimension {len(ech)} != cohomology dimension {h1}")
+    scan = sorted((e for _, e in space.ambient), key=degrevlex_key, reverse=True)
+    scan.sort(key=lambda e: max(e) - min(e))
     reps = []
     equations = []
     chosen = linalg.Span()  # classes of the selected representatives
-    for m in space.scan_order():
+    for m in scan:
         if len(reps) == h1:
             break
         mono = Polynomial.monomial(saito.ring, m)
-        cvec = space.coords(mono)
+        cvec = space.project([mono])
         if all(x == 0 for x in cvec):
             continue
         residual = linalg.in_row_space(ech, pivots, cvec)
@@ -522,7 +535,8 @@ def ft1(f, saito=None, w=None):
     cx = build_slice(saito, saito.structure_constants(), w)
     kernel = cx.kernel_d1()
     rank0 = cx.rank_d0()
-    reps, eqs = _select_representatives(cx, saito, w, kernel, rank0)
+    space = _class_space(saito.divisor, w)
+    reps, eqs = _select_representatives(cx, saito, space, kernel, rank0)
     notes = {
         "h0": cx.dim_c0 - rank0,
         "dim_c0": cx.dim_c0,
@@ -530,7 +544,7 @@ def ft1(f, saito=None, w=None):
         "dim_c2": cx.dim_c2,
         "field_weights": list(cx.field_weights),
     }
-    return DeformationReport(len(reps), reps, eqs, "graded-slice", notes)
+    return DeformationReport(len(reps), reps, eqs, space.dim, notes)
 
 
 def h0(f, saito=None, w=None):
@@ -544,36 +558,11 @@ def h0(f, saito=None, w=None):
 def jacobian_degree_bound(f, w=None):
     """Dimension of the degree-k part of Q[x]/(Jacobian ideal); an upper
     bound for the deformation space dimension."""
-    from .groebner import graded_quotient_basis
-
     if w is None:
         w = detect_weight_system(f)
     if w is None:
         raise NotWeightedHomogeneous("no positive weight system")
-    gens = [partial_derivative(f, i) for i in range(len(f.ring))]
-    if all(g.is_zero() for g in gens):
-        raise InternalInconsistency("zero gradient of a nonconstant polynomial")
-    return len(graded_quotient_basis(gens, w.degree, w))
-
-
-def ft1_plane_curve(f):
-    """Two-variable weighted homogeneous shortcut: the deformation space
-    is the degree-k part of Q[x,y]/J, with monomial representatives."""
-    from .errors import NonReduced
-    from .groebner import graded_quotient_basis
-
-    if len(f.ring) != 2:
-        raise ValueError("plane-curve shortcut needs exactly two variables")
-    if not is_squarefree(f):
-        raise NonReduced("curve is not reduced")
-    w = detect_weight_system(f)
-    if w is None:
-        raise NotWeightedHomogeneous("no positive weight system")
-    gens = [partial_derivative(f, i) for i in range(2)]
-    monos = graded_quotient_basis(gens, w.degree, w)
-    reps = [None] * len(monos)
-    return DeformationReport(len(monos), reps, monos, "plane-curve-shortcut",
-                             {"weights": list(w.weights), "degree": w.degree})
+    return _class_space(f, w).dim
 
 
 def linear_basis(f, saito=None):

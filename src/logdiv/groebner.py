@@ -1,4 +1,4 @@
-"""Groebner bases, syzygies, and graded quotient bases over Q.
+"""Groebner bases, syzygies and Krull dimension over Q.
 
 Elements of free modules are plain lists of Polynomial (all of one ring, one
 fixed rank); ideals are handled as the rank-1 case and plain Polynomials are
@@ -14,8 +14,7 @@ from fractions import Fraction
 import heapq
 import itertools
 
-from . import linalg
-from .errors import InternalInconsistency, NotHomogeneous, current_budget
+from .errors import InternalInconsistency, current_budget
 from .poly import (
     Polynomial,
     degrevlex_key,
@@ -24,7 +23,6 @@ from .poly import (
     m_divides,
     m_lcm,
     m_mul,
-    m_weighted_degree,
 )
 
 
@@ -416,79 +414,6 @@ def syzygies(gens):
             seen.append(keyrep)
             dedup.append(row)
     return SyzygyBasis(ring, m, dedup)
-
-
-# ---- graded pieces ------------------------------------------------------
-
-
-def weighted_monomials(weights, target):
-    """All exponent tuples e with sum(w_i e_i) = target, degrevlex descending."""
-    n = len(weights)
-    out = []
-
-    def rec(i, rest, acc):
-        if i == n:
-            if rest == 0:
-                out.append(tuple(acc))
-            return
-        w = weights[i]
-        top = rest // w
-        for e in range(top + 1):
-            acc.append(e)
-            rec(i + 1, rest - e * w, acc)
-            acc.pop()
-
-    if target >= 0:
-        rec(0, target, [])
-    out.sort(key=degrevlex_key, reverse=True)
-    return out
-
-
-def _spread(e):
-    return (max(e) - min(e)) if e else 0
-
-
-def graded_quotient_basis(sub, target_weight, w, component_weights=None):
-    """Monomial representatives of a Q-basis of the target_weight graded
-    piece of (free module) / (submodule generated by sub).
-
-    Every generator must be homogeneous for the weight system (component i
-    carries the shift component_weights[i]). Representatives are chosen from
-    the weight's monomials scanned by ascending exponent spread (degrevlex
-    descending within a spread class), keeping those whose normal forms are
-    linearly independent; this favours balanced monomials like x^2*y^2 over
-    pure powers.
-    """
-    ring, rank, vecs = _prepare(sub)
-    if component_weights is None:
-        component_weights = [0] * rank
-    weights = w.weights
-    for v in vecs:
-        degs = set()
-        for c, p in enumerate(v):
-            for m in p.terms:
-                degs.add(m_weighted_degree(m, weights) + component_weights[c])
-        if len(degs) > 1:
-            raise NotHomogeneous(degs)
-    gb = buchberger(sub)
-    candidates = []
-    for c in range(rank):
-        for e in weighted_monomials(weights, target_weight - component_weights[c]):
-            candidates.append((c, e))
-    # stable passes: component ascending, then degrevlex descending,
-    # then exponent spread ascending (the dominant criterion)
-    candidates.sort(key=lambda t: t[0])
-    candidates.sort(key=lambda t: degrevlex_key(t[1]), reverse=True)
-    candidates.sort(key=lambda t: _spread(t[1]))
-    span = linalg.Span()
-    selected = []
-    for c, e in candidates:
-        elem = [Polynomial.zero(ring) for _ in range(rank)]
-        elem[c] = Polynomial.monomial(ring, e)
-        elem = elem[0] if rank == 1 else elem
-        if span.add(_flatten(_as_vector(gb.normal_form(elem), rank))):
-            selected.append(elem)
-    return selected
 
 
 def krull_dimension(gens):

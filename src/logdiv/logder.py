@@ -10,15 +10,12 @@ are written with fields as columns: entry (i, j) is the d/dx_i coefficient
 of the j-th field.
 """
 
-from fractions import Fraction
 import itertools
 
 from .errors import (
-    InternalInconsistency,
     NonReduced,
     NotFree,
     NotHomogeneous,
-    NotWeightedHomogeneous,
     ZeroOrConstantInput,
 )
 from .groebner import TrackedBasis, buchberger, syzygies
@@ -32,7 +29,6 @@ from .poly import (
     poly_det,
     poly_to_text,
     try_exact_div,
-    weighted_degree,
 )
 
 
@@ -385,28 +381,3 @@ def structure_constants(basis):
             b[i][j] = list(qs)
             b[j][i] = [q.scale(-1) for q in qs]
     return StructureConstants(basis.ring, n, b)
-
-
-def reconstruct_bracket(sc, basis, i, j):
-    acc = VectorField(basis.ring, [Polynomial.zero(basis.ring)] * sc.n)
-    for k in range(sc.n):
-        q = sc.b[i][j][k]
-        if not q.is_zero():
-            acc = acc + VectorField(basis.ring,
-                                    [q * p for p in basis.fields[k].components])
-    return acc
-
-
-def euler_field(f, w):
-    """chi = sum (w_i / k) x_i d/dx_i, normalized so that chi(f) = f."""
-    k = weighted_degree(f, w.weights)
-    if k is None or k == 0:
-        raise NotWeightedHomogeneous("need nonzero weighted degree")
-    comps = []
-    for i, name in enumerate(f.ring):
-        xi = Polynomial.variable(f.ring, i)
-        comps.append(xi.scale(Fraction(w.weights[i], k)))
-    chi = VectorField(f.ring, comps)
-    if chi.apply(f) != f:
-        raise InternalInconsistency("Euler identity failed")
-    return chi

@@ -221,14 +221,6 @@ def weighted_degree(p, weights):
     return next(iter(degs))
 
 
-def is_weighted_homogeneous(p, weights):
-    try:
-        weighted_degree(p, weights)
-        return True
-    except NotHomogeneous:
-        return False
-
-
 class WeightSystem:
     """Positive integer weights for the ring variables plus the degree of f."""
 
@@ -239,9 +231,6 @@ class WeightSystem:
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
         self.degree = int(degree)
-
-    def is_standard(self):
-        return all(w == 1 for w in self.weights)
 
     def __eq__(self, other):
         return (
@@ -554,10 +543,16 @@ def _tokenize(text):
     return out
 
 
+# Each parenthesis costs the recursive-descent parser four stack frames;
+# this keeps deep input far from the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens, ring):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
         self.ring = ring
         self.index = {n: k for k, n in enumerate(ring)}
 
@@ -616,9 +611,14 @@ class _Parser:
                 raise ParseError(f"unknown variable {val!r}")
             return Polynomial.variable(self.ring, self.index[val])
         if (kind, val) == ("op", "("):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}")
             inner = self.expr()
             if self.take() != ("op", ")"):
                 raise ParseError("missing closing parenthesis")
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected token {val!r}")
 

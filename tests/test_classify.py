@@ -8,12 +8,10 @@ from logdiv.classify import (
     connection_conditions,
     diagonal_annihilators,
     field_trace,
-    is_diagonalizable,
     is_koszul,
     is_linear,
     is_reductive,
     lie_algebra_matrices,
-    minimal_polynomial,
     principal_symbols,
     trace_test,
 )
@@ -214,22 +212,3 @@ class TestConnectionConditions:
         res = verify_saito(corrected, f)
         saito = SaitoBasis(corrected, f, res.unit)
         assert not is_koszul(saito)
-
-
-class TestMatrixHelpers:
-    def test_minimal_polynomial_of_nilpotent(self):
-        a = [[0, 1], [0, 0]]
-        m = minimal_polynomial(a)
-        assert poly_to_text(m) == "t^2"
-        assert not is_diagonalizable(a)
-
-    def test_minimal_polynomial_of_involution(self):
-        a = [[0, 1], [1, 0]]
-        m = minimal_polynomial(a)
-        assert poly_to_text(m) == "t^2 - 1"
-        assert is_diagonalizable(a)
-
-    def test_scalar_matrix(self):
-        a = [[Fraction(3), 0], [0, Fraction(3)]]
-        assert poly_to_text(minimal_polynomial(a)) == "t - 3"
-        assert is_diagonalizable(a)

@@ -222,6 +222,23 @@ class TestAnalyzeErrors:
                       env_extra={"LOGDIV_BUDGET": "many"})
         assert res.returncode == 2
 
+    def test_deeply_nested_f_is_an_input_error(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_doc(path, {"label": "deep", "variables": ["x", "y"],
+                         "f": "(" * 3000 + "x*y" + ")" * 3000})
+        res = run_cli("analyze", str(path))
+        assert res.returncode == 2
+        assert "error: f: parentheses nested deeper than 100" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_deeply_nested_json_is_an_input_error(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        res = run_cli("analyze", str(path))
+        assert res.returncode == 2
+        assert "nests JSON too deeply" in res.stderr
+        assert "Traceback" not in res.stderr
+
 
 class TestCorpusRun:
     def test_full_corpus_is_green(self):
@@ -420,9 +437,31 @@ class TestArtefactsComputedOnce:
         assert calls.count("find_saito_basis") == 0
         assert calls.count("syzygies") == 0
 
+    def test_one_groebner_basis_per_analysis(self, monkeypatch):
+        # ft1, lft1, h0 and the bounds read one linear-algebra class
+        # space; only the Koszul test's krull_dimension runs Buchberger
+        from logdiv import cli, cohomology, groebner, logder
+
+        callers = []
+        original = groebner.buchberger
+
+        def counting(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return original(*args, **kwargs)
+
+        for mod in (groebner, cohomology, logder):
+            monkeypatch.setattr(mod, "buchberger", counting)
+        doc = cli.load_document(os.path.join(CORPUS, "linear-nonreductive-5.json"))
+        report = cli.analyze_document(doc, cli.ALL_STAGES)
+        assert callers == ["krull_dimension"]
+        with open(os.path.join(CORPUS, "linear-nonreductive-5.expected.json"),
+                  encoding="utf-8") as fh:
+            golden = json.load(fh)
+        assert strip_timings(report) == strip_timings(golden)
+
     def test_squarefree_is_checked_twice(self, monkeypatch):
         # once in the divisor stage, once on entry to the basis search
-        from logdiv import cli, cohomology, logder
+        from logdiv import cli, logder
 
         calls = []
         original = logder.is_squarefree
@@ -432,7 +471,6 @@ class TestArtefactsComputedOnce:
             return original(f)
 
         monkeypatch.setattr(logder, "is_squarefree", counting)
-        monkeypatch.setattr(cohomology, "is_squarefree", counting)
         doc = cli.load_document(os.path.join(CORPUS, "discriminant-234.json"))
         report = cli.analyze_document(doc, cli.ALL_STAGES)
         assert report["ft1"]["dimension"] == 0

@@ -1,3 +1,6 @@
+import itertools
+import json
+import os
 import random
 
 from fractions import Fraction
@@ -12,7 +15,6 @@ from logdiv.cohomology import (
     cocycle_check,
     deformation_equation,
     ft1,
-    ft1_plane_curve,
     h0,
     is_coboundary,
     jacobian_degree_bound,
@@ -33,6 +35,7 @@ from logdiv.logder import (
 from logdiv.poly import (
     Polynomial,
     WeightSystem,
+    detect_weight_system,
     partial_derivative,
     poly_from_text,
     poly_to_text,
@@ -58,6 +61,26 @@ def saito_for(f):
 def tjurina_gb(f):
     gens = [f] + [partial_derivative(f, i) for i in range(len(f.ring))]
     return buchberger(gens)
+
+
+def check_against_groebner_reference(f, weights, degree, bound, equations):
+    """The Groebner basis of (f, df) alone decides the degree-k quotient:
+    its standard monomials count it, and its normal forms must keep the
+    deformed equations independent."""
+    import sympy
+
+    gb = tjurina_gb(f)
+    leads = [max(g.terms, key=lambda e: (sum(e), [-a for a in reversed(e)]))
+             for g in gb.elements]
+    standard = [
+        e for e in itertools.product(*(range(degree // a + 1) for a in weights))
+        if sum(a * b for a, b in zip(e, weights)) == degree
+        and not any(all(a <= b for a, b in zip(lead, e)) for lead in leads)]
+    assert len(standard) == bound
+    forms = [gb.normal_form(p) for p in equations]
+    keys = sorted({m for p in forms for m in p.terms})
+    rows = [[sympy.Rational(p.terms.get(m, 0)) for m in keys] for p in forms]
+    assert len(equations) == (sympy.Matrix(rows).rank() if rows else 0)
 
 
 FIVE_VAR_F = poly_from_text(
@@ -121,18 +144,51 @@ class TestFt1PlaneCurves:
         "x^5 + y^4",
         "x^5*y - 5*x^3*y^3 + 4*x*y^5",
     ])
-    def test_agrees_with_plane_curve_shortcut(self, text):
+    def test_matches_groebner_reference(self, text):
+        # for a plane curve ft1 is the whole degree-k Jacobian quotient
         f = P(text)
-        full = ft1(f)
-        quick = ft1_plane_curve(f)
-        assert full.dimension == quick.dimension
-        assert sorted(poly_to_text(p) for p in full.deformed_equations) \
-            == sorted(poly_to_text(p) for p in quick.deformed_equations)
+        rep = ft1(f)
+        w = detect_weight_system(f)
+        assert rep.dimension == rep.jacobian_degree_bound \
+            == jacobian_degree_bound(f)
+        check_against_groebner_reference(f, w.weights, w.degree, rep.dimension,
+                                         rep.deformed_equations)
 
     def test_refuses_non_weighted_homogeneous(self):
         f = poly_from_text("x^2*y^2 + x*y^3 + x^3*y*z + x^2*y^2*z", R3)
         with pytest.raises(NotWeightedHomogeneous):
             ft1(f)
+
+
+CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "corpus")
+
+
+def graded_corpus_names():
+    names = []
+    for n in sorted(os.listdir(CORPUS)):
+        if n.endswith(".expected.json"):
+            with open(os.path.join(CORPUS, n), encoding="utf-8") as fh:
+                if json.load(fh)["profile"]["weighted_homogeneous"]:
+                    names.append(n[:-len(".expected.json")])
+    return names
+
+
+@pytest.mark.parametrize("name", graded_corpus_names())
+def test_corpus_ft1_matches_groebner_reference(name):
+    from logdiv import cli
+
+    doc = cli.load_document(os.path.join(CORPUS, f"{name}.json"))
+    report = cli.analyze_document(doc, {"ft1"})
+    prof = report["profile"]
+    ring = tuple(prof["variables"])
+    f = poly_from_text(prof["f"], ring)
+    bound = report["bounds"]["jacobian_degree_bound"]
+    assert bound == jacobian_degree_bound(
+        f, w=WeightSystem(prof["weights"], prof["degree"]))
+    check_against_groebner_reference(
+        f, prof["weights"], prof["degree"], bound,
+        [poly_from_text(t, ring) for t in report["ft1"]["representatives"]])
 
 
 class TestBoundsAndH0:
@@ -355,9 +411,10 @@ class TestSliceBudget:
         saito = saito_for(f)
         w = WeightSystem((1, 1, 1), 3)
         weights = saito.field_weights(w)
+        gens = [d.components for d in saito.fields]
         with pytest.raises(BudgetExceeded):
             with Budget(steps=26):
-                QuotientSlice(saito, weights, w, 0)
+                QuotientSlice(gens, weights, w.weights, w, 0)
         with Budget(steps=27 + 100) as budget:
-            assert QuotientSlice(saito, weights, w, 0).dim == 6
+            assert QuotientSlice(gens, weights, w.weights, w, 0).dim == 6
         assert budget.steps - budget.left >= 27

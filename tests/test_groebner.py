@@ -4,17 +4,18 @@ from fractions import Fraction
 
 import pytest
 
+from logdiv.cohomology import (QuotientSlice, ft1, jacobian_degree_bound,
+                               weighted_monomials)
 from logdiv.errors import Budget, BudgetExceeded, NotHomogeneous
 from logdiv.groebner import (
     GroebnerBasis,
     TrackedBasis,
     buchberger,
-    graded_quotient_basis,
     krull_dimension,
     syzygies,
-    weighted_monomials,
 )
-from logdiv.poly import Polynomial, WeightSystem, partial_derivative, poly_from_text, poly_to_text
+from logdiv.poly import (Polynomial, WeightSystem, partial_derivative,
+                         poly_from_text, poly_to_text)
 
 from conftest import from_sympy, random_poly, to_sympy
 
@@ -202,6 +203,13 @@ class TestTrackedBasis:
 
 
 class TestGradedQuotient:
+    """Graded pieces of a module modulo homogeneous generators, computed
+    by cohomology.QuotientSlice with linear algebra alone."""
+
+    @staticmethod
+    def jacobian(f):
+        return [[partial_derivative(f, i)] for i in range(len(f.ring))]
+
     def test_weighted_monomials(self):
         ms = weighted_monomials((1, 1), 2)
         assert set(ms) == {(2, 0), (1, 1), (0, 2)}
@@ -210,37 +218,44 @@ class TestGradedQuotient:
         assert weighted_monomials((1, 2), -1) == []
 
     def test_balanced_representative(self):
+        # x^2*y^2 is the only weight-4 monomial of exponent spread 0 and
+        # its class is nonzero, so ft1's spread-first scan picks it
         f = P("x^3*y - x*y^3")
-        J = [partial_derivative(f, 0), partial_derivative(f, 1)]
-        w = WeightSystem((1, 1), 4)
-        basis = graded_quotient_basis(J, 4, w)
-        assert [poly_to_text(b) for b in basis] == ["x^2*y^2"]
+        space = QuotientSlice(self.jacobian(f), [3, 3], [0],
+                              WeightSystem((1, 1), 4), 4)
+        assert space.dim == 1
+        assert any(space.project([P("x^2*y^2")]))
+        assert [poly_to_text(p) for p in ft1(f).deformed_equations] \
+            == ["x^2*y^2"]
 
     def test_milnor_numbers_by_weight(self):
         # x^3*y - x*y^3 has Milnor algebra Hilbert series 1,2,3,2,1
         f = P("x^3*y - x*y^3")
-        J = [partial_derivative(f, 0), partial_derivative(f, 1)]
         w = WeightSystem((1, 1), 4)
-        dims = [len(graded_quotient_basis(J, k, w)) for k in range(5)]
+        dims = [QuotientSlice(self.jacobian(f), [3, 3], [0], w, k).dim
+                for k in range(5)]
         assert dims == [1, 2, 3, 2, 1]
-        assert len(graded_quotient_basis(J, 9, w)) == 0
+        assert QuotientSlice(self.jacobian(f), [3, 3], [0], w, 9).dim == 0
 
     def test_requires_homogeneous(self):
-        w = WeightSystem((1, 1), 3)
         with pytest.raises(NotHomogeneous):
-            graded_quotient_basis([P("x^3 + y^3 + x*y")], 2, w)
+            jacobian_degree_bound(P("x^3 + y^3 + x*y"),
+                                  w=WeightSystem((1, 1), 3))
+        with pytest.raises(NotHomogeneous):
+            jacobian_degree_bound(P("x^3*y - x*y^3"),
+                                  w=WeightSystem((1, 1), 5))
 
     def test_component_shifts(self):
         x, y = (Polynomial.variable(R2, i) for i in range(2))
         zero = Polynomial.zero(R2)
-        # submodule x*e0, y*e1 with shifts (0, 1); weight-1 piece of quotient:
-        # e0-monomials of weight 1 are x, y; x dies, y survives.
-        # e1-monomials of weight 0: the constant; survives.
+        # submodule x*e0, y*e1 with shifts (0, -1), so y*e1 has weight 2;
+        # weight-1 piece of the quotient: e0-monomials of weight 1 are x,
+        # y; x dies, y survives. e1-monomials of weight 0: the constant;
+        # survives.
         sub = [[x, zero], [zero, y]]
-        w = WeightSystem((1, 1), 1)
-        basis = graded_quotient_basis(sub, 1, w, component_weights=[0, 1])
-        texts = sorted((i, poly_to_text(p)) for b in basis for i, p in enumerate(b) if not p.is_zero())
-        assert texts == [(0, "y"), (1, "1")]
+        space = QuotientSlice(sub, [1, 2], [0, -1], WeightSystem((1, 1), 1), 1)
+        assert [space.ambient[k] for k in space.basis] \
+            == [(0, (0, 1)), (1, (0, 0))]
 
 
 class TestKrullDimension:

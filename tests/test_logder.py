@@ -11,10 +11,8 @@ from logdiv.groebner import buchberger
 from logdiv.logder import (
     VectorField,
     compute_der_log,
-    euler_field,
     find_saito_basis,
     lie_bracket,
-    reconstruct_bracket,
     structure_constants,
     verify_saito,
 )
@@ -217,6 +215,14 @@ class TestFindSaitoBasis:
         assert verify_saito(saito.fields, f).ok
 
 
+def expand_in_basis(sc, saito, i, j):
+    """sum_k b_ijk * delta_k, which must equal [delta_i, delta_j]."""
+    acc = [Polynomial.zero(saito.ring)] * sc.n
+    for k, delta in enumerate(saito.fields):
+        acc = [a + sc.b[i][j][k] * p for a, p in zip(acc, delta.components)]
+    return VectorField(saito.ring, acc)
+
+
 class TestStructureConstants:
     def test_normal_crossing_is_abelian(self):
         f = P("x*y")
@@ -233,7 +239,7 @@ class TestStructureConstants:
         for i in range(n):
             for j in range(n):
                 direct = lie_bracket(saito.fields[i], saito.fields[j])
-                rebuilt = reconstruct_bracket(sc, saito, i, j)
+                rebuilt = expand_in_basis(sc, saito, i, j)
                 assert direct.components == rebuilt.components
 
     def test_five_variable_constants_are_rational_numbers(self):
@@ -247,7 +253,7 @@ class TestStructureConstants:
         for i in range(5):
             for j in range(5):
                 direct = lie_bracket(saito.fields[i], saito.fields[j])
-                rebuilt = reconstruct_bracket(sc, saito, i, j)
+                rebuilt = expand_in_basis(sc, saito, i, j)
                 assert direct.components == rebuilt.components
 
 
@@ -280,16 +286,3 @@ class TestAnnihilatorAndWeightZero:
             for i, p in enumerate(delta.components):
                 # the d/dx_i coefficient is a multiple of x_i
                 assert all(m[j] == (j == i) for m in p.terms for j in range(3))
-
-
-class TestEulerField:
-    def test_standard_weights(self):
-        f = P("x^3*y - x*y^3")
-        chi = euler_field(f, WeightSystem((1, 1), 4))
-        assert chi.apply(f) == f
-        assert [poly_to_text(p) for p in chi.components] == ["1/4*x", "1/4*y"]
-
-    def test_nonstandard_weights(self):
-        f = poly_from_text("x^5 + y^4", R2)
-        chi = euler_field(f, WeightSystem((4, 5), 20))
-        assert chi.apply(f) == f

@@ -6,11 +6,11 @@ import pytest
 
 from logdiv.errors import NotHomogeneous, ParseError, ZeroOrConstantInput
 from logdiv.poly import (
+    MAX_NESTING,
     Polynomial,
     WeightSystem,
     exact_div,
     is_squarefree,
-    is_weighted_homogeneous,
     partial_derivative,
     poly_det,
     poly_from_text,
@@ -101,6 +101,13 @@ class TestParsePrint:
         with pytest.raises(ParseError):
             poly_from_text("x + t", R2)
 
+    def test_nesting_limit(self):
+        assert MAX_NESTING == 100
+        assert P("(" * 100 + "x*y" + ")" * 100) == P("x*y")
+        assert P("-(" * 100 + "x" + ")" * 100) == P("x")
+        with pytest.raises(ParseError, match="nested deeper than 100"):
+            P("(" * 101 + "x" + ")" * 101)
+
 
 class TestCalculus:
     def test_partial(self):
@@ -126,16 +133,9 @@ class TestCalculus:
             weighted_degree(P("x^3 + y^3 + x*y"), (1, 1))
         assert ei.value.degrees == {2, 3}
 
-    def test_is_weighted_homogeneous(self):
-        assert is_weighted_homogeneous(P("x^3*y - x*y^3"), (1, 1))
-        assert not is_weighted_homogeneous(P("x^3 + y^3 + x*y"), (1, 1))
-
 
 class TestWeightSystem:
     def test_validation(self):
-        w = WeightSystem((4, 5), 20)
-        assert not w.is_standard()
-        assert WeightSystem((1, 1, 1), 4).is_standard()
         with pytest.raises(ValueError):
             WeightSystem((0, 1), 3)
         with pytest.raises(ValueError):

@@ -123,7 +123,7 @@ class LieAlgebra:
         rows = []
         for z in derived:
             rows.append([
-                sum(k[e][t] * z[t] for t in range(self.dim))
+                sum(k[e][t] * x for t, x in z.items())
                 for e in range(self.dim)
             ])
         if not rows:

@@ -47,9 +47,8 @@ from .cylinder import split_cylindrical
 from .errors import (DEFAULT_STEPS, Budget, BudgetExceeded, LogdivError,
                      NonReduced, NotFree, NotHomogeneous, NotLinear,
                      ParseError, ZeroOrConstantInput, current_budget)
-from .logder import (SaitoBasis, VectorField, compute_der_log,
-                     find_saito_basis, format_field, verify_saito,
-                     _check_divisor)
+from .logder import (SaitoBasis, VectorField, compute_der_log, format_field,
+                     _check_divisor, _determinant_test, _select_saito_basis)
 from .poly import (WeightSystem, detect_weight_system, poly_from_text,
                    poly_to_text, try_exact_div, weighted_degree)
 from . import __version__
@@ -111,7 +110,7 @@ def load_document(path):
     if "weights" in doc:
         ws = doc["weights"]
         if (not isinstance(ws, list) or len(ws) != n
-                or not all(isinstance(a, int) and a > 0 for a in ws)):
+                or not all(type(a) is int and a > 0 for a in ws)):
             _fail(2, "input", f"weights must be {n} positive integers")
     if "saito_matrix" in doc:
         mat = doc["saito_matrix"]
@@ -212,6 +211,8 @@ def analyze_document(doc, stages):
     work_ring = split.ring if split else ring
     work_f = split.poly if split else f
 
+    # the one squarefree check of the analysis: the basis stage calls the
+    # unchecked cores of verify_saito and find_saito_basis
     def divisor_stage():
         try:
             _check_divisor(work_f)
@@ -235,7 +236,7 @@ def analyze_document(doc, stages):
                    for r in range(len(work_ring))]
             fields = [VectorField(work_ring, [mat[r][c] for r in range(len(work_ring))])
                       for c in range(len(work_ring))]
-            res = verify_saito(fields, work_f)
+            res = _determinant_test(fields, work_f)
             if not res.ok:
                 _fail(4, "basis", f"provided matrix is not a basis: {res.reason}")
             for idx, delta in enumerate(fields):
@@ -246,7 +247,7 @@ def analyze_document(doc, stages):
             return SaitoBasis(fields, work_f, res.unit)
         gens = compute_der_log(work_f)
         try:
-            return find_saito_basis(gens, work_f, w)
+            return _select_saito_basis(gens, work_f, w)
         except NotFree as e:
             _fail(4, "basis", str(e))
 

@@ -19,7 +19,8 @@ positive. The differentials follow the sign convention
                                      + [delta_j, psi(delta_i)]
 
 whose composition vanishes by the Jacobi identity. dim ker d1 - rank d0 is
-the dimension of the deformation space.
+the dimension of the deformation space. d0 and d1 are kept as sparse rows;
+no d2 is built, as nothing beyond H^1 is reported.
 
 A cocycle deforms f of weighted degree k by a degree-k polynomial, whose
 class lives in the degree-k piece of Q[x] / (f, df/dx_1, ..., df/dx_n).
@@ -97,8 +98,8 @@ class QuotientSlice:
     A generator is a list of component polynomials with its weight; a
     monomial x^e in component c has weight wt(e) - shifts[c]. Vector fields
     are the module with shifts w_1..w_n, Q[x] the one with shift 0.
-    The dense relation matrix is charged to the budget, one step per
-    cell, before it is allocated.
+    The relation matrix is charged to the budget, one step per cell of
+    its dense shape, before it is built.
     """
 
     __slots__ = ("ring", "weight", "ambient", "basis", "_image")
@@ -116,24 +117,24 @@ class QuotientSlice:
         relations = []
         for gen, ms in multipliers:
             for m in ms:
-                vec = [ZERO] * len(self.ambient)
+                vec = {}
                 for c, p in enumerate(gen):
                     for mm, co in p.terms.items():
-                        t = (c, tuple(a + b for a, b in zip(mm, m)))
-                        vec[index[t]] += co
+                        k = index[(c, tuple(a + b for a, b in zip(mm, m)))]
+                        vec[k] = vec.get(k, ZERO) + co
                 relations.append(vec)
-        ech, pivots = (linalg.rref(relations, len(self.ambient)) if relations
-                       else ([], []))
+        ech, pivots = linalg.rref(relations, len(self.ambient))
         pivot_set = set(pivots)
         self.basis = [k for k in range(len(self.ambient)) if k not in pivot_set]
         # the class of each ambient monomial, sparse in basis coordinates:
         # a basis monomial is a unit vector, a pivot monomial minus the
         # rest of its reduced echelon row
+        coord = {k: j for j, k in enumerate(self.basis)}
         self._image = {self.ambient[k]: [(j, Fraction(1))]
                        for j, k in enumerate(self.basis)}
         for row, pc in zip(ech, pivots):
             self._image[self.ambient[pc]] = [
-                (j, -row[k]) for j, k in enumerate(self.basis) if row[k]]
+                (coord[k], -x) for k, x in row.items() if k != pc]
 
     @property
     def dim(self):
@@ -161,26 +162,6 @@ class QuotientSlice:
                 terms[i][e] = terms[i].get(e, ZERO) + c
         comps = [Polynomial(self.ring, t) for t in terms]
         return VectorField(self.ring, comps)
-
-
-def _transpose_columns(cols, nrows):
-    return [[col[r] for col in cols] for r in range(nrows)]
-
-
-def _matmul_rows(a_rows, b_rows):
-    """Rows of A*B, exact; zero entries of A are skipped, so a sparse A
-    costs one row of B per nonzero entry."""
-    width = len(b_rows[0]) if b_rows else 0
-    out = []
-    for ar in a_rows:
-        row = [ZERO] * width
-        for k, a in enumerate(ar):
-            if a:
-                for c, b in enumerate(b_rows[k]):
-                    if b:
-                        row[c] += a * b
-        out.append(row)
-    return out
 
 
 class SliceComplex:
@@ -212,9 +193,13 @@ class SliceComplex:
         self.dim_c2 = self.offsets2[-1]
         self.d0_rows = self._build_d0()
         self.d1_rows = self._build_d1()
-        comp = _matmul_rows(self.d1_rows, self.d0_rows)
-        if any(any(x != 0 for x in row) for row in comp):
-            raise InternalInconsistency("d1 after d0 is not zero")
+        for row in self.d1_rows:  # d1 d0 = 0, over the nonzeros only
+            acc = {}
+            for k, a in row.items():
+                for c, b in self.d0_rows[k].items():
+                    acc[c] = acc.get(c, ZERO) + a * b
+            if any(acc.values()):
+                raise InternalInconsistency("d1 after d0 is not zero")
 
     def _slice(self, weight):
         if weight not in self._slices:
@@ -225,7 +210,7 @@ class SliceComplex:
 
     def _build_d0(self):
         n = len(self.saito.ring)
-        cols = []
+        rows = [{} for _ in range(self.dim_c1)]
         for s in range(self.dim_c0):
             sigma = self.slice0.lift([Fraction(1) if c == s else ZERO
                                       for c in range(self.dim_c0)])
@@ -233,8 +218,8 @@ class SliceComplex:
             for i in range(n):
                 img = lie_bracket(self.saito.fields[i], sigma)
                 col.extend(self.slices1[i].project(img))
-            cols.append(col)
-        return _transpose_columns(cols, self.dim_c1)
+            _set_column(rows, s, col)
+        return rows
 
     def _psi_component(self, vec, i):
         lo, hi = self.offsets1[i], self.offsets1[i + 1]
@@ -242,7 +227,7 @@ class SliceComplex:
 
     def _build_d1(self):
         n = len(self.saito.ring)
-        cols = []
+        rows = [{} for _ in range(self.dim_c2)]
         for pos in range(self.dim_c1):
             vec = [ZERO] * self.dim_c1
             vec[pos] = Fraction(1)
@@ -262,8 +247,8 @@ class SliceComplex:
                     acc = acc + VectorField(
                         self.saito.ring, [bpqi * c for c in tilde.components])
                 col.extend(self.slices2[pi].project(acc))
-            cols.append(col)
-        return _transpose_columns(cols, self.dim_c2)
+            _set_column(rows, pos, col)
+        return rows
 
     # -- derived data ------------------------------------------------
 
@@ -284,80 +269,16 @@ class SliceComplex:
         return len(self.kernel_d1()) - self.rank_d0()
 
     def apply_d0(self, sigma_coords):
-        return [sum(row[c] * sigma_coords[c] for c in range(self.dim_c0))
+        return [sum((x * sigma_coords[c] for c, x in row.items()), ZERO)
                 for row in self.d0_rows]
 
     def apply_d1(self, psi_coords):
-        return [sum(row[c] * psi_coords[c] for c in range(self.dim_c1))
+        return [sum((x * psi_coords[c] for c, x in row.items()), ZERO)
                 for row in self.d1_rows]
 
     def lift_cocycle(self, vec):
         n = len(self.saito.ring)
         return [self._psi_component(vec, i) for i in range(n)]
-
-    def h2_dimension(self):
-        """dim ker d2 - rank d1; d2 is built only on this call."""
-        rank2 = linalg.rank(self.build_d2(), self.dim_c2)
-        return self.dim_c2 - rank2 - linalg.rank(self.d1_rows, self.dim_c1)
-
-    def build_d2(self):
-        """Rows of d2 on the weight-zero slice, for h2_dimension and for
-        checking that d2 after d1 vanishes."""
-        n = len(self.saito.ring)
-        triples = [(a, b, c) for a in range(n) for b in range(a + 1, n)
-                   for c in range(b + 1, n)]
-        slices3 = [self._slice(self.field_weights[a] + self.field_weights[b]
-                               + self.field_weights[c])
-                   for (a, b, c) in triples]
-        offsets3 = _offsets([s.dim for s in slices3])
-        pair_index = {pq: k for k, pq in enumerate(self.pairs)}
-
-        def phi_entry(vec, k, l):
-            """phi(delta_k ^ delta_l) as a lifted field, antisymmetric."""
-            if k == l:
-                return None, 1
-            if k < l:
-                pi = pair_index[(k, l)]
-                sign = 1
-            else:
-                pi = pair_index[(l, k)]
-                sign = -1
-            lo, hi = self.offsets2[pi], self.offsets2[pi + 1]
-            coords = vec[lo:hi]
-            if all(x == 0 for x in coords):
-                return None, sign
-            return self.slices2[pi].lift(coords), sign
-
-        cols = []
-        for pos in range(self.dim_c2):
-            vec = [ZERO] * self.dim_c2
-            vec[pos] = Fraction(1)
-            col = []
-            for ti, (a, b, c) in enumerate(triples):
-                acc = VectorField(self.saito.ring,
-                                  [Polynomial.zero(self.saito.ring)] * n)
-                for sign, head, rest in ((-1, a, (b, c)), (1, b, (a, c)),
-                                         (-1, c, (a, b))):
-                    phi, s = phi_entry(vec, *rest)
-                    if phi is not None:
-                        br = lie_bracket(self.saito.fields[head], phi)
-                        acc = acc + br.scale(Fraction(sign * s))
-                for sign, (p, q), tail in ((1, (a, b), c), (-1, (a, c), b),
-                                           (1, (b, c), a)):
-                    for k in range(n):
-                        bk = self.sc.b[p][q][k]
-                        if bk.is_zero():
-                            continue
-                        phi, s = phi_entry(vec, k, tail)
-                        if phi is None:
-                            continue
-                        scaled = VectorField(
-                            self.saito.ring,
-                            [bk * comp for comp in phi.components])
-                        acc = acc + scaled.scale(Fraction(sign * s))
-                col.extend(slices3[ti].project(acc))
-            cols.append(col)
-        return _transpose_columns(cols, offsets3[-1])
 
 
 def _offsets(dims):
@@ -365,6 +286,13 @@ def _offsets(dims):
     for d in dims:
         out.append(out[-1] + d)
     return out
+
+
+def _set_column(rows, c, col):
+    """Write the dense column col into column c of the sparse rows."""
+    for r, x in enumerate(col):
+        if x:
+            rows[r][c] = x
 
 
 def build_slice(saito, sc, w):
@@ -471,10 +399,13 @@ def _select_representatives(cx, saito, space, kernel, rank0):
         fields = cx.lift_cocycle(vec)
         fp = deformation_equation(fields, saito)
         classes.append(space.project([fp]))
-    ech, pivots = linalg.rref(classes, width) if classes else ([], [])
-    if len(ech) != h1:
+    realized = linalg.Span()  # the classes of all cocycles
+    for cvec in classes:
+        realized.add(cvec)
+    rank = len(realized.rows)
+    if rank != h1:
         raise InternalInconsistency(
-            f"class space dimension {len(ech)} != cohomology dimension {h1}")
+            f"class space dimension {rank} != cohomology dimension {h1}")
     scan = sorted((e for _, e in space.ambient), key=degrevlex_key, reverse=True)
     scan.sort(key=lambda e: max(e) - min(e))
     reps = []
@@ -485,13 +416,10 @@ def _select_representatives(cx, saito, space, kernel, rank0):
             break
         mono = Polynomial.monomial(saito.ring, m)
         cvec = space.project([mono])
-        if all(x == 0 for x in cvec):
-            continue
-        residual = linalg.in_row_space(ech, pivots, cvec)
-        if any(x != 0 for x in residual):
+        if realized.reduce(cvec):
             continue  # class not realized by any cocycle
-        if not chosen.add(dict(enumerate(cvec))):
-            continue  # dependent on already selected classes
+        if not chosen.add(cvec):
+            continue  # zero, or dependent on already selected classes
         sol = linalg.solve([[classes[u][pos] for u in range(len(kernel))]
                             for pos in range(width)], len(kernel), cvec)
         if sol is None:
@@ -505,7 +433,7 @@ def _select_representatives(cx, saito, space, kernel, rank0):
         for vec, cvec in zip(kernel, classes):
             if len(reps) == h1:
                 break
-            if not chosen.add(dict(enumerate(cvec))):
+            if not chosen.add(cvec):
                 continue
             fields = cx.lift_cocycle(vec)
             reps.append(Cocycle(cx, vec))

@@ -1,8 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of row lists of Fraction. Everything here is
-deterministic: pivots are chosen by position, never by magnitude, so
-repeated runs produce identical echelon forms and kernel bases.
+A matrix is a list of rows. A row may be a dense list or a sparse dict
+from column index to entry; internally, and in every echelon form
+returned, rows are sparse dicts of nonzero Fractions. There is one
+elimination routine: Span, an incremental echelon basis whose pivots sit
+at each row's smallest column, and rref is a Span followed by
+back-substitution. The reduced row echelon form is unique, so every
+result is deterministic.
 """
 
 from fractions import Fraction
@@ -13,40 +17,73 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _sparse(row):
+    """A list or dict row as a dict of its nonzero entries as Fractions."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {c: Fraction(x) for c, x in items if x}
+
+
+def _reduce(v, rows):
+    """Subtract from the sparse vector v, in place, the multiples of the
+    (pivot, row) pairs that clear its pivot entries; rows later in the
+    sequence must vanish at the pivots of earlier ones. One budget step
+    per row v is reduced by."""
+    used = 0
+    for pivot, row in rows:
+        f = v.get(pivot)
+        if f:
+            for k, x in row.items():
+                s = v.get(k, ZERO) - f * x
+                if s:
+                    v[k] = s
+                else:
+                    del v[k]
+            used += 1
+    current_budget().spend(used)
+    return v
+
+
+class Span:
+    """Echelon basis of the span of the rows added so far. Each kept row
+    has entry 1 at its pivot, its smallest column, and vanishes at the
+    pivots of the rows kept before it."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows = []  # (pivot, sparse row)
+
+    def reduce(self, row):
+        """The residual of row modulo the span, as a sparse dict; zero
+        (empty) exactly when row lies in the span."""
+        return _reduce(_sparse(row), self.rows)
+
+    def add(self, row):
+        """Keep the residual of row iff it is nonzero; returns whether
+        row was independent of the span."""
+        v = self.reduce(row)
+        if not v:
+            return False
+        pivot = min(v)
+        inv = ONE / v[pivot]
+        self.rows.append((pivot, {k: x * inv for k, x in v.items()}))
+        return True
+
+
 def rref(rows, ncols):
     """Reduced row echelon form.
 
-    Returns (echelon_rows, pivot_cols). Input rows are not modified.
-    Zero rows are dropped from the result.
+    Returns (echelon_rows, pivot_cols) with sparse rows in ascending
+    pivot order. Input rows are not modified; zero rows are dropped.
     """
-    work = [list(map(Fraction, r)) for r in rows]
-    budget = current_budget()
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = ONE / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        eliminated = 0
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                row_r = work[r]
-                work[i] = [a - f * b for a, b in zip(work[i], row_r)]
-                eliminated += 1
-        budget.spend(eliminated)
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
+    span = Span()
+    for row in rows:
+        span.add(row)
+    done = []  # fully reduced rows, descending pivot
+    for pivot, row in sorted(span.rows, key=lambda pr: pr[0], reverse=True):
+        done.append((pivot, _reduce(row, done)))
+    done.reverse()
+    return [row for _, row in done], [pivot for pivot, _ in done]
 
 
 def rank(rows, ncols):
@@ -61,69 +98,32 @@ def nullspace(rows, ncols):
     ech, pivots = rref(rows, ncols)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
+    basis = {}
     for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -ech[i][fc]
-        basis.append(v)
-    return basis
+        basis[fc] = [ZERO] * ncols
+        basis[fc][fc] = ONE
+    for row, pc in zip(ech, pivots):
+        for c, x in row.items():
+            if c != pc:
+                basis[c][pc] = -x
+    return [basis[fc] for fc in free]
 
 
 def solve(rows, ncols, rhs):
     """One solution x of A x = rhs, or None if inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    aug = []
+    for row, b in zip(rows, rhs):
+        row = _sparse(row)
+        if b:
+            row[ncols] = Fraction(b)
+        aug.append(row)
     ech, pivots = rref(aug, ncols + 1)
     if ncols in pivots:
         return None
     x = [ZERO] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = ech[i][ncols]
-    return x
-
-
-def in_row_space(ech, pivots, vec):
-    """Reduce vec against an rref basis; returns the residual vector."""
-    v = list(map(Fraction, vec))
     for row, pc in zip(ech, pivots):
-        if v[pc] != 0:
-            f = v[pc]
-            v = [a - f * b for a, b in zip(v, row)]
-    return v
-
-
-class Span:
-    """Echelon basis of the span of the sparse vectors added so far; a
-    sparse vector is a dict from any coordinate key to its entry."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self):
-        self.rows = []  # (pivot key, row with entry 1 at the pivot)
-
-    def add(self, vec):
-        """Reduce vec against the kept rows and keep the residual iff it is
-        nonzero; returns whether vec was independent of the span."""
-        v = {k: x for k, x in vec.items() if x}
-        eliminated = 0
-        for pivot, row in self.rows:
-            f = v.get(pivot)
-            if f:
-                for k, x in row.items():
-                    s = v.get(k, ZERO) - f * x
-                    if s:
-                        v[k] = s
-                    else:
-                        del v[k]
-                eliminated += 1
-        current_budget().spend(eliminated)
-        if not v:
-            return False
-        pivot = next(iter(v))
-        inv = ONE / v[pivot]
-        self.rows.append((pivot, {k: x * inv for k, x in v.items()}))
-        return True
+        x[pc] = row.get(ncols, ZERO)
+    return x
 
 
 def det_bareiss(rows):

@@ -231,7 +231,7 @@ class SaitoBasis:
                 self.field_weights(w)
                 self._memo[key] = self
             except NotHomogeneous:
-                self._memo[key] = find_saito_basis(self.fields, self.divisor, w)
+                self._memo[key] = _select_saito_basis(self.fields, self.divisor, w)
         return self._memo[key]
 
     def linear_part(self):
@@ -295,7 +295,14 @@ SUBSET_BUDGET = 300
 
 
 def find_saito_basis(gens, f, w=None):
-    """Select a free basis among generators of Der(-log f).
+    """Select a free basis among generators of Der(-log f), after checking
+    that f is a reduced divisor equation."""
+    _check_divisor(f)
+    return _select_saito_basis(gens, f, w)
+
+
+def _select_saito_basis(gens, f, w=None):
+    """find_saito_basis for an already checked divisor.
 
     Weighted homogeneous f: generators are split into weight-homogeneous
     parts and greedily minimalized in ascending weight order (a graded
@@ -304,7 +311,6 @@ def find_saito_basis(gens, f, w=None):
     later part would reduce to zero. Otherwise n-subsets are tried in
     order of total degree, up to SUBSET_BUDGET of them.
     """
-    _check_divisor(f)
     n = len(f.ring)
     gens = [g for g in gens if not g.is_zero()]
     if w is None:

@@ -297,7 +297,7 @@ def detect_weight_system(f):
     ech, _ = linalg.rref(rows, n)
 
     def satisfied(w):
-        return all(sum(r[i] * w[i] for i in range(n)) == 0 for r in ech)
+        return all(sum(x * w[i] for i, x in r.items()) == 0 for r in ech)
 
     for total in range(n, WEIGHT_SUM_CAP + 1):
         for w in _compositions(total, n):

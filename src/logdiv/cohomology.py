@@ -60,7 +60,6 @@ from .poly import (
     degrevlex_key,
     detect_weight_system,
     partial_derivative,
-    poly_det,
     weighted_degree,
 )
 
@@ -265,9 +264,6 @@ class SliceComplex:
             return 0
         return linalg.rank(self.d0_rows, self.dim_c0)
 
-    def h1_dimension(self):
-        return len(self.kernel_d1()) - self.rank_d0()
-
     def apply_d0(self, sigma_coords):
         return [sum((x * sigma_coords[c] for c, x in row.items()), ZERO)
                 for row in self.d0_rows]
@@ -309,9 +305,6 @@ class Cocycle:
         self.complex = cx
         self.coords = list(coords)
 
-    def is_cocycle(self):
-        return all(x == 0 for x in self.complex.apply_d1(self.coords))
-
 
 class DeformationReport:
     __slots__ = ("dimension", "representatives", "deformed_equations",
@@ -331,20 +324,12 @@ class DeformationReport:
 def deformation_equation(psi_fields, saito):
     """First-order change of the defining equation: the sum over i of the
     determinant of the Saito matrix with column i replaced by the i-th
-    value of the cocycle."""
-    n = len(saito.ring)
+    value of the cocycle. That determinant is linear in column i, so it is
+    row i of the adjugate applied to psi_i."""
     fprime = Polynomial.zero(saito.ring)
-    for i in range(n):
-        rows = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                if c == i:
-                    row.append(psi_fields[c].components[r])
-                else:
-                    row.append(saito.fields[c].components[r])
-            rows.append(row)
-        fprime = fprime + poly_det(rows)
+    for row, psi in zip(saito.adjugate(), psi_fields):
+        for a, p in zip(row, psi.components):
+            fprime = fprime + a * p
     return fprime
 
 

@@ -65,7 +65,8 @@ class Budget:
 
     A step is one Groebner reduction or S-pair, one row eliminated in
     linear algebra, one cell of a slice relation matrix, or one pair of
-    terms multiplied in a polynomial power. Inside
+    terms multiplied in a polynomial power, a parsed product or an
+    adjugate. Inside
     ``with budget:`` every charge made in this thread or task goes to
     ``budget``; see current_budget.
     """

@@ -110,13 +110,14 @@ def _sugar_of(v):
 
 
 def _run_buchberger(gen_vecs, budget, track):
-    """Core loop. gen_vecs: list of flattened nonzero elements.
+    """Core loop. gen_vecs: list of flattened elements, zero ones skipped.
 
     Returns (basis, sugars, reps, zero_syzygies) where reps[j] expresses
-    basis[j] over the input generators and zero_syzygies are input-space
-    relations found from S-pairs reducing to zero. reps/zero_syzygies are
-    None unless track is set. Criteria pruning is disabled in track mode so
-    the collected relations generate the full first syzygy module.
+    basis[j] over the input generators, indexed by position in gen_vecs,
+    and zero_syzygies are input-space relations found from S-pairs reducing
+    to zero. reps/zero_syzygies are None unless track is set. Criteria
+    pruning is disabled in track mode so the collected relations generate
+    the full first syzygy module.
     """
     rank1 = all(c == 0 for v in gen_vecs for (c, _) in v)
     basis = []
@@ -154,8 +155,9 @@ def _run_buchberger(gen_vecs, budget, track):
         push_pairs(len(basis) - 1)
 
     for idx, v in enumerate(gen_vecs):
-        rep = {(idx, (0,) * _nvars(v)): Fraction(1)} if track else None
-        append(v, _sugar_of(v), rep)
+        if v:
+            rep = {(idx, (0,) * _nvars(v)): Fraction(1)} if track else None
+            append(v, _sugar_of(v), rep)
 
     while heap:
         sug, _, i, j, _ = heapq.heappop(heap)
@@ -321,65 +323,14 @@ def buchberger(gens):
     return GroebnerBasis(ring, rank, _interreduce(basis, b))
 
 
-class TrackedBasis:
-    """Working (non-reduced) basis with expressions over the original
-    generators; used for syzygies and for division with quotients."""
-
-    __slots__ = ("ring", "rank", "ngens", "_flat", "_reps", "_zsyz")
-
-    def __init__(self, gens):
-        ring, rank, vecs = _prepare(gens)
-        self.ring = ring
-        self.rank = rank
-        self.ngens = len(vecs)
-        flat = []
-        keep_idx = []
-        for i, v in enumerate(map(_flatten, vecs)):
-            if v:
-                flat.append(v)
-                keep_idx.append(i)
-        if not flat:
-            raise ValueError("all generators are zero")
-        basis, _, reps, zsyz = _run_buchberger(flat, current_budget(), track=True)
-        remap = {j: keep_idx[j] for j in range(len(keep_idx))}
-        self._flat = basis
-        self._reps = [self._remap(r, remap) for r in reps]
-        self._zsyz = [self._remap(z, remap) for z in zsyz]
-
-    @staticmethod
-    def _remap(rep, remap):
-        return {(remap[c], m): co for (c, m), co in rep.items()}
-
-    def divide(self, elem):
-        """elem = sum_i q_i * gens[i] + remainder; returns (q list, remainder)."""
-        vec = _as_vector(elem, self.rank)
-        v = _flatten(vec)
-        leads = [max(b, key=_term_key) for b in self._flat]
-        rem, quots = _reduce_full(v, self._flat, leads, current_budget(),
-                                   track=True)
-        acc = {}
-        for j, q in enumerate(quots):
-            for shift, coeff in q.items():
-                _v_iadd_scaled(acc, self._reps[j], shift, coeff)
-        qs = _unflatten(acc, self.ring, self.ngens)
-        r = _unflatten(rem, self.ring, self.rank)
-        return qs, (r[0] if self.rank == 1 else r)
-
-    def membership_quotients(self, elem):
-        """Quotients when elem lies in the module; InternalInconsistency otherwise."""
-        qs, r = self.divide(elem)
-        rzero = r.is_zero() if isinstance(r, Polynomial) else all(p.is_zero() for p in r)
-        if not rzero:
-            raise InternalInconsistency("claimed member has nonzero remainder")
-        return qs
-
-
 def syzygies(gens):
-    """Generating set of the first syzygy module of gens."""
+    """Generating set of the first syzygy module of gens: the relations
+    from S-pairs reducing to zero in a Buchberger run that tracks each
+    basis element over the generators, and the rows e_i - q_i, where q_i
+    divides generator i by that basis with tracked quotients."""
     ring, rank, vecs = _prepare(gens)
     m = len(vecs)
     flats = [_flatten(v) for v in vecs]
-    nonzero = [i for i, f in enumerate(flats) if f]
     out = []
     # a zero generator is annihilated by the corresponding unit vector
     for i, f in enumerate(flats):
@@ -387,24 +338,24 @@ def syzygies(gens):
             row = [Polynomial.zero(ring) for _ in range(m)]
             row[i] = Polynomial.one(ring)
             out.append(row)
-    if nonzero:
-        tracked = TrackedBasis([vecs[i] for i in nonzero])
-        remap = {j: nonzero[j] for j in range(len(nonzero))}
-        # syzygies discovered from S-pairs that reduced to zero
-        for z in tracked._zsyz:
-            out.append(_unflatten(TrackedBasis._remap(z, remap), ring, m))
-        # rows of (identity - U T): divide each generator by the basis
-        for pos, i in enumerate(nonzero):
-            qs, r = tracked.divide(vecs[i])
-            rzero = r.is_zero() if isinstance(r, Polynomial) else all(p.is_zero() for p in r)
-            if not rzero:
+    if any(flats):
+        budget = current_budget()
+        basis, _, reps, zsyz = _run_buchberger(flats, budget, track=True)
+        for z in zsyz:
+            out.append(_unflatten(z, ring, m))
+        leads = [max(b, key=_term_key) for b in basis]
+        for i, f in enumerate(flats):
+            if not f:
+                continue
+            rem, quots = _reduce_full(f, basis, leads, budget, track=True)
+            if rem:
                 raise InternalInconsistency("generator does not reduce to zero")
-            row = [Polynomial.zero(ring) for _ in range(m)]
-            row[i] = Polynomial.one(ring)
-            for j, q in enumerate(qs):
-                row[nonzero[j]] = row[nonzero[j]] - q
-            if any(not p.is_zero() for p in row):
-                out.append(row)
+            row = {(i, (0,) * len(ring)): Fraction(1)}
+            for j, q in enumerate(quots):
+                for shift, coeff in q.items():
+                    _v_iadd_scaled(row, reps[j], shift, -coeff)
+            if row:
+                out.append(_unflatten(row, ring, m))
     # light dedupe, deterministic order
     seen = []
     dedup = []

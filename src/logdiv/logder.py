@@ -13,12 +13,13 @@ of the j-th field.
 import itertools
 
 from .errors import (
+    InternalInconsistency,
     NonReduced,
     NotFree,
     NotHomogeneous,
     ZeroOrConstantInput,
 )
-from .groebner import TrackedBasis, buchberger, syzygies
+from .groebner import buchberger, syzygies
 from .poly import (
     Polynomial,
     WeightSystem,
@@ -26,6 +27,7 @@ from .poly import (
     is_squarefree,
     m_weighted_degree,
     partial_derivative,
+    poly_adjugate,
     poly_det,
     poly_to_text,
     try_exact_div,
@@ -214,6 +216,12 @@ class SaitoBasis:
     def field_weights(self, w):
         return [delta.weight(w) for delta in self.fields]
 
+    def adjugate(self):
+        """The adjugate of matrix(): adj * matrix() = unit * divisor * I."""
+        if "adj" not in self._memo:
+            self._memo["adj"] = poly_adjugate(self.matrix())
+        return self._memo["adj"]
+
     def structure_constants(self):
         """The StructureConstants of this basis."""
         if "sc" not in self._memo:
@@ -372,18 +380,28 @@ class StructureConstants:
 def structure_constants(basis):
     """Expand the brackets of a verified basis in the basis itself.
 
-    Freeness makes the coefficients unique; a nonzero division remainder
-    would mean the fields are not actually a basis and raises
-    InternalInconsistency.
+    By Cramer's rule the coefficients of a field v are adj * v / det, with
+    det = unit * divisor the determinant of the Saito matrix and adj its
+    memoized adjugate. The matrix is invertible over Q(x), so they are
+    unique; a nonzero division remainder would mean the fields are not
+    actually a basis and raises InternalInconsistency.
     """
     n = len(basis.ring)
-    tracked = TrackedBasis(_as_module_elements(basis.fields))
+    adj = basis.adjugate()
+    det = basis.unit * basis.divisor
     zero = Polynomial.zero(basis.ring)
     b = [[[zero] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             br = lie_bracket(basis.fields[i], basis.fields[j])
-            qs = tracked.membership_quotients(list(br.components))
-            b[i][j] = list(qs)
+            qs = []
+            for row in adj:
+                num = sum((a * v for a, v in zip(row, br.components)), zero)
+                q = try_exact_div(num, det)
+                if q is None:
+                    raise InternalInconsistency(
+                        "bracket has a nonzero remainder over the basis")
+                qs.append(q)
+            b[i][j] = qs
             b[j][i] = [q.scale(-1) for q in qs]
     return StructureConstants(basis.ring, n, b)

@@ -329,6 +329,13 @@ def poly_det(rows):
     for r in rows:
         if len(r) != n:
             raise ValueError("matrix is not square")
+    return _det(rows, None)
+
+
+def _det(rows, budget):
+    """poly_det; each symbolic product is charged to budget, one step per
+    pair of terms, before it is formed, unless budget is None."""
+    n = len(rows)
     ring = rows[0][0].ring
     if all(p.is_constant() for r in rows for p in r):
         val = linalg.det_bareiss([[p.constant_value() for p in r] for r in rows])
@@ -349,6 +356,8 @@ def poly_det(rows):
             if entry:
                 rest = row_set[:k] + row_set[k + 1:]
                 sub = minor(rest, col + 1)
+                if budget is not None:
+                    budget.spend(len(entry.terms) * len(sub.terms))
                 term = entry * sub
                 acc = acc + term if sign > 0 else acc - term
             sign = -sign
@@ -356,6 +365,28 @@ def poly_det(rows):
         return acc
 
     return minor(all_rows, 0)
+
+
+def poly_adjugate(rows):
+    """Adjugate of a square polynomial matrix, so that adj * rows = det * I:
+    entry (i, j) is (-1)^(i+j) times the determinant of rows without row j
+    and column i. The products of these minors are charged to the budget,
+    one step per pair of terms, before each is formed."""
+    n = len(rows)
+    ring = rows[0][0].ring
+    if n == 1:
+        return [[Polynomial.one(ring)]]
+    budget = current_budget()
+    adj = []
+    for i in range(n):
+        adj_row = []
+        for j in range(n):
+            minor = [[rows[r][c] for c in range(n) if c != i]
+                     for r in range(n) if r != j]
+            d = _det(minor, budget)
+            adj_row.append(d if (i + j) % 2 == 0 else -d)
+        adj.append(adj_row)
+    return adj
 
 
 # ---- gcd and squarefreeness ------------------------------------------
@@ -448,7 +479,9 @@ def poly_gcd(p, q):
     a, b = ap, aq
     if _deg_in(a, v) < _deg_in(b, v):
         a, b = b, a
+    budget = current_budget()
     while not b.is_zero():
+        budget.spend(0)
         r = _pseudo_rem(a, b, v)
         a = b
         b = _primitive_part(r, v) if not r.is_zero() else r
@@ -582,7 +615,9 @@ class _Parser:
         acc = self.factor()
         while self.peek() == ("op", "*"):
             self.take()
-            acc = acc * self.factor()
+            rhs = self.factor()
+            current_budget().spend(len(acc.terms) * len(rhs.terms))
+            acc = acc * rhs
         return acc
 
     def factor(self):

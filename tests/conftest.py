@@ -1,8 +1,40 @@
+import json
+import os
 import random
 
 from fractions import Fraction
 
-from logdiv.poly import Polynomial
+from logdiv.logder import (SaitoBasis, VectorField, compute_der_log,
+                           find_saito_basis, verify_saito)
+from logdiv.poly import (Polynomial, WeightSystem, detect_weight_system,
+                         poly_from_text, weighted_degree)
+
+CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "corpus")
+
+
+def corpus_names():
+    return sorted(n[:-len(".json")] for n in os.listdir(CORPUS)
+                  if n.endswith(".json") and not n.endswith(".expected.json"))
+
+
+def corpus_member(name):
+    """(f, w, basis) of a corpus entry: w its given or detected weight
+    system, None without one; the basis its supplied Saito matrix, or
+    else the one found from Der(-log f)."""
+    with open(os.path.join(CORPUS, f"{name}.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    ring = tuple(doc["variables"])
+    f = poly_from_text(doc["f"], ring)
+    if "weights" in doc:
+        w = WeightSystem(doc["weights"], weighted_degree(f, doc["weights"]))
+    else:
+        w = detect_weight_system(f)
+    if "saito_matrix" not in doc:
+        return f, w, find_saito_basis(compute_der_log(f), f, w)
+    rows = [[poly_from_text(t, ring) for t in row] for row in doc["saito_matrix"]]
+    fields = [VectorField(ring, [row[c] for row in rows]) for c in range(len(ring))]
+    return f, w, SaitoBasis(fields, f, verify_saito(fields, f).unit)
 
 
 def to_sympy(p, symbols):

@@ -202,6 +202,14 @@ class TestAnalyzeErrors:
         assert res.returncode == 5
         assert "timed out" in res.stdout
 
+    def test_timeout_in_the_squarefree_test_names_its_stage(self, tmp_path):
+        # the gcds of the divisor stage read the deadline, so the timeout
+        # is not first noticed at the next stage
+        res = run_cli("analyze", write_braid_a4(tmp_path / "a4.json"),
+                      "--timeout", "0.05")
+        assert res.returncode == 5
+        assert "error at stage divisor: timed out" in res.stdout
+
     def test_timeout_works_outside_the_main_thread(self, capsys, tmp_path):
         from logdiv import cli
 
@@ -221,8 +229,9 @@ class TestAnalyzeErrors:
         assert res.returncode == 5
 
     def test_budget_is_one_per_analysis(self):
-        # the largest single call spends 230 steps, the whole default
-        # analysis 432: only a budget shared by the calls runs out
+        # the largest single call, the Koszul test's krull_dimension,
+        # spends 230 steps, the whole default analysis 351: only a budget
+        # shared by the calls runs out
         res = run_cli("analyze", os.path.join(CORPUS, "discriminant-234.json"),
                       env_extra={"LOGDIV_BUDGET": "300"})
         assert res.returncode == 5
@@ -236,6 +245,19 @@ class TestAnalyzeErrors:
                       env_extra={"LOGDIV_BUDGET": "100000"})
         assert res.returncode == 5
         assert "f: step budget of 100000 exhausted" in res.stderr
+
+    def test_product_is_charged_before_it_is_expanded(self, tmp_path):
+        # eight binomial factors multiply out to 256 terms; the last
+        # product alone would cost 256 steps
+        path = tmp_path / "doc.json"
+        ring = [f"x{i}" for i in range(1, 17)]
+        write_doc(path, {"label": "p", "variables": ring,
+                         "f": "*".join(f"({a}+{b})" for a, b
+                                       in zip(ring[::2], ring[1::2]))})
+        res = run_cli("analyze", str(path),
+                      env_extra={"LOGDIV_BUDGET": "300"})
+        assert res.returncode == 5
+        assert "f: step budget of 300 exhausted" in res.stderr
 
     def test_bad_budget_value_rejected(self):
         res = run_cli("analyze", os.path.join(CORPUS, "nc-2.json"),
@@ -430,7 +452,8 @@ class TestDeformationComplexIsBuiltOnce:
 class TestArtefactsComputedOnce:
     def test_structure_constants_and_weight_zero_parts(self, monkeypatch):
         # the supplied basis is its own weight-zero part: g_D, the trace
-        # test and lft1 need no syzygies and no basis search
+        # test and lft1 need no syzygies and no basis search, and the
+        # structure constants and deformed equations share one adjugate
         from logdiv import cli, cohomology, groebner, logder
 
         calls = []
@@ -442,6 +465,7 @@ class TestArtefactsComputedOnce:
             return wrapper
 
         for mod, name in ((logder, "structure_constants"),
+                          (logder, "poly_adjugate"),
                           (logder, "find_saito_basis"),
                           (logder, "_select_saito_basis"),
                           (cli, "_select_saito_basis"),
@@ -454,6 +478,7 @@ class TestArtefactsComputedOnce:
         assert report["profile"]["linear"] is True
         assert report["lft1"]["dimension"] == 1
         assert calls.count("structure_constants") == 1
+        assert calls.count("poly_adjugate") == 1
         assert calls.count("find_saito_basis") == 0
         assert calls.count("_select_saito_basis") == 0
         assert calls.count("syzygies") == 0

@@ -9,7 +9,6 @@ from logdiv.cohomology import (QuotientSlice, ft1, jacobian_degree_bound,
 from logdiv.errors import Budget, BudgetExceeded, NotHomogeneous
 from logdiv.groebner import (
     GroebnerBasis,
-    TrackedBasis,
     buchberger,
     krull_dimension,
     syzygies,
@@ -181,25 +180,6 @@ class TestSyzygies:
             assert all(p.is_zero() for p in acc)
         gb = buchberger(s.elements)
         assert gb.reduces_to_zero([y, -1 * x, zero])
-
-
-class TestTrackedBasis:
-    def test_divide_reconstructs(self):
-        gens = [P("x^2 - y"), P("y^2 - x")]
-        t = TrackedBasis(gens)
-        f = P("x^4 - x")
-        qs, r = t.divide(f)
-        acc = r
-        for q, g in zip(qs, gens):
-            acc = acc + q * g
-        assert acc == f
-
-    def test_membership_quotients(self):
-        x, y = (Polynomial.variable(R2, i) for i in range(2))
-        t = TrackedBasis([x, y])
-        f = P("x^2 + 3*x*y + y^2")
-        qs = t.membership_quotients(f)
-        assert qs[0] * x + qs[1] * y == f
 
 
 class TestGradedQuotient:

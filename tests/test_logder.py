@@ -23,7 +23,7 @@ from logdiv.poly import (
     poly_to_text,
 )
 
-from conftest import random_poly
+from conftest import corpus_member, corpus_names, random_poly
 
 R2 = ("x", "y")
 R3 = ("x", "y", "z")
@@ -255,6 +255,35 @@ class TestStructureConstants:
                 direct = lie_bracket(saito.fields[i], saito.fields[j])
                 rebuilt = expand_in_basis(sc, saito, i, j)
                 assert direct.components == rebuilt.components
+
+
+COXETER_B3 = ("x1*x2*x3*(x1^2-x2^2)*(x1^2-x3^2)*(x2^2-x3^2)",
+              ("x1", "x2", "x3"))
+
+
+@pytest.mark.parametrize("name", corpus_names() + ["coxeter-B3"])
+def test_cramer_inverts_the_saito_matrix(name):
+    # adj * A = u * f * I, and the structure constants read off by Cramer's
+    # rule rebuild every bracket
+    if name == "coxeter-B3":
+        f = poly_from_text(*COXETER_B3)
+        saito = find_saito_basis(compute_der_log(f), f)
+    else:
+        saito = corpus_member(name)[2]
+    n = len(saito)
+    zero = Polynomial.zero(saito.ring)
+    det = saito.unit * saito.divisor
+    mat = saito.matrix()
+    adj = saito.adjugate()
+    for i in range(n):
+        for j in range(n):
+            entry = sum((adj[i][r] * mat[r][j] for r in range(n)), zero)
+            assert entry == (det if i == j else zero)
+    sc = saito.structure_constants()
+    for i in range(n):
+        for j in range(n):
+            assert expand_in_basis(sc, saito, i, j) \
+                == lie_bracket(saito.fields[i], saito.fields[j])
 
 
 def coefficient_rows(fields):

@@ -8,6 +8,7 @@ from one basis, SaitoBasis.linear_part().
 """
 
 from fractions import Fraction
+import math
 
 from . import linalg
 from .errors import InternalInconsistency, NotLinear
@@ -175,24 +176,13 @@ def _primitive_field(delta):
         coeffs.extend(p.terms.values())
     if not coeffs:
         return delta
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // _gcd_int(lcm, c.denominator)
-    g = 0
-    for c in coeffs:
-        g = _gcd_int(g, int(c * lcm))
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    g = math.gcd(*(int(c * lcm) for c in coeffs))
     scale = Fraction(lcm, g)
     first = next(c for p in delta.components for _, c in sorted(p.terms.items()) if c)
     if first * scale < 0:
         scale = -scale
     return delta.scale(scale)
-
-
-def _gcd_int(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def field_trace(delta):
@@ -212,13 +202,9 @@ def diagonal_annihilators(f):
     rows = [[Fraction(e) for e in m] for m in sorted(f.terms)]
     out = []
     for v in linalg.nullspace(rows, n):
-        lcm = 1
-        for x in v:
-            lcm = lcm * x.denominator // _gcd_int(lcm, x.denominator)
+        lcm = math.lcm(*(x.denominator for x in v))
         ints = [int(x * lcm) for x in v]
-        g = 0
-        for x in ints:
-            g = _gcd_int(g, x)
+        g = math.gcd(*ints)
         ints = [x // g for x in ints]
         if sum(ints) < 0 or (sum(ints) == 0 and next((x for x in ints if x), 1) < 0):
             ints = [-x for x in ints]
@@ -273,11 +259,21 @@ def connection_conditions(saito, sc):
       first:  sum_k a[k][r] * d b[i][j][k] / d x_l = 0  for all i, j, l, r
       second: sum_k a[l][k] * d b[i][j][r] / d x_k = 0  for all i, j, l, r
     (the second says every basis field kills every structure constant).
-    Both hold trivially when all structure constants are constant.
+    Both hold trivially when all structure constants are constant. Over a
+    nonconstant denominator u the derivative of b/u is
+    (u * db - b * du) / u^2, and the factor 1/u^2 changes no zero test.
     """
     n = sc.n
     fields = saito.fields
     a = [[fields[i].components[j] for j in range(n)] for i in range(n)]
+    u = sc.denominator
+    if u.is_constant():
+        d = partial_derivative
+    else:
+        du = [partial_derivative(u, l) for l in range(n)]
+
+        def d(p, l):
+            return u * partial_derivative(p, l) - p * du[l]
     first = True
     second = True
     for i in range(n):
@@ -286,12 +282,12 @@ def connection_conditions(saito, sc):
                 for r in range(n):
                     s1 = Polynomial.zero(saito.ring)
                     for k in range(n):
-                        s1 = s1 + a[k][r] * partial_derivative(sc.b[i][j][k], l)
+                        s1 = s1 + a[k][r] * d(sc.b[i][j][k], l)
                     if not s1.is_zero():
                         first = False
                     s2 = Polynomial.zero(saito.ring)
                     for k in range(n):
-                        s2 = s2 + a[l][k] * partial_derivative(sc.b[i][j][r], k)
+                        s2 = s2 + a[l][k] * d(sc.b[i][j][r], k)
                     if not s2.is_zero():
                         second = False
             if not first and not second:

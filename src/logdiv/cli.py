@@ -50,7 +50,7 @@ from .errors import (DEFAULT_STEPS, Budget, BudgetExceeded, LogdivError,
 from .logder import (SaitoBasis, VectorField, compute_der_log, format_field,
                      _check_divisor, _determinant_test, _select_saito_basis)
 from .poly import (WeightSystem, detect_weight_system, poly_from_text,
-                   poly_to_text, try_exact_div, weighted_degree)
+                   poly_to_text, weighted_degree)
 from . import __version__
 
 SCHEMA = 1
@@ -239,11 +239,6 @@ def analyze_document(doc, stages):
             res = _determinant_test(fields, work_f)
             if not res.ok:
                 _fail(4, "basis", f"provided matrix is not a basis: {res.reason}")
-            for idx, delta in enumerate(fields):
-                if try_exact_div(delta.apply(work_f), work_f) is None:
-                    _fail(4, "basis",
-                          f"provided matrix is not a basis: column {idx + 1} "
-                          f"is not logarithmic")
             return SaitoBasis(fields, work_f, res.unit)
         gens = compute_der_log(work_f)
         try:

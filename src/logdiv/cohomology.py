@@ -296,29 +296,20 @@ def build_slice(saito, sc, w):
     return SliceComplex(saito, sc, w)
 
 
-class Cocycle:
-    """Element of C1 in slice coordinates."""
-
-    __slots__ = ("complex", "coords")
-
-    def __init__(self, cx, coords):
-        self.complex = cx
-        self.coords = list(coords)
-
-
 class DeformationReport:
-    __slots__ = ("dimension", "representatives", "deformed_equations",
-                 "jacobian_degree_bound", "notes")
+    """Deformed equations, one per basis class of the deformation space,
+    with the Jacobian degree bound and the slice notes."""
 
-    def __init__(self, dimension, representatives, deformed_equations,
-                 jacobian_degree_bound, notes=None):
-        if len(representatives) != dimension or len(deformed_equations) != dimension:
-            raise InternalInconsistency("representative count must match dimension")
-        self.dimension = dimension
-        self.representatives = representatives
+    __slots__ = ("deformed_equations", "jacobian_degree_bound", "notes")
+
+    def __init__(self, deformed_equations, jacobian_degree_bound, notes=None):
         self.deformed_equations = deformed_equations
         self.jacobian_degree_bound = jacobian_degree_bound
         self.notes = notes or {}
+
+    @property
+    def dimension(self):
+        return len(self.deformed_equations)
 
 
 def deformation_equation(psi_fields, saito):
@@ -352,9 +343,9 @@ def cocycle_check(psi_fields, saito, sc):
     return True
 
 
-def is_coboundary(psi, cx):
-    """A C0 class sigma with d0(sigma) = psi, or None."""
-    coords = psi.coords if isinstance(psi, Cocycle) else list(psi)
+def is_coboundary(coords, cx):
+    """A C0 class sigma with d0(sigma) = coords, a C1 coordinate list, or
+    None."""
     return linalg.solve(cx.d0_rows, cx.dim_c0, coords)
 
 
@@ -374,16 +365,14 @@ def _class_space(f, w):
 
 
 def _select_representatives(cx, saito, space, kernel, rank0):
-    """Echelonize the cocycle classes modulo coboundaries and realize as
-    many classes as possible by single-monomial deformed equations, scanned
-    by ascending exponent spread, degrevlex descending within a spread."""
+    """Deformed equations whose classes are a basis of the cocycle classes
+    modulo coboundaries: single monomials wherever they realize a class,
+    scanned by ascending exponent spread, degrevlex descending within a
+    spread, then the equations of raw kernel vectors."""
     h1 = len(kernel) - rank0
-    width = space.dim
-    classes = []
-    for vec in kernel:
-        fields = cx.lift_cocycle(vec)
-        fp = deformation_equation(fields, saito)
-        classes.append(space.project([fp]))
+    equations = [deformation_equation(cx.lift_cocycle(vec), saito)
+                 for vec in kernel]
+    classes = [space.project([fp]) for fp in equations]
     realized = linalg.Span()  # the classes of all cocycles
     for cvec in classes:
         realized.add(cvec)
@@ -394,7 +383,6 @@ def _select_representatives(cx, saito, space, kernel, rank0):
     scan = sorted((e for _, e in space.ambient), key=degrevlex_key, reverse=True)
     scan.sort(key=lambda e: max(e) - min(e))
     reps = []
-    equations = []
     chosen = linalg.Span()  # classes of the selected representatives
     for m in scan:
         if len(reps) == h1:
@@ -403,29 +391,17 @@ def _select_representatives(cx, saito, space, kernel, rank0):
         cvec = space.project([mono])
         if realized.reduce(cvec):
             continue  # class not realized by any cocycle
-        if not chosen.add(cvec):
-            continue  # zero, or dependent on already selected classes
-        sol = linalg.solve([[classes[u][pos] for u in range(len(kernel))]
-                            for pos in range(width)], len(kernel), cvec)
-        if sol is None:
-            raise InternalInconsistency("class solve failed inside the span")
-        coords = [sum(sol[u] * kernel[u][c] for u in range(len(kernel)))
-                  for c in range(cx.dim_c1)]
-        reps.append(Cocycle(cx, coords))
-        equations.append(mono)
-    if len(reps) < h1:
-        # fall back to raw kernel vectors with independent classes
-        for vec, cvec in zip(kernel, classes):
-            if len(reps) == h1:
-                break
-            if not chosen.add(cvec):
-                continue
-            fields = cx.lift_cocycle(vec)
-            reps.append(Cocycle(cx, vec))
-            equations.append(deformation_equation(fields, saito))
+        if chosen.add(cvec):  # False when zero or dependent on the chosen
+            reps.append(mono)
+    # fall back to raw kernel vectors with independent classes
+    for fp, cvec in zip(equations, classes):
+        if len(reps) == h1:
+            break
+        if chosen.add(cvec):
+            reps.append(fp)
     if len(reps) != h1:
         raise InternalInconsistency("failed to assemble a full set of representatives")
-    return reps, equations
+    return reps
 
 
 def _prepare_graded(f, saito=None, w=None):
@@ -442,14 +418,14 @@ def _prepare_graded(f, saito=None, w=None):
 
 def ft1(f, saito=None, w=None):
     """Deformation space of a weighted homogeneous free divisor: the
-    weight-zero slice cohomology ker d1 / im d0 of saito.graded(w), with
-    normalized representatives and deformed equations."""
+    weight-zero slice cohomology ker d1 / im d0 of saito.graded(w), as
+    one normalized deformed equation per basis class."""
     saito, w = _prepare_graded(f, saito, w)
     cx = build_slice(saito, saito.structure_constants(), w)
     kernel = cx.kernel_d1()
     rank0 = cx.rank_d0()
     space = _class_space(saito.divisor, w)
-    reps, eqs = _select_representatives(cx, saito, space, kernel, rank0)
+    eqs = _select_representatives(cx, saito, space, kernel, rank0)
     notes = {
         "h0": cx.dim_c0 - rank0,
         "dim_c0": cx.dim_c0,
@@ -457,7 +433,7 @@ def ft1(f, saito=None, w=None):
         "dim_c2": cx.dim_c2,
         "field_weights": list(cx.field_weights),
     }
-    return DeformationReport(len(reps), reps, eqs, space.dim, notes)
+    return DeformationReport(eqs, space.dim, notes)
 
 
 def h0(f, saito=None, w=None):

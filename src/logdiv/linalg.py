@@ -125,47 +125,3 @@ def solve(rows, ncols, rhs):
         x[pc] = row.get(ncols, ZERO)
     return x
 
-
-def det_bareiss(rows):
-    """Fraction-free determinant (Bareiss) of a square rational matrix.
-
-    Denominators are cleared first so every intermediate division is exact
-    integer division.
-    """
-    n = len(rows)
-    if n == 0:
-        return ONE
-    scale = ONE
-    m = []
-    for r in rows:
-        fr = [Fraction(x) for x in r]
-        den = 1
-        for x in fr:
-            den = den * x.denominator // _gcd(den, x.denominator)
-        scale /= den
-        m.append([int(x * den) for x in fr])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = None
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    swap = i
-                    break
-            if swap is None:
-                return ZERO
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return scale * sign * m[n - 1][n - 1]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

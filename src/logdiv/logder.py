@@ -260,9 +260,11 @@ class SaitoBasis:
 
 
 def verify_saito(fields, f):
-    """Saito's criterion: the fields form a basis of Der(-log f) exactly
-    when the determinant of their coefficient matrix is u*f with u(0) != 0
-    (and f is squarefree). Returns a VerifyResult carrying u or a reason."""
+    """Saito's criterion: n logarithmic fields form a basis of Der(-log f)
+    at the origin exactly when the determinant of their coefficient matrix
+    is u*f with u(0) != 0 (f squarefree). Checks f, the determinant, then
+    that each field is logarithmic; returns a VerifyResult carrying u or
+    the first failed condition as its reason."""
     n = len(f.ring)
     if len(fields) != n:
         return VerifyResult(False, reason=f"need {n} fields, got {len(fields)}")
@@ -287,6 +289,10 @@ def _determinant_test(fields, f):
         return VerifyResult(False, reason="determinant is not a multiple of f")
     if u.terms.get((0,) * n, 0) == 0:
         return VerifyResult(False, reason="cofactor of f vanishes at the origin")
+    for idx, delta in enumerate(fields):
+        if try_exact_div(delta.apply(f), f) is None:
+            return VerifyResult(False,
+                                reason=f"column {idx + 1} is not logarithmic")
     return VerifyResult(True, unit=u)
 
 
@@ -364,32 +370,46 @@ def _select_saito_basis(gens, f, w=None):
 
 
 class StructureConstants:
-    """Coefficients b[i][j][k] with [delta_i, delta_j] = sum_k b[i][j][k] delta_k."""
+    """Numerators b[i][j][k] over one denominator u, so that
+    u * [delta_i, delta_j] = sum_k b[i][j][k] delta_k. u is 1 when the
+    basis unit is constant, as it is for every graded basis."""
 
-    __slots__ = ("ring", "n", "b")
+    __slots__ = ("ring", "n", "b", "denominator")
 
-    def __init__(self, ring, n, b):
+    def __init__(self, ring, n, b, denominator):
         self.ring = ring
         self.n = n
         self.b = b
+        self.denominator = denominator
 
     def is_constant(self):
-        return all(p.is_constant() for row in self.b for col in row for p in col)
+        """True iff every coefficient b[i][j][k] / u is a rational number."""
+        return all(p.is_zero() or (p.is_constant()
+                                   and self.denominator.is_constant())
+                   for row in self.b for col in row for p in col)
 
 
 def structure_constants(basis):
     """Expand the brackets of a verified basis in the basis itself.
 
-    By Cramer's rule the coefficients of a field v are adj * v / det, with
-    det = unit * divisor the determinant of the Saito matrix and adj its
-    memoized adjugate. The matrix is invertible over Q(x), so they are
-    unique; a nonzero division remainder would mean the fields are not
-    actually a basis and raises InternalInconsistency.
+    By Cramer's rule, unit * divisor * v = sum_k (adj * v)_k delta_k for
+    any field v, with adj the memoized adjugate of the Saito matrix. For a
+    logarithmic v, (adj * v)_k is the determinant of that matrix with
+    column k replaced by v, a multiple of divisor; a remainder would mean
+    the fields are not logarithmic and raises InternalInconsistency. The
+    unit need not divide it, as Saito's criterion certifies a basis at the
+    origin only, so the unit is the denominator; a constant unit is folded
+    into the numerators instead.
     """
     n = len(basis.ring)
     adj = basis.adjugate()
-    det = basis.unit * basis.divisor
     zero = Polynomial.zero(basis.ring)
+    if basis.unit.is_constant():
+        divisor = basis.unit * basis.divisor
+        denominator = Polynomial.one(basis.ring)
+    else:
+        divisor = basis.divisor
+        denominator = basis.unit
     b = [[[zero] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -397,11 +417,11 @@ def structure_constants(basis):
             qs = []
             for row in adj:
                 num = sum((a * v for a, v in zip(row, br.components)), zero)
-                q = try_exact_div(num, det)
+                q = try_exact_div(num, divisor)
                 if q is None:
                     raise InternalInconsistency(
                         "bracket has a nonzero remainder over the basis")
                 qs.append(q)
             b[i][j] = qs
             b[j][i] = [q.scale(-1) for q in qs]
-    return StructureConstants(basis.ring, n, b)
+    return StructureConstants(basis.ring, n, b, denominator)

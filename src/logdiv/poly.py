@@ -10,6 +10,7 @@ ring's variable order.
 """
 
 from fractions import Fraction
+import math
 import re
 
 from .errors import (NotHomogeneous, ParseError, ZeroOrConstantInput,
@@ -251,16 +252,11 @@ def _primitive_positive(vec):
     neg = all(x < 0 for x in vec)
     if not neg and not all(x > 0 for x in vec):
         return None
-    lcm = 1
-    for x in vec:
-        d = x.denominator
-        lcm = lcm * d // _igcd(lcm, d)
+    lcm = math.lcm(*(x.denominator for x in vec))
     ints = [int(x * lcm) for x in vec]
     if neg:
         ints = [-v for v in ints]
-    g = 0
-    for v in ints:
-        g = _igcd(g, v)
+    g = math.gcd(*ints)
     return tuple(v // g for v in ints)
 
 
@@ -317,11 +313,11 @@ def _compositions(total, n):
 
 
 def poly_det(rows):
-    """Determinant of a square matrix of polynomials.
+    """Determinant of a square matrix of polynomials, constant or not.
 
-    Fraction-free: constant matrices go through integer Bareiss elimination,
-    anything symbolic is expanded by minors (division-free), so the result is
-    always an exact polynomial.
+    Cofactor expansion down the columns with each minor memoized by its
+    rows, so it is division-free and exact. Each product is charged to the
+    active budget, one step per pair of terms, before it is formed.
     """
     n = len(rows)
     if n == 0:
@@ -329,19 +325,9 @@ def poly_det(rows):
     for r in rows:
         if len(r) != n:
             raise ValueError("matrix is not square")
-    return _det(rows, None)
-
-
-def _det(rows, budget):
-    """poly_det; each symbolic product is charged to budget, one step per
-    pair of terms, before it is formed, unless budget is None."""
-    n = len(rows)
+    budget = current_budget()
     ring = rows[0][0].ring
-    if all(p.is_constant() for r in rows for p in r):
-        val = linalg.det_bareiss([[p.constant_value() for p in r] for r in rows])
-        return Polynomial.constant(ring, val)
     memo = {}
-    all_rows = tuple(range(n))
 
     def minor(row_set, col):
         if len(row_set) == 1:
@@ -354,36 +340,30 @@ def _det(rows, budget):
         for k, i in enumerate(row_set):
             entry = rows[i][col]
             if entry:
-                rest = row_set[:k] + row_set[k + 1:]
-                sub = minor(rest, col + 1)
-                if budget is not None:
-                    budget.spend(len(entry.terms) * len(sub.terms))
+                sub = minor(row_set[:k] + row_set[k + 1:], col + 1)
+                budget.spend(len(entry.terms) * len(sub.terms))
                 term = entry * sub
                 acc = acc + term if sign > 0 else acc - term
             sign = -sign
         memo[key] = acc
         return acc
 
-    return minor(all_rows, 0)
+    return minor(tuple(range(n)), 0)
 
 
 def poly_adjugate(rows):
     """Adjugate of a square polynomial matrix, so that adj * rows = det * I:
-    entry (i, j) is (-1)^(i+j) times the determinant of rows without row j
-    and column i. The products of these minors are charged to the budget,
-    one step per pair of terms, before each is formed."""
+    entry (i, j) is (-1)^(i+j) times poly_det of rows without row j and
+    column i."""
     n = len(rows)
-    ring = rows[0][0].ring
     if n == 1:
-        return [[Polynomial.one(ring)]]
-    budget = current_budget()
+        return [[Polynomial.one(rows[0][0].ring)]]
     adj = []
     for i in range(n):
         adj_row = []
         for j in range(n):
-            minor = [[rows[r][c] for c in range(n) if c != i]
-                     for r in range(n) if r != j]
-            d = _det(minor, budget)
+            d = poly_det([[rows[r][c] for c in range(n) if c != i]
+                          for r in range(n) if r != j])
             adj_row.append(d if (i + j) % 2 == 0 else -d)
         adj.append(adj_row)
     return adj
@@ -396,22 +376,14 @@ def _int_content_normalize(p):
     """Primitive integer form of p with positive degrevlex-leading coefficient."""
     if not p.terms:
         return p
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.terms.values():
-        num_gcd = _igcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // _igcd(den_lcm, c.denominator)
+    values = p.terms.values()
+    num_gcd = math.gcd(*(c.numerator for c in values))
+    den_lcm = math.lcm(*(c.denominator for c in values))
     factor = Fraction(den_lcm, num_gcd)
     lead = max(p.terms, key=degrevlex_key)
     if p.terms[lead] < 0:
         factor = -factor
     return p.scale(factor)
-
-
-def _igcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _univariate_view(p, v):

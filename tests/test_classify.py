@@ -32,6 +32,8 @@ from logdiv.poly import (
     poly_to_text,
 )
 
+from conftest import to_sympy
+
 R2 = ("x", "y")
 R3 = ("x", "y", "z")
 
@@ -187,6 +189,31 @@ class TestConnectionConditions:
         # and so does the non-Koszul four-lines divisor
         fl = saito_for(FOUR_LINES, R3)
         assert connection_conditions(fl, structure_constants(fl)) == (False, False)
+
+    def test_nonconstant_denominator_against_sympy(self):
+        # the identities on the rational functions b / u, differentiated
+        # by sympy, for a basis whose unit u is not constant
+        import sympy
+
+        saito = saito_for("x^3 + y^2 + x^2*y^2", R2)
+        sc = structure_constants(saito)
+        assert not sc.denominator.is_constant()
+        syms = sympy.symbols("x y")
+        u = to_sympy(sc.denominator, syms)
+        a = [[to_sympy(p, syms) for p in d.components] for d in saito.fields]
+        b = [[[to_sympy(p, syms) / u for p in col] for col in row]
+             for row in sc.b]
+        idx = [(i, j, l, r) for i in range(2) for j in range(2)
+               for l in range(2) for r in range(2)]
+
+        def vanish(expr):
+            return sympy.cancel(expr) == 0
+
+        first = all(vanish(sum(a[k][r] * sympy.diff(b[i][j][k], syms[l])
+                               for k in range(2))) for i, j, l, r in idx)
+        second = all(vanish(sum(a[l][k] * sympy.diff(b[i][j][r], syms[k])
+                                for k in range(2))) for i, j, l, r in idx)
+        assert connection_conditions(saito, sc) == (first, second)
 
     def test_corrected_printed_matrix_for_four_lines(self):
         # with the x^2 entry, the displayed matrix has determinant -f;

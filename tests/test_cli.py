@@ -189,6 +189,16 @@ class TestAnalyzeErrors:
         assert res.returncode == 4
         assert "not logarithmic" in res.stdout
 
+    def test_nonconstant_unit_exits_0(self, tmp_path):
+        # no weight system, and the Saito unit 1/6*x*y^2 - 1/4 is not
+        # constant: it becomes the denominator of the structure constants
+        path = tmp_path / "doc.json"
+        write_doc(path, {"label": "a", "variables": ["x", "y"],
+                         "f": "x^3 + y^2 + x^2*y^2"})
+        res = run_cli("analyze", str(path))
+        assert res.returncode == 0
+        assert "free: yes (determinant unit 1/6*x*y^2 - 1/4)" in res.stdout
+
     def test_wrong_determinant_matrix_exits_4(self, tmp_path):
         path = tmp_path / "doc.json"
         write_doc(path, {"label": "a", "variables": ["x", "y"], "f": "x*y",
@@ -230,7 +240,7 @@ class TestAnalyzeErrors:
 
     def test_budget_is_one_per_analysis(self):
         # the largest single call, the Koszul test's krull_dimension,
-        # spends 230 steps, the whole default analysis 351: only a budget
+        # spends 230 steps, the whole default analysis 373: only a budget
         # shared by the calls runs out
         res = run_cli("analyze", os.path.join(CORPUS, "discriminant-234.json"),
                       env_extra={"LOGDIV_BUDGET": "300"})

@@ -157,10 +157,11 @@ class TestVerifySaito:
 
     def test_determinant_condition_only(self):
         # the determinant test alone cannot tell a matrix from its
-        # transpose; logarithmicity of the columns is a separate check
+        # transpose; the logarithmic check of the columns rejects it
         fields = [field(R2, "0", "x"), field(R2, "y", "0")]
         res = verify_saito(fields, P("x*y"))
-        assert res.ok
+        assert not res.ok
+        assert "not logarithmic" in res.reason
         gb = buchberger([P("x*y")])
         assert not gb.reduces_to_zero(fields[0].apply(P("x*y")))
 
@@ -216,7 +217,8 @@ class TestFindSaitoBasis:
 
 
 def expand_in_basis(sc, saito, i, j):
-    """sum_k b_ijk * delta_k, which must equal [delta_i, delta_j]."""
+    """sum_k b_ijk * delta_k, which must equal [delta_i, delta_j] times
+    the denominator of the structure constants."""
     acc = [Polynomial.zero(saito.ring)] * sc.n
     for k, delta in enumerate(saito.fields):
         acc = [a + sc.b[i][j][k] * p for a, p in zip(acc, delta.components)]
@@ -241,6 +243,22 @@ class TestStructureConstants:
                 direct = lie_bracket(saito.fields[i], saito.fields[j])
                 rebuilt = expand_in_basis(sc, saito, i, j)
                 assert direct.components == rebuilt.components
+
+    def test_nonconstant_unit_is_the_denominator(self):
+        # not weighted homogeneous, so the subset search finds a basis
+        # whose unit is not constant; Cramer's division by unit * f is not
+        # exact in Q[x, y], the one by f is
+        f = P("x^3 + y^2 + x^2*y^2")
+        saito = find_saito_basis(compute_der_log(f), f)
+        assert poly_to_text(saito.unit) == "1/6*x*y^2 - 1/4"
+        sc = structure_constants(saito)
+        assert sc.denominator == saito.unit
+        for i in range(2):
+            for j in range(2):
+                direct = lie_bracket(saito.fields[i], saito.fields[j])
+                rebuilt = expand_in_basis(sc, saito, i, j)
+                assert rebuilt.components \
+                    == [saito.unit * c for c in direct.components]
 
     def test_five_variable_constants_are_rational_numbers(self):
         from logdiv.logder import SaitoBasis

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from logdiv.errors import NotHomogeneous, ParseError, ZeroOrConstantInput
+from logdiv.errors import (Budget, BudgetExceeded, NotHomogeneous, ParseError,
+                           ZeroOrConstantInput)
 from logdiv.poly import (
     MAX_NESTING,
     Polynomial,
@@ -241,6 +242,19 @@ class TestDeterminant:
         ]
         f = (y * y + x * z) * z
         assert poly_det(m) == 6 * f
+
+    def test_constant_matrix_is_charged_to_the_budget(self):
+        # constant entries take the one cofactor expansion too: three
+        # nonzero 2x2 minors of two products each, then three products
+        # with them, one step per pair of terms
+        m = [[Polynomial.constant(R3, c) for c in row]
+             for row in ([2, 1, 3], [1, 4, 1], [5, 2, 7])]
+        with pytest.raises(BudgetExceeded):
+            with Budget(steps=8):
+                poly_det(m)
+        with Budget(steps=9) as budget:
+            assert poly_det(m) == Polynomial.constant(R3, -4)
+        assert budget.left == 0
 
     def test_det_oracle(self):
         import sympy

@@ -259,21 +259,18 @@ def connection_conditions(saito, sc):
       first:  sum_k a[k][r] * d b[i][j][k] / d x_l = 0  for all i, j, l, r
       second: sum_k a[l][k] * d b[i][j][r] / d x_k = 0  for all i, j, l, r
     (the second says every basis field kills every structure constant).
-    Both hold trivially when all structure constants are constant. Over a
-    nonconstant denominator u the derivative of b/u is
+    Both hold trivially when all structure constants are constant. The
+    coefficients are b/u over the denominator u, whose derivative is
     (u * db - b * du) / u^2, and the factor 1/u^2 changes no zero test.
     """
     n = sc.n
     fields = saito.fields
     a = [[fields[i].components[j] for j in range(n)] for i in range(n)]
     u = sc.denominator
-    if u.is_constant():
-        d = partial_derivative
-    else:
-        du = [partial_derivative(u, l) for l in range(n)]
+    du = [partial_derivative(u, l) for l in range(n)]
 
-        def d(p, l):
-            return u * partial_derivative(p, l) - p * du[l]
+    def d(p, l):
+        return u * partial_derivative(p, l) - p * du[l]
     first = True
     second = True
     for i in range(n):

@@ -326,13 +326,18 @@ def deformation_equation(psi_fields, saito):
 
 def cocycle_check(psi_fields, saito, sc):
     """True iff psi([delta_i, delta_j]) - [delta_i, psi_j] + [delta_j, psi_i]
-    is logarithmic for every i < j."""
+    is logarithmic for every i < j.
+
+    The brackets carry the denominator u of sc, so the test is on u times
+    that field; u is a unit at the origin, where the basis is certified."""
     n = len(saito.ring)
     gb = buchberger([list(d.components) for d in saito.fields])
+    u = sc.denominator
     for i in range(n):
         for j in range(i + 1, n):
             acc = lie_bracket(saito.fields[j], psi_fields[i]) \
                 - lie_bracket(saito.fields[i], psi_fields[j])
+            acc = VectorField(saito.ring, [u * c for c in acc.components])
             for k in range(n):
                 bk = sc.b[i][j][k]
                 if not bk.is_zero():

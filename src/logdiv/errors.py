@@ -65,19 +65,20 @@ class Budget:
 
     A step is one Groebner reduction or S-pair, one row eliminated in
     linear algebra, one cell of a slice relation matrix, or one pair of
-    terms multiplied in a polynomial power, a parsed product or an
-    adjugate. Inside
-    ``with budget:`` every charge made in this thread or task goes to
-    ``budget``; see current_budget.
+    terms multiplied in a polynomial power, a parsed product or a
+    determinant. Inside ``with budget:`` every charge made in this thread
+    or task goes to ``budget``; see current_budget. The ``with`` may nest,
+    also on the same budget.
     """
 
-    __slots__ = ("steps", "left", "seconds", "deadline", "_token")
+    __slots__ = ("steps", "left", "seconds", "deadline", "_tokens")
 
     def __init__(self, steps=DEFAULT_STEPS, seconds=None):
         self.steps = steps
         self.left = steps
         self.seconds = seconds
         self.deadline = None if seconds is None else time.monotonic() + seconds
+        self._tokens = []
 
     def spend(self, n=1):
         """Charge n steps; spend(0) only checks the deadline."""
@@ -88,11 +89,11 @@ class Budget:
             raise BudgetExceeded(f"timed out after {self.seconds} seconds")
 
     def __enter__(self):
-        self._token = _ACTIVE.set(self)
+        self._tokens.append(_ACTIVE.set(self))
         return self
 
     def __exit__(self, *exc):
-        _ACTIVE.reset(self._token)
+        _ACTIVE.reset(self._tokens.pop())
 
 
 def current_budget():

@@ -383,7 +383,10 @@ class StructureConstants:
         self.denominator = denominator
 
     def is_constant(self):
-        """True iff every coefficient b[i][j][k] / u is a rational number."""
+        """True when every numerator is zero, or when u is constant and
+        every numerator is constant. A constant unit is folded to u = 1, so
+        over such a basis this says every coefficient is a rational number;
+        over a nonconstant u only all-zero numerators count."""
         return all(p.is_zero() or (p.is_constant()
                                    and self.denominator.is_constant())
                    for row in self.b for col in row for p in col)

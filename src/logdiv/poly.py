@@ -354,18 +354,19 @@ def poly_det(rows):
 def poly_adjugate(rows):
     """Adjugate of a square polynomial matrix, so that adj * rows = det * I:
     entry (i, j) is (-1)^(i+j) times poly_det of rows without row j and
-    column i."""
+    column i. All minors are charged to one budget."""
     n = len(rows)
     if n == 1:
         return [[Polynomial.one(rows[0][0].ring)]]
     adj = []
-    for i in range(n):
-        adj_row = []
-        for j in range(n):
-            d = poly_det([[rows[r][c] for c in range(n) if c != i]
-                          for r in range(n) if r != j])
-            adj_row.append(d if (i + j) % 2 == 0 else -d)
-        adj.append(adj_row)
+    with current_budget():
+        for i in range(n):
+            adj_row = []
+            for j in range(n):
+                d = poly_det([[rows[r][c] for c in range(n) if c != i]
+                              for r in range(n) if r != j])
+                adj_row.append(d if (i + j) % 2 == 0 else -d)
+            adj.append(adj_row)
     return adj
 
 

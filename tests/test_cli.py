@@ -189,15 +189,18 @@ class TestAnalyzeErrors:
         assert res.returncode == 4
         assert "not logarithmic" in res.stdout
 
-    def test_nonconstant_unit_exits_0(self, tmp_path):
-        # no weight system, and the Saito unit 1/6*x*y^2 - 1/4 is not
-        # constant: it becomes the denominator of the structure constants
+    @pytest.mark.parametrize("f, unit", [
+        ("x^3 + y^2 + x^2*y^2", "1/6*x*y^2 - 1/4"),
+        ("x^2*y^3 + x^5 + y^7 + x^3*y^3", "-3/434000*x^3 + 1/372000*x^2*y"),
+    ])
+    def test_nonconstant_unit_exits_0(self, tmp_path, f, unit):
+        # no weight system, and the Saito unit is not constant: it becomes
+        # the denominator of the structure constants
         path = tmp_path / "doc.json"
-        write_doc(path, {"label": "a", "variables": ["x", "y"],
-                         "f": "x^3 + y^2 + x^2*y^2"})
+        write_doc(path, {"label": "a", "variables": ["x", "y"], "f": f})
         res = run_cli("analyze", str(path))
         assert res.returncode == 0
-        assert "free: yes (determinant unit 1/6*x*y^2 - 1/4)" in res.stdout
+        assert f"free: yes (determinant unit {unit}" in res.stdout
 
     def test_wrong_determinant_matrix_exits_4(self, tmp_path):
         path = tmp_path / "doc.json"

@@ -262,6 +262,16 @@ class TestPaperQuarticCocycle:
         bad = [field(R2, "1", "0"), field(R2, "0", "0")]
         assert not cocycle_check(bad, saito, sc)
 
+    def test_identity_is_a_cocycle_over_a_nonconstant_unit(self):
+        # psi = id gives psi([d_i, d_j]) - [d_i, d_j] + [d_j, d_i] =
+        # -[d_i, d_j], logarithmic; its basis coefficients carry the
+        # denominator u, which the brackets must be scaled by
+        f = P("x^3 + y^2 + x^2*y^2")
+        saito = saito_for(f)
+        sc = structure_constants(saito)
+        assert not sc.denominator.is_constant()
+        assert cocycle_check(list(saito.fields), saito, sc)
+
 
 class TestCoboundariesLandInTjurina:
     @pytest.mark.parametrize("text,ring", [

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from logdiv.errors import (Budget, BudgetExceeded, NotHomogeneous, ParseError,
-                           ZeroOrConstantInput)
+                           ZeroOrConstantInput, current_budget)
 from logdiv.poly import (
     MAX_NESTING,
     Polynomial,
@@ -13,6 +13,7 @@ from logdiv.poly import (
     exact_div,
     is_squarefree,
     partial_derivative,
+    poly_adjugate,
     poly_det,
     poly_from_text,
     poly_gcd,
@@ -255,6 +256,31 @@ class TestDeterminant:
         with Budget(steps=9) as budget:
             assert poly_det(m) == Polynomial.constant(R3, -4)
         assert budget.left == 0
+
+    def test_adjugate_charges_every_minor_to_one_budget(self):
+        # nine 2x2 minors of nonzero constants, two one-term products each
+        m = [[Polynomial.constant(R3, c) for c in row]
+             for row in ([2, 1, 3], [1, 4, 1], [5, 2, 7])]
+        with pytest.raises(BudgetExceeded):
+            with Budget(steps=17):
+                poly_adjugate(m)
+        with Budget(steps=18) as budget:
+            adj = poly_adjugate(m)
+        assert budget.left == 0
+        det = Polynomial.constant(R3, -4)
+        for i in range(3):
+            for j in range(3):
+                s = sum((adj[i][k] * m[k][j] for k in range(3)),
+                        Polynomial.zero(R3))
+                assert s == (det if i == j else Polynomial.zero(R3))
+
+    def test_budget_may_be_entered_again_while_active(self):
+        budget = Budget()
+        with budget:
+            with current_budget() as inner:
+                assert inner is budget
+            assert current_budget() is budget
+        assert current_budget() is not budget
 
     def test_det_oracle(self):
         import sympy

@@ -25,7 +25,8 @@ excluded from corpus comparisons.
 Exit codes: 0 success (stages skipped by flags read "not computed"),
 2 input or parse error, 3 divisor not reduced, 4 no free basis found
 (or a provided matrix failed verification), 5 timeout or budget
-exhausted.
+exhausted, 6 internal inconsistency (an error that a stage does not
+expect, such as errors.InternalInconsistency; the report names the stage).
 
 Each analysis, and each corpus-run entry, runs under one errors.Budget:
 --timeout SECONDS is its deadline, and the LOGDIV_BUDGET environment
@@ -194,6 +195,10 @@ def analyze_document(doc, stages):
         except StageFailure as e:
             e.report = report
             raise
+        except LogdivError as e:  # any other error escaping a stage is a bug
+            failure = StageFailure(6, name, f"internal inconsistency: {e}")
+            failure.report = report
+            raise failure
         finally:
             timings[name] = round(time.perf_counter() - t0, 6)
 

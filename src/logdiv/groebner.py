@@ -8,6 +8,10 @@ a dict mapping (component, exponent-tuple) terms to coefficients.
 The module term order is fixed: position-over-term, component 0 dominates,
 ties are broken by degrevlex. Reduced bases are interreduced, monic,
 and sorted, so a Groebner basis is a canonical object here.
+
+Each lead term is found once: reduction pops the terms of the working
+element from a heap in descending term order, and a Buchberger run keeps
+the lead of each basis element from the moment it is appended.
 """
 
 from fractions import Fraction
@@ -57,12 +61,16 @@ def _unflatten(v, ring, rank):
     return [Polynomial(ring, t, False) for t in polys]
 
 
-def _v_iadd_scaled(target, src, expo, coeff):
-    """target += coeff * x^expo * src, in place."""
+def _v_iadd_scaled(target, src, expo, coeff, heap=None):
+    """target += coeff * x^expo * src, in place. Terms new to target are
+    pushed onto heap, if one is given, as _reduce_full orders them."""
     for (c, m), co in src.items():
-        t = (c, m_mul(m, expo))
+        m = m_mul(m, expo)
+        t = (c, m)
         s = target.get(t, 0) + coeff * co
         if s:
+            if heap is not None and t not in target:
+                heapq.heappush(heap, (c, -sum(m), m[::-1], m))
             target[t] = s
         elif t in target:
             del target[t]
@@ -77,14 +85,21 @@ def _reduce_full(v, basis, leads, budget, track=False, sugar=None, sugars=None):
 
     Returns (remainder, quotients) where quotients[j] is a dict
     {expo: coeff} with v = sum_j quotients[j] * basis[j] + remainder.
+    Terms wait in a min-heap keyed by (component, -degree, reversed
+    exponent), i.e. largest under _term_key first. An entry whose term has
+    cancelled is skipped; a step only adds terms below the one it removes.
     """
     p = dict(v)
+    heap = [(c, -sum(m), m[::-1], m) for (c, m) in p]
+    heapq.heapify(heap)
     rem = {}
     quots = [dict() for _ in basis] if track else None
-    while p:
-        t = max(p, key=_term_key)
-        c = p[t]
-        comp, expo = t
+    while heap:
+        comp, _, _, expo = heapq.heappop(heap)
+        t = (comp, expo)
+        c = p.get(t)
+        if c is None:
+            continue
         hit = None
         for j, (lc_comp, lc_expo) in enumerate(leads):
             if lc_comp == comp and m_divides(lc_expo, expo):
@@ -96,7 +111,7 @@ def _reduce_full(v, basis, leads, budget, track=False, sugar=None, sugars=None):
             continue
         budget.spend()
         shift = m_div(expo, leads[hit][1])
-        _v_iadd_scaled(p, basis[hit], shift, -c)
+        _v_iadd_scaled(p, basis[hit], shift, -c, heap)
         if track:
             q = quots[hit]
             q[shift] = q.get(shift, 0) + c
@@ -112,15 +127,17 @@ def _sugar_of(v):
 def _run_buchberger(gen_vecs, budget, track):
     """Core loop. gen_vecs: list of flattened elements, zero ones skipped.
 
-    Returns (basis, sugars, reps, zero_syzygies) where reps[j] expresses
-    basis[j] over the input generators, indexed by position in gen_vecs,
-    and zero_syzygies are input-space relations found from S-pairs reducing
-    to zero. reps/zero_syzygies are None unless track is set. Criteria
+    Returns (basis, leads, reps, zero_syzygies) where leads[j] is the
+    lead term of basis[j], reps[j] expresses basis[j] over the input
+    generators, indexed by position in gen_vecs, and zero_syzygies are
+    input-space relations found from S-pairs reducing to zero.
+    reps/zero_syzygies are None unless track is set. Criteria
     pruning is disabled in track mode so the collected relations generate
     the full first syzygy module.
     """
     rank1 = all(c == 0 for v in gen_vecs for (c, _) in v)
     basis = []
+    leads = []
     sugars = []
     reps = [] if track else None
     zsyz = [] if track else None
@@ -128,13 +145,10 @@ def _run_buchberger(gen_vecs, budget, track):
     heap = []
     counter = itertools.count()
 
-    def lead(v):
-        return max(v, key=_term_key)
-
     def push_pairs(j):
-        cj, ej = lead(basis[j])
+        cj, ej = leads[j]
         for i in range(j):
-            ci, ei = lead(basis[i])
+            ci, ei = leads[i]
             if ci != cj:
                 continue
             l = m_lcm(ei, ej)
@@ -146,9 +160,11 @@ def _run_buchberger(gen_vecs, budget, track):
             pending.add((i, j))
 
     def append(v, sug, rep):
-        lc = v[lead(v)]
+        ld = max(v, key=_term_key)
+        lc = v[ld]
         v = _v_scale(v, Fraction(1) / lc)
         basis.append(v)
+        leads.append(ld)
         sugars.append(sug)
         if track:
             reps.append(_v_scale(rep, Fraction(1) / lc))
@@ -162,13 +178,13 @@ def _run_buchberger(gen_vecs, budget, track):
     while heap:
         sug, _, i, j, _ = heapq.heappop(heap)
         pending.discard((i, j))
-        ci, ei = lead(basis[i])
-        cj, ej = lead(basis[j])
+        ci, ei = leads[i]
+        cj, ej = leads[j]
         l = m_lcm(ei, ej)
         if not track:
             if rank1 and m_mul(ei, ej) == l:
                 continue  # coprime leads reduce to zero
-            if _chain_skip(i, j, l, ci, basis, lead, pending):
+            if _chain_skip(i, j, l, ci, leads, pending):
                 continue
         budget.spend()
         si = m_div(l, ei)
@@ -182,7 +198,7 @@ def _run_buchberger(gen_vecs, budget, track):
             _v_iadd_scaled(rep, reps[j], sj, Fraction(-1))
         sug_box = [sug]
         rem, quots = _reduce_full(
-            s, basis, [lead(b) for b in basis], budget,
+            s, basis, leads, budget,
             track=track, sugar=sug_box, sugars=sugars,
         )
         if track:
@@ -193,14 +209,13 @@ def _run_buchberger(gen_vecs, budget, track):
             append(rem, sug_box[0], rep if track else None)
         elif track and rep:
             zsyz.append(rep)
-    return basis, sugars, reps, zsyz
+    return basis, leads, reps, zsyz
 
 
-def _chain_skip(i, j, l, comp, basis, lead, pending):
-    for k in range(len(basis)):
+def _chain_skip(i, j, l, comp, leads, pending):
+    for k, (ck, ek) in enumerate(leads):
         if k == i or k == j:
             continue
-        ck, ek = lead(basis[k])
         if ck != comp or not m_divides(ek, l):
             continue
         a, b = min(i, k), max(i, k)
@@ -216,36 +231,31 @@ def _nvars(v):
     raise ValueError("cannot infer variable count from zero element")
 
 
-def _interreduce(basis, budget):
-    work = [dict(b) for b in basis]
+def _interreduce(basis, leads, budget):
     # drop elements whose lead is divisible by another lead
     keep = []
-    leads = [max(b, key=_term_key) for b in work]
-    for i, b in enumerate(work):
-        ci, ei = leads[i]
+    for i, (ci, ei) in enumerate(leads):
         redundant = False
-        for j in range(len(work)):
+        for j, (cj, ej) in enumerate(leads):
             if i == j:
                 continue
-            cj, ej = leads[j]
             if ci == cj and m_divides(ej, ei):
                 if m_divides(ei, ej) and j > i:
                     continue  # equal leads: keep the earlier one
                 redundant = True
                 break
         if not redundant:
-            keep.append(b)
-    # tail-reduce every survivor against the others
+            keep.append(i)
+    # tail-reduce every survivor against the others; its lead survives
     out = []
-    for i, b in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        lds = [max(o, key=_term_key) for o in others]
-        rem, _ = _reduce_full(b, others, lds, budget)
+    for i in keep:
+        others = [k for k in keep if k != i]
+        rem, _ = _reduce_full(basis[i], [basis[k] for k in others],
+                              [leads[k] for k in others], budget)
         if rem:
-            lc = rem[max(rem, key=_term_key)]
-            out.append(_v_scale(rem, Fraction(1) / lc))
-    out.sort(key=lambda v: _term_key(max(v, key=_term_key)), reverse=True)
-    return out
+            out.append((leads[i], _v_scale(rem, Fraction(1) / rem[leads[i]])))
+    out.sort(key=lambda lv: _term_key(lv[0]), reverse=True)
+    return [v for _, v in out]
 
 
 class GroebnerBasis:
@@ -319,8 +329,8 @@ def buchberger(gens):
     b = current_budget()
     if not flat:
         return GroebnerBasis(ring, rank, [])
-    basis, _, _, _ = _run_buchberger(flat, b, track=False)
-    return GroebnerBasis(ring, rank, _interreduce(basis, b))
+    basis, leads, _, _ = _run_buchberger(flat, b, track=False)
+    return GroebnerBasis(ring, rank, _interreduce(basis, leads, b))
 
 
 def syzygies(gens):
@@ -340,10 +350,9 @@ def syzygies(gens):
             out.append(row)
     if any(flats):
         budget = current_budget()
-        basis, _, reps, zsyz = _run_buchberger(flats, budget, track=True)
+        basis, leads, reps, zsyz = _run_buchberger(flats, budget, track=True)
         for z in zsyz:
             out.append(_unflatten(z, ring, m))
-        leads = [max(b, key=_term_key) for b in basis]
         for i, f in enumerate(flats):
             if not f:
                 continue
@@ -357,12 +366,12 @@ def syzygies(gens):
             if row:
                 out.append(_unflatten(row, ring, m))
     # light dedupe, deterministic order
-    seen = []
+    seen = set()
     dedup = []
     for row in out:
         keyrep = tuple(tuple(sorted(p.terms.items())) for p in row)
         if keyrep not in seen:
-            seen.append(keyrep)
+            seen.add(keyrep)
             dedup.append(row)
     return SyzygyBasis(ring, m, dedup)
 

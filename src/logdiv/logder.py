@@ -152,7 +152,7 @@ def _check_divisor(f):
 def _fields_from_syzygies(gens, ring):
     rows = syzygies(gens)
     out = []
-    seen = []
+    seen = set()
     for row in rows.elements:
         delta = VectorField(ring, row[1:])
         if delta.is_zero():
@@ -160,7 +160,7 @@ def _fields_from_syzygies(gens, ring):
         key = tuple(tuple(sorted(p.terms.items())) for p in delta.components)
         if key in seen:
             continue
-        seen.append(key)
+        seen.add(key)
         out.append(delta)
     return out
 

@@ -35,6 +35,13 @@ def write_braid_a4(path):
     return str(path)
 
 
+def _inconsistent(saito):
+    """Stands in for a stage routine that hits a bug."""
+    from logdiv.errors import InternalInconsistency
+
+    raise InternalInconsistency("symbol ideal lost a generator")
+
+
 def strip_timings(obj):
     if isinstance(obj, dict):
         return {k: strip_timings(v) for k, v in obj.items() if k != "timings"}
@@ -286,6 +293,28 @@ class TestAnalyzeErrors:
         assert "error: f: parentheses nested deeper than 100" in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_internal_inconsistency_exits_6(self, monkeypatch, capsys,
+                                            tmp_path):
+        from logdiv import cli
+
+        monkeypatch.setattr(cli, "is_koszul", _inconsistent)
+        out = tmp_path / "report.json"
+        code = cli.main(["analyze", os.path.join(CORPUS, "nc-2.json"),
+                         "--json", str(out)])
+        assert code == 6
+        assert ("error at stage koszul: internal inconsistency: symbol "
+                "ideal lost a generator") in capsys.readouterr().out
+        with open(out, encoding="utf-8") as fh:
+            report = json.load(fh)
+        assert report["error"] == {
+            "stage": "koszul",
+            "message": "internal inconsistency: symbol ideal lost a generator",
+        }
+        # the stages before koszul are in the partial report
+        assert report["profile"]["free"] is True
+        assert report["profile"]["linear"] is True
+        assert report["profile"]["koszul"] == "not computed"
+
     def test_deeply_nested_json_is_an_input_error(self, tmp_path):
         path = tmp_path / "doc.json"
         path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
@@ -349,6 +378,25 @@ class TestCorpusRun:
             assert "error (unexpected)" in line
         assert light == "nc-2                     ok"
         assert total == "3 corpus entries, 2 mismatched"
+
+    def test_internal_inconsistency_is_a_mismatch(self, monkeypatch, capsys,
+                                                  tmp_path):
+        from logdiv import cli
+
+        for stem in ("lines-3", "nc-2"):
+            for name in (f"{stem}.json", f"{stem}.expected.json"):
+                shutil.copy(os.path.join(CORPUS, name), tmp_path / name)
+        monkeypatch.setattr(cli, "is_koszul", _inconsistent)
+        assert cli.main(["corpus-run", str(tmp_path)]) == 1
+        out = capsys.readouterr()
+        *entries, total = out.out.splitlines()
+        assert [ln.split()[:2] for ln in entries] == [
+            ["lines-3", "MISMATCH"], ["nc-2", "MISMATCH"]]
+        for line in entries:
+            assert "error (unexpected)" in line
+            assert "profile.koszul" in line
+        assert total == "2 corpus entries, 2 mismatched"
+        assert "Traceback" not in out.err
 
     def test_timings_are_ignored(self, tmp_path):
         for name in ("nc-2.json", "nc-2.expected.json"):

@@ -9,12 +9,13 @@ from logdiv.cohomology import (QuotientSlice, ft1, jacobian_degree_bound,
 from logdiv.errors import Budget, BudgetExceeded, NotHomogeneous
 from logdiv.groebner import (
     GroebnerBasis,
+    _reduce_full,
     buchberger,
     krull_dimension,
     syzygies,
 )
-from logdiv.poly import (Polynomial, WeightSystem, partial_derivative,
-                         poly_from_text, poly_to_text)
+from logdiv.poly import (Polynomial, WeightSystem, degrevlex_key,
+                         partial_derivative, poly_from_text, poly_to_text)
 
 from conftest import from_sympy, random_poly, to_sympy
 
@@ -262,3 +263,476 @@ class TestKrullDimension:
     def test_point(self):
         gens = [P("x"), P("y")]
         assert krull_dimension(gens) == 0
+
+
+def max_scan_reduce(v, basis, leads, budget, track, sugar, sugars):
+    """Reference reduction that rescans the working element with max()
+    for its largest term at every step. Returns what _reduce_full returns
+    plus the number of terms that cancelled and came back later."""
+    def term_key(t):
+        return (-t[0], degrevlex_key(t[1]))
+
+    p = dict(v)
+    rem = {}
+    quots = [dict() for _ in basis] if track else None
+    cancelled, returned = set(), 0
+    while p:
+        t = max(p, key=term_key)
+        c = p[t]
+        comp, expo = t
+        hit = next((j for j, (lc, le) in enumerate(leads) if lc == comp
+                    and all(a <= b for a, b in zip(le, expo))), None)
+        if hit is None:
+            rem[t] = c
+            del p[t]
+            continue
+        budget.spend()
+        shift = tuple(a - b for a, b in zip(expo, leads[hit][1]))
+        for (bc, bm), co in basis[hit].items():
+            u = (bc, tuple(a + b for a, b in zip(bm, shift)))
+            if u not in p and u in cancelled:
+                returned += 1
+            s = p.get(u, 0) + -c * co
+            if s:
+                p[u] = s
+            elif u in p:
+                del p[u]
+                if u != t:
+                    cancelled.add(u)
+        if track:
+            q = quots[hit]
+            q[shift] = q.get(shift, 0) + c
+        if sugar is not None:
+            sugar[0] = max(sugar[0], sugars[hit] + sum(shift))
+    return rem, quots, returned
+
+
+def random_element(rng, rank, nvars, n_terms):
+    v = {}
+    for _ in range(n_terms):
+        m = tuple(rng.randint(0, 2) for _ in range(nvars))
+        c = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 1, 3]))
+        v[(rng.randrange(rank), m)] = c
+    return v
+
+
+def random_reductions(seed):
+    """Five (element, monic basis, leads, sugars) inputs from one seed;
+    each element is a shifted basis element plus noise, so that terms
+    cancel during its reduction."""
+    rng = random.Random(seed)
+    rank, nvars = rng.choice([(1, 2), (1, 3), (2, 2), (3, 3)])
+    basis, leads = [], []
+    for _ in range(rng.randint(1, 4)):
+        b = random_element(rng, rank, nvars, rng.randint(2, 6))
+        ld = max(b, key=lambda t: (-t[0], degrevlex_key(t[1])))
+        basis.append({t: co / b[ld] for t, co in b.items()})
+        leads.append(ld)
+    sugars = [rng.randint(0, 4) for _ in basis]
+    for _ in range(5):
+        v = random_element(rng, rank, nvars, rng.randint(1, 8))
+        b = rng.choice(basis)
+        e = tuple(rng.randint(0, 1) for _ in range(nvars))
+        for (c, m), co in b.items():
+            t = (c, tuple(x + y for x, y in zip(m, e)))
+            v[t] = v.get(t, 0) + co
+        yield {t: co for t, co in v.items() if co}, basis, leads, sugars
+
+
+def compare_with_max_scan(v, basis, leads, track=True, sugars=None):
+    """Run both kernels on one input, assert they agree, and return how
+    many terms cancelled and came back in the reference run."""
+    snapshot = dict(v)
+    results = []
+    for kernel in (_reduce_full, max_scan_reduce):
+        budget = Budget(10**6)
+        sugar = None if sugars is None else [0]
+        rem, quots, *returned = kernel(v, basis, leads, budget, track=track,
+                                       sugar=sugar, sugars=sugars)
+        results.append((list(rem.items()),  # the term order counts too
+                        quots and [list(q.items()) for q in quots],
+                        sugar, budget.left))
+    assert results[0] == results[1]
+    assert v == snapshot
+    return returned[0]
+
+
+class TestReduceFullAgainstMaxScan:
+    """_reduce_full takes each next term from a heap; the reference takes
+    it by a max() rescan. Remainders with their term order, quotients,
+    sugar and budget steps must all agree."""
+
+    def test_a_term_that_cancels_and_comes_back(self):
+        # x^2 + y^2 minus x^2 - x*y + y^2 cancels y^2 and leaves x*y, whose
+        # reduction by x*y + y^2 brings y^2 back into the remainder
+        x2, xy, y2 = (0, (2, 0)), (0, (1, 1)), (0, (0, 2))
+        v = {x2: Fraction(1), y2: Fraction(1)}
+        basis = [{x2: Fraction(1), xy: Fraction(-1), y2: Fraction(1)},
+                 {xy: Fraction(1), y2: Fraction(1)}]
+        assert compare_with_max_scan(v, basis, [x2, xy]) == 1
+        rem, _ = _reduce_full(v, basis, [x2, xy], Budget(10))
+        assert rem == {y2: Fraction(-1)}
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_module_elements(self, seed):
+        for v, basis, leads, sugars in random_reductions(seed):
+            compare_with_max_scan(v, basis, leads, track=bool(seed % 2),
+                                  sugars=sugars)
+
+    def test_random_inputs_include_returning_terms(self):
+        returned = sum(compare_with_max_scan(v, basis, leads)
+                       for seed in range(40)
+                       for v, basis, leads, _ in random_reductions(seed))
+        assert returned > 0
+
+
+def coxeter_gens(name):
+    x4 = ("x1", "x2", "x3", "x4")
+    pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+    if name == "braid-A3":
+        ring, f = x4, "*".join(f"(x{i}-x{j})" for i, j in pairs)
+    elif name == "coxeter-D4":
+        ring, f = x4, "*".join(f"(x{i}^2-x{j}^2)" for i, j in pairs)
+    else:
+        ring, f = x4[:3], "x1*x2*x3*(x1^2-x2^2)*(x1^2-x3^2)*(x2^2-x3^2)"
+    f = poly_from_text(f, ring)
+    return [f] + [partial_derivative(f, i) for i in range(len(ring))]
+
+
+class TestPinnedEngine:
+    """The step counts and outputs of the Groebner engine on (f, grad f)
+    of three Coxeter arrangements, fixed so that a faster engine must do
+    the same work and return the same rows."""
+
+    @pytest.mark.parametrize("name, steps", [
+        ("braid-A3", 1030), ("coxeter-B3", 441), ("coxeter-D4", 4266)])
+    def test_step_counts(self, name, steps):
+        gens = coxeter_gens(name)
+        with Budget(10**9) as budget:
+            syzygies(gens)
+            buchberger(gens)
+        assert budget.steps - budget.left == steps
+
+    def test_coxeter_b3_syzygy_rows(self):
+        rows = syzygies(coxeter_gens("coxeter-B3")).elements
+        assert [tuple(poly_to_text(p) for p in row) for row in rows] \
+            == B3_SYZYGY_ROWS
+
+
+# syzygies(f, df/dx1, df/dx2, df/dx3) for the Coxeter arrangement B3,
+# f = x1*x2*x3*(x1^2 - x2^2)*(x1^2 - x3^2)*(x2^2 - x3^2), row by row
+B3_SYZYGY_ROWS = [
+    ("9",
+     "-x1",
+     "-x2",
+     "-x3"),
+    ("5/2*x1^2 + 5/2*x2^2 - 2*x3^2",
+     "-1/2*x1^3 + 1/2*x1*x3^2",
+     "-1/2*x2^3 + 1/2*x2*x3^2",
+     "0"),
+    ("-5/3*x1^2 - 5/3*x2^2 + 4/3*x3^2",
+     "1/3*x1^3 - 1/3*x1*x3^2",
+     "1/3*x2^3 - 1/3*x2*x3^2",
+     "0"),
+    ("5*x1^2 - 4*x2^2 - 4*x3^2",
+     "-x1^3 + x1*x2^2 + x1*x3^2",
+     "x2*x3^2",
+     "x2^2*x3"),
+    ("5/2*x1^2 + 5/2*x2^2 - 11*x3^2",
+     "-1/2*x1^3 + 3/2*x1*x3^2",
+     "-1/2*x2^3 + 3/2*x2*x3^2",
+     "x3^3"),
+    ("3/2*x1^2 + 3/2*x2^2 - 6/5*x3^2",
+     "-3/10*x1^3 + 3/10*x1*x3^2",
+     "-3/10*x2^3 + 3/10*x2*x3^2",
+     "0"),
+    ("-9*x2*x3^2",
+     "x1*x2*x3^2",
+     "x2^2*x3^2",
+     "x2*x3^3"),
+    ("-5/2*x1^2*x2 - 5/2*x2^3 + 2*x2*x3^2",
+     "1/2*x1^3*x2 - 1/2*x1*x2*x3^2",
+     "1/2*x2^4 - 1/2*x2^2*x3^2",
+     "0"),
+    ("15/2*x1^3 + 15/2*x1*x2^2 - 6*x1*x3^2",
+     "-3/2*x1^4 + 3/2*x1^2*x3^2",
+     "-3/2*x1*x2^3 + 3/2*x1*x2*x3^2",
+     "0"),
+    ("25/6*x1^4 - 5/2*x1^2*x2^2 - 5/2*x1^2*x3^2 + 5/6*x2^2*x3^2",
+     "-5/6*x1^5 + 5/6*x1^3*x2^2 + 5/6*x1^3*x3^2 - 5/6*x1*x2^2*x3^2",
+     "0",
+     "0"),
+    ("25/6*x1^4 - 25/6*x1^2*x2^2 - 5/3*x2^4 - 25/6*x1^2*x3^2"
+     " + 1/2*x2^2*x3^2 + 4/3*x3^4",
+     "-5/6*x1^5 + 7/6*x1^3*x2^2 + 7/6*x1^3*x3^2 - 7/6*x1*x2^2*x3^2"
+     " - 1/3*x1*x3^4",
+     "1/3*x2^5 - 1/3*x2*x3^4",
+     "0"),
+    ("15/2*x1^3*x2 + 15/2*x1*x2^3 - 6*x1*x2*x3^2",
+     "-3/2*x1^4*x2 + 3/2*x1^2*x2*x3^2",
+     "-3/2*x1*x2^4 + 3/2*x1*x2^2*x3^2",
+     "0"),
+    ("25/6*x1^4 + 5/2*x1^2*x2^2 - 4*x2^4 + 5/2*x1^2*x3^2"
+     " + 11/6*x2^2*x3^2 - 4*x3^4",
+     "-5/6*x1^5 - 1/6*x1^3*x2^2 + x1*x2^4 - 1/6*x1^3*x3^2"
+     " + 1/6*x1*x2^2*x3^2 + x1*x3^4",
+     "x2*x3^4",
+     "x2^4*x3"),
+    ("5/2*x1^2*x2^2 + 5/2*x2^4 + 5/2*x1^2*x3^2 + 1/2*x2^2*x3^2 - 2*x3^4",
+     "-1/2*x1^3*x2^2 - 1/2*x1^3*x3^2 + 1/2*x1*x2^2*x3^2 + 1/2*x1*x3^4",
+     "-1/2*x2^5 + 1/2*x2*x3^4",
+     "0"),
+    ("5/2*x1^4 - 3/2*x1^2*x2^2 - 3/2*x1^2*x3^2 + 1/2*x2^2*x3^2",
+     "-1/2*x1^5 + 1/2*x1^3*x2^2 + 1/2*x1^3*x3^2 - 1/2*x1*x2^2*x3^2",
+     "0",
+     "0"),
+    ("-75/14*x1^4 + 45/14*x1^2*x2^2 + 45/14*x1^2*x3^2 - 15/14*x2^2*x3^2",
+     "15/14*x1^5 - 15/14*x1^3*x2^2 - 15/14*x1^3*x3^2"
+     " + 15/14*x1*x2^2*x3^2",
+     "0",
+     "0"),
+    ("3/2*x1^2*x2^2 + 3/2*x2^4 + 1/2*x1^2*x3^2 - 7/10*x2^2*x3^2"
+     " - 2/5*x3^4",
+     "-3/10*x1^3*x2^2 - 1/10*x1^3*x3^2 + 3/10*x1*x2^2*x3^2"
+     " + 1/10*x1*x3^4",
+     "-3/10*x2^5 + 1/5*x2^3*x3^2 + 1/10*x2*x3^4",
+     "0"),
+    ("5/2*x1^4 - 3*x1^2*x2^2 - 3/2*x2^4 - 2*x1^2*x3^2 + 6/5*x2^2*x3^2"
+     " + 2/5*x3^4",
+     "-1/2*x1^5 + 4/5*x1^3*x2^2 + 3/5*x1^3*x3^2 - 4/5*x1*x2^2*x3^2"
+     " - 1/10*x1*x3^4",
+     "3/10*x2^5 - 1/5*x2^3*x3^2 - 1/10*x2*x3^4",
+     "0"),
+    ("-75/14*x1^4 + 45/14*x1^2*x2^2 + 12/7*x1^2*x3^2 - 18/7*x2^2*x3^2"
+     " + 6/5*x3^4",
+     "15/14*x1^5 - 15/14*x1^3*x2^2 - 27/35*x1^3*x3^2"
+     " + 15/14*x1*x2^2*x3^2 - 3/10*x1*x3^4",
+     "3/10*x2^3*x3^2 - 3/10*x2*x3^4",
+     "0"),
+    ("5/2*x1^5 - 3/2*x1^3*x2^2 - 3/2*x1^3*x3^2 + 1/2*x1*x2^2*x3^2",
+     "-1/2*x1^6 + 1/2*x1^4*x2^2 + 1/2*x1^4*x3^2 - 1/2*x1^2*x2^2*x3^2",
+     "0",
+     "0"),
+    ("-75/14*x1^5 + 45/14*x1^3*x2^2 + 45/14*x1^3*x3^2"
+     " - 15/14*x1*x2^2*x3^2",
+     "15/14*x1^6 - 15/14*x1^4*x2^2 - 15/14*x1^4*x3^2"
+     " + 15/14*x1^2*x2^2*x3^2",
+     "0",
+     "0"),
+    ("-9*x1*x3^4",
+     "x1^2*x3^4",
+     "x1*x2*x3^4",
+     "x1*x3^5"),
+    ("-75/14*x1^3*x2^2 - 75/14*x1*x2^4 - 25/14*x1^3*x3^2"
+     " + 5/2*x1*x2^2*x3^2 + 10/7*x1*x3^4",
+     "15/14*x1^4*x2^2 + 5/14*x1^4*x3^2 - 15/14*x1^2*x2^2*x3^2"
+     " - 5/14*x1^2*x3^4",
+     "15/14*x1*x2^5 - 5/7*x1*x2^3*x3^2 - 5/14*x1*x2*x3^4",
+     "0"),
+    ("5/2*x1^6 - 3/2*x1^4*x2^2 + 7/2*x1^4*x3^2 - 5/2*x1^2*x2^2*x3^2"
+     " - 3*x1^2*x3^4 + x2^2*x3^4",
+     "-1/2*x1^7 + 1/2*x1^5*x2^2 - 1/2*x1^5*x3^2 + 1/2*x1^3*x2^2*x3^2"
+     " + x1^3*x3^4 - x1*x2^2*x3^4",
+     "0",
+     "0"),
+    ("-75/14*x1^6 + 45/14*x1^4*x2^2 + 10/7*x1^4*x3^2 + 15/14*x1^2*x3^4"
+     " - 5/14*x2^2*x3^4",
+     "15/14*x1^7 - 15/14*x1^5*x2^2 - 5/7*x1^5*x3^2 + 5/7*x1^3*x2^2*x3^2"
+     " - 5/14*x1^3*x3^4 + 5/14*x1*x2^2*x3^4",
+     "0",
+     "0"),
+    ("5/2*x1^6 - 3/2*x1^4*x2^2 + 7/2*x1^4*x3^2 - 25/6*x1^2*x2^2*x3^2"
+     " - 5/3*x2^4*x3^2 - 14/3*x1^2*x3^4 + 2/3*x2^2*x3^4 + 4/3*x3^6",
+     "-1/2*x1^7 + 1/2*x1^5*x2^2 - 1/2*x1^5*x3^2 + 5/6*x1^3*x2^2*x3^2"
+     " + 4/3*x1^3*x3^4 - 4/3*x1*x2^2*x3^4 - 1/3*x1*x3^6",
+     "1/3*x2^5*x3^2 - 1/3*x2*x3^6",
+     "0"),
+    ("-75/14*x1^6 + 45/14*x1^4*x2^2 + 10/7*x1^4*x3^2 - 25/42*x1^2*x3^4"
+     " - 85/42*x2^2*x3^4 + 4/3*x3^6",
+     "15/14*x1^7 - 15/14*x1^5*x2^2 - 5/7*x1^5*x3^2 + 5/7*x1^3*x2^2*x3^2"
+     " - 1/42*x1^3*x3^4 + 5/14*x1*x2^2*x3^4 - 1/3*x1*x3^6",
+     "1/3*x2^3*x3^4 - 1/3*x2*x3^6",
+     "0"),
+    ("5/2*x1^6 - 3/2*x1^4*x2^2 + 7/2*x1^4*x3^2 + 5/2*x1^2*x2^2*x3^2"
+     " - 4*x2^4*x3^2 + 2*x1^2*x3^4 + 2*x2^2*x3^4 - 4*x3^6",
+     "-1/2*x1^7 + 1/2*x1^5*x2^2 - 1/2*x1^5*x3^2 - 1/2*x1^3*x2^2*x3^2"
+     " + x1*x2^4*x3^2 + x1*x3^6",
+     "x2*x3^6",
+     "x2^4*x3^3"),
+    ("-75/14*x1^6 + 45/14*x1^4*x2^2 + 10/7*x1^4*x3^2 + 85/14*x1^2*x3^4"
+     " - 61/14*x2^2*x3^4 - 4*x3^6",
+     "15/14*x1^7 - 15/14*x1^5*x2^2 - 5/7*x1^5*x3^2 + 5/7*x1^3*x2^2*x3^2"
+     " - 19/14*x1^3*x3^4 + 19/14*x1*x2^2*x3^4 + x1*x3^6",
+     "x2*x3^6",
+     "x2^2*x3^5"),
+    ("-5/2*x1^2*x2^4 - 5/2*x2^6 + 25/6*x1^4*x3^2 - 5*x1^2*x2^2*x3^2"
+     " - 1/2*x2^4*x3^2 - 5*x1^2*x3^4 + 1/3*x2^2*x3^4 + 2*x3^6",
+     "1/2*x1^3*x2^4 - 5/6*x1^5*x3^2 + 4/3*x1^3*x2^2*x3^2"
+     " - 1/2*x1*x2^4*x3^2 + 4/3*x1^3*x3^4 - 4/3*x1*x2^2*x3^4"
+     " - 1/2*x1*x3^6",
+     "1/2*x2^7 - 1/2*x2*x3^6",
+     "0"),
+    ("5/2*x1^6 - 3/2*x1^4*x2^2 - 5/2*x1^2*x2^4 - 5/2*x2^6"
+     " + 7/2*x1^4*x3^2 - 5*x1^2*x2^2*x3^2 - 1/2*x2^4*x3^2"
+     " - 11/2*x1^2*x3^4 + 1/2*x2^2*x3^4 + 2*x3^6",
+     "-1/2*x1^7 + 1/2*x1^5*x2^2 + 1/2*x1^3*x2^4 - 1/2*x1^5*x3^2"
+     " + x1^3*x2^2*x3^2 - 1/2*x1*x2^4*x3^2 + 3/2*x1^3*x3^4"
+     " - 3/2*x1*x2^2*x3^4 - 1/2*x1*x3^6",
+     "1/2*x2^7 - 1/2*x2*x3^6",
+     "0"),
+    ("-75/14*x1^6 + 45/14*x1^4*x2^2 + 10/7*x1^4*x3^2"
+     " - 5/2*x1^2*x2^2*x3^2 - 5/2*x2^4*x3^2 - 10/7*x1^2*x3^4"
+     " - 6/7*x2^2*x3^4 + 2*x3^6",
+     "15/14*x1^7 - 15/14*x1^5*x2^2 - 5/7*x1^5*x3^2"
+     " + 17/14*x1^3*x2^2*x3^2 + 1/7*x1^3*x3^4 - 1/7*x1*x2^2*x3^4"
+     " - 1/2*x1*x3^6",
+     "1/2*x2^5*x3^2 - 1/2*x2*x3^6",
+     "0"),
+    ("-12*x1^2*x2^4 - 65/7*x1^4*x3^2 + 43/14*x1^2*x2^2*x3^2"
+     " + 3/2*x2^4*x3^2 + 85/14*x1^2*x3^4 - 19/14*x2^2*x3^4",
+     "3/2*x1^3*x2^4 + 13/7*x1^5*x3^2 - 19/14*x1^3*x2^2*x3^2"
+     " - 3/2*x1*x2^4*x3^2 - 13/7*x1^3*x3^4 + 19/14*x1*x2^2*x3^4",
+     "3/2*x1^2*x2^5 - x1^2*x2^3*x3^2 - 1/2*x1^2*x2*x3^4",
+     "0"),
+    ("-65/7*x1^3*x2^2*x3^2 - 65/7*x1*x2^4*x3^2 - 25/42*x1^3*x3^4"
+     " + 41/6*x1*x2^2*x3^4 + 10/21*x1*x3^6",
+     "13/7*x1^4*x2^2*x3^2 + 5/42*x1^4*x3^4 - 13/7*x1^2*x2^2*x3^4"
+     " - 5/42*x1^2*x3^6",
+     "13/7*x1*x2^5*x3^2 - 73/42*x1*x2^3*x3^4 - 5/42*x1*x2*x3^6",
+     "0"),
+    ("-12*x1^3*x2^4 - 65/7*x1^5*x3^2 + 39/7*x1^3*x2^2*x3^2"
+     " + 4*x1*x2^4*x3^2 + 145/21*x1^3*x3^4 - 53/21*x1*x2^2*x3^4"
+     " - 2/3*x1*x3^6",
+     "3/2*x1^4*x2^4 + 13/7*x1^6*x3^2 - 13/7*x1^4*x2^2*x3^2"
+     " - 3/2*x1^2*x2^4*x3^2 - 85/42*x1^4*x3^4 + 13/7*x1^2*x2^2*x3^4"
+     " + 1/6*x1^2*x3^6",
+     "3/2*x1^3*x2^5 - x1^3*x2^3*x3^2 - 1/2*x1*x2^5*x3^2"
+     " - 1/2*x1^3*x2*x3^4 + 1/3*x1*x2^3*x3^4 + 1/6*x1*x2*x3^6",
+     "0"),
+    ("-75/14*x1^7 + 45/14*x1^5*x2^2 + 10/7*x1^5*x3^2"
+     " + 65/7*x1^3*x2^2*x3^2 + 65/7*x1*x2^4*x3^2 + 5/3*x1^3*x3^4"
+     " - 151/21*x1*x2^2*x3^4 - 10/21*x1*x3^6",
+     "15/14*x1^8 - 15/14*x1^6*x2^2 - 5/7*x1^6*x3^2 - 8/7*x1^4*x2^2*x3^2"
+     " - 10/21*x1^4*x3^4 + 31/14*x1^2*x2^2*x3^4 + 5/42*x1^2*x3^6",
+     "-13/7*x1*x2^5*x3^2 + 73/42*x1*x2^3*x3^4 + 5/42*x1*x2*x3^6",
+     "0"),
+    ("-93/14*x1^3*x2^4 + 75/14*x1*x2^6 - 65/7*x1^5*x3^2"
+     " + 598/49*x1^3*x2^2*x3^2 + 311/49*x1*x2^4*x3^2 + 835/98*x1^3*x3^4"
+     " - 87/14*x1*x2^2*x3^4 - 96/49*x1*x3^6",
+     "3/7*x1^4*x2^4 + 13/7*x1^6*x3^2 - 156/49*x1^4*x2^2*x3^2"
+     " - 3/7*x1^2*x2^4*x3^2 - 115/49*x1^4*x3^4 + 156/49*x1^2*x2^2*x3^4"
+     " + 24/49*x1^2*x3^6",
+     "3/2*x1^3*x2^5 - 15/14*x1*x2^7 - x1^3*x2^3*x3^2"
+     " - 37/49*x1*x2^5*x3^2 - 1/2*x1^3*x2*x3^4 + 131/98*x1*x2^3*x3^4"
+     " + 24/49*x1*x2*x3^6",
+     "0"),
+    ("-12*x1^4*x2^4 - 65/7*x1^6*x3^2 + 39/7*x1^4*x2^2*x3^2"
+     " + 135/14*x1^4*x3^4 - 5*x1^2*x2^2*x3^4 + 1/2*x2^4*x3^4"
+     " - 15/7*x1^2*x3^6 + 5/7*x2^2*x3^6",
+     "3/2*x1^5*x2^4 + 13/7*x1^7*x3^2 - 13/7*x1^5*x2^2*x3^2"
+     " - x1^3*x2^4*x3^2 - 18/7*x1^5*x3^4 + 18/7*x1^3*x2^2*x3^4"
+     " - 1/2*x1*x2^4*x3^4 + 5/7*x1^3*x3^6 - 5/7*x1*x2^2*x3^6",
+     "3/2*x1^4*x2^5 - x1^4*x2^3*x3^2 - 1/2*x1^4*x2*x3^4",
+     "0"),
+    ("-12*x1^4*x2^4 - 65/7*x1^6*x3^2 + 39/7*x1^4*x2^2*x3^2"
+     " - 3/2*x1^2*x2^4*x3^2 - 3/2*x2^6*x3^2 + 135/14*x1^4*x3^4"
+     " - 11/2*x1^2*x2^2*x3^4 + 6/5*x2^4*x3^4 - 37/14*x1^2*x3^6"
+     " + 43/70*x2^2*x3^6 + 2/5*x3^8",
+     "3/2*x1^5*x2^4 + 13/7*x1^7*x3^2 - 13/7*x1^5*x2^2*x3^2"
+     " - 7/10*x1^3*x2^4*x3^2 - 18/7*x1^5*x3^4 + 187/70*x1^3*x2^2*x3^4"
+     " - 4/5*x1*x2^4*x3^4 + 57/70*x1^3*x3^6 - 57/70*x1*x2^2*x3^6"
+     " - 1/10*x1*x3^8",
+     "3/2*x1^4*x2^5 - x1^4*x2^3*x3^2 + 3/10*x2^7*x3^2 - 1/2*x1^4*x2*x3^4"
+     " - 1/5*x2^5*x3^4 - 1/10*x2*x3^8",
+     "0"),
+    ("-12*x1^5*x2^4 - 65/7*x1^7*x3^2 + 39/7*x1^5*x2^2*x3^2"
+     " + 135/14*x1^5*x3^4 + 11/2*x1*x2^4*x3^4 - 10/21*x1^3*x3^6"
+     " - 34/21*x1*x2^2*x3^6 - 4/3*x1*x3^8",
+     "3/2*x1^6*x2^4 + 13/7*x1^8*x3^2 - 13/7*x1^6*x2^2*x3^2"
+     " - x1^4*x2^4*x3^2 - 18/7*x1^6*x3^4 + 11/7*x1^4*x2^2*x3^4"
+     " - 1/2*x1^2*x2^4*x3^4 + 8/21*x1^4*x3^6 + 2/7*x1^2*x2^2*x3^6"
+     " + 1/3*x1^2*x3^8",
+     "3/2*x1^5*x2^5 - x1^5*x2^3*x3^2 - 1/2*x1^5*x2*x3^4 - x1*x2^5*x3^4"
+     " + 2/3*x1*x2^3*x3^6 + 1/3*x1*x2*x3^8",
+     "0"),
+    ("-65/7*x1^3*x2^4*x3^2 - 65/7*x1*x2^6*x3^2 - 25/6*x1^5*x3^4"
+     " - 1690/147*x1^3*x2^2*x3^4 - 1931/294*x1*x2^4*x3^4"
+     " + 235/441*x1^3*x3^6 + 529/63*x1*x2^2*x3^6 + 694/441*x1*x3^8",
+     "13/7*x1^4*x2^4*x3^2 + 5/6*x1^6*x3^4 + 289/147*x1^4*x2^2*x3^4"
+     " - 13/7*x1^2*x2^4*x3^4 - 194/441*x1^4*x3^6"
+     " - 289/147*x1^2*x2^2*x3^6 - 347/882*x1^2*x3^8",
+     "13/7*x1*x2^7*x3^2 + 277/294*x1*x2^5*x3^4 - 1061/441*x1*x2^3*x3^6"
+     " - 347/882*x1*x2*x3^8",
+     "0"),
+    ("-5/2*x1^7*x3^2 + 3/2*x1^5*x2^2*x3^2 - 65/7*x1^3*x2^4*x3^2"
+     " - 65/7*x1*x2^6*x3^2 - 7/2*x1^5*x3^4 - 1690/147*x1^3*x2^2*x3^4"
+     " - 1931/294*x1*x2^4*x3^4 + 911/882*x1^3*x3^6"
+     " + 1037/126*x1*x2^2*x3^6 + 694/441*x1*x3^8",
+     "1/2*x1^8*x3^2 - 1/2*x1^6*x2^2*x3^2 + 13/7*x1^4*x2^4*x3^2"
+     " + 1/2*x1^6*x3^4 + 338/147*x1^4*x2^2*x3^4 - 13/7*x1^2*x2^4*x3^4"
+     " - 535/882*x1^4*x3^6 - 529/294*x1^2*x2^2*x3^6 - 347/882*x1^2*x3^8",
+     "13/7*x1*x2^7*x3^2 + 277/294*x1*x2^5*x3^4 - 1061/441*x1*x2^3*x3^6"
+     " - 347/882*x1*x2*x3^8",
+     "0"),
+    ("-12*x1^6*x2^4 - 65/7*x1^8*x3^2 + 39/7*x1^6*x2^2*x3^2"
+     " + 135/14*x1^6*x3^4 - 5/2*x1^2*x2^4*x3^4 - 25/7*x1^2*x2^2*x3^6"
+     " + x2^4*x3^6 - 9/7*x1^2*x3^8 + 3/7*x2^2*x3^8",
+     "3/2*x1^7*x2^4 + 13/7*x1^9*x3^2 - 13/7*x1^7*x2^2*x3^2"
+     " - x1^5*x2^4*x3^2 - 18/7*x1^7*x3^4 + 11/7*x1^5*x2^2*x3^4"
+     " + 1/2*x1^3*x2^4*x3^4 + 2/7*x1^5*x3^6 + 5/7*x1^3*x2^2*x3^6"
+     " - x1*x2^4*x3^6 + 3/7*x1^3*x3^8 - 3/7*x1*x2^2*x3^8",
+     "3/2*x1^6*x2^5 - x1^6*x2^3*x3^2 - 1/2*x1^6*x2*x3^4",
+     "0"),
+    ("-12*x1^6*x2^4 - 65/7*x1^8*x3^2 + 39/7*x1^6*x2^2*x3^2"
+     " + 135/14*x1^6*x3^4 - 25/6*x1^2*x2^4*x3^4 - 5/3*x2^6*x3^4"
+     " - 110/21*x1^2*x2^2*x3^6 + 2/3*x2^4*x3^6 - 62/21*x1^2*x3^8"
+     " + 2/21*x2^2*x3^8 + 4/3*x3^10",
+     "3/2*x1^7*x2^4 + 13/7*x1^9*x3^2 - 13/7*x1^7*x2^2*x3^2"
+     " - x1^5*x2^4*x3^2 - 18/7*x1^7*x3^4 + 11/7*x1^5*x2^2*x3^4"
+     " + 5/6*x1^3*x2^4*x3^4 + 2/7*x1^5*x3^6 + 22/21*x1^3*x2^2*x3^6"
+     " - 4/3*x1*x2^4*x3^6 + 16/21*x1^3*x3^8 - 16/21*x1*x2^2*x3^8"
+     " - 1/3*x1*x3^10",
+     "3/2*x1^6*x2^5 - x1^6*x2^3*x3^2 - 1/2*x1^6*x2*x3^4 + 1/3*x2^7*x3^4"
+     " - 1/3*x2*x3^10",
+     "0"),
+    ("-12*x1^6*x2^4 - 65/7*x1^8*x3^2 + 39/7*x1^6*x2^2*x3^2"
+     " + 135/14*x1^6*x3^4 + 5/2*x1^2*x2^4*x3^4 - 4*x2^6*x3^4"
+     " + 10/7*x1^2*x2^2*x3^6 + 2*x2^4*x3^6 + 26/7*x1^2*x3^8"
+     " + 10/7*x2^2*x3^8 - 4*x3^10",
+     "3/2*x1^7*x2^4 + 13/7*x1^9*x3^2 - 13/7*x1^7*x2^2*x3^2"
+     " - x1^5*x2^4*x3^2 - 18/7*x1^7*x3^4 + 11/7*x1^5*x2^2*x3^4"
+     " - 1/2*x1^3*x2^4*x3^4 + x1*x2^6*x3^4 + 2/7*x1^5*x3^6"
+     " - 2/7*x1^3*x2^2*x3^6 - 4/7*x1^3*x3^8 + 4/7*x1*x2^2*x3^8"
+     " + x1*x3^10",
+     "3/2*x1^6*x2^5 - x1^6*x2^3*x3^2 - 1/2*x1^6*x2*x3^4 + x2*x3^10",
+     "x2^6*x3^5"),
+    ("-12*x1^6*x2^4 - 65/7*x1^8*x3^2 + 39/7*x1^6*x2^2*x3^2"
+     " - 5/2*x1^2*x2^6*x3^2 - 5/2*x2^8*x3^2 + 135/14*x1^6*x3^4"
+     " - 5*x1^2*x2^4*x3^4 - 1/2*x2^6*x3^4 - 85/14*x1^2*x2^2*x3^6"
+     " + 1/2*x2^4*x3^6 - 53/14*x1^2*x3^8 - 1/14*x2^2*x3^8 + 2*x3^10",
+     "3/2*x1^7*x2^4 + 13/7*x1^9*x3^2 - 13/7*x1^7*x2^2*x3^2"
+     " - x1^5*x2^4*x3^2 + 1/2*x1^3*x2^6*x3^2 - 18/7*x1^7*x3^4"
+     " + 11/7*x1^5*x2^2*x3^4 + x1^3*x2^4*x3^4 - 1/2*x1*x2^6*x3^4"
+     " + 2/7*x1^5*x3^6 + 17/14*x1^3*x2^2*x3^6 - 3/2*x1*x2^4*x3^6"
+     " + 13/14*x1^3*x3^8 - 13/14*x1*x2^2*x3^8 - 1/2*x1*x3^10",
+     "3/2*x1^6*x2^5 - x1^6*x2^3*x3^2 + 1/2*x2^9*x3^2 - 1/2*x1^6*x2*x3^4"
+     " - 1/2*x2*x3^10",
+     "0"),
+    ("-12*x1^7*x2^4 - 65/7*x1^9*x3^2 + 39/7*x1^7*x2^2*x3^2"
+     " + 65/7*x1^3*x2^6*x3^2 + 65/7*x1*x2^8*x3^2 + 135/14*x1^7*x3^4"
+     " + 1690/147*x1^3*x2^4*x3^4 + 1931/294*x1*x2^6*x3^4"
+     " + 51220/3087*x1^3*x2^2*x3^6 + 30766/3087*x1*x2^4*x3^6"
+     " + 21113/9261*x1^3*x3^8 - 16057/1323*x1*x2^2*x3^8"
+     " - 26416/9261*x1*x3^10",
+     "3/2*x1^8*x2^4 + 13/7*x1^10*x3^2 - 13/7*x1^8*x2^2*x3^2"
+     " - x1^6*x2^4*x3^2 - 13/7*x1^4*x2^6*x3^2 - 18/7*x1^8*x3^4"
+     " + 11/7*x1^6*x2^2*x3^4 - 338/147*x1^4*x2^4*x3^4"
+     " + 13/7*x1^2*x2^6*x3^4 + 2/7*x1^6*x3^6 - 10244/3087*x1^4*x2^2*x3^6"
+     " + 529/294*x1^2*x2^4*x3^6 - 2635/9261*x1^4*x3^8"
+     " + 11126/3087*x1^2*x2^2*x3^8 + 6604/9261*x1^2*x3^10",
+     "3/2*x1^7*x2^5 - x1^7*x2^3*x3^2 - 13/7*x1*x2^9*x3^2"
+     " - 1/2*x1^7*x2*x3^4 - 277/294*x1*x2^7*x3^4"
+     " - 7615/6174*x1*x2^5*x3^6 + 30743/9261*x1*x2^3*x3^8"
+     " + 6604/9261*x1*x2*x3^10",
+     "0"),
+]

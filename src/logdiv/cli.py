@@ -25,8 +25,9 @@ excluded from corpus comparisons.
 Exit codes: 0 success (stages skipped by flags read "not computed"),
 2 input or parse error, 3 divisor not reduced, 4 no free basis found
 (or a provided matrix failed verification), 5 timeout or budget
-exhausted, 6 internal inconsistency (an error that a stage does not
-expect, such as errors.InternalInconsistency; the report names the stage).
+exhausted (also a Groebner degree past 32767), 6 internal inconsistency
+(an error that a stage does not expect, such as
+errors.InternalInconsistency; the report names the stage).
 
 Each analysis, and each corpus-run entry, runs under one errors.Budget:
 --timeout SECONDS is its deadline, and the LOGDIV_BUDGET environment

@@ -169,7 +169,7 @@ class SliceComplex:
     __slots__ = ("saito", "sc", "w", "field_weights", "_slices",
                  "slice0", "slices1", "pairs", "slices2",
                  "dim_c0", "dim_c1", "dim_c2", "offsets1", "offsets2",
-                 "d0_rows", "d1_rows")
+                 "d0_rows", "d1_rows", "_d0_columns")
 
     def __init__(self, saito, sc, w):
         self.saito = saito
@@ -192,6 +192,7 @@ class SliceComplex:
         self.dim_c2 = self.offsets2[-1]
         self.d0_rows = self._build_d0()
         self.d1_rows = self._build_d1()
+        self._d0_columns = None
         for row in self.d1_rows:  # d1 d0 = 0, over the nonzeros only
             acc = {}
             for k, a in row.items():
@@ -350,8 +351,24 @@ def cocycle_check(psi_fields, saito, sc):
 
 def is_coboundary(coords, cx):
     """A C0 class sigma with d0(sigma) = coords, a C1 coordinate list, or
-    None."""
-    return linalg.solve(cx.d0_rows, cx.dim_c0, coords)
+    None. The columns of d0 are put in echelon form once per complex,
+    column s extended by a 1 at position dim_c1 + s, so that reducing
+    (coords, 0) leaves (0, -sigma) exactly when coords is a coboundary."""
+    if cx._d0_columns is None:
+        cols = [{cx.dim_c1 + s: Fraction(1)} for s in range(cx.dim_c0)]
+        for r, row in enumerate(cx.d0_rows):
+            for s, x in row.items():
+                cols[s][r] = x
+        cx._d0_columns = linalg.Span()
+        for col in cols:
+            cx._d0_columns.add(col)
+    rest = cx._d0_columns.reduce(coords)
+    if any(k < cx.dim_c1 for k in rest):
+        return None
+    sigma = [ZERO] * cx.dim_c0
+    for k, x in rest.items():
+        sigma[k - cx.dim_c1] = -x
+    return sigma
 
 
 def _class_space(f, w):

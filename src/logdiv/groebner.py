@@ -2,37 +2,84 @@
 
 Elements of free modules are plain lists of Polynomial (all of one ring, one
 fixed rank); ideals are handled as the rank-1 case and plain Polynomials are
-accepted anywhere a module element is. Internally an element is flattened to
-a dict mapping (component, exponent-tuple) terms to coefficients.
+accepted anywhere a module element is. _flatten and _unflatten are the one
+boundary between Polynomials and the internal format, which follows
+Monagan and Pearce (CASC 2007):
+
+- A term (component, exponent) is packed into one int. Its fields, from
+  high to low, are the component, the total degree, then x_n ... x_1; each
+  but the component is _FIELD bits wide, with a top guard bit that stays 0.
+  Multiplying a term by a monomial is an addition. A lead l divides a term
+  t iff 0 <= t - l < one component and t - l has no guard bit set, since a
+  field of t smaller than that of l borrows through its guard bit; t - l
+  is then the shift.
+- An element is a pair (P, D): P maps terms to ints and D > 0 is one shared
+  denominator, so the element is P / D. A monic basis element is (B, L),
+  with B primitive and L = B[lead] > 0.
 
 The module term order is fixed: position-over-term, component 0 dominates,
-ties are broken by degrevlex. Reduced bases are interreduced, monic,
-and sorted, so a Groebner basis is a canonical object here.
+ties are broken by degrevlex. A packed term with its degree field flipped
+is a key whose ascending order is this order, largest term first. Reduced
+bases are interreduced, monic, and sorted, so a Groebner basis is a
+canonical object here.
 
 Each lead term is found once: reduction pops the terms of the working
-element from a heap in descending term order, and a Buchberger run keeps
-the lead of each basis element from the moment it is appended.
+element from a heap of those keys, and a Buchberger run keeps the lead of
+each basis element from the moment it is appended.
+
+Every term that an S-pair or a reduction step makes has degree at most the
+sugar, so checking the degrees of the input and each sugar as it grows
+keeps every field in range: a degree past the field raises BudgetExceeded.
 """
 
 from fractions import Fraction
 import heapq
 import itertools
+from math import gcd, lcm
 
-from .errors import InternalInconsistency, current_budget
-from .poly import (
-    Polynomial,
-    degrevlex_key,
-    m_degree,
-    m_div,
-    m_divides,
-    m_lcm,
-    m_mul,
-)
+from .errors import BudgetExceeded, InternalInconsistency, current_budget
+from .poly import Polynomial, m_lcm
+
+_FIELD = 16  # bits per packed field, the top one a guard
+_ONE = Fraction(1)
 
 
-def _term_key(t):
-    """Position over term: component 0 dominates, then degrevlex."""
-    return (-t[0], degrevlex_key(t[1]))
+class _Packing:
+    """The packed term layout for n variables; see the module docstring."""
+
+    __slots__ = ("n", "dshift", "unit", "top", "flip", "guards")
+
+    def __init__(self, n):
+        self.n = n
+        self.dshift = _FIELD * n
+        self.unit = 1 << (self.dshift + _FIELD)
+        self.top = (1 << (_FIELD - 1)) - 1  # the largest degree a field holds
+        self.flip = self.top << self.dshift
+        self.guards = sum(1 << (_FIELD * k + _FIELD - 1) for k in range(n + 1))
+
+    def check(self, degree):
+        if degree > self.top:
+            raise BudgetExceeded(f"degree {degree} exceeds the largest"
+                                 f" packed degree {self.top}")
+
+    def pack(self, comp, m):
+        self.check(sum(m))
+        t = comp * self.unit + (sum(m) << self.dshift)
+        for k, e in enumerate(m):
+            t += e << (_FIELD * k)
+        return t
+
+    def unpack(self, t):
+        comp, t = divmod(t, self.unit)
+        return comp, tuple(t >> (_FIELD * k) & self.top for k in range(self.n))
+
+    def divides(self, l, t):
+        """True if lead l divides term t (the test _reduce_full inlines)."""
+        d = t - l
+        return 0 <= d < self.unit and not d & self.guards
+
+    def degree(self, P):
+        return max((t >> self.dshift & self.top for t in P), default=0)
 
 
 # ---- flattened module elements -----------------------------------------
@@ -46,177 +93,196 @@ def _as_vector(elem, rank):
     return list(elem)
 
 
-def _flatten(vec):
-    out = {}
-    for c, p in enumerate(vec):
-        for m, co in p.terms.items():
-            out[(c, m)] = co
-    return out
+def _flatten(vec, lay):
+    D = lcm(*(co.denominator for p in vec for co in p.terms.values()))
+    return {lay.pack(c, m): co.numerator * (D // co.denominator)
+            for c, p in enumerate(vec) for m, co in p.terms.items()}, D
 
 
-def _unflatten(v, ring, rank):
+def _unflatten(v, ring, rank, lay):
+    P, D = v
     polys = [{} for _ in range(rank)]
-    for (c, m), co in v.items():
-        polys[c][m] = co
+    for t, a in P.items():
+        c, m = lay.unpack(t)
+        polys[c][m] = Fraction(a, D)
     return [Polynomial(ring, t, False) for t in polys]
 
 
-def _v_iadd_scaled(target, src, expo, coeff, heap=None):
-    """target += coeff * x^expo * src, in place. Terms new to target are
-    pushed onto heap, if one is given, as _reduce_full orders them."""
-    for (c, m), co in src.items():
-        m = m_mul(m, expo)
-        t = (c, m)
-        s = target.get(t, 0) + coeff * co
-        if s:
-            if heap is not None and t not in target:
-                heapq.heappush(heap, (c, -sum(m), m[::-1], m))
-            target[t] = s
-        elif t in target:
-            del target[t]
+def _lowest_terms(D, *parts):
+    """D and the int dicts in parts, divided by their common gcd."""
+    g = gcd(D, *itertools.chain.from_iterable(p.values() for p in parts))
+    if g == 1:
+        return (D, *parts)
+    return (D // g, *({t: a // g for t, a in p.items()} for p in parts))
 
 
-def _v_scale(v, coeff):
-    return {t: coeff * co for t, co in v.items()}
+def _monic(P, lay):
+    """(lead, (B, L)) for the nonzero element P / D, whatever D."""
+    ld = min(t ^ lay.flip for t in P) ^ lay.flip
+    g = gcd(*P.values()) if P[ld] > 0 else -gcd(*P.values())
+    return ld, ({t: a // g for t, a in P.items()}, P[ld] // g)
 
 
-def _reduce_full(v, basis, leads, budget, track=False, sugar=None, sugars=None):
-    """Fully reduce flattened element v against monic basis elements.
+def _combine(terms):
+    """The sum of coeff * x^shift * (S / E) over the (coeff, shift, (S, E))
+    in terms, as one (P, D); coeff is a Fraction. Every addend is put over
+    the common denominator first, so each partial sum is a positive
+    multiple of the exact one: terms cancel, come back and take their dict
+    order as they do under Fraction arithmetic."""
+    fs = [(coeff / E, shift, S) for coeff, shift, (S, E) in terms]
+    D = lcm(*(f.denominator for f, _, _ in fs))
+    out = {}
+    for f, shift, S in fs:
+        k = f.numerator * (D // f.denominator)
+        for t, a in S.items():
+            t += shift
+            s = out.get(t, 0) + k * a
+            if s:
+                out[t] = s
+            else:
+                del out[t]
+    D, out = _lowest_terms(D, out)
+    return out, D
 
-    Returns (remainder, quotients) where quotients[j] is a dict
-    {expo: coeff} with v = sum_j quotients[j] * basis[j] + remainder.
-    Terms wait in a min-heap keyed by (component, -degree, reversed
-    exponent), i.e. largest under _term_key first. An entry whose term has
-    cancelled is skipped; a step only adds terms below the one it removes.
+
+def _less_quotients(quots, reps):
+    """The addends -q * x^shift * reps[j] of the quotients of a reduction."""
+    return [(-co, shift, reps[j])
+            for j, q in enumerate(quots) for shift, co in q.items()]
+
+
+def _reduce_full(v, basis, leads, sugars, sugar, budget, lay, track=False):
+    """Fully reduce v = (P, D) against monic basis elements (B, L).
+
+    Returns ((R, D'), quotients, sugar) where quotients[j] maps shifts to
+    Fractions, with v = sum_j quotients[j] * basis[j] + R / D'. sugar
+    bounds the degrees of v on entry and grows to sugars[j] + deg(shift)
+    at a step by basis[j]; sugars[j] bounds the degrees of basis[j].
+    Terms wait in a min-heap of flipped terms, largest first. An entry
+    whose term has cancelled is skipped; a step only adds terms below the
+    one it removes. A step by (B, L) on the term c / D first scales the
+    working element and the remainder by L / gcd(c, L), then subtracts an
+    integer multiple of x^shift * B, then divides out the common content.
     """
-    p = dict(v)
-    heap = [(c, -sum(m), m[::-1], m) for (c, m) in p]
+    P, D = v
+    p = dict(P)
+    unit, guards, flip, dshift = lay.unit, lay.guards, lay.flip, lay.dshift
+    heap = [t ^ flip for t in p]
     heapq.heapify(heap)
     rem = {}
     quots = [dict() for _ in basis] if track else None
     while heap:
-        comp, _, _, expo = heapq.heappop(heap)
-        t = (comp, expo)
+        t = heapq.heappop(heap) ^ flip
         c = p.get(t)
         if c is None:
             continue
-        hit = None
-        for j, (lc_comp, lc_expo) in enumerate(leads):
-            if lc_comp == comp and m_divides(lc_expo, expo):
-                hit = j
+        for j, ld in enumerate(leads):
+            shift = t - ld
+            if 0 <= shift < unit and not shift & guards:
                 break
-        if hit is None:
+        else:
             rem[t] = c
             del p[t]
             continue
         budget.spend()
-        shift = m_div(expo, leads[hit][1])
-        _v_iadd_scaled(p, basis[hit], shift, -c, heap)
+        if sugars[j] + (shift >> dshift) > sugar:
+            sugar = sugars[j] + (shift >> dshift)
+            lay.check(sugar)
         if track:
-            q = quots[hit]
-            q[shift] = q.get(shift, 0) + c
-        if sugar is not None:
-            sugar[0] = max(sugar[0], sugars[hit] + m_degree(shift))
-    return rem, quots
+            q = quots[j]
+            q[shift] = q.get(shift, 0) + Fraction(c, D)
+        B, L = basis[j]
+        g = gcd(c, L)
+        if g != L:
+            k = L // g
+            p = {u: k * a for u, a in p.items()}
+            rem = {u: k * a for u, a in rem.items()}
+            D *= k
+        c //= g
+        for u, b in B.items():
+            u += shift
+            a = p.get(u, 0) - c * b
+            if a:
+                if u not in p:
+                    heapq.heappush(heap, u ^ flip)
+                p[u] = a
+            else:
+                del p[u]
+        if g != L:
+            D, p, rem = _lowest_terms(D, p, rem)
+    return (rem, D), quots, sugar
 
 
-def _sugar_of(v):
-    return max((m_degree(m) for (_, m) in v), default=0)
+def _run_buchberger(gens, budget, track, lay):
+    """Core loop. gens: list of (P, D) elements, zero ones skipped.
 
-
-def _run_buchberger(gen_vecs, budget, track):
-    """Core loop. gen_vecs: list of flattened elements, zero ones skipped.
-
-    Returns (basis, leads, reps, zero_syzygies) where leads[j] is the
-    lead term of basis[j], reps[j] expresses basis[j] over the input
-    generators, indexed by position in gen_vecs, and zero_syzygies are
-    input-space relations found from S-pairs reducing to zero.
-    reps/zero_syzygies are None unless track is set. Criteria
-    pruning is disabled in track mode so the collected relations generate
-    the full first syzygy module.
+    Returns (basis, leads, sugars, reps, zero_syzygies) where leads[j] is
+    the lead term of basis[j], sugars[j] bounds its degrees, reps[j]
+    expresses basis[j] over the input generators, indexed by position in
+    gens, and zero_syzygies are input-space relations found from S-pairs
+    reducing to zero. reps/zero_syzygies are None unless track is set.
+    Criteria pruning is disabled in track mode so the collected relations
+    generate the full first syzygy module.
     """
-    rank1 = all(c == 0 for v in gen_vecs for (c, _) in v)
-    basis = []
-    leads = []
-    sugars = []
-    reps = [] if track else None
-    zsyz = [] if track else None
+    rank1 = all(t < lay.unit for P, _ in gens for t in P)
+    basis, leads, sugars = [], [], []
+    reps, zsyz = ([], []) if track else (None, None)
     pending = set()
     heap = []
     counter = itertools.count()
 
     def push_pairs(j):
-        cj, ej = leads[j]
+        cj, ej = lay.unpack(leads[j])
         for i in range(j):
-            ci, ei = leads[i]
+            ci, ei = lay.unpack(leads[i])
             if ci != cj:
                 continue
             l = m_lcm(ei, ej)
-            sug = max(
-                sugars[i] + m_degree(m_div(l, ei)),
-                sugars[j] + m_degree(m_div(l, ej)),
-            )
-            heapq.heappush(heap, (sug, m_degree(l), i, j, next(counter)))
+            sug = max(sugars[i] - sum(ei), sugars[j] - sum(ej)) + sum(l)
+            lay.check(sug)
+            heapq.heappush(heap, (sug, sum(l), i, j, next(counter),
+                                  lay.pack(ci, l)))
             pending.add((i, j))
 
     def append(v, sug, rep):
-        ld = max(v, key=_term_key)
-        lc = v[ld]
-        v = _v_scale(v, Fraction(1) / lc)
-        basis.append(v)
+        ld, b = _monic(v[0], lay)
+        basis.append(b)
         leads.append(ld)
         sugars.append(sug)
         if track:
-            reps.append(_v_scale(rep, Fraction(1) / lc))
+            reps.append(_combine([(Fraction(v[1], v[0][ld]), 0, rep)]))
         push_pairs(len(basis) - 1)
 
-    for idx, v in enumerate(gen_vecs):
-        if v:
-            rep = {(idx, (0,) * _nvars(v)): Fraction(1)} if track else None
-            append(v, _sugar_of(v), rep)
+    for idx, v in enumerate(gens):
+        if v[0]:
+            append(v, lay.degree(v[0]), ({idx * lay.unit: 1}, 1))
 
     while heap:
-        sug, _, i, j, _ = heapq.heappop(heap)
+        sug, _, i, j, _, l = heapq.heappop(heap)
         pending.discard((i, j))
-        ci, ei = leads[i]
-        cj, ej = leads[j]
-        l = m_lcm(ei, ej)
         if not track:
-            if rank1 and m_mul(ei, ej) == l:
+            if rank1 and leads[i] + leads[j] == l:
                 continue  # coprime leads reduce to zero
-            if _chain_skip(i, j, l, ci, leads, pending):
+            if _chain_skip(i, j, l, leads, pending, lay):
                 continue
         budget.spend()
-        si = m_div(l, ei)
-        sj = m_div(l, ej)
-        s = {}
-        _v_iadd_scaled(s, basis[i], si, Fraction(1))
-        _v_iadd_scaled(s, basis[j], sj, Fraction(-1))
+        si, sj = l - leads[i], l - leads[j]
+        s = _combine([(_ONE, si, basis[i]), (-_ONE, sj, basis[j])])
+        rem, quots, sug = _reduce_full(s, basis, leads, sugars, sug, budget,
+                                       lay, track)
         if track:
-            rep = {}
-            _v_iadd_scaled(rep, reps[i], si, Fraction(1))
-            _v_iadd_scaled(rep, reps[j], sj, Fraction(-1))
-        sug_box = [sug]
-        rem, quots = _reduce_full(
-            s, basis, leads, budget,
-            track=track, sugar=sug_box, sugars=sugars,
-        )
-        if track:
-            for k, q in enumerate(quots):
-                for shift, coeff in q.items():
-                    _v_iadd_scaled(rep, reps[k], shift, -coeff)
-        if rem:
-            append(rem, sug_box[0], rep if track else None)
-        elif track and rep:
+            rep = _combine([(_ONE, si, reps[i]), (-_ONE, sj, reps[j])]
+                           + _less_quotients(quots, reps))
+        if rem[0]:
+            append(rem, sug, rep if track else None)
+        elif track and rep[0]:
             zsyz.append(rep)
-    return basis, leads, reps, zsyz
+    return basis, leads, sugars, reps, zsyz
 
 
-def _chain_skip(i, j, l, comp, leads, pending):
-    for k, (ck, ek) in enumerate(leads):
-        if k == i or k == j:
-            continue
-        if ck != comp or not m_divides(ek, l):
+def _chain_skip(i, j, l, leads, pending, lay):
+    for k, ek in enumerate(leads):
+        if k == i or k == j or not lay.divides(ek, l):
             continue
         a, b = min(i, k), max(i, k)
         c, d = min(j, k), max(j, k)
@@ -225,60 +291,50 @@ def _chain_skip(i, j, l, comp, leads, pending):
     return False
 
 
-def _nvars(v):
-    for (_, m) in v:
-        return len(m)
-    raise ValueError("cannot infer variable count from zero element")
-
-
-def _interreduce(basis, leads, budget):
-    # drop elements whose lead is divisible by another lead
-    keep = []
-    for i, (ci, ei) in enumerate(leads):
-        redundant = False
-        for j, (cj, ej) in enumerate(leads):
-            if i == j:
-                continue
-            if ci == cj and m_divides(ej, ei):
-                if m_divides(ei, ej) and j > i:
-                    continue  # equal leads: keep the earlier one
-                redundant = True
-                break
-        if not redundant:
-            keep.append(i)
+def _interreduce(basis, leads, sugars, budget, lay):
+    """(lead, (B, L)) of the reduced basis, largest lead first."""
+    # drop elements whose lead is divisible by another lead; of equal
+    # leads, keep the earliest
+    keep = [i for i, li in enumerate(leads)
+            if not any(lay.divides(lj, li) and (lj != li or j < i)
+                       for j, lj in enumerate(leads) if j != i)]
     # tail-reduce every survivor against the others; its lead survives
     out = []
     for i in keep:
         others = [k for k in keep if k != i]
-        rem, _ = _reduce_full(basis[i], [basis[k] for k in others],
-                              [leads[k] for k in others], budget)
+        (rem, _), _, _ = _reduce_full(
+            basis[i], [basis[k] for k in others], [leads[k] for k in others],
+            [sugars[k] for k in others], sugars[i], budget, lay)
         if rem:
-            out.append((leads[i], _v_scale(rem, Fraction(1) / rem[leads[i]])))
-    out.sort(key=lambda lv: _term_key(lv[0]), reverse=True)
-    return [v for _, v in out]
+            out.append(_monic(rem, lay))
+    out.sort(key=lambda lb: lb[0] ^ lay.flip)
+    return out
 
 
 class GroebnerBasis:
     """Reduced, monic, deterministically sorted basis."""
 
-    __slots__ = ("ring", "rank", "elements", "_flat", "_leads")
+    __slots__ = ("ring", "rank", "elements", "_lay", "_flat", "_leads", "_tops")
 
-    def __init__(self, ring, rank, flat_elements):
+    def __init__(self, ring, rank, lay, reduced):
         self.ring = ring
         self.rank = rank
-        self._flat = flat_elements
-        self._leads = [max(v, key=_term_key) for v in flat_elements]
-        vecs = [_unflatten(v, ring, rank) for v in flat_elements]
+        self._lay = lay
+        self._leads = [ld for ld, _ in reduced]
+        self._flat = [b for _, b in reduced]
+        self._tops = [lay.degree(B) for B, _ in self._flat]
+        vecs = [_unflatten(v, ring, rank, lay) for v in self._flat]
         self.elements = [v[0] for v in vecs] if rank == 1 else vecs
 
     def __len__(self):
         return len(self._flat)
 
     def normal_form(self, elem):
-        vec = _as_vector(elem, self.rank)
-        v = _flatten(vec)
-        rem, _ = _reduce_full(v, self._flat, self._leads, current_budget())
-        out = _unflatten(rem, self.ring, self.rank)
+        v = _flatten(_as_vector(elem, self.rank), self._lay)
+        rem, _, _ = _reduce_full(v, self._flat, self._leads, self._tops,
+                                 self._lay.degree(v[0]), current_budget(),
+                                 self._lay)
+        out = _unflatten(rem, self.ring, self.rank, self._lay)
         return out[0] if self.rank == 1 else out
 
     def reduces_to_zero(self, elem):
@@ -325,12 +381,14 @@ def _prepare(gens, rank=None):
 def buchberger(gens):
     """Reduced Groebner basis of the ideal/submodule generated by gens."""
     ring, rank, vecs = _prepare(gens)
-    flat = [f for f in map(_flatten, vecs) if f]
+    lay = _Packing(len(ring))
+    flat = [v for v in (_flatten(v, lay) for v in vecs) if v[0]]
     b = current_budget()
     if not flat:
-        return GroebnerBasis(ring, rank, [])
-    basis, leads, _, _ = _run_buchberger(flat, b, track=False)
-    return GroebnerBasis(ring, rank, _interreduce(basis, leads, b))
+        return GroebnerBasis(ring, rank, lay, [])
+    basis, leads, sugars, _, _ = _run_buchberger(flat, b, False, lay)
+    return GroebnerBasis(ring, rank, lay,
+                         _interreduce(basis, leads, sugars, b, lay))
 
 
 def syzygies(gens):
@@ -340,31 +398,32 @@ def syzygies(gens):
     divides generator i by that basis with tracked quotients."""
     ring, rank, vecs = _prepare(gens)
     m = len(vecs)
-    flats = [_flatten(v) for v in vecs]
+    lay = _Packing(len(ring))
+    flats = [_flatten(v, lay) for v in vecs]
     out = []
     # a zero generator is annihilated by the corresponding unit vector
-    for i, f in enumerate(flats):
+    for i, (f, _) in enumerate(flats):
         if not f:
             row = [Polynomial.zero(ring) for _ in range(m)]
             row[i] = Polynomial.one(ring)
             out.append(row)
-    if any(flats):
+    if any(f for f, _ in flats):
         budget = current_budget()
-        basis, leads, reps, zsyz = _run_buchberger(flats, budget, track=True)
+        basis, leads, sugars, reps, zsyz = _run_buchberger(flats, budget, True,
+                                                           lay)
         for z in zsyz:
-            out.append(_unflatten(z, ring, m))
+            out.append(_unflatten(z, ring, m, lay))
         for i, f in enumerate(flats):
-            if not f:
+            if not f[0]:
                 continue
-            rem, quots = _reduce_full(f, basis, leads, budget, track=True)
-            if rem:
+            rem, quots, _ = _reduce_full(f, basis, leads, sugars,
+                                         lay.degree(f[0]), budget, lay, True)
+            if rem[0]:
                 raise InternalInconsistency("generator does not reduce to zero")
-            row = {(i, (0,) * len(ring)): Fraction(1)}
-            for j, q in enumerate(quots):
-                for shift, coeff in q.items():
-                    _v_iadd_scaled(row, reps[j], shift, -coeff)
-            if row:
-                out.append(_unflatten(row, ring, m))
+            row = _combine([(_ONE, 0, ({i * lay.unit: 1}, 1))]
+                           + _less_quotients(quots, reps))
+            if row[0]:
+                out.append(_unflatten(row, ring, m, lay))
     # light dedupe, deterministic order
     seen = set()
     dedup = []
@@ -389,8 +448,8 @@ def krull_dimension(gens):
     n = len(ring)
     gb = buchberger(gens)
     supports = []
-    for v in gb._flat:
-        (_, e) = max(v, key=_term_key)
+    for ld in gb._leads:
+        _, e = gb._lay.unpack(ld)
         if not any(e):
             return -1
         supports.append(frozenset(i for i, x in enumerate(e) if x))

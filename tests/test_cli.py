@@ -26,8 +26,10 @@ def write_doc(path, doc):
 
 
 def write_braid_a4(path):
-    """The braid arrangement A4: its basis search runs for minutes, so a
-    short timeout cuts it on any host."""
+    """The braid arrangement A4: its analysis takes about 10 s, of which
+    the squarefree test of the divisor stage takes 2 s and the basis
+    search most of the rest, so a timeout of 0.3 s or less cuts it on any
+    host."""
     pairs = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
     write_doc(path, {"label": "braid-A4",
                      "variables": [f"x{i}" for i in range(1, 6)],
@@ -242,6 +244,16 @@ class TestAnalyzeErrors:
         assert not worker.is_alive()
         assert codes == [5]
         assert "timed out" in capsys.readouterr().out
+
+    def test_degree_past_the_packed_field_exits_5(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_doc(path, {"label": "big", "variables": ["x", "y"],
+                         "f": "x^32768 + y^2"})
+        res = run_cli("analyze", str(path))
+        assert res.returncode == 5
+        assert ("error at stage basis: degree 32768 exceeds the largest"
+                " packed degree 32767") in res.stdout
+        assert "Traceback" not in res.stderr
 
     def test_budget_env_override_exits_5(self):
         res = run_cli("analyze", os.path.join(CORPUS, "discriminant-234.json"),

@@ -413,6 +413,22 @@ class TestSliceInternals:
         assert cx.h0_dimension() == 0
         assert len(cx.kernel_d1()) - cx.rank_d0() == 1
 
+    def test_coboundaries_are_solved_against_one_echelon(self):
+        f = P("x^3*y - x*y^3")
+        saito = saito_for(f)
+        cx = build_slice(saito, structure_constants(saito),
+                         WeightSystem((1, 1), 4))
+        rng = random.Random(7)
+        for _ in range(5):
+            sigma = [Fraction(rng.randint(-3, 3)) for _ in range(cx.dim_c0)]
+            psi = cx.apply_d0(sigma)
+            assert cx.apply_d0(is_coboundary(psi, cx)) == psi
+        echelon = cx._d0_columns
+        # one of the cocycles is not a coboundary: H^1 has dimension 1
+        assert [is_coboundary(v, cx) is None for v in cx.kernel_d1()] \
+            .count(True) >= 1
+        assert cx._d0_columns is echelon
+
 
 class TestSliceBudget:
     def test_relation_matrix_is_charged_before_it_is_built(self):

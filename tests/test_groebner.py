@@ -1,6 +1,7 @@
 import random
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -9,13 +10,15 @@ from logdiv.cohomology import (QuotientSlice, ft1, jacobian_degree_bound,
 from logdiv.errors import Budget, BudgetExceeded, NotHomogeneous
 from logdiv.groebner import (
     GroebnerBasis,
+    _Packing,
     _reduce_full,
     buchberger,
     krull_dimension,
     syzygies,
 )
-from logdiv.poly import (Polynomial, WeightSystem, degrevlex_key,
-                         partial_derivative, poly_from_text, poly_to_text)
+from logdiv.poly import (Polynomial, WeightSystem, degrevlex_key, m_div,
+                         m_divides, partial_derivative, poly_from_text,
+                         poly_to_text)
 
 from conftest import from_sympy, random_poly, to_sympy
 
@@ -265,13 +268,38 @@ class TestKrullDimension:
         assert krull_dimension(gens) == 0
 
 
+def term_key(t):
+    """Position over term: component 0 dominates, then degrevlex."""
+    return (-t[0], degrevlex_key(t[1]))
+
+
+def packed_reduce(v, basis, leads, budget, track, sugar, sugars):
+    """_reduce_full on Fraction dicts keyed by (component, exponent) terms
+    and on monic basis elements, converted at its boundary: the remainder
+    comes back as a Fraction dict in the kernel's term order, the
+    quotients keyed by exponent tuples, and the sugar in its box."""
+    lay = _Packing(len(leads[0][1]))
+
+    def packed(d):
+        den = lcm(*(co.denominator for co in d.values()))
+        return {lay.pack(*t): int(co * den) for t, co in d.items()}, den
+
+    if sugars is None:
+        sugars = [max(sum(m) for _, m in b) for b in basis]
+    (rem, den), quots, sug = _reduce_full(
+        packed(v), [packed(b) for b in basis],
+        [lay.pack(*ld) for ld in leads], sugars, 0, budget, lay, track)
+    if sugar is not None:
+        sugar[0] = sug
+    return ({lay.unpack(t): Fraction(a, den) for t, a in rem.items()},
+            quots and [{lay.unpack(s)[1]: co for s, co in q.items()}
+                       for q in quots])
+
+
 def max_scan_reduce(v, basis, leads, budget, track, sugar, sugars):
     """Reference reduction that rescans the working element with max()
     for its largest term at every step. Returns what _reduce_full returns
     plus the number of terms that cancelled and came back later."""
-    def term_key(t):
-        return (-t[0], degrevlex_key(t[1]))
-
     p = dict(v)
     rem = {}
     quots = [dict() for _ in basis] if track else None
@@ -325,7 +353,7 @@ def random_reductions(seed):
     basis, leads = [], []
     for _ in range(rng.randint(1, 4)):
         b = random_element(rng, rank, nvars, rng.randint(2, 6))
-        ld = max(b, key=lambda t: (-t[0], degrevlex_key(t[1])))
+        ld = max(b, key=term_key)
         basis.append({t: co / b[ld] for t, co in b.items()})
         leads.append(ld)
     sugars = [rng.randint(0, 4) for _ in basis]
@@ -344,7 +372,7 @@ def compare_with_max_scan(v, basis, leads, track=True, sugars=None):
     many terms cancelled and came back in the reference run."""
     snapshot = dict(v)
     results = []
-    for kernel in (_reduce_full, max_scan_reduce):
+    for kernel in (packed_reduce, max_scan_reduce):
         budget = Budget(10**6)
         sugar = None if sugars is None else [0]
         rem, quots, *returned = kernel(v, basis, leads, budget, track=track,
@@ -358,9 +386,10 @@ def compare_with_max_scan(v, basis, leads, track=True, sugars=None):
 
 
 class TestReduceFullAgainstMaxScan:
-    """_reduce_full takes each next term from a heap; the reference takes
-    it by a max() rescan. Remainders with their term order, quotients,
-    sugar and budget steps must all agree."""
+    """_reduce_full takes each next term from a heap of packed terms and
+    works in integers; the reference takes it by a max() rescan over
+    Fractions. Remainders with their term order, quotients, sugar and
+    budget steps must all agree."""
 
     def test_a_term_that_cancels_and_comes_back(self):
         # x^2 + y^2 minus x^2 - x*y + y^2 cancels y^2 and leaves x*y, whose
@@ -370,7 +399,8 @@ class TestReduceFullAgainstMaxScan:
         basis = [{x2: Fraction(1), xy: Fraction(-1), y2: Fraction(1)},
                  {xy: Fraction(1), y2: Fraction(1)}]
         assert compare_with_max_scan(v, basis, [x2, xy]) == 1
-        rem, _ = _reduce_full(v, basis, [x2, xy], Budget(10))
+        rem, _ = packed_reduce(v, basis, [x2, xy], Budget(10), False, None,
+                               None)
         assert rem == {y2: Fraction(-1)}
 
     @pytest.mark.parametrize("seed", range(40))
@@ -384,6 +414,70 @@ class TestReduceFullAgainstMaxScan:
                        for seed in range(40)
                        for v, basis, leads, _ in random_reductions(seed))
         assert returned > 0
+
+
+def random_terms(seed, count=60):
+    """Distinct (component, exponent) terms in up to 4 variables with
+    exponents up to the largest packed degree, from one seed."""
+    rng = random.Random(seed)
+    nvars = rng.randint(1, 4)
+    top = _Packing(nvars).top
+    terms = set()
+    while len(terms) < count:
+        cap = rng.choice([3, 12, top])
+        m = [0] * nvars
+        for _ in range(rng.randint(0, 6)):
+            m[rng.randrange(nvars)] += rng.randint(0, cap - sum(m))
+        terms.add((rng.randrange(3), tuple(m)))
+    return _Packing(nvars), sorted(terms)
+
+
+class TestPackedTerms:
+    """Packed terms against the tuple operations they replace."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_flipped_key_sorts_like_the_term_order(self, seed):
+        lay, terms = random_terms(seed)
+        packed = sorted(lay.pack(*t) ^ lay.flip for t in terms)
+        assert [lay.unpack(k ^ lay.flip) for k in packed] \
+            == sorted(terms, key=term_key, reverse=True)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_divisibility_and_shift(self, seed):
+        lay, terms = random_terms(seed, count=40)
+        divisible = 0
+        for a in terms:
+            for b in terms:
+                ok = a[0] == b[0] and m_divides(a[1], b[1])
+                assert lay.divides(lay.pack(*a), lay.pack(*b)) == ok
+                if ok:
+                    divisible += 1
+                    shift = lay.pack(*b) - lay.pack(*a)
+                    assert lay.unpack(shift) == (0, m_div(b[1], a[1]))
+        assert divisible > len(terms)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_pack_then_unpack(self, seed):
+        lay, terms = random_terms(seed)
+        assert [lay.unpack(lay.pack(*t)) for t in terms] == terms
+
+    @pytest.mark.parametrize("gens", [
+        ["x^32768 + y"],            # one exponent past the field
+        ["x^20000*y^20000 - 1"],    # each exponent fits, the degree does not
+        ["x^20000*y", "x*y^20000"],  # an S-pair whose lcm does not fit
+    ])
+    def test_a_degree_past_the_field_exceeds_the_budget(self, gens):
+        with pytest.raises(BudgetExceeded, match="packed degree"):
+            buchberger([P(g) for g in gens])
+
+    def test_a_module_term_above_the_lead_is_bounded_too(self):
+        # the lcm of the leads x and y has degree 2, but y times the second
+        # component's y^32767 would overflow: the pair's sugar catches it
+        top = _Packing(2).top
+        with pytest.raises(BudgetExceeded, match="packed degree"):
+            buchberger([[P("x"), P(f"y^{top}")], [P("y"), P("0")]])
+        assert len(buchberger([[P("x"), P(f"y^{top - 1}")],
+                               [P("y"), P("0")]])) == 3
 
 
 def coxeter_gens(name):

@@ -1,0 +1,161 @@
+"""Known answers from the theory, checked against logdiv.
+
+- Terao's factorization theorem: a free central arrangement with exponents
+  d_1, ..., d_n has characteristic polynomial prod (t - d_i). The
+  exponents come from logdiv's field weights (d_i = weight + 1); the
+  polynomial comes from the intersection lattice of the hyperplanes,
+  computed here with Fraction ranks and nothing from logdiv.
+- The paper's vanishing theorem: lft1 = H^1(g, gl_n / g) is zero for every
+  reductive linear free divisor. logdiv's lft1 is checked against the
+  oracle in ce_oracle.py, which shares no code with it, on two reductive
+  divisors and one that is not.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from ce_oracle import cohomology
+from logdiv.classify import is_linear, is_reductive, lie_algebra_matrices
+from logdiv.cli import analyze_document
+from logdiv.cohomology import lft1, linear_basis
+from logdiv.poly import poly_from_text, poly_to_text
+
+
+def residual(v, echelon):
+    """v minus its projection along echelon rows, each (pivot, row) with
+    row[pivot] = 1 and zero at the pivots of the rows before it."""
+    v = list(map(Fraction, v))
+    for pivot, row in echelon:
+        if v[pivot]:
+            c = v[pivot]
+            v = [a - c * b for a, b in zip(v, row)]
+    return v
+
+
+def echelon(vectors):
+    """An echelon basis of the span of vectors; its length is their rank."""
+    rows = []
+    for v in vectors:
+        v = residual(v, rows)
+        pivot = next((i for i, a in enumerate(v) if a), None)
+        if pivot is not None:
+            rows.append((pivot, [a / v[pivot] for a in v]))
+    return rows
+
+
+def characteristic_polynomial(normals, n):
+    """Coefficients of chi(t) = sum over flats X of mu(X) t^(n - rank X),
+    highest power first, from the lattice of flats: each flat is the set
+    of hyperplanes containing it, and mu(X) = -sum of mu over the flats
+    strictly inside X."""
+    flats = {frozenset(): 0}  # flat -> rank
+    frontier = [frozenset()]
+    while frontier:
+        grown = set()
+        for flat in frontier:
+            covered = set(flat)  # h in a flat already grown from this one
+            for h in range(len(normals)):
+                if h in covered:
+                    continue
+                span = echelon([normals[k] for k in flat] + [normals[h]])
+                r = len(span)
+                closed = frozenset(k for k, v in enumerate(normals)
+                                   if not any(residual(v, span)))
+                covered |= closed
+                if closed not in flats:
+                    flats[closed] = r
+                    grown.add(closed)
+        frontier = list(grown)
+    mu = {}
+    for flat in sorted(flats, key=lambda x: flats[x]):
+        mu[flat] = 1 if not flat else -sum(
+            m for y, m in mu.items() if y < flat)
+    coeffs = [0] * (n + 1)
+    for flat, r in flats.items():
+        coeffs[r] += mu[flat]
+    return coeffs
+
+
+def poly_product(roots):
+    """Coefficients of prod (t - d), highest power first."""
+    coeffs = [1]
+    for d in roots:
+        coeffs = [a - d * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def unit(n, i):
+    return [int(k == i) for k in range(n)]
+
+
+def arrangement(name):
+    """(number of variables, hyperplane normals) of a Coxeter arrangement."""
+    n = {"braid-A3": 4, "coxeter-B3": 3, "coxeter-D4": 4, "coxeter-B4": 4}[name]
+    pairs = list(combinations(range(n), 2))
+    minus = [[a - b for a, b in zip(unit(n, i), unit(n, j))] for i, j in pairs]
+    plus = [[a + b for a, b in zip(unit(n, i), unit(n, j))] for i, j in pairs]
+    if name == "braid-A3":
+        return n, minus
+    if name == "coxeter-D4":
+        return n, minus + plus
+    return n, [unit(n, i) for i in range(n)] + minus + plus
+
+
+def linear_form(normal):
+    return "".join(f"{'-' if a < 0 else '+'}{abs(a)}*x{i + 1}"
+                   for i, a in enumerate(normal) if a).lstrip("+")
+
+
+@pytest.mark.parametrize("name, weights", [
+    ("braid-A3", [-1, 0, 1, 2]),
+    ("coxeter-B3", [0, 2, 4]),
+    ("coxeter-D4", [0, 2, 2, 4]),
+    ("coxeter-B4", [0, 2, 4, 6]),
+])
+def test_terao_exponents(name, weights):
+    n, normals = arrangement(name)
+    doc = {"label": name, "variables": [f"x{i + 1}" for i in range(n)],
+           "f": "*".join(f"({linear_form(v)})" for v in normals)}
+    profile = analyze_document(doc, ("classify", "koszul"))["profile"]
+    assert profile["free"] is True
+    assert profile["koszul"] is True
+    assert profile["linear"] is False
+    assert sorted(profile["field_weights"]) == weights
+    assert characteristic_polynomial(normals, n) \
+        == poly_product([w + 1 for w in weights])
+
+
+def test_characteristic_polynomial_of_a_non_free_arrangement():
+    # xyz(x + y + z) is generic, not free: chi(t) = (t - 1)(t^2 - 3t + 3)
+    # has no integer roots, so no exponents could factor it
+    normals = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+    assert characteristic_polynomial(normals, 3) == [1, -4, 6, -3]
+
+
+BINARY_CUBICS = ("b^2*c^2 - 4*a*c^3 - 4*b^3*d + 18*a*b*c*d - 27*a^2*d^2",
+                 ("a", "b", "c", "d"))
+# three vectors (x_i, y_i) in Q^2 at the arms of the D4 star quiver
+STAR_QUIVER = ("(x1*y2 - x2*y1)*(x1*y3 - x3*y1)*(x2*y3 - x3*y2)",
+               ("x1", "y1", "x2", "y2", "x3", "y3"))
+# the symmetric matrix [[a, b, c], [b, d, e], [c, e, g]]
+BOREL_SYMMETRIC = ("a*(a*d - b^2)*(a*d*g + 2*b*c*e - a*e^2 - b^2*g - c^2*d)",
+                   ("a", "b", "c", "d", "e", "g"))
+
+
+@pytest.mark.parametrize("f, ring, reductive", [
+    (*BINARY_CUBICS, True),
+    (*STAR_QUIVER, True),
+    (*BOREL_SYMMETRIC, False),
+], ids=["binary-cubics", "star-quiver", "borel-symmetric"])
+def test_vanishing_theorem(f, ring, reductive):
+    f = poly_from_text(f, ring)
+    saito, _ = linear_basis(f)
+    assert is_linear(saito)
+    assert is_reductive(lie_algebra_matrices(saito)) is reductive
+    rows = [[poly_to_text(p) for p in row] for row in saito.matrix()]
+    dim = lft1(f, saito=saito).dimension
+    assert dim == cohomology(rows, ring, 1)
+    if reductive:
+        assert dim == 0

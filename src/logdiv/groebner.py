@@ -400,19 +400,16 @@ def syzygies(gens):
     m = len(vecs)
     lay = _Packing(len(ring))
     flats = [_flatten(v, lay) for v in vecs]
-    out = []
+    rows = []
     # a zero generator is annihilated by the corresponding unit vector
     for i, (f, _) in enumerate(flats):
         if not f:
-            row = [Polynomial.zero(ring) for _ in range(m)]
-            row[i] = Polynomial.one(ring)
-            out.append(row)
+            rows.append(({i * lay.unit: 1}, 1))
     if any(f for f, _ in flats):
         budget = current_budget()
         basis, leads, sugars, reps, zsyz = _run_buchberger(flats, budget, True,
                                                            lay)
-        for z in zsyz:
-            out.append(_unflatten(z, ring, m, lay))
+        rows.extend(zsyz)
         for i, f in enumerate(flats):
             if not f[0]:
                 continue
@@ -423,16 +420,24 @@ def syzygies(gens):
             row = _combine([(_ONE, 0, ({i * lay.unit: 1}, 1))]
                            + _less_quotients(quots, reps))
             if row[0]:
-                out.append(_unflatten(row, ring, m, lay))
-    # light dedupe, deterministic order
-    seen = set()
-    dedup = []
-    for row in out:
-        keyrep = tuple(tuple(sorted(p.terms.items())) for p in row)
-        if keyrep not in seen:
-            seen.add(keyrep)
-            dedup.append(row)
-    return SyzygyBasis(ring, m, dedup)
+                rows.append(row)
+    return SyzygyBasis(ring, m, [_unflatten(row, ring, m, lay)
+                                 for row in _distinct(rows)])
+
+
+def _distinct(rows):
+    """The distinct (P, D) rows in first-seen order. Each row is in lowest
+    terms, so equal rows have equal forms. Rows are bucketed by a hash and
+    compared exactly within a bucket, so no second copy of a row is kept."""
+    buckets = {}
+    out = []
+    for row in rows:
+        bucket = buckets.setdefault(hash((row[1], frozenset(row[0].items()))),
+                                    [])
+        if all(row != out[k] for k in bucket):
+            bucket.append(len(out))
+            out.append(row)
+    return out
 
 
 def krull_dimension(gens):

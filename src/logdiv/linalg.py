@@ -107,21 +107,3 @@ def nullspace(rows, ncols):
             if c != pc:
                 basis[c][pc] = -x
     return [basis[fc] for fc in free]
-
-
-def solve(rows, ncols, rhs):
-    """One solution x of A x = rhs, or None if inconsistent."""
-    aug = []
-    for row, b in zip(rows, rhs):
-        row = _sparse(row)
-        if b:
-            row[ncols] = Fraction(b)
-        aug.append(row)
-    ech, pivots = rref(aug, ncols + 1)
-    if ncols in pivots:
-        return None
-    x = [ZERO] * ncols
-    for row, pc in zip(ech, pivots):
-        x[pc] = row.get(ncols, ZERO)
-    return x
-

@@ -19,12 +19,11 @@ from .errors import (
     NotHomogeneous,
     ZeroOrConstantInput,
 )
-from .groebner import buchberger, syzygies
+from .groebner import buchberger, krull_dimension, syzygies
 from .poly import (
     Polynomial,
     WeightSystem,
     detect_weight_system,
-    is_squarefree,
     m_weighted_degree,
     partial_derivative,
     poly_adjugate,
@@ -143,6 +142,22 @@ def _check_equation(f):
         raise ValueError("divisor must pass through the origin")
 
 
+def is_squarefree(f):
+    """True iff f has no repeated irreducible factor over Q.
+
+    Decided by the dimension of the singular locus V(f, df/dx_1, ...,
+    df/dx_n): at most n - 2 exactly when f is squarefree. A square factor
+    g puts V(g), of dimension n - 1, inside it; a reduced hypersurface is
+    smooth off a subset of codimension at least one in itself. Raises
+    ZeroOrConstantInput for zero or constant input.
+    """
+    if f.is_constant():
+        raise ZeroOrConstantInput("squarefreeness needs a nonconstant polynomial")
+    n = len(f.ring)
+    gens = [f] + [partial_derivative(f, i) for i in range(n)]
+    return krull_dimension(gens) <= n - 2
+
+
 def _check_divisor(f):
     _check_equation(f)
     if not is_squarefree(f):
@@ -150,18 +165,13 @@ def _check_divisor(f):
 
 
 def _fields_from_syzygies(gens, ring):
-    rows = syzygies(gens)
+    """The nonzero fields of the syzygy rows. Distinct rows give distinct
+    fields, as row[0] = -sum_i row[i] * gens[i] / gens[0]."""
     out = []
-    seen = set()
-    for row in rows.elements:
+    for row in syzygies(gens).elements:
         delta = VectorField(ring, row[1:])
-        if delta.is_zero():
-            continue
-        key = tuple(tuple(sorted(p.terms.items())) for p in delta.components)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(delta)
+        if not delta.is_zero():
+            out.append(delta)
     return out
 
 

@@ -13,8 +13,7 @@ from fractions import Fraction
 import math
 import re
 
-from .errors import (NotHomogeneous, ParseError, ZeroOrConstantInput,
-                     current_budget)
+from .errors import NotHomogeneous, ParseError, current_budget
 from . import linalg
 
 Monomial = tuple  # exponent vector; length == number of ring variables
@@ -370,124 +369,7 @@ def poly_adjugate(rows):
     return adj
 
 
-# ---- gcd and squarefreeness ------------------------------------------
-
-
-def _int_content_normalize(p):
-    """Primitive integer form of p with positive degrevlex-leading coefficient."""
-    if not p.terms:
-        return p
-    values = p.terms.values()
-    num_gcd = math.gcd(*(c.numerator for c in values))
-    den_lcm = math.lcm(*(c.denominator for c in values))
-    factor = Fraction(den_lcm, num_gcd)
-    lead = max(p.terms, key=degrevlex_key)
-    if p.terms[lead] < 0:
-        factor = -factor
-    return p.scale(factor)
-
-
-def _univariate_view(p, v):
-    """p as a map degree-in-x_v -> coefficient polynomial (x_v cleared)."""
-    out = {}
-    for m, c in p.terms.items():
-        d = m[v]
-        e = list(m)
-        e[v] = 0
-        coeff = out.setdefault(d, {})
-        coeff[tuple(e)] = coeff.get(tuple(e), Fraction(0)) + c
-    return {
-        d: Polynomial(p.ring, t)
-        for d, t in out.items()
-        if any(c != 0 for c in t.values())
-    }
-
-
-def _deg_in(p, v):
-    return max((m[v] for m in p.terms), default=-1)
-
-
-def _pseudo_rem(a, b, v):
-    """Pseudo-remainder of a by b with respect to variable v."""
-    db = _deg_in(b, v)
-    bu = _univariate_view(b, v)
-    lb = bu[db]
-    r = a
-    while r and _deg_in(r, v) >= db:
-        dr = _deg_in(r, v)
-        ru = _univariate_view(r, v)
-        lr = ru[dr]
-        shift = [0] * len(a.ring)
-        shift[v] = dr - db
-        r = r * lb - b * lr.mul_term(tuple(shift), 1)
-    return r
-
-
-def poly_gcd(p, q):
-    """Multivariate gcd over Q by primitive pseudo-remainder sequences.
-
-    The result is integer-primitive with positive leading coefficient;
-    gcd of anything with a nonzero constant is 1.
-    """
-    if p.is_zero():
-        return _int_content_normalize(q)
-    if q.is_zero():
-        return _int_content_normalize(p)
-    if p.is_constant() or q.is_constant():
-        return Polynomial.one(p.ring)
-    v = None
-    for i in range(len(p.ring)):
-        if _deg_in(p, i) > 0 and _deg_in(q, i) > 0:
-            v = i
-            break
-    if v is None:
-        # no shared variable: gcd divides both contents
-        for i in range(len(p.ring)):
-            if _deg_in(p, i) > 0:
-                return poly_gcd(_content(p, i), q)
-        raise AssertionError("unreachable: nonconstant polynomial without variables")
-    cp, ap = _content_and_primitive(p, v)
-    cq, aq = _content_and_primitive(q, v)
-    cont = poly_gcd(cp, cq)
-    a, b = ap, aq
-    if _deg_in(a, v) < _deg_in(b, v):
-        a, b = b, a
-    budget = current_budget()
-    while not b.is_zero():
-        budget.spend(0)
-        r = _pseudo_rem(a, b, v)
-        a = b
-        b = _primitive_part(r, v) if not r.is_zero() else r
-    return _int_content_normalize(cont * _primitive_part(a, v))
-
-
-def _content(p, v):
-    coeffs = list(_univariate_view(p, v).values())
-    g = Polynomial.zero(p.ring)
-    for c in coeffs:
-        g = poly_gcd(g, c)
-        if g.is_constant() and not g.is_zero():
-            return Polynomial.one(p.ring)
-    return g
-
-
-def _content_and_primitive(p, v):
-    c = _content(p, v)
-    return c, exact_div(p, c)
-
-
-def _primitive_part(p, v):
-    if p.is_zero():
-        return p
-    return exact_div(p, _content(p, v))
-
-
-def exact_div(p, d):
-    """Exact quotient p / d; raises ValueError if d does not divide p."""
-    q = try_exact_div(p, d)
-    if q is None:
-        raise ValueError("not an exact polynomial division")
-    return q
+# ---- exact division ---------------------------------------------------
 
 
 def try_exact_div(p, d):
@@ -507,25 +389,6 @@ def try_exact_div(p, d):
         q[e] = c
         r = r - d.mul_term(e, c)
     return Polynomial(p.ring, q)
-
-
-def is_squarefree(f):
-    """True iff f has no repeated irreducible factor (char 0 ground field).
-
-    Decided by gcd of f with all of its partial derivatives.
-    Raises ZeroOrConstantInput for zero or constant input.
-    """
-    if f.is_constant():
-        raise ZeroOrConstantInput("squarefreeness needs a nonconstant polynomial")
-    g = f
-    for i in range(len(f.ring)):
-        di = partial_derivative(f, i)
-        if di.is_zero():
-            continue
-        g = poly_gcd(g, di)
-        if g.is_constant():
-            return True
-    return g.is_constant()
 
 
 # ---- text form --------------------------------------------------------

@@ -26,8 +26,8 @@ def write_doc(path, doc):
 
 
 def write_braid_a4(path):
-    """The braid arrangement A4: its analysis takes about 10 s, of which
-    the squarefree test of the divisor stage takes 2 s and the basis
+    """The braid arrangement A4: its analysis takes about 7 s, of which
+    the squarefree test of the divisor stage takes 0.2 s and the basis
     search most of the rest, so a timeout of 0.3 s or less cuts it on any
     host."""
     pairs = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
@@ -183,6 +183,16 @@ class TestAnalyzeErrors:
         assert "squarefree" in res.stdout
         assert "error at stage divisor" in res.stdout
 
+    def test_doubled_hyperplane_exits_3(self, tmp_path):
+        # coxeter B3 times one of its own hyperplanes
+        path = tmp_path / "doc.json"
+        write_doc(path, {"label": "b3", "variables": ["x1", "x2", "x3"],
+                         "f": "x1*x2*x3*(x1^2-x2^2)*(x1^2-x3^2)*(x2^2-x3^2)"
+                              "*(x1-x3)"})
+        res = run_cli("analyze", str(path))
+        assert res.returncode == 3
+        assert "error at stage divisor: f is not squarefree" in res.stdout
+
     def test_non_free_divisor_exits_4(self, tmp_path):
         path = tmp_path / "doc.json"
         write_doc(path, {"label": "a", "variables": ["x", "y", "z"],
@@ -225,8 +235,8 @@ class TestAnalyzeErrors:
         assert "timed out" in res.stdout
 
     def test_timeout_in_the_squarefree_test_names_its_stage(self, tmp_path):
-        # the gcds of the divisor stage read the deadline, so the timeout
-        # is not first noticed at the next stage
+        # the squarefree test's Groebner basis reads the deadline, so the
+        # timeout is not first noticed at the next stage
         res = run_cli("analyze", write_braid_a4(tmp_path / "a4.json"),
                       "--timeout", "0.05")
         assert res.returncode == 5
@@ -251,7 +261,7 @@ class TestAnalyzeErrors:
                          "f": "x^32768 + y^2"})
         res = run_cli("analyze", str(path))
         assert res.returncode == 5
-        assert ("error at stage basis: degree 32768 exceeds the largest"
+        assert ("error at stage divisor: degree 32768 exceeds the largest"
                 " packed degree 32767") in res.stdout
         assert "Traceback" not in res.stderr
 
@@ -262,7 +272,7 @@ class TestAnalyzeErrors:
 
     def test_budget_is_one_per_analysis(self):
         # the largest single call, the Koszul test's krull_dimension,
-        # spends 230 steps, the whole default analysis 373: only a budget
+        # spends 230 steps, the whole default analysis 383: only a budget
         # shared by the calls runs out
         res = run_cli("analyze", os.path.join(CORPUS, "discriminant-234.json"),
                       env_extra={"LOGDIV_BUDGET": "300"})
@@ -558,7 +568,8 @@ class TestArtefactsComputedOnce:
 
     def test_one_groebner_basis_per_analysis(self, monkeypatch):
         # ft1, lft1, h0 and the bounds read one linear-algebra class
-        # space; only the Koszul test's krull_dimension runs Buchberger
+        # space; only the krull_dimension of the divisor stage's
+        # squarefree test and of the Koszul test run Buchberger
         from logdiv import cli, cohomology, groebner, logder
 
         callers = []
@@ -572,7 +583,7 @@ class TestArtefactsComputedOnce:
             monkeypatch.setattr(mod, "buchberger", counting)
         doc = cli.load_document(os.path.join(CORPUS, "linear-nonreductive-5.json"))
         report = cli.analyze_document(doc, cli.ALL_STAGES)
-        assert callers == ["krull_dimension"]
+        assert callers == ["krull_dimension", "krull_dimension"]
         with open(os.path.join(CORPUS, "linear-nonreductive-5.expected.json"),
                   encoding="utf-8") as fh:
             golden = json.load(fh)

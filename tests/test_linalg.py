@@ -45,17 +45,6 @@ def dense_nullspace(rows, ncols):
     return basis
 
 
-def dense_solve(rows, ncols, rhs):
-    ech, pivots = dense_rref([list(r) + [b] for r, b in zip(rows, rhs)],
-                             ncols + 1)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = ech[i][ncols]
-    return x
-
-
 def as_dense(row, ncols):
     return [row.get(c, Fraction(0)) for c in range(ncols)]
 
@@ -113,19 +102,7 @@ class TestAgainstDenseGaussJordan:
         assert all(all(x != 0 for x in r.values()) for r in ech)
         assert linalg.rank(given, ncols) == len(ref_ech)
         assert linalg.nullspace(given, ncols) == dense_nullspace(rows, ncols)
-        # a consistent right-hand side, then (usually) an inconsistent one
-        x0 = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-              for _ in range(ncols)]
-        rhs = [sum(a * b for a, b in zip(r, x0)) for r in rows]
-        for b in (rhs, [Fraction(rng.randint(-3, 3)) for _ in rows]):
-            assert linalg.solve(given, ncols, b) == dense_solve(rows, ncols, b)
         assert given == snapshot
-
-    def test_inconsistent_solve(self):
-        rows = [[1, 1], [2, 2]]
-        assert linalg.solve(rows, 2, [1, 3]) is None
-        assert linalg.solve(as_dicts(rows), 2, [1, 3]) is None
-        assert dense_solve(rows, 2, [1, 3]) is None
 
     def test_dict_rows_are_read_by_column(self):
         # column 2 only: a dense reading of the keys would see other columns

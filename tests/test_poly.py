@@ -10,17 +10,16 @@ from logdiv.poly import (
     MAX_NESTING,
     Polynomial,
     WeightSystem,
-    exact_div,
-    is_squarefree,
     partial_derivative,
     poly_adjugate,
     poly_det,
     poly_from_text,
-    poly_gcd,
     poly_to_text,
     try_exact_div,
     weighted_degree,
 )
+
+from logdiv.logder import is_squarefree
 
 from conftest import from_sympy, random_poly, to_sympy
 
@@ -70,6 +69,11 @@ class TestArithmetic:
             left = to_sympy(f * g, syms)
             right = sympy.expand(to_sympy(f, syms) * to_sympy(g, syms))
             assert sympy.simplify(left - right) == 0
+
+    def test_try_exact_div(self):
+        f = P("x^2 - y^2")
+        assert try_exact_div(f, P("x - y")) == P("x + y")
+        assert try_exact_div(f, P("x")) is None
 
 
 class TestParsePrint:
@@ -144,51 +148,6 @@ class TestWeightSystem:
             WeightSystem((-1, 2), 3)
 
 
-class TestGcd:
-    def test_simple(self):
-        f = P("x^2 - y^2")
-        g = P("x^2 + 2*x*y + y^2")
-        d = poly_gcd(f, g)
-        assert try_exact_div(f, d) is not None
-        assert try_exact_div(g, d) is not None
-        assert d.total_degree() == 1
-
-    def test_coprime(self):
-        assert poly_gcd(P("x"), P("y")).is_constant()
-
-    def test_zero_cases(self):
-        z = Polynomial.zero(R2)
-        f = P("2*x + 2*y")
-        assert poly_gcd(f, z) == P("x + y")
-        assert poly_gcd(z, z).is_zero()
-
-    def test_gcd_oracle(self):
-        import sympy
-
-        rng = random.Random(99173)
-        syms = sympy.symbols("x y")
-        for _ in range(20):
-            a = random_poly(rng, R2, max_deg=2, n_terms=3, coeff_range=3)
-            b = random_poly(rng, R2, max_deg=2, n_terms=3, coeff_range=3)
-            c = random_poly(rng, R2, max_deg=2, n_terms=2, coeff_range=2)
-            f, g = a * c, b * c
-            ours = poly_gcd(f, g)
-            theirs = from_sympy(sympy.gcd(to_sympy(f, syms), to_sympy(g, syms)), R2, syms)
-            if theirs.is_zero():
-                assert ours.is_zero()
-                continue
-            # agree up to a rational unit
-            q = try_exact_div(ours, theirs)
-            assert q is not None and q.is_constant()
-
-    def test_exact_div(self):
-        f = P("x^2 - y^2")
-        assert exact_div(f, P("x - y")) == P("x + y")
-        with pytest.raises(ValueError):
-            exact_div(f, P("x"))
-        assert try_exact_div(f, P("x")) is None
-
-
 class TestSquarefree:
     @pytest.mark.parametrize("text,expected", [
         ("x^3*y - x*y^3", True),
@@ -225,6 +184,40 @@ class TestSquarefree:
             theirs = sympy.factor_list(expr)
             square = any(mult > 1 for _, mult in theirs[1])
             assert is_squarefree(f) is (not square)
+
+    def test_oracle_three_variables(self):
+        import sympy
+
+        rng = random.Random(61027)
+        syms = sympy.symbols("x y z")
+        seen = set()
+        for k in range(16):
+            a = random_poly(rng, R3, max_deg=2, n_terms=3, coeff_range=3)
+            b = random_poly(rng, R3, max_deg=1, n_terms=3, coeff_range=3)
+            f = a * b * b if k % 2 else a * b
+            if f.is_constant():
+                continue
+            _, factors = sympy.factor_list(to_sympy(f, syms))
+            square = any(mult > 1 for _, mult in factors)
+            assert is_squarefree(f) is (not square)
+            seen.add(square)
+        assert seen == {True, False}
+
+    def test_arrangement_with_a_doubled_hyperplane(self):
+        ring = ("x1", "x2", "x3")
+        b3 = poly_from_text(
+            "x1*x2*x3*(x1^2-x2^2)*(x1^2-x3^2)*(x2^2-x3^2)", ring)
+        assert is_squarefree(b3)
+        assert not is_squarefree(b3 * poly_from_text("x1 - x3", ring))
+
+    def test_is_charged_to_the_budget(self):
+        ring = ("x1", "x2", "x3", "x4")
+        b4 = poly_from_text("x1*x2*x3*x4*" + "*".join(
+            f"(x{i}^2-x{j}^2)" for i in range(1, 5) for j in range(i + 1, 5)),
+            ring)
+        with pytest.raises(BudgetExceeded):
+            with Budget(steps=5):
+                is_squarefree(b4)
 
 
 class TestDeterminant:

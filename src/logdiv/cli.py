@@ -49,7 +49,7 @@ from .cylinder import split_cylindrical
 from .errors import (DEFAULT_STEPS, Budget, BudgetExceeded, LogdivError,
                      NonReduced, NotFree, NotHomogeneous, NotLinear,
                      ParseError, ZeroOrConstantInput, current_budget)
-from .logder import (SaitoBasis, VectorField, compute_der_log, format_field,
+from .logder import (SaitoBasis, VectorField, der_log_stream, format_field,
                      _check_divisor, _determinant_test, _select_saito_basis)
 from .poly import (WeightSystem, detect_weight_system, poly_from_text,
                    poly_to_text, weighted_degree)
@@ -218,7 +218,7 @@ def analyze_document(doc, stages):
     work_f = split.poly if split else f
 
     # the one squarefree check of the analysis: the basis stage calls the
-    # unchecked cores of verify_saito and find_saito_basis
+    # unchecked cores of verify_saito and saito_basis
     def divisor_stage():
         try:
             _check_divisor(work_f)
@@ -246,9 +246,8 @@ def analyze_document(doc, stages):
             if not res.ok:
                 _fail(4, "basis", f"provided matrix is not a basis: {res.reason}")
             return SaitoBasis(fields, work_f, res.unit)
-        gens = compute_der_log(work_f)
         try:
-            return _select_saito_basis(gens, work_f, w)
+            return _select_saito_basis(der_log_stream(work_f), work_f, w)
         except NotFree as e:
             _fail(4, "basis", str(e))
 

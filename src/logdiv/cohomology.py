@@ -50,9 +50,8 @@ from .errors import (
 from .groebner import buchberger
 from .logder import (
     VectorField,
-    compute_der_log,
-    find_saito_basis,
     lie_bracket,
+    saito_basis,
 )
 from .poly import (
     Polynomial,
@@ -434,7 +433,7 @@ def _prepare_graded(f, saito=None, w=None):
             "divisor admits no positive weight system; the graded slice "
             "computation does not apply")
     if saito is None:
-        saito = find_saito_basis(compute_der_log(f), f, w)
+        saito = saito_basis(f, w)
     return saito.graded(w), w
 
 
@@ -481,7 +480,7 @@ def linear_basis(f, saito=None):
     SaitoBasis.linear_part(), and the standard grading (1, ..., 1; n) it
     is graded by; raises NotLinear otherwise."""
     if saito is None:
-        saito = find_saito_basis(compute_der_log(f), f)
+        saito = saito_basis(f)
     linear = saito.linear_part()
     if linear is None:
         raise NotLinear("not a linear free divisor")

@@ -30,6 +30,13 @@ each basis element from the moment it is appended.
 Every term that an S-pair or a reduction step makes has degree at most the
 sugar, so checking the degrees of the input and each sugar as it grows
 keeps every field in range: a degree past the field raises BudgetExceeded.
+
+A run takes its S-pairs in sugar order and can pause between two sugars
+(_run_buchberger); a pair made later never has a smaller sugar than the pair
+that made it. For homogeneous generators the sugar is the degree, so
+after the pairs of sugar <= s every basis element and every syzygy of
+degree <= s is found: syzygy_stream yields the syzygy rows degree by
+degree, and a reader that has what it needs stops the run there.
 """
 
 from fractions import Fraction
@@ -214,19 +221,26 @@ def _reduce_full(v, basis, leads, sugars, sugar, budget, lay, track=False):
 
 
 def _run_buchberger(gens, budget, track, lay):
-    """Core loop. gens: list of (P, D) elements, zero ones skipped.
+    """Core loop, a generator. gens: list of (P, D) elements, zero ones
+    skipped.
 
-    Returns (basis, leads, sugars, reps, zero_syzygies) where leads[j] is
-    the lead term of basis[j], sugars[j] bounds its degrees, reps[j]
-    expresses basis[j] over the input generators, indexed by position in
-    gens, and zero_syzygies are input-space relations found from S-pairs
-    reducing to zero. reps/zero_syzygies are None unless track is set.
-    Criteria pruning is disabled in track mode so the collected relations
-    generate the full first syzygy module.
+    Yields (s, state) with state = (basis, leads, sugars, reps,
+    zero_syzygies): before the first S-pair and before each pair whose
+    sugar exceeds that of every pair run so far, with s one less than its
+    sugar, so that every pair of sugar <= s is done (a pair made later
+    has at least the sugar of the pair whose remainder made it); and last
+    with s None, when the run is complete. The lists of state grow in
+    place. leads[j] is the lead term of basis[j], sugars[j] bounds its
+    degrees, reps[j] expresses basis[j] over the input generators,
+    indexed by position in gens, and zero_syzygies are input-space
+    relations found from S-pairs reducing to zero. reps/zero_syzygies are
+    None unless track is set. Criteria pruning is disabled in track mode
+    so the collected relations generate the full first syzygy module.
     """
     rank1 = all(t < lay.unit for P, _ in gens for t in P)
     basis, leads, sugars = [], [], []
     reps, zsyz = ([], []) if track else (None, None)
+    state = (basis, leads, sugars, reps, zsyz)
     pending = set()
     heap = []
     counter = itertools.count()
@@ -257,8 +271,12 @@ def _run_buchberger(gens, budget, track, lay):
         if v[0]:
             append(v, lay.degree(v[0]), ({idx * lay.unit: 1}, 1))
 
+    last = None
     while heap:
+        if last is None or heap[0][0] > last:
+            yield heap[0][0] - 1, state
         sug, _, i, j, _, l = heapq.heappop(heap)
+        last = sug
         pending.discard((i, j))
         if not track:
             if rank1 and leads[i] + leads[j] == l:
@@ -277,7 +295,14 @@ def _run_buchberger(gens, budget, track, lay):
             append(rem, sug, rep if track else None)
         elif track and rep[0]:
             zsyz.append(rep)
-    return basis, leads, sugars, reps, zsyz
+    yield None, state
+
+
+def _completed(run):
+    """The state of a _run_buchberger run, run to its end."""
+    for _, state in run:
+        pass
+    return state
 
 
 def _chain_skip(i, j, l, leads, pending, lay):
@@ -386,7 +411,8 @@ def buchberger(gens):
     b = current_budget()
     if not flat:
         return GroebnerBasis(ring, rank, lay, [])
-    basis, leads, sugars, _, _ = _run_buchberger(flat, b, False, lay)
+    run = _run_buchberger(flat, b, False, lay)
+    basis, leads, sugars, _, _ = _completed(run)
     return GroebnerBasis(ring, rank, lay,
                          _interreduce(basis, leads, sugars, b, lay))
 
@@ -396,46 +422,98 @@ def syzygies(gens):
     from S-pairs reducing to zero in a Buchberger run that tracks each
     basis element over the generators, and the rows e_i - q_i, where q_i
     divides generator i by that basis with tracked quotients."""
-    ring, rank, vecs = _prepare(gens)
-    m = len(vecs)
-    lay = _Packing(len(ring))
-    flats = [_flatten(v, lay) for v in vecs]
-    rows = []
-    # a zero generator is annihilated by the corresponding unit vector
-    for i, (f, _) in enumerate(flats):
-        if not f:
-            rows.append(({i * lay.unit: 1}, 1))
-    if any(f for f, _ in flats):
-        budget = current_budget()
-        basis, leads, sugars, reps, zsyz = _run_buchberger(flats, budget, True,
-                                                           lay)
-        rows.extend(zsyz)
-        for i, f in enumerate(flats):
-            if not f[0]:
-                continue
-            rem, quots, _ = _reduce_full(f, basis, leads, sugars,
-                                         lay.degree(f[0]), budget, lay, True)
-            if rem[0]:
-                raise InternalInconsistency("generator does not reduce to zero")
-            row = _combine([(_ONE, 0, ({i * lay.unit: 1}, 1))]
-                           + _less_quotients(quots, reps))
-            if row[0]:
-                rows.append(row)
+    ring, m, lay, flats = _flat_generators(gens)
+    rows = [row for _, batch in _tracked_rows(flats, lay, False)
+            for row in batch]
     return SyzygyBasis(ring, m, [_unflatten(row, ring, m, lay)
-                                 for row in _distinct(rows)])
+                                 for row in _distinct(rows, {})])
 
 
-def _distinct(rows):
-    """The distinct (P, D) rows in first-seen order. Each row is in lowest
-    terms, so equal rows have equal forms. Rows are bucketed by a hash and
-    compared exactly within a bucket, so no second copy of a row is kept."""
-    buckets = {}
+def syzygy_stream(gens):
+    """The rows of syzygies(gens), degree by degree, each row once.
+
+    Yields (s, rows), rows unflattened only as they are yielded. When
+    every generator is homogeneous, the tracked run pauses each time
+    every S-pair of sugar <= s is done, and every row still to come is
+    then homogeneous of degree > s: its component c has degree s' -
+    deg(gens[c]) for some s' > s. The last yield, and the only one for
+    other generators, has s None. Stopping early leaves the rest of the
+    run undone; draining the stream does the work of syzygies(gens), with
+    the rows e_i - q_i among the others when the generators are
+    homogeneous.
+    """
+    ring, m, lay, flats = _flat_generators(gens)
+    graded = all(len({t >> lay.dshift & lay.top for t in P}) <= 1
+                 for P, _ in flats)
+    seen = {}
+    for s, rows in _tracked_rows(flats, lay, graded):
+        yield s, [_unflatten(row, ring, m, lay)
+                  for row in _distinct(rows, seen)]
+
+
+def _flat_generators(gens):
+    ring, _, vecs = _prepare(gens)
+    lay = _Packing(len(ring))
+    return ring, len(vecs), lay, [_flatten(v, lay) for v in vecs]
+
+
+def _tracked_rows(flats, lay, graded):
+    """The syzygy rows, as (P, D) pairs, of the flattened generators.
+
+    Yields (s, rows); the last yield has s None. Over all yields the rows
+    are the unit rows of the zero generators, the relations of the
+    S-pairs that reduce to zero in a tracked run, in the order found, and
+    the nonzero rows e_i - q_i, made by i unless graded. With graded
+    (every generator homogeneous, so that each sugar is a degree), there
+    is also a yield of the rows new since the last one at each pause of
+    the run, after the pairs of sugar <= s; e_i - q_i is made at the
+    first pause with s >= deg(flats[i]), as its division uses only basis
+    elements of degree <= deg(flats[i]), all appended by then.
+    """
+    # a zero generator is annihilated by the corresponding unit vector
+    rows = [({i * lay.unit: 1}, 1) for i, (P, _) in enumerate(flats) if not P]
+    todo = [(lay.degree(P), i) for i, (P, _) in enumerate(flats) if P]
+    budget = current_budget()
+    run = _run_buchberger(flats, budget, True, lay)
+
+    def division_row(i, state):
+        basis, leads, sugars, reps, _ = state
+        f = flats[i]
+        rem, quots, _ = _reduce_full(f, basis, leads, sugars,
+                                     lay.degree(f[0]), budget, lay, True)
+        if rem[0]:
+            raise InternalInconsistency("generator does not reduce to zero")
+        return _combine([(_ONE, 0, ({i * lay.unit: 1}, 1))]
+                        + _less_quotients(quots, reps))
+
+    found = 0
+    if graded:
+        todo.sort()
+    for s, state in run:
+        zsyz = state[4]
+        rows += zsyz[found:]
+        found = len(zsyz)
+        if s is None:
+            rows += [division_row(i, state) for _, i in todo]
+        elif graded:
+            while todo and todo[0][0] <= s:
+                rows.append(division_row(todo.pop(0)[1], state))
+        else:
+            continue
+        yield s, [row for row in rows if row[0]]
+        rows = []
+
+
+def _distinct(rows, seen):
+    """The (P, D) rows not in seen, in first-seen order; they are added to
+    it. Each row is in lowest terms, so equal rows have equal forms. seen
+    buckets the rows by a hash and they are compared exactly within a
+    bucket."""
     out = []
     for row in rows:
-        bucket = buckets.setdefault(hash((row[1], frozenset(row[0].items()))),
-                                    [])
-        if all(row != out[k] for k in bucket):
-            bucket.append(len(out))
+        bucket = seen.setdefault(hash((row[1], frozenset(row[0].items()))), [])
+        if row not in bucket:
+            bucket.append(row)
             out.append(row)
     return out
 

@@ -5,6 +5,12 @@ f = 0 when delta(f) lies in the ideal (f). The whole module Der(-log f)
 is obtained from the syzygies of (f, df/dx_1, ..., df/dx_n): the relation
 g_0 f + sum_i g_i df/dx_i = 0 yields the field sum_i g_i d/dx_i.
 
+For f homogeneous the syzygies come degree by degree (der_log_stream),
+and the graded search for a Saito basis reads them only up to the degree
+it needs: it scans the weight parts of tag t once no field still to come
+can have a part of tag <= t, and stops the run when n kept parts pass
+Saito's determinant test. The basis is the one a full run gives.
+
 Fields are kept as coefficient vectors over a shared ring. Saito matrices
 are written with fields as columns: entry (i, j) is the d/dx_i coefficient
 of the j-th field.
@@ -19,7 +25,7 @@ from .errors import (
     NotHomogeneous,
     ZeroOrConstantInput,
 )
-from .groebner import buchberger, krull_dimension, syzygies
+from .groebner import buchberger, krull_dimension, syzygies, syzygy_stream
 from .poly import (
     Polynomial,
     WeightSystem,
@@ -183,6 +189,24 @@ def compute_der_log(f):
     return _fields_from_syzygies(gens, f.ring)
 
 
+def der_log_stream(f):
+    """The fields of compute_der_log(f), degree by degree, from
+    syzygy_stream(f, df/dx_1, ..., df/dx_n).
+
+    Yields (c, fields): every field still to come has coefficients of
+    degree >= c, or none is to come when c is None. A row of degree s' of
+    the stream gives a field whose coefficients have degree s' - (d - 1),
+    with d the degree of f, so a pause at s gives c = s + 2 - d.
+    """
+    _check_equation(f)
+    d = f.total_degree()
+    gens = [f] + [partial_derivative(f, i) for i in range(len(f.ring))]
+    for s, rows in syzygy_stream(gens):
+        fields = [VectorField(f.ring, row[1:]) for row in rows]
+        yield (None if s is None else s + 2 - d,
+               [delta for delta in fields if not delta.is_zero()])
+
+
 class VerifyResult:
     __slots__ = ("ok", "unit", "reason")
 
@@ -249,7 +273,8 @@ class SaitoBasis:
                 self.field_weights(w)
                 self._memo[key] = self
             except NotHomogeneous:
-                self._memo[key] = _select_saito_basis(self.fields, self.divisor, w)
+                self._memo[key] = _select_saito_basis([(None, self.fields)],
+                                                     self.divisor, w)
         return self._memo[key]
 
     def linear_part(self):
@@ -322,47 +347,72 @@ def find_saito_basis(gens, f, w=None):
     """Select a free basis among generators of Der(-log f), after checking
     that f is a reduced divisor equation."""
     _check_divisor(f)
-    return _select_saito_basis(gens, f, w)
+    return _select_saito_basis([(None, gens)], f, w)
 
 
-def _select_saito_basis(gens, f, w=None):
-    """find_saito_basis for an already checked divisor.
+def saito_basis(f, w=None):
+    """find_saito_basis(compute_der_log(f), f, w), the same basis, with
+    the generators read from der_log_stream(f): for f homogeneous the
+    syzygy run stops once the graded scan has its basis."""
+    _check_divisor(f)
+    return _select_saito_basis(der_log_stream(f), f, w)
+
+
+def _select_saito_basis(batches, f, w=None):
+    """find_saito_basis for an already checked divisor, its generators
+    given as batches (c, fields) like those of der_log_stream: every
+    field after a batch has coefficients of degree >= c, or there is
+    none when c is None.
 
     Weighted homogeneous f: generators are split into weight-homogeneous
     parts and greedily minimalized in ascending weight order (a graded
-    minimal generating set). The scan stops once n kept parts pass the
-    determinant test: by Saito's criterion they are a basis, so every
-    later part would reduce to zero. Otherwise n-subsets are tried in
+    minimal generating set). A part of weight tag t is scanned once no
+    part of tag <= t is still to come: a coefficient of degree >= c gives
+    tags >= min(w) * c - max(w). Each tag's parts are scanned in
+    _field_sort_key order, so the batches only decide how much of Der(-log
+    f) is read, not what is kept. The scan stops once n kept parts pass
+    the determinant test: by Saito's criterion they are a basis, so every
+    later part would reduce to zero, and the rest of the batches is not
+    read. Otherwise all generators are read and n-subsets are tried in
     order of total degree, up to SUBSET_BUDGET of them.
     """
     n = len(f.ring)
-    gens = [g for g in gens if not g.is_zero()]
     if w is None:
         w = detect_weight_system(f)
     if w is not None:
-        parts = []
-        for g in gens:
-            parts.extend(g.weight_parts(w))
-        parts.sort(key=lambda d: _field_sort_key(d, w))
+        lo, hi = min(w.weights), max(w.weights)
+        waiting = []  # weight parts not scanned yet
         kept = []
         gb = None  # Groebner basis of kept, recomputed after a keep
-        for delta in parts:
-            if kept:
-                if gb is None:
-                    gb = buchberger(_as_module_elements(kept))
-                if gb.reduces_to_zero(list(delta.components)):
-                    continue
-            kept.append(delta)
-            gb = None
-            if len(kept) == n:
-                res = _determinant_test(kept, f)
-                if res:
-                    return SaitoBasis(kept, f, res.unit)
+        for c, fields in batches:
+            for g in fields:
+                waiting.extend(g.weight_parts(w))
+            if c is None:
+                ready, waiting = waiting, []
+            else:
+                floor = lo * c - hi  # the least tag of a part still to come
+                ready = [d for d in waiting if d.weight(w) < floor]
+                waiting = [d for d in waiting if d.weight(w) >= floor]
+            ready.sort(key=lambda d: _field_sort_key(d, w))
+            for delta in ready:
+                if kept:
+                    if gb is None:
+                        gb = buchberger(_as_module_elements(kept))
+                    if gb.reduces_to_zero(list(delta.components)):
+                        continue
+                kept.append(delta)
+                gb = None
+                if len(kept) == n:
+                    res = _determinant_test(kept, f)
+                    if res:
+                        return SaitoBasis(kept, f, res.unit)
         if len(kept) != n:
             raise NotFree(
                 f"graded minimal generating set has {len(kept)} elements, need {n}")
         raise NotFree(f"minimal generating set fails the determinant test: {res.reason}")
     # non-homogeneous fallback: degree-ordered subset search
+    gens = [g for _, fields in batches for g in fields if not g.is_zero()]
+
     def total_deg(delta):
         return sum(p.total_degree() or 0 for p in delta.components)
 

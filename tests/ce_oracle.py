@@ -219,3 +219,147 @@ def normal_crossing_rows(variables):
     x_1 * ... * x_n."""
     return [[v if r == c else "0" for c in range(len(variables))]
             for r, v in enumerate(variables)]
+
+
+# ---- ft1 from the equations of a deformation ----------------------------
+#
+# A first-order deformation of a free divisor f with Saito basis
+# delta_1..delta_n, delta_i(f) = a_i f, deforms f to f + e g and each
+# delta_i to delta_i + e beta_i so that the deformed fields stay
+# logarithmic: delta_i(g) + beta_i(f) = a_i g + c_i f for some c_i.  The
+# trivial ones are g = xi(f) + u f, from a change of coordinates and a
+# unit.  For f weighted homogeneous of degree d and delta_i of weight t_i,
+# the weight-zero part takes g of weight d and beta_i, c_i of weight t_i;
+# ft1 is the dimension of the g that occur, less that of the trivial g.
+# Polynomials are dicts from exponent tuples to Fractions, read from the
+# text with nothing but the parser below.
+
+_FACTOR = re.compile(r"(\d+)(?:/(\d+))?|([A-Za-z]\w*)(?:\^(\d+))?")
+
+
+def polynomial(text, variables):
+    """The polynomial of a text such as ``"-1/2*x^3 + x*y^2 - 3"``."""
+    out = {}
+    compact = text.replace(" ", "")
+    for sign, term in re.findall(r"([+-]?)([^+-]+)", compact):
+        coeff = Fraction(-1 if sign == "-" else 1)
+        expo = [0] * len(variables)
+        for factor in term.split("*"):
+            m = _FACTOR.fullmatch(factor)
+            if m is None:
+                raise ValueError("cannot read {!r} in {!r}".format(factor, text))
+            num, den, name, power = m.groups()
+            if num is not None:
+                coeff *= Fraction(int(num), int(den or 1))
+            else:
+                expo[variables.index(name)] += int(power or 1)
+        _add_term(out, tuple(expo), coeff)
+    return out
+
+
+def _add_term(p, m, c):
+    c = p.get(m, 0) + c
+    if c:
+        p[m] = c
+    else:
+        p.pop(m, None)
+
+
+def _times(p, q):
+    out = {}
+    for m, a in p.items():
+        for k, b in q.items():
+            _add_term(out, tuple(x + y for x, y in zip(m, k)), a * b)
+    return out
+
+
+def _derivative(p, i):
+    out = {}
+    for m, c in p.items():
+        if m[i]:
+            _add_term(out, m[:i] + (m[i] - 1,) + m[i + 1:], c * m[i])
+    return out
+
+
+def _apply(field, p):
+    """field(p) for the field sum_k field[k] d/dx_k."""
+    out = {}
+    for k, a in enumerate(field):
+        for m, c in _times(a, _derivative(p, k)).items():
+            _add_term(out, m, c)
+    return out
+
+
+def _quotient(p, f):
+    """p / f, exact, by division on the lex-leading term."""
+    p, q = dict(p), {}
+    lead = max(f)
+    while p:
+        top = max(p)
+        m = tuple(a - b for a, b in zip(top, lead))
+        if min(m) < 0:
+            raise ValueError("not a multiple of f")
+        c = p[top] / f[lead]
+        q[m] = c
+        for k, b in f.items():
+            _add_term(p, tuple(x + y for x, y in zip(m, k)), -c * b)
+    return q
+
+
+def _monomials(weights, target):
+    """Exponent tuples of weighted degree target."""
+    if not weights:
+        return [()] if target == 0 else []
+    return [(e,) + rest
+            for e in range(max(target, -1) // weights[0] + 1)
+            for rest in _monomials(weights[1:], target - e * weights[0])]
+
+
+def _weight(p, weights):
+    return sum(w * e for w, e in zip(weights, next(iter(p))))
+
+
+def ft1_equation_side(f_text, rows, variables, weights):
+    """ft1 of the weighted homogeneous free divisor f_text, whose Saito
+    basis is given by the columns of rows (entry [r][c] is the
+    coefficient of d/d variables[r] in field c), under weights.
+
+    The unknowns (g, beta, c) are the columns of one linear map; the g
+    that occur span a space of dimension #g - rank(all) + rank(without g).
+    """
+    n = len(variables)
+    f = polynomial(f_text, variables)
+    d = _weight(f, weights)
+    partials = [_derivative(f, k) for k in range(n)]
+    fields = [[polynomial(rows[r][c], variables) for r in range(n)]
+              for c in range(n)]
+    tags = [min(_weight({m: 1}, weights) - weights[r]
+                for r, a in enumerate(field) for m in a) for field in fields]
+    alphas = [_quotient(_apply(field, f), f) for field in fields]
+
+    def column(i, p):
+        """The column of an unknown that adds p to equation i."""
+        return {(i, m): c for m, c in p.items()}
+
+    g_columns = []
+    for m in _monomials(weights, d):
+        col = {}
+        for i, field in enumerate(fields):
+            mono = {m: Fraction(1)}
+            eq = _apply(field, mono)
+            for k, c in _times(alphas[i], mono).items():
+                _add_term(eq, k, -c)
+            col.update(column(i, eq))
+        g_columns.append(col)
+    other = []
+    for i, t in enumerate(tags):
+        for k in range(n):
+            other += [column(i, _times({m: Fraction(1)}, partials[k]))
+                      for m in _monomials(weights, t + weights[k])]
+        other += [column(i, _times({m: Fraction(-1)}, f))
+                  for m in _monomials(weights, t)]
+    occurring = len(g_columns) - rank(g_columns + other) + rank(other)
+    trivial = rank([_times({m: Fraction(1)}, partials[k])
+                    for k in range(n) for m in _monomials(weights, weights[k])]
+                   + [f])
+    return occurring - trivial

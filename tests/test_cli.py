@@ -26,10 +26,10 @@ def write_doc(path, doc):
 
 
 def write_braid_a4(path):
-    """The braid arrangement A4: its analysis takes about 7 s, of which
-    the squarefree test of the divisor stage takes 0.2 s and the basis
-    search most of the rest, so a timeout of 0.3 s or less cuts it on any
-    host."""
+    """The braid arrangement A4: its default analysis takes about 1.5-1.9
+    s, of which the squarefree test of the divisor stage takes 0.15 s, the
+    basis search 0.4-0.7 s and the classification 0.8-0.9 s, so a timeout
+    of 0.3 s or less cuts it on any host."""
     pairs = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
     write_doc(path, {"label": "braid-A4",
                      "variables": [f"x{i}" for i in range(1, 6)],
@@ -552,9 +552,13 @@ class TestArtefactsComputedOnce:
                           (logder, "find_saito_basis"),
                           (logder, "_select_saito_basis"),
                           (cli, "_select_saito_basis"),
-                          (cohomology, "find_saito_basis"),
+                          (logder, "saito_basis"),
+                          (cohomology, "saito_basis"),
+                          (cli, "der_log_stream"),
                           (groebner, "syzygies"),
-                          (logder, "syzygies")):
+                          (logder, "syzygies"),
+                          (groebner, "syzygy_stream"),
+                          (logder, "syzygy_stream")):
             monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
         doc = cli.load_document(os.path.join(CORPUS, "linear-nonreductive-5.json"))
         report = cli.analyze_document(doc, cli.ALL_STAGES)
@@ -565,6 +569,9 @@ class TestArtefactsComputedOnce:
         assert calls.count("find_saito_basis") == 0
         assert calls.count("_select_saito_basis") == 0
         assert calls.count("syzygies") == 0
+        assert calls.count("saito_basis") == 0
+        assert calls.count("der_log_stream") == 0
+        assert calls.count("syzygy_stream") == 0
 
     def test_one_groebner_basis_per_analysis(self, monkeypatch):
         # ft1, lft1, h0 and the bounds read one linear-algebra class
@@ -609,3 +616,72 @@ class TestArtefactsComputedOnce:
         report = cli.analyze_document(doc, cli.ALL_STAGES)
         assert report["ft1"]["dimension"] == ft1_dim
         assert len(calls) == 1
+
+
+class TestBasisStageBudget:
+    """The basis stage stops the syzygy run of a graded free divisor once
+    its basis is found; other inputs spend what the whole run spends."""
+
+    @staticmethod
+    def analyze(doc, monkeypatch):
+        """(failure, steps, basis_steps) of the default analysis: the
+        failure's (code, stage, message) or None, the steps spent, and
+        those spent in each call of the basis search."""
+        from logdiv import cli
+        from logdiv.errors import Budget
+
+        basis_steps = []
+        original = cli._select_saito_basis
+
+        def counting(*args):
+            left = budget.left
+            try:
+                return original(*args)
+            finally:
+                basis_steps.append(left - budget.left)
+
+        monkeypatch.setattr(cli, "_select_saito_basis", counting)
+        failure = None
+        with Budget(10**9) as budget:
+            try:
+                cli.analyze_document(doc, ("classify", "koszul"))
+            except cli.StageFailure as e:
+                failure = (e.code, e.stage, e.message)
+        return failure, budget.steps - budget.left, basis_steps
+
+    @pytest.mark.parametrize("name, steps", [
+        ("braid-A3", 649), ("coxeter-B3", 194), ("coxeter-D4", 700)])
+    def test_graded_arrangements_stop_early(self, name, steps, monkeypatch):
+        from logdiv.errors import Budget
+        from logdiv.logder import _select_saito_basis, compute_der_log
+        from logdiv.poly import detect_weight_system, poly_to_text
+        from test_groebner import coxeter_gens
+
+        f = coxeter_gens(name)[0]
+        doc = {"label": name, "variables": list(f.ring), "f": poly_to_text(f)}
+        failure, _, basis_steps = self.analyze(doc, monkeypatch)
+        assert failure is None and basis_steps == [steps]
+        with Budget(10**9) as full:
+            _select_saito_basis([(None, compute_der_log(f))], f,
+                                detect_weight_system(f))
+        assert steps < full.steps - full.left
+
+    @pytest.mark.parametrize("name, steps", [
+        ("discriminant-234", 383),  # weighted, but (f, grad f) not homogeneous
+        ("curve-x5y4", 31),
+        ("four-lines-nonkoszul", 396)])  # not weighted homogeneous
+    def test_inhomogeneous_generators_spend_the_whole_run(self, name, steps,
+                                                          monkeypatch):
+        from logdiv import cli
+
+        doc = cli.load_document(os.path.join(CORPUS, f"{name}.json"))
+        assert self.analyze(doc, monkeypatch)[:2] == (None, steps)
+
+    @pytest.mark.parametrize("f, steps, size", [
+        ("x*y*z*(x+y+z)", 226, 4), ("x*y*z*(x+y+z)*(x+2*y+3*z)", 954, 5)],
+        ids=["generic-4", "generic-5"])
+    def test_not_free_reads_the_whole_run(self, f, steps, size, monkeypatch):
+        doc = {"label": "generic", "variables": ["x", "y", "z"], "f": f}
+        message = f"graded minimal generating set has {size} elements, need 3"
+        assert self.analyze(doc, monkeypatch)[:2] \
+            == ((4, "basis", message), steps)

@@ -15,6 +15,7 @@ from logdiv.groebner import (
     buchberger,
     krull_dimension,
     syzygies,
+    syzygy_stream,
 )
 from logdiv.poly import (Polynomial, WeightSystem, degrevlex_key, m_div,
                          m_divides, partial_derivative, poly_from_text,
@@ -830,3 +831,65 @@ B3_SYZYGY_ROWS = [
      " + 6604/9261*x1*x2*x3^10",
      "0"),
 ]
+
+
+def row_texts(rows):
+    return [tuple(poly_to_text(p) for p in row) for row in rows]
+
+
+def row_degree(row, gens):
+    """The s with component c of degree s - deg(gens[c]) for each c with
+    gens[c] nonzero; None for the unit row of a zero generator."""
+    degrees = {sum(m) + gens[c].total_degree()
+               for c, p in enumerate(row) if not gens[c].is_zero()
+               for m in p.terms}
+    assert len(degrees) <= 1
+    return degrees.pop() if degrees else None
+
+
+STREAM_INPUTS = {
+    "coxeter-B3": lambda: coxeter_gens("coxeter-B3"),
+    "braid-A3": lambda: coxeter_gens("braid-A3"),
+    # x^2 reduces by the first generator to -y^2, whose lead only the
+    # S-pair of the two generators, at sugar 2, puts in the basis
+    "needs-a-pair": lambda: [P("x^2 + y^2"), P("x^2")],
+    "zero-generator": lambda: [P("x"), P("0"), P("y")],
+}
+
+
+class TestSyzygyStream:
+    @pytest.mark.parametrize("name", STREAM_INPUTS)
+    def test_drained_it_has_the_rows_of_syzygies(self, name):
+        gens = STREAM_INPUTS[name]()
+        streamed = [row for _, rows in syzygy_stream(gens) for row in rows]
+        assert sorted(row_texts(streamed)) \
+            == sorted(row_texts(syzygies(gens).elements))
+
+    @pytest.mark.parametrize("name", STREAM_INPUTS)
+    def test_rows_come_between_their_pauses(self, name):
+        # homogeneous generators: rows of degree <= s by the pause at s,
+        # and only rows of larger degree after it
+        gens = STREAM_INPUTS[name]()
+        before = None
+        for s, rows in syzygy_stream(gens):
+            degrees = [row_degree(row, gens) for row in rows]
+            for degree in (d for d in degrees if d is not None):
+                assert before is None or degree > before
+                assert s is None or degree <= s
+            before = s
+
+    def test_inhomogeneous_generators_give_one_batch_in_order(self):
+        gens = [P("x^2 - y"), P("x*y - 1"), P("y^2 - x")]
+        batches = list(syzygy_stream(gens))
+        assert len(batches) == 1 and batches[0][0] is None
+        assert row_texts(batches[0][1]) == row_texts(syzygies(gens).elements)
+
+    def test_stopping_early_saves_the_rest_of_the_run(self):
+        # D4 has degree 12 and its top basis field weight 4: the basis
+        # search reads the rows of degree <= 16
+        gens = coxeter_gens("coxeter-D4")
+        with Budget(10**9) as budget:
+            next(s for s, _ in syzygy_stream(gens) if s is not None and s >= 16)
+        with Budget(10**9) as full:
+            syzygies(gens)
+        assert budget.steps - budget.left < (full.steps - full.left) // 4

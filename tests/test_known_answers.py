@@ -9,14 +9,20 @@
   reductive linear free divisor. logdiv's lft1 is checked against the
   oracle in ce_oracle.py, which shares no code with it, on two reductive
   divisors and one that is not.
+- ft1 from the equations of a deformation: on every graded corpus entry,
+  the dimension of weight-zero deformations f + e g of f with its Saito
+  basis, modulo the trivial ones, computed in ce_oracle.py from the text
+  of the input and of the golden Saito matrix, equals the golden ft1.
 """
 
+import json
+import os
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from ce_oracle import cohomology
+from ce_oracle import cohomology, ft1_equation_side
 from logdiv.classify import is_linear, is_reductive, lie_algebra_matrices
 from logdiv.cli import analyze_document
 from logdiv.cohomology import lft1, linear_basis
@@ -159,3 +165,30 @@ def test_vanishing_theorem(f, ring, reductive):
     assert dim == cohomology(rows, ring, 1)
     if reductive:
         assert dim == 0
+
+
+CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "corpus")
+
+
+def graded_goldens():
+    out = []
+    for name in sorted(os.listdir(CORPUS)):
+        if not name.endswith(".expected.json"):
+            continue
+        with open(os.path.join(CORPUS, name), encoding="utf-8") as fh:
+            golden = json.load(fh)
+        if golden["profile"]["weights"] is not None:
+            out.append((name[:-len(".expected.json")], golden))
+    return out
+
+
+@pytest.mark.parametrize("name, golden", graded_goldens(),
+                         ids=[name for name, _ in graded_goldens()])
+def test_ft1_equation_side_oracle(name, golden):
+    with open(os.path.join(CORPUS, f"{name}.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    profile = golden["profile"]
+    assert profile["variables"] == doc["variables"]
+    assert ft1_equation_side(doc["f"], profile["saito_matrix"], doc["variables"],
+                             profile["weights"]) == golden["ft1"]["dimension"]

@@ -10,20 +10,26 @@ from logdiv.errors import NonReduced, NotFree, ZeroOrConstantInput
 from logdiv.groebner import buchberger
 from logdiv.logder import (
     VectorField,
+    _field_sort_key,
+    _select_saito_basis,
     compute_der_log,
+    der_log_stream,
     find_saito_basis,
     lie_bracket,
+    saito_basis,
     structure_constants,
     verify_saito,
 )
 from logdiv.poly import (
     Polynomial,
     WeightSystem,
+    detect_weight_system,
     poly_from_text,
     poly_to_text,
 )
 
 from conftest import corpus_member, corpus_names, random_poly
+from test_groebner import coxeter_gens
 
 R2 = ("x", "y")
 R3 = ("x", "y", "z")
@@ -214,6 +220,69 @@ class TestFindSaitoBasis:
         f = poly_from_text("x^3*y*z + x^2*y^2*z + x^2*y^2 + x*y^3", R3)
         saito = find_saito_basis(compute_der_log(f), f)
         assert verify_saito(saito.fields, f).ok
+
+
+ARRANGEMENTS = ("braid-A3", "coxeter-B3", "coxeter-D4")
+STANDARD_GRADED = ARRANGEMENTS + ("line-1", "lines-2", "lines-3", "lines-5",
+                                  "lines-6", "nc-2", "nc-3", "nc-4",
+                                  "quartic-cross")
+
+
+def graded_input(name):
+    if name in ARRANGEMENTS:
+        f = coxeter_gens(name)[0]
+        return f, detect_weight_system(f)
+    f, w, _ = corpus_member(name)
+    return f, w
+
+
+def entries(basis):
+    return ([[list(p.terms.items()) for p in d.components] for d in basis.fields],
+            list(basis.unit.terms.items()))
+
+
+class TestGradedStop:
+    """saito_basis stops the syzygy run once the graded scan has its
+    basis; the basis must be the one the full run gives."""
+
+    @pytest.mark.parametrize("name", STANDARD_GRADED)
+    def test_same_basis_as_the_full_run(self, name):
+        f, w = graded_input(name)
+        assert entries(saito_basis(f, w)) \
+            == entries(find_saito_basis(compute_der_log(f), f, w))
+
+    @pytest.mark.parametrize("name", STANDARD_GRADED)
+    def test_stream_fields_up_to_the_top_weight(self, name):
+        # the stream, read until no field of weight <= the top basis
+        # weight is still to come, has the full run's fields of those
+        # weights; on the arrangements that is before its end
+        f, w = graded_input(name)
+        full = compute_der_log(f)
+        top = max(find_saito_basis(full, f, w).field_weights(w))
+        read = []
+        for c, fields in der_log_stream(f):
+            read += fields
+            if c is not None and min(w.weights) * c - max(w.weights) > top:
+                break
+        if name in ARRANGEMENTS:
+            assert c is not None
+
+        def upto_top(fields):
+            return sorted(_field_sort_key(d, w) for d in fields
+                          if d.weight(w) <= top)
+
+        assert upto_top(read) == upto_top(full)
+
+    def test_a_tag_is_scanned_only_once_it_is_complete(self):
+        # the Euler field comes first but has coefficients of degree 1, as
+        # the fields after it do: its tag 0 waits for them, and the scan
+        # keeps the same basis as from one batch
+        f, w = P("x*y"), WeightSystem((1, 1), 2)
+        euler, fx, fy = field(R2, "x", "y"), field(R2, "x", "0"), field(R2, "0", "y")
+        batched = _select_saito_basis([(1, [euler]), (None, [fx, fy])], f, w)
+        assert entries(batched) \
+            == entries(_select_saito_basis([(None, [euler, fx, fy])], f, w))
+        assert batched.fields == [fy, fx]
 
 
 def expand_in_basis(sc, saito, i, j):

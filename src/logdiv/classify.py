@@ -259,33 +259,39 @@ def connection_conditions(saito, sc):
       first:  sum_k a[k][r] * d b[i][j][k] / d x_l = 0  for all i, j, l, r
       second: sum_k a[l][k] * d b[i][j][r] / d x_k = 0  for all i, j, l, r
     (the second says every basis field kills every structure constant).
-    Both hold trivially when all structure constants are constant. The
-    coefficients are b/u over the denominator u, whose derivative is
-    (u * db - b * du) / u^2, and the factor 1/u^2 changes no zero test.
+    Both hold trivially when all structure constants are constant, and
+    then nothing is formed. The coefficients are b/u over the denominator
+    u, whose derivative is (u * db - b * du) / u^2, and the factor 1/u^2
+    changes no zero test; nor does a constant u, which leaves u * db.
+    Each derivative of a b[i][j][k] is formed once, for both identities.
     """
+    if sc.is_constant():
+        return (True, True)
     n = sc.n
     fields = saito.fields
     a = [[fields[i].components[j] for j in range(n)] for i in range(n)]
     u = sc.denominator
-    du = [partial_derivative(u, l) for l in range(n)]
+    if u.is_constant():
+        d = partial_derivative
+    else:
+        du = [partial_derivative(u, l) for l in range(n)]
 
-    def d(p, l):
-        return u * partial_derivative(p, l) - p * du[l]
+        def d(p, l):
+            return u * partial_derivative(p, l) - p * du[l]
+    zero = Polynomial.zero(saito.ring)
     first = True
     second = True
     for i in range(n):
         for j in range(n):
+            # db[k][l] = d b[i][j][k] / d x_l
+            db = [[d(p, l) for l in range(n)] for p in sc.b[i][j]]
             for l in range(n):
                 for r in range(n):
-                    s1 = Polynomial.zero(saito.ring)
-                    for k in range(n):
-                        s1 = s1 + a[k][r] * d(sc.b[i][j][k], l)
-                    if not s1.is_zero():
+                    if first and not sum((a[k][r] * db[k][l]
+                                          for k in range(n)), zero).is_zero():
                         first = False
-                    s2 = Polynomial.zero(saito.ring)
-                    for k in range(n):
-                        s2 = s2 + a[l][k] * d(sc.b[i][j][r], k)
-                    if not s2.is_zero():
+                    if second and not sum((a[l][k] * db[r][k]
+                                           for k in range(n)), zero).is_zero():
                         second = False
             if not first and not second:
                 return (False, False)

@@ -32,7 +32,8 @@ errors.InternalInconsistency; the report names the stage).
 Each analysis, and each corpus-run entry, runs under one errors.Budget:
 --timeout SECONDS is its deadline, and the LOGDIV_BUDGET environment
 variable (an integer, default errors.DEFAULT_STEPS) its steps, which
-Groebner reductions, linear algebra and slice construction share. A
+Groebner reductions, linear algebra, slice construction and the Saito
+matrix's determinant, adjugate and structure constants share. A
 corpus entry that runs out of budget is a mismatch.
 """
 
@@ -245,7 +246,7 @@ def analyze_document(doc, stages):
             res = _determinant_test(fields, work_f)
             if not res.ok:
                 _fail(4, "basis", f"provided matrix is not a basis: {res.reason}")
-            return SaitoBasis(fields, work_f, res.unit)
+            return SaitoBasis(fields, work_f, res.unit, res.table)
         try:
             return _select_saito_basis(der_log_stream(work_f), work_f, w)
         except NotFree as e:

@@ -2,20 +2,14 @@
 
 Elements of free modules are plain lists of Polynomial (all of one ring, one
 fixed rank); ideals are handled as the rank-1 case and plain Polynomials are
-accepted anywhere a module element is. _flatten and _unflatten are the one
-boundary between Polynomials and the internal format, which follows
-Monagan and Pearce (CASC 2007):
-
-- A term (component, exponent) is packed into one int. Its fields, from
-  high to low, are the component, the total degree, then x_n ... x_1; each
-  but the component is _FIELD bits wide, with a top guard bit that stays 0.
-  Multiplying a term by a monomial is an addition. A lead l divides a term
-  t iff 0 <= t - l < one component and t - l has no guard bit set, since a
-  field of t smaller than that of l borrows through its guard bit; t - l
-  is then the shift.
-- An element is a pair (P, D): P maps terms to ints and D > 0 is one shared
-  denominator, so the element is P / D. A monic basis element is (B, L),
-  with B primitive and L = B[lead] > 0.
+accepted anywhere a module element is. Inside, elements take the packed
+form of poly (Monagan and Pearce, CASC 2007): a term (component, exponent)
+is one int and an element a pair (P, D) of an int dict and one shared
+denominator; poly._flatten and poly._unflatten convert. A monic basis
+element is (B, L), with B primitive and L = B[lead] > 0. A lead l divides
+a term t iff 0 <= t - l < one component and t - l has no guard bit set,
+since a field of t smaller than that of l borrows through its guard bit;
+t - l is then the shift.
 
 The module term order is fixed: position-over-term, component 0 dominates,
 ties are broken by degrevlex. A packed term with its degree field flipped
@@ -44,49 +38,11 @@ import heapq
 import itertools
 from math import gcd, lcm
 
-from .errors import BudgetExceeded, InternalInconsistency, current_budget
-from .poly import Polynomial, m_lcm
+from .errors import InternalInconsistency, current_budget
+from .poly import (Polynomial, _flatten, _lowest_terms, _Packing, _unflatten,
+                   m_lcm)
 
-_FIELD = 16  # bits per packed field, the top one a guard
 _ONE = Fraction(1)
-
-
-class _Packing:
-    """The packed term layout for n variables; see the module docstring."""
-
-    __slots__ = ("n", "dshift", "unit", "top", "flip", "guards")
-
-    def __init__(self, n):
-        self.n = n
-        self.dshift = _FIELD * n
-        self.unit = 1 << (self.dshift + _FIELD)
-        self.top = (1 << (_FIELD - 1)) - 1  # the largest degree a field holds
-        self.flip = self.top << self.dshift
-        self.guards = sum(1 << (_FIELD * k + _FIELD - 1) for k in range(n + 1))
-
-    def check(self, degree):
-        if degree > self.top:
-            raise BudgetExceeded(f"degree {degree} exceeds the largest"
-                                 f" packed degree {self.top}")
-
-    def pack(self, comp, m):
-        self.check(sum(m))
-        t = comp * self.unit + (sum(m) << self.dshift)
-        for k, e in enumerate(m):
-            t += e << (_FIELD * k)
-        return t
-
-    def unpack(self, t):
-        comp, t = divmod(t, self.unit)
-        return comp, tuple(t >> (_FIELD * k) & self.top for k in range(self.n))
-
-    def divides(self, l, t):
-        """True if lead l divides term t (the test _reduce_full inlines)."""
-        d = t - l
-        return 0 <= d < self.unit and not d & self.guards
-
-    def degree(self, P):
-        return max((t >> self.dshift & self.top for t in P), default=0)
 
 
 # ---- flattened module elements -----------------------------------------
@@ -98,29 +54,6 @@ def _as_vector(elem, rank):
     if rank is not None and len(elem) != rank:
         raise ValueError(f"module element has length {len(elem)}, expected {rank}")
     return list(elem)
-
-
-def _flatten(vec, lay):
-    D = lcm(*(co.denominator for p in vec for co in p.terms.values()))
-    return {lay.pack(c, m): co.numerator * (D // co.denominator)
-            for c, p in enumerate(vec) for m, co in p.terms.items()}, D
-
-
-def _unflatten(v, ring, rank, lay):
-    P, D = v
-    polys = [{} for _ in range(rank)]
-    for t, a in P.items():
-        c, m = lay.unpack(t)
-        polys[c][m] = Fraction(a, D)
-    return [Polynomial(ring, t, False) for t in polys]
-
-
-def _lowest_terms(D, *parts):
-    """D and the int dicts in parts, divided by their common gcd."""
-    g = gcd(D, *itertools.chain.from_iterable(p.values() for p in parts))
-    if g == 1:
-        return (D, *parts)
-    return (D // g, *({t: a // g for t, a in p.items()} for p in parts))
 
 
 def _monic(P, lay):

@@ -24,11 +24,16 @@ from .errors import (
     NotFree,
     NotHomogeneous,
     ZeroOrConstantInput,
+    current_budget,
 )
 from .groebner import buchberger, krull_dimension, syzygies, syzygy_stream
 from .poly import (
     Polynomial,
+    PolyMatrix,
     WeightSystem,
+    _divide,
+    _dot,
+    _flatten,
     detect_weight_system,
     m_weighted_degree,
     partial_derivative,
@@ -208,12 +213,16 @@ def der_log_stream(f):
 
 
 class VerifyResult:
-    __slots__ = ("ok", "unit", "reason")
+    """ok, with the unit u and the PolyMatrix of the verified fields,
+    its minors expanded, or the reason of the failure."""
 
-    def __init__(self, ok, unit=None, reason=None):
+    __slots__ = ("ok", "unit", "reason", "table")
+
+    def __init__(self, ok, unit=None, reason=None, table=None):
         self.ok = ok
         self.unit = unit
         self.reason = reason
+        self.table = table
 
     def __bool__(self):
         return self.ok
@@ -228,16 +237,20 @@ class SaitoBasis:
     """Verified free basis of Der(-log f); fields are matrix columns.
 
     What is derived from the basis alone is computed once per basis.
+    table is the PolyMatrix of matrix() when the determinant test that
+    verified the fields hands it on, with the minors it expanded; the
+    adjugate reuses them.
     """
 
-    __slots__ = ("ring", "fields", "divisor", "unit", "_memo")
+    __slots__ = ("ring", "fields", "divisor", "unit", "_memo", "_table")
 
-    def __init__(self, fields, divisor, unit):
+    def __init__(self, fields, divisor, unit, table=None):
         self.fields = list(fields)
         self.divisor = divisor
         self.ring = divisor.ring
         self.unit = unit
         self._memo = {}
+        self._table = table
 
     def __len__(self):
         return len(self.fields)
@@ -250,10 +263,17 @@ class SaitoBasis:
     def field_weights(self, w):
         return [delta.weight(w) for delta in self.fields]
 
+    def _poly_matrix(self):
+        """The PolyMatrix of matrix(), made here when no determinant test
+        handed it on."""
+        if self._table is None:
+            self._table = PolyMatrix(self.matrix())
+        return self._table
+
     def adjugate(self):
         """The adjugate of matrix(): adj * matrix() = unit * divisor * I."""
         if "adj" not in self._memo:
-            self._memo["adj"] = poly_adjugate(self.matrix())
+            self._memo["adj"] = poly_adjugate(self._poly_matrix())
         return self._memo["adj"]
 
     def structure_constants(self):
@@ -313,9 +333,12 @@ def verify_saito(fields, f):
 
 
 def _determinant_test(fields, f):
-    """verify_saito for n fields and an already checked divisor."""
+    """verify_saito for n fields and an already checked divisor. The
+    fields are logarithmic when each column of grad(f) * A is a multiple
+    of f, formed and divided in the packed form of A's PolyMatrix."""
     n = len(f.ring)
-    mat = [[fields[j].components[i] for j in range(n)] for i in range(n)]
+    mat = PolyMatrix([[fields[j].components[i] for j in range(n)]
+                      for i in range(n)])
     det = poly_det(mat)
     if det.is_zero():
         return VerifyResult(False, reason="determinant vanishes")
@@ -324,11 +347,16 @@ def _determinant_test(fields, f):
         return VerifyResult(False, reason="determinant is not a multiple of f")
     if u.terms.get((0,) * n, 0) == 0:
         return VerifyResult(False, reason="cofactor of f vanishes at the origin")
-    for idx, delta in enumerate(fields):
-        if try_exact_div(delta.apply(f), f) is None:
+    budget = current_budget()
+    lay = mat.lay
+    grad = [_flatten([partial_derivative(f, i)], lay) for i in range(n)]
+    packed_f = _flatten([f], lay)
+    for j in range(n):
+        image = _dot([mat.entry(i, j) for i in range(n)], grad, lay, budget)
+        if _divide(image, packed_f, lay, budget) is None:
             return VerifyResult(False,
-                                reason=f"column {idx + 1} is not logarithmic")
-    return VerifyResult(True, unit=u)
+                                reason=f"column {j + 1} is not logarithmic")
+    return VerifyResult(True, unit=u, table=mat)
 
 
 def _field_sort_key(delta, w):
@@ -405,7 +433,7 @@ def _select_saito_basis(batches, f, w=None):
                 if len(kept) == n:
                     res = _determinant_test(kept, f)
                     if res:
-                        return SaitoBasis(kept, f, res.unit)
+                        return SaitoBasis(kept, f, res.unit, res.table)
         if len(kept) != n:
             raise NotFree(
                 f"graded minimal generating set has {len(kept)} elements, need {n}")
@@ -425,7 +453,7 @@ def _select_saito_basis(batches, f, w=None):
         fields = [gens[i] for i in combo]
         res = _determinant_test(fields, f)
         if res:
-            return SaitoBasis(fields, f, res.unit)
+            return SaitoBasis(fields, f, res.unit, res.table)
     raise NotFree("no n-subset of the generators satisfies the determinant test")
 
 
@@ -456,16 +484,19 @@ def structure_constants(basis):
     """Expand the brackets of a verified basis in the basis itself.
 
     By Cramer's rule, unit * divisor * v = sum_k (adj * v)_k delta_k for
-    any field v, with adj the memoized adjugate of the Saito matrix. For a
+    any field v, with adj the adjugate of the Saito matrix. For a
     logarithmic v, (adj * v)_k is the determinant of that matrix with
     column k replaced by v, a multiple of divisor; a remainder would mean
     the fields are not logarithmic and raises InternalInconsistency. The
     unit need not divide it, as Saito's criterion certifies a basis at the
     origin only, so the unit is the denominator; a constant unit is folded
-    into the numerators instead.
+    into the numerators instead. adj * v and its division stay in the
+    packed form of the basis's PolyMatrix, charged to the active budget.
     """
     n = len(basis.ring)
-    adj = basis.adjugate()
+    table = basis._poly_matrix()
+    adj, lay = table.adjugate(), table.lay
+    budget = current_budget()
     zero = Polynomial.zero(basis.ring)
     if basis.unit.is_constant():
         divisor = basis.unit * basis.divisor
@@ -473,18 +504,19 @@ def structure_constants(basis):
     else:
         divisor = basis.divisor
         denominator = basis.unit
+    divisor = _flatten([divisor], lay)
     b = [[[zero] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             br = lie_bracket(basis.fields[i], basis.fields[j])
+            br = [_flatten([p], lay) for p in br.components]
             qs = []
             for row in adj:
-                num = sum((a * v for a, v in zip(row, br.components)), zero)
-                q = try_exact_div(num, divisor)
+                q = _divide(_dot(row, br, lay, budget), divisor, lay, budget)
                 if q is None:
                     raise InternalInconsistency(
                         "bracket has a nonzero remainder over the basis")
-                qs.append(q)
+                qs.append(table.polynomial(q))
             b[i][j] = qs
             b[j][i] = [q.scale(-1) for q in qs]
     return StructureConstants(basis.ring, n, b, denominator)

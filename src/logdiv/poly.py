@@ -7,13 +7,32 @@ coefficients, so structural equality is dict equality.
 
 Canonical term order for storage-independent printing is degrevlex with the
 ring's variable order.
+
+The Groebner engine and the algebra of square polynomial matrices
+(PolyMatrix: determinant, adjugate, exact division) work on a packed form
+that follows Monagan and Pearce (CASC 2007); _flatten and _unflatten are
+the one boundary between it and Polynomial:
+
+- A term (component, exponent) is packed into one int. Its fields, from
+  high to low, are the component, the total degree, then x_n ... x_1; each
+  but the component is _FIELD bits wide, with a top guard bit that stays 0.
+  Multiplying a term by a monomial is an addition, and a product of two
+  polynomials whose degrees sum to at most the largest field value never
+  carries into a guard bit; a degree past it raises BudgetExceeded.
+- An element is a pair (P, D): P maps terms to ints and D > 0 is one shared
+  denominator, so the element is P / D.
+- A packed term with its degree field flipped is a key whose ascending
+  order is position-over-term, component 0 first, then degrevlex: the
+  largest term first.
 """
 
 from fractions import Fraction
+import heapq
+import itertools
 import math
 import re
 
-from .errors import NotHomogeneous, ParseError, current_budget
+from .errors import BudgetExceeded, NotHomogeneous, ParseError, current_budget
 from . import linalg
 
 Monomial = tuple  # exponent vector; length == number of ring variables
@@ -311,84 +330,275 @@ def _compositions(total, n):
             yield (first,) + rest
 
 
-def poly_det(rows):
-    """Determinant of a square matrix of polynomials, constant or not.
+# ---- packed form -------------------------------------------------------
 
-    Cofactor expansion down the columns with each minor memoized by its
-    rows, so it is division-free and exact. Each product is charged to the
-    active budget, one step per pair of terms, before it is formed.
+_FIELD = 16  # bits per packed field, the top one a guard
+
+
+class _Packing:
+    """The packed term layout for n variables; see the module docstring."""
+
+    __slots__ = ("n", "dshift", "unit", "top", "flip", "guards")
+
+    def __init__(self, n):
+        self.n = n
+        self.dshift = _FIELD * n
+        self.unit = 1 << (self.dshift + _FIELD)
+        self.top = (1 << (_FIELD - 1)) - 1  # the largest degree a field holds
+        self.flip = self.top << self.dshift
+        self.guards = sum(1 << (_FIELD * k + _FIELD - 1) for k in range(n + 1))
+
+    def check(self, degree):
+        if degree > self.top:
+            raise BudgetExceeded(f"degree {degree} exceeds the largest"
+                                 f" packed degree {self.top}")
+
+    def pack(self, comp, m):
+        self.check(sum(m))
+        t = comp * self.unit + (sum(m) << self.dshift)
+        for k, e in enumerate(m):
+            t += e << (_FIELD * k)
+        return t
+
+    def unpack(self, t):
+        comp, t = divmod(t, self.unit)
+        return comp, tuple(t >> (_FIELD * k) & self.top for k in range(self.n))
+
+    def divides(self, l, t):
+        """True if lead l divides term t (the test _reduce_full and
+        _divide inline)."""
+        d = t - l
+        return 0 <= d < self.unit and not d & self.guards
+
+    def degree(self, P):
+        return max((t >> self.dshift & self.top for t in P), default=0)
+
+
+def _flatten(vec, lay):
+    """The (P, D) form of a list of polynomials, entry c as component c."""
+    D = math.lcm(*(co.denominator for p in vec for co in p.terms.values()))
+    return {lay.pack(c, m): co.numerator * (D // co.denominator)
+            for c, p in enumerate(vec) for m, co in p.terms.items()}, D
+
+
+def _unflatten(v, ring, rank, lay):
+    """The list of rank polynomials whose (P, D) form is v."""
+    P, D = v
+    polys = [{} for _ in range(rank)]
+    for t, a in P.items():
+        c, m = lay.unpack(t)
+        polys[c][m] = Fraction(a, D)
+    return [Polynomial(ring, t, False) for t in polys]
+
+
+def _lowest_terms(D, *parts):
+    """D and the int dicts in parts, divided by their common gcd."""
+    g = math.gcd(D, *itertools.chain.from_iterable(p.values() for p in parts))
+    if g == 1:
+        return (D, *parts)
+    return (D // g, *({t: a // g for t, a in p.items()} for p in parts))
+
+
+def _mul_add(acc, k, P, Q, lay, budget):
+    """acc += k * P * Q for int dicts of component-0 terms, whose largest
+    term carries the degree in its top field. One step per pair of terms
+    is charged, and the degree checked, before the product is formed;
+    cancelled terms stay in acc as zeros."""
+    if not P or not Q:
+        return
+    budget.spend(len(P) * len(Q))
+    lay.check((max(P) + max(Q)) >> lay.dshift)
+    get = acc.get
+    for s, a in P.items():
+        a *= k
+        for t, b in Q.items():
+            u = s + t
+            acc[u] = get(u, 0) + a * b
+
+
+def _dot(xs, ys, lay, budget):
+    """sum_r xs[r] * ys[r] over (P, D) elements, as one (P, D) element:
+    each product is formed over the common denominator."""
+    pairs = [(x, y) for x, y in zip(xs, ys) if x[0] and y[0]]
+    D = math.lcm(*(x[1] * y[1] for x, y in pairs))
+    acc = {}
+    for (P, Dp), (Q, Dq) in pairs:
+        _mul_add(acc, D // (Dp * Dq), P, Q, lay, budget)
+    return {t: a for t, a in acc.items() if a}, D
+
+
+def _divide(x, g, lay, budget):
+    """x / g for (P, D) elements of component 0, or None when g does not
+    divide x.
+
+    The integer part G of g is made primitive first; by Gauss's lemma the
+    quotient of an integer polynomial by a primitive one has integer
+    coefficients whenever it exists, so a quotient coefficient that is
+    not an integer means g does not divide x. Johnson's heap division:
+    the terms of N - Q * G are formed largest first, each from the next
+    term of N and the products q * g' (g' a term of G below its lead) that
+    a heap holds, one per quotient term, so no remainder is ever copied.
+    Each quotient term is charged one step per term of G as it is made.
     """
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
-    for r in rows:
-        if len(r) != n:
+    (N, Dn), (G, Dg) = x, g
+    c = math.gcd(*G.values())
+    flip, unit, guards = lay.flip, lay.unit, lay.guards
+    gs = sorted(((t, a // c) for t, a in G.items()), key=lambda ta: ta[0] ^ flip)
+    (lead, L), rest = gs[0], gs[1:]
+    ns = sorted((t ^ flip for t in N), reverse=True)  # popped largest term first
+    quot = []
+    heap = []  # (flipped term of quot[i] * rest[j], i, j)
+    while ns or heap:
+        key = heap[0][0] if heap and (not ns or heap[0][0] <= ns[-1]) else ns[-1]
+        a = 0
+        if ns and ns[-1] == key:
+            ns.pop()
+            a = N[key ^ flip]
+        while heap and heap[0][0] == key:
+            _, i, j = heapq.heappop(heap)
+            a -= quot[i][1] * rest[j][1]
+            if j + 1 < len(rest):
+                heapq.heappush(heap, ((quot[i][0] + rest[j + 1][0]) ^ flip, i, j + 1))
+        if not a:
+            continue
+        shift = (key ^ flip) - lead
+        if not (0 <= shift < unit and not shift & guards) or a % L:
+            return None
+        budget.spend(len(gs))
+        quot.append((shift, a // L))
+        if rest:
+            heapq.heappush(heap, ((shift + rest[0][0]) ^ flip, len(quot) - 1, 0))
+    # x / g = (N / Dn) / (c * G' / Dg) = quot * Dg / (Dn * c)
+    D, Q = _lowest_terms(Dn * c, {t: a * Dg for t, a in quot})
+    return Q, D
+
+
+class PolyMatrix:
+    """A square matrix of polynomials in the packed form, with one memo
+    of its minors.
+
+    Row r is kept as int dicts over one denominator dens[r], so a minor
+    on the rows R is an int dict over the product of dens[r], r in R. A
+    minor is expanded down its first column and memoized by (rows,
+    columns), both ascending tuples: det() fills in the minors on the
+    column suffixes, and adjugate(), whose entries are the minors on all
+    rows but one and all columns but one, expands each down to those
+    suffixes and reads them from the memo, so each minor is formed once.
+    adjugate() keeps its entries and empties the memo. Products are
+    charged to the budget of the call that forms them.
+    """
+
+    __slots__ = ("ring", "n", "lay", "rows", "dens", "_memo", "_adj")
+
+    def __init__(self, rows):
+        n = len(rows)
+        if n == 0:
+            raise ValueError("empty matrix")
+        if any(len(r) != n for r in rows):
             raise ValueError("matrix is not square")
-    budget = current_budget()
-    ring = rows[0][0].ring
-    memo = {}
+        self.ring = rows[0][0].ring
+        self.n = n
+        self.lay = lay = _Packing(len(self.ring))
+        self.rows, self.dens = [], []
+        for row in rows:
+            P, D = _flatten(row, lay)
+            entries = [{} for _ in row]
+            for t, a in P.items():
+                c, t = divmod(t, lay.unit)
+                entries[c][t] = a
+            self.rows.append(entries)
+            self.dens.append(D)
+        self._memo = {}
+        self._adj = None
 
-    def minor(row_set, col):
-        if len(row_set) == 1:
-            return rows[row_set[0]][col]
-        key = (row_set, col)
-        if key in memo:
-            return memo[key]
-        acc = Polynomial.zero(ring)
-        sign = 1
-        for k, i in enumerate(row_set):
-            entry = rows[i][col]
-            if entry:
-                sub = minor(row_set[:k] + row_set[k + 1:], col + 1)
-                budget.spend(len(entry.terms) * len(sub.terms))
-                term = entry * sub
-                acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-        memo[key] = acc
-        return acc
+    def entry(self, r, c):
+        """Entry (r, c) as a (P, D) element."""
+        return self.rows[r][c], self.dens[r]
 
-    return minor(tuple(range(n)), 0)
+    def polynomial(self, v):
+        """The polynomial of the (P, D) element v."""
+        return _unflatten(v, self.ring, 1, self.lay)[0]
+
+    def _minor(self, R, C, budget):
+        if len(R) == 1:
+            return self.rows[R[0]][C[0]]
+        key = (R, C)
+        P = self._memo.get(key)
+        if P is None:
+            acc = {}
+            col, rest = C[0], C[1:]
+            for k, r in enumerate(R):
+                entry = self.rows[r][col]
+                if entry:
+                    sub = self._minor(R[:k] + R[k + 1:], rest, budget)
+                    _mul_add(acc, -1 if k & 1 else 1, entry, sub, self.lay,
+                             budget)
+            P = self._memo[key] = {t: a for t, a in acc.items() if a}
+        return P
+
+    def det(self):
+        """The determinant as a (P, D) element."""
+        every = tuple(range(self.n))
+        return self._minor(every, every, current_budget()), math.prod(self.dens)
+
+    def adjugate(self):
+        """The adjugate as rows of (P, D) elements, adj * A = det * I:
+        entry (k, r) is (-1)^(k+r) times the minor without row r and
+        column k."""
+        if self._adj is None:
+            n, every = self.n, tuple(range(self.n))
+            budget = current_budget()
+            whole = math.prod(self.dens)
+            adj = [[None] * n for _ in range(n)]
+            for k in range(n):
+                for r in range(n):
+                    if n == 1:
+                        P = {0: 1}
+                    else:
+                        P = self._minor(every[:r] + every[r + 1:],
+                                        every[:k] + every[k + 1:], budget)
+                        if (k + r) & 1:
+                            P = {t: -a for t, a in P.items()}
+                    adj[k][r] = (P, whole // self.dens[r])
+            self._adj = adj
+            self._memo = {}
+        return self._adj
+
+
+def poly_det(rows):
+    """Determinant of a square matrix of polynomials, constant or not,
+    given as a list of rows or as a PolyMatrix, whose memo then keeps the
+    minors.
+
+    Cofactor expansion down the columns with each minor memoized, so it is
+    division-free and exact. Each product is charged to the active budget,
+    one step per pair of terms, before it is formed.
+    """
+    mat = rows if isinstance(rows, PolyMatrix) else PolyMatrix(rows)
+    return mat.polynomial(mat.det())
 
 
 def poly_adjugate(rows):
-    """Adjugate of a square polynomial matrix, so that adj * rows = det * I:
-    entry (i, j) is (-1)^(i+j) times poly_det of rows without row j and
-    column i. All minors are charged to one budget."""
-    n = len(rows)
-    if n == 1:
-        return [[Polynomial.one(rows[0][0].ring)]]
-    adj = []
-    with current_budget():
-        for i in range(n):
-            adj_row = []
-            for j in range(n):
-                d = poly_det([[rows[r][c] for c in range(n) if c != i]
-                              for r in range(n) if r != j])
-                adj_row.append(d if (i + j) % 2 == 0 else -d)
-            adj.append(adj_row)
-    return adj
+    """Adjugate of a square polynomial matrix, given like poly_det's, so
+    that adj * rows = det * I: entry (i, j) is (-1)^(i+j) times the
+    determinant of rows without row j and column i. Each minor is formed
+    once, charged to one budget."""
+    mat = rows if isinstance(rows, PolyMatrix) else PolyMatrix(rows)
+    return [[mat.polynomial(v) for v in row] for row in mat.adjugate()]
 
 
 # ---- exact division ---------------------------------------------------
 
 
 def try_exact_div(p, d):
-    """Exact quotient p / d, or None when d does not divide p."""
+    """Exact quotient p / d, or None when d does not divide p. Each
+    quotient term is charged to the active budget, one step per term of
+    d."""
     if d.is_zero():
         return None
-    lead_d = max(d.terms, key=degrevlex_key)
-    cd = d.terms[lead_d]
-    q = {}
-    r = p
-    while r.terms:
-        lead_r = max(r.terms, key=degrevlex_key)
-        if not m_divides(lead_d, lead_r):
-            return None
-        e = m_div(lead_r, lead_d)
-        c = r.terms[lead_r] / cd
-        q[e] = c
-        r = r - d.mul_term(e, c)
-    return Polynomial(p.ring, q)
+    lay = _Packing(len(p.ring))
+    q = _divide(_flatten([p], lay), _flatten([d], lay), lay, current_budget())
+    return None if q is None else _unflatten(q, p.ring, 1, lay)[0]
 
 
 # ---- text form --------------------------------------------------------

@@ -272,12 +272,22 @@ class TestAnalyzeErrors:
 
     def test_budget_is_one_per_analysis(self):
         # the largest single call, the Koszul test's krull_dimension,
-        # spends 230 steps, the whole default analysis 383: only a budget
+        # spends 230 steps, the whole default analysis 561: only a budget
         # shared by the calls runs out
         res = run_cli("analyze", os.path.join(CORPUS, "discriminant-234.json"),
                       env_extra={"LOGDIV_BUDGET": "300"})
         assert res.returncode == 5
         assert "step budget of 300 exhausted" in res.stdout
+
+    def test_structure_constants_are_charged_to_the_classify_stage(self):
+        # the default analysis spends 184 steps up to the basis and 147 on
+        # the structure constants of the classify stage's connection
+        # conditions, before the Koszul test
+        res = run_cli("analyze", os.path.join(CORPUS, "discriminant-234.json"),
+                      env_extra={"LOGDIV_BUDGET": "200"})
+        assert res.returncode == 5
+        assert ("error at stage classify: step budget of 200 exhausted"
+                in res.stdout)
 
     def test_huge_power_is_refused_before_it_is_expanded(self, tmp_path):
         path = tmp_path / "doc.json"
@@ -573,6 +583,52 @@ class TestArtefactsComputedOnce:
         assert calls.count("der_log_stream") == 0
         assert calls.count("syzygy_stream") == 0
 
+    def test_saito_matrix_minors_are_formed_once(self, monkeypatch):
+        # coxeter-B4's default analysis builds one table of the Saito
+        # matrix's minors, in the basis stage's determinant test; the
+        # classify stage's adjugate reads the column-suffix minors the
+        # determinant expanded from it, no minor is formed twice, and the
+        # memo is emptied once the adjugate is built
+        from logdiv import cli, logder, poly
+
+        tables, formed, reused = [], [], []
+        stage = ["basis"]
+        init, minor = poly.PolyMatrix.__init__, poly.PolyMatrix._minor
+        structure_constants = logder.structure_constants
+
+        def counting_init(self, rows):
+            tables.append(self)
+            init(self, rows)
+
+        def counting_minor(self, rows, cols, budget):
+            if len(rows) > 1:
+                seen = (rows, cols) in self._memo
+                (reused if seen else formed).append((stage[0], rows, cols))
+            return minor(self, rows, cols, budget)
+
+        def classify_stage(basis):
+            stage[0] = "classify"
+            return structure_constants(basis)
+
+        monkeypatch.setattr(poly.PolyMatrix, "__init__", counting_init)
+        monkeypatch.setattr(poly.PolyMatrix, "_minor", counting_minor)
+        monkeypatch.setattr(logder, "structure_constants", classify_stage)
+        pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+        doc = {"label": "coxeter-B4", "variables": ["x1", "x2", "x3", "x4"],
+               "f": "x1*x2*x3*x4*" + "*".join(f"(x{i}^2-x{j}^2)"
+                                               for i, j in pairs)}
+        report = cli.analyze_document(doc, ("classify", "koszul"))
+        assert report["profile"]["field_weights"] == [0, 2, 4, 6]
+        assert len(tables) == 1 and tables[0]._memo == {}
+        keys = [(rows, cols) for _, rows, cols in formed]
+        assert len(set(keys)) == len(keys)
+        suffixes = {(rows, cols) for s, rows, cols in formed if s == "basis"}
+        assert all(cols == tuple(range(4 - len(cols), 4))
+                   for _, cols in suffixes)
+        assert {(rows, cols) for s, rows, cols in reused
+                if s == "classify"} & suffixes
+        assert any(s == "classify" for s, _, _ in formed)
+
     def test_one_groebner_basis_per_analysis(self, monkeypatch):
         # ft1, lft1, h0 and the bounds read one linear-algebra class
         # space; only the krull_dimension of the divisor stage's
@@ -650,7 +706,8 @@ class TestBasisStageBudget:
         return failure, budget.steps - budget.left, basis_steps
 
     @pytest.mark.parametrize("name, steps", [
-        ("braid-A3", 649), ("coxeter-B3", 194), ("coxeter-D4", 700)])
+        ("braid-A3", 1771), ("coxeter-B3", 344), ("coxeter-D4", 1642)],
+        ids=["braid-A3", "coxeter-B3", "coxeter-D4"])
     def test_graded_arrangements_stop_early(self, name, steps, monkeypatch):
         from logdiv.errors import Budget
         from logdiv.logder import _select_saito_basis, compute_der_log
@@ -667,9 +724,10 @@ class TestBasisStageBudget:
         assert steps < full.steps - full.left
 
     @pytest.mark.parametrize("name, steps", [
-        ("discriminant-234", 383),  # weighted, but (f, grad f) not homogeneous
-        ("curve-x5y4", 31),
-        ("four-lines-nonkoszul", 396)])  # not weighted homogeneous
+        ("discriminant-234", 561),  # weighted, but (f, grad f) not homogeneous
+        ("curve-x5y4", 45),
+        ("four-lines-nonkoszul", 476)],  # not weighted homogeneous
+        ids=["discriminant-234", "curve-x5y4", "four-lines-nonkoszul"])
     def test_inhomogeneous_generators_spend_the_whole_run(self, name, steps,
                                                           monkeypatch):
         from logdiv import cli
@@ -678,7 +736,7 @@ class TestBasisStageBudget:
         assert self.analyze(doc, monkeypatch)[:2] == (None, steps)
 
     @pytest.mark.parametrize("f, steps, size", [
-        ("x*y*z*(x+y+z)", 226, 4), ("x*y*z*(x+y+z)*(x+2*y+3*z)", 954, 5)],
+        ("x*y*z*(x+y+z)", 229, 4), ("x*y*z*(x+y+z)*(x+2*y+3*z)", 966, 5)],
         ids=["generic-4", "generic-5"])
     def test_not_free_reads_the_whole_run(self, f, steps, size, monkeypatch):
         doc = {"label": "generic", "variables": ["x", "y", "z"], "f": f}

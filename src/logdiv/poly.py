@@ -520,8 +520,8 @@ class PolyMatrix:
         return _unflatten(v, self.ring, 1, self.lay)[0]
 
     def _minor(self, R, C, budget):
-        if len(R) == 1:
-            return self.rows[R[0]][C[0]]
+        if len(R) <= 1:
+            return self.rows[R[0]][C[0]] if R else {0: 1}  # empty minor: 1
         key = (R, C)
         P = self._memo.get(key)
         if P is None:
@@ -552,13 +552,10 @@ class PolyMatrix:
             adj = [[None] * n for _ in range(n)]
             for k in range(n):
                 for r in range(n):
-                    if n == 1:
-                        P = {0: 1}
-                    else:
-                        P = self._minor(every[:r] + every[r + 1:],
-                                        every[:k] + every[k + 1:], budget)
-                        if (k + r) & 1:
-                            P = {t: -a for t, a in P.items()}
+                    P = self._minor(every[:r] + every[r + 1:],
+                                    every[:k] + every[k + 1:], budget)
+                    if (k + r) & 1:
+                        P = {t: -a for t, a in P.items()}
                     adj[k][r] = (P, whole // self.dens[r])
             self._adj = adj
             self._memo = {}

@@ -98,6 +98,44 @@ def test_a_remainder_means_no_quotient(q, d, r):
     assert try_exact_div(q * d + r, d) is None
 
 
+def reference_div(p, d):
+    """p / d or None, by the textbook loop in Fraction arithmetic: divide
+    the degrevlex-leading term of the remainder by that of d."""
+    def lead(terms):
+        return max(terms, key=lambda m: (sum(m), tuple(-e for e in reversed(m))))
+
+    ld = lead(d.terms)
+    rem, quot = dict(p.terms), {}
+    while rem:
+        lr = lead(rem)
+        if any(a < b for a, b in zip(lr, ld)):
+            return None
+        shift = tuple(a - b for a, b in zip(lr, ld))
+        c = rem[lr] / d.terms[ld]
+        quot[shift] = c
+        for m, e in d.terms.items():
+            m = tuple(a + b for a, b in zip(m, shift))
+            rem[m] = rem.get(m, Fraction(0)) - c * e
+            if not rem[m]:
+                del rem[m]
+    return Polynomial(R2, quot)
+
+
+@settings(max_examples=50, deadline=None)
+@given(polys(max_terms=4), polys(max_terms=3), polys(max_terms=2))
+def test_division_agrees_with_the_fraction_loop(q, d, r):
+    # q * d + r is a multiple of d or not, whatever r is
+    if not d.is_zero():
+        assert try_exact_div(q * d + r, d) == reference_div(q * d + r, d)
+
+
+def test_a_quotient_coefficient_that_is_no_integer_means_no_quotient():
+    # x^2 = (2x + 3)(x/2 - 3/4) + 9/4: the lead of the primitive divisor
+    # 2x + 3 does not divide the first coefficient of x^2
+    assert try_exact_div(poly_from_text("x^2", R2),
+                         poly_from_text("2*x + 3", R2)) is None
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 32767), st.integers(1, 32767))
 def test_a_degree_past_the_packed_field_is_refused(a, b):

@@ -262,7 +262,7 @@ def connection_conditions(saito, sc):
     Both hold trivially when all structure constants are constant, and
     then nothing is formed. The coefficients are b/u over the denominator
     u, whose derivative is (u * db - b * du) / u^2, and the factor 1/u^2
-    changes no zero test; nor does a constant u, which leaves u * db.
+    changes no zero test.
     Each derivative of a b[i][j][k] is formed once, for both identities.
     """
     if sc.is_constant():
@@ -271,13 +271,10 @@ def connection_conditions(saito, sc):
     fields = saito.fields
     a = [[fields[i].components[j] for j in range(n)] for i in range(n)]
     u = sc.denominator
-    if u.is_constant():
-        d = partial_derivative
-    else:
-        du = [partial_derivative(u, l) for l in range(n)]
+    du = [partial_derivative(u, l) for l in range(n)]
 
-        def d(p, l):
-            return u * partial_derivative(p, l) - p * du[l]
+    def d(p, l):
+        return u * partial_derivative(p, l) - p * du[l]
     zero = Polynomial.zero(saito.ring)
     first = True
     second = True

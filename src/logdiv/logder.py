@@ -38,9 +38,7 @@ from .poly import (
     m_weighted_degree,
     partial_derivative,
     poly_adjugate,
-    poly_det,
     poly_to_text,
-    try_exact_div,
 )
 
 
@@ -272,6 +270,11 @@ class SaitoBasis:
 
     def adjugate(self):
         """The adjugate of matrix(): adj * matrix() = unit * divisor * I."""
+        # The PolyMatrix keeps the packed adjugate, which the structure
+        # constants read; this memo keeps its Fraction polynomials, which
+        # cohomology.deformation_equation reads once per kernel vector of
+        # the ft1 complex (21 times on linear-nonreductive-5), so they are
+        # converted once per basis rather than once per read.
         if "adj" not in self._memo:
             self._memo["adj"] = poly_adjugate(self._poly_matrix())
         return self._memo["adj"]
@@ -334,29 +337,31 @@ def verify_saito(fields, f):
 
 def _determinant_test(fields, f):
     """verify_saito for n fields and an already checked divisor. The
-    fields are logarithmic when each column of grad(f) * A is a multiple
-    of f, formed and divided in the packed form of A's PolyMatrix."""
+    determinant of their matrix A, its division by f and the test that
+    each column of grad(f) * A is a multiple of f (the fields are
+    logarithmic) are formed in the packed form of A's PolyMatrix; only
+    the unit u leaves it."""
     n = len(f.ring)
     mat = PolyMatrix([[fields[j].components[i] for j in range(n)]
                       for i in range(n)])
-    det = poly_det(mat)
-    if det.is_zero():
-        return VerifyResult(False, reason="determinant vanishes")
-    u = try_exact_div(det, f)
-    if u is None:
-        return VerifyResult(False, reason="determinant is not a multiple of f")
-    if u.terms.get((0,) * n, 0) == 0:
-        return VerifyResult(False, reason="cofactor of f vanishes at the origin")
     budget = current_budget()
     lay = mat.lay
-    grad = [_flatten([partial_derivative(f, i)], lay) for i in range(n)]
+    det = mat.det()
+    if not det[0]:
+        return VerifyResult(False, reason="determinant vanishes")
     packed_f = _flatten([f], lay)
+    u = _divide(det, packed_f, lay, budget)
+    if u is None:
+        return VerifyResult(False, reason="determinant is not a multiple of f")
+    if not u[0].get(0):  # the packed term 0 is the constant term
+        return VerifyResult(False, reason="cofactor of f vanishes at the origin")
+    grad = [_flatten([partial_derivative(f, i)], lay) for i in range(n)]
     for j in range(n):
         image = _dot([mat.entry(i, j) for i in range(n)], grad, lay, budget)
         if _divide(image, packed_f, lay, budget) is None:
             return VerifyResult(False,
                                 reason=f"column {j + 1} is not logarithmic")
-    return VerifyResult(True, unit=u, table=mat)
+    return VerifyResult(True, unit=mat.polynomial(u), table=mat)
 
 
 def _field_sort_key(delta, w):

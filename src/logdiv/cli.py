@@ -87,7 +87,7 @@ def load_document(path):
             doc = json.load(fh)
     except OSError as e:
         _fail(2, "input", f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON or UTF-8, or an int too long to read
         _fail(2, "input", f"{path} is not valid JSON: {e}")
     except RecursionError:
         _fail(2, "input", f"{path} nests JSON too deeply")

@@ -1,4 +1,4 @@
-"""Groebner bases, syzygies and Krull dimension over Q.
+"""Groebner bases, syzygies and dimension tests over Q.
 
 Elements of free modules are plain lists of Polynomial (all of one ring, one
 fixed rank); ideals are handled as the rank-1 case and plain Polynomials are
@@ -19,7 +19,10 @@ canonical object here.
 
 Each lead term is found once: reduction pops the terms of the working
 element from a heap of those keys, and a Buchberger run keeps the lead of
-each basis element from the moment it is appended.
+each basis element from the moment it is appended. The bookkeeping stays
+in ints too: an S-pair's lcm and its degree come from the packed leads
+(_Packing.lcm), and a tracked reduction keeps its quotients as ints over
+the working denominator, scaled and divided with it.
 
 Every term that an S-pair or a reduction step makes has degree at most the
 sugar, so checking the degrees of the input and each sugar as it grows
@@ -31,18 +34,17 @@ that made it. For homogeneous generators the sugar is the degree, so
 after the pairs of sugar <= s every basis element and every syzygy of
 degree <= s is found: syzygy_stream yields the syzygy rows degree by
 degree, and a reader that has what it needs stops the run there.
+dimension_at_most stops at the first pause whose leads certify its
+bound: a lead of an element of the ideal lies in the initial ideal, and
+the dimension is read off the supports of its generators.
 """
 
-from fractions import Fraction
 import heapq
 import itertools
 from math import gcd, lcm
 
 from .errors import InternalInconsistency, current_budget
-from .poly import (Polynomial, _flatten, _lowest_terms, _Packing, _unflatten,
-                   m_lcm)
-
-_ONE = Fraction(1)
+from .poly import Polynomial, _flatten, _lowest_terms, _Packing, _unflatten
 
 
 # ---- flattened module elements -----------------------------------------
@@ -64,16 +66,15 @@ def _monic(P, lay):
 
 
 def _combine(terms):
-    """The sum of coeff * x^shift * (S / E) over the (coeff, shift, (S, E))
-    in terms, as one (P, D); coeff is a Fraction. Every addend is put over
-    the common denominator first, so each partial sum is a positive
-    multiple of the exact one: terms cancel, come back and take their dict
-    order as they do under Fraction arithmetic."""
-    fs = [(coeff / E, shift, S) for coeff, shift, (S, E) in terms]
-    D = lcm(*(f.denominator for f, _, _ in fs))
+    """The sum of (num / d) * x^shift * (S / E) over the (num, d, shift,
+    (S, E)) in terms, as one (P, D); num and d are ints. Every addend is
+    put over one common multiple of the d * E first, so each partial sum
+    is a positive multiple of the exact one: terms cancel, come back and
+    take their dict order as they do under Fraction arithmetic."""
+    D = lcm(*(d * E for _, d, _, (_, E) in terms))
     out = {}
-    for f, shift, S in fs:
-        k = f.numerator * (D // f.denominator)
+    for num, d, shift, (S, E) in terms:
+        k = num * (D // (d * E))
         for t, a in S.items():
             t += shift
             s = out.get(t, 0) + k * a
@@ -86,23 +87,25 @@ def _combine(terms):
 
 
 def _less_quotients(quots, reps):
-    """The addends -q * x^shift * reps[j] of the quotients of a reduction."""
-    return [(-co, shift, reps[j])
-            for j, q in enumerate(quots) for shift, co in q.items()]
+    """The addends -q * x^shift * reps[j] of a reduction's quotients."""
+    Q, D = quots
+    return [(-a, D, shift, reps[j])
+            for j, q in enumerate(Q) for shift, a in q.items()]
 
 
 def _reduce_full(v, basis, leads, sugars, sugar, budget, lay, track=False):
     """Fully reduce v = (P, D) against monic basis elements (B, L).
 
-    Returns ((R, D'), quotients, sugar) where quotients[j] maps shifts to
-    Fractions, with v = sum_j quotients[j] * basis[j] + R / D'. sugar
-    bounds the degrees of v on entry and grows to sugars[j] + deg(shift)
-    at a step by basis[j]; sugars[j] bounds the degrees of basis[j].
-    Terms wait in a min-heap of flipped terms, largest first. An entry
-    whose term has cancelled is skipped; a step only adds terms below the
-    one it removes. A step by (B, L) on the term c / D first scales the
-    working element and the remainder by L / gcd(c, L), then subtracts an
-    integer multiple of x^shift * B, then divides out the common content.
+    Returns ((R, D'), (Q, D'), sugar) where Q[j] maps shifts to ints,
+    with v = sum_j Q[j] * basis[j] / D' + R / D'; (Q, D') is None unless
+    track is set. sugar bounds the degrees of v on entry and grows to
+    sugars[j] + deg(shift) at a step by basis[j]; sugars[j] bounds the
+    degrees of basis[j]. Terms wait in a min-heap of flipped terms,
+    largest first. An entry whose term has cancelled is skipped; a step
+    only adds terms below the one it removes. A step by (B, L) on the term
+    c / D adds c to the quotient, then scales the working element, the
+    remainder and the quotients by L / gcd(c, L), subtracts an integer
+    multiple of x^shift * B, and divides out the common content.
     """
     P, D = v
     p = dict(P)
@@ -110,7 +113,7 @@ def _reduce_full(v, basis, leads, sugars, sugar, budget, lay, track=False):
     heap = [t ^ flip for t in p]
     heapq.heapify(heap)
     rem = {}
-    quots = [dict() for _ in basis] if track else None
+    quots = [dict() for _ in basis] if track else []
     while heap:
         t = heapq.heappop(heap) ^ flip
         c = p.get(t)
@@ -130,13 +133,14 @@ def _reduce_full(v, basis, leads, sugars, sugar, budget, lay, track=False):
             lay.check(sugar)
         if track:
             q = quots[j]
-            q[shift] = q.get(shift, 0) + Fraction(c, D)
+            q[shift] = q.get(shift, 0) + c
         B, L = basis[j]
         g = gcd(c, L)
         if g != L:
             k = L // g
             p = {u: k * a for u, a in p.items()}
             rem = {u: k * a for u, a in rem.items()}
+            quots = [{u: k * a for u, a in q.items()} for q in quots]
             D *= k
         c //= g
         for u, b in B.items():
@@ -149,8 +153,8 @@ def _reduce_full(v, basis, leads, sugars, sugar, budget, lay, track=False):
             else:
                 del p[u]
         if g != L:
-            D, p, rem = _lowest_terms(D, p, rem)
-    return (rem, D), quots, sugar
+            D, p, rem, *quots = _lowest_terms(D, p, rem, *quots)
+    return (rem, D), (quots, D) if track else None, sugar
 
 
 def _run_buchberger(gens, budget, track, lay):
@@ -178,17 +182,20 @@ def _run_buchberger(gens, budget, track, lay):
     heap = []
     counter = itertools.count()
 
+    cshift, dshift, top = lay.unit.bit_length() - 1, lay.dshift, lay.top
+
     def push_pairs(j):
-        cj, ej = lay.unpack(leads[j])
+        lj = leads[j]
+        cj, rj = lj >> cshift, sugars[j] - (lj >> dshift & top)
         for i in range(j):
-            ci, ei = lay.unpack(leads[i])
-            if ci != cj:
+            li = leads[i]
+            if li >> cshift != cj:
                 continue
-            l = m_lcm(ei, ej)
-            sug = max(sugars[i] - sum(ei), sugars[j] - sum(ej)) + sum(l)
+            l = lay.lcm(li, lj)
+            dl = l >> dshift & top
+            sug = max(sugars[i] - (li >> dshift & top), rj) + dl
             lay.check(sug)
-            heapq.heappush(heap, (sug, sum(l), i, j, next(counter),
-                                  lay.pack(ci, l)))
+            heapq.heappush(heap, (sug, dl, i, j, next(counter), l))
             pending.add((i, j))
 
     def append(v, sug, rep):
@@ -197,7 +204,7 @@ def _run_buchberger(gens, budget, track, lay):
         leads.append(ld)
         sugars.append(sug)
         if track:
-            reps.append(_combine([(Fraction(v[1], v[0][ld]), 0, rep)]))
+            reps.append(_combine([(v[1], v[0][ld], 0, rep)]))
         push_pairs(len(basis) - 1)
 
     for idx, v in enumerate(gens):
@@ -218,11 +225,11 @@ def _run_buchberger(gens, budget, track, lay):
                 continue
         budget.spend()
         si, sj = l - leads[i], l - leads[j]
-        s = _combine([(_ONE, si, basis[i]), (-_ONE, sj, basis[j])])
+        s = _combine([(1, 1, si, basis[i]), (-1, 1, sj, basis[j])])
         rem, quots, sug = _reduce_full(s, basis, leads, sugars, sug, budget,
                                        lay, track)
         if track:
-            rep = _combine([(_ONE, si, reps[i]), (-_ONE, sj, reps[j])]
+            rep = _combine([(1, 1, si, reps[i]), (-1, 1, sj, reps[j])]
                            + _less_quotients(quots, reps))
         if rem[0]:
             append(rem, sug, rep if track else None)
@@ -272,7 +279,7 @@ def _interreduce(basis, leads, sugars, budget, lay):
 class GroebnerBasis:
     """Reduced, monic, deterministically sorted basis."""
 
-    __slots__ = ("ring", "rank", "elements", "_lay", "_flat", "_leads", "_tops")
+    __slots__ = ("ring", "rank", "_elements", "_lay", "_flat", "_leads", "_tops")
 
     def __init__(self, ring, rank, lay, reduced):
         self.ring = ring
@@ -281,8 +288,17 @@ class GroebnerBasis:
         self._leads = [ld for ld, _ in reduced]
         self._flat = [b for _, b in reduced]
         self._tops = [lay.degree(B) for B, _ in self._flat]
-        vecs = [_unflatten(v, ring, rank, lay) for v in self._flat]
-        self.elements = [v[0] for v in vecs] if rank == 1 else vecs
+        self._elements = None
+
+    @property
+    def elements(self):
+        """The basis as Polynomials (rank 1) or lists of them, unflattened
+        on first read."""
+        if self._elements is None:
+            vecs = [_unflatten(v, self.ring, self.rank, self._lay)
+                    for v in self._flat]
+            self._elements = [v[0] for v in vecs] if self.rank == 1 else vecs
+        return self._elements
 
     def __len__(self):
         return len(self._flat)
@@ -416,7 +432,7 @@ def _tracked_rows(flats, lay, graded):
                                      lay.degree(f[0]), budget, lay, True)
         if rem[0]:
             raise InternalInconsistency("generator does not reduce to zero")
-        return _combine([(_ONE, 0, ({i * lay.unit: 1}, 1))]
+        return _combine([(1, 1, 0, ({i * lay.unit: 1}, 1))]
                         + _less_quotients(quots, reps))
 
     found = 0
@@ -451,27 +467,34 @@ def _distinct(rows, seen):
     return out
 
 
-def krull_dimension(gens):
-    """Krull dimension of (polynomial ring)/(ideal gens), by the maximal
-    size of a variable subset meeting no initial-ideal support.
+def dimension_at_most(gens, k):
+    """True iff the Krull dimension of (polynomial ring)/(ideal gens) is at
+    most k: the unit ideal has dimension -1, the zero ideal n.
 
-    Returns -1 for the unit ideal; the number of variables for the zero
-    ideal.
+    dim R/I = dim R/in(I), the largest size of a set of variables that
+    holds the support of no lead monomial of I. Every lead that a
+    Buchberger run finds is one of I, so once each (k+1)-subset of the
+    variables holds the support of one found so far, the dimension is at
+    most k and the run stops at that pause; only a False answer runs it
+    to its end, where the leads generate in(I).
     """
     ring, rank, vecs = _prepare(gens)
     if rank != 1:
-        raise ValueError("krull_dimension expects ideal generators")
+        raise ValueError("dimension_at_most expects ideal generators")
     n = len(ring)
-    gb = buchberger(gens)
-    supports = []
-    for ld in gb._leads:
-        _, e = gb._lay.unpack(ld)
-        if not any(e):
-            return -1
-        supports.append(frozenset(i for i, x in enumerate(e) if x))
-    for size in range(n, -1, -1):
-        for combo in itertools.combinations(range(n), size):
-            s = set(combo)
-            if all(not sup <= s for sup in supports):
-                return size
-    raise InternalInconsistency("dimension search fell through")
+    lay = _Packing(n)
+    flat = [v for v in (_flatten(v, lay) for v in vecs) if v[0]]
+    # a (k+1)-subset that holds no support found yet, as the exponent
+    # fields outside it: a lead has a support it holds iff it misses them
+    open_sets = [(lay.pack(0, [int(i not in c) for i in range(n)])
+                  & lay.ones) * lay.top
+                 for c in itertools.combinations(range(n), k + 1)]
+    found = 0
+    for _, (_, leads, _, _, _) in _run_buchberger(flat, current_budget(),
+                                                  False, lay):
+        for ld in leads[found:]:
+            open_sets = [c for c in open_sets if c & ld]
+        found = len(leads)
+        if not open_sets:
+            return True
+    return False

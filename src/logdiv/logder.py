@@ -26,7 +26,7 @@ from .errors import (
     ZeroOrConstantInput,
     current_budget,
 )
-from .groebner import buchberger, krull_dimension, syzygies, syzygy_stream
+from .groebner import buchberger, dimension_at_most, syzygies, syzygy_stream
 from .poly import (
     Polynomial,
     PolyMatrix,
@@ -164,7 +164,7 @@ def is_squarefree(f):
         raise ZeroOrConstantInput("squarefreeness needs a nonconstant polynomial")
     n = len(f.ring)
     gens = [f] + [partial_derivative(f, i) for i in range(n)]
-    return krull_dimension(gens) <= n - 2
+    return dimension_at_most(gens, n - 2)
 
 
 def _check_divisor(f):

@@ -338,7 +338,7 @@ _FIELD = 16  # bits per packed field, the top one a guard
 class _Packing:
     """The packed term layout for n variables; see the module docstring."""
 
-    __slots__ = ("n", "dshift", "unit", "top", "flip", "guards")
+    __slots__ = ("n", "dshift", "unit", "top", "flip", "guards", "ones")
 
     def __init__(self, n):
         self.n = n
@@ -347,6 +347,7 @@ class _Packing:
         self.top = (1 << (_FIELD - 1)) - 1  # the largest degree a field holds
         self.flip = self.top << self.dshift
         self.guards = sum(1 << (_FIELD * k + _FIELD - 1) for k in range(n + 1))
+        self.ones = sum(1 << (_FIELD * k) for k in range(n))  # 1 per exponent
 
     def check(self, degree):
         if degree > self.top:
@@ -372,6 +373,21 @@ class _Packing:
 
     def degree(self, P):
         return max((t >> self.dshift & self.top for t in P), default=0)
+
+    def lcm(self, a, b):
+        """pack(c, m_lcm(e, e')) for the terms a, b of (c, e) and (c, e').
+
+        (a | g) - b, with g the exponents' guard bits, keeps the guard bit
+        of a field exactly when a's exponent there is not the smaller; no
+        borrow crosses a field. A multiply by ones sums the larger
+        exponents into the degree field, each partial sum below 2 * top."""
+        g = self.ones << (_FIELD - 1)
+        ge = ((a | g) - b) & g
+        keep = ge - (ge >> (_FIELD - 1))
+        m = a & keep | b & ~keep  # b's component and degree, larger exponents
+        d = (m * self.ones << _FIELD) >> self.dshift & ((1 << _FIELD) - 1)
+        self.check(d)
+        return m + ((d - (b >> self.dshift & self.top)) << self.dshift)
 
 
 def _flatten(vec, lay):
@@ -612,7 +628,14 @@ def _tokenize(text):
             break
         if m.lastgroup is None:
             break
-        out.append((m.lastgroup, m.group(m.lastgroup)))
+        kind, val = m.lastgroup, m.group(m.lastgroup)
+        if kind == "int":
+            try:
+                val = int(val)
+            except ValueError:  # more digits than int() converts
+                raise ParseError(
+                    f"integer of {len(val)} digits is too long") from None
+        out.append((kind, val))
         pos = m.end()
     if text[pos:].strip():
         raise ParseError(f"unexpected character at {text[pos:].strip()[:10]!r}")
@@ -670,20 +693,19 @@ class _Parser:
             kind, val = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer")
-            return base ** int(val)
+            return base ** val
         return base
 
     def atom(self):
         kind, val = self.take()
         if kind == "int":
-            num = int(val)
             if self.peek() == ("op", "/"):
                 self.take()
                 k2, v2 = self.take()
-                if k2 != "int" or int(v2) == 0:
+                if k2 != "int" or v2 == 0:
                     raise ParseError("denominator must be a nonzero integer")
-                return Polynomial.constant(self.ring, Fraction(num, int(v2)))
-            return Polynomial.constant(self.ring, num)
+                return Polynomial.constant(self.ring, Fraction(val, v2))
+            return Polynomial.constant(self.ring, val)
         if kind == "name":
             if val not in self.index:
                 raise ParseError(f"unknown variable {val!r}")

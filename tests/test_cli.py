@@ -271,8 +271,8 @@ class TestAnalyzeErrors:
         assert res.returncode == 5
 
     def test_budget_is_one_per_analysis(self):
-        # the largest single call, the Koszul test's krull_dimension,
-        # spends 230 steps, the whole default analysis 561: only a budget
+        # the largest single call, the Koszul test's dimension_at_most,
+        # spends 188 steps, the whole default analysis 515: only a budget
         # shared by the calls runs out
         res = run_cli("analyze", os.path.join(CORPUS, "discriminant-234.json"),
                       env_extra={"LOGDIV_BUDGET": "300"})
@@ -280,7 +280,7 @@ class TestAnalyzeErrors:
         assert "step budget of 300 exhausted" in res.stdout
 
     def test_structure_constants_are_charged_to_the_classify_stage(self):
-        # the default analysis spends 184 steps up to the basis and 147 on
+        # the default analysis spends 180 steps up to the basis and 147 on
         # the structure constants of the classify stage's connection
         # conditions, before the Koszul test
         res = run_cli("analyze", os.path.join(CORPUS, "discriminant-234.json"),
@@ -631,22 +631,21 @@ class TestArtefactsComputedOnce:
 
     def test_one_groebner_basis_per_analysis(self, monkeypatch):
         # ft1, lft1, h0 and the bounds read one linear-algebra class
-        # space; only the krull_dimension of the divisor stage's
+        # space; only the dimension tests of the divisor stage's
         # squarefree test and of the Koszul test run Buchberger
-        from logdiv import cli, cohomology, groebner, logder
+        from logdiv import cli, groebner
 
         callers = []
-        original = groebner.buchberger
+        original = groebner._run_buchberger
 
         def counting(*args, **kwargs):
             callers.append(sys._getframe(1).f_code.co_name)
             return original(*args, **kwargs)
 
-        for mod in (groebner, cohomology, logder):
-            monkeypatch.setattr(mod, "buchberger", counting)
+        monkeypatch.setattr(groebner, "_run_buchberger", counting)
         doc = cli.load_document(os.path.join(CORPUS, "linear-nonreductive-5.json"))
         report = cli.analyze_document(doc, cli.ALL_STAGES)
-        assert callers == ["krull_dimension", "krull_dimension"]
+        assert callers == ["dimension_at_most", "dimension_at_most"]
         with open(os.path.join(CORPUS, "linear-nonreductive-5.expected.json"),
                   encoding="utf-8") as fh:
             golden = json.load(fh)
@@ -724,9 +723,9 @@ class TestBasisStageBudget:
         assert steps < full.steps - full.left
 
     @pytest.mark.parametrize("name, steps", [
-        ("discriminant-234", 561),  # weighted, but (f, grad f) not homogeneous
-        ("curve-x5y4", 45),
-        ("four-lines-nonkoszul", 476)],  # not weighted homogeneous
+        ("discriminant-234", 515),  # weighted, but (f, grad f) not homogeneous
+        ("curve-x5y4", 41),
+        ("four-lines-nonkoszul", 469)],  # not weighted homogeneous
         ids=["discriminant-234", "curve-x5y4", "four-lines-nonkoszul"])
     def test_inhomogeneous_generators_spend_the_whole_run(self, name, steps,
                                                           monkeypatch):
@@ -736,7 +735,7 @@ class TestBasisStageBudget:
         assert self.analyze(doc, monkeypatch)[:2] == (None, steps)
 
     @pytest.mark.parametrize("f, steps, size", [
-        ("x*y*z*(x+y+z)", 229, 4), ("x*y*z*(x+y+z)*(x+2*y+3*z)", 966, 5)],
+        ("x*y*z*(x+y+z)", 216, 4), ("x*y*z*(x+y+z)*(x+2*y+3*z)", 937, 5)],
         ids=["generic-4", "generic-5"])
     def test_not_free_reads_the_whole_run(self, f, steps, size, monkeypatch):
         doc = {"label": "generic", "variables": ["x", "y", "z"], "f": f}

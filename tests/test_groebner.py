@@ -1,9 +1,11 @@
+import itertools
 import random
 
 from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logdiv.cohomology import (QuotientSlice, ft1, jacobian_degree_bound,
                                weighted_monomials)
@@ -13,12 +15,12 @@ from logdiv.groebner import (
     _Packing,
     _reduce_full,
     buchberger,
-    krull_dimension,
+    dimension_at_most,
     syzygies,
     syzygy_stream,
 )
 from logdiv.poly import (Polynomial, WeightSystem, degrevlex_key, m_div,
-                         m_divides, partial_derivative, poly_from_text,
+                         m_divides, m_lcm, partial_derivative, poly_from_text,
                          poly_to_text)
 
 from conftest import from_sympy, random_poly, to_sympy
@@ -243,7 +245,47 @@ class TestGradedQuotient:
             == [(0, (0, 1)), (1, (0, 0))]
 
 
+def assert_dimension(gens, d):
+    """The dimension of the ideal is d: dimension_at_most holds at d and
+    fails at d - 1 (no ideal has dimension below -1)."""
+    assert dimension_at_most(gens, d)
+    assert d == -1 or not dimension_at_most(gens, d - 1)
+
+
+def sympy_dimension(gens, n):
+    """dim R/I from the lead monomials of sympy's reduced Groebner basis:
+    the largest set of variables holding no lead's support; -1 for the
+    unit ideal, n for the zero ideal."""
+    import sympy
+
+    xs = sympy.symbols(f"v0:{n}")
+    exprs = [to_sympy(g, xs) for g in gens if not g.is_zero()]
+    if not exprs:
+        return n
+    gb = sympy.groebner(exprs, *xs, order="grevlex")
+    supports = [{i for i, e in enumerate(sympy.Poly(g, *xs).monoms(
+        order="grevlex")[0]) if e} for g in gb.exprs]
+    return max((r for r in range(n + 1)
+                for c in itertools.combinations(range(n), r)
+                if not any(sup <= set(c) for sup in supports)), default=-1)
+
+
+@st.composite
+def ideals(draw):
+    """(generators, n): up to three polynomials in n <= 3 variables, not
+    homogeneous, with p/q coefficients; constants and zeros included."""
+    n = draw(st.integers(1, 3))
+    ring = R3[:n]
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    gens = draw(st.lists(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * n), coeff, max_size=3),
+        min_size=1, max_size=3))
+    return [Polynomial(ring, terms) for terms in gens], n
+
+
 class TestKrullDimension:
+    """Krull dimensions by dimension_at_most, two-sided."""
+
     def test_diagonal_symbols(self):
         for n in (1, 2, 3):
             names = tuple(f"x{i}" for i in range(n)) + tuple(f"u{i}" for i in range(n))
@@ -252,21 +294,42 @@ class TestKrullDimension:
                 xi = Polynomial.variable(names, i)
                 ui = Polynomial.variable(names, n + i)
                 gens.append(xi * ui)
-            assert krull_dimension(gens) == n
+            assert_dimension(gens, n)
 
     def test_zero_ideal(self):
-        assert krull_dimension([Polynomial.zero(R3)]) == 3
+        assert_dimension([Polynomial.zero(R3)], 3)
 
     def test_unit_ideal(self):
-        assert krull_dimension([P("x + 1")] + [P("x")]) == -1
+        assert_dimension([P("x + 1")] + [P("x")], -1)
 
     def test_oracle_hypersurface(self):
         # a hypersurface in 3 variables has dimension 2
-        assert krull_dimension([poly_from_text("x*y - z^2", R3)]) == 2
+        assert_dimension([poly_from_text("x*y - z^2", R3)], 2)
 
     def test_point(self):
         gens = [P("x"), P("y")]
-        assert krull_dimension(gens) == 0
+        assert_dimension(gens, 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(ideals())
+    def test_against_sympy_lead_monomials(self, ideal):
+        gens, n = ideal
+        d = sympy_dimension(gens, n)
+        with Budget(10**6):
+            assert [dimension_at_most(gens, k) for k in range(-1, n + 1)] \
+                == [d <= k for k in range(-1, n + 1)]
+
+    def test_a_true_answer_stops_the_run(self):
+        # the singular locus of the B3 arrangement is the union of the
+        # lines where its planes meet: leads of (f, grad f) certify
+        # dimension <= 1 before the run ends, which the False answer at 0
+        # has to reach
+        gens = coxeter_gens("coxeter-B3")
+        with Budget(10**9) as early:
+            assert dimension_at_most(gens, 1)
+        with Budget(10**9) as full:
+            assert not dimension_at_most(gens, 0)
+        assert early.steps - early.left < full.steps - full.left
 
 
 def term_key(t):
@@ -292,9 +355,12 @@ def packed_reduce(v, basis, leads, budget, track, sugar, sugars):
         [lay.pack(*ld) for ld in leads], sugars, 0, budget, lay, track)
     if sugar is not None:
         sugar[0] = sug
-    return ({lay.unpack(t): Fraction(a, den) for t, a in rem.items()},
-            quots and [{lay.unpack(s)[1]: co for s, co in q.items()}
-                       for q in quots])
+    if quots is not None:
+        Q, qden = quots  # ints over the working denominator, as the remainder
+        assert qden == den
+        quots = [{lay.unpack(s)[1]: Fraction(a, qden) for s, a in q.items()}
+                 for q in Q]
+    return ({lay.unpack(t): Fraction(a, den) for t, a in rem.items()}, quots)
 
 
 def max_scan_reduce(v, basis, leads, budget, track, sugar, sugars):
@@ -461,6 +527,35 @@ class TestPackedTerms:
     def test_pack_then_unpack(self, seed):
         lay, terms = random_terms(seed)
         assert [lay.unpack(lay.pack(*t)) for t in terms] == terms
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_lcm_is_the_packed_m_lcm(self, data):
+        n = data.draw(st.integers(1, 10))
+        lay = _Packing(n)
+        field = st.one_of(st.integers(0, 3), st.integers(0, lay.top))
+
+        def exponents():
+            e = data.draw(st.lists(field, min_size=n, max_size=n))
+            # scaled down into the field when the degree does not fit
+            if sum(e) > lay.top:
+                e = [x * lay.top // sum(e) for x in e]
+            return tuple(e)
+
+        c, a, b = data.draw(st.integers(0, 3)), exponents(), exponents()
+        if sum(m_lcm(a, b)) <= lay.top:
+            assert lay.lcm(lay.pack(c, a), lay.pack(c, b)) \
+                == lay.pack(c, m_lcm(a, b))
+        else:
+            with pytest.raises(BudgetExceeded, match="packed degree"):
+                lay.lcm(lay.pack(c, a), lay.pack(c, b))
+
+    def test_lcm_past_the_top_exceeds_the_budget(self):
+        lay = _Packing(2)
+        assert lay.lcm(lay.pack(1, (lay.top - 1, 0)), lay.pack(1, (0, 1))) \
+            == lay.pack(1, (lay.top - 1, 1))
+        with pytest.raises(BudgetExceeded, match=f"degree {lay.top + 1} "):
+            lay.lcm(lay.pack(1, (lay.top, 0)), lay.pack(1, (0, 1)))
 
     @pytest.mark.parametrize("gens", [
         ["x^32768 + y"],            # one exponent past the field

@@ -1,23 +1,29 @@
 """Metamorphic tests: reordering the variables of an input renames the
-coordinates, so no invariant of the divisor may change.
+coordinates, and a shear x_i -> x_i + c*x_j with w_i = w_j is a linear
+change of coordinates that keeps the grading, so no invariant of the
+divisor may change.
 
-The reordered analysis builds its Groebner bases in another term order
-and may find another Saito basis, so it is a second path to every
-answer. Inputs: the free Coxeter arrangements, and the corpus inputs
-whose basis comes from the syzygy route (no supplied matrix), against
-their golden reports. Every permutation is tried for n <= 3, a fixed
-seeded sample for n = 4.
+The changed analysis builds its Groebner bases from other polynomials,
+in another term order, and may find another Saito basis, so it is a
+second path to every answer. Permutations: the free Coxeter
+arrangements, and the corpus inputs whose basis comes from the syzygy
+route (no supplied matrix), against their golden reports; every
+permutation is tried for n <= 3, a fixed seeded sample for n = 4.
+Shears: braid A3, B3 and D4, and every corpus input whose weights are
+all equal, a supplied Saito matrix carried along.
 """
 
 import itertools
 import json
 import os
 import random
+import re
 
 import pytest
 
 from logdiv import cli
 from logdiv.errors import Budget
+from logdiv.poly import detect_weight_system, poly_from_text
 
 CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "corpus")
@@ -82,16 +88,19 @@ ARRANGEMENTS = [
 ]
 
 
-def syzygy_route_corpus():
+def corpus_documents():
     names = sorted(n[:-len(".json")] for n in os.listdir(CORPUS)
                    if n.endswith(".json") and not n.endswith(".expected.json"))
     out = []
     for name in names:
         with open(os.path.join(CORPUS, f"{name}.json"), encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if "saito_matrix" not in doc:
-            out.append((name, doc))
+            out.append((name, json.load(fh)))
     return out
+
+
+def syzygy_route_corpus():
+    return [(name, doc) for name, doc in corpus_documents()
+            if "saito_matrix" not in doc]
 
 
 @pytest.mark.parametrize("label, n, f, stages", ARRANGEMENTS,
@@ -111,3 +120,58 @@ def test_corpus_invariants_under_permutation(name, doc):
         want = invariants(json.load(fh))
     for perm in permutations(len(doc["variables"]), name):
         assert invariants(analyze(permuted(doc, perm), cli.ALL_STAGES)) == want, perm
+
+
+# (i, j, c): x_i -> x_i + c*x_j, the indices taken modulo n
+SHEARS = [(0, 1, "2"), (-1, 0, "-1/3")]
+
+
+def sheared(doc, i, j, c):
+    """doc under x_i -> x_i + c*x_j. A field a(x) of f(x) becomes
+    (I - c*E_ij) a(A y) of f(A y), A = I + c*E_ij: row i of a supplied
+    Saito matrix loses c times row j after the substitution."""
+    names = doc["variables"]
+    xi, xj = names[i], names[j]
+
+    def sub(text):
+        return re.sub(rf"\b{re.escape(xi)}\b", f"({xi} + ({c})*{xj})", text)
+
+    out = dict(doc, f=sub(doc["f"]))
+    if "saito_matrix" in doc:
+        rows = [[sub(t) for t in row] for row in doc["saito_matrix"]]
+        rows[i] = [f"({a}) - ({c})*({b})" for a, b in zip(rows[i], rows[j])]
+        out["saito_matrix"] = rows
+    return out
+
+
+def equal_weight_corpus():
+    out = []
+    for name, doc in corpus_documents():
+        w = detect_weight_system(poly_from_text(doc["f"], tuple(doc["variables"])))
+        weights = doc.get("weights") or (w and w.weights)
+        if weights and len(set(weights)) == 1:
+            out.append((name, doc))
+    return out
+
+
+def shears(n):
+    return [(i % n, j % n, c) for i, j, c in SHEARS]
+
+
+# braid A3, B3 and D4
+@pytest.mark.parametrize("label, n, f, stages", ARRANGEMENTS[:3],
+                         ids=[a[0] for a in ARRANGEMENTS[:3]])
+def test_arrangement_invariants_under_shears(label, n, f, stages):
+    doc = {"label": label, "variables": [f"x{i}" for i in range(1, n + 1)], "f": f}
+    want = invariants(analyze(doc, stages))
+    for shear in shears(n):
+        assert invariants(analyze(sheared(doc, *shear), stages)) == want, shear
+
+
+@pytest.mark.parametrize("name, doc", equal_weight_corpus(),
+                         ids=[name for name, _ in equal_weight_corpus()])
+def test_corpus_invariants_under_shears(name, doc):
+    with open(os.path.join(CORPUS, f"{name}.expected.json"), encoding="utf-8") as fh:
+        want = invariants(json.load(fh))
+    for shear in shears(len(doc["variables"])):
+        assert invariants(analyze(sheared(doc, *shear), cli.ALL_STAGES)) == want, shear

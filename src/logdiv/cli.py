@@ -23,22 +23,25 @@ The human report goes to stdout; --json PATH writes the machine report
 excluded from corpus comparisons.
 
 Exit codes: 0 success (stages skipped by flags read "not computed"),
-2 input or parse error, 3 divisor not reduced, 4 no free basis found
-(or a provided matrix failed verification), 5 timeout or budget
-exhausted (also a Groebner degree past 32767), 6 internal inconsistency
-(an error that a stage does not expect, such as
+2 input or parse error (also a --timeout that is not a positive finite
+number or a LOGDIV_BUDGET below 1), 3 divisor not reduced, 4 no free
+basis found (or a provided matrix failed verification), 5 timeout or
+budget exhausted (also a Groebner degree past 32767), 6 internal
+inconsistency (an error that a stage does not expect, such as
 errors.InternalInconsistency; the report names the stage).
 
 Each analysis, and each corpus-run entry, runs under one errors.Budget:
---timeout SECONDS is its deadline, and the LOGDIV_BUDGET environment
-variable (an integer, default errors.DEFAULT_STEPS) its steps, which
-Groebner reductions, linear algebra, slice construction and the Saito
-matrix's determinant, adjugate and structure constants share. A
-corpus entry that runs out of budget is a mismatch.
+--timeout SECONDS (a positive finite number) is its deadline, and the
+LOGDIV_BUDGET environment variable (a positive integer, default
+errors.DEFAULT_STEPS) its steps, which Groebner reductions, linear
+algebra, slice construction and the Saito matrix's determinant, adjugate,
+structure constants and deformed equations share. A corpus entry that
+runs out of budget is a mismatch.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -543,16 +546,20 @@ def _stage_set(args):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    steps = DEFAULT_STEPS
-    override = os.environ.get("LOGDIV_BUDGET")
-    if override:
-        try:
-            steps = int(override)
-        except ValueError:
-            print(f"LOGDIV_BUDGET must be an integer, got {override!r}",
-                  file=sys.stderr)
-            return 2
-    seconds = args.timeout or None
+    override = os.environ.get("LOGDIV_BUDGET") or str(DEFAULT_STEPS)
+    try:
+        steps = int(override)
+    except ValueError:
+        steps = 0
+    if steps < 1:
+        print(f"LOGDIV_BUDGET must be a positive integer, got {override!r}",
+              file=sys.stderr)
+        return 2
+    seconds = args.timeout
+    if seconds is not None and not 0 < seconds < math.inf:
+        print(f"--timeout must be a positive finite number of seconds,"
+              f" got {seconds}", file=sys.stderr)
+        return 2
 
     if args.command == "corpus-run":
         return run_corpus(args.directory, steps, seconds)

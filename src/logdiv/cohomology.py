@@ -56,6 +56,8 @@ from .logder import (
 from .poly import (
     Polynomial,
     WeightSystem,
+    _dot,
+    _flatten,
     degrevlex_key,
     detect_weight_system,
     partial_derivative,
@@ -291,11 +293,6 @@ def _set_column(rows, c, col):
             rows[r][c] = x
 
 
-def build_slice(saito, sc, w):
-    """The weight-zero slices C0, C1, C2 with exact d0 and d1 matrices."""
-    return SliceComplex(saito, sc, w)
-
-
 class DeformationReport:
     """Deformed equations, one per basis class of the deformation space,
     with the Jacobian degree bound and the slice notes."""
@@ -316,12 +313,14 @@ def deformation_equation(psi_fields, saito):
     """First-order change of the defining equation: the sum over i of the
     determinant of the Saito matrix with column i replaced by the i-th
     value of the cocycle. That determinant is linear in column i, so it is
-    row i of the adjugate applied to psi_i."""
-    fprime = Polynomial.zero(saito.ring)
-    for row, psi in zip(saito.adjugate(), psi_fields):
-        for a, p in zip(row, psi.components):
-            fprime = fprime + a * p
-    return fprime
+    row i of the adjugate applied to psi_i. The sum is one packed dot
+    product of the adjugate's entries with the components of the psi_i,
+    charged to the active budget."""
+    table = saito.table()
+    lay = table.lay
+    adj = [a for row in table.adjugate() for a in row]
+    psi = [_flatten([p], lay) for d in psi_fields for p in d.components]
+    return table.polynomial(_dot(adj, psi, lay, current_budget()))
 
 
 def cocycle_check(psi_fields, saito, sc):
@@ -442,7 +441,7 @@ def ft1(f, saito=None, w=None):
     weight-zero slice cohomology ker d1 / im d0 of saito.graded(w), as
     one normalized deformed equation per basis class."""
     saito, w = _prepare_graded(f, saito, w)
-    cx = build_slice(saito, saito.structure_constants(), w)
+    cx = SliceComplex(saito, saito.structure_constants(), w)
     kernel = cx.kernel_d1()
     rank0 = cx.rank_d0()
     space = _class_space(saito.divisor, w)
@@ -461,7 +460,7 @@ def h0(f, saito=None, w=None):
     """Kernel dimension of d0 on the weight-zero slice (always 0: the
     logarithmic fields are self-normalizing)."""
     saito, w = _prepare_graded(f, saito, w)
-    cx = build_slice(saito, saito.structure_constants(), w)
+    cx = SliceComplex(saito, saito.structure_constants(), w)
     return cx.h0_dimension()
 
 

@@ -67,10 +67,10 @@ class Budget:
     linear algebra, one cell of a slice relation matrix, one pair of
     terms multiplied in a polynomial power, a parsed product or the
     packed algebra of a polynomial matrix (determinant, adjugate,
-    structure constants), or one quotient term times one divisor term in
-    an exact division. Inside ``with budget:`` every charge made in this thread
-    or task goes to ``budget``; see current_budget. The ``with`` may nest,
-    also on the same budget.
+    structure constants, deformed equations), or one quotient term times
+    one divisor term in an exact division. Inside ``with budget:`` every
+    charge made in this thread or task goes to ``budget``; see
+    current_budget. The ``with`` may nest, also on the same budget.
     """
 
     __slots__ = ("steps", "left", "seconds", "deadline", "_tokens")

@@ -53,7 +53,7 @@ from .poly import Polynomial, _flatten, _lowest_terms, _Packing, _unflatten
 def _as_vector(elem, rank):
     if isinstance(elem, Polynomial):
         elem = [elem]
-    if rank is not None and len(elem) != rank:
+    if len(elem) != rank:
         raise ValueError(f"module element has length {len(elem)}, expected {rank}")
     return list(elem)
 
@@ -332,23 +332,14 @@ class SyzygyBasis:
         return len(self.elements)
 
 
-def _prepare(gens, rank=None):
+def _prepare(gens):
     if not gens:
         raise ValueError("need at least one generator")
-    first = gens[0]
-    if isinstance(first, Polynomial):
-        ring = first.ring
-        r = 1
-    else:
-        ring = first[0].ring
-        r = len(first)
-    if rank is not None:
-        r = rank
+    r = 1 if isinstance(gens[0], Polynomial) else len(gens[0])
     vecs = [_as_vector(g, r) for g in gens]
-    for v in vecs:
-        for p in v:
-            if p.ring != ring:
-                raise ValueError("mixed rings among generators")
+    ring = vecs[0][0].ring
+    if any(p.ring != ring for v in vecs for p in v):
+        raise ValueError("mixed rings among generators")
     return ring, r, vecs
 
 

@@ -37,7 +37,6 @@ from .poly import (
     detect_weight_system,
     m_weighted_degree,
     partial_derivative,
-    poly_adjugate,
     poly_to_text,
 )
 
@@ -261,23 +260,13 @@ class SaitoBasis:
     def field_weights(self, w):
         return [delta.weight(w) for delta in self.fields]
 
-    def _poly_matrix(self):
+    def table(self):
         """The PolyMatrix of matrix(), made here when no determinant test
-        handed it on."""
+        handed it on. Its adjugate, adj * matrix() = unit * divisor * I,
+        is what the structure constants and the deformed equations read."""
         if self._table is None:
             self._table = PolyMatrix(self.matrix())
         return self._table
-
-    def adjugate(self):
-        """The adjugate of matrix(): adj * matrix() = unit * divisor * I."""
-        # The PolyMatrix keeps the packed adjugate, which the structure
-        # constants read; this memo keeps its Fraction polynomials, which
-        # cohomology.deformation_equation reads once per kernel vector of
-        # the ft1 complex (21 times on linear-nonreductive-5), so they are
-        # converted once per basis rather than once per read.
-        if "adj" not in self._memo:
-            self._memo["adj"] = poly_adjugate(self._poly_matrix())
-        return self._memo["adj"]
 
     def structure_constants(self):
         """The StructureConstants of this basis."""
@@ -499,7 +488,7 @@ def structure_constants(basis):
     packed form of the basis's PolyMatrix, charged to the active budget.
     """
     n = len(basis.ring)
-    table = basis._poly_matrix()
+    table = basis.table()
     adj, lay = table.adjugate(), table.lay
     budget = current_budget()
     zero = Polynomial.zero(basis.ring)

@@ -8,10 +8,13 @@ coefficients, so structural equality is dict equality.
 Canonical term order for storage-independent printing is degrevlex with the
 ring's variable order.
 
-The Groebner engine and the algebra of square polynomial matrices
-(PolyMatrix: determinant, adjugate, exact division) work on a packed form
-that follows Monagan and Pearce (CASC 2007); _flatten and _unflatten are
-the one boundary between it and Polynomial:
+The Groebner engine and the algebra of square polynomial matrices work on
+a packed form that follows Monagan and Pearce (CASC 2007); _flatten and
+_unflatten are the one boundary between it and Polynomial. PolyMatrix is
+the one API of that algebra: its determinant and adjugate entries are
+packed elements, which _dot combines and _divide divides exactly, and
+only a result is converted back, by PolyMatrix.polynomial. The packed
+form:
 
 - A term (component, exponent) is packed into one int. Its fields, from
   high to low, are the component, the total degree, then x_n ... x_1; each
@@ -46,17 +49,8 @@ def m_div(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def m_divides(a, b):
-    """True if monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
 def m_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def m_degree(a):
-    return sum(a)
 
 
 def m_weighted_degree(a, weights):
@@ -576,42 +570,6 @@ class PolyMatrix:
             self._adj = adj
             self._memo = {}
         return self._adj
-
-
-def poly_det(rows):
-    """Determinant of a square matrix of polynomials, constant or not,
-    given as a list of rows or as a PolyMatrix, whose memo then keeps the
-    minors.
-
-    Cofactor expansion down the columns with each minor memoized, so it is
-    division-free and exact. Each product is charged to the active budget,
-    one step per pair of terms, before it is formed.
-    """
-    mat = rows if isinstance(rows, PolyMatrix) else PolyMatrix(rows)
-    return mat.polynomial(mat.det())
-
-
-def poly_adjugate(rows):
-    """Adjugate of a square polynomial matrix, given like poly_det's, so
-    that adj * rows = det * I: entry (i, j) is (-1)^(i+j) times the
-    determinant of rows without row j and column i. Each minor is formed
-    once, charged to one budget."""
-    mat = rows if isinstance(rows, PolyMatrix) else PolyMatrix(rows)
-    return [[mat.polynomial(v) for v in row] for row in mat.adjugate()]
-
-
-# ---- exact division ---------------------------------------------------
-
-
-def try_exact_div(p, d):
-    """Exact quotient p / d, or None when d does not divide p. Each
-    quotient term is charged to the active budget, one step per term of
-    d."""
-    if d.is_zero():
-        return None
-    lay = _Packing(len(p.ring))
-    q = _divide(_flatten([p], lay), _flatten([d], lay), lay, current_budget())
-    return None if q is None else _unflatten(q, p.ring, 1, lay)[0]
 
 
 # ---- text form --------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -6,7 +7,9 @@ from fractions import Fraction
 
 from logdiv.logder import (SaitoBasis, VectorField, compute_der_log,
                            find_saito_basis, verify_saito)
-from logdiv.poly import (Polynomial, WeightSystem, detect_weight_system,
+from logdiv.errors import current_budget
+from logdiv.poly import (Polynomial, PolyMatrix, WeightSystem, _divide,
+                         _flatten, _Packing, _unflatten, detect_weight_system,
                          poly_from_text, weighted_degree)
 
 CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -69,3 +72,48 @@ def random_poly(rng, ring, max_deg=3, n_terms=4, coeff_range=5):
         if c:
             terms[m] = terms.get(m, Fraction(0)) + c
     return Polynomial(ring, terms)
+
+
+def packed_det(rows):
+    """The determinant of a square matrix of polynomials, by PolyMatrix."""
+    mat = PolyMatrix(rows)
+    return mat.polynomial(mat.det())
+
+
+def packed_adjugate(rows):
+    """The adjugate of a square matrix of polynomials, by PolyMatrix:
+    adj * rows = det * I."""
+    mat = PolyMatrix(rows)
+    return [[mat.polynomial(v) for v in row] for row in mat.adjugate()]
+
+
+def packed_div(p, d):
+    """p / d by the packed exact division, or None when d does not divide
+    p; the division is charged to the active budget."""
+    if d.is_zero():
+        return None
+    lay = _Packing(len(p.ring))
+    q = _divide(_flatten([p], lay), _flatten([d], lay), lay, current_budget())
+    return None if q is None else _unflatten(q, p.ring, 1, lay)[0]
+
+
+def leibniz(rows):
+    """det(rows) by the Leibniz formula, as a dict from exponent to
+    Fraction, with products and sums of Fraction only."""
+    n = len(rows)
+    out = {}
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        prod = {(0,) * len(rows[0][0].ring):
+                Fraction(-1 if inversions % 2 else 1)}
+        for i in range(n):
+            nxt = {}
+            for m1, c1 in prod.items():
+                for m2, c2 in rows[i][perm[i]].terms.items():
+                    m = tuple(a + b for a, b in zip(m1, m2))
+                    nxt[m] = nxt.get(m, Fraction(0)) + c1 * c2
+            prod = nxt
+        for m, c in prod.items():
+            out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}

@@ -26,7 +26,7 @@ from logdiv.classify import (
     trace_test,
 )
 from logdiv.cohomology import (
-    build_slice,
+    SliceComplex,
     cocycle_check,
     deformation_equation,
     ft1,
@@ -281,7 +281,7 @@ def test_criterion_09(corpus):
     for m in graded:
         f, ws, saito = m["f"], m["ws"], m["saito"]
         sc = structure_constants(saito)
-        cx = build_slice(saito, sc, ws)
+        cx = SliceComplex(saito, sc, ws)
         for s in range(cx.dim_c0):
             basis_vec = [Fraction(0)] * cx.dim_c0
             basis_vec[s] = Fraction(1)

@@ -316,6 +316,34 @@ class TestAnalyzeErrors:
                       env_extra={"LOGDIV_BUDGET": "many"})
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("command", ["analyze", "corpus-run"])
+    @pytest.mark.parametrize("flags, budget, message", [
+        (["--timeout", "nan"], None, "--timeout must be a positive finite"),
+        (["--timeout", "0"], None, "--timeout must be a positive finite"),
+        (["--timeout", "-1"], None, "--timeout must be a positive finite"),
+        (["--timeout", "inf"], None, "--timeout must be a positive finite"),
+        ([], "-3", "LOGDIV_BUDGET must be a positive integer, got '-3'"),
+        ([], "0", "LOGDIV_BUDGET must be a positive integer, got '0'"),
+    ], ids=["timeout-nan", "timeout-0", "timeout-negative", "timeout-inf",
+            "budget-negative", "budget-0"])
+    def test_limits_out_of_range_exit_2(self, command, flags, budget, message,
+                                        monkeypatch, capsys, tmp_path):
+        # such a limit used to run with no deadline (nan, 0) or to stop
+        # at once with exit 5 (a negative timeout or budget)
+        from logdiv import cli
+
+        for name in ("nc-2.json", "nc-2.expected.json"):
+            shutil.copy(os.path.join(CORPUS, name), tmp_path / name)
+        target = tmp_path / "nc-2.json" if command == "analyze" else tmp_path
+        if budget is None:
+            monkeypatch.delenv("LOGDIV_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("LOGDIV_BUDGET", budget)
+        assert cli.main([command, str(target), *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+
     def test_deeply_nested_f_is_an_input_error(self, tmp_path):
         path = tmp_path / "doc.json"
         write_doc(path, {"label": "deep", "variables": ["x", "y"],
@@ -547,7 +575,7 @@ class TestArtefactsComputedOnce:
         # the supplied basis is its own weight-zero part: g_D, the trace
         # test and lft1 need no syzygies and no basis search, and the
         # structure constants and deformed equations share one adjugate
-        from logdiv import cli, cohomology, groebner, logder
+        from logdiv import cli, cohomology, groebner, logder, poly
 
         calls = []
 
@@ -557,8 +585,15 @@ class TestArtefactsComputedOnce:
                 return fn(*args, **kwargs)
             return wrapper
 
+        adjugate = poly.PolyMatrix.adjugate
+
+        def counting_adjugate(self):
+            if self._adj is None:
+                calls.append("adjugate built")
+            return adjugate(self)
+
+        monkeypatch.setattr(poly.PolyMatrix, "adjugate", counting_adjugate)
         for mod, name in ((logder, "structure_constants"),
-                          (logder, "poly_adjugate"),
                           (logder, "find_saito_basis"),
                           (logder, "_select_saito_basis"),
                           (cli, "_select_saito_basis"),
@@ -575,7 +610,7 @@ class TestArtefactsComputedOnce:
         assert report["profile"]["linear"] is True
         assert report["lft1"]["dimension"] == 1
         assert calls.count("structure_constants") == 1
-        assert calls.count("poly_adjugate") == 1
+        assert calls.count("adjugate built") == 1
         assert calls.count("find_saito_basis") == 0
         assert calls.count("_select_saito_basis") == 0
         assert calls.count("syzygies") == 0

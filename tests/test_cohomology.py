@@ -10,7 +10,7 @@ import pytest
 from ce_oracle import cohomology, normal_crossing_rows
 from logdiv.cohomology import (
     QuotientSlice,
-    build_slice,
+    SliceComplex,
     cocycle_check,
     deformation_equation,
     ft1,
@@ -36,12 +36,11 @@ from logdiv.poly import (
     WeightSystem,
     detect_weight_system,
     partial_derivative,
-    poly_det,
     poly_from_text,
     poly_to_text,
 )
 
-from conftest import CORPUS, corpus_member
+from conftest import CORPUS, corpus_member, leibniz
 
 R2 = ("x", "y")
 R3 = ("x", "y", "z")
@@ -109,7 +108,7 @@ def five_var_saito():
 @pytest.fixture(scope="module")
 def five_var_complex(five_var_saito):
     w = WeightSystem((1,) * 5, 5)
-    return build_slice(five_var_saito, structure_constants(five_var_saito), w)
+    return SliceComplex(five_var_saito, structure_constants(five_var_saito), w)
 
 
 def saito_rows(saito):
@@ -192,13 +191,13 @@ def test_corpus_ft1_matches_groebner_reference(name):
 def deformation_equation_by_determinants(psi_fields, saito):
     """The reference for deformation_equation: the sum over i of the
     determinant of the Saito matrix with column i replaced by psi_i, each
-    expanded in full."""
+    expanded in full by the Leibniz formula."""
     n = len(saito.ring)
     fprime = Polynomial.zero(saito.ring)
     for i in range(n):
         cols = saito.fields[:i] + [psi_fields[i]] + saito.fields[i + 1:]
-        fprime = fprime + poly_det(
-            [[cols[c].components[r] for c in range(n)] for r in range(n)])
+        fprime = fprime + Polynomial(saito.ring, leibniz(
+            [[cols[c].components[r] for c in range(n)] for r in range(n)]))
     return fprime
 
 
@@ -206,11 +205,34 @@ def deformation_equation_by_determinants(psi_fields, saito):
 def test_deformation_equation_matches_determinants(name):
     _, w, saito = corpus_member(name)
     saito = saito.graded(w)
-    cx = build_slice(saito, saito.structure_constants(), w)
+    cx = SliceComplex(saito, saito.structure_constants(), w)
     for vec in cx.kernel_d1():
         fields = cx.lift_cocycle(vec)
         assert deformation_equation(fields, saito) \
             == deformation_equation_by_determinants(fields, saito)
+
+
+@pytest.mark.parametrize("name", ["quartic-cross", "linear-nonreductive-5"])
+def test_deformation_equation_is_charged_to_the_budget(name):
+    # the products of the adjugate's entries with the cocycle's values go
+    # to the active budget, one step per pair of terms; the adjugate
+    # itself is built beforehand, once per basis
+    _, w, saito = corpus_member(name)
+    saito = saito.graded(w)
+    cx = SliceComplex(saito, saito.structure_constants(), w)
+    fields = cx.lift_cocycle(cx.kernel_d1()[0])
+    saito.table().adjugate()
+    with Budget() as budget:
+        expected = deformation_equation(fields, saito)
+    spent = budget.steps - budget.left
+    assert spent > 0
+    for steps in (0, spent - 1):
+        with pytest.raises(BudgetExceeded):
+            with Budget(steps=steps):
+                deformation_equation(fields, saito)
+    with Budget(steps=spent) as budget:
+        assert deformation_equation(fields, saito) == expected
+    assert budget.left == 0
 
 
 class TestBoundsAndH0:
@@ -285,7 +307,7 @@ class TestCoboundariesLandInTjurina:
         saito = saito_for(f)
         sc = structure_constants(saito)
         w = detect_weight_system(f)
-        cx = build_slice(saito, sc, w)
+        cx = SliceComplex(saito, sc, w)
         gb = tjurina_gb(f)
         rng = random.Random(411)
         for _ in range(10):
@@ -408,7 +430,7 @@ class TestSliceInternals:
         saito = saito_for(f)
         sc = structure_constants(saito)
         w = WeightSystem((1, 1), 4)
-        cx = build_slice(saito, sc, w)
+        cx = SliceComplex(saito, sc, w)
         assert (cx.dim_c0, cx.dim_c1, cx.dim_c2) == (3, 7, 4)
         assert cx.h0_dimension() == 0
         assert len(cx.kernel_d1()) - cx.rank_d0() == 1
@@ -416,7 +438,7 @@ class TestSliceInternals:
     def test_coboundaries_are_solved_against_one_echelon(self):
         f = P("x^3*y - x*y^3")
         saito = saito_for(f)
-        cx = build_slice(saito, structure_constants(saito),
+        cx = SliceComplex(saito, structure_constants(saito),
                          WeightSystem((1, 1), 4))
         rng = random.Random(7)
         for _ in range(5):

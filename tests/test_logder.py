@@ -361,7 +361,8 @@ def test_cramer_inverts_the_saito_matrix(name):
     zero = Polynomial.zero(saito.ring)
     det = saito.unit * saito.divisor
     mat = saito.matrix()
-    adj = saito.adjugate()
+    table = saito.table()
+    adj = [[table.polynomial(v) for v in row] for row in table.adjugate()]
     for i in range(n):
         for j in range(n):
             entry = sum((adj[i][r] * mat[r][j] for r in range(n)), zero)

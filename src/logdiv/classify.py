@@ -2,7 +2,8 @@
 
 Decides: linearity, Koszul freeness, reductivity of the Lie algebra g_D
 of weight-zero logarithmic fields, the trace test, and the two
-connection-existence conditions on structure constants. Weighted
+connection-existence conditions on structure constants, which both hold
+exactly when every structure constant is a rational number. Weighted
 homogeneity is poly.detect_weight_system. Everything about g_D is read
 from one basis, SaitoBasis.linear_part().
 """
@@ -34,29 +35,14 @@ def _fresh_symbol_names(ring):
     return tuple(names)
 
 
-def _lift(p, big_ring, extra):
-    terms = {}
-    for m, c in p.terms.items():
-        terms[m + (0,) * extra] = c
-    return Polynomial(big_ring, terms, False)
-
-
 def principal_symbols(saito):
     """sigma(delta_j) = sum_i (d/dx_i coefficient of delta_j) * s_i in the
     ring Q[x_1..x_n, s_1..s_n]."""
-    ring = saito.ring
-    n = len(ring)
-    big = ring + _fresh_symbol_names(ring)
-    out = []
-    for delta in saito.fields:
-        acc = Polynomial.zero(big)
-        for i, a in enumerate(delta.components):
-            if a.is_zero():
-                continue
-            si = Polynomial.variable(big, n + i)
-            acc = acc + _lift(a, big, n) * si
-        out.append(acc)
-    return out
+    n = len(saito.ring)
+    big = saito.ring + _fresh_symbol_names(saito.ring)
+    s = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    return [Polynomial(big, {m + s[i]: c for (i, m), c in delta.terms().items()},
+                       False) for delta in saito.fields]
 
 
 def is_koszul(saito):
@@ -141,11 +127,11 @@ def lie_algebra_matrices(saito):
     if linear is None:
         raise NotLinear("divisor is not a linear free divisor")
     sc = linear.structure_constants()
-    if not sc.is_constant():
+    table = {(i, j): [sc.value(p) for p in sc.b[i][j]]
+             for i in range(sc.n) for j in range(i + 1, sc.n)}
+    if any(None in col for col in table.values()):
         raise InternalInconsistency(
             "weight-zero fields have nonconstant structure constants")
-    table = {(i, j): [p.constant_value() for p in sc.b[i][j]]
-             for i in range(sc.n) for j in range(i + 1, sc.n)}
     return LieAlgebra(sc.n, table)
 
 
@@ -253,44 +239,18 @@ def trace_test(f):
 
 
 def connection_conditions(saito, sc):
-    """Two exact polynomial identities on the structure constants.
+    """Two exact identities on the structure constants, as a pair.
 
-    With a[i][j] the d/dx_j coefficient of field i and b[i][j][k] the
+    With a[i][j] the d/dx_j coefficient of field i and b[i][j][k] / u the
     basis coefficients of [delta_i, delta_j]:
-      first:  sum_k a[k][r] * d b[i][j][k] / d x_l = 0  for all i, j, l, r
-      second: sum_k a[l][k] * d b[i][j][r] / d x_k = 0  for all i, j, l, r
+      first:  sum_k a[k][r] * d(b[i][j][k] / u) / d x_l = 0  for all i, j, l, r
+      second: sum_k a[l][k] * d(b[i][j][r] / u) / d x_k = 0  for all i, j, l, r
     (the second says every basis field kills every structure constant).
-    Both hold trivially when all structure constants are constant, and
-    then nothing is formed. The coefficients are b/u over the denominator
-    u, whose derivative is (u * db - b * du) / u^2, and the factor 1/u^2
-    changes no zero test.
-    Each derivative of a b[i][j][k] is formed once, for both identities.
+    They read A * d(b[i][j] / u) / d x_l = 0 and A^T * grad(b[i][j][r] / u)
+    = 0 for the Saito matrix A, and det A = u * f is not zero (Saito's
+    criterion, K. Saito 1980): each holds exactly when every b / u has
+    zero derivatives, i.e. is a rational number, so both are
+    sc.is_constant().
     """
-    if sc.is_constant():
-        return (True, True)
-    n = sc.n
-    fields = saito.fields
-    a = [[fields[i].components[j] for j in range(n)] for i in range(n)]
-    u = sc.denominator
-    du = [partial_derivative(u, l) for l in range(n)]
-
-    def d(p, l):
-        return u * partial_derivative(p, l) - p * du[l]
-    zero = Polynomial.zero(saito.ring)
-    first = True
-    second = True
-    for i in range(n):
-        for j in range(n):
-            # db[k][l] = d b[i][j][k] / d x_l
-            db = [[d(p, l) for l in range(n)] for p in sc.b[i][j]]
-            for l in range(n):
-                for r in range(n):
-                    if first and not sum((a[k][r] * db[k][l]
-                                          for k in range(n)), zero).is_zero():
-                        first = False
-                    if second and not sum((a[l][k] * db[r][k]
-                                           for k in range(n)), zero).is_zero():
-                        second = False
-            if not first and not second:
-                return (False, False)
-    return (first, second)
+    c = sc.is_constant()
+    return (c, c)

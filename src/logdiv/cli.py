@@ -24,7 +24,8 @@ excluded from corpus comparisons.
 
 Exit codes: 0 success (stages skipped by flags read "not computed"),
 2 input or parse error (also a --timeout that is not a positive finite
-number or a LOGDIV_BUDGET below 1), 3 divisor not reduced, 4 no free
+number, a LOGDIV_BUDGET below 1, or a --json PATH that cannot be
+written, after the human report), 3 divisor not reduced, 4 no free
 basis found (or a provided matrix failed verification), 5 timeout or
 budget exhausted (also a Groebner degree past 32767), 6 internal
 inconsistency (an error that a stage does not expect, such as
@@ -34,9 +35,11 @@ Each analysis, and each corpus-run entry, runs under one errors.Budget:
 --timeout SECONDS (a positive finite number) is its deadline, and the
 LOGDIV_BUDGET environment variable (a positive integer, default
 errors.DEFAULT_STEPS) its steps, which Groebner reductions, linear
-algebra, slice construction and the Saito matrix's determinant, adjugate,
-structure constants and deformed equations share. A corpus entry that
-runs out of budget is a mismatch.
+algebra, slice construction, the terms of the Lie brackets (structure
+constants and the slice complexes' d0 and d1) and the Saito matrix's
+determinant, adjugate, structure constants and deformed equations share.
+A corpus entry that runs out of budget is a mismatch, as is one whose
+stored report is missing or unreadable (not a readable JSON file).
 """
 
 import argparse
@@ -410,12 +413,17 @@ def _human_lines(report):
 
 
 def _emit(report, json_path):
+    """Print the report and write it to json_path; 2 if that fails."""
     for line in _human_lines(report):
         print(line)
     if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(json_path, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2)
+                fh.write("\n")
+        except OSError as e:
+            print(f"cannot write {json_path}: {e}", file=sys.stderr)
+            return 2
 
 
 # ---- corpus ------------------------------------------------------------
@@ -475,11 +483,14 @@ def run_corpus(directory, steps=DEFAULT_STEPS, seconds=None):
             report = getattr(e, "report", {})
             report = dict(report)
             report["error"] = {"stage": e.stage, "message": e.message}
-        if not os.path.exists(golden_path):
-            mismatches.append("expected report file missing")
-        else:
+        try:
             with open(golden_path, "r", encoding="utf-8") as fh:
                 golden = json.load(fh)
+        except FileNotFoundError:
+            mismatches.append("expected report file missing")
+        except (OSError, ValueError, RecursionError):
+            mismatches.append("expected report unreadable")
+        else:
             _diff_fields(_strip_timings(golden), _strip_timings(report),
                          "", mismatches)
         entries.append((doc["label"], name, mismatches))
@@ -572,15 +583,13 @@ def main(argv=None):
         report = getattr(e, "report", None)
         if report is not None:
             report["error"] = {"stage": e.stage, "message": e.message}
-            _emit(report, args.json)
-        else:
-            print(f"error: {e.message}", file=sys.stderr)
+            return _emit(report, args.json) or e.code
+        print(f"error: {e.message}", file=sys.stderr)
         return e.code
     except LogdivError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    _emit(report, args.json)
-    return 0
+    return _emit(report, args.json) or 0
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ positive. The differentials follow the sign convention
 
 whose composition vanishes by the Jacobi identity. dim ker d1 - rank d0 is
 the dimension of the deformation space. d0 and d1 are kept as sparse rows;
-no d2 is built, as nothing beyond H^1 is reported.
+no d2 is built, as nothing beyond H^1 is reported. Their columns are the
+cochains x^e d/dx_c of the slice bases, bracketed term by term.
 
 A cocycle deforms f of weighted degree k by a degree-k polynomial, whose
 class lives in the degree-k piece of Q[x] / (f, df/dx_1, ..., df/dx_n).
@@ -38,6 +39,7 @@ The tests check it against an independent Chevalley-Eilenberg oracle
 """
 
 from fractions import Fraction
+from itertools import accumulate
 
 from . import linalg
 from .errors import (
@@ -48,11 +50,7 @@ from .errors import (
     current_budget,
 )
 from .groebner import buchberger
-from .logder import (
-    VectorField,
-    lie_bracket,
-    saito_basis,
-)
+from .logder import VectorField, _add_bracket, saito_basis
 from .poly import (
     Polynomial,
     WeightSystem,
@@ -60,11 +58,13 @@ from .poly import (
     _flatten,
     degrevlex_key,
     detect_weight_system,
+    m_mul,
     partial_derivative,
     weighted_degree,
 )
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def weighted_monomials(weights, target):
@@ -140,28 +140,24 @@ class QuotientSlice:
     def dim(self):
         return len(self.basis)
 
-    def project(self, elem):
-        """Coordinates of the class of a concrete weight-w element, a
-        vector field or a list of component polynomials."""
+    def project(self, terms):
+        """Coordinates of the class of a concrete weight-w element, given
+        by its terms {(component, exponent): coefficient}."""
         coords = [ZERO] * len(self.basis)
-        for c, p in enumerate(getattr(elem, "components", elem)):
-            for m, co in p.terms.items():
-                image = self._image.get((c, m))
-                if image is None:
-                    raise InternalInconsistency(
-                        f"term {(c, m)} is not of slice weight {self.weight}")
-                for j, x in image:
-                    coords[j] += co * x
+        for t, co in terms.items():
+            if not co:
+                continue
+            image = self._image.get(t)
+            if image is None:
+                raise InternalInconsistency(
+                    f"term {t} is not of slice weight {self.weight}")
+            for j, x in image:
+                coords[j] += co * x
         return coords
 
     def lift(self, coords):
-        terms = [dict() for _ in self.ring]
-        for c, k in zip(coords, self.basis):
-            if c:
-                i, e = self.ambient[k]
-                terms[i][e] = terms[i].get(e, ZERO) + c
-        comps = [Polynomial(self.ring, t) for t in terms]
-        return VectorField(self.ring, comps)
+        return VectorField.from_terms(self.ring, {
+            self.ambient[k]: c for c, k in zip(coords, self.basis)})
 
 
 class SliceComplex:
@@ -187,9 +183,9 @@ class SliceComplex:
             for (i, j) in self.pairs
         ]
         self.dim_c0 = self.slice0.dim
-        self.offsets1 = _offsets([s.dim for s in self.slices1])
+        self.offsets1 = list(accumulate((s.dim for s in self.slices1), initial=0))
         self.dim_c1 = self.offsets1[-1]
-        self.offsets2 = _offsets([s.dim for s in self.slices2])
+        self.offsets2 = list(accumulate((s.dim for s in self.slices2), initial=0))
         self.dim_c2 = self.offsets2[-1]
         self.d0_rows = self._build_d0()
         self.d1_rows = self._build_d1()
@@ -210,44 +206,40 @@ class SliceComplex:
         return self._slices[weight]
 
     def _build_d0(self):
-        n = len(self.saito.ring)
+        """Column s of d0 is the class of x^e d/dx_c, the s-th basis
+        monomial (c, e) of C0: its brackets with the basis fields."""
+        budget = current_budget()
         rows = [{} for _ in range(self.dim_c1)]
-        for s in range(self.dim_c0):
-            sigma = self.slice0.lift([Fraction(1) if c == s else ZERO
-                                      for c in range(self.dim_c0)])
+        for s, k in enumerate(self.slice0.basis):
+            sigma = {self.slice0.ambient[k]: ONE}
             col = []
-            for i in range(n):
-                img = lie_bracket(self.saito.fields[i], sigma)
-                col.extend(self.slices1[i].project(img))
+            for delta, target in zip(self.saito.fields, self.slices1):
+                img = {}
+                _add_bracket(img, 1, delta, sigma, budget)
+                col.extend(target.project(img))
             _set_column(rows, s, col)
         return rows
 
-    def _psi_component(self, vec, i):
-        lo, hi = self.offsets1[i], self.offsets1[i + 1]
-        return self.slices1[i].lift(vec[lo:hi])
-
     def _build_d1(self):
-        n = len(self.saito.ring)
+        """Column pos of d1 is the class of the cochain psi that sends
+        delta_i to x^e d/dx_c, the pos-th basis monomial (c, e) of C1 in
+        the summand of delta_i, and the other basis fields to 0."""
+        budget = current_budget()
+        fields, b = self.saito.fields, self.sc.b
         rows = [{} for _ in range(self.dim_c2)]
-        for pos in range(self.dim_c1):
-            vec = [ZERO] * self.dim_c1
-            vec[pos] = Fraction(1)
-            # which summand does this coordinate live in
-            i = next(k for k in range(n) if self.offsets1[k] <= pos < self.offsets1[k + 1])
-            tilde = self._psi_component(vec, i)
+        monomials = [(i, s.ambient[k]) for i, s in enumerate(self.slices1)
+                     for k in s.basis]
+        for pos, (i, (c, e)) in enumerate(monomials):
+            psi = {(c, e): ONE}
             col = []
-            for pi, (p, q) in enumerate(self.pairs):
-                acc = VectorField(self.saito.ring,
-                                  [Polynomial.zero(self.saito.ring)] * n)
+            for (p, q), target in zip(self.pairs, self.slices2):
+                # psi([delta_p, delta_q]) = b_pq^i x^e d/dx_c
+                acc = {(c, m_mul(m, e)): a for m, a in b[p][q][i].terms.items()}
                 if i == q:
-                    acc = acc - lie_bracket(self.saito.fields[p], tilde)
+                    _add_bracket(acc, -1, fields[p], psi, budget)
                 if i == p:
-                    acc = acc + lie_bracket(self.saito.fields[q], tilde)
-                bpqi = self.sc.b[p][q][i]
-                if not bpqi.is_zero():
-                    acc = acc + VectorField(
-                        self.saito.ring, [bpqi * c for c in tilde.components])
-                col.extend(self.slices2[pi].project(acc))
+                    _add_bracket(acc, 1, fields[q], psi, budget)
+                col.extend(target.project(acc))
             _set_column(rows, pos, col)
         return rows
 
@@ -275,15 +267,8 @@ class SliceComplex:
                 for row in self.d1_rows]
 
     def lift_cocycle(self, vec):
-        n = len(self.saito.ring)
-        return [self._psi_component(vec, i) for i in range(n)]
-
-
-def _offsets(dims):
-    out = [0]
-    for d in dims:
-        out.append(out[-1] + d)
-    return out
+        return [s.lift(vec[lo:hi]) for s, lo, hi
+                in zip(self.slices1, self.offsets1, self.offsets1[1:])]
 
 
 def _set_column(rows, c, col):
@@ -331,18 +316,19 @@ def cocycle_check(psi_fields, saito, sc):
     that field; u is a unit at the origin, where the basis is certified."""
     n = len(saito.ring)
     gb = buchberger([list(d.components) for d in saito.fields])
+    budget = current_budget()
     u = sc.denominator
     for i in range(n):
         for j in range(i + 1, n):
-            acc = lie_bracket(saito.fields[j], psi_fields[i]) \
-                - lie_bracket(saito.fields[i], psi_fields[j])
-            acc = VectorField(saito.ring, [u * c for c in acc.components])
+            acc = {}
+            _add_bracket(acc, 1, saito.fields[j], psi_fields[i].terms(), budget)
+            _add_bracket(acc, -1, saito.fields[i], psi_fields[j].terms(), budget)
+            comps = [u * c for c in
+                     VectorField.from_terms(saito.ring, acc).components]
             for k in range(n):
-                bk = sc.b[i][j][k]
-                if not bk.is_zero():
-                    acc = acc + VectorField(
-                        saito.ring, [bk * c for c in psi_fields[k].components])
-            if not gb.reduces_to_zero(list(acc.components)):
+                comps = [a + sc.b[i][j][k] * p
+                         for a, p in zip(comps, psi_fields[k].components)]
+            if not gb.reduces_to_zero(comps):
                 return False
     return True
 
@@ -392,7 +378,8 @@ def _select_representatives(cx, saito, space, kernel, rank0):
     h1 = len(kernel) - rank0
     equations = [deformation_equation(cx.lift_cocycle(vec), saito)
                  for vec in kernel]
-    classes = [space.project([fp]) for fp in equations]
+    classes = [space.project({(0, m): c for m, c in fp.terms.items()})
+               for fp in equations]
     realized = linalg.Span()  # the classes of all cocycles
     for cvec in classes:
         realized.add(cvec)
@@ -408,7 +395,7 @@ def _select_representatives(cx, saito, space, kernel, rank0):
         if len(reps) == h1:
             break
         mono = Polynomial.monomial(saito.ring, m)
-        cvec = space.project([mono])
+        cvec = space.project({(0, m): ONE})
         if realized.reduce(cvec):
             continue  # class not realized by any cocycle
         if chosen.add(cvec):  # False when zero or dependent on the chosen

@@ -63,14 +63,14 @@ _ACTIVE = contextvars.ContextVar("logdiv_budget", default=None)
 class Budget:
     """Steps left plus an optional time.monotonic() deadline.
 
-    A step is one Groebner reduction or S-pair, one row eliminated in
-    linear algebra, one cell of a slice relation matrix, one pair of
-    terms multiplied in a polynomial power, a parsed product or the
-    packed algebra of a polynomial matrix (determinant, adjugate,
-    structure constants, deformed equations), or one quotient term times
-    one divisor term in an exact division. Inside ``with budget:`` every
-    charge made in this thread or task goes to ``budget``; see
-    current_budget. The ``with`` may nest, also on the same budget.
+    A step is one Groebner reduction or S-pair, one row eliminated in linear
+    algebra, one cell of a slice relation matrix, one pair of terms
+    multiplied in a polynomial power, a parsed product, a Lie bracket or the
+    packed algebra of a polynomial matrix (determinant, adjugate, structure
+    constants, deformed equations), or one quotient term times one divisor
+    term in an exact division. Inside ``with budget:`` every charge made in
+    this thread or task goes to ``budget``; see current_budget. The ``with``
+    may nest, also on the same budget.
     """
 
     __slots__ = ("steps", "left", "seconds", "deadline", "_tokens")

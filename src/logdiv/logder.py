@@ -35,6 +35,7 @@ from .poly import (
     _dot,
     _flatten,
     detect_weight_system,
+    m_mul,
     m_weighted_degree,
     partial_derivative,
     poly_to_text,
@@ -44,7 +45,7 @@ from .poly import (
 class VectorField:
     """delta = sum_i components[i] * d/dx_i over a fixed ring."""
 
-    __slots__ = ("ring", "components")
+    __slots__ = ("ring", "components", "_parts")
 
     def __init__(self, ring, components):
         ring = tuple(ring)
@@ -56,6 +57,16 @@ class VectorField:
                 raise ValueError("component ring mismatch")
         self.ring = ring
         self.components = components
+        self._parts = None
+
+    @classmethod
+    def from_terms(cls, ring, terms):
+        """sum c * x^m d/dx_i over the terms {(i, m): c} with c != 0."""
+        comps = [{} for _ in ring]
+        for (i, m), c in terms.items():
+            if c:
+                comps[i][m] = c
+        return cls(ring, [Polynomial(ring, t, False) for t in comps])
 
     def __eq__(self, other):
         return (isinstance(other, VectorField)
@@ -68,23 +79,13 @@ class VectorField:
     def is_zero(self):
         return all(p.is_zero() for p in self.components)
 
-    def apply(self, f):
-        out = Polynomial.zero(self.ring)
-        for i, a in enumerate(self.components):
-            if not a.is_zero():
-                out = out + a * partial_derivative(f, i)
-        return out
+    def terms(self):
+        """{(i, m): c} over the terms c * x^m d/dx_i of the field."""
+        return {(i, m): c for i, p in enumerate(self.components)
+                for m, c in p.terms.items()}
 
     def scale(self, c):
         return VectorField(self.ring, [p.scale(c) for p in self.components])
-
-    def __add__(self, other):
-        return VectorField(self.ring,
-                           [a + b for a, b in zip(self.components, other.components)])
-
-    def __sub__(self, other):
-        return VectorField(self.ring,
-                           [a - b for a, b in zip(self.components, other.components)])
 
     def weight(self, w):
         """Weight tag of a weight-homogeneous field, None if zero.
@@ -134,13 +135,51 @@ def format_field(delta):
     return " + ".join(parts) if parts else "0"
 
 
+def _bracket_parts(delta):
+    """(terms, partials) of delta, formed once per field: terms lists
+    (j, m - 1_j, a) for each term a * x^m d/dx_j, and partials[c] lists
+    (i, m, a) for each term a * x^m d/dx_i of d(delta)/dx_c."""
+    if delta._parts is None:
+        n = len(delta.ring)
+        terms, partials = [], [[] for _ in range(n)]
+        for i, p in enumerate(delta.components):
+            for m, a in p.terms.items():
+                terms.append((i, tuple(e - (k == i) for k, e in enumerate(m)), a))
+                for c in range(n):
+                    if m[c]:
+                        dm = tuple(e - (k == c) for k, e in enumerate(m))
+                        partials[c].append((i, dm, a * m[c]))
+        delta._parts = terms, partials
+    return delta._parts
+
+
+def _add_bracket(acc, k, delta, nu, budget):
+    """acc += k * [delta, nu], nu and acc as term dicts {(c, e): a} (see
+    VectorField.terms). The term a * x^e d/dx_c of nu contributes
+    a * (delta(x^e) d/dx_c - x^e * d(delta)/dx_c), so only monomials are
+    multiplied. One step per pair of a term of nu and a term of delta is
+    charged before any is formed; cancelled terms stay in acc as zeros."""
+    terms, partials = _bracket_parts(delta)
+    budget.spend(len(nu) * len(terms))
+    get = acc.get
+    for (c, e), a in nu.items():
+        a *= k
+        for j, m, b in terms:
+            if e[j]:
+                t = (c, m_mul(m, e))
+                acc[t] = get(t, 0) + a * b * e[j]
+        for i, m, b in partials[c]:
+            t = (i, m_mul(m, e))
+            acc[t] = get(t, 0) - a * b
+
+
 def lie_bracket(delta, nu):
     """[delta, nu], component i = delta(nu_i) - nu(delta_i)."""
     if delta.ring != nu.ring:
         raise ValueError("fields live over different rings")
-    comps = [delta.apply(nu.components[i]) - nu.apply(delta.components[i])
-             for i in range(len(delta.ring))]
-    return VectorField(delta.ring, comps)
+    acc = {}
+    _add_bracket(acc, 1, delta, nu.terms(), current_budget())
+    return VectorField.from_terms(delta.ring, acc)
 
 
 def _check_equation(f):
@@ -464,13 +503,15 @@ class StructureConstants:
         self.b = b
         self.denominator = denominator
 
+    def value(self, p):
+        """p / u when that quotient is a rational number, else None."""
+        m, a = next(iter(self.denominator.terms.items()))
+        c = p.terms.get(m, 0) / a
+        return c if p == self.denominator.scale(c) else None
+
     def is_constant(self):
-        """True when every numerator is zero, or when u is constant and
-        every numerator is constant. A constant unit is folded to u = 1, so
-        over such a basis this says every coefficient is a rational number;
-        over a nonconstant u only all-zero numerators count."""
-        return all(p.is_zero() or (p.is_constant()
-                                   and self.denominator.is_constant())
+        """True when every coefficient b / u is a rational number."""
+        return all(self.value(p) is not None
                    for row in self.b for col in row for p in col)
 
 
@@ -484,8 +525,9 @@ def structure_constants(basis):
     the fields are not logarithmic and raises InternalInconsistency. The
     unit need not divide it, as Saito's criterion certifies a basis at the
     origin only, so the unit is the denominator; a constant unit is folded
-    into the numerators instead. adj * v and its division stay in the
-    packed form of the basis's PolyMatrix, charged to the active budget.
+    into the numerators instead. The brackets are formed term by term
+    (lie_bracket), adj * v and its division in the packed form of the
+    basis's PolyMatrix, all charged to the active budget.
     """
     n = len(basis.ring)
     table = basis.table()

@@ -10,7 +10,7 @@ from logdiv.logder import (SaitoBasis, VectorField, compute_der_log,
 from logdiv.errors import current_budget
 from logdiv.poly import (Polynomial, PolyMatrix, WeightSystem, _divide,
                          _flatten, _Packing, _unflatten, detect_weight_system,
-                         poly_from_text, weighted_degree)
+                         partial_derivative, poly_from_text, weighted_degree)
 
 CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "corpus")
@@ -117,3 +117,59 @@ def leibniz(rows):
         for m, c in prod.items():
             out[m] = out.get(m, Fraction(0)) + c
     return {m: c for m, c in out.items() if c}
+
+
+# ---- reference formulas over Fraction polynomial products ---------------
+
+def apply_field(delta, g):
+    """delta(g) = sum_i delta_i * dg/dx_i."""
+    out = Polynomial.zero(delta.ring)
+    for i, a in enumerate(delta.components):
+        out = out + a * partial_derivative(g, i)
+    return out
+
+
+def field_sum(*fields):
+    """The componentwise sum of the fields."""
+    comps = [Polynomial.zero(fields[0].ring)] * len(fields[0].ring)
+    for d in fields:
+        comps = [a + p for a, p in zip(comps, d.components)]
+    return VectorField(fields[0].ring, comps)
+
+
+def reference_bracket(delta, nu):
+    """[delta, nu], component i = delta(nu_i) - nu(delta_i), by products
+    of Fraction polynomials."""
+    return VectorField(delta.ring, [
+        apply_field(delta, nu.components[i]) - apply_field(nu, delta.components[i])
+        for i in range(len(delta.ring))])
+
+
+def reference_connection_conditions(saito, sc):
+    """The two identities on the structure constants, checked one by one:
+    with a[i][j] the d/dx_j coefficient of field i,
+      first:  sum_k a[k][r] * d(b[i][j][k] / u) / d x_l = 0
+      second: sum_k a[l][k] * d(b[i][j][r] / u) / d x_k = 0
+    for all i, j, l, r, the derivative of b / u taken as
+    (u * db - b * du) / u^2 without its factor 1 / u^2."""
+    n = sc.n
+    a = [[d.components[j] for j in range(n)] for d in saito.fields]
+    u = sc.denominator
+    du = [partial_derivative(u, l) for l in range(n)]
+
+    def d(p, l):
+        return u * partial_derivative(p, l) - p * du[l]
+    zero = Polynomial.zero(saito.ring)
+    first = second = True
+    for i in range(n):
+        for j in range(n):
+            db = [[d(p, l) for l in range(n)] for p in sc.b[i][j]]
+            for l in range(n):
+                for r in range(n):
+                    if not sum((a[k][r] * db[k][l] for k in range(n)),
+                               zero).is_zero():
+                        first = False
+                    if not sum((a[l][k] * db[r][k] for k in range(n)),
+                               zero).is_zero():
+                        second = False
+    return first, second

@@ -32,7 +32,9 @@ from logdiv.poly import (
     poly_to_text,
 )
 
-from conftest import to_sympy
+from conftest import (apply_field, corpus_member, corpus_names,
+                      reference_connection_conditions, to_sympy)
+from test_matrix_algebra import _arrangement
 
 R2 = ("x", "y")
 R3 = ("x", "y", "z")
@@ -114,12 +116,12 @@ class TestTraceTest:
         delta, tr = result.witnesses[0]
         assert tr == 3
         assert [poly_to_text(p) for p in delta.components] == ["4*x", "y", "-2*z"]
-        assert delta.apply(f).is_zero()
+        assert apply_field(delta, f).is_zero()
 
     def test_diagonal_annihilators_are_annihilators(self):
         f = poly_from_text("y^2*z + x*z^2", R3)
         for delta in diagonal_annihilators(f):
-            assert delta.apply(f).is_zero()
+            assert apply_field(delta, f).is_zero()
 
     def test_field_trace(self):
         delta = field(R2, "3*x + y^2", "-5*y")
@@ -215,6 +217,25 @@ class TestConnectionConditions:
         second = all(vanish(sum(a[l][k] * sympy.diff(b[i][j][r], syms[k])
                                 for k in range(2))) for i, j, l, r in idx)
         assert connection_conditions(saito, sc) == (first, second)
+
+    @pytest.mark.parametrize("name", corpus_names() + [
+        "braid-A3", "coxeter-B3", "coxeter-D4", "coxeter-B4",
+        "x^3 + y^2 + x^2*y^2", "x^2 - y^2 + x^3", "x^2*y^2 + x^5 + y^5"])
+    def test_proportionality_matches_the_identities(self, name):
+        # the identities checked one by one, over the corpus bases, the
+        # graded arrangements (constant unit) and three curves whose
+        # subset-search basis has a nonconstant unit
+        if name in corpus_names():
+            saito = corpus_member(name)[2]
+        elif name.startswith("x"):
+            saito = saito_for(name, R2)
+            assert not saito.unit.is_constant()
+        else:
+            f = _arrangement(name)
+            saito = find_saito_basis(compute_der_log(f), f)
+        sc = structure_constants(saito)
+        assert connection_conditions(saito, sc) \
+            == reference_connection_conditions(saito, sc)
 
     def test_corrected_printed_matrix_for_four_lines(self):
         # with the x^2 entry, the displayed matrix has determinant -f;

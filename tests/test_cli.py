@@ -125,6 +125,20 @@ class TestAnalyzeJson:
             b = json.load(fh)
         assert strip_timings(a) == strip_timings(b)
 
+    @pytest.mark.parametrize("budget, code", [(None, 0), ("1", 5)],
+                             ids=["success", "stage-failure"])
+    def test_unwritable_path_exits_2(self, tmp_path, budget, code):
+        # the human report is printed first, whatever the outcome
+        out = tmp_path / "missing-dir" / "report.json"
+        res = run_cli("analyze", os.path.join(CORPUS, "nc-2.json"),
+                      "--json", str(out),
+                      env_extra={"LOGDIV_BUDGET": budget} if budget else None)
+        assert res.returncode == 2
+        assert res.stdout.startswith("label: nc-2\n")
+        assert res.stderr.startswith(f"cannot write {out}: ")
+        assert "Traceback" not in res.stderr
+        assert code == 0 or "error at stage" in res.stdout
+
 
 class TestAnalyzeErrors:
     def test_unreadable_json(self, tmp_path):
@@ -272,7 +286,7 @@ class TestAnalyzeErrors:
 
     def test_budget_is_one_per_analysis(self):
         # the largest single call, the Koszul test's dimension_at_most,
-        # spends 188 steps, the whole default analysis 515: only a budget
+        # spends 188 steps, the whole default analysis 555: only a budget
         # shared by the calls runs out
         res = run_cli("analyze", os.path.join(CORPUS, "discriminant-234.json"),
                       env_extra={"LOGDIV_BUDGET": "300"})
@@ -280,7 +294,7 @@ class TestAnalyzeErrors:
         assert "step budget of 300 exhausted" in res.stdout
 
     def test_structure_constants_are_charged_to_the_classify_stage(self):
-        # the default analysis spends 180 steps up to the basis and 147 on
+        # the default analysis spends 180 steps up to the basis and 187 on
         # the structure constants of the classify stage's connection
         # conditions, before the Koszul test
         res = run_cli("analyze", os.path.join(CORPUS, "discriminant-234.json"),
@@ -418,6 +432,24 @@ class TestCorpusRun:
         res = run_cli("corpus-run", str(tmp_path))
         assert res.returncode == 1
         assert "expected report file missing" in res.stdout
+
+    @pytest.mark.parametrize("golden", ["{ not json", b"\xff\xfe", None],
+                             ids=["malformed", "not-utf-8", "directory"])
+    def test_unreadable_golden_is_a_mismatch(self, tmp_path, golden):
+        shutil.copy(os.path.join(CORPUS, "nc-2.json"), tmp_path / "nc-2.json")
+        golden_path = tmp_path / "nc-2.expected.json"
+        if golden is None:
+            golden_path.mkdir()
+        elif isinstance(golden, bytes):
+            golden_path.write_bytes(golden)
+        else:
+            golden_path.write_text(golden)
+        res = run_cli("corpus-run", str(tmp_path))
+        assert res.returncode == 1
+        assert res.stdout.splitlines() == [
+            "nc-2                     MISMATCH  expected report unreadable",
+            "1 corpus entries, 1 mismatched"]
+        assert "Traceback" not in res.stderr
 
     def test_timeout_is_per_entry(self, tmp_path):
         # the heavy entry runs twice (files run as a4, nc-2, copy): each
@@ -758,9 +790,9 @@ class TestBasisStageBudget:
         assert steps < full.steps - full.left
 
     @pytest.mark.parametrize("name, steps", [
-        ("discriminant-234", 515),  # weighted, but (f, grad f) not homogeneous
-        ("curve-x5y4", 41),
-        ("four-lines-nonkoszul", 469)],  # not weighted homogeneous
+        ("discriminant-234", 555),  # weighted, but (f, grad f) not homogeneous
+        ("curve-x5y4", 45),
+        ("four-lines-nonkoszul", 489)],  # not weighted homogeneous
         ids=["discriminant-234", "curve-x5y4", "four-lines-nonkoszul"])
     def test_inhomogeneous_generators_spend_the_whole_run(self, name, steps,
                                                           monkeypatch):

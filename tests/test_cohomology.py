@@ -381,7 +381,7 @@ class TestFiveVariableExample:
         sc = cx.sc
         assert cocycle_check(psi, saito, sc)
         coords = [Fraction(0)] * cx.dim_c1
-        block = cx.slices1[2].project(alpha_field)
+        block = cx.slices1[2].project(alpha_field.terms())
         for t, v in enumerate(block):
             coords[cx.offsets1[2] + t] = v
         assert all(x == 0 for x in cx.apply_d1(coords))
@@ -467,3 +467,30 @@ class TestSliceBudget:
         with Budget(steps=27 + 100) as budget:
             assert QuotientSlice(gens, weights, w.weights, w, 0).dim == 6
         assert budget.steps - budget.left >= 27
+
+    def test_the_complex_is_charged_beyond_its_slices(self):
+        # d0 brackets every basis field with each basis monomial of C0, d1
+        # each field delta_p with each basis monomial of the summand of
+        # delta_q, q != p; a bracket with one monomial field costs one step
+        # per term of the basis field, on top of the slices' own charges
+        _, w, saito = corpus_member("linear-nonreductive-5")
+        saito = saito.graded(w)
+        sc = saito.structure_constants()
+        with Budget(10**9) as budget:
+            cx = SliceComplex(saito, sc, w)
+        spent = budget.steps - budget.left
+        gens = [d.components for d in saito.fields]
+        with Budget(10**9) as slices:
+            for weight in cx._slices:
+                QuotientSlice(gens, cx.field_weights, w.weights, w, weight)
+        sizes = [len(d.terms()) for d in saito.fields]
+        brackets = cx.dim_c0 * sum(sizes) + sum(
+            s.dim * (sum(sizes) - t) for s, t in zip(cx.slices1, sizes))
+        assert spent == slices.steps - slices.left + brackets
+        assert brackets > 0
+        with pytest.raises(BudgetExceeded):
+            with Budget(steps=spent - 1):
+                SliceComplex(saito, sc, w)
+        with Budget(steps=spent) as budget:
+            SliceComplex(saito, sc, w)
+        assert budget.left == 0

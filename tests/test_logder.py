@@ -6,7 +6,10 @@ import pytest
 
 from logdiv import linalg
 from logdiv.classify import linear_annihilators
-from logdiv.errors import NonReduced, NotFree, ZeroOrConstantInput
+from hypothesis import given, settings, strategies as st
+
+from logdiv.errors import (Budget, BudgetExceeded, NonReduced, NotFree,
+                           ZeroOrConstantInput)
 from logdiv.groebner import buchberger
 from logdiv.logder import (
     VectorField,
@@ -28,7 +31,8 @@ from logdiv.poly import (
     poly_to_text,
 )
 
-from conftest import corpus_member, corpus_names, random_poly
+from conftest import (apply_field, corpus_member, corpus_names, field_sum,
+                      random_poly, reference_bracket)
 from test_groebner import coxeter_gens
 
 R2 = ("x", "y")
@@ -90,10 +94,11 @@ class TestLieBracket:
                 deltas.append(VectorField(R2, comps))
             a, b, c = deltas
             zero = VectorField(R2, [Polynomial.zero(R2)] * 2)
-            assert (lie_bracket(a, b) + lie_bracket(b, a)).components == zero.components
-            jac = (lie_bracket(a, lie_bracket(b, c))
-                   + lie_bracket(b, lie_bracket(c, a))
-                   + lie_bracket(c, lie_bracket(a, b)))
+            assert field_sum(lie_bracket(a, b), lie_bracket(b, a)).components \
+                == zero.components
+            jac = field_sum(lie_bracket(a, lie_bracket(b, c)),
+                            lie_bracket(b, lie_bracket(c, a)),
+                            lie_bracket(c, lie_bracket(a, b)))
             assert all(p.is_zero() for p in jac.components)
 
     def test_bracket_as_operator(self):
@@ -101,9 +106,37 @@ class TestLieBracket:
         a = field(R2, "x^2", "x*y")
         b = field(R2, "y", "x")
         g = random_poly(rng, R2, max_deg=3, n_terms=3, coeff_range=4)
-        lhs = lie_bracket(a, b).apply(g)
-        rhs = a.apply(b.apply(g)) - b.apply(a.apply(g))
+        lhs = apply_field(lie_bracket(a, b), g)
+        rhs = apply_field(a, apply_field(b, g)) - apply_field(b, apply_field(a, g))
         assert lhs == rhs
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_termwise_bracket_matches_the_reference(self, data):
+        # the term-wise kernel against delta(nu_i) - nu(delta_i) formed by
+        # products of Fraction polynomials, with rational coefficients
+        n = data.draw(st.integers(1, 4))
+        ring = R5[:n]
+        coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        poly = st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * n), coeff, max_size=4).map(
+                lambda t: Polynomial(ring, t))
+        a, b = (VectorField(ring, data.draw(st.lists(poly, min_size=n,
+                                                     max_size=n)))
+                for _ in range(2))
+        assert lie_bracket(a, b) == reference_bracket(a, b)
+        assert lie_bracket(a, a).is_zero()
+
+    def test_bracket_is_charged_to_the_budget(self):
+        # one step per pair of a term of nu and a term of delta: 2 * 3
+        a = field(R2, "x^2 + y", "x*y")
+        b = field(R2, "y", "x")
+        with pytest.raises(BudgetExceeded):
+            with Budget(steps=5):
+                lie_bracket(a, b)
+        with Budget(steps=6) as budget:
+            assert lie_bracket(a, b) == reference_bracket(a, b)
+        assert budget.left == 0
 
 
 class TestComputeDerLog:
@@ -130,7 +163,7 @@ class TestComputeDerLog:
         f = P("x^3*y - x*y^3")
         gb = buchberger([f])
         for delta in compute_der_log(f):
-            assert gb.reduces_to_zero(delta.apply(f))
+            assert gb.reduces_to_zero(apply_field(delta, f))
 
     def test_rejects_constant(self):
         with pytest.raises(ZeroOrConstantInput):
@@ -169,7 +202,7 @@ class TestVerifySaito:
         assert not res.ok
         assert "not logarithmic" in res.reason
         gb = buchberger([P("x*y")])
-        assert not gb.reduces_to_zero(fields[0].apply(P("x*y")))
+        assert not gb.reduces_to_zero(apply_field(fields[0], P("x*y")))
 
 
 class TestFindSaitoBasis:
@@ -344,6 +377,19 @@ class TestStructureConstants:
                 assert direct.components == rebuilt.components
 
 
+    def test_multiples_of_a_nonconstant_denominator_are_constant(self):
+        from logdiv.logder import StructureConstants
+
+        u = P("1/6*x*y^2 - 1/4")
+        zero = Polynomial.zero(R2)
+        sc = StructureConstants(R2, 1, [[[u.scale(Fraction(3, 2))]]], u)
+        assert sc.is_constant() and sc.value(sc.b[0][0][0]) == Fraction(3, 2)
+        assert sc.value(zero) == 0
+        for p in (P("x*y^2"), u + P("1"), P("1")):
+            assert sc.value(p) is None
+            assert not StructureConstants(R2, 1, [[[p]]], u).is_constant()
+
+
 COXETER_B3 = ("x1*x2*x3*(x1^2-x2^2)*(x1^2-x3^2)*(x2^2-x3^2)",
               ("x1", "x2", "x3"))
 
@@ -387,9 +433,9 @@ class TestAnnihilatorAndWeightZero:
     def test_annihilator_contains_diagonal_field(self):
         f = poly_from_text("y^2*z + x*z^2", R3)
         ann = linear_annihilators(f)
-        assert all(delta.apply(f).is_zero() for delta in ann)
+        assert all(apply_field(delta, f).is_zero() for delta in ann)
         sigma = field(R3, "4*x", "y", "-2*z")
-        assert sigma.apply(f).is_zero()
+        assert apply_field(sigma, f).is_zero()
         rows, ncols = coefficient_rows(ann + [sigma])
         assert linalg.rank(rows, ncols) == linalg.rank(rows[:-1], ncols) == len(ann)
 

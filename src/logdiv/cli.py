@@ -15,8 +15,10 @@ A description file is one JSON object:
   }
 
 label, variables and f are required; weights and saito_matrix are
-optional; unknown keys are rejected. saito_matrix entry [r][c] is the
-coefficient of d/d(variables[r]) in basis field c (columns are fields).
+optional; unknown keys are rejected. Each variable is a name of the
+polynomial grammar: a letter or _, then letters, digits or _.
+saito_matrix entry [r][c] is the coefficient of d/d(variables[r]) in
+basis field c (columns are fields).
 
 The human report goes to stdout; --json PATH writes the machine report
 (top-level "schema": 1). The "timings" block varies run to run and is
@@ -58,8 +60,8 @@ from .errors import (DEFAULT_STEPS, Budget, BudgetExceeded, LogdivError,
                      ParseError, ZeroOrConstantInput, current_budget)
 from .logder import (SaitoBasis, VectorField, der_log_stream, format_field,
                      _check_divisor, _determinant_test, _select_saito_basis)
-from .poly import (WeightSystem, detect_weight_system, poly_from_text,
-                   poly_to_text, weighted_degree)
+from .poly import (WeightSystem, _NAME, detect_weight_system,
+                   poly_from_text, poly_to_text, weighted_degree)
 from . import __version__
 
 SCHEMA = 1
@@ -109,7 +111,8 @@ def load_document(path):
         _fail(2, "input", "label must be a nonempty string")
     names = doc["variables"]
     if (not isinstance(names, list) or not names
-            or not all(isinstance(v, str) and v for v in names)):
+            or not all(isinstance(v, str) and _NAME.fullmatch(v)
+                       for v in names)):
         _fail(2, "input", "variables must be a list of names")
     if len(set(names)) != len(names):
         _fail(2, "input", "variable names must be distinct")

@@ -14,13 +14,12 @@ class CylinderSplit:
 
     ``poly`` lives in the reduced ring ``ring`` (the kept variable
     names, original order). ``kept`` and ``dropped`` are index tuples
-    into the original ring. ``embed`` undoes the reduction.
+    into the original ring.
     """
 
-    __slots__ = ("original_ring", "ring", "poly", "kept", "dropped")
+    __slots__ = ("ring", "poly", "kept", "dropped")
 
-    def __init__(self, original_ring, ring, poly, kept, dropped):
-        self.original_ring = original_ring
+    def __init__(self, ring, poly, kept, dropped):
         self.ring = ring
         self.poly = poly
         self.kept = kept
@@ -29,19 +28,6 @@ class CylinderSplit:
     @property
     def is_identity(self):
         return not self.dropped
-
-    def embed(self, p):
-        """Map a polynomial over the reduced ring back to the original ring."""
-        if self.is_identity:
-            return p
-        n = len(self.original_ring)
-        terms = {}
-        for m, c in p.terms.items():
-            e = [0] * n
-            for pos, orig in enumerate(self.kept):
-                e[orig] = m[pos]
-            terms[tuple(e)] = c
-        return Polynomial(self.original_ring, terms)
 
 
 def split_cylindrical(f):
@@ -61,7 +47,7 @@ def split_cylindrical(f):
     kept = tuple(i for i in range(n) if used[i])
     dropped = tuple(i for i in range(n) if not used[i])
     if not dropped:
-        return CylinderSplit(f.ring, f.ring, f, kept, dropped)
+        return CylinderSplit(f.ring, f, kept, dropped)
     ring = tuple(f.ring[i] for i in kept)
     pos = {orig: k for k, orig in enumerate(kept)}
     terms = {}
@@ -71,4 +57,4 @@ def split_cylindrical(f):
             if a:
                 e[pos[i]] = a
         terms[tuple(e)] = c
-    return CylinderSplit(f.ring, ring, Polynomial(ring, terms), kept, dropped)
+    return CylinderSplit(ring, Polynomial(ring, terms), kept, dropped)

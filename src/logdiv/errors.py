@@ -99,6 +99,9 @@ class Budget:
 
 
 def current_budget():
-    """The budget of the enclosing ``with`` block; outside one, a fresh
-    default budget, so each library call is bounded on its own."""
+    """The budget of the enclosing ``with`` block. Outside one, each call
+    returns a fresh default Budget, so a bare library call is not bounded
+    as a whole: every place it charges gets DEFAULT_STEPS of its own and
+    no deadline. Wrap the call in ``with Budget(steps, seconds):`` to
+    bound it."""
     return _ACTIVE.get() or Budget()

@@ -32,11 +32,14 @@ A run takes its S-pairs in sugar order and can pause between two sugars
 (_run_buchberger); a pair made later never has a smaller sugar than the pair
 that made it. For homogeneous generators the sugar is the degree, so
 after the pairs of sugar <= s every basis element and every syzygy of
-degree <= s is found: syzygy_stream yields the syzygy rows degree by
-degree, and a reader that has what it needs stops the run there.
-dimension_at_most stops at the first pause whose leads certify its
-bound: a lead of an element of the ideal lies in the initial ideal, and
-the dimension is read off the supports of its generators.
+degree <= s is found. syzygy_stream is the one tracked run: it yields
+the syzygy rows degree by degree when the generators are homogeneous,
+and a reader that has what it needs stops the run there; syzygies
+drains it. dimension_at_most stops at the first pause whose leads
+certify its bound: a lead of an element of the ideal lies in the
+initial ideal, and the dimension is read off the supports of its
+generators. buchberger, syzygy_stream and dimension_at_most share one
+prologue, _prepare, which checks and packs the generators.
 """
 
 import heapq
@@ -321,11 +324,9 @@ class GroebnerBasis:
 class SyzygyBasis:
     """Generators of the first syzygy module of the input generators."""
 
-    __slots__ = ("ring", "rank", "elements")
+    __slots__ = ("elements",)
 
-    def __init__(self, ring, rank, elements):
-        self.ring = ring
-        self.rank = rank
+    def __init__(self, elements):
         self.elements = elements
 
     def __len__(self):
@@ -333,6 +334,8 @@ class SyzygyBasis:
 
 
 def _prepare(gens):
+    """(ring, rank, lay, flats): the generators packed in order, zero ones
+    kept."""
     if not gens:
         raise ValueError("need at least one generator")
     r = 1 if isinstance(gens[0], Polynomial) else len(gens[0])
@@ -340,81 +343,56 @@ def _prepare(gens):
     ring = vecs[0][0].ring
     if any(p.ring != ring for v in vecs for p in v):
         raise ValueError("mixed rings among generators")
-    return ring, r, vecs
+    lay = _Packing(len(ring))
+    return ring, r, lay, [_flatten(v, lay) for v in vecs]
 
 
 def buchberger(gens):
     """Reduced Groebner basis of the ideal/submodule generated by gens."""
-    ring, rank, vecs = _prepare(gens)
-    lay = _Packing(len(ring))
-    flat = [v for v in (_flatten(v, lay) for v in vecs) if v[0]]
+    ring, rank, lay, flats = _prepare(gens)
     b = current_budget()
-    if not flat:
-        return GroebnerBasis(ring, rank, lay, [])
-    run = _run_buchberger(flat, b, False, lay)
-    basis, leads, sugars, _, _ = _completed(run)
+    basis, leads, sugars, _, _ = _completed(_run_buchberger(flats, b, False, lay))
     return GroebnerBasis(ring, rank, lay,
                          _interreduce(basis, leads, sugars, b, lay))
 
 
 def syzygies(gens):
-    """Generating set of the first syzygy module of gens: the relations
-    from S-pairs reducing to zero in a Buchberger run that tracks each
-    basis element over the generators, and the rows e_i - q_i, where q_i
-    divides generator i by that basis with tracked quotients."""
-    ring, m, lay, flats = _flat_generators(gens)
-    rows = [row for _, batch in _tracked_rows(flats, lay, False)
-            for row in batch]
-    return SyzygyBasis(ring, m, [_unflatten(row, ring, m, lay)
-                                 for row in _distinct(rows, {})])
+    """Generating set of the first syzygy module of gens: the rows of
+    syzygy_stream(gens), drained."""
+    return SyzygyBasis([row for _, rows in syzygy_stream(gens) for row in rows])
 
 
 def syzygy_stream(gens):
-    """The rows of syzygies(gens), degree by degree, each row once.
+    """Generators of the first syzygy module of gens, degree by degree,
+    each row once.
 
-    Yields (s, rows), rows unflattened only as they are yielded. When
-    every generator is homogeneous, the tracked run pauses each time
-    every S-pair of sugar <= s is done, and every row still to come is
-    then homogeneous of degree > s: its component c has degree s' -
-    deg(gens[c]) for some s' > s. The last yield, and the only one for
-    other generators, has s None. Stopping early leaves the rest of the
-    run undone; draining the stream does the work of syzygies(gens), with
-    the rows e_i - q_i among the others when the generators are
-    homogeneous.
+    The rows are the unit rows of the zero generators, the relations of
+    the S-pairs that reduce to zero in a Buchberger run that tracks each
+    basis element over the generators, in the order found, and the
+    nonzero rows e_i - q_i, where q_i divides generator i by that basis
+    with tracked quotients. Yields (s, rows), rows unflattened only as
+    they are yielded; the last yield has s None.
+
+    When every generator is homogeneous, each sugar is a degree: the run
+    pauses each time every S-pair of sugar <= s is done, yields the rows
+    new since the last pause, and every row still to come is homogeneous
+    of degree > s (its component c has degree s' - deg(gens[c]) for some
+    s' > s). e_i - q_i is made at the first pause with s >= deg(gens[i]),
+    as its division uses only basis elements of degree <= deg(gens[i]),
+    all appended by then. Stopping early leaves the rest of the run
+    undone. Otherwise there is one yield, at the end of the run, with
+    the rows e_i - q_i by i.
     """
-    ring, m, lay, flats = _flat_generators(gens)
+    ring, _, lay, flats = _prepare(gens)
+    m = len(flats)
     graded = all(len({t >> lay.dshift & lay.top for t in P}) <= 1
                  for P, _ in flats)
-    seen = {}
-    for s, rows in _tracked_rows(flats, lay, graded):
-        yield s, [_unflatten(row, ring, m, lay)
-                  for row in _distinct(rows, seen)]
-
-
-def _flat_generators(gens):
-    ring, _, vecs = _prepare(gens)
-    lay = _Packing(len(ring))
-    return ring, len(vecs), lay, [_flatten(v, lay) for v in vecs]
-
-
-def _tracked_rows(flats, lay, graded):
-    """The syzygy rows, as (P, D) pairs, of the flattened generators.
-
-    Yields (s, rows); the last yield has s None. Over all yields the rows
-    are the unit rows of the zero generators, the relations of the
-    S-pairs that reduce to zero in a tracked run, in the order found, and
-    the nonzero rows e_i - q_i, made by i unless graded. With graded
-    (every generator homogeneous, so that each sugar is a degree), there
-    is also a yield of the rows new since the last one at each pause of
-    the run, after the pairs of sugar <= s; e_i - q_i is made at the
-    first pause with s >= deg(flats[i]), as its division uses only basis
-    elements of degree <= deg(flats[i]), all appended by then.
-    """
     # a zero generator is annihilated by the corresponding unit vector
     rows = [({i * lay.unit: 1}, 1) for i, (P, _) in enumerate(flats) if not P]
     todo = [(lay.degree(P), i) for i, (P, _) in enumerate(flats) if P]
+    if graded:
+        todo.sort()
     budget = current_budget()
-    run = _run_buchberger(flats, budget, True, lay)
 
     def division_row(i, state):
         basis, leads, sugars, reps, _ = state
@@ -427,20 +405,17 @@ def _tracked_rows(flats, lay, graded):
                         + _less_quotients(quots, reps))
 
     found = 0
-    if graded:
-        todo.sort()
-    for s, state in run:
+    seen = {}
+    for s, state in _run_buchberger(flats, budget, True, lay):
+        if s is not None and not graded:
+            continue
         zsyz = state[4]
         rows += zsyz[found:]
         found = len(zsyz)
-        if s is None:
-            rows += [division_row(i, state) for _, i in todo]
-        elif graded:
-            while todo and todo[0][0] <= s:
-                rows.append(division_row(todo.pop(0)[1], state))
-        else:
-            continue
-        yield s, [row for row in rows if row[0]]
+        while todo and (s is None or todo[0][0] <= s):
+            rows.append(division_row(todo.pop(0)[1], state))
+        yield s, [_unflatten(row, ring, m, lay)
+                  for row in _distinct(rows, seen) if row[0]]
         rows = []
 
 
@@ -469,19 +444,17 @@ def dimension_at_most(gens, k):
     most k and the run stops at that pause; only a False answer runs it
     to its end, where the leads generate in(I).
     """
-    ring, rank, vecs = _prepare(gens)
+    ring, rank, lay, flats = _prepare(gens)
     if rank != 1:
         raise ValueError("dimension_at_most expects ideal generators")
     n = len(ring)
-    lay = _Packing(n)
-    flat = [v for v in (_flatten(v, lay) for v in vecs) if v[0]]
     # a (k+1)-subset that holds no support found yet, as the exponent
     # fields outside it: a lead has a support it holds iff it misses them
     open_sets = [(lay.pack(0, [int(i not in c) for i in range(n)])
                   & lay.ones) * lay.top
                  for c in itertools.combinations(range(n), k + 1)]
     found = 0
-    for _, (_, leads, _, _, _) in _run_buchberger(flat, current_budget(),
+    for _, (_, leads, _, _, _) in _run_buchberger(flats, current_budget(),
                                                   False, lay):
         for ld in leads[found:]:
             open_sets = [c for c in open_sets if c & ld]

@@ -5,11 +5,12 @@ f = 0 when delta(f) lies in the ideal (f). The whole module Der(-log f)
 is obtained from the syzygies of (f, df/dx_1, ..., df/dx_n): the relation
 g_0 f + sum_i g_i df/dx_i = 0 yields the field sum_i g_i d/dx_i.
 
-For f homogeneous the syzygies come degree by degree (der_log_stream),
-and the graded search for a Saito basis reads them only up to the degree
-it needs: it scans the weight parts of tag t once no field still to come
-can have a part of tag <= t, and stops the run when n kept parts pass
-Saito's determinant test. The basis is the one a full run gives.
+The fields come from one stream, der_log_stream; compute_der_log drains
+it. For f homogeneous the syzygies come degree by degree, and the graded
+search for a Saito basis reads them only up to the degree it needs: it
+scans the weight parts of tag t once no field still to come can have a
+part of tag <= t, and stops the run when n kept parts pass Saito's
+determinant test. The basis is the one a full run gives.
 
 Fields are kept as coefficient vectors over a shared ring. Saito matrices
 are written with fields as columns: entry (i, j) is the d/dx_i coefficient
@@ -26,7 +27,7 @@ from .errors import (
     ZeroOrConstantInput,
     current_budget,
 )
-from .groebner import buchberger, dimension_at_most, syzygies, syzygy_stream
+from .groebner import buchberger, dimension_at_most, syzygy_stream
 from .poly import (
     Polynomial,
     PolyMatrix,
@@ -211,28 +212,17 @@ def _check_divisor(f):
         raise NonReduced("divisor polynomial is not squarefree")
 
 
-def _fields_from_syzygies(gens, ring):
-    """The nonzero fields of the syzygy rows. Distinct rows give distinct
-    fields, as row[0] = -sum_i row[i] * gens[i] / gens[0]."""
-    out = []
-    for row in syzygies(gens).elements:
-        delta = VectorField(ring, row[1:])
-        if not delta.is_zero():
-            out.append(delta)
-    return out
-
-
 def compute_der_log(f):
-    """Generators of Der(-log f) from syzygies of (f, gradient of f).
+    """Generators of Der(-log f): the fields of der_log_stream(f), drained.
     Squarefreeness is left to find_saito_basis and verify_saito."""
-    _check_equation(f)
-    gens = [f] + [partial_derivative(f, i) for i in range(len(f.ring))]
-    return _fields_from_syzygies(gens, f.ring)
+    return [delta for _, fields in der_log_stream(f) for delta in fields]
 
 
 def der_log_stream(f):
-    """The fields of compute_der_log(f), degree by degree, from
-    syzygy_stream(f, df/dx_1, ..., df/dx_n).
+    """Generators of Der(-log f), degree by degree, from
+    syzygy_stream(f, df/dx_1, ..., df/dx_n); each nonzero row gives its
+    field. Distinct rows give distinct fields, as row[0] = -sum_i row[i]
+    * df/dx_i / f.
 
     Yields (c, fields): every field still to come has coefficients of
     degree >= c, or none is to come when c is None. A row of degree s' of

@@ -110,10 +110,6 @@ class Polynomial:
     def is_constant(self):
         return not self.terms or (len(self.terms) == 1 and not any(next(iter(self.terms))))
 
-    def constant_value(self):
-        """Coefficient of the constant monomial (the value at the origin)."""
-        return self.terms.get((0,) * len(self.ring), Fraction(0))
-
     def total_degree(self):
         if not self.terms:
             return None
@@ -574,7 +570,8 @@ class PolyMatrix:
 
 # ---- text form --------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/]))")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN = re.compile(rf"\s*(?:(?P<int>\d+)|(?P<name>{_NAME.pattern})|(?P<op>[-+*^()/]))")
 
 
 def _tokenize(text):

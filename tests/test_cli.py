@@ -633,7 +633,6 @@ class TestArtefactsComputedOnce:
                           (cohomology, "saito_basis"),
                           (cli, "der_log_stream"),
                           (groebner, "syzygies"),
-                          (logder, "syzygies"),
                           (groebner, "syzygy_stream"),
                           (logder, "syzygy_stream")):
             monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))

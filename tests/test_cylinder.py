@@ -45,26 +45,6 @@ class TestSplit:
             split_cylindrical(Polynomial.zero(R3))
 
 
-class TestEmbed:
-    def test_round_trip(self):
-        f = P("x^3*y - x*y^3 + y^4")
-        split = split_cylindrical(f)
-        assert split.embed(split.poly) == f
-
-    def test_embed_is_a_ring_map(self):
-        f = P("x^2 + z^2")
-        split = split_cylindrical(f)
-        a = poly_from_text("x + z", split.ring)
-        b = poly_from_text("x*z - 2", split.ring)
-        assert split.embed(a * b) == split.embed(a) * split.embed(b)
-        assert split.embed(a + b) == split.embed(a) + split.embed(b)
-
-    def test_identity_embed(self):
-        f = P("x*y*z")
-        split = split_cylindrical(f)
-        assert split.embed(f) == f
-
-
 class TestDeformationInvariance:
     def test_ft1_agrees_after_dropping_a_cylinder_variable(self):
         plane = poly_from_text("x^3*y - x*y^3", ("x", "y"))
@@ -76,6 +56,3 @@ class TestDeformationInvariance:
         direct_eqs = [poly_to_text(p) for p in direct.deformed_equations]
         reduced_eqs = [poly_to_text(p) for p in reduced.deformed_equations]
         assert direct_eqs == reduced_eqs == ["x^2*y^2"]
-        embedded = split.embed(reduced.deformed_equations[0])
-        assert poly_to_text(embedded) == "x^2*y^2"
-        assert embedded.ring == R3

@@ -142,6 +142,9 @@ DEFECTS = {
     "no variables": lambda d: dict(d, variables=[]),
     "repeated variable": lambda d: dict(d, variables=d["variables"][:1] * 2),
     "variable not a string": lambda d: dict(d, variables=d["variables"][:-1] + [1]),
+    "variable not a name": lambda d: {
+        **{k: v for k, v in d.items() if k not in ("weights", "saito_matrix")},
+        "variables": d["variables"] + ["y z"]},
     "unknown name in f": lambda d: dict(d, f=f"({d['f']}) + unknown"),
     "unbalanced f": lambda d: dict(d, f=f"({d['f']}"),
     "stray character in f": lambda d: dict(d, f=f"{d['f']} # 1"),
@@ -170,6 +173,13 @@ def test_a_malformed_document_exits_2(doc, defect):
                  st.sampled_from(['{"label": NaN}', "[]", "null", "1e999"])))
 def test_a_file_that_is_no_document_exits_2(raw):
     assert exit_code(raw) == 2
+
+
+@pytest.mark.parametrize("name", ["2", "y z", "x^2", " y", "y\n"])
+def test_a_variable_the_grammar_cannot_name_exits_2(name):
+    # no f can use such a variable; it must not pass as an unused one
+    doc = {"label": "a", "variables": ["x", name], "f": "x"}
+    assert exit_code(json.dumps(doc)) == 2
 
 
 @pytest.mark.parametrize("raw", [

@@ -9,7 +9,6 @@ from one basis, SaitoBasis.linear_part().
 """
 
 from fractions import Fraction
-import math
 
 from . import linalg
 from .errors import InternalInconsistency, NotLinear
@@ -158,18 +157,11 @@ class TraceTestResult:
 def _primitive_field(delta):
     """Scale to coprime integer coefficients, first nonzero coefficient
     positive."""
-    coeffs = []
-    for p in delta.components:
-        coeffs.extend(p.terms.values())
+    coeffs = [c for p in delta.components for _, c in sorted(p.terms.items())]
     if not coeffs:
         return delta
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    g = math.gcd(*(int(c * lcm) for c in coeffs))
-    scale = Fraction(lcm, g)
-    first = next(c for p in delta.components for _, c in sorted(p.terms.items()) if c)
-    if first * scale < 0:
-        scale = -scale
-    return delta.scale(scale)
+    scale = linalg._int_row(coeffs)[1]
+    return delta.scale(scale if coeffs[0] > 0 else -scale)
 
 
 def field_trace(delta):
@@ -186,13 +178,11 @@ def diagonal_annihilators(f):
     """Primitive integer vectors c with (sum c_i x_i d/dx_i)(f) = 0,
     i.e. c orthogonal to every exponent vector of f."""
     n = len(f.ring)
-    rows = [[Fraction(e) for e in m] for m in sorted(f.terms)]
+    rows = [list(m) for m in sorted(f.terms)]
     out = []
     for v in linalg.nullspace(rows, n):
-        lcm = math.lcm(*(x.denominator for x in v))
-        ints = [int(x * lcm) for x in v]
-        g = math.gcd(*ints)
-        ints = [x // g for x in ints]
+        scale = linalg._int_row(v)[1]
+        ints = [int(x * scale) for x in v]
         if sum(ints) < 0 or (sum(ints) == 0 and next((x for x in ints if x), 1) < 0):
             ints = [-x for x in ints]
         comps = [Polynomial.variable(f.ring, i).scale(ints[i]) for i in range(n)]

@@ -19,9 +19,15 @@ positive. The differentials follow the sign convention
                                      + [delta_j, psi(delta_i)]
 
 whose composition vanishes by the Jacobi identity. dim ker d1 - rank d0 is
-the dimension of the deformation space. d0 and d1 are kept as sparse rows;
-no d2 is built, as nothing beyond H^1 is reported. Their columns are the
-cochains x^e d/dx_c of the slice bases, bracketed term by term.
+the dimension of the deformation space. d0 and d1 are kept as sparse int
+rows; no d2 is built, as nothing beyond H^1 is reported. Their columns are
+the cochains x^e d/dx_c of the slice bases, bracketed term by term on the
+fields' int numerators (one denominator per field) and projected on each
+slice's int images (one denominator den per slice), so the rows are
+scale * d0 and scale * d1 for one positive integer scale of the complex:
+a row scaling, which keeps rank and kernel, and which apply_d0, apply_d1
+and is_coboundary divide out. Fraction remains in the kernel vectors, the
+cocycles and the deformed equations.
 
 A cocycle deforms f of weighted degree k by a degree-k polynomial, whose
 class lives in the degree-k piece of Q[x] / (f, df/dx_1, ..., df/dx_n).
@@ -40,6 +46,7 @@ The tests check it against an independent Chevalley-Eilenberg oracle
 
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 
 from . import linalg
 from .errors import (
@@ -50,7 +57,7 @@ from .errors import (
     current_budget,
 )
 from .groebner import buchberger
-from .logder import VectorField, _add_bracket, saito_basis
+from .logder import VectorField, _add_bracket, _bracket_parts, saito_basis
 from .poly import (
     Polynomial,
     WeightSystem,
@@ -62,10 +69,6 @@ from .poly import (
     partial_derivative,
     weighted_degree,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def weighted_monomials(weights, target):
     """All exponent tuples e with sum(w_i e_i) = target, degrevlex descending."""
@@ -102,7 +105,7 @@ class QuotientSlice:
     its dense shape, before it is built.
     """
 
-    __slots__ = ("ring", "weight", "ambient", "basis", "_image")
+    __slots__ = ("ring", "weight", "ambient", "basis", "den", "_image")
 
     def __init__(self, gens, gen_weights, shifts, w, weight):
         self.ring = gens[0][0].ring
@@ -116,34 +119,38 @@ class QuotientSlice:
             sum(len(ms) for _, ms in multipliers) * len(self.ambient))
         relations = []
         for gen, ms in multipliers:
+            lcd = lcm(*(a.denominator for p in gen for a in p.terms.values()))
+            gen = [(c, mm, a.numerator * (lcd // a.denominator))
+                   for c, p in enumerate(gen) for mm, a in p.terms.items()]
             for m in ms:
                 vec = {}
-                for c, p in enumerate(gen):
-                    for mm, co in p.terms.items():
-                        k = index[(c, tuple(a + b for a, b in zip(mm, m)))]
-                        vec[k] = vec.get(k, ZERO) + co
+                for c, mm, co in gen:
+                    k = index[(c, m_mul(mm, m))]
+                    vec[k] = vec.get(k, 0) + co
                 relations.append(vec)
         ech, pivots = linalg.rref(relations, len(self.ambient))
         pivot_set = set(pivots)
         self.basis = [k for k in range(len(self.ambient)) if k not in pivot_set]
-        # the class of each ambient monomial, sparse in basis coordinates:
-        # a basis monomial is a unit vector, a pivot monomial minus the
-        # rest of its reduced echelon row
+        # den times the class of each ambient monomial, sparse in basis
+        # coordinates: a basis monomial is a unit vector, a pivot monomial
+        # minus the rest of its reduced echelon row
         coord = {k: j for j, k in enumerate(self.basis)}
-        self._image = {self.ambient[k]: [(j, Fraction(1))]
+        self.den = den = lcm(*(x.denominator for row in ech for x in row.values()))
+        self._image = {self.ambient[k]: [(j, den)]
                        for j, k in enumerate(self.basis)}
         for row, pc in zip(ech, pivots):
             self._image[self.ambient[pc]] = [
-                (coord[k], -x) for k, x in row.items() if k != pc]
+                (coord[k], -x.numerator * (den // x.denominator))
+                for k, x in row.items() if k != pc]
 
     @property
     def dim(self):
         return len(self.basis)
 
     def project(self, terms):
-        """Coordinates of the class of a concrete weight-w element, given
-        by its terms {(component, exponent): coefficient}."""
-        coords = [ZERO] * len(self.basis)
+        """den times the coordinates, as lift takes them, of the class of
+        a weight-w element given by its terms {(component, exponent): c}."""
+        coords = [0] * len(self.basis)
         for t, co in terms.items():
             if not co:
                 continue
@@ -166,7 +173,7 @@ class SliceComplex:
     __slots__ = ("saito", "sc", "w", "field_weights", "_slices",
                  "slice0", "slices1", "pairs", "slices2",
                  "dim_c0", "dim_c1", "dim_c2", "offsets1", "offsets2",
-                 "d0_rows", "d1_rows", "_d0_columns")
+                 "scale", "d0_rows", "d1_rows", "_d0_columns")
 
     def __init__(self, saito, sc, w):
         self.saito = saito
@@ -187,6 +194,10 @@ class SliceComplex:
         self.dim_c1 = self.offsets1[-1]
         self.offsets2 = list(accumulate((s.dim for s in self.slices2), initial=0))
         self.dim_c2 = self.offsets2[-1]
+        self.scale = lcm(*(_bracket_parts(d)[2] for d in saito.fields),
+                         *(a.denominator for bi in sc.b for bij in bi
+                           for p in bij for a in p.terms.values()))
+        self.scale *= lcm(*(s.den for s in self._slices.values()))
         self.d0_rows = self._build_d0()
         self.d1_rows = self._build_d1()
         self._d0_columns = None
@@ -194,7 +205,7 @@ class SliceComplex:
             acc = {}
             for k, a in row.items():
                 for c, b in self.d0_rows[k].items():
-                    acc[c] = acc.get(c, ZERO) + a * b
+                    acc[c] = acc.get(c, 0) + a * b
             if any(acc.values()):
                 raise InternalInconsistency("d1 after d0 is not zero")
 
@@ -206,39 +217,43 @@ class SliceComplex:
         return self._slices[weight]
 
     def _build_d0(self):
-        """Column s of d0 is the class of x^e d/dx_c, the s-th basis
-        monomial (c, e) of C0: its brackets with the basis fields."""
+        """Rows of scale * d0; column s of d0 is the class of x^e d/dx_c,
+        the s-th basis monomial (c, e) of C0: its brackets with the basis
+        fields."""
         budget = current_budget()
         rows = [{} for _ in range(self.dim_c1)]
         for s, k in enumerate(self.slice0.basis):
-            sigma = {self.slice0.ambient[k]: ONE}
+            sigma = {self.slice0.ambient[k]: 1}
             col = []
             for delta, target in zip(self.saito.fields, self.slices1):
                 img = {}
-                _add_bracket(img, 1, delta, sigma, budget)
+                _add_bracket(img, self.scale // target.den, delta, sigma,
+                             budget)
                 col.extend(target.project(img))
             _set_column(rows, s, col)
         return rows
 
     def _build_d1(self):
-        """Column pos of d1 is the class of the cochain psi that sends
-        delta_i to x^e d/dx_c, the pos-th basis monomial (c, e) of C1 in
-        the summand of delta_i, and the other basis fields to 0."""
+        """Rows of scale * d1; column pos of d1 is the class of the cochain
+        psi that sends delta_i to x^e d/dx_c, the pos-th basis monomial
+        (c, e) of C1 in the summand of delta_i, and the other fields to 0."""
         budget = current_budget()
         fields, b = self.saito.fields, self.sc.b
         rows = [{} for _ in range(self.dim_c2)]
         monomials = [(i, s.ambient[k]) for i, s in enumerate(self.slices1)
                      for k in s.basis]
         for pos, (i, (c, e)) in enumerate(monomials):
-            psi = {(c, e): ONE}
+            psi = {(c, e): 1}
             col = []
             for (p, q), target in zip(self.pairs, self.slices2):
+                k = self.scale // target.den
                 # psi([delta_p, delta_q]) = b_pq^i x^e d/dx_c
-                acc = {(c, m_mul(m, e)): a for m, a in b[p][q][i].terms.items()}
+                acc = {(c, m_mul(m, e)): a.numerator * (k // a.denominator)
+                       for m, a in b[p][q][i].terms.items()}
                 if i == q:
-                    _add_bracket(acc, -1, fields[p], psi, budget)
+                    _add_bracket(acc, -k, fields[p], psi, budget)
                 if i == p:
-                    _add_bracket(acc, 1, fields[q], psi, budget)
+                    _add_bracket(acc, k, fields[q], psi, budget)
                 col.extend(target.project(acc))
             _set_column(rows, pos, col)
         return rows
@@ -259,12 +274,12 @@ class SliceComplex:
         return linalg.rank(self.d0_rows, self.dim_c0)
 
     def apply_d0(self, sigma_coords):
-        return [sum((x * sigma_coords[c] for c, x in row.items()), ZERO)
-                for row in self.d0_rows]
+        return [Fraction(sum(x * sigma_coords[c] for c, x in row.items()),
+                         self.scale) for row in self.d0_rows]
 
     def apply_d1(self, psi_coords):
-        return [sum((x * psi_coords[c] for c, x in row.items()), ZERO)
-                for row in self.d1_rows]
+        return [Fraction(sum(x * psi_coords[c] for c, x in row.items()),
+                         self.scale) for row in self.d1_rows]
 
     def lift_cocycle(self, vec):
         return [s.lift(vec[lo:hi]) for s, lo, hi
@@ -335,11 +350,12 @@ def cocycle_check(psi_fields, saito, sc):
 
 def is_coboundary(coords, cx):
     """A C0 class sigma with d0(sigma) = coords, a C1 coordinate list, or
-    None. The columns of d0 are put in echelon form once per complex,
-    column s extended by a 1 at position dim_c1 + s, so that reducing
-    (coords, 0) leaves (0, -sigma) exactly when coords is a coboundary."""
+    None. The columns of scale * d0 are put in echelon form once per
+    complex, column s extended by scale at position dim_c1 + s, so that
+    reducing (coords, 0) leaves (0, -sigma) exactly when coords is a
+    coboundary."""
     if cx._d0_columns is None:
-        cols = [{cx.dim_c1 + s: Fraction(1)} for s in range(cx.dim_c0)]
+        cols = [{cx.dim_c1 + s: cx.scale} for s in range(cx.dim_c0)]
         for r, row in enumerate(cx.d0_rows):
             for s, x in row.items():
                 cols[s][r] = x
@@ -349,10 +365,7 @@ def is_coboundary(coords, cx):
     rest = cx._d0_columns.reduce(coords)
     if any(k < cx.dim_c1 for k in rest):
         return None
-    sigma = [ZERO] * cx.dim_c0
-    for k, x in rest.items():
-        sigma[k - cx.dim_c1] = -x
-    return sigma
+    return [-rest.get(cx.dim_c1 + s, Fraction(0)) for s in range(cx.dim_c0)]
 
 
 def _class_space(f, w):
@@ -394,12 +407,11 @@ def _select_representatives(cx, saito, space, kernel, rank0):
     for m in scan:
         if len(reps) == h1:
             break
-        mono = Polynomial.monomial(saito.ring, m)
-        cvec = space.project({(0, m): ONE})
+        cvec = space.project({(0, m): 1})
         if realized.reduce(cvec):
             continue  # class not realized by any cocycle
         if chosen.add(cvec):  # False when zero or dependent on the chosen
-            reps.append(mono)
+            reps.append(Polynomial.monomial(saito.ring, m))
     # fall back to raw kernel vectors with independent classes
     for fp, cvec in zip(equations, classes):
         if len(reps) == h1:

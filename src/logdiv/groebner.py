@@ -448,15 +448,20 @@ def dimension_at_most(gens, k):
     if rank != 1:
         raise ValueError("dimension_at_most expects ideal generators")
     n = len(ring)
+    budget = current_budget()
     # a (k+1)-subset that holds no support found yet, as the exponent
     # fields outside it: a lead has a support it holds iff it misses them
-    open_sets = [(lay.pack(0, [int(i not in c) for i in range(n)])
-                  & lay.ones) * lay.top
-                 for c in itertools.combinations(range(n), k + 1)]
+    # (the deadline is read per 4096 subsets built and per lead filtered)
+    subsets = itertools.combinations(range(n), k + 1)
+    open_sets = []
+    while chunk := list(itertools.islice(subsets, 4096)):
+        budget.spend(0)
+        open_sets += [(lay.pack(0, [int(i not in c) for i in range(n)])
+                       & lay.ones) * lay.top for c in chunk]
     found = 0
-    for _, (_, leads, _, _, _) in _run_buchberger(flats, current_budget(),
-                                                  False, lay):
+    for _, (_, leads, _, _, _) in _run_buchberger(flats, budget, False, lay):
         for ld in leads[found:]:
+            budget.spend(0)
             open_sets = [c for c in open_sets if c & ld]
         found = len(leads)
         if not open_sets:

@@ -1,15 +1,19 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, eliminated on integers.
 
-A matrix is a list of rows. A row may be a dense list or a sparse dict
-from column index to entry; internally, and in every echelon form
-returned, rows are sparse dicts of nonzero Fractions. There is one
-elimination routine: Span, an incremental echelon basis whose pivots sit
-at each row's smallest column, and rref is a Span followed by
-back-substitution. The reduced row echelon form is unique, so every
-result is deterministic.
+A matrix is a list of rows, dense lists or sparse dicts from column key
+to an int or Fraction entry; each enters as a primitive int dict. There is
+one elimination routine: Span, an echelon basis whose pivots sit at each
+row's smallest key, eliminated fraction-free (Bareiss): a kept row w, b
+at its pivot, clears the entry a of v there by v <- (b/g) v - (a/g) w,
+g = gcd(a, b), and v loses its content: a multiple of v - (a/b) w, so
+the rows used and their order are those over Q. rref is a Span and a
+back-substitution. Fraction is formed only for what is handed back: the
+reduced echelon rows, the kernel vectors and the Span.reduce residuals.
+The reduced row echelon form is unique, so every result is deterministic.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import current_budget
 
@@ -17,73 +21,89 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _sparse(row):
-    """A list or dict row as a dict of its nonzero entries as Fractions."""
+def _int_row(row):
+    """(v, s): v the primitive int dict of the nonzero entries of a list
+    or dict row, s the Fraction with v = s * row."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {c: Fraction(x) for c, x in items if x}
+    v = {c: x for c, x in items if x}
+    den = lcm(*(x.denominator for x in v.values()))
+    v = {c: x.numerator * (den // x.denominator) for c, x in v.items()}
+    g = gcd(*v.values()) or 1
+    return {c: x // g for c, x in v.items()}, Fraction(den, g)
 
 
 def _reduce(v, rows):
-    """Subtract from the sparse vector v, in place, the multiples of the
-    (pivot, row) pairs that clear its pivot entries; rows later in the
-    sequence must vanish at the pivots of earlier ones. One budget step
-    per row v is reduced by."""
-    used = 0
+    """Clear the int row v, in place, at the pivots of the (pivot, row)
+    pairs, each row zero at the pivots before it; returns (num, den), v
+    being left num/den times its residual over Q. One step per row used."""
+    used, num, den = 0, 1, 1
     for pivot, row in rows:
-        f = v.get(pivot)
-        if f:
+        a = v.get(pivot)
+        if a:
+            g = gcd(a, row[pivot])
+            a, b = a // g, row[pivot] // g
+            if b != 1:
+                for k in v:
+                    v[k] *= b
             for k, x in row.items():
-                s = v.get(k, ZERO) - f * x
+                s = v.get(k, 0) - a * x
                 if s:
                     v[k] = s
                 else:
                     del v[k]
-            used += 1
+            g = gcd(*v.values()) or 1
+            if g != 1:
+                for k in v:
+                    v[k] //= g
+            used, num, den = used + 1, num * b, den * g
     current_budget().spend(used)
-    return v
+    return num, den
 
 
 class Span:
     """Echelon basis of the span of the rows added so far. Each kept row
-    has entry 1 at its pivot, its smallest column, and vanishes at the
-    pivots of the rows kept before it."""
+    is a primitive int dict, nonzero at its pivot, its smallest key, and
+    zero at the pivots of the rows kept before it."""
 
     __slots__ = ("rows",)
 
     def __init__(self):
-        self.rows = []  # (pivot, sparse row)
+        self.rows = []  # (pivot, int row)
 
     def reduce(self, row):
-        """The residual of row modulo the span, as a sparse dict; zero
-        (empty) exactly when row lies in the span."""
-        return _reduce(_sparse(row), self.rows)
+        """The residual of row modulo the span over Q, as a sparse dict of
+        Fractions; empty exactly when row lies in the span."""
+        v, s = _int_row(row)
+        s *= Fraction(*_reduce(v, self.rows))
+        return {k: x / s for k, x in v.items()}
 
     def add(self, row):
         """Keep the residual of row iff it is nonzero; returns whether
         row was independent of the span."""
-        v = self.reduce(row)
-        if not v:
-            return False
-        pivot = min(v)
-        inv = ONE / v[pivot]
-        self.rows.append((pivot, {k: x * inv for k, x in v.items()}))
-        return True
+        v = _int_row(row)[0]
+        _reduce(v, self.rows)
+        if v:
+            self.rows.append((min(v), v))
+        return bool(v)
 
 
 def rref(rows, ncols):
     """Reduced row echelon form.
 
-    Returns (echelon_rows, pivot_cols) with sparse rows in ascending
-    pivot order. Input rows are not modified; zero rows are dropped.
+    Returns (echelon_rows, pivot_cols) with sparse rows of Fractions in
+    ascending pivot order. Input rows are not modified; zero rows are
+    dropped.
     """
     span = Span()
     for row in rows:
         span.add(row)
     done = []  # fully reduced rows, descending pivot
     for pivot, row in sorted(span.rows, key=lambda pr: pr[0], reverse=True):
-        done.append((pivot, _reduce(row, done)))
+        _reduce(row, done)
+        done.append((pivot, row))
     done.reverse()
-    return [row for _, row in done], [pivot for pivot, _ in done]
+    return ([{k: Fraction(x, row[p]) for k, x in row.items()}
+             for p, row in done], [p for p, _ in done])
 
 
 def rank(rows, ncols):
@@ -97,13 +117,11 @@ def nullspace(rows, ncols):
     """
     ech, pivots = rref(rows, ncols)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = {}
-    for fc in free:
-        basis[fc] = [ZERO] * ncols
-        basis[fc][fc] = ONE
+    basis = {c: [ZERO] * ncols for c in range(ncols) if c not in pivot_set}
+    for fc, vec in basis.items():
+        vec[fc] = ONE
     for row, pc in zip(ech, pivots):
         for c, x in row.items():
             if c != pc:
                 basis[c][pc] = -x
-    return [basis[fc] for fc in free]
+    return list(basis.values())

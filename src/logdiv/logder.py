@@ -18,6 +18,8 @@ of the j-th field.
 """
 
 import itertools
+from fractions import Fraction
+from math import lcm
 
 from .errors import (
     InternalInconsistency,
@@ -137,20 +139,23 @@ def format_field(delta):
 
 
 def _bracket_parts(delta):
-    """(terms, partials) of delta, formed once per field: terms lists
+    """(terms, partials, den) of delta, formed once per field, on the int
+    numerators of den * delta, den the lcm of its denominators: terms lists
     (j, m - 1_j, a) for each term a * x^m d/dx_j, and partials[c] lists
-    (i, m, a) for each term a * x^m d/dx_i of d(delta)/dx_c."""
+    (i, m, a) for each term a * x^m d/dx_i of d(den * delta)/dx_c."""
     if delta._parts is None:
         n = len(delta.ring)
+        den = lcm(*(a.denominator for a in delta.terms().values()))
         terms, partials = [], [[] for _ in range(n)]
         for i, p in enumerate(delta.components):
             for m, a in p.terms.items():
+                a = a.numerator * (den // a.denominator)
                 terms.append((i, tuple(e - (k == i) for k, e in enumerate(m)), a))
                 for c in range(n):
                     if m[c]:
                         dm = tuple(e - (k == c) for k, e in enumerate(m))
                         partials[c].append((i, dm, a * m[c]))
-        delta._parts = terms, partials
+        delta._parts = terms, partials, den
     return delta._parts
 
 
@@ -158,10 +163,12 @@ def _add_bracket(acc, k, delta, nu, budget):
     """acc += k * [delta, nu], nu and acc as term dicts {(c, e): a} (see
     VectorField.terms). The term a * x^e d/dx_c of nu contributes
     a * (delta(x^e) d/dx_c - x^e * d(delta)/dx_c), so only monomials are
-    multiplied. One step per pair of a term of nu and a term of delta is
-    charged before any is formed; cancelled terms stay in acc as zeros."""
-    terms, partials = _bracket_parts(delta)
+    multiplied, ints if nu's are and k is a multiple of delta's den. One
+    step per pair of a term of nu and a term of delta is charged before
+    any is formed; cancelled terms stay in acc as zeros."""
+    terms, partials, den = _bracket_parts(delta)
     budget.spend(len(nu) * len(terms))
+    k = k // den if k % den == 0 else Fraction(k, den)
     get = acc.get
     for (c, e), a in nu.items():
         a *= k

@@ -255,17 +255,9 @@ class WeightSystem:
 def _primitive_positive(vec):
     """Scale a rational vector to coprime positive integers, or None if it
     has a zero entry or mixed signs."""
-    if any(x == 0 for x in vec):
-        return None
-    neg = all(x < 0 for x in vec)
-    if not neg and not all(x > 0 for x in vec):
-        return None
-    lcm = math.lcm(*(x.denominator for x in vec))
-    ints = [int(x * lcm) for x in vec]
-    if neg:
-        ints = [-v for v in ints]
-    g = math.gcd(*ints)
-    return tuple(v // g for v in ints)
+    scale = linalg._int_row(vec)[1] * (1 if vec[0] > 0 else -1)
+    ints = tuple(int(x * scale) for x in vec)
+    return ints if all(x > 0 for x in ints) else None
 
 
 WEIGHT_SUM_CAP = 64
@@ -286,7 +278,7 @@ def detect_weight_system(f):
     n = len(f.ring)
     expos = sorted(f.terms)
     base = expos[0]
-    rows = [[Fraction(e[i] - base[i]) for i in range(n)] for e in expos[1:]]
+    rows = [[e[i] - base[i] for i in range(n)] for e in expos[1:]]
     if not rows:
         w = (1,) * n
         return WeightSystem(w, m_weighted_degree(base, w))

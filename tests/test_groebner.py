@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -952,13 +953,37 @@ STREAM_INPUTS = {
 }
 
 
+# the sorted row texts of each drained stream; braid A3's 26 rows (16 kB
+# of text) are pinned by their count and the sha256 of repr(texts)
+STREAM_ROWS = {
+    "coxeter-B3": sorted(B3_SYZYGY_ROWS),
+    "braid-A3": (26, "7a3c23e11c9fd5cdc2514a2d798d08df"
+                     "52613f125ab6b1cc099c3025d3bf4228"),
+    "needs-a-pair": [("-x^2", "x^2 + y^2")],
+    "zero-generator": [("0", "1", "0"), ("y", "0", "-x")],
+}
+
+
+def assert_syzygies(rows, gens):
+    """Every row r satisfies sum_c r_c * g_c = 0."""
+    for row in rows:
+        assert sum((p * g for p, g in zip(row, gens)),
+                   Polynomial.zero(gens[0].ring)).is_zero()
+
+
 class TestSyzygyStream:
     @pytest.mark.parametrize("name", STREAM_INPUTS)
     def test_drained_it_has_the_rows_of_syzygies(self, name):
         gens = STREAM_INPUTS[name]()
         streamed = [row for _, rows in syzygy_stream(gens) for row in rows]
-        assert sorted(row_texts(streamed)) \
-            == sorted(row_texts(syzygies(gens).elements))
+        assert_syzygies(streamed, gens)
+        texts = sorted(row_texts(streamed))
+        if name == "braid-A3":
+            digest = hashlib.sha256(repr(texts).encode()).hexdigest()
+            assert (len(texts), digest) == STREAM_ROWS[name]
+        else:
+            assert texts == STREAM_ROWS[name]
+        assert texts == sorted(row_texts(syzygies(gens).elements))
 
     @pytest.mark.parametrize("name", STREAM_INPUTS)
     def test_rows_come_between_their_pauses(self, name):
@@ -977,6 +1002,9 @@ class TestSyzygyStream:
         gens = [P("x^2 - y"), P("x*y - 1"), P("y^2 - x")]
         batches = list(syzygy_stream(gens))
         assert len(batches) == 1 and batches[0][0] is None
+        assert_syzygies(batches[0][1], gens)
+        assert row_texts(batches[0][1]) == [
+            ("y", "-x", "1"), ("-1", "y", "-x"), ("y^2 - x", "0", "-x^2 + y")]
         assert row_texts(batches[0][1]) == row_texts(syzygies(gens).elements)
 
     def test_stopping_early_saves_the_rest_of_the_run(self):

@@ -13,6 +13,10 @@
   the dimension of weight-zero deformations f + e g of f with its Saito
   basis, modulo the trivial ones, computed in ce_oracle.py from the text
   of the input and of the golden Saito matrix, equals the golden ft1.
+- Rigid arrangements: ft1 of braid A3 (in 4 variables), Coxeter B3 and
+  Coxeter D4 is 0 in logdiv's slice complex and in the equation-side
+  oracle, which reads only the text of the expanded f and of logdiv's
+  Saito matrix.
 """
 
 import json
@@ -25,8 +29,9 @@ import pytest
 from ce_oracle import cohomology, ft1_equation_side
 from logdiv.classify import is_linear, is_reductive, lie_algebra_matrices
 from logdiv.cli import analyze_document
-from logdiv.cohomology import lft1, linear_basis
-from logdiv.poly import poly_from_text, poly_to_text
+from logdiv.cohomology import ft1, lft1, linear_basis
+from logdiv.logder import saito_basis
+from logdiv.poly import detect_weight_system, poly_from_text, poly_to_text
 
 
 def residual(v, echelon):
@@ -192,3 +197,17 @@ def test_ft1_equation_side_oracle(name, golden):
     assert profile["variables"] == doc["variables"]
     assert ft1_equation_side(doc["f"], profile["saito_matrix"], doc["variables"],
                              profile["weights"]) == golden["ft1"]["dimension"]
+
+
+@pytest.mark.parametrize("name", ["braid-A3", "coxeter-B3", "coxeter-D4"])
+def test_ft1_of_rigid_arrangements(name):
+    n, normals = arrangement(name)
+    variables = [f"x{i + 1}" for i in range(n)]
+    f = poly_from_text("*".join(f"({linear_form(v)})" for v in normals),
+                       tuple(variables))
+    w = detect_weight_system(f)
+    saito = saito_basis(f, w)
+    assert ft1(f, saito=saito, w=w).dimension == 0
+    rows = [[poly_to_text(p) for p in row] for row in saito.matrix()]
+    assert ft1_equation_side(poly_to_text(f), rows, variables,
+                             list(w.weights)) == 0

@@ -159,3 +159,103 @@ class TestRrefBudget:
             with Budget(steps=4):
                 linalg.rank(rows, 2)
                 linalg.rank(rows, 2)
+
+
+def fraction_residual(vec, rows, keys):
+    """vec minus the multiples of the (pivot, row) pairs, rows with entry
+    1 at their pivots, that clear it there, over Fraction; also returns
+    the number of rows it was reduced by."""
+    r = {k: Fraction(vec.get(k, 0)) for k in keys}
+    used = 0
+    for pivot, row in rows:
+        c = r[pivot]
+        if c:
+            for k in keys:
+                r[k] -= c * row.get(k, 0)
+            used += 1
+    return r, used
+
+
+def fraction_span(vectors, keys):
+    """Reference echelon basis: each nonzero residual is kept, scaled to 1
+    at its first key in keys order; also returns the rows reduced by."""
+    rows, used = [], 0
+    for vec in vectors:
+        r, u = fraction_residual(vec, rows, keys)
+        used += u
+        pivot = next((k for k in keys if r[k]), None)
+        if pivot is not None:
+            rows.append((pivot, {k: x / r[pivot] for k, x in r.items() if x}))
+    return rows, used
+
+
+def random_vectors(rng, keys, count):
+    """p/q vectors on keys, with a repeat, a combination and a zero."""
+    vectors = []
+    for _ in range(count):
+        vec = {}
+        for k in rng.sample(keys, rng.randint(1, min(4, len(keys)))):
+            vec[k] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        vectors.append(vec)
+    combo = {k: 3 * x for k, x in vectors[0].items()}
+    for k, x in vectors[1].items():
+        combo[k] = combo.get(k, 0) - Fraction(2, 5) * x
+    return vectors + [dict(vectors[2]), combo, {}]
+
+
+class TestIntegerBoundary:
+    """Rows are eliminated as primitive ints; what linalg hands back is
+    exact and in Fractions, and the budget sees the rows eliminated."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("kind", ["int", "str"])
+    def test_reduce_residuals_match_the_fraction_reference(self, seed, kind):
+        rng = random.Random(seed)
+        cols = sorted(rng.sample(range(30), 8))
+        keys = cols if kind == "int" else [f"k{c:02d}" for c in cols]
+        vectors = random_vectors(rng, keys, 6)
+        span = linalg.Span()
+        for vec in vectors[:4]:
+            span.add(vec)
+        rows, _ = fraction_span(vectors[:4], keys)
+        assert [p for p, _ in span.rows] == [p for p, _ in rows]
+        zero = 0
+        for vec in vectors:
+            expected, used = fraction_residual(vec, rows, keys)
+            with Budget(steps=10**6) as budget:
+                got = span.reduce(vec)
+            assert got == {k: x for k, x in expected.items() if x}
+            assert all(type(x) is Fraction for x in got.values())
+            assert budget.steps - budget.left == used
+            zero += not got
+        assert zero >= 1  # the first vectors lie in the span
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rref_and_nullspace_return_fractions(self, seed):
+        rng = random.Random(seed)
+        nrows, ncols = TestAgainstDenseGaussJordan.SHAPES[seed % 6]
+        rows = random_matrix(rng, nrows, ncols)
+        ints = [[int(x * 60) for x in r] for r in rows]
+        for given in (rows, ints):
+            ech, _ = linalg.rref(given, ncols)
+            assert [as_dense(r, ncols) for r in ech] \
+                == dense_rref(given, ncols)[0]
+            assert all(type(x) is Fraction for r in ech for x in r.values())
+            null = linalg.nullspace(given, ncols)
+            assert null == dense_nullspace(given, ncols)
+            assert all(type(x) is Fraction for v in null for x in v)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_step_per_row_eliminated(self, seed):
+        rng = random.Random(seed)
+        nrows, ncols = TestAgainstDenseGaussJordan.SHAPES[seed % 6]
+        rows = as_dicts(random_matrix(rng, nrows, ncols))
+        kept, used = fraction_span(rows, list(range(ncols)))
+        done = []  # back-substitution, by descending pivot
+        for pivot, row in sorted(kept, key=lambda pr: pr[0], reverse=True):
+            r, u = fraction_residual(row, done, list(range(ncols)))
+            used += u
+            done.append((pivot, {k: x for k, x in r.items() if x}))
+        with Budget(steps=10**6) as budget:
+            linalg.rref(rows, ncols)
+        assert budget.steps - budget.left == used

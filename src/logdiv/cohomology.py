@@ -26,8 +26,13 @@ fields' int numerators (one denominator per field) and projected on each
 slice's int images (one denominator den per slice), so the rows are
 scale * d0 and scale * d1 for one positive integer scale of the complex:
 a row scaling, which keeps rank and kernel, and which apply_d0, apply_d1
-and is_coboundary divide out. Fraction remains in the kernel vectors, the
-cocycles and the deformed equations.
+and is_coboundary divide out. Each block of a column is projected sparse
+straight into its rows. ft1 puts the columns of d0 in one echelon Span,
+whose length is rank d0, and keeps a vector of ker d1 only when it is
+independent of im d0 and of the vectors kept before it: the h1 kept
+vectors are a basis of the cohomology, and only they are lifted to
+cocycles and deformed equations. Fraction remains in the kernel vectors,
+those cocycles and their deformed equations.
 
 A cocycle deforms f of weighted degree k by a degree-k polynomial, whose
 class lives in the degree-k piece of Q[x] / (f, df/dx_1, ..., df/dx_n).
@@ -148,9 +153,10 @@ class QuotientSlice:
         return len(self.basis)
 
     def project(self, terms):
-        """den times the coordinates, as lift takes them, of the class of
-        a weight-w element given by its terms {(component, exponent): c}."""
-        coords = [0] * len(self.basis)
+        """den times the coordinates of the class of a weight-w element
+        given by its terms {(component, exponent): c}, as a sparse dict
+        {basis index: nonzero coordinate}."""
+        coords = {}
         for t, co in terms.items():
             if not co:
                 continue
@@ -159,8 +165,8 @@ class QuotientSlice:
                 raise InternalInconsistency(
                     f"term {t} is not of slice weight {self.weight}")
             for j, x in image:
-                coords[j] += co * x
-        return coords
+                coords[j] = coords.get(j, 0) + co * x
+        return {j: x for j, x in coords.items() if x}
 
     def lift(self, coords):
         return VectorField.from_terms(self.ring, {
@@ -224,13 +230,13 @@ class SliceComplex:
         rows = [{} for _ in range(self.dim_c1)]
         for s, k in enumerate(self.slice0.basis):
             sigma = {self.slice0.ambient[k]: 1}
-            col = []
-            for delta, target in zip(self.saito.fields, self.slices1):
+            for delta, target, off in zip(self.saito.fields, self.slices1,
+                                          self.offsets1):
                 img = {}
                 _add_bracket(img, self.scale // target.den, delta, sigma,
                              budget)
-                col.extend(target.project(img))
-            _set_column(rows, s, col)
+                for j, x in target.project(img).items():
+                    rows[off + j][s] = x
         return rows
 
     def _build_d1(self):
@@ -244,8 +250,8 @@ class SliceComplex:
                      for k in s.basis]
         for pos, (i, (c, e)) in enumerate(monomials):
             psi = {(c, e): 1}
-            col = []
-            for (p, q), target in zip(self.pairs, self.slices2):
+            for (p, q), target, off in zip(self.pairs, self.slices2,
+                                           self.offsets2):
                 k = self.scale // target.den
                 # psi([delta_p, delta_q]) = b_pq^i x^e d/dx_c
                 acc = {(c, m_mul(m, e)): a.numerator * (k // a.denominator)
@@ -254,8 +260,8 @@ class SliceComplex:
                     _add_bracket(acc, -k, fields[p], psi, budget)
                 if i == p:
                     _add_bracket(acc, k, fields[q], psi, budget)
-                col.extend(target.project(acc))
-            _set_column(rows, pos, col)
+                for j, x in target.project(acc).items():
+                    rows[off + j][pos] = x
         return rows
 
     # -- derived data ------------------------------------------------
@@ -267,6 +273,15 @@ class SliceComplex:
         if self.dim_c1 == 0:
             return []
         return linalg.nullspace(self.d1_rows, self.dim_c1)
+
+    def d0_columns(self):
+        """The columns of scale * d0, the images of the basis of C0, as
+        sparse dicts over the coordinates of C1."""
+        cols = [{} for _ in range(self.dim_c0)]
+        for r, row in enumerate(self.d0_rows):
+            for s, x in row.items():
+                cols[s][r] = x
+        return cols
 
     def rank_d0(self):
         if self.dim_c0 == 0:
@@ -284,13 +299,6 @@ class SliceComplex:
     def lift_cocycle(self, vec):
         return [s.lift(vec[lo:hi]) for s, lo, hi
                 in zip(self.slices1, self.offsets1, self.offsets1[1:])]
-
-
-def _set_column(rows, c, col):
-    """Write the dense column col into column c of the sparse rows."""
-    for r, x in enumerate(col):
-        if x:
-            rows[r][c] = x
 
 
 class DeformationReport:
@@ -355,12 +363,9 @@ def is_coboundary(coords, cx):
     reducing (coords, 0) leaves (0, -sigma) exactly when coords is a
     coboundary."""
     if cx._d0_columns is None:
-        cols = [{cx.dim_c1 + s: cx.scale} for s in range(cx.dim_c0)]
-        for r, row in enumerate(cx.d0_rows):
-            for s, x in row.items():
-                cols[s][r] = x
         cx._d0_columns = linalg.Span()
-        for col in cols:
+        for s, col in enumerate(cx.d0_columns()):
+            col[cx.dim_c1 + s] = cx.scale
             cx._d0_columns.add(col)
     rest = cx._d0_columns.reduce(coords)
     if any(k < cx.dim_c1 for k in rest):
@@ -383,16 +388,40 @@ def _class_space(f, w):
                          w, k)
 
 
-def _select_representatives(cx, saito, space, kernel, rank0):
+def _class_of(space, fp):
+    """The coordinates of the class of the polynomial fp in space."""
+    return space.project({(0, m): c for m, c in fp.terms.items()})
+
+
+def _check_coboundary_class(cx, saito, space):
+    """Coboundaries deform f trivially: the deformed equation of the
+    coboundary d0(sum_s (s + 1) sigma_s), over the basis sigma_s of C0,
+    must have zero class. The check runs on scale times that coboundary,
+    in ints, as scaling keeps a class zero or nonzero."""
+    coords = [sum((s + 1) * x for s, x in row.items()) for row in cx.d0_rows]
+    fp = deformation_equation(cx.lift_cocycle(coords), saito)
+    if _class_of(space, fp):
+        raise InternalInconsistency("a coboundary has a nonzero class")
+
+
+def _select_representatives(cx, saito, space, cocycles, h1):
     """Deformed equations whose classes are a basis of the cocycle classes
     modulo coboundaries: single monomials wherever they realize a class,
     scanned by ascending exponent spread, degrevlex descending within a
-    spread, then the equations of raw kernel vectors."""
-    h1 = len(kernel) - rank0
+    spread, then the equations of the cocycles, in order.
+
+    The cocycles are the vectors of ker d1, in order, that are independent
+    of im d0 and of the ones kept before them; the rest get no equation.
+    The picks are those from every kernel vector. Coboundaries have zero
+    class, so the classes of the cocycles span the classes of all kernel
+    vectors, and the monomial scan is unchanged. A dropped vector v lies in
+    im d0 plus the span of the cocycles before it, so its class lies in
+    the span of their classes. Each of those was picked, or was dependent
+    on the classes chosen when the fallback reached it; so the class of v
+    is dependent on the chosen ones, and the fallback would not pick v."""
     equations = [deformation_equation(cx.lift_cocycle(vec), saito)
-                 for vec in kernel]
-    classes = [space.project({(0, m): c for m, c in fp.terms.items()})
-               for fp in equations]
+                 for vec in cocycles]
+    classes = [_class_of(space, fp) for fp in equations]
     realized = linalg.Span()  # the classes of all cocycles
     for cvec in classes:
         realized.add(cvec)
@@ -412,7 +441,7 @@ def _select_representatives(cx, saito, space, kernel, rank0):
             continue  # class not realized by any cocycle
         if chosen.add(cvec):  # False when zero or dependent on the chosen
             reps.append(Polynomial.monomial(saito.ring, m))
-    # fall back to raw kernel vectors with independent classes
+    # fall back to the cocycles with independent classes
     for fp, cvec in zip(equations, classes):
         if len(reps) == h1:
             break
@@ -442,9 +471,15 @@ def ft1(f, saito=None, w=None):
     saito, w = _prepare_graded(f, saito, w)
     cx = SliceComplex(saito, saito.structure_constants(), w)
     kernel = cx.kernel_d1()
-    rank0 = cx.rank_d0()
+    span = linalg.Span()  # im d0, then the cocycles kept
+    for col in cx.d0_columns():
+        span.add(col)
+    rank0 = len(span.rows)
+    cocycles = [vec for vec in kernel if span.add(vec)]
     space = _class_space(saito.divisor, w)
-    eqs = _select_representatives(cx, saito, space, kernel, rank0)
+    _check_coboundary_class(cx, saito, space)
+    eqs = _select_representatives(cx, saito, space, cocycles,
+                                  len(kernel) - rank0)
     notes = {
         "h0": cx.dim_c0 - rank0,
         "dim_c0": cx.dim_c0,

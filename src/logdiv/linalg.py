@@ -6,9 +6,10 @@ one elimination routine: Span, an echelon basis whose pivots sit at each
 row's smallest key, eliminated fraction-free (Bareiss): a kept row w, b
 at its pivot, clears the entry a of v there by v <- (b/g) v - (a/g) w,
 g = gcd(a, b), and v loses its content: a multiple of v - (a/b) w, so
-the rows used and their order are those over Q. rref is a Span and a
-back-substitution. Fraction is formed only for what is handed back: the
-reduced echelon rows, the kernel vectors and the Span.reduce residuals.
+the rows used and their order are those over Q. rank counts the rows of
+a Span; rref is a Span and a back-substitution. Fraction is formed only
+for what is handed back: the reduced echelon rows, the kernel vectors and
+the Span.reduce residuals.
 The reduced row echelon form is unique, so every result is deterministic.
 """
 
@@ -87,6 +88,13 @@ class Span:
         return bool(v)
 
 
+def _span(rows):
+    span = Span()
+    for row in rows:
+        span.add(row)
+    return span
+
+
 def rref(rows, ncols):
     """Reduced row echelon form.
 
@@ -94,9 +102,7 @@ def rref(rows, ncols):
     ascending pivot order. Input rows are not modified; zero rows are
     dropped.
     """
-    span = Span()
-    for row in rows:
-        span.add(row)
+    span = _span(rows)
     done = []  # fully reduced rows, descending pivot
     for pivot, row in sorted(span.rows, key=lambda pr: pr[0], reverse=True):
         _reduce(row, done)
@@ -107,7 +113,8 @@ def rref(rows, ncols):
 
 
 def rank(rows, ncols):
-    return len(rref(rows, ncols)[0])
+    """The number of rows of their echelon basis: no back-substitution."""
+    return len(_span(rows).rows)
 
 
 def nullspace(rows, ncols):

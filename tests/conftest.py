@@ -5,12 +5,14 @@ import random
 
 from fractions import Fraction
 
+from logdiv import cohomology, linalg
 from logdiv.logder import (SaitoBasis, VectorField, compute_der_log,
                            find_saito_basis, verify_saito)
 from logdiv.errors import current_budget
 from logdiv.poly import (Polynomial, PolyMatrix, WeightSystem, _divide,
-                         _flatten, _Packing, _unflatten, detect_weight_system,
-                         partial_derivative, poly_from_text, weighted_degree)
+                         _flatten, _Packing, _unflatten, degrevlex_key,
+                         detect_weight_system, partial_derivative,
+                         poly_from_text, weighted_degree)
 
 CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "corpus")
@@ -173,3 +175,42 @@ def reference_connection_conditions(saito, sc):
                                zero).is_zero():
                         second = False
     return first, second
+
+
+def reference_representatives(saito, w):
+    """The deformed equations ft1 reports for the Saito basis graded by w,
+    by the selection that forms the equation of every vector of ker d1:
+    monomials realizing a class, by ascending exponent spread and
+    degrevlex descending within a spread, then the equations of the
+    kernel vectors, in order, whose classes are independent of those
+    chosen. The classes of all kernel vectors must span h1 dimensions."""
+    saito = saito.graded(w)
+    cx = cohomology.SliceComplex(saito, saito.structure_constants(), w)
+    kernel = cx.kernel_d1()
+    h1 = len(kernel) - cx.rank_d0()
+    space = cohomology._class_space(saito.divisor, w)
+    equations = [cohomology.deformation_equation(cx.lift_cocycle(vec), saito)
+                 for vec in kernel]
+    classes = [space.project({(0, m): c for m, c in fp.terms.items()})
+               for fp in equations]
+    realized = linalg.Span()
+    for cvec in classes:
+        realized.add(cvec)
+    assert len(realized.rows) == h1
+    scan = sorted((e for _, e in space.ambient), key=degrevlex_key, reverse=True)
+    scan.sort(key=lambda e: max(e) - min(e))
+    reps = []
+    chosen = linalg.Span()
+    for m in scan:
+        if len(reps) == h1:
+            break
+        cvec = space.project({(0, m): 1})
+        if not realized.reduce(cvec) and chosen.add(cvec):
+            reps.append(Polynomial.monomial(saito.ring, m))
+    for fp, cvec in zip(equations, classes):
+        if len(reps) == h1:
+            break
+        if chosen.add(cvec):
+            reps.append(fp)
+    assert len(reps) == h1
+    return reps

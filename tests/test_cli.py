@@ -649,6 +649,34 @@ class TestArtefactsComputedOnce:
         assert calls.count("der_log_stream") == 0
         assert calls.count("syzygy_stream") == 0
 
+    @pytest.mark.parametrize("name, h1", [("linear-nonreductive-5", 1),
+                                          ("nc-4", 0)])
+    def test_equations_are_formed_for_the_cohomology_only(self, name, h1,
+                                                          monkeypatch):
+        # ft1 drops the vectors of ker d1 that depend on im d0 and on the
+        # vectors kept before them, so representative selection forms h1
+        # deformed equations, not one per kernel vector (21 and 12 here);
+        # one more checks that a coboundary has zero class
+        from logdiv import cli, cohomology
+
+        callers = []
+        equation = cohomology.deformation_equation
+
+        def counting(*args):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):  # a comprehension
+                frame = frame.f_back
+            callers.append(frame.f_code.co_name)
+            return equation(*args)
+
+        monkeypatch.setattr(cohomology, "deformation_equation", counting)
+        doc = cli.load_document(os.path.join(CORPUS, f"{name}.json"))
+        report = cli.analyze_document(doc, cli.ALL_STAGES)
+        assert report["ft1"]["dimension"] == report["lft1"]["dimension"] == h1
+        assert callers.count("_select_representatives") == h1
+        assert callers.count("_check_coboundary_class") == 1
+        assert len(callers) == h1 + 1
+
     def test_saito_matrix_minors_are_formed_once(self, monkeypatch):
         # coxeter-B4's default analysis builds one table of the Saito
         # matrix's minors, in the basis stage's determinant test; the

@@ -20,8 +20,8 @@ from logdiv.cohomology import (
     lft1,
     linear_basis,
 )
-from logdiv.errors import (Budget, BudgetExceeded, NotLinear,
-                           NotWeightedHomogeneous)
+from logdiv.errors import (Budget, BudgetExceeded, InternalInconsistency,
+                           NotLinear, NotWeightedHomogeneous)
 from logdiv.groebner import buchberger
 from logdiv.logder import (
     SaitoBasis,
@@ -382,7 +382,7 @@ class TestFiveVariableExample:
         assert cocycle_check(psi, saito, sc)
         coords = [Fraction(0)] * cx.dim_c1
         block = cx.slices1[2].project(alpha_field.terms())
-        for t, v in enumerate(block):
+        for t, v in block.items():
             coords[cx.offsets1[2] + t] = v
         assert all(x == 0 for x in cx.apply_d1(coords))
         assert is_coboundary(coords, cx) is None
@@ -450,6 +450,29 @@ class TestSliceInternals:
         assert [is_coboundary(v, cx) is None for v in cx.kernel_d1()] \
             .count(True) >= 1
         assert cx._d0_columns is echelon
+
+    def test_a_coboundary_with_a_nonzero_class_is_caught(self, monkeypatch):
+        # doubling the first value of every cochain gives coboundaries a
+        # nonzero class on linear-nonreductive-5; its one cocycle still has
+        # an independent class, so only the coboundary check can see it
+        from logdiv import cohomology
+
+        equation = cohomology.deformation_equation
+
+        def doubled(psi_fields, saito):
+            first = VectorField(saito.ring, [2 * c for c
+                                             in psi_fields[0].components])
+            return equation([first, *psi_fields[1:]], saito)
+
+        _, w, saito = corpus_member("linear-nonreductive-5")
+        assert ft1(saito.divisor, saito=saito, w=w).dimension == 1
+        monkeypatch.setattr(cohomology, "deformation_equation", doubled)
+        with pytest.raises(InternalInconsistency,
+                           match="a coboundary has a nonzero class"):
+            ft1(saito.divisor, saito=saito, w=w)
+        monkeypatch.setattr(cohomology, "_check_coboundary_class",
+                            lambda cx, saito, space: None)
+        assert ft1(saito.divisor, saito=saito, w=w).dimension == 1
 
 
 class TestSliceBudget:

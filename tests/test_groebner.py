@@ -212,7 +212,7 @@ class TestGradedQuotient:
         space = QuotientSlice(self.jacobian(f), [3, 3], [0],
                               WeightSystem((1, 1), 4), 4)
         assert space.dim == 1
-        assert any(space.project({(0, (2, 2)): Fraction(1)}))
+        assert any(space.project({(0, (2, 2)): Fraction(1)}).values())
         assert [poly_to_text(p) for p in ft1(f).deformed_equations] \
             == ["x^2*y^2"]
 

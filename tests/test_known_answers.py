@@ -17,6 +17,11 @@
   Coxeter D4 is 0 in logdiv's slice complex and in the equation-side
   oracle, which reads only the text of the expanded f and of logdiv's
   Saito matrix.
+- Representatives: ft1 forms deformed equations only for the vectors of
+  ker d1 independent of im d0. Its equations equal those of the reference
+  in conftest.py, which forms the equation of every kernel vector, on the
+  corpus and the rigid arrangements, and with the monomial scan emptied,
+  so that every pick comes from the kernel vectors.
 """
 
 import json
@@ -27,9 +32,12 @@ from itertools import combinations
 import pytest
 
 from ce_oracle import cohomology, ft1_equation_side
+from conftest import corpus_member, corpus_names, reference_representatives
+from logdiv import cohomology as slices
 from logdiv.classify import is_linear, is_reductive, lie_algebra_matrices
 from logdiv.cli import analyze_document
 from logdiv.cohomology import ft1, lft1, linear_basis
+from logdiv.errors import NotLinear, NotWeightedHomogeneous
 from logdiv.logder import saito_basis
 from logdiv.poly import detect_weight_system, poly_from_text, poly_to_text
 
@@ -208,6 +216,54 @@ def test_ft1_of_rigid_arrangements(name):
     w = detect_weight_system(f)
     saito = saito_basis(f, w)
     assert ft1(f, saito=saito, w=w).dimension == 0
+    assert reference_representatives(saito, w) == []
     rows = [[poly_to_text(p) for p in row] for row in saito.matrix()]
     assert ft1_equation_side(poly_to_text(f), rows, variables,
                              list(w.weights)) == 0
+
+
+def texts(polys):
+    return [poly_to_text(p) for p in polys]
+
+
+def graded_bases(f, w, saito):
+    """(basis, grading) of each ft1 and lft1 report of f."""
+    out = [] if w is None else [(saito, w)]
+    try:
+        out.append(linear_basis(f, saito))
+    except NotLinear:
+        pass
+    return out
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_representatives_match_the_reference(name):
+    f, w, saito = corpus_member(name)
+    cases = graded_bases(f, w, saito)
+    if not cases:  # four-lines-nonkoszul: ft1 and lft1 both refuse
+        with pytest.raises(NotWeightedHomogeneous):
+            ft1(f, saito=saito)
+    for basis, grading in cases:
+        assert texts(ft1(f, saito=basis, w=grading).deformed_equations) \
+            == texts(reference_representatives(basis, grading))
+
+
+@pytest.mark.parametrize("name, h1", [
+    ("lines-5", 2), ("lines-6", 3), ("quartic-cross", 1),
+    ("linear-nonreductive-5", 1)])
+def test_kernel_vector_picks_match_the_reference(name, h1, monkeypatch):
+    # with no monomial to scan, every representative is the equation of a
+    # kernel vector: those of ft1's kept vectors are the ones the
+    # reference picks from all of ker d1
+    class_space = slices._class_space
+
+    def unscanned(f, w):
+        space = class_space(f, w)
+        space.ambient = []
+        return space
+
+    monkeypatch.setattr(slices, "_class_space", unscanned)
+    f, w, saito = corpus_member(name)
+    equations = ft1(f, saito=saito, w=w).deformed_equations
+    assert len(equations) == h1
+    assert texts(equations) == texts(reference_representatives(saito, w))

@@ -154,10 +154,21 @@ class TestRrefBudget:
         # each of the two pivots eliminates the other two rows
         rows = [[1, 2], [3, 4], [5, 6]]
         with Budget(steps=4):
-            assert linalg.rank(rows, 2) == 2
+            assert len(linalg.rref(rows, 2)[0]) == 2
         with pytest.raises(BudgetExceeded):
             with Budget(steps=4):
-                linalg.rank(rows, 2)
+                linalg.rref(rows, 2)
+                linalg.rref(rows, 2)
+
+    def test_rank_skips_the_back_substitution(self):
+        # the echelon basis alone: the second row is cleared by the first,
+        # the third by both, and the first is never cleared by the second
+        rows = [[1, 2], [3, 4], [5, 6]]
+        with Budget(steps=3) as budget:
+            assert linalg.rank(rows, 2) == 2
+        assert budget.left == 0
+        with pytest.raises(BudgetExceeded):
+            with Budget(steps=2):
                 linalg.rank(rows, 2)
 
 

@@ -160,7 +160,8 @@ def _primitive_field(delta):
     coeffs = [c for p in delta.components for _, c in sorted(p.terms.items())]
     if not coeffs:
         return delta
-    scale = linalg._int_row(coeffs)[1]
+    _, den, g = linalg._int_row(coeffs)
+    scale = Fraction(den, g)
     return delta.scale(scale if coeffs[0] > 0 else -scale)
 
 
@@ -180,9 +181,8 @@ def diagonal_annihilators(f):
     n = len(f.ring)
     rows = [list(m) for m in sorted(f.terms)]
     out = []
-    for v in linalg.nullspace(rows, n):
-        scale = linalg._int_row(v)[1]
-        ints = [int(x * scale) for x in v]
+    for _, v in linalg.kernel(rows, n):
+        ints = [v.get(i, 0) for i in range(n)]
         if sum(ints) < 0 or (sum(ints) == 0 and next((x for x in ints if x), 1) < 0):
             ints = [-x for x in ints]
         comps = [Polynomial.variable(f.ring, i).scale(ints[i]) for i in range(n)]

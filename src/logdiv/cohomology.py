@@ -31,8 +31,10 @@ straight into its rows. ft1 puts the columns of d0 in one echelon Span,
 whose length is rank d0, and keeps a vector of ker d1 only when it is
 independent of im d0 and of the vectors kept before it: the h1 kept
 vectors are a basis of the cohomology, and only they are lifted to
-cocycles and deformed equations. Fraction remains in the kernel vectors,
-those cocycles and their deformed equations.
+cocycles and deformed equations. ker d1 comes from the columns of d1 as
+primitive int vectors, which that filter reads as they are; Fraction
+enters when the kept vectors are scaled to 1 at their free column, and
+remains in those cocycles and their deformed equations.
 
 A cocycle deforms f of weighted degree k by a degree-k polynomial, whose
 class lives in the degree-k piece of Q[x] / (f, df/dx_1, ..., df/dx_n).
@@ -270,9 +272,9 @@ class SliceComplex:
         return self.dim_c0 - self.rank_d0()
 
     def kernel_d1(self):
-        if self.dim_c1 == 0:
-            return []
-        return linalg.nullspace(self.d1_rows, self.dim_c1)
+        """ker d1 as linalg.kernel's pairs (c, v): v a primitive int
+        vector, sparse, positive at its free column c."""
+        return linalg.kernel(self.d1_rows, self.dim_c1)
 
     def d0_columns(self):
         """The columns of scale * d0, the images of the basis of C0, as
@@ -437,7 +439,7 @@ def _select_representatives(cx, saito, space, cocycles, h1):
         if len(reps) == h1:
             break
         cvec = space.project({(0, m): 1})
-        if realized.reduce(cvec):
+        if not realized.contains(cvec):
             continue  # class not realized by any cocycle
         if chosen.add(cvec):  # False when zero or dependent on the chosen
             reps.append(Polynomial.monomial(saito.ring, m))
@@ -475,7 +477,8 @@ def ft1(f, saito=None, w=None):
     for col in cx.d0_columns():
         span.add(col)
     rank0 = len(span.rows)
-    cocycles = [vec for vec in kernel if span.add(vec)]
+    cocycles = [[Fraction(v.get(k, 0), v[c]) for k in range(cx.dim_c1)]
+                for c, v in kernel if span.add(v)]
     space = _class_space(saito.divisor, w)
     _check_coboundary_class(cx, saito, space)
     eqs = _select_representatives(cx, saito, space, cocycles,

@@ -7,9 +7,12 @@ row's smallest key, eliminated fraction-free (Bareiss): a kept row w, b
 at its pivot, clears the entry a of v there by v <- (b/g) v - (a/g) w,
 g = gcd(a, b), and v loses its content: a multiple of v - (a/b) w, so
 the rows used and their order are those over Q. rank counts the rows of
-a Span; rref is a Span and a back-substitution. Fraction is formed only
-for what is handed back: the reduced echelon rows, the kernel vectors and
-the Span.reduce residuals.
+a Span; rref is a Span and a back-substitution. kernel eliminates the
+columns instead, each tagged with its own key after every row key: a
+column whose row part clears leaves a primitive int kernel vector on its
+tags, with no back-substitution. Fraction is formed only for what is
+handed back: the reduced echelon rows, the nullspace vectors and the
+Span.reduce residuals.
 The reduced row echelon form is unique, so every result is deterministic.
 """
 
@@ -19,18 +22,22 @@ from math import gcd, lcm
 from .errors import current_budget
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _int_row(row):
-    """(v, s): v the primitive int dict of the nonzero entries of a list
-    or dict row, s the Fraction with v = s * row."""
+    """(v, den, g): v the primitive int dict of the nonzero entries of a
+    list or dict row, v = (den / g) * row. An int row with no content, as
+    most are, is copied once."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
     v = {c: x for c, x in items if x}
-    den = lcm(*(x.denominator for x in v.values()))
-    v = {c: x.numerator * (den // x.denominator) for c, x in v.items()}
+    den = 1
+    if not all(type(x) is int for x in v.values()):
+        den = lcm(*(x.denominator for x in v.values()))
+        v = {c: x.numerator * (den // x.denominator) for c, x in v.items()}
     g = gcd(*v.values()) or 1
-    return {c: x // g for c, x in v.items()}, Fraction(den, g)
+    if g != 1:
+        v = {c: x // g for c, x in v.items()}
+    return v, den, g
 
 
 def _reduce(v, rows):
@@ -74,9 +81,16 @@ class Span:
     def reduce(self, row):
         """The residual of row modulo the span over Q, as a sparse dict of
         Fractions; empty exactly when row lies in the span."""
-        v, s = _int_row(row)
-        s *= Fraction(*_reduce(v, self.rows))
+        v, den, g = _int_row(row)
+        num, d = _reduce(v, self.rows)
+        s = Fraction(den * num, g * d)
         return {k: x / s for k, x in v.items()}
+
+    def contains(self, row):
+        """Whether row lies in the span; no Fraction is formed."""
+        v = _int_row(row)[0]
+        _reduce(v, self.rows)
+        return not v
 
     def add(self, row):
         """Keep the residual of row iff it is nonzero; returns whether
@@ -117,18 +131,41 @@ def rank(rows, ncols):
     return len(_span(rows).rows)
 
 
-def nullspace(rows, ncols):
-    """Basis of the right kernel, as a list of length-ncols vectors.
+def kernel(rows, ncols):
+    """Basis of the right kernel, as (c, v) for each free column c in
+    ascending order: v the primitive int dict, positive at c, of the
+    kernel vector supported on c and the pivot columns before it.
 
-    Free variables are set to 1 one at a time, in ascending column order.
-    """
-    ech, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    basis = {c: [ZERO] * ncols for c in range(ncols) if c not in pivot_set}
-    for fc, vec in basis.items():
-        vec[fc] = ONE
-    for row, pc in zip(ech, pivots):
-        for c, x in row.items():
-            if c != pc:
-                basis[c][pc] = -x
-    return list(basis.values())
+    Column c of the n rows is tagged 1 at key n + c, after every row key,
+    and reduced against the columns kept before it; when its row part
+    clears, what is left on the tags is a kernel vector with that
+    support. The only such vector with a 1 at c is the reduced row
+    echelon form's, so v is that vector scaled."""
+    n = len(rows)
+    cols = [{n + c: 1} for c in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, x in _int_row(row)[0].items():
+            cols[c][r] = x
+    span = Span()
+    out = []
+    for c, col in enumerate(cols):
+        _reduce(col, span.rows)
+        pivot = min(col)
+        if pivot < n:
+            span.rows.append((pivot, col))
+        else:
+            sign = 1 if col[n + c] > 0 else -1
+            out.append((c, {k - n: sign * x for k, x in col.items()}))
+    return out
+
+
+def nullspace(rows, ncols):
+    """Basis of the right kernel, as a list of length-ncols Fraction
+    vectors: the vectors of kernel, each scaled to 1 at its free column."""
+    out = []
+    for c, v in kernel(rows, ncols):
+        vec = [ZERO] * ncols
+        for k, x in v.items():
+            vec[k] = Fraction(x, v[c])
+        out.append(vec)
+    return out

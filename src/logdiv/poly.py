@@ -252,11 +252,12 @@ class WeightSystem:
         return f"WeightSystem({self.weights}, degree={self.degree})"
 
 
-def _primitive_positive(vec):
-    """Scale a rational vector to coprime positive integers, or None if it
-    has a zero entry or mixed signs."""
-    scale = linalg._int_row(vec)[1] * (1 if vec[0] > 0 else -1)
-    ints = tuple(int(x * scale) for x in vec)
+def _primitive_positive(vec, n):
+    """The n entries of a primitive int kernel vector, a dict positive at
+    its free column, as a tuple, or None unless all are positive: since
+    one entry is positive, neither the vector nor its negative is then
+    a positive vector."""
+    ints = tuple(vec.get(i, 0) for i in range(n))
     return ints if all(x > 0 for x in ints) else None
 
 
@@ -282,11 +283,11 @@ def detect_weight_system(f):
     if not rows:
         w = (1,) * n
         return WeightSystem(w, m_weighted_degree(base, w))
-    null = linalg.nullspace(rows, n)
+    null = linalg.kernel(rows, n)
     if not null:
         return None
     if len(null) == 1:
-        w = _primitive_positive(null[0])
+        w = _primitive_positive(null[0][1], n)
         if w is None:
             return None
         return WeightSystem(w, m_weighted_degree(base, w))

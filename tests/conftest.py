@@ -65,6 +65,60 @@ def from_sympy(expr, ring, symbols):
     return Polynomial(ring, terms)
 
 
+def dense_rref(rows, ncols):
+    """Reference: Gauss-Jordan elimination over Fraction with the pivot at
+    the first nonzero row of each column (the routine linalg used before
+    its elimination went sparse), each row held as a dict of its nonzero
+    entries; returns the echelon rows as dense lists, and the pivots."""
+    work = [{c: Fraction(x) for c, x in
+             (r.items() if isinstance(r, dict) else enumerate(r)) if x}
+            for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(work)) if c in work[i]), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        inv = 1 / work[r][c]
+        work[r] = {k: x * inv for k, x in work[r].items()}
+        for i in range(len(work)):
+            if i != r and c in work[i]:
+                f, row = work[i][c], work[i]
+                for k, x in work[r].items():
+                    y = row.get(k, 0) - f * x
+                    if y:
+                        row[k] = y
+                    else:
+                        del row[k]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return [[row.get(c, Fraction(0)) for c in range(ncols)]
+            for row in work[:r]], pivots
+
+
+def dense_nullspace(rows, ncols):
+    """Reference kernel: one vector per free column of dense_rref, 1 there."""
+    ech, pivots = dense_rref(rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -ech[i][fc]
+        basis.append(v)
+    return basis
+
+
+def kernel_vectors(cx):
+    """ker d1 of a SliceComplex as Fraction coordinate lists, each scaled
+    to 1 at its free column."""
+    return [[Fraction(v.get(k, 0), v[c]) for k in range(cx.dim_c1)]
+            for c, v in cx.kernel_d1()]
+
+
 def random_poly(rng, ring, max_deg=3, n_terms=4, coeff_range=5):
     n = len(ring)
     terms = {}
@@ -183,10 +237,11 @@ def reference_representatives(saito, w):
     monomials realizing a class, by ascending exponent spread and
     degrevlex descending within a spread, then the equations of the
     kernel vectors, in order, whose classes are independent of those
-    chosen. The classes of all kernel vectors must span h1 dimensions."""
+    chosen. The classes of all kernel vectors must span h1 dimensions.
+    The kernel is dense_nullspace's, which shares no code with linalg."""
     saito = saito.graded(w)
     cx = cohomology.SliceComplex(saito, saito.structure_constants(), w)
-    kernel = cx.kernel_d1()
+    kernel = dense_nullspace(cx.d1_rows, cx.dim_c1)
     h1 = len(kernel) - cx.rank_d0()
     space = cohomology._class_space(saito.divisor, w)
     equations = [cohomology.deformation_equation(cx.lift_cocycle(vec), saito)

@@ -818,8 +818,8 @@ class TestBasisStageBudget:
 
     @pytest.mark.parametrize("name, steps", [
         ("discriminant-234", 555),  # weighted, but (f, grad f) not homogeneous
-        ("curve-x5y4", 45),
-        ("four-lines-nonkoszul", 489)],  # not weighted homogeneous
+        ("curve-x5y4", 46),
+        ("four-lines-nonkoszul", 485)],  # not weighted homogeneous
         ids=["discriminant-234", "curve-x5y4", "four-lines-nonkoszul"])
     def test_inhomogeneous_generators_spend_the_whole_run(self, name, steps,
                                                           monkeypatch):
@@ -829,7 +829,7 @@ class TestBasisStageBudget:
         assert self.analyze(doc, monkeypatch)[:2] == (None, steps)
 
     @pytest.mark.parametrize("f, steps, size", [
-        ("x*y*z*(x+y+z)", 216, 4), ("x*y*z*(x+y+z)*(x+2*y+3*z)", 937, 5)],
+        ("x*y*z*(x+y+z)", 218, 4), ("x*y*z*(x+y+z)*(x+2*y+3*z)", 935, 5)],
         ids=["generic-4", "generic-5"])
     def test_not_free_reads_the_whole_run(self, f, steps, size, monkeypatch):
         doc = {"label": "generic", "variables": ["x", "y", "z"], "f": f}

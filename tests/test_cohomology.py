@@ -40,7 +40,8 @@ from logdiv.poly import (
     poly_to_text,
 )
 
-from conftest import CORPUS, corpus_member, leibniz
+from conftest import (CORPUS, corpus_member, dense_nullspace,
+                      kernel_vectors, leibniz)
 
 R2 = ("x", "y")
 R3 = ("x", "y", "z")
@@ -206,10 +207,21 @@ def test_deformation_equation_matches_determinants(name):
     _, w, saito = corpus_member(name)
     saito = saito.graded(w)
     cx = SliceComplex(saito, saito.structure_constants(), w)
-    for vec in cx.kernel_d1():
+    for vec in kernel_vectors(cx):
         fields = cx.lift_cocycle(vec)
         assert deformation_equation(fields, saito) \
             == deformation_equation_by_determinants(fields, saito)
+
+
+@pytest.mark.parametrize("name", graded_corpus_names())
+def test_kernel_d1_is_the_dense_reference_kernel(name):
+    # the int vectors from the columns of d1, scaled to 1 at their free
+    # column, are the kernel of dense Gauss-Jordan elimination
+    _, w, saito = corpus_member(name)
+    saito = saito.graded(w)
+    cx = SliceComplex(saito, saito.structure_constants(), w)
+    assert kernel_vectors(cx) == dense_nullspace(cx.d1_rows, cx.dim_c1)
+    assert all(type(x) is int for _, v in cx.kernel_d1() for x in v.values())
 
 
 @pytest.mark.parametrize("name", ["quartic-cross", "linear-nonreductive-5"])
@@ -220,7 +232,7 @@ def test_deformation_equation_is_charged_to_the_budget(name):
     _, w, saito = corpus_member(name)
     saito = saito.graded(w)
     cx = SliceComplex(saito, saito.structure_constants(), w)
-    fields = cx.lift_cocycle(cx.kernel_d1()[0])
+    fields = cx.lift_cocycle(kernel_vectors(cx)[0])
     saito.table().adjugate()
     with Budget() as budget:
         expected = deformation_equation(fields, saito)
@@ -447,7 +459,7 @@ class TestSliceInternals:
             assert cx.apply_d0(is_coboundary(psi, cx)) == psi
         echelon = cx._d0_columns
         # one of the cocycles is not a coboundary: H^1 has dimension 1
-        assert [is_coboundary(v, cx) is None for v in cx.kernel_d1()] \
+        assert [is_coboundary(v, cx) is None for v in kernel_vectors(cx)] \
             .count(True) >= 1
         assert cx._d0_columns is echelon
 

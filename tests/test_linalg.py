@@ -1,48 +1,13 @@
+import math
 import random
 
 from fractions import Fraction
 
 import pytest
 
+from conftest import dense_nullspace, dense_rref
 from logdiv import linalg
 from logdiv.errors import Budget, BudgetExceeded
-
-
-def dense_rref(rows, ncols):
-    """Reference: dense Gauss-Jordan elimination with the pivot at the
-    first nonzero row of each column (the routine linalg used before its
-    elimination went sparse)."""
-    work = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
-
-
-def dense_nullspace(rows, ncols):
-    ech, pivots = dense_rref(rows, ncols)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -ech[i][fc]
-        basis.append(v)
-    return basis
 
 
 def as_dense(row, ncols):
@@ -111,6 +76,73 @@ class TestAgainstDenseGaussJordan:
         assert pivots == [0, 2]
         assert ech == [{0: 1}, {2: 1}]
         assert linalg.nullspace(rows, 3) == [[0, 1, 0]]
+
+
+class TestColumnKernel:
+    """kernel eliminates the columns, each tagged after every row key;
+    nullspace scales its vectors to 1 at the free column."""
+
+    SHAPES = [(9, 3), (3, 9), (6, 6), (1, 5), (5, 1)]  # tall, wide, square
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("entries", ["int", "fraction"])
+    @pytest.mark.parametrize("kind", ["list", "dict"])
+    def test_nullspace_is_the_dense_reference(self, seed, entries, kind):
+        rng = random.Random(seed)
+        nrows, ncols = self.SHAPES[seed % len(self.SHAPES)]
+        rows = random_matrix(rng, nrows, ncols)  # with an empty column
+        if entries == "int":
+            rows = [[int(x * 60) for x in r] for r in rows]
+        given = rows if kind == "list" else as_dicts(rows)
+        snapshot = [dict(r) if kind == "dict" else list(r) for r in given]
+        null = linalg.nullspace(given, ncols)
+        assert null == dense_nullspace(rows, ncols)
+        assert all(type(x) is Fraction for v in null for x in v)
+        assert given == snapshot
+
+    @pytest.mark.parametrize("kind", ["list", "dict"])
+    def test_zero_matrix_and_columns_beyond_every_key(self, kind):
+        zero = [[0, 0, 0], [0, 0, 0]]
+        given = zero if kind == "list" else as_dicts(zero)
+        assert linalg.nullspace(given, 3) == dense_nullspace(zero, 3)
+        assert linalg.kernel(given, 3) == [(0, {0: 1}), (1, {1: 1}),
+                                           (2, {2: 1})]
+        assert linalg.nullspace([], 2) == dense_nullspace([], 2)
+        rows = [{0: 2, 1: Fraction(1, 3)}]  # columns 2 and 3 hold no key
+        assert linalg.nullspace(rows, 4) \
+            == dense_nullspace([as_dense(r, 4) for r in rows], 4)
+        assert linalg.kernel([], 0) == []
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_int_vectors_sit_on_their_column_and_earlier_pivots(self, seed):
+        rng = random.Random(seed)
+        nrows, ncols = self.SHAPES[seed % len(self.SHAPES)]
+        rows = random_matrix(rng, nrows, ncols)
+        pivots = dense_rref(rows, ncols)[1]
+        free = [c for c in range(ncols) if c not in pivots]
+        kernel = linalg.kernel(as_dicts(rows), ncols)
+        assert [c for c, _ in kernel] == free
+        for c, v in kernel:
+            assert all(type(x) is int and x for x in v.values())
+            assert v[c] > 0 and math.gcd(*v.values()) == 1
+            assert set(v) <= {c} | {p for p in pivots if p < c}
+            assert all(sum(x * v.get(k, 0) for k, x in enumerate(r)) == 0
+                       for r in rows)
+
+    def test_column_eliminations_are_charged(self):
+        # column 1 is cleared by column 0 and kept; column 2 by both, and
+        # its row part vanishes: the kernel vector (1, -2, 1)
+        rows = [[1, 2, 3], [4, 5, 6]]
+        with Budget(steps=3) as budget:
+            assert linalg.kernel(rows, 3) == [(2, {0: 1, 1: -2, 2: 1})]
+        assert budget.left == 0
+        with pytest.raises(BudgetExceeded):
+            with Budget(steps=2):
+                linalg.kernel(rows, 3)
+        # a tall matrix of full column rank: one elimination, where the
+        # rows route (rref) pays four
+        with Budget(steps=1):
+            assert linalg.nullspace([[1, 2], [3, 4], [5, 6]], 2) == []
 
 
 class TestSpan:

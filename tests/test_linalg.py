@@ -270,6 +270,7 @@ class TestIntegerBoundary:
             assert got == {k: x for k, x in expected.items() if x}
             assert all(type(x) is Fraction for x in got.values())
             assert budget.steps - budget.left == used
+            assert span.contains(vec) == (not got)
             zero += not got
         assert zero >= 1  # the first vectors lie in the span
 

@@ -9,6 +9,7 @@ from one basis, SaitoBasis.linear_part().
 """
 
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .errors import InternalInconsistency, NotLinear
@@ -55,45 +56,38 @@ def is_koszul(saito):
 
 class LieAlgebra:
     """Finite-dimensional Lie algebra given by its bracket table:
-    bracket_table[(i, j)], i < j, holds the coordinates of [e_i, e_j]."""
+    bracket_table[(i, j)], i < j, holds the coordinates of [e_i, e_j].
+    ad and the Killing form are formed on the table times D, the lcm of
+    its denominators, in ints: D * ad and D^2 * K, of the same ranks."""
 
-    __slots__ = ("dim", "bracket_table")
+    __slots__ = ("dim", "bracket_table", "_table")
 
     def __init__(self, dim, bracket_table):
         self.dim = dim
         self.bracket_table = bracket_table
+        den = lcm(*(x.denominator for v in bracket_table.values() for x in v))
+        self._table = {k: [x.numerator * (den // x.denominator) for x in v]
+                       for k, v in bracket_table.items()}
+
+    def _columns(self, i):
+        """D times the coordinates of [e_i, e_j], for each j."""
+        return [[0] * self.dim if i == j else self._table[(i, j)] if i < j
+                else [-x for x in self._table[(j, i)]] for j in range(self.dim)]
 
     def ad(self, i):
-        """Matrix of ad(basis_i) in the basis, columns = bracket coords."""
-        cols = []
-        for j in range(self.dim):
-            if i == j:
-                cols.append([Fraction(0)] * self.dim)
-            elif i < j:
-                cols.append(list(self.bracket_table[(i, j)]))
-            else:
-                cols.append([-c for c in self.bracket_table[(j, i)]])
-        return [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
+        """D times the matrix of ad(e_i) in the basis, as int rows."""
+        return [list(row) for row in zip(*self._columns(i))]
 
     def killing_form(self):
-        ads = [self.ad(i) for i in range(self.dim)]
+        """D^2 times the Killing form tr(ad e_i ad e_j), as ints."""
         d = self.dim
-        k = [[Fraction(0)] * d for _ in range(d)]
+        cols = [self._columns(i) for i in range(d)]
+        k = [[0] * d for _ in range(d)]
         for i in range(d):
             for j in range(i, d):
-                tr = sum(
-                    ads[i][p][q] * ads[j][q][p] for p in range(d) for q in range(d)
-                )
-                k[i][j] = tr
-                k[j][i] = tr
+                k[i][j] = k[j][i] = sum(cols[i][q][p] * cols[j][p][q]
+                                        for p in range(d) for q in range(d))
         return k
-
-    def derived_coords(self):
-        rows = [list(v) for v in self.bracket_table.values()]
-        if not rows:
-            return []
-        ech, _ = linalg.rref(rows, self.dim)
-        return ech
 
     def center_dimension(self):
         rows = []
@@ -104,15 +98,11 @@ class LieAlgebra:
         return self.dim - linalg.rank(rows, self.dim)
 
     def radical_dimension(self):
-        """Cartan: rad = {x : K(x, [g, g]) = 0}."""
+        """Cartan: rad = {x : K(x, [g, g]) = 0}, [g, g] spanned by the
+        brackets [e_i, e_j]."""
         k = self.killing_form()
-        derived = self.derived_coords()
-        rows = []
-        for z in derived:
-            rows.append([
-                sum(k[e][t] * x for t, x in z.items())
-                for e in range(self.dim)
-            ])
+        rows = [[sum(k[e][t] * x for t, x in enumerate(v) if x)
+                 for e in range(self.dim)] for v in self._table.values()]
         if not rows:
             return self.dim
         return self.dim - linalg.rank(rows, self.dim)

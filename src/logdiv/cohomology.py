@@ -26,15 +26,17 @@ fields' int numerators (one denominator per field) and projected on each
 slice's int images (one denominator den per slice), so the rows are
 scale * d0 and scale * d1 for one positive integer scale of the complex:
 a row scaling, which keeps rank and kernel, and which apply_d0, apply_d1
-and is_coboundary divide out. Each block of a column is projected sparse
-straight into its rows. ft1 puts the columns of d0 in one echelon Span,
-whose length is rank d0, and keeps a vector of ker d1 only when it is
-independent of im d0 and of the vectors kept before it: the h1 kept
-vectors are a basis of the cohomology, and only they are lifted to
-cocycles and deformed equations. ker d1 comes from the columns of d1 as
-primitive int vectors, which that filter reads as they are; Fraction
-enters when the kept vectors are scaled to 1 at their free column, and
-remains in those cocycles and their deformed equations.
+and is_coboundary divide out. Each bracket [delta_p, x^e d/dx_c] is
+formed, charged and projected once per complex, into a memo that d0 and
+d1 both read and that is dropped once they are built; a column of d1
+visits only the blocks (p, q) it touches. ft1 puts the columns of d0 in
+one echelon Span, whose length is rank d0, and keeps a vector of ker d1
+only when it is independent of im d0 and of the vectors kept before it:
+the h1 kept vectors are a basis of the cohomology, and only they are
+lifted to cocycles and deformed equations. ker d1 comes from the columns
+of d1 as primitive int vectors, which that filter reads as they are;
+Fraction enters when the kept vectors are scaled to 1 at their free
+column, and remains in those cocycles and their deformed equations.
 
 A cocycle deforms f of weighted degree k by a degree-k polynomial, whose
 class lives in the degree-k piece of Q[x] / (f, df/dx_1, ..., df/dx_n).
@@ -206,8 +208,10 @@ class SliceComplex:
                          *(a.denominator for bi in sc.b for bij in bi
                            for p in bij for a in p.terms.values()))
         self.scale *= lcm(*(s.den for s in self._slices.values()))
-        self.d0_rows = self._build_d0()
-        self.d1_rows = self._build_d1()
+        memo = {}  # (p, (c, e)) -> projected bracket, for this __init__
+        self.d0_rows = self._build_d0(memo)
+        self.d1_rows = self._build_d1(memo)
+        del memo
         self._d0_columns = None
         for row in self.d1_rows:  # d1 d0 = 0, over the nonzeros only
             acc = {}
@@ -224,46 +228,68 @@ class SliceComplex:
                 self.w.weights, self.w, weight)
         return self._slices[weight]
 
-    def _build_d0(self):
+    def _bracket(self, memo, p, ce, target):
+        """The projected class of scale/den * [delta_p, x^e d/dx_c] in
+        target, the slice of its weight, read from memo or formed, charged
+        and stored there: each key (p, c, e) is formed once per complex."""
+        col = memo.get((p, ce))
+        if col is None:
+            acc = {}
+            _add_bracket(acc, self.scale // target.den, self.saito.fields[p],
+                         {ce: 1}, current_budget())
+            col = memo[(p, ce)] = target.project(acc)
+        return col
+
+    def _build_d0(self, memo):
         """Rows of scale * d0; column s of d0 is the class of x^e d/dx_c,
         the s-th basis monomial (c, e) of C0: its brackets with the basis
-        fields."""
-        budget = current_budget()
+        fields, block p the memo entry (p, c, e)."""
         rows = [{} for _ in range(self.dim_c1)]
         for s, k in enumerate(self.slice0.basis):
-            sigma = {self.slice0.ambient[k]: 1}
-            for delta, target, off in zip(self.saito.fields, self.slices1,
-                                          self.offsets1):
-                img = {}
-                _add_bracket(img, self.scale // target.den, delta, sigma,
-                             budget)
-                for j, x in target.project(img).items():
+            ce = self.slice0.ambient[k]
+            for p, (target, off) in enumerate(zip(self.slices1, self.offsets1)):
+                for j, x in self._bracket(memo, p, ce, target).items():
                     rows[off + j][s] = x
         return rows
 
-    def _build_d1(self):
+    def _build_d1(self, memo):
         """Rows of scale * d1; column pos of d1 is the class of the cochain
         psi that sends delta_i to x^e d/dx_c, the pos-th basis monomial
-        (c, e) of C1 in the summand of delta_i, and the other fields to 0."""
-        budget = current_budget()
-        fields, b = self.saito.fields, self.sc.b
+        (c, e) of C1 in the summand of delta_i, and the other fields to 0.
+        Its block (p, q) is the class of b_pq^i x^e d/dx_c, minus the memo
+        entry (p, c, e) when i = q, plus (q, c, e) when i = p; only the
+        blocks with i in {p, q} or b_pq^i != 0 are visited, and the int
+        terms of scale/den * b_pq^i are formed once per block."""
+        b = self.sc.b
         rows = [{} for _ in range(self.dim_c2)]
-        monomials = [(i, s.ambient[k]) for i, s in enumerate(self.slices1)
-                     for k in s.basis]
-        for pos, (i, (c, e)) in enumerate(monomials):
-            psi = {(c, e): 1}
+        blocks = []  # per summand i: (p, q, target, offset, int terms)
+        for i in range(len(self.slices1)):
+            blocks.append([])
             for (p, q), target, off in zip(self.pairs, self.slices2,
                                            self.offsets2):
                 k = self.scale // target.den
-                # psi([delta_p, delta_q]) = b_pq^i x^e d/dx_c
-                acc = {(c, m_mul(m, e)): a.numerator * (k // a.denominator)
-                       for m, a in b[p][q][i].terms.items()}
-                if i == q:
-                    _add_bracket(acc, -k, fields[p], psi, budget)
-                if i == p:
-                    _add_bracket(acc, k, fields[q], psi, budget)
-                for j, x in target.project(acc).items():
-                    rows[off + j][pos] = x
+                terms = [(m, a.numerator * (k // a.denominator))
+                         for m, a in b[p][q][i].terms.items()]
+                if terms or i in (p, q):
+                    blocks[i].append((p, q, target, off, terms))
+        pos = 0
+        for i, s in enumerate(self.slices1):
+            for k in s.basis:
+                c, e = ce = s.ambient[k]
+                for p, q, target, off, terms in blocks[i]:
+                    # psi([delta_p, delta_q]) = b_pq^i x^e d/dx_c
+                    col = target.project({(c, m_mul(m, e)): a
+                                          for m, a in terms})
+                    if i == q:
+                        for j, x in self._bracket(memo, p, ce, target).items():
+                            col[j] = col.get(j, 0) - x
+                    if i == p:
+                        for j, x in self._bracket(memo, q, ce, target).items():
+                            col[j] = col.get(j, 0) + x
+                    for j, x in col.items():
+                        if x:
+                            rows[off + j][pos] = x
+                pos += 1
         return rows
 
     # -- derived data ------------------------------------------------

@@ -501,10 +501,16 @@ class StructureConstants:
         self.denominator = denominator
 
     def value(self, p):
-        """p / u when that quotient is a rational number, else None."""
-        m, a = next(iter(self.denominator.terms.items()))
-        c = p.terms.get(m, 0) / a
-        return c if p == self.denominator.scale(c) else None
+        """p / u when that quotient is a rational number, else None: p is
+        zero, or has u's support with every coefficient c times u's."""
+        u = self.denominator.terms
+        if not p.terms:
+            return Fraction(0)
+        if p.terms.keys() != u.keys():
+            return None
+        m, a = next(iter(u.items()))
+        c = p.terms[m] / a
+        return c if all(p.terms[t] == c * b for t, b in u.items()) else None
 
     def is_constant(self):
         """True when every coefficient b / u is a rational number."""

@@ -6,12 +6,12 @@ import random
 from fractions import Fraction
 
 from logdiv import cohomology, linalg
-from logdiv.logder import (SaitoBasis, VectorField, compute_der_log,
-                           find_saito_basis, verify_saito)
+from logdiv.logder import (SaitoBasis, VectorField, _add_bracket,
+                           compute_der_log, find_saito_basis, verify_saito)
 from logdiv.errors import current_budget
 from logdiv.poly import (Polynomial, PolyMatrix, WeightSystem, _divide,
                          _flatten, _Packing, _unflatten, degrevlex_key,
-                         detect_weight_system, partial_derivative,
+                         detect_weight_system, m_mul, partial_derivative,
                          poly_from_text, weighted_degree)
 
 CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -117,6 +117,47 @@ def kernel_vectors(cx):
     to 1 at its free column."""
     return [[Fraction(v.get(k, 0), v[c]) for k in range(cx.dim_c1)]
             for c, v in cx.kernel_d1()]
+
+
+def reference_d0_rows(cx):
+    """Rows of scale * d0 of a SliceComplex, pair by pair: column s is
+    the class of the s-th basis monomial x^e d/dx_c of C0, each of its
+    brackets with the basis fields formed afresh and projected."""
+    rows = [{} for _ in range(cx.dim_c1)]
+    for s, k in enumerate(cx.slice0.basis):
+        sigma = {cx.slice0.ambient[k]: 1}
+        for delta, target, off in zip(cx.saito.fields, cx.slices1,
+                                      cx.offsets1):
+            img = {}
+            _add_bracket(img, cx.scale // target.den, delta, sigma,
+                         current_budget())
+            for j, x in target.project(img).items():
+                rows[off + j][s] = x
+    return rows
+
+
+def reference_d1_rows(cx):
+    """Rows of scale * d1 of a SliceComplex, pair by pair: column pos is
+    the cochain sending delta_i to the pos-th basis monomial x^e d/dx_c of
+    C1, and every block (p, q) of it is formed afresh from b_pq^i and the
+    brackets of delta_p, delta_q with x^e d/dx_c, then projected."""
+    fields, b = cx.saito.fields, cx.sc.b
+    rows = [{} for _ in range(cx.dim_c2)]
+    monomials = [(i, s.ambient[k]) for i, s in enumerate(cx.slices1)
+                 for k in s.basis]
+    for pos, (i, (c, e)) in enumerate(monomials):
+        psi = {(c, e): 1}
+        for (p, q), target, off in zip(cx.pairs, cx.slices2, cx.offsets2):
+            k = cx.scale // target.den
+            acc = {(c, m_mul(m, e)): a.numerator * (k // a.denominator)
+                   for m, a in b[p][q][i].terms.items()}
+            if i == q:
+                _add_bracket(acc, -k, fields[p], psi, current_budget())
+            if i == p:
+                _add_bracket(acc, k, fields[q], psi, current_budget())
+            for j, x in target.project(acc).items():
+                rows[off + j][pos] = x
+    return rows
 
 
 def random_poly(rng, ring, max_deg=3, n_terms=4, coeff_range=5):

@@ -506,8 +506,9 @@ class TestSliceBudget:
     def test_the_complex_is_charged_beyond_its_slices(self):
         # d0 brackets every basis field with each basis monomial of C0, d1
         # each field delta_p with each basis monomial of the summand of
-        # delta_q, q != p; a bracket with one monomial field costs one step
-        # per term of the basis field, on top of the slices' own charges
+        # delta_q, q != p; each distinct bracket (p, c, e) is formed once
+        # per complex and costs one step per term of delta_p, on top of the
+        # slices' own charges
         _, w, saito = corpus_member("linear-nonreductive-5")
         saito = saito.graded(w)
         sc = saito.structure_constants()
@@ -519,8 +520,11 @@ class TestSliceBudget:
             for weight in cx._slices:
                 QuotientSlice(gens, cx.field_weights, w.weights, w, weight)
         sizes = [len(d.terms()) for d in saito.fields]
-        brackets = cx.dim_c0 * sum(sizes) + sum(
-            s.dim * (sum(sizes) - t) for s, t in zip(cx.slices1, sizes))
+        keys = {(p, cx.slice0.ambient[k])
+                for p in range(len(sizes)) for k in cx.slice0.basis}
+        keys |= {(p, s.ambient[k]) for q, s in enumerate(cx.slices1)
+                 for k in s.basis for p in range(len(sizes)) if p != q}
+        brackets = sum(sizes[p] for p, _ in keys)
         assert spent == slices.steps - slices.left + brackets
         assert brackets > 0
         with pytest.raises(BudgetExceeded):

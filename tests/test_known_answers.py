@@ -22,19 +22,30 @@
   in conftest.py, which forms the equation of every kernel vector, on the
   corpus and the rigid arrangements, and with the monomial scan emptied,
   so that every pick comes from the kernel vectors.
+- The rows of d0 and d1, which read each bracket of a complex from one
+  memo and visit only the blocks a column touches, equal those of the
+  pair-by-pair reference builders in conftest.py, on the graded corpus,
+  its lft1 complexes and the rigid arrangements.
+- Lie algebras: the Killing form, formed in ints on the bracket table
+  scaled by the lcm D of its denominators, is D^2 times a Fraction trace
+  reference; sl2 and gl2 are reductive, the Borel b2 and the Heisenberg
+  algebra are not, and an abelian algebra is its own radical and center.
 """
 
 import json
 import os
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
 from ce_oracle import cohomology, ft1_equation_side
-from conftest import corpus_member, corpus_names, reference_representatives
+from conftest import (corpus_member, corpus_names, reference_d0_rows,
+                      reference_d1_rows, reference_representatives)
 from logdiv import cohomology as slices
-from logdiv.classify import is_linear, is_reductive, lie_algebra_matrices
+from logdiv.classify import (LieAlgebra, is_linear, is_reductive,
+                             lie_algebra_matrices)
 from logdiv.cli import analyze_document
 from logdiv.cohomology import ft1, lft1, linear_basis
 from logdiv.errors import NotLinear, NotWeightedHomogeneous
@@ -207,18 +218,22 @@ def test_ft1_equation_side_oracle(name, golden):
                              profile["weights"]) == golden["ft1"]["dimension"]
 
 
+def rigid_arrangement(name):
+    """(f, w, graded Saito basis) of a Coxeter arrangement."""
+    n, normals = arrangement(name)
+    f = poly_from_text("*".join(f"({linear_form(v)})" for v in normals),
+                       tuple(f"x{i + 1}" for i in range(n)))
+    w = detect_weight_system(f)
+    return f, w, saito_basis(f, w)
+
+
 @pytest.mark.parametrize("name", ["braid-A3", "coxeter-B3", "coxeter-D4"])
 def test_ft1_of_rigid_arrangements(name):
-    n, normals = arrangement(name)
-    variables = [f"x{i + 1}" for i in range(n)]
-    f = poly_from_text("*".join(f"({linear_form(v)})" for v in normals),
-                       tuple(variables))
-    w = detect_weight_system(f)
-    saito = saito_basis(f, w)
+    f, w, saito = rigid_arrangement(name)
     assert ft1(f, saito=saito, w=w).dimension == 0
     assert reference_representatives(saito, w) == []
     rows = [[poly_to_text(p) for p in row] for row in saito.matrix()]
-    assert ft1_equation_side(poly_to_text(f), rows, variables,
+    assert ft1_equation_side(poly_to_text(f), rows, list(f.ring),
                              list(w.weights)) == 0
 
 
@@ -267,3 +282,86 @@ def test_kernel_vector_picks_match_the_reference(name, h1, monkeypatch):
     equations = ft1(f, saito=saito, w=w).deformed_equations
     assert len(equations) == h1
     assert texts(equations) == texts(reference_representatives(saito, w))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in graded_goldens()]
+                         + ["braid-A3", "coxeter-B3", "coxeter-D4"])
+def test_rows_match_the_pair_by_pair_reference(name):
+    # d0 and d1 read each bracket from the complex's memo and visit only
+    # the blocks a column touches; their rows are those of the reference
+    # that forms every block of every column afresh, on the ft1 complex
+    # and, for a linear free divisor, the lft1 complex
+    if name.startswith(("braid", "coxeter")):
+        _, w, saito = rigid_arrangement(name)
+        cases = [(saito, w)]
+    else:
+        cases = graded_bases(*corpus_member(name))
+    for basis, grading in cases:
+        basis = basis.graded(grading)
+        cx = slices.SliceComplex(basis, basis.structure_constants(), grading)
+        assert cx.d0_rows == reference_d0_rows(cx)
+        assert cx.d1_rows == reference_d1_rows(cx)
+
+
+def killing_by_traces(dim, table):
+    """tr(ad e_i . ad e_j) over Fraction: each ad as a dense matrix from
+    the table, multiplied out, then traced."""
+    def ad(i):
+        m = [[Fraction(0)] * dim for _ in range(dim)]
+        for j in range(dim):
+            if i != j:
+                v = table[(i, j)] if i < j else [-x for x in table[(j, i)]]
+                for k in range(dim):
+                    m[k][j] = Fraction(v[k])
+        return m
+
+    ads = [ad(i) for i in range(dim)]
+    return [[sum(ads[i][p][q] * ads[j][q][p]
+                 for p in range(dim) for q in range(dim))
+             for j in range(dim)] for i in range(dim)]
+
+
+LIE_ALGEBRAS = {
+    # name: (dim, bracket table, reductive, (radical, center) dimensions)
+    "sl2": (3, {(0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]},
+            True, (0, 0)),
+    # sl2 in the basis (h/3, e/2, f): denominators 2 and 3, D = 6
+    "sl2-scaled": (3, {(0, 1): [0, Fraction(2, 3), 0],
+                       (0, 2): [0, 0, Fraction(-2, 3)],
+                       (1, 2): [Fraction(3, 2), 0, 0]}, True, (0, 0)),
+    # gl2 in the basis (E11, E12, E21, E22): radical = center = the scalars
+    "gl2": (4, {(0, 1): [0, 1, 0, 0], (0, 2): [0, 0, -1, 0],
+                (0, 3): [0, 0, 0, 0], (1, 2): [1, 0, 0, -1],
+                (1, 3): [0, 1, 0, 0], (2, 3): [0, 0, -1, 0]}, True, (1, 1)),
+    # the Borel b2 in the basis (E11, E12, E22), solvable: its radical is
+    # all of it, its center the scalars
+    "borel-b2": (3, {(0, 1): [0, 1, 0], (0, 2): [0, 0, 0],
+                     (1, 2): [0, 1, 0]}, False, (3, 1)),
+    # [x, y] = z: nilpotent, its center the line of z
+    "heisenberg": (3, {(0, 1): [0, 0, 1], (0, 2): [0, 0, 0],
+                       (1, 2): [0, 0, 0]}, False, (3, 1)),
+    "abelian-3": (3, {(0, 1): [0, 0, 0], (0, 2): [0, 0, 0],
+                      (1, 2): [0, 0, 0]}, True, (3, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIE_ALGEBRAS))
+def test_killing_form_and_reductivity(name):
+    # the Killing form is formed on the table scaled to ints by D, the
+    # lcm of its denominators: it is D^2 times the trace form
+    dim, table, reductive, dims = LIE_ALGEBRAS[name]
+    g = LieAlgebra(dim, table)
+    d = lcm(*(Fraction(x).denominator for v in table.values() for x in v))
+    assert g.killing_form() == [[d * d * x for x in row]
+                                for row in killing_by_traces(dim, table)]
+    assert all(type(x) is int for row in g.killing_form() for x in row)
+    assert (g.radical_dimension(), g.center_dimension()) == dims
+    assert is_reductive(g) is reductive
+
+
+def test_killing_form_of_sl2():
+    assert LieAlgebra(3, LIE_ALGEBRAS["sl2"][1]).killing_form() \
+        == [[8, 0, 0], [0, 0, 4], [0, 4, 0]]
+    # K(h/3, h/3) = 8/9 and K(e/2, f) = 2, times D^2 = 36
+    assert LieAlgebra(3, LIE_ALGEBRAS["sl2-scaled"][1]).killing_form() \
+        == [[32, 0, 0], [0, 0, 72], [0, 72, 0]]

@@ -389,6 +389,23 @@ class TestStructureConstants:
             assert sc.value(p) is None
             assert not StructureConstants(R2, 1, [[[p]]], u).is_constant()
 
+    def test_value_compares_supports_and_ratios(self):
+        from logdiv.logder import StructureConstants
+
+        u = P("1/6*x*y^2 - 1/4")
+        sc = StructureConstants(R2, 1, [[[u]]], u)
+        # the support of u, but 6 * u would have -3/2 where p has 1
+        assert sc.value(P("x*y^2 + 1")) is None
+        # a support smaller, larger or other than u's
+        for p in (P("x*y^2"), P("x*y^2 - 3/2 + x"), P("x - 1")):
+            assert sc.value(p) is None
+        assert sc.value(Polynomial.zero(R2)) == 0
+        assert sc.value(u.scale(Fraction(-7, 5))) == Fraction(-7, 5)
+        assert sc.value(u) == 1
+        one = StructureConstants(R2, 1, [[[u]]], Polynomial.one(R2))
+        assert one.value(P("3/2")) == Fraction(3, 2)
+        assert one.value(P("x")) is None and one.value(P("x + 1")) is None
+
 
 COXETER_B3 = ("x1*x2*x3*(x1^2-x2^2)*(x1^2-x3^2)*(x2^2-x3^2)",
               ("x1", "x2", "x3"))

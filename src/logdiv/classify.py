@@ -169,9 +169,10 @@ def diagonal_annihilators(f):
     """Primitive integer vectors c with (sum c_i x_i d/dx_i)(f) = 0,
     i.e. c orthogonal to every exponent vector of f."""
     n = len(f.ring)
-    rows = [list(m) for m in sorted(f.terms)]
+    expos = sorted(f.terms)
+    cols = [[m[i] for m in expos] for i in range(n)]
     out = []
-    for _, v in linalg.kernel(rows, n):
+    for _, v in linalg.kernel(cols, len(expos)):
         ints = [v.get(i, 0) for i in range(n)]
         if sum(ints) < 0 or (sum(ints) == 0 and next((x for x in ints if x), 1) < 0):
             ints = [-x for x in ints]
@@ -182,7 +183,8 @@ def diagonal_annihilators(f):
 
 def linear_annihilators(f):
     """Basis of the fields (A x) . d, A in gl_n, with (A x) . grad f = 0:
-    the nullspace of a linear system in the n^2 entries of A."""
+    the kernel of a linear system in the n^2 entries of A, each vector
+    scaled to 1 at its free column."""
     n = len(f.ring)
     x = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     images = []  # column j*n + i, for the entry A[j][i]: x_i * df/dx_j
@@ -191,10 +193,12 @@ def linear_annihilators(f):
         for i in range(n):
             images.append(dj.mul_term(x[i], 1).terms)
     monomials = sorted({m for t in images for m in t})
-    rows = [[t.get(m, 0) for t in images] for m in monomials]
+    index = {m: r for r, m in enumerate(monomials)}
+    cols = [{index[m]: a for m, a in t.items()} for t in images]
     out = []
-    for v in linalg.nullspace(rows, n * n):
-        comps = [Polynomial(f.ring, {x[i]: v[j * n + i] for i in range(n)})
+    for c, v in linalg.kernel(cols, len(monomials)):
+        comps = [Polynomial(f.ring, {x[i]: Fraction(v.get(j * n + i, 0), v[c])
+                                     for i in range(n)})
                  for j in range(n)]
         out.append(VectorField(f.ring, comps))
     return out

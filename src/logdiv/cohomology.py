@@ -20,13 +20,15 @@ positive. The differentials follow the sign convention
 
 whose composition vanishes by the Jacobi identity. dim ker d1 - rank d0 is
 the dimension of the deformation space. d0 and d1 are kept as sparse int
-rows; no d2 is built, as nothing beyond H^1 is reported. Their columns are
-the cochains x^e d/dx_c of the slice bases, bracketed term by term on the
-fields' int numerators (one denominator per field) and projected on each
-slice's int images (one denominator den per slice), so the rows are
-scale * d0 and scale * d1 for one positive integer scale of the complex:
-a row scaling, which keeps rank and kernel, and which apply_d0, apply_d1
-and is_coboundary divide out. Each bracket [delta_p, x^e d/dx_c] is
+columns, the way they are built and read; no d2 is built, as nothing
+beyond H^1 is reported. Their columns are the cochains x^e d/dx_c of the
+slice bases, bracketed term by term on the fields' int numerators (one
+denominator per field) and projected on each slice's int images (one
+denominator den per slice), so they are scale * d0 and scale * d1 for one
+positive integer scale of the complex: a scaling that keeps rank and
+kernel, and which apply_d0, apply_d1 and is_coboundary divide out;
+is_coboundary reads a preimage off the column kernel of d0 extended by
+the target. Each bracket [delta_p, x^e d/dx_c] is
 formed, charged and projected once per complex, into a memo that d0 and
 d1 both read and that is dropped once they are built; a column of d1
 visits only the blocks (p, q) it touches. ft1 puts the columns of d0 in
@@ -110,8 +112,8 @@ class QuotientSlice:
     A generator is a list of component polynomials with its weight; a
     monomial x^e in component c has weight wt(e) - shifts[c]. Vector fields
     are the module with shifts w_1..w_n, Q[x] the one with shift 0.
-    The relation matrix is charged to the budget, one step per cell of
-    its dense shape, before it is built.
+    The relation matrix is charged to the budget, one step per term, a
+    term of a generator times a multiplier, before it is built.
     """
 
     __slots__ = ("ring", "weight", "ambient", "basis", "den", "_image")
@@ -124,8 +126,8 @@ class QuotientSlice:
         index = {t: k for k, t in enumerate(self.ambient)}
         multipliers = [(gen, weighted_monomials(w.weights, weight - wk))
                        for gen, wk in zip(gens, gen_weights) if wk is not None]
-        current_budget().spend(
-            sum(len(ms) for _, ms in multipliers) * len(self.ambient))
+        current_budget().spend(sum(len(ms) * sum(len(p.terms) for p in gen)
+                                   for gen, ms in multipliers))
         relations = []
         for gen, ms in multipliers:
             lcd = lcm(*(a.denominator for p in gen for a in p.terms.values()))
@@ -177,13 +179,24 @@ class QuotientSlice:
             self.ambient[k]: c for c, k in zip(coords, self.basis)})
 
 
+def _combine(cols, coords, nrows):
+    """The nrows coordinates of sum_s coords[s] * cols[s], for sparse
+    columns."""
+    out = [0] * nrows
+    for col, x in zip(cols, coords):
+        if x:
+            for r, a in col.items():
+                out[r] += a * x
+    return out
+
+
 class SliceComplex:
     """Weight-zero slice of the deformation complex of a Saito basis."""
 
     __slots__ = ("saito", "sc", "w", "field_weights", "_slices",
                  "slice0", "slices1", "pairs", "slices2",
                  "dim_c0", "dim_c1", "dim_c2", "offsets1", "offsets2",
-                 "scale", "d0_rows", "d1_rows", "_d0_columns")
+                 "scale", "d0", "d1")
 
     def __init__(self, saito, sc, w):
         self.saito = saito
@@ -209,15 +222,14 @@ class SliceComplex:
                            for p in bij for a in p.terms.values()))
         self.scale *= lcm(*(s.den for s in self._slices.values()))
         memo = {}  # (p, (c, e)) -> projected bracket, for this __init__
-        self.d0_rows = self._build_d0(memo)
-        self.d1_rows = self._build_d1(memo)
+        self.d0 = self._build_d0(memo)
+        self.d1 = self._build_d1(memo)
         del memo
-        self._d0_columns = None
-        for row in self.d1_rows:  # d1 d0 = 0, over the nonzeros only
+        for col in self.d0:  # d1 d0 = 0, over the nonzeros only
             acc = {}
-            for k, a in row.items():
-                for c, b in self.d0_rows[k].items():
-                    acc[c] = acc.get(c, 0) + a * b
+            for k, a in col.items():
+                for r, b in self.d1[k].items():
+                    acc[r] = acc.get(r, 0) + a * b
             if any(acc.values()):
                 raise InternalInconsistency("d1 after d0 is not zero")
 
@@ -241,19 +253,21 @@ class SliceComplex:
         return col
 
     def _build_d0(self, memo):
-        """Rows of scale * d0; column s of d0 is the class of x^e d/dx_c,
-        the s-th basis monomial (c, e) of C0: its brackets with the basis
+        """Columns of scale * d0; column s is the class of x^e d/dx_c, the
+        s-th basis monomial (c, e) of C0: its brackets with the basis
         fields, block p the memo entry (p, c, e)."""
-        rows = [{} for _ in range(self.dim_c1)]
-        for s, k in enumerate(self.slice0.basis):
+        cols = []
+        for k in self.slice0.basis:
             ce = self.slice0.ambient[k]
+            col = {}
             for p, (target, off) in enumerate(zip(self.slices1, self.offsets1)):
                 for j, x in self._bracket(memo, p, ce, target).items():
-                    rows[off + j][s] = x
-        return rows
+                    col[off + j] = x
+            cols.append(col)
+        return cols
 
     def _build_d1(self, memo):
-        """Rows of scale * d1; column pos of d1 is the class of the cochain
+        """Columns of scale * d1; column pos is the class of the cochain
         psi that sends delta_i to x^e d/dx_c, the pos-th basis monomial
         (c, e) of C1 in the summand of delta_i, and the other fields to 0.
         Its block (p, q) is the class of b_pq^i x^e d/dx_c, minus the memo
@@ -261,7 +275,6 @@ class SliceComplex:
         blocks with i in {p, q} or b_pq^i != 0 are visited, and the int
         terms of scale/den * b_pq^i are formed once per block."""
         b = self.sc.b
-        rows = [{} for _ in range(self.dim_c2)]
         blocks = []  # per summand i: (p, q, target, offset, int terms)
         for i in range(len(self.slices1)):
             blocks.append([])
@@ -272,10 +285,11 @@ class SliceComplex:
                          for m, a in b[p][q][i].terms.items()]
                 if terms or i in (p, q):
                     blocks[i].append((p, q, target, off, terms))
-        pos = 0
+        cols = []
         for i, s in enumerate(self.slices1):
             for k in s.basis:
                 c, e = ce = s.ambient[k]
+                out = {}
                 for p, q, target, off, terms in blocks[i]:
                     # psi([delta_p, delta_q]) = b_pq^i x^e d/dx_c
                     col = target.project({(c, m_mul(m, e)): a
@@ -288,9 +302,9 @@ class SliceComplex:
                             col[j] = col.get(j, 0) + x
                     for j, x in col.items():
                         if x:
-                            rows[off + j][pos] = x
-                pos += 1
-        return rows
+                            out[off + j] = x
+                cols.append(out)
+        return cols
 
     # -- derived data ------------------------------------------------
 
@@ -300,29 +314,18 @@ class SliceComplex:
     def kernel_d1(self):
         """ker d1 as linalg.kernel's pairs (c, v): v a primitive int
         vector, sparse, positive at its free column c."""
-        return linalg.kernel(self.d1_rows, self.dim_c1)
-
-    def d0_columns(self):
-        """The columns of scale * d0, the images of the basis of C0, as
-        sparse dicts over the coordinates of C1."""
-        cols = [{} for _ in range(self.dim_c0)]
-        for r, row in enumerate(self.d0_rows):
-            for s, x in row.items():
-                cols[s][r] = x
-        return cols
+        return linalg.kernel(self.d1, self.dim_c2)
 
     def rank_d0(self):
-        if self.dim_c0 == 0:
-            return 0
-        return linalg.rank(self.d0_rows, self.dim_c0)
+        return linalg.rank(self.d0, self.dim_c1)
 
     def apply_d0(self, sigma_coords):
-        return [Fraction(sum(x * sigma_coords[c] for c, x in row.items()),
-                         self.scale) for row in self.d0_rows]
+        return [Fraction(x, self.scale)
+                for x in _combine(self.d0, sigma_coords, self.dim_c1)]
 
     def apply_d1(self, psi_coords):
-        return [Fraction(sum(x * psi_coords[c] for c, x in row.items()),
-                         self.scale) for row in self.d1_rows]
+        return [Fraction(x, self.scale)
+                for x in _combine(self.d1, psi_coords, self.dim_c2)]
 
     def lift_cocycle(self, vec):
         return [s.lift(vec[lo:hi]) for s, lo, hi
@@ -386,19 +389,15 @@ def cocycle_check(psi_fields, saito, sc):
 
 def is_coboundary(coords, cx):
     """A C0 class sigma with d0(sigma) = coords, a C1 coordinate list, or
-    None. The columns of scale * d0 are put in echelon form once per
-    complex, column s extended by scale at position dim_c1 + s, so that
-    reducing (coords, 0) leaves (0, -sigma) exactly when coords is a
-    coboundary."""
-    if cx._d0_columns is None:
-        cx._d0_columns = linalg.Span()
-        for s, col in enumerate(cx.d0_columns()):
-            col[cx.dim_c1 + s] = cx.scale
-            cx._d0_columns.add(col)
-    rest = cx._d0_columns.reduce(coords)
-    if any(k < cx.dim_c1 for k in rest):
+    None: coords is a coboundary exactly when the last column of
+    [scale * d0 | -scale * coords] is free, and sigma is read off its
+    kernel vector, scaled to 1 there."""
+    last = {k: -cx.scale * x for k, x in enumerate(coords) if x}
+    kernel = linalg.kernel(cx.d0 + [last], cx.dim_c1)
+    if not kernel or kernel[-1][0] != cx.dim_c0:
         return None
-    return [-rest.get(cx.dim_c1 + s, Fraction(0)) for s in range(cx.dim_c0)]
+    c, v = kernel[-1]
+    return [Fraction(v.get(s, 0), v[c]) for s in range(c)]
 
 
 def _class_space(f, w):
@@ -426,7 +425,7 @@ def _check_coboundary_class(cx, saito, space):
     coboundary d0(sum_s (s + 1) sigma_s), over the basis sigma_s of C0,
     must have zero class. The check runs on scale times that coboundary,
     in ints, as scaling keeps a class zero or nonzero."""
-    coords = [sum((s + 1) * x for s, x in row.items()) for row in cx.d0_rows]
+    coords = _combine(cx.d0, range(1, cx.dim_c0 + 1), cx.dim_c1)
     fp = deformation_equation(cx.lift_cocycle(coords), saito)
     if _class_of(space, fp):
         raise InternalInconsistency("a coboundary has a nonzero class")
@@ -500,7 +499,7 @@ def ft1(f, saito=None, w=None):
     cx = SliceComplex(saito, saito.structure_constants(), w)
     kernel = cx.kernel_d1()
     span = linalg.Span()  # im d0, then the cocycles kept
-    for col in cx.d0_columns():
+    for col in cx.d0:
         span.add(col)
     rank0 = len(span.rows)
     cocycles = [[Fraction(v.get(k, 0), v[c]) for k in range(cx.dim_c1)]

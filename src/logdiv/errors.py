@@ -64,11 +64,13 @@ class Budget:
     """Steps left plus an optional time.monotonic() deadline.
 
     A step is one Groebner reduction or S-pair, one row eliminated in linear
-    algebra, one cell of a slice relation matrix, one pair of terms
-    multiplied in a polynomial power, a parsed product, a Lie bracket or the
-    packed algebra of a polynomial matrix (determinant, adjugate, structure
-    constants, deformed equations), or one quotient term times one divisor
-    term in an exact division. Inside ``with budget:`` every charge made in
+    algebra, one term of a slice relation matrix (a term of a generator
+    times a multiplier), one exponent entry checked per candidate of the
+    weight search, one pair of terms multiplied in a polynomial power, a
+    parsed product, a Lie bracket or the packed algebra of a polynomial
+    matrix (determinant, adjugate, structure constants, deformed
+    equations), or one quotient term times one divisor term in an exact
+    division. Inside ``with budget:`` every charge made in
     this thread or task goes to ``budget``; see current_budget. The ``with``
     may nest, also on the same budget.
     """

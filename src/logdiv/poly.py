@@ -268,22 +268,23 @@ def detect_weight_system(f):
     """Minimal positive integer weights making f weighted homogeneous,
     with the resulting degree.
 
-    Weight vectors lie in the nullspace of the exponent-difference matrix.
+    Weight vectors lie in the kernel of the exponent-difference matrix.
     Minimality is by (sum of weights, lexicographic); the result is
     normalized coprime. Returns None when no positive weight vector exists
     (or none with weight sum <= WEIGHT_SUM_CAP when the solution space has
-    dimension above one).
+    dimension above one). Each candidate of that search is charged one
+    step per exponent entry of f before it is checked.
     """
     if f.is_zero() or f.is_constant():
         return None
     n = len(f.ring)
     expos = sorted(f.terms)
     base = expos[0]
-    rows = [[e[i] - base[i] for i in range(n)] for e in expos[1:]]
-    if not rows:
+    if len(expos) == 1:
         w = (1,) * n
         return WeightSystem(w, m_weighted_degree(base, w))
-    null = linalg.kernel(rows, n)
+    cols = [[e[i] - base[i] for e in expos[1:]] for i in range(n)]
+    null = linalg.kernel(cols, len(expos) - 1)
     if not null:
         return None
     if len(null) == 1:
@@ -291,10 +292,12 @@ def detect_weight_system(f):
         if w is None:
             return None
         return WeightSystem(w, m_weighted_degree(base, w))
-    ech, _ = linalg.rref(rows, n)
+    budget = current_budget()
 
     def satisfied(w):
-        return all(sum(x * w[i] for i, x in r.items()) == 0 for r in ech)
+        budget.spend(n * len(expos))
+        k = m_weighted_degree(base, w)
+        return all(m_weighted_degree(e, w) == k for e in expos)
 
     for total in range(n, WEIGHT_SUM_CAP + 1):
         for w in _compositions(total, n):

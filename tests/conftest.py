@@ -112,11 +112,29 @@ def dense_nullspace(rows, ncols):
     return basis
 
 
+def transpose(vectors, n):
+    """The n sparse dicts that hold the entries of the given sparse dict
+    or list vectors, vector k at key k: rows from columns and back."""
+    out = [{} for _ in range(n)]
+    for k, vec in enumerate(vectors):
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        for r, x in items:
+            if x:
+                out[r][k] = x
+    return out
+
+
+def scaled_kernel(kernel, ncols):
+    """linalg.kernel's pairs (c, v) as Fraction vectors of length ncols,
+    each scaled to 1 at its free column c."""
+    return [[Fraction(v.get(k, 0), v[c]) for k in range(ncols)]
+            for c, v in kernel]
+
+
 def kernel_vectors(cx):
     """ker d1 of a SliceComplex as Fraction coordinate lists, each scaled
     to 1 at its free column."""
-    return [[Fraction(v.get(k, 0), v[c]) for k in range(cx.dim_c1)]
-            for c, v in cx.kernel_d1()]
+    return scaled_kernel(cx.kernel_d1(), cx.dim_c1)
 
 
 def reference_d0_rows(cx):
@@ -282,7 +300,7 @@ def reference_representatives(saito, w):
     The kernel is dense_nullspace's, which shares no code with linalg."""
     saito = saito.graded(w)
     cx = cohomology.SliceComplex(saito, saito.structure_constants(), w)
-    kernel = dense_nullspace(cx.d1_rows, cx.dim_c1)
+    kernel = dense_nullspace(transpose(cx.d1, cx.dim_c2), cx.dim_c1)
     h1 = len(kernel) - cx.rank_d0()
     space = cohomology._class_space(saito.divisor, w)
     equations = [cohomology.deformation_equation(cx.lift_cocycle(vec), saito)
@@ -301,7 +319,7 @@ def reference_representatives(saito, w):
         if len(reps) == h1:
             break
         cvec = space.project({(0, m): 1})
-        if not realized.reduce(cvec) and chosen.add(cvec):
+        if realized.contains(cvec) and chosen.add(cvec):
             reps.append(Polynomial.monomial(saito.ring, m))
     for fp, cvec in zip(equations, classes):
         if len(reps) == h1:

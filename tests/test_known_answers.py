@@ -42,7 +42,8 @@ import pytest
 
 from ce_oracle import cohomology, ft1_equation_side
 from conftest import (corpus_member, corpus_names, reference_d0_rows,
-                      reference_d1_rows, reference_representatives)
+                      reference_d1_rows, reference_representatives,
+                      transpose)
 from logdiv import cohomology as slices
 from logdiv.classify import (LieAlgebra, is_linear, is_reductive,
                              lie_algebra_matrices)
@@ -288,8 +289,9 @@ def test_kernel_vector_picks_match_the_reference(name, h1, monkeypatch):
                          + ["braid-A3", "coxeter-B3", "coxeter-D4"])
 def test_rows_match_the_pair_by_pair_reference(name):
     # d0 and d1 read each bracket from the complex's memo and visit only
-    # the blocks a column touches; their rows are those of the reference
-    # that forms every block of every column afresh, on the ft1 complex
+    # the blocks a column touches; their columns are those of the
+    # reference rows, transposed, that form every block of every column
+    # afresh, on the ft1 complex
     # and, for a linear free divisor, the lft1 complex
     if name.startswith(("braid", "coxeter")):
         _, w, saito = rigid_arrangement(name)
@@ -299,8 +301,8 @@ def test_rows_match_the_pair_by_pair_reference(name):
     for basis, grading in cases:
         basis = basis.graded(grading)
         cx = slices.SliceComplex(basis, basis.structure_constants(), grading)
-        assert cx.d0_rows == reference_d0_rows(cx)
-        assert cx.d1_rows == reference_d1_rows(cx)
+        assert cx.d0 == transpose(reference_d0_rows(cx), cx.dim_c0)
+        assert cx.d1 == transpose(reference_d1_rows(cx), cx.dim_c1)
 
 
 def killing_by_traces(dim, table):

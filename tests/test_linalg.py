@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dense_nullspace, dense_rref
+from conftest import dense_nullspace, dense_rref, scaled_kernel, transpose
 from logdiv import linalg
 from logdiv.errors import Budget, BudgetExceeded
 
@@ -37,6 +37,13 @@ def as_dicts(rows):
     return [{c: x for c, x in enumerate(r) if x} for r in rows]
 
 
+def columns_of(rows, ncols):
+    """The columns of list rows as lists, of dict rows as dicts."""
+    if rows and not isinstance(rows[0], dict):
+        return [[r[c] for r in rows] for c in range(ncols)]
+    return transpose(rows, ncols)
+
+
 def greedy_by_rank(vectors, keys):
     """Reference selection: re-rank the kept rows for each candidate."""
     kept = []
@@ -66,8 +73,10 @@ class TestAgainstDenseGaussJordan:
         assert [as_dense(r, ncols) for r in ech] == ref_ech
         assert all(all(x != 0 for x in r.values()) for r in ech)
         assert linalg.rank(given, ncols) == len(ref_ech)
-        assert linalg.nullspace(given, ncols) == dense_nullspace(rows, ncols)
-        assert given == snapshot
+        cols = columns_of(given, ncols)
+        assert scaled_kernel(linalg.kernel(cols, len(rows)), ncols) \
+            == dense_nullspace(rows, ncols)
+        assert given == snapshot and cols == columns_of(snapshot, ncols)
 
     def test_dict_rows_are_read_by_column(self):
         # column 2 only: a dense reading of the keys would see other columns
@@ -75,12 +84,14 @@ class TestAgainstDenseGaussJordan:
         ech, pivots = linalg.rref(rows, 3)
         assert pivots == [0, 2]
         assert ech == [{0: 1}, {2: 1}]
-        assert linalg.nullspace(rows, 3) == [[0, 1, 0]]
+        assert scaled_kernel(linalg.kernel(transpose(rows, 3), 2), 3) \
+            == [[0, 1, 0]]
 
 
 class TestColumnKernel:
-    """kernel eliminates the columns, each tagged after every row key;
-    nullspace scales its vectors to 1 at the free column."""
+    """kernel eliminates the columns it is given, each tagged after every
+    row key; scaled_kernel scales its vectors to 1 at the free column, as
+    the callers that need Fractions do."""
 
     SHAPES = [(9, 3), (3, 9), (6, 6), (1, 5), (5, 1)]  # tall, wide, square
 
@@ -93,23 +104,53 @@ class TestColumnKernel:
         rows = random_matrix(rng, nrows, ncols)  # with an empty column
         if entries == "int":
             rows = [[int(x * 60) for x in r] for r in rows]
-        given = rows if kind == "list" else as_dicts(rows)
-        snapshot = [dict(r) if kind == "dict" else list(r) for r in given]
-        null = linalg.nullspace(given, ncols)
+        given = columns_of(rows if kind == "list" else as_dicts(rows), ncols)
+        snapshot = [dict(c) if kind == "dict" else list(c) for c in given]
+        kernel = linalg.kernel(given, len(rows))
+        null = scaled_kernel(kernel, ncols)
         assert null == dense_nullspace(rows, ncols)
         assert all(type(x) is Fraction for v in null for x in v)
+        assert all(type(x) is int for _, v in kernel for x in v.values())
         assert given == snapshot
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_fraction_columns_with_content_are_tagged_by_their_den(self, seed):
+        # each int column times p/q, q a prime above every entry and
+        # |p| > 1: den * column is tagged den, so the tags hold a kernel
+        # vector of the given columns
+        rng = random.Random(seed)
+        nrows, ncols = [(9, 3), (3, 9), (6, 6), (2, 5), (5, 2)][seed % 5]
+        ints = columns_of([[x.numerator for x in r]
+                           for r in random_matrix(rng, nrows, ncols)], ncols)
+        cols = []
+        for col in ints:
+            q = rng.choice([17, 19, 23])
+            p = rng.choice([-1, 1]) * rng.randint(2, 9)
+            cols.append([Fraction(p * x, q) for x in col])
+        assert any(x.denominator > 1 for col in cols for x in col)
+        kernel = linalg.kernel(cols, len(cols[0]))
+        assert scaled_kernel(kernel, ncols) \
+            == dense_nullspace(transpose(cols, len(cols[0])), ncols)
+        for c, v in kernel:
+            assert all(type(x) is int and x for x in v.values())
+            assert v[c] > 0 and math.gcd(*v.values()) == 1
+        # (2/3, 4/3) enters as (2, 4) tagged 3: the vector is (-3, 2), not
+        # the (-1, 1) of a tag 1
+        assert linalg.kernel([[Fraction(2, 3), Fraction(4, 3)], [1, 2]], 2) \
+            == [(1, {0: -3, 1: 2})]
 
     @pytest.mark.parametrize("kind", ["list", "dict"])
     def test_zero_matrix_and_columns_beyond_every_key(self, kind):
         zero = [[0, 0, 0], [0, 0, 0]]
-        given = zero if kind == "list" else as_dicts(zero)
-        assert linalg.nullspace(given, 3) == dense_nullspace(zero, 3)
-        assert linalg.kernel(given, 3) == [(0, {0: 1}), (1, {1: 1}),
+        given = columns_of(zero if kind == "list" else as_dicts(zero), 3)
+        assert scaled_kernel(linalg.kernel(given, 2), 3) \
+            == dense_nullspace(zero, 3)
+        assert linalg.kernel(given, 2) == [(0, {0: 1}), (1, {1: 1}),
                                            (2, {2: 1})]
-        assert linalg.nullspace([], 2) == dense_nullspace([], 2)
+        assert scaled_kernel(linalg.kernel([{}, {}], 0), 2) \
+            == dense_nullspace([], 2)
         rows = [{0: 2, 1: Fraction(1, 3)}]  # columns 2 and 3 hold no key
-        assert linalg.nullspace(rows, 4) \
+        assert scaled_kernel(linalg.kernel(transpose(rows, 4), 1), 4) \
             == dense_nullspace([as_dense(r, 4) for r in rows], 4)
         assert linalg.kernel([], 0) == []
 
@@ -120,7 +161,7 @@ class TestColumnKernel:
         rows = random_matrix(rng, nrows, ncols)
         pivots = dense_rref(rows, ncols)[1]
         free = [c for c in range(ncols) if c not in pivots]
-        kernel = linalg.kernel(as_dicts(rows), ncols)
+        kernel = linalg.kernel(transpose(as_dicts(rows), ncols), len(rows))
         assert [c for c, _ in kernel] == free
         for c, v in kernel:
             assert all(type(x) is int and x for x in v.values())
@@ -132,17 +173,17 @@ class TestColumnKernel:
     def test_column_eliminations_are_charged(self):
         # column 1 is cleared by column 0 and kept; column 2 by both, and
         # its row part vanishes: the kernel vector (1, -2, 1)
-        rows = [[1, 2, 3], [4, 5, 6]]
+        cols = [[1, 4], [2, 5], [3, 6]]  # the rows (1, 2, 3), (4, 5, 6)
         with Budget(steps=3) as budget:
-            assert linalg.kernel(rows, 3) == [(2, {0: 1, 1: -2, 2: 1})]
+            assert linalg.kernel(cols, 2) == [(2, {0: 1, 1: -2, 2: 1})]
         assert budget.left == 0
         with pytest.raises(BudgetExceeded):
             with Budget(steps=2):
-                linalg.kernel(rows, 3)
+                linalg.kernel(cols, 2)
         # a tall matrix of full column rank: one elimination, where the
         # rows route (rref) pays four
         with Budget(steps=1):
-            assert linalg.nullspace([[1, 2], [3, 4], [5, 6]], 2) == []
+            assert linalg.kernel([[1, 3, 5], [2, 4, 6]], 3) == []
 
 
 class TestSpan:
@@ -248,7 +289,8 @@ def random_vectors(rng, keys, count):
 
 class TestIntegerBoundary:
     """Rows are eliminated as primitive ints; what linalg hands back is
-    exact and in Fractions, and the budget sees the rows eliminated."""
+    exact, in Fractions (rref) or primitive ints (kernel), and the budget
+    sees the rows eliminated."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("kind", ["int", "str"])
@@ -265,10 +307,17 @@ class TestIntegerBoundary:
         zero = 0
         for vec in vectors:
             expected, used = fraction_residual(vec, rows, keys)
+            expected = {k: x for k, x in expected.items() if x}
+            got = linalg._int_row(vec)[0]
             with Budget(steps=10**6) as budget:
-                got = span.reduce(vec)
-            assert got == {k: x for k, x in expected.items() if x}
-            assert all(type(x) is Fraction for x in got.values())
+                linalg._reduce(got, span.rows)
+            # the int residual is a nonzero multiple of the one over Q
+            assert set(got) == set(expected)
+            if got:
+                p = min(got)
+                assert {k: Fraction(x, got[p]) for k, x in got.items()} \
+                    == {k: x / expected[p] for k, x in expected.items()}
+            assert all(type(x) is int for x in got.values())
             assert budget.steps - budget.left == used
             assert span.contains(vec) == (not got)
             zero += not got
@@ -285,9 +334,11 @@ class TestIntegerBoundary:
             assert [as_dense(r, ncols) for r in ech] \
                 == dense_rref(given, ncols)[0]
             assert all(type(x) is Fraction for r in ech for x in r.values())
-            null = linalg.nullspace(given, ncols)
+            kernel = linalg.kernel(columns_of(given, ncols), len(given))
+            null = scaled_kernel(kernel, ncols)
             assert null == dense_nullspace(given, ncols)
             assert all(type(x) is Fraction for v in null for x in v)
+            assert all(type(x) is int for _, v in kernel for x in v.values())
 
     @pytest.mark.parametrize("seed", range(8))
     def test_one_step_per_row_eliminated(self, seed):

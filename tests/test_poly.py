@@ -6,10 +6,12 @@ import pytest
 
 from logdiv.errors import (Budget, BudgetExceeded, NotHomogeneous, ParseError,
                            ZeroOrConstantInput, current_budget)
+from logdiv import linalg
 from logdiv.poly import (
     MAX_NESTING,
     Polynomial,
     WeightSystem,
+    detect_weight_system,
     partial_derivative,
     poly_from_text,
     poly_to_text,
@@ -144,6 +146,27 @@ class TestWeightSystem:
             WeightSystem((0, 1), 3)
         with pytest.raises(ValueError):
             WeightSystem((-1, 2), 3)
+
+    def test_the_search_charges_each_exponent_entry(self):
+        # y^2*z + x*z^2: the one exponent difference (1, -2, 1) has a
+        # kernel of dimension 2, and the first candidate (1, 1, 1) is
+        # checked on 2 exponents of 3 entries
+        f = P("y^2*z + x*z^2", R3)
+        with Budget(10**6) as kernel:
+            linalg.kernel([[1], [-2], [1]], 1)
+        with Budget(10**6) as budget:
+            assert detect_weight_system(f) == WeightSystem((1, 1, 1), 3)
+        spent = budget.steps - budget.left
+        assert spent == kernel.steps - kernel.left + 6
+
+    def test_the_search_is_bounded_by_the_budget(self):
+        # a kernel of dimension 6 in 8 variables and no positive weight
+        # vector: the search would try every composition up to the cap
+        ring = ("a", "b", "c", "d", "e", "g", "h", "k")
+        f = poly_from_text("a*c + a*b*c + c*d*e*g*h*k", ring)
+        with pytest.raises(BudgetExceeded):
+            with Budget(steps=10**5):
+                detect_weight_system(f)
 
 
 class TestSquarefree:

@@ -25,8 +25,9 @@ in ints too: an S-pair's lcm and its degree come from the packed leads
 the working denominator, scaled and divided with it.
 
 Every term that an S-pair or a reduction step makes has degree at most the
-sugar, so checking the degrees of the input and each sugar as it grows
-keeps every field in range: a degree past the field raises BudgetExceeded.
+sugar (in the signature-based run, the degree of the pair's signature), so
+checking the degrees of the input and each sugar as it grows keeps every
+field in range: a degree past the field raises BudgetExceeded.
 
 A run takes its S-pairs in sugar order and can pause between two sugars
 (_run_buchberger); a pair made later never has a smaller sugar than the pair
@@ -35,11 +36,15 @@ after the pairs of sugar <= s every basis element and every syzygy of
 degree <= s is found. syzygy_stream is the one tracked run: it yields
 the syzygy rows degree by degree when the generators are homogeneous,
 and a reader that has what it needs stops the run there; syzygies
-drains it. dimension_at_most stops at the first pause whose leads
-certify its bound: a lead of an element of the ideal lies in the
-initial ideal, and the dimension is read off the supports of its
-generators. buchberger, syzygy_stream and dimension_at_most share one
-prologue, _prepare, which checks and packs the generators.
+drains it. dimension_at_most reads the leads of a signature-based run
+(_signature_leads) instead, which reduces no pair that a syzygy known in
+advance accounts for: on a regular sequence, such as the principal
+symbols of a Koszul free divisor, no pair reduces to zero. It stops at
+the first lead that certifies its bound: a lead of an element of the
+ideal lies in the initial ideal, and the dimension is read off the
+supports of its generators. buchberger, syzygy_stream and
+dimension_at_most share one prologue, _prepare, which checks and packs
+the generators.
 """
 
 import heapq
@@ -433,15 +438,171 @@ def _distinct(rows, seen):
     return out
 
 
+def _signature_leads(gens, budget, lay):
+    """The leads of a Groebner basis of the ideal of gens, a generator:
+    each lead as its element is appended. gens: list of (P, D)
+    elements, zero ones skipped.
+
+    A signature-based run (Faugere's F5, in the form of Roune and
+    Stillman): each basis element g comes with the signature s_g of one
+    of its representations sum_i h_i * e_i over the generators, its
+    largest term m * e_i. Signatures are ordered by (deg m + deg gens[i],
+    i, m), with m in degrevlex, and held as one int whose order is that
+    order: from the top, the degree, the index i, then the exponent
+    fields of m subtracted from all ones, so that a multiple t * s is
+    s + (deg t << hi) - t. J-pairs t * g, one per signature, are taken
+    in increasing signature order, starting from the generators, and
+    reduced only by multiples of smaller signature. A pair is skipped when
+    a known syzygy's signature divides its signature (the syzygy
+    criterion), or when an element appended after g has one (the
+    rewrite criterion, in add order). The syzygy signatures are those of
+    the reductions to zero and of the principal syzygies g * e_i - gens[i]
+    * (representation of g), whose signature is the larger of lt(g) * e_i
+    and lt(gens[i]) * s_g when they differ. Each index keeps only its
+    minimal syzygy signatures. A pair of coprime leads is skipped: the
+    principal syzygy of its two elements has the pair's signature. A
+    J-pair's degree bounds every term its reduction makes, as the sugar
+    does.
+    """
+    guards, dshift = lay.guards, lay.dshift
+    low = (1 << dshift) - 1  # the exponent fields of a term
+    hi = dshift + max(1, (len(gens) - 1).bit_length())
+    im = (1 << hi) - 1  # the index and monomial fields of a signature
+    # (i, lt(gens[i]), the signature 1 * e_i) of each nonzero generator
+    heads = [(i, _monic(P, lay)[0],
+              (lay.degree(P) << hi) | (i << dshift) | low)
+             for i, (P, _) in enumerate(gens) if P]
+    syz = {i: [] for i, _, _ in heads}  # minimal exponents m of syzygies m e_i
+    basis, leads, sigs, ims = [], [], [], []
+    pairs = {}  # signature: (basis index, shift), or (-1, generator index)
+    heap = []
+
+    def times(s, u):  # the signature u * s
+        return s + ((u >> dshift) << hi) - (u & low)
+
+    def covered(s):  # the syzygy criterion
+        m = low - (s & low)
+        for z in syz[(s & im) >> dshift]:
+            d = m - z
+            if d >= 0 and not d & guards:
+                return True
+        return False
+
+    def add_syzygy(s):  # keeps the signatures of each index minimal
+        if s >> hi > lay.top or covered(s):
+            return  # past the top degree it divides no pair's signature
+        m = low - (s & low)
+        zs = syz[(s & im) >> dshift]
+        zs[:] = [z for z in zs if z - m < 0 or (z - m) & guards]
+        zs.append(m)
+
+    def push(s, x, shift):
+        lay.check(s >> hi)
+        if s in pairs:
+            if pairs[s][0] < x:
+                pairs[s] = (x, shift)
+        elif not covered(s):
+            pairs[s] = (x, shift)
+            heapq.heappush(heap, s)
+
+    def rewritten(s, x):  # the rewrite criterion
+        mine = s & im
+        for h in range(x + 1, len(ims)):
+            d = ims[h] - mine
+            if 0 <= d <= low and not d & guards:
+                return True
+        return False
+
+    for i, _, e in heads:
+        push(e, -1, i)
+    while heap:
+        s = heapq.heappop(heap)
+        x, shift = pairs.pop(s)
+        if covered(s) or rewritten(s, x):
+            continue
+        budget.spend()
+        if x < 0:
+            P = dict(gens[shift][0])
+        else:
+            P = {t + shift: a for t, a in basis[x][0].items()}
+        P = _regular_reduce(P, s, basis, leads, sigs, hi, budget, lay)
+        if not P:
+            add_syzygy(s)
+            continue
+        ld, b = _monic(P, lay)
+        k = len(basis)
+        basis.append(b)
+        leads.append(ld)
+        sigs.append(s)
+        ims.append(s & im)
+        yield ld
+        for _, hd, e in heads:
+            z, y = times(e, ld), times(s, hd)
+            if z != y:
+                add_syzygy(max(z, y))
+        for a in range(k):
+            la = leads[a]
+            l = lay.lcm(la, ld)
+            if la + ld == l:
+                continue  # coprime leads: a syzygy of this signature
+            ua, uk = l - la, l - ld
+            sa, sk = times(sigs[a], ua), times(s, uk)
+            if sa > sk:
+                push(sa, a, ua)
+            elif sk > sa:
+                push(sk, k, uk)
+
+
+def _regular_reduce(P, s, basis, leads, sigs, hi, budget, lay):
+    """P top-reduced by the multiples u * basis[j] whose signature u *
+    sigs[j] is below s, until its lead has none: the reduced int dict,
+    empty when P reduces to zero. A step scales P by L / gcd(c, L) and
+    subtracts an integer multiple of u * B, as _reduce_full does; terms
+    below the lead are left as they are."""
+    unit, guards, flip, dshift = lay.unit, lay.guards, lay.flip, lay.dshift
+    low = (1 << dshift) - 1
+    heap = [t ^ flip for t in P]
+    heapq.heapify(heap)
+    while heap:
+        t = heapq.heappop(heap) ^ flip
+        c = P.get(t)
+        if c is None:
+            continue
+        for j, ld in enumerate(leads):
+            u = t - ld
+            if (0 <= u < unit and not u & guards
+                    and sigs[j] + ((u >> dshift) << hi) - (u & low) < s):
+                break
+        else:
+            return P  # t is the lead: no smaller signature reduces it
+        budget.spend()
+        B, L = basis[j]
+        g = gcd(c, L)
+        if g != L:
+            k = L // g
+            P = {v: k * a for v, a in P.items()}
+        c //= g
+        for v, b in B.items():
+            v += u
+            a = P.get(v, 0) - c * b
+            if a:
+                if v not in P:
+                    heapq.heappush(heap, v ^ flip)
+                P[v] = a
+            else:
+                del P[v]
+    return P
+
+
 def dimension_at_most(gens, k):
     """True iff the Krull dimension of (polynomial ring)/(ideal gens) is at
     most k: the unit ideal has dimension -1, the zero ideal n.
 
     dim R/I = dim R/in(I), the largest size of a set of variables that
-    holds the support of no lead monomial of I. Every lead that a
-    Buchberger run finds is one of I, so once each (k+1)-subset of the
-    variables holds the support of one found so far, the dimension is at
-    most k and the run stops at that pause; only a False answer runs it
+    holds the support of no lead monomial of I. Every lead that the
+    signature-based run finds is one of I, so once each (k+1)-subset of
+    the variables holds the support of one found so far, the dimension is
+    at most k and the run stops at that lead; only a False answer runs it
     to its end, where the leads generate in(I).
     """
     ring, rank, lay, flats = _prepare(gens)
@@ -458,12 +619,11 @@ def dimension_at_most(gens, k):
         budget.spend(0)
         open_sets += [(lay.pack(0, [int(i not in c) for i in range(n)])
                        & lay.ones) * lay.top for c in chunk]
-    found = 0
-    for _, (_, leads, _, _, _) in _run_buchberger(flats, budget, False, lay):
-        for ld in leads[found:]:
-            budget.spend(0)
-            open_sets = [c for c in open_sets if c & ld]
-        found = len(leads)
+    if not open_sets:
+        return True
+    for ld in _signature_leads(flats, budget, lay):
+        budget.spend(0)
+        open_sets = [c for c in open_sets if c & ld]
         if not open_sets:
             return True
     return False

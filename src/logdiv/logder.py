@@ -109,7 +109,8 @@ class VectorField:
         return tags.pop()
 
     def weight_parts(self, w):
-        """Decompose into weight-homogeneous fields, ascending by tag."""
+        """Decompose into weight-homogeneous fields: (tag, part) pairs,
+        ascending by tag."""
         buckets = {}
         for i, a in enumerate(self.components):
             for m, c in a.terms.items():
@@ -119,7 +120,7 @@ class VectorField:
         out = []
         for tag in sorted(buckets):
             comps = [Polynomial(self.ring, t, False) for t in buckets[tag]]
-            out.append(VectorField(self.ring, comps))
+            out.append((tag, VectorField(self.ring, comps)))
         return out
 
 
@@ -389,8 +390,8 @@ def _determinant_test(fields, f):
     return VerifyResult(True, unit=mat.polynomial(u), table=mat)
 
 
-def _field_sort_key(delta, w):
-    tag = delta.weight(w)
+def _field_sort_key(tag, delta):
+    """The scan order of a weight-homogeneous field of weight tag."""
     return (tag, [tuple(sorted(p.terms.items())) for p in delta.components])
 
 
@@ -439,7 +440,7 @@ def _select_saito_basis(batches, f, w=None):
         w = detect_weight_system(f)
     if w is not None:
         lo, hi = min(w.weights), max(w.weights)
-        waiting = []  # weight parts not scanned yet
+        waiting = []  # (tag, part) pairs not scanned yet
         kept = []
         gb = None  # Groebner basis of kept, recomputed after a keep
         for c, fields in batches:
@@ -449,10 +450,10 @@ def _select_saito_basis(batches, f, w=None):
                 ready, waiting = waiting, []
             else:
                 floor = lo * c - hi  # the least tag of a part still to come
-                ready = [d for d in waiting if d.weight(w) < floor]
-                waiting = [d for d in waiting if d.weight(w) >= floor]
-            ready.sort(key=lambda d: _field_sort_key(d, w))
-            for delta in ready:
+                ready = [p for p in waiting if p[0] < floor]
+                waiting = [p for p in waiting if p[0] >= floor]
+            ready.sort(key=lambda p: _field_sort_key(*p))
+            for _, delta in ready:
                 if kept:
                     if gb is None:
                         gb = buchberger(_as_module_elements(kept))

@@ -272,8 +272,9 @@ def detect_weight_system(f):
     Minimality is by (sum of weights, lexicographic); the result is
     normalized coprime. Returns None when no positive weight vector exists
     (or none with weight sum <= WEIGHT_SUM_CAP when the solution space has
-    dimension above one). Each candidate of that search is charged one
-    step per exponent entry of f before it is checked.
+    dimension above one), at once when some weight is 0 on the whole
+    solution space. Each candidate of that search is charged one step per
+    exponent entry of f before it is checked.
     """
     if f.is_zero() or f.is_constant():
         return None
@@ -285,8 +286,8 @@ def detect_weight_system(f):
         return WeightSystem(w, m_weighted_degree(base, w))
     cols = [[e[i] - base[i] for e in expos[1:]] for i in range(n)]
     null = linalg.kernel(cols, len(expos) - 1)
-    if not null:
-        return None
+    if not null or not all(any(v.get(i) for _, v in null) for i in range(n)):
+        return None  # a weight that is 0 on every kernel vector stays 0
     if len(null) == 1:
         w = _primitive_positive(null[0][1], n)
         if w is None:

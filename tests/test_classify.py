@@ -74,6 +74,16 @@ class TestDetectWeights:
     def test_not_weighted_homogeneous(self):
         assert detect_weight_system(poly_from_text(FOUR_LINES, R3)) is None
 
+    def test_a_weight_zero_on_the_kernel_skips_the_search(self):
+        # the weights of a*c + a*b*c + c*d*e*g*h*k form a 6-dimensional
+        # space on which the weight of b is 0, so none is positive; the
+        # composition search up to WEIGHT_SUM_CAP would spend millions of
+        # steps to find that out
+        ring = ("a", "b", "c", "d", "e", "g", "h", "k")
+        f = poly_from_text("a*c + a*b*c + c*d*e*g*h*k", ring)
+        with Budget(steps=100):
+            assert detect_weight_system(f) is None
+
 
 class TestIsLinear:
     def test_normal_crossing(self):

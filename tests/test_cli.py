@@ -26,14 +26,24 @@ def write_doc(path, doc):
 
 
 def write_braid_a4(path):
-    """The braid arrangement A4: its default analysis takes about 1.5-1.9
-    s, of which the squarefree test of the divisor stage takes 0.15 s, the
-    basis search 0.4-0.7 s and the classification 0.8-0.9 s, so a timeout
-    of 0.3 s or less cuts it on any host."""
+    """The braid arrangement A4: its analysis with --all takes about 3.4-3.9
+    s, of which the basis search takes 0.24-0.28 s and ft1 3.0-3.6 s, so
+    a timeout of 0.3 s cuts it on any host."""
     pairs = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
     write_doc(path, {"label": "braid-A4",
                      "variables": [f"x{i}" for i in range(1, 6)],
                      "f": "*".join(f"(x{i} - x{j})" for i, j in pairs)})
+    return str(path)
+
+
+def write_coxeter_b5(path):
+    """The Coxeter arrangement B5: the squarefree test of its divisor stage
+    takes 0.15-0.20 s, so a timeout of 0.05 s falls inside it."""
+    pairs = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
+    write_doc(path, {"label": "coxeter-B5",
+                     "variables": [f"x{i}" for i in range(1, 6)],
+                     "f": "x1*x2*x3*x4*x5*" + "*".join(
+                         f"(x{i}^2 - x{j}^2)" for i, j in pairs)})
     return str(path)
 
 
@@ -251,7 +261,7 @@ class TestAnalyzeErrors:
     def test_timeout_in_the_squarefree_test_names_its_stage(self, tmp_path):
         # the squarefree test's Groebner basis reads the deadline, so the
         # timeout is not first noticed at the next stage
-        res = run_cli("analyze", write_braid_a4(tmp_path / "a4.json"),
+        res = run_cli("analyze", write_coxeter_b5(tmp_path / "b5.json"),
                       "--timeout", "0.05")
         assert res.returncode == 5
         assert "error at stage divisor: timed out" in res.stdout
@@ -285,16 +295,16 @@ class TestAnalyzeErrors:
         assert res.returncode == 5
 
     def test_budget_is_one_per_analysis(self):
-        # the largest single call, the Koszul test's dimension_at_most,
-        # spends 188 steps, the whole default analysis 555: only a budget
-        # shared by the calls runs out
+        # the largest single call, the classify stage's structure
+        # constants, spends 187 steps, the whole default analysis 425: only
+        # a budget shared by the calls runs out
         res = run_cli("analyze", os.path.join(CORPUS, "discriminant-234.json"),
                       env_extra={"LOGDIV_BUDGET": "300"})
         assert res.returncode == 5
         assert "step budget of 300 exhausted" in res.stdout
 
     def test_structure_constants_are_charged_to_the_classify_stage(self):
-        # the default analysis spends 180 steps up to the basis and 187 on
+        # the default analysis spends 183 steps up to the basis and 187 on
         # the structure constants of the classify stage's connection
         # conditions, before the Koszul test
         res = run_cli("analyze", os.path.join(CORPUS, "discriminant-234.json"),
@@ -726,20 +736,24 @@ class TestArtefactsComputedOnce:
     def test_one_groebner_basis_per_analysis(self, monkeypatch):
         # ft1, lft1, h0 and the bounds read one linear-algebra class
         # space; only the dimension tests of the divisor stage's
-        # squarefree test and of the Koszul test run Buchberger
+        # squarefree test and of the Koszul test run a Groebner basis, the
+        # signature-based run, and no Buchberger run is made
         from logdiv import cli, groebner
 
         callers = []
-        original = groebner._run_buchberger
 
-        def counting(*args, **kwargs):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return original(*args, **kwargs)
+        def counting(run):
+            def counted(*args, **kwargs):
+                callers.append((run.__name__, sys._getframe(1).f_code.co_name))
+                return run(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(groebner, "_run_buchberger", counting)
+        for name in ("_run_buchberger", "_signature_leads"):
+            monkeypatch.setattr(groebner, name,
+                                counting(getattr(groebner, name)))
         doc = cli.load_document(os.path.join(CORPUS, "linear-nonreductive-5.json"))
         report = cli.analyze_document(doc, cli.ALL_STAGES)
-        assert callers == ["dimension_at_most", "dimension_at_most"]
+        assert callers == [("_signature_leads", "dimension_at_most")] * 2
         with open(os.path.join(CORPUS, "linear-nonreductive-5.expected.json"),
                   encoding="utf-8") as fh:
             golden = json.load(fh)
@@ -817,9 +831,9 @@ class TestBasisStageBudget:
         assert steps < full.steps - full.left
 
     @pytest.mark.parametrize("name, steps", [
-        ("discriminant-234", 555),  # weighted, but (f, grad f) not homogeneous
-        ("curve-x5y4", 46),
-        ("four-lines-nonkoszul", 485)],  # not weighted homogeneous
+        ("discriminant-234", 425),  # weighted, but (f, grad f) not homogeneous
+        ("curve-x5y4", 48),
+        ("four-lines-nonkoszul", 496)],  # not weighted homogeneous
         ids=["discriminant-234", "curve-x5y4", "four-lines-nonkoszul"])
     def test_inhomogeneous_generators_spend_the_whole_run(self, name, steps,
                                                           monkeypatch):
@@ -829,7 +843,7 @@ class TestBasisStageBudget:
         assert self.analyze(doc, monkeypatch)[:2] == (None, steps)
 
     @pytest.mark.parametrize("f, steps, size", [
-        ("x*y*z*(x+y+z)", 218, 4), ("x*y*z*(x+y+z)*(x+2*y+3*z)", 935, 5)],
+        ("x*y*z*(x+y+z)", 216, 4), ("x*y*z*(x+y+z)*(x+2*y+3*z)", 935, 5)],
         ids=["generic-4", "generic-5"])
     def test_not_free_reads_the_whole_run(self, f, steps, size, monkeypatch):
         doc = {"label": "generic", "variables": ["x", "y", "z"], "f": f}

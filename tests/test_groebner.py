@@ -321,15 +321,15 @@ class TestKrullDimension:
                 == [d <= k for k in range(-1, n + 1)]
 
     def test_a_true_answer_stops_the_run(self):
-        # the singular locus of the B3 arrangement is the union of the
-        # lines where its planes meet: leads of (f, grad f) certify
-        # dimension <= 1 before the run ends, which the False answer at 0
-        # has to reach
-        gens = coxeter_gens("coxeter-B3")
+        # the singular locus of the braid arrangement A3 in 4 variables is
+        # the union of the planes where its hyperplanes meet: leads of
+        # (f, grad f) certify dimension <= 2 after 47 steps, before the
+        # run ends, which the False answer at 1 has to reach (61 steps)
+        gens = coxeter_gens("braid-A3")
         with Budget(10**9) as early:
-            assert dimension_at_most(gens, 1)
+            assert dimension_at_most(gens, 2)
         with Budget(10**9) as full:
-            assert not dimension_at_most(gens, 0)
+            assert not dimension_at_most(gens, 1)
         assert early.steps - early.left < full.steps - full.left
 
 

@@ -30,10 +30,19 @@
   scaled by the lcm D of its denominators, is D^2 times a Fraction trace
   reference; sl2 and gl2 are reductive, the Borel b2 and the Heisenberg
   algebra are not, and an abelian algebra is its own radical and center.
+- The signature-based run behind the dimension tests: run to its end, its
+  leads generate the initial ideal of the reduced basis that buchberger
+  returns, on seeded random homogeneous and inhomogeneous ideals and on
+  the symbol ideals of four arrangements and the discriminant. The
+  arrangements are locally quasi-homogeneous and free, so they are
+  Koszul free (Calderon-Moreno and Narvaez-Macarro, 2002); the four lines
+  x^2 y^2 + x y^3 + x^3 y z + x^2 y^2 z are not. The Koszul step counts
+  of D4 and B4 are pinned.
 """
 
 import json
 import os
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -45,13 +54,15 @@ from conftest import (corpus_member, corpus_names, reference_d0_rows,
                       reference_d1_rows, reference_representatives,
                       transpose)
 from logdiv import cohomology as slices
-from logdiv.classify import (LieAlgebra, is_linear, is_reductive,
-                             lie_algebra_matrices)
+from logdiv import groebner
+from logdiv.classify import (LieAlgebra, is_koszul, is_linear, is_reductive,
+                             lie_algebra_matrices, principal_symbols)
 from logdiv.cli import analyze_document
 from logdiv.cohomology import ft1, lft1, linear_basis
-from logdiv.errors import NotLinear, NotWeightedHomogeneous
+from logdiv.errors import Budget, NotLinear, NotWeightedHomogeneous
 from logdiv.logder import saito_basis
-from logdiv.poly import detect_weight_system, poly_from_text, poly_to_text
+from logdiv.poly import (Polynomial, detect_weight_system, poly_from_text,
+                         poly_to_text)
 
 
 def residual(v, echelon):
@@ -367,3 +378,73 @@ def test_killing_form_of_sl2():
     # K(h/3, h/3) = 8/9 and K(e/2, f) = 2, times D^2 = 36
     assert LieAlgebra(3, LIE_ALGEBRAS["sl2-scaled"][1]).killing_form() \
         == [[32, 0, 0], [0, 0, 72], [0, 72, 0]]
+
+
+def run_to_the_end(gens):
+    """(leads of the signature-based run, leads of buchberger's reduced
+    basis, the packing of both)."""
+    _, _, lay, flats = groebner._prepare(gens)
+    with Budget(10**8) as budget:
+        leads = list(groebner._signature_leads(flats, budget, lay))
+        reduced = groebner.buchberger(gens)._leads
+    return leads, reduced, lay
+
+
+def assert_same_initial_ideal(gens):
+    leads, reduced, lay = run_to_the_end(gens)
+    assert all(any(lay.divides(ld, r) for ld in leads) for r in reduced)
+    assert all(any(lay.divides(r, ld) for r in reduced) for ld in leads)
+
+
+def random_ideal(rng, homogeneous):
+    """Two to five polynomials in 3 to 5 variables with small integer
+    coefficients, each of one degree when homogeneous is set."""
+    n = rng.randint(3, 5)
+    ring = tuple(f"v{i}" for i in range(n))
+    gens = []
+    for _ in range(rng.randint(2, 5)):
+        degree, terms = rng.randint(1, 3), {}
+        for _ in range(rng.randint(1, 4)):
+            if homogeneous:
+                e = [0] * n
+                for _ in range(degree):
+                    e[rng.randrange(n)] += 1
+            else:
+                e = [rng.randint(0, 2) for _ in range(n)]
+            terms[tuple(e)] = rng.choice([-3, -2, -1, 1, 2, 3])
+        gens.append(Polynomial(ring, terms))
+    return gens
+
+
+@pytest.mark.parametrize("homogeneous", [True, False],
+                         ids=["homogeneous", "inhomogeneous"])
+def test_signature_run_is_complete_on_random_ideals(homogeneous):
+    rng = random.Random(2402 + homogeneous)
+    for _ in range(60):
+        assert_same_initial_ideal(random_ideal(rng, homogeneous))
+
+
+def koszul_saito(name):
+    if name in ("discriminant-234", "four-lines-nonkoszul"):
+        return corpus_member(name)[2]
+    return rigid_arrangement(name)[2]
+
+
+@pytest.mark.parametrize("name", ["braid-A3", "coxeter-B3", "coxeter-D4",
+                                  "coxeter-B4", "discriminant-234"])
+def test_signature_run_is_complete_on_symbol_ideals(name):
+    assert_same_initial_ideal(principal_symbols(koszul_saito(name)))
+
+
+@pytest.mark.parametrize("name, koszul, steps", [
+    ("braid-A3", True, None), ("coxeter-B3", True, None),
+    ("coxeter-D4", True, 133), ("coxeter-B4", True, 159),
+    ("four-lines-nonkoszul", False, None)])
+def test_koszul_known_answers(name, koszul, steps):
+    # D4 and B4 spent 744 and 2846 steps in a Buchberger run with the
+    # pair criteria alone
+    saito = koszul_saito(name)
+    with Budget(10**9) as budget:
+        assert is_koszul(saito) is koszul
+    if steps is not None:
+        assert budget.steps - budget.left == steps

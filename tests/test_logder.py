@@ -301,7 +301,7 @@ class TestGradedStop:
             assert c is not None
 
         def upto_top(fields):
-            return sorted(_field_sort_key(d, w) for d in fields
+            return sorted(_field_sort_key(d.weight(w), d) for d in fields
                           if d.weight(w) <= top)
 
         assert upto_top(read) == upto_top(full)

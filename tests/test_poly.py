@@ -161,9 +161,10 @@ class TestWeightSystem:
 
     def test_the_search_is_bounded_by_the_budget(self):
         # a kernel of dimension 6 in 8 variables and no positive weight
-        # vector: the search would try every composition up to the cap
+        # vector (w_b + w_d = 0), though no weight is 0 on the whole
+        # kernel: the search would try every composition up to the cap
         ring = ("a", "b", "c", "d", "e", "g", "h", "k")
-        f = poly_from_text("a*c + a*b*c + c*d*e*g*h*k", ring)
+        f = poly_from_text("a*c + a*b*c*d + c*d*e*g*h*k", ring)
         with pytest.raises(BudgetExceeded):
             with Budget(steps=10**5):
                 detect_weight_system(f)

@@ -95,7 +95,7 @@ class LieAlgebra:
             rows.extend(self.ad(i))
         if not rows:
             return self.dim
-        return self.dim - linalg.rank(rows, self.dim)
+        return self.dim - linalg.rank(rows)
 
     def radical_dimension(self):
         """Cartan: rad = {x : K(x, [g, g]) = 0}, [g, g] spanned by the
@@ -105,7 +105,7 @@ class LieAlgebra:
                  for e in range(self.dim)] for v in self._table.values()]
         if not rows:
             return self.dim
-        return self.dim - linalg.rank(rows, self.dim)
+        return self.dim - linalg.rank(rows)
 
 
 def lie_algebra_matrices(saito):

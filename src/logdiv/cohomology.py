@@ -68,7 +68,8 @@ from .errors import (
     current_budget,
 )
 from .groebner import buchberger
-from .logder import VectorField, _add_bracket, _bracket_parts, saito_basis
+from .logder import (VectorField, _add_bracket, _bracket_parts, _bracket_sum,
+                     saito_basis)
 from .poly import (
     Polynomial,
     WeightSystem,
@@ -317,7 +318,7 @@ class SliceComplex:
         return linalg.kernel(self.d1, self.dim_c2)
 
     def rank_d0(self):
-        return linalg.rank(self.d0, self.dim_c1)
+        return linalg.rank(self.d0)
 
     def apply_d0(self, sigma_coords):
         return [Fraction(x, self.scale)
@@ -370,15 +371,12 @@ def cocycle_check(psi_fields, saito, sc):
     that field; u is a unit at the origin, where the basis is certified."""
     n = len(saito.ring)
     gb = buchberger([list(d.components) for d in saito.fields])
-    budget = current_budget()
     u = sc.denominator
     for i in range(n):
         for j in range(i + 1, n):
-            acc = {}
-            _add_bracket(acc, 1, saito.fields[j], psi_fields[i].terms(), budget)
-            _add_bracket(acc, -1, saito.fields[i], psi_fields[j].terms(), budget)
-            comps = [u * c for c in
-                     VectorField.from_terms(saito.ring, acc).components]
+            bracket = _bracket_sum([(1, saito.fields[j], psi_fields[i]),
+                                    (-1, saito.fields[i], psi_fields[j])])
+            comps = [u * c for c in bracket.components]
             for k in range(n):
                 comps = [a + sc.b[i][j][k] * p
                          for a, p in zip(comps, psi_fields[k].components)]

@@ -35,8 +35,9 @@ that made it. For homogeneous generators the sugar is the degree, so
 after the pairs of sugar <= s every basis element and every syzygy of
 degree <= s is found. syzygy_stream is the one tracked run: it yields
 the syzygy rows degree by degree when the generators are homogeneous,
-and a reader that has what it needs stops the run there; syzygies
-drains it. dimension_at_most reads the leads of a signature-based run
+and a reader that has what it needs stops the run there; its rows stay
+packed, and only syzygies, which drains it, turns them into
+Polynomials. dimension_at_most reads the leads of a signature-based run
 (_signature_leads) instead, which reduces no pair that a syzygy known in
 advance accounts for: on a regular sequence, such as the principal
 symbols of a Koszul free divisor, no pair reduces to zero. It stops at
@@ -311,19 +312,20 @@ class GroebnerBasis:
     def __len__(self):
         return len(self._flat)
 
+    def _remainder(self, v):
+        """The normal form of the (P, D) element v, packed."""
+        return _reduce_full(v, self._flat, self._leads, self._tops,
+                            self._lay.degree(v[0]), current_budget(),
+                            self._lay)[0]
+
     def normal_form(self, elem):
         v = _flatten(_as_vector(elem, self.rank), self._lay)
-        rem, _, _ = _reduce_full(v, self._flat, self._leads, self._tops,
-                                 self._lay.degree(v[0]), current_budget(),
-                                 self._lay)
-        out = _unflatten(rem, self.ring, self.rank, self._lay)
+        out = _unflatten(self._remainder(v), self.ring, self.rank, self._lay)
         return out[0] if self.rank == 1 else out
 
     def reduces_to_zero(self, elem):
-        nf = self.normal_form(elem)
-        if isinstance(nf, Polynomial):
-            return nf.is_zero()
-        return all(p.is_zero() for p in nf)
+        v = _flatten(_as_vector(elem, self.rank), self._lay)
+        return not self._remainder(v)[0]
 
 
 class SyzygyBasis:
@@ -354,17 +356,22 @@ def _prepare(gens):
 
 def buchberger(gens):
     """Reduced Groebner basis of the ideal/submodule generated by gens."""
-    ring, rank, lay, flats = _prepare(gens)
+    return _buchberger(*_prepare(gens))
+
+
+def _buchberger(ring, rank, lay, flats):
+    """buchberger of the packed elements flats, of rank rank over ring."""
     b = current_budget()
     basis, leads, sugars, _, _ = _completed(_run_buchberger(flats, b, False, lay))
-    return GroebnerBasis(ring, rank, lay,
-                         _interreduce(basis, leads, sugars, b, lay))
+    return GroebnerBasis(ring, rank, lay, _interreduce(basis, leads, sugars, b, lay))
 
 
 def syzygies(gens):
     """Generating set of the first syzygy module of gens: the rows of
-    syzygy_stream(gens), drained."""
-    return SyzygyBasis([row for _, rows in syzygy_stream(gens) for row in rows])
+    syzygy_stream(gens), drained and unflattened."""
+    ring, _, lay, flats = _prepare(gens)
+    return SyzygyBasis([_unflatten(row, ring, len(flats), lay)
+                        for _, rows in syzygy_stream(gens) for row in rows])
 
 
 def syzygy_stream(gens):
@@ -375,8 +382,8 @@ def syzygy_stream(gens):
     the S-pairs that reduce to zero in a Buchberger run that tracks each
     basis element over the generators, in the order found, and the
     nonzero rows e_i - q_i, where q_i divides generator i by that basis
-    with tracked quotients. Yields (s, rows), rows unflattened only as
-    they are yielded; the last yield has s None.
+    with tracked quotients. Yields (s, rows), the rows packed in the
+    layout _Packing(len(ring)); the last yield has s None.
 
     When every generator is homogeneous, each sugar is a degree: the run
     pauses each time every S-pair of sugar <= s is done, yields the rows
@@ -388,8 +395,7 @@ def syzygy_stream(gens):
     undone. Otherwise there is one yield, at the end of the run, with
     the rows e_i - q_i by i.
     """
-    ring, _, lay, flats = _prepare(gens)
-    m = len(flats)
+    _, _, lay, flats = _prepare(gens)
     graded = all(len({t >> lay.dshift & lay.top for t in P}) <= 1
                  for P, _ in flats)
     # a zero generator is annihilated by the corresponding unit vector
@@ -419,8 +425,7 @@ def syzygy_stream(gens):
         found = len(zsyz)
         while todo and (s is None or todo[0][0] <= s):
             rows.append(division_row(todo.pop(0)[1], state))
-        yield s, [_unflatten(row, ring, m, lay)
-                  for row in _distinct(rows, seen) if row[0]]
+        yield s, [row for row in _distinct(rows, seen) if row[0]]
         rows = []
 
 

@@ -121,7 +121,7 @@ def rref(rows, ncols):
              for p, row in done], [p for p, _ in done])
 
 
-def rank(rows, ncols):
+def rank(rows):
     """The number of rows of their echelon basis: no back-substitution.
     The rank of a matrix is also that of its columns."""
     return len(_span(rows).rows)

@@ -12,14 +12,18 @@ scans the weight parts of tag t once no field still to come can have a
 part of tag <= t, and stops the run when n kept parts pass Saito's
 determinant test. The basis is the one a full run gives.
 
-Fields are kept as coefficient vectors over a shared ring. Saito matrices
-are written with fields as columns: entry (i, j) is the d/dx_i coefficient
-of the j-th field.
+The stream's fields stay packed, as rows of groebner's tracked run: the
+search splits, orders and reduces their weight parts on ints, and only
+the n fields handed to the determinant test become VectorFields (of
+Polynomials; compute_der_log unflattens all). Saito matrices are written
+with fields as columns: entry (i, j) is the d/dx_i coefficient of the
+j-th field.
 """
 
+import functools
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import comb, inf, lcm
 
 from .errors import (
     InternalInconsistency,
@@ -29,7 +33,9 @@ from .errors import (
     ZeroOrConstantInput,
     current_budget,
 )
-from .groebner import buchberger, dimension_at_most, syzygy_stream
+# buchberger is bound here too: perfbench's tracer test reads logder.buchberger
+from .groebner import _buchberger, buchberger, dimension_at_most, syzygy_stream  # noqa: F401
+from .linalg import _ints
 from .poly import (
     Polynomial,
     PolyMatrix,
@@ -37,6 +43,8 @@ from .poly import (
     _divide,
     _dot,
     _flatten,
+    _Packing,
+    _unflatten,
     detect_weight_system,
     m_mul,
     m_weighted_degree,
@@ -55,9 +63,8 @@ class VectorField:
         components = list(components)
         if len(components) != len(ring):
             raise ValueError("need one coefficient per variable")
-        for p in components:
-            if p.ring != ring:
-                raise ValueError("component ring mismatch")
+        if any(p.ring != ring for p in components):
+            raise ValueError("component ring mismatch")
         self.ring = ring
         self.components = components
         self._parts = None
@@ -79,9 +86,6 @@ class VectorField:
     def __repr__(self):
         return f"VectorField({format_field(self)})"
 
-    def is_zero(self):
-        return all(p.is_zero() for p in self.components)
-
     def terms(self):
         """{(i, m): c} over the terms c * x^m d/dx_i of the field."""
         return {(i, m): c for i, p in enumerate(self.components)
@@ -96,32 +100,11 @@ class VectorField:
         The coefficient of d/dx_i must be homogeneous of weight
         tag + w_i; raises NotHomogeneous otherwise.
         """
-        tags = set()
-        for i, a in enumerate(self.components):
-            if a.is_zero():
-                continue
-            degs = {m_weighted_degree(m, w.weights) for m in a.terms}
-            tags.update(d - w.weights[i] for d in degs)
-        if not tags:
-            return None
+        tags = {m_weighted_degree(m, w.weights) - w.weights[i]
+                for i, a in enumerate(self.components) for m in a.terms}
         if len(tags) > 1:
             raise NotHomogeneous(tags)
-        return tags.pop()
-
-    def weight_parts(self, w):
-        """Decompose into weight-homogeneous fields: (tag, part) pairs,
-        ascending by tag."""
-        buckets = {}
-        for i, a in enumerate(self.components):
-            for m, c in a.terms.items():
-                tag = m_weighted_degree(m, w.weights) - w.weights[i]
-                comp = buckets.setdefault(tag, [dict() for _ in self.ring])
-                comp[i][m] = c
-        out = []
-        for tag in sorted(buckets):
-            comps = [Polynomial(self.ring, t, False) for t in buckets[tag]]
-            out.append((tag, VectorField(self.ring, comps)))
-        return out
+        return tags.pop() if tags else None
 
 
 def format_field(delta):
@@ -132,10 +115,8 @@ def format_field(delta):
         text = poly_to_text(a)
         if len(a.terms) > 1 or text.startswith("-"):
             text = f"({text})"
-        if text == "1":
-            parts.append(f"d_{delta.ring[i]}")
-        else:
-            parts.append(f"{text}*d_{delta.ring[i]}")
+        parts.append(f"d_{delta.ring[i]}" if text == "1"
+                     else f"{text}*d_{delta.ring[i]}")
     return " + ".join(parts) if parts else "0"
 
 
@@ -182,13 +163,24 @@ def _add_bracket(acc, k, delta, nu, budget):
             acc[t] = get(t, 0) - a * b
 
 
+def _bracket_sum(brackets):
+    """sum k * [delta, nu] over the (k, delta, nu) in brackets, k an int,
+    formed on ints, each nu scaled by the lcm dn of its denominators as
+    _bracket_parts scales delta, and divided once per term of the sum."""
+    scaled = [(k, delta, *_ints(nu.terms())) for k, delta, nu in brackets]
+    den = lcm(*(_bracket_parts(delta)[2] * dn for _, delta, _, dn in scaled))
+    acc = {}
+    for k, delta, terms, dn in scaled:
+        _add_bracket(acc, k * (den // dn), delta, terms, current_budget())
+    return VectorField.from_terms(delta.ring, {t: Fraction(a, den)
+                                               for t, a in acc.items() if a})
+
+
 def lie_bracket(delta, nu):
     """[delta, nu], component i = delta(nu_i) - nu(delta_i)."""
     if delta.ring != nu.ring:
         raise ValueError("fields live over different rings")
-    acc = {}
-    _add_bracket(acc, 1, delta, nu.terms(), current_budget())
-    return VectorField.from_terms(delta.ring, acc)
+    return _bracket_sum([(1, delta, nu)])
 
 
 def _check_equation(f):
@@ -223,7 +215,7 @@ def _check_divisor(f):
 def compute_der_log(f):
     """Generators of Der(-log f): the fields of der_log_stream(f), drained.
     Squarefreeness is left to find_saito_basis and verify_saito."""
-    return [delta for _, fields in der_log_stream(f) for delta in fields]
+    return [_as_field(v, f.ring) for _, fields in der_log_stream(f) for v in fields]
 
 
 def der_log_stream(f):
@@ -232,18 +224,30 @@ def der_log_stream(f):
     field. Distinct rows give distinct fields, as row[0] = -sum_i row[i]
     * df/dx_i / f.
 
-    Yields (c, fields): every field still to come has coefficients of
-    degree >= c, or none is to come when c is None. A row of degree s' of
-    the stream gives a field whose coefficients have degree s' - (d - 1),
-    with d the degree of f, so a pause at s gives c = s + 2 - d.
+    A field is its packed row without component 0: d/dx_i is component
+    i + 1. Yields (c, fields): every field still to come has coefficients
+    of degree >= c, or none is to come when c is None. A row of degree s'
+    of the stream gives a field whose coefficients have degree s' - (d -
+    1), with d the degree of f, so a pause at s gives c = s + 2 - d.
     """
     _check_equation(f)
     d = f.total_degree()
     gens = [f] + [partial_derivative(f, i) for i in range(len(f.ring))]
+    unit = _Packing(len(f.ring)).unit
     for s, rows in syzygy_stream(gens):
-        fields = [VectorField(f.ring, row[1:]) for row in rows]
-        yield (None if s is None else s + 2 - d,
-               [delta for delta in fields if not delta.is_zero()])
+        fields = [({t: a for t, a in P.items() if t >= unit}, D) for P, D in rows]
+        yield (None if s is None else s + 2 - d, [v for v in fields if v[0]])
+
+
+def _as_field(v, ring):
+    """The VectorField of a packed field (see der_log_stream)."""
+    return VectorField(ring, _unflatten(v, ring, len(ring) + 1, _Packing(len(ring)))[1:])
+
+
+def _packed_fields(fields, ring):
+    """VectorFields as packed fields (see der_log_stream)."""
+    lay = _Packing(len(ring))
+    return [_flatten([Polynomial.zero(ring)] + d.components, lay) for d in fields]
 
 
 class VerifyResult:
@@ -322,8 +326,8 @@ class SaitoBasis:
                 self.field_weights(w)
                 self._memo[key] = self
             except NotHomogeneous:
-                self._memo[key] = _select_saito_basis([(None, self.fields)],
-                                                     self.divisor, w)
+                flat = [(None, _packed_fields(self.fields, self.ring))]
+                self._memo[key] = _select_saito_basis(flat, self.divisor, w)
         return self._memo[key]
 
     def linear_part(self):
@@ -385,18 +389,32 @@ def _determinant_test(fields, f):
     for j in range(n):
         image = _dot([mat.entry(i, j) for i in range(n)], grad, lay, budget)
         if _divide(image, packed_f, lay, budget) is None:
-            return VerifyResult(False,
-                                reason=f"column {j + 1} is not logarithmic")
+            return VerifyResult(False, reason=f"column {j + 1} is not logarithmic")
     return VerifyResult(True, unit=mat.polynomial(u), table=mat)
 
 
-def _field_sort_key(tag, delta):
-    """The scan order of a weight-homogeneous field of weight tag."""
-    return (tag, [tuple(sorted(p.terms.items())) for p in delta.components])
+def _weight_parts(v, w, lay):
+    """The weight parts (tag, comps, (P', D)) of the packed field v = (P,
+    D), comps[i] the (m, a) of its terms a / D * x^m d/dx_i, unpacked once."""
+    buckets = {}
+    for t, a in v[0].items():
+        c, m = lay.unpack(t)
+        tag = m_weighted_degree(m, w.weights) - w.weights[c - 1]
+        if tag not in buckets:
+            buckets[tag] = ({}, [[] for _ in range(lay.n)])
+        buckets[tag][0][t] = a
+        buckets[tag][1][c - 1].append((m, a))
+    return [(tag, comps, (P, v[1])) for tag, (P, comps) in buckets.items()]
 
 
-def _as_module_elements(fields):
-    return [list(delta.components) for delta in fields]
+def _sort_parts(parts):
+    """Sort the (tag, comps, (P, D)) of _weight_parts by tag, then by the
+    lists of (exponent, a / D) of each component sorted by exponent, the
+    a / D read as ints over the lcm of the denominators."""
+    den = lcm(*(p[2][1] for p in parts))
+    parts.sort(key=lambda p: (p[0], [
+        tuple(sorted((m, a * (den // p[2][1])) for m, a in comp))
+        for comp in p[1]]))
 
 
 SUBSET_BUDGET = 300
@@ -406,7 +424,7 @@ def find_saito_basis(gens, f, w=None):
     """Select a free basis among generators of Der(-log f), after checking
     that f is a reduced divisor equation."""
     _check_divisor(f)
-    return _select_saito_basis([(None, gens)], f, w)
+    return _select_saito_basis([(None, _packed_fields(gens, f.ring))], f, w)
 
 
 def saito_basis(f, w=None):
@@ -421,70 +439,68 @@ def _select_saito_basis(batches, f, w=None):
     """find_saito_basis for an already checked divisor, its generators
     given as batches (c, fields) like those of der_log_stream: every
     field after a batch has coefficients of degree >= c, or there is
-    none when c is None.
+    none when c is None. Only fields handed to _determinant_test are
+    unflattened.
 
     Weighted homogeneous f: generators are split into weight-homogeneous
     parts and greedily minimalized in ascending weight order (a graded
     minimal generating set). A part of weight tag t is scanned once no
     part of tag <= t is still to come: a coefficient of degree >= c gives
     tags >= min(w) * c - max(w). Each tag's parts are scanned in
-    _field_sort_key order, so the batches only decide how much of Der(-log
+    _sort_parts order, so the batches only decide how much of Der(-log
     f) is read, not what is kept. The scan stops once n kept parts pass
     the determinant test: by Saito's criterion they are a basis, so every
-    later part would reduce to zero, and the rest of the batches is not
-    read. Otherwise all generators are read and n-subsets are tried in
-    order of total degree, up to SUBSET_BUDGET of them.
+    later part would reduce to zero. Otherwise all generators are read
+    and n-subsets are tried in order of total degree, up to
+    SUBSET_BUDGET of them.
     """
     n = len(f.ring)
+    lay = _Packing(n)
     if w is None:
         w = detect_weight_system(f)
     if w is not None:
         lo, hi = min(w.weights), max(w.weights)
-        waiting = []  # (tag, part) pairs not scanned yet
+        waiting = []  # (tag, comps, part) of the parts not scanned yet
         kept = []
         gb = None  # Groebner basis of kept, recomputed after a keep
         for c, fields in batches:
-            for g in fields:
-                waiting.extend(g.weight_parts(w))
-            if c is None:
-                ready, waiting = waiting, []
-            else:
-                floor = lo * c - hi  # the least tag of a part still to come
-                ready = [p for p in waiting if p[0] < floor]
-                waiting = [p for p in waiting if p[0] >= floor]
-            ready.sort(key=lambda p: _field_sort_key(*p))
-            for _, delta in ready:
+            waiting += [p for v in fields for p in _weight_parts(v, w, lay)]
+            floor = inf if c is None else lo * c - hi  # the least tag to come
+            ready = [p for p in waiting if p[0] < floor]
+            waiting = [p for p in waiting if p[0] >= floor]
+            _sort_parts(ready)
+            for _, _, v in ready:
                 if kept:
                     if gb is None:
-                        gb = buchberger(_as_module_elements(kept))
-                    if gb.reduces_to_zero(list(delta.components)):
+                        gb = _buchberger(f.ring, n + 1, lay, kept)
+                    if not gb._remainder(v)[0]:
                         continue
-                kept.append(delta)
+                kept.append(v)
                 gb = None
                 if len(kept) == n:
-                    res = _determinant_test(kept, f)
+                    chosen = [_as_field(v, f.ring) for v in kept]
+                    res = _determinant_test(chosen, f)
                     if res:
-                        return SaitoBasis(kept, f, res.unit, res.table)
+                        return SaitoBasis(chosen, f, res.unit, res.table)
         if len(kept) != n:
-            raise NotFree(
-                f"graded minimal generating set has {len(kept)} elements, need {n}")
+            raise NotFree(f"graded minimal generating set has {len(kept)} elements, need {n}")
         raise NotFree(f"minimal generating set fails the determinant test: {res.reason}")
     # non-homogeneous fallback: degree-ordered subset search
-    gens = [g for _, fields in batches for g in fields if not g.is_zero()]
+    gens = [v for _, fields in batches for v in fields if v[0]]
+    field = functools.cache(lambda i: _as_field(gens[i], f.ring))
 
-    def total_deg(delta):
-        return sum(p.total_degree() or 0 for p in delta.components)
+    def total_deg(v):  # the sum of the degrees of the components
+        return sum(lay.degree(ts) for _, ts in
+                   itertools.groupby(sorted(v[0]), lambda t: t // lay.unit))
 
     order = sorted(range(len(gens)), key=lambda i: (total_deg(gens[i]), i))
-    tried = 0
-    for combo in itertools.combinations(order, n):
-        if tried >= SUBSET_BUDGET:
-            raise NotFree(f"no free basis found within {SUBSET_BUDGET} subsets")
-        tried += 1
-        fields = [gens[i] for i in combo]
+    for combo in itertools.islice(itertools.combinations(order, n), SUBSET_BUDGET):
+        fields = [field(i) for i in combo]
         res = _determinant_test(fields, f)
         if res:
             return SaitoBasis(fields, f, res.unit, res.table)
+    if comb(len(gens), n) > SUBSET_BUDGET:
+        raise NotFree(f"no free basis found within {SUBSET_BUDGET} subsets")
     raise NotFree("no n-subset of the generators satisfies the determinant test")
 
 

@@ -54,7 +54,7 @@ def m_lcm(a, b):
 
 
 def m_weighted_degree(a, weights):
-    return sum(e * w for e, w in zip(a, weights))
+    return sum([e * w for e, w in zip(a, weights)])
 
 
 def degrevlex_key(e):
@@ -325,7 +325,7 @@ _FIELD = 16  # bits per packed field, the top one a guard
 class _Packing:
     """The packed term layout for n variables; see the module docstring."""
 
-    __slots__ = ("n", "dshift", "unit", "top", "flip", "guards", "ones")
+    __slots__ = ("n", "dshift", "unit", "top", "flip", "guards", "ones", "shifts")
 
     def __init__(self, n):
         self.n = n
@@ -335,6 +335,7 @@ class _Packing:
         self.flip = self.top << self.dshift
         self.guards = sum(1 << (_FIELD * k + _FIELD - 1) for k in range(n + 1))
         self.ones = sum(1 << (_FIELD * k) for k in range(n))  # 1 per exponent
+        self.shifts = range(0, self.dshift, _FIELD)  # of the exponent fields
 
     def check(self, degree):
         if degree > self.top:
@@ -349,8 +350,8 @@ class _Packing:
         return t
 
     def unpack(self, t):
-        comp, t = divmod(t, self.unit)
-        return comp, tuple(t >> (_FIELD * k) & self.top for k in range(self.n))
+        top = self.top
+        return t // self.unit, tuple([t >> s & top for s in self.shifts])
 
     def divides(self, l, t):
         """True if lead l divides term t (the test _reduce_full and

@@ -6,8 +6,10 @@ import random
 from fractions import Fraction
 
 from logdiv import cohomology, linalg
-from logdiv.logder import (SaitoBasis, VectorField, _add_bracket,
-                           compute_der_log, find_saito_basis, verify_saito)
+from logdiv.groebner import buchberger
+from logdiv.logder import (SUBSET_BUDGET, SaitoBasis, VectorField,
+                           _add_bracket, compute_der_log, find_saito_basis,
+                           verify_saito)
 from logdiv.errors import current_budget
 from logdiv.poly import (Polynomial, PolyMatrix, WeightSystem, _divide,
                          _flatten, _Packing, _unflatten, degrevlex_key,
@@ -187,6 +189,68 @@ def random_poly(rng, ring, max_deg=3, n_terms=4, coeff_range=5):
         if c:
             terms[m] = terms.get(m, Fraction(0)) + c
     return Polynomial(ring, terms)
+
+
+def unpacked(stream, ring, rank):
+    """The (s, rows) batches of syzygy_stream or der_log_stream, each
+    packed row (layout _Packing(len(ring))) as a list of rank
+    Polynomials; a field of der_log_stream has rank len(ring) + 1 and a
+    zero component 0."""
+    lay = _Packing(len(ring))
+    for s, rows in stream:
+        yield s, [_unflatten(row, ring, rank, lay) for row in rows]
+
+
+# ---- the Saito basis search over VectorFields and Fraction polynomials --
+
+def field_sort_key(tag, delta):
+    """The scan order of a weight-homogeneous field of weight tag."""
+    return (tag, [tuple(sorted(p.terms.items())) for p in delta.components])
+
+
+def reference_weight_parts(delta, w):
+    """Decompose delta into weight-homogeneous fields: (tag, part) pairs,
+    ascending by tag."""
+    buckets = {}
+    for i, a in enumerate(delta.components):
+        for m, c in a.terms.items():
+            tag = sum(e * x for e, x in zip(m, w.weights)) - w.weights[i]
+            comp = buckets.setdefault(tag, [dict() for _ in delta.ring])
+            comp[i][m] = c
+    return [(tag, VectorField(delta.ring, [Polynomial(delta.ring, t, False)
+                                           for t in buckets[tag]]))
+            for tag in sorted(buckets)]
+
+
+def reference_saito_fields(f, w):
+    """The fields of the Saito basis that the search keeps among the
+    generators compute_der_log(f), selected over VectorFields. With a
+    weight system w: every weight part, in field_sort_key order, kept
+    unless it reduces to zero by buchberger of the parts kept before it,
+    until n kept parts pass verify_saito. Without one: the first n-subset
+    in order of total degree that passes it. None when nothing does."""
+    gens, n = compute_der_log(f), len(f.ring)
+    if w is None:
+        def total_deg(i):
+            return sum(p.total_degree() or 0 for p in gens[i].components)
+
+        order = sorted(range(len(gens)), key=lambda i: (total_deg(i), i))
+        subsets = itertools.combinations(order, n)
+        for combo in itertools.islice(subsets, SUBSET_BUDGET):
+            if verify_saito([gens[i] for i in combo], f):
+                return [gens[i] for i in combo]
+        return None
+    parts = sorted((p for delta in gens for p in reference_weight_parts(delta, w)),
+                   key=lambda p: field_sort_key(*p))
+    kept = []
+    for _, delta in parts:
+        if kept and buchberger([list(d.components) for d in kept]) \
+                .reduces_to_zero(list(delta.components)):
+            continue
+        kept.append(delta)
+        if len(kept) == n and verify_saito(kept, f):
+            return kept
+    return None
 
 
 def packed_det(rows):

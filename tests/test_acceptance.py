@@ -109,8 +109,7 @@ def coordinate_rows(polys):
     """Coefficient vectors of the given polynomials over their joint
     monomial support."""
     monos = sorted({m for p in polys for m in p.terms}, key=degrevlex_key)
-    rows = [[p.terms.get(m, Fraction(0)) for m in monos] for p in polys]
-    return rows, len(monos)
+    return [[p.terms.get(m, Fraction(0)) for m in monos] for p in polys]
 
 
 def s_poly(p, q):
@@ -212,10 +211,10 @@ def test_criterion_06():
     target = P("x4^4*x5", R5)
     nfs = [tj.normal_form(p) for p in rep.deformed_equations]
     nf_target = tj.normal_form(target)
-    rows, ncols = coordinate_rows(nfs + [nf_target])
-    base_rank = linalg.rank(rows[:-1], ncols) if nfs else 0
+    rows = coordinate_rows(nfs + [nf_target])
+    base_rank = linalg.rank(rows[:-1]) if nfs else 0
     nonzero = not nf_target.is_zero()
-    in_span = nonzero and linalg.rank(rows, ncols) == base_rank
+    in_span = nonzero and linalg.rank(rows) == base_rank
 
     zero_field = VectorField(R5, [Polynomial.zero(R5)] * 5)
     alpha = VectorField(R5, [P(t, R5) for t in

@@ -817,7 +817,7 @@ class TestBasisStageBudget:
         ids=["braid-A3", "coxeter-B3", "coxeter-D4"])
     def test_graded_arrangements_stop_early(self, name, steps, monkeypatch):
         from logdiv.errors import Budget
-        from logdiv.logder import _select_saito_basis, compute_der_log
+        from logdiv.logder import _select_saito_basis, der_log_stream
         from logdiv.poly import detect_weight_system, poly_to_text
         from test_groebner import coxeter_gens
 
@@ -826,9 +826,49 @@ class TestBasisStageBudget:
         failure, _, basis_steps = self.analyze(doc, monkeypatch)
         assert failure is None and basis_steps == [steps]
         with Budget(10**9) as full:
-            _select_saito_basis([(None, compute_der_log(f))], f,
-                                detect_weight_system(f))
+            fields = [v for _, batch in der_log_stream(f) for v in batch]
+            _select_saito_basis([(None, fields)], f, detect_weight_system(f))
         assert steps < full.steps - full.left
+
+    def test_only_the_tested_fields_become_polynomials(self, monkeypatch):
+        # coxeter-B4: the syzygy rows and the weight parts stay packed, so
+        # the basis stage unflattens the n fields handed to the
+        # determinant test and the unit it returns, and nothing else
+        from logdiv import cli, groebner, logder, poly
+
+        staged, unflattened, tested = [], [], []
+        unflatten, determinant_test = poly._unflatten, logder._determinant_test
+        select = cli._select_saito_basis
+
+        def counting_unflatten(*args):
+            if staged:
+                unflattened.append(args[2])  # the rank
+            return unflatten(*args)
+
+        def counting_test(fields, f):
+            res = determinant_test(fields, f)
+            tested.append((len(fields), bool(res)))
+            return res
+
+        def stage(*args):
+            staged.append(True)
+            try:
+                return select(*args)
+            finally:
+                staged.pop()
+
+        for mod in (poly, groebner, logder):
+            monkeypatch.setattr(mod, "_unflatten", counting_unflatten)
+        monkeypatch.setattr(logder, "_determinant_test", counting_test)
+        monkeypatch.setattr(cli, "_select_saito_basis", stage)
+        doc = {"label": "coxeter-B4", "variables": ["x1", "x2", "x3", "x4"],
+               "f": "x1*x2*x3*x4*" + "*".join(
+                   f"(x{i}^2-x{j}^2)" for i in range(1, 5)
+                   for j in range(i + 1, 5))}
+        report = cli.analyze_document(doc, ("classify",))
+        assert sorted(report["profile"]["field_weights"]) == [0, 2, 4, 6]
+        assert tested == [(4, True)]
+        assert sorted(unflattened) == [1, 5, 5, 5, 5]
 
     @pytest.mark.parametrize("name, steps", [
         ("discriminant-234", 425),  # weighted, but (f, grad f) not homogeneous

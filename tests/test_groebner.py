@@ -24,7 +24,7 @@ from logdiv.poly import (Polynomial, WeightSystem, degrevlex_key, m_div,
                          m_lcm, partial_derivative, poly_from_text,
                          poly_to_text)
 
-from conftest import from_sympy, random_poly, to_sympy
+from conftest import from_sympy, random_poly, to_sympy, unpacked
 
 R2 = ("x", "y")
 R3 = ("x", "y", "z")
@@ -964,6 +964,11 @@ STREAM_ROWS = {
 }
 
 
+def stream_rows(gens):
+    """syzygy_stream(gens), its rows as lists of Polynomials."""
+    return unpacked(syzygy_stream(gens), gens[0].ring, len(gens))
+
+
 def assert_syzygies(rows, gens):
     """Every row r satisfies sum_c r_c * g_c = 0."""
     for row in rows:
@@ -975,7 +980,7 @@ class TestSyzygyStream:
     @pytest.mark.parametrize("name", STREAM_INPUTS)
     def test_drained_it_has_the_rows_of_syzygies(self, name):
         gens = STREAM_INPUTS[name]()
-        streamed = [row for _, rows in syzygy_stream(gens) for row in rows]
+        streamed = [row for _, rows in stream_rows(gens) for row in rows]
         assert_syzygies(streamed, gens)
         texts = sorted(row_texts(streamed))
         if name == "braid-A3":
@@ -991,7 +996,7 @@ class TestSyzygyStream:
         # and only rows of larger degree after it
         gens = STREAM_INPUTS[name]()
         before = None
-        for s, rows in syzygy_stream(gens):
+        for s, rows in stream_rows(gens):
             degrees = [row_degree(row, gens) for row in rows]
             for degree in (d for d in degrees if d is not None):
                 assert before is None or degree > before
@@ -1000,7 +1005,7 @@ class TestSyzygyStream:
 
     def test_inhomogeneous_generators_give_one_batch_in_order(self):
         gens = [P("x^2 - y"), P("x*y - 1"), P("y^2 - x")]
-        batches = list(syzygy_stream(gens))
+        batches = list(stream_rows(gens))
         assert len(batches) == 1 and batches[0][0] is None
         assert_syzygies(batches[0][1], gens)
         assert row_texts(batches[0][1]) == [

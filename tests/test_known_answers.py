@@ -38,6 +38,11 @@
   Koszul free (Calderon-Moreno and Narvaez-Macarro, 2002); the four lines
   x^2 y^2 + x y^3 + x^3 y z + x^2 y^2 z are not. The Koszul step counts
   of D4 and B4 are pinned.
+- The Saito basis search: on every corpus entry without a supplied Saito
+  matrix and on braid A3, B3, D4 and B4, the search over packed fields,
+  from the stream and from the drained generators, keeps the fields of
+  the reference scan in conftest.py, which splits and orders VectorFields
+  by their Fraction terms.
 """
 
 import json
@@ -52,7 +57,7 @@ import pytest
 from ce_oracle import cohomology, ft1_equation_side
 from conftest import (corpus_member, corpus_names, reference_d0_rows,
                       reference_d1_rows, reference_representatives,
-                      transpose)
+                      reference_saito_fields, transpose)
 from logdiv import cohomology as slices
 from logdiv import groebner
 from logdiv.classify import (LieAlgebra, is_koszul, is_linear, is_reductive,
@@ -60,7 +65,7 @@ from logdiv.classify import (LieAlgebra, is_koszul, is_linear, is_reductive,
 from logdiv.cli import analyze_document
 from logdiv.cohomology import ft1, lft1, linear_basis
 from logdiv.errors import Budget, NotLinear, NotWeightedHomogeneous
-from logdiv.logder import saito_basis
+from logdiv.logder import compute_der_log, find_saito_basis, saito_basis
 from logdiv.poly import (Polynomial, detect_weight_system, poly_from_text,
                          poly_to_text)
 
@@ -448,3 +453,27 @@ def test_koszul_known_answers(name, koszul, steps):
         assert is_koszul(saito) is koszul
     if steps is not None:
         assert budget.steps - budget.left == steps
+
+
+def syzygy_route(name):
+    """True when the corpus entry supplies no Saito matrix, so that its
+    basis is searched among the syzygy fields."""
+    with open(os.path.join(CORPUS, f"{name}.json"), encoding="utf-8") as fh:
+        return "saito_matrix" not in json.load(fh)
+
+
+@pytest.mark.parametrize("name", [n for n in corpus_names() if syzygy_route(n)]
+                         + ["braid-A3", "coxeter-B3", "coxeter-D4",
+                            "coxeter-B4"])
+def test_saito_basis_search_keeps_the_reference_fields(name):
+    # the search splits and orders the weight parts on packed terms, their
+    # coefficients compared as ints; the reference scans VectorFields in
+    # the order of their Fraction terms
+    if name.startswith(("braid", "coxeter")):
+        f, w, _ = rigid_arrangement(name)
+    else:
+        f, w, _ = corpus_member(name)
+    reference = reference_saito_fields(f, w)
+    assert reference is not None
+    assert saito_basis(f, w).fields == reference
+    assert find_saito_basis(compute_der_log(f), f, w).fields == reference

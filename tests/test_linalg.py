@@ -72,7 +72,7 @@ class TestAgainstDenseGaussJordan:
         assert pivots == ref_pivots
         assert [as_dense(r, ncols) for r in ech] == ref_ech
         assert all(all(x != 0 for x in r.values()) for r in ech)
-        assert linalg.rank(given, ncols) == len(ref_ech)
+        assert linalg.rank(given) == len(ref_ech)
         cols = columns_of(given, ncols)
         assert scaled_kernel(linalg.kernel(cols, len(rows)), ncols) \
             == dense_nullspace(rows, ncols)
@@ -238,11 +238,11 @@ class TestRrefBudget:
         # the third by both, and the first is never cleared by the second
         rows = [[1, 2], [3, 4], [5, 6]]
         with Budget(steps=3) as budget:
-            assert linalg.rank(rows, 2) == 2
+            assert linalg.rank(rows) == 2
         assert budget.left == 0
         with pytest.raises(BudgetExceeded):
             with Budget(steps=2):
-                linalg.rank(rows, 2)
+                linalg.rank(rows)
 
 
 def fraction_residual(vec, rows, keys):

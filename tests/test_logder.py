@@ -13,8 +13,11 @@ from logdiv.errors import (Budget, BudgetExceeded, NonReduced, NotFree,
 from logdiv.groebner import buchberger
 from logdiv.logder import (
     VectorField,
-    _field_sort_key,
+    _as_field,
+    _packed_fields,
     _select_saito_basis,
+    _sort_parts,
+    _weight_parts,
     compute_der_log,
     der_log_stream,
     find_saito_basis,
@@ -26,13 +29,15 @@ from logdiv.logder import (
 from logdiv.poly import (
     Polynomial,
     WeightSystem,
+    _Packing,
     detect_weight_system,
     poly_from_text,
     poly_to_text,
 )
 
-from conftest import (apply_field, corpus_member, corpus_names, field_sum,
-                      random_poly, reference_bracket)
+from conftest import (apply_field, corpus_member, corpus_names,
+                      field_sort_key, field_sum, random_poly,
+                      reference_bracket, reference_weight_parts, unpacked)
 from test_groebner import coxeter_gens
 
 R2 = ("x", "y")
@@ -125,7 +130,16 @@ class TestLieBracket:
                                                      max_size=n)))
                 for _ in range(2))
         assert lie_bracket(a, b) == reference_bracket(a, b)
-        assert lie_bracket(a, a).is_zero()
+        assert not lie_bracket(a, a).terms()
+
+    def test_non_integral_coefficients_match_the_reference(self):
+        # nu is scaled to ints by the lcm of its denominators and delta by
+        # that of its own: 6 and 20 here, unequal and not coprime
+        a = field(R3, "1/2*x^2 - 2/3*y*z", "3*z", "-1/3*x*y")
+        b = field(R3, "5/4*y", "-1/5*x*z + 1/2", "7/10*z^2")
+        assert lie_bracket(a, b) == reference_bracket(a, b)
+        assert lie_bracket(b, a) == reference_bracket(b, a)
+        assert any(c.denominator > 1 for c in lie_bracket(a, b).terms().values())
 
     def test_bracket_is_charged_to_the_budget(self):
         # one step per pair of a term of nu and a term of delta: 2 * 3
@@ -274,6 +288,46 @@ def entries(basis):
             list(basis.unit.terms.items()))
 
 
+class TestPackedParts:
+    """The search splits packed fields into weight parts and orders them
+    without Fraction; the reference does both on VectorFields."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_part_order_is_the_fraction_key(self, data):
+        # few exponents and coefficients, so that parts tie on their
+        # exponents and differ in the sign or denominator of a coefficient;
+        # each field is packed over a random multiple of its denominator
+        n = data.draw(st.integers(1, 3))
+        ring = R5[:n]
+        lay = _Packing(n)
+        w = WeightSystem(tuple(data.draw(st.lists(st.integers(1, 2), min_size=n,
+                                                  max_size=n))), 1)
+        coeff = st.sampled_from([Fraction(c) for c in (1, -1, 2, -3)]
+                                + [Fraction(1, 2), Fraction(-1, 2),
+                                   Fraction(2, 3), Fraction(-3, 4)])
+        poly = st.dictionaries(st.tuples(*[st.integers(0, 1)] * n), coeff,
+                               max_size=3).map(lambda t: Polynomial(ring, t))
+        fields = data.draw(st.lists(st.lists(poly, min_size=n, max_size=n)
+                                    .map(lambda c: VectorField(ring, c)),
+                                    min_size=1, max_size=6))
+        parts = []
+        for delta in fields:
+            P, D = _packed_fields([delta], ring)[0]
+            k = data.draw(st.integers(1, 6))
+            split = _weight_parts(({t: k * a for t, a in P.items()}, k * D),
+                                  w, lay)
+            assert {tag: _as_field(v, ring) for tag, _, v in split} \
+                == dict(reference_weight_parts(delta, w))
+            parts += split
+        keys = [field_sort_key(tag, _as_field(v, ring))
+                for tag, _, v in parts]
+        expected = sorted(range(len(parts)), key=keys.__getitem__)
+        indexed = [(*p, i) for i, p in enumerate(parts)]
+        _sort_parts(indexed)
+        assert [p[3] for p in indexed] == expected
+
+
 class TestGradedStop:
     """saito_basis stops the syzygy run once the graded scan has its
     basis; the basis must be the one the full run gives."""
@@ -293,15 +347,15 @@ class TestGradedStop:
         full = compute_der_log(f)
         top = max(find_saito_basis(full, f, w).field_weights(w))
         read = []
-        for c, fields in der_log_stream(f):
-            read += fields
+        for c, rows in unpacked(der_log_stream(f), f.ring, len(f.ring) + 1):
+            read += [VectorField(f.ring, row[1:]) for row in rows]
             if c is not None and min(w.weights) * c - max(w.weights) > top:
                 break
         if name in ARRANGEMENTS:
             assert c is not None
 
         def upto_top(fields):
-            return sorted(_field_sort_key(d.weight(w), d) for d in fields
+            return sorted(field_sort_key(d.weight(w), d) for d in fields
                           if d.weight(w) <= top)
 
         assert upto_top(read) == upto_top(full)
@@ -311,11 +365,12 @@ class TestGradedStop:
         # the fields after it do: its tag 0 waits for them, and the scan
         # keeps the same basis as from one batch
         f, w = P("x*y"), WeightSystem((1, 1), 2)
-        euler, fx, fy = field(R2, "x", "y"), field(R2, "x", "0"), field(R2, "0", "y")
+        fields = field(R2, "x", "y"), field(R2, "x", "0"), field(R2, "0", "y")
+        euler, fx, fy = _packed_fields(fields, R2)
         batched = _select_saito_basis([(1, [euler]), (None, [fx, fy])], f, w)
         assert entries(batched) \
             == entries(_select_saito_basis([(None, [euler, fx, fy])], f, w))
-        assert batched.fields == [fy, fx]
+        assert batched.fields == [fields[2], fields[1]]
 
 
 def expand_in_basis(sc, saito, i, j):
@@ -442,8 +497,7 @@ def coefficient_rows(fields):
     terms that occur in any of the fields."""
     keys = sorted({(i, m) for d in fields for i, p in enumerate(d.components)
                    for m in p.terms})
-    rows = [[d.components[i].terms.get(m, 0) for i, m in keys] for d in fields]
-    return rows, len(keys)
+    return [[d.components[i].terms.get(m, 0) for i, m in keys] for d in fields]
 
 
 class TestAnnihilatorAndWeightZero:
@@ -453,8 +507,8 @@ class TestAnnihilatorAndWeightZero:
         assert all(apply_field(delta, f).is_zero() for delta in ann)
         sigma = field(R3, "4*x", "y", "-2*z")
         assert apply_field(sigma, f).is_zero()
-        rows, ncols = coefficient_rows(ann + [sigma])
-        assert linalg.rank(rows, ncols) == linalg.rank(rows[:-1], ncols) == len(ann)
+        rows = coefficient_rows(ann + [sigma])
+        assert linalg.rank(rows) == linalg.rank(rows[:-1]) == len(ann)
 
     def test_weight_zero_part_of_linear_divisor(self):
         f = poly_from_text("x*y*z", R3)

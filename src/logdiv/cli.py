@@ -22,7 +22,8 @@ basis field c (columns are fields).
 
 The human report goes to stdout; --json PATH writes the machine report
 (top-level "schema": 1). The "timings" block varies run to run and is
-excluded from corpus comparisons.
+excluded from corpus comparisons. h0 and the bounds are read from the
+report of ft1, so --lft1 alone leaves them "not computed".
 
 Exit codes: 0 success (stages skipped by flags read "not computed"),
 2 input or parse error (also a --timeout that is not a positive finite
@@ -36,12 +37,13 @@ errors.InternalInconsistency; the report names the stage).
 Each analysis, and each corpus-run entry, runs under one errors.Budget:
 --timeout SECONDS (a positive finite number) is its deadline, and the
 LOGDIV_BUDGET environment variable (a positive integer, default
-errors.DEFAULT_STEPS) its steps, which Groebner reductions, linear
-algebra, slice construction, the terms of the Lie brackets (structure
-constants and the slice complexes' d0 and d1) and the Saito matrix's
-determinant, adjugate, structure constants and deformed equations share.
-A corpus entry that runs out of budget is a mismatch, as is one whose
-stored report is missing or unreadable (not a readable JSON file).
+errors.DEFAULT_STEPS) its steps, which Groebner reductions (exact
+division by f among them), linear algebra, slice construction, the terms
+of the Lie brackets (structure constants and the slice complexes' d0 and
+d1) and the Saito matrix's determinant, adjugate, structure constants
+and deformed equations share. A corpus entry that runs out of budget is
+a mismatch, as is one whose stored report is missing or unreadable (not
+a readable JSON file).
 """
 
 import argparse
@@ -348,7 +350,7 @@ def analyze_document(doc, stages):
 
         report["lft1"] = run_stage("lft1", lft1_stage)
 
-    if "ft1" in stages or "lft1" in stages:
+    if "ft1" in stages:
         def h0_stage():
             if w is not None:
                 return deformation(saito, w).notes["h0"]

@@ -69,8 +69,8 @@ class Budget:
     weight search, one pair of terms multiplied in a polynomial power, a
     parsed product, a Lie bracket or the packed algebra of a polynomial
     matrix (determinant, adjugate, structure constants, deformed
-    equations), or one quotient term times one divisor term in an exact
-    division. Inside ``with budget:`` every charge made in
+    equations); an exact division is a Groebner reduction by the divisor,
+    one step per quotient term. Inside ``with budget:`` every charge made in
     this thread or task goes to ``budget``; see current_budget. The ``with``
     may nest, also on the same budget.
     """

@@ -45,7 +45,8 @@ the first lead that certifies its bound: a lead of an element of the
 ideal lies in the initial ideal, and the dimension is read off the
 supports of its generators. buchberger, syzygy_stream and
 dimension_at_most share one prologue, _prepare, which checks and packs
-the generators.
+the generators. Every polynomial reduction runs here: exact division
+(_divide) is _reduce_full by the divisor alone, its quotient tracked.
 """
 
 import heapq
@@ -164,6 +165,24 @@ def _reduce_full(v, basis, leads, sugars, sugar, budget, lay, track=False):
         if g != L:
             D, p, rem, *quots = _lowest_terms(D, p, rem, *quots)
     return (rem, D), (quots, D) if track else None, sugar
+
+
+def _divide(x, g, lay, budget):
+    """x / g for (P, D) elements of component 0, or None when g does not
+    divide x: x reduced by g alone, made monic, its quotient tracked. Each
+    step of the reduction makes one quotient term and is charged one step."""
+    if not x[0]:
+        return {}, 1
+    ld, b = _monic(g[0], lay)
+    (R, _), ([Q], D), _ = _reduce_full(x, [b], [ld], [lay.degree(b[0])],
+                                       lay.degree(x[0]), budget, lay, True)
+    if R:
+        return None
+    # x = Q * (B / L) / D and g = (G / Dg) = (G[ld] / L) * B / Dg
+    k = g[0][ld]
+    s = g[1] if k > 0 else -g[1]
+    D, Q = _lowest_terms(D * abs(k), {t: a * s for t, a in Q.items()})
+    return Q, D
 
 
 def _run_buchberger(gens, budget, track, lay):

@@ -34,13 +34,13 @@ from .errors import (
     current_budget,
 )
 # buchberger is bound here too: perfbench's tracer test reads logder.buchberger
-from .groebner import _buchberger, buchberger, dimension_at_most, syzygy_stream  # noqa: F401
+from .groebner import (_buchberger, _divide, buchberger,  # noqa: F401
+                       dimension_at_most, syzygy_stream)
 from .linalg import _ints
 from .poly import (
     Polynomial,
     PolyMatrix,
     WeightSystem,
-    _divide,
     _dot,
     _flatten,
     _Packing,

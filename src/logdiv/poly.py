@@ -12,9 +12,9 @@ The Groebner engine and the algebra of square polynomial matrices work on
 a packed form that follows Monagan and Pearce (CASC 2007); _flatten and
 _unflatten are the one boundary between it and Polynomial. PolyMatrix is
 the one API of that algebra: its determinant and adjugate entries are
-packed elements, which _dot combines and _divide divides exactly, and
-only a result is converted back, by PolyMatrix.polynomial. The packed
-form:
+packed elements, which _dot combines and groebner._divide (a reduction;
+this module reduces nothing) divides exactly, and only a result is
+converted back, by PolyMatrix.polynomial. The packed form:
 
 - A term (component, exponent) is packed into one int. Its fields, from
   high to low, are the component, the total degree, then x_n ... x_1; each
@@ -30,7 +30,6 @@ form:
 """
 
 from fractions import Fraction
-import heapq
 import itertools
 import math
 import re
@@ -354,8 +353,8 @@ class _Packing:
         return t // self.unit, tuple([t >> s & top for s in self.shifts])
 
     def divides(self, l, t):
-        """True if lead l divides term t (the test _reduce_full and
-        _divide inline)."""
+        """True if lead l divides term t (the test groebner's
+        reductions inline)."""
         d = t - l
         return 0 <= d < self.unit and not d & self.guards
 
@@ -429,52 +428,6 @@ def _dot(xs, ys, lay, budget):
     for (P, Dp), (Q, Dq) in pairs:
         _mul_add(acc, D // (Dp * Dq), P, Q, lay, budget)
     return {t: a for t, a in acc.items() if a}, D
-
-
-def _divide(x, g, lay, budget):
-    """x / g for (P, D) elements of component 0, or None when g does not
-    divide x.
-
-    The integer part G of g is made primitive first; by Gauss's lemma the
-    quotient of an integer polynomial by a primitive one has integer
-    coefficients whenever it exists, so a quotient coefficient that is
-    not an integer means g does not divide x. Johnson's heap division:
-    the terms of N - Q * G are formed largest first, each from the next
-    term of N and the products q * g' (g' a term of G below its lead) that
-    a heap holds, one per quotient term, so no remainder is ever copied.
-    Each quotient term is charged one step per term of G as it is made.
-    """
-    (N, Dn), (G, Dg) = x, g
-    c = math.gcd(*G.values())
-    flip, unit, guards = lay.flip, lay.unit, lay.guards
-    gs = sorted(((t, a // c) for t, a in G.items()), key=lambda ta: ta[0] ^ flip)
-    (lead, L), rest = gs[0], gs[1:]
-    ns = sorted((t ^ flip for t in N), reverse=True)  # popped largest term first
-    quot = []
-    heap = []  # (flipped term of quot[i] * rest[j], i, j)
-    while ns or heap:
-        key = heap[0][0] if heap and (not ns or heap[0][0] <= ns[-1]) else ns[-1]
-        a = 0
-        if ns and ns[-1] == key:
-            ns.pop()
-            a = N[key ^ flip]
-        while heap and heap[0][0] == key:
-            _, i, j = heapq.heappop(heap)
-            a -= quot[i][1] * rest[j][1]
-            if j + 1 < len(rest):
-                heapq.heappush(heap, ((quot[i][0] + rest[j + 1][0]) ^ flip, i, j + 1))
-        if not a:
-            continue
-        shift = (key ^ flip) - lead
-        if not (0 <= shift < unit and not shift & guards) or a % L:
-            return None
-        budget.spend(len(gs))
-        quot.append((shift, a // L))
-        if rest:
-            heapq.heappush(heap, ((shift + rest[0][0]) ^ flip, len(quot) - 1, 0))
-    # x / g = (N / Dn) / (c * G' / Dg) = quot * Dg / (Dn * c)
-    D, Q = _lowest_terms(Dn * c, {t: a * Dg for t, a in quot})
-    return Q, D
 
 
 class PolyMatrix:

@@ -6,13 +6,13 @@ import random
 from fractions import Fraction
 
 from logdiv import cohomology, linalg
-from logdiv.groebner import buchberger
+from logdiv.groebner import _divide, buchberger
 from logdiv.logder import (SUBSET_BUDGET, SaitoBasis, VectorField,
                            _add_bracket, compute_der_log, find_saito_basis,
                            verify_saito)
 from logdiv.errors import current_budget
-from logdiv.poly import (Polynomial, PolyMatrix, WeightSystem, _divide,
-                         _flatten, _Packing, _unflatten, degrevlex_key,
+from logdiv.poly import (Polynomial, PolyMatrix, WeightSystem, _flatten,
+                         _Packing, _unflatten, degrevlex_key,
                          detect_weight_system, m_mul, partial_derivative,
                          poly_from_text, weighted_degree)
 
@@ -251,6 +251,20 @@ def reference_saito_fields(f, w):
         if len(kept) == n and verify_saito(kept, f):
             return kept
     return None
+
+
+def coxeter_gens(name):
+    """(f, grad f) of braid A3 (in four variables), Coxeter D4 or B3."""
+    x4 = ("x1", "x2", "x3", "x4")
+    pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+    if name == "braid-A3":
+        ring, f = x4, "*".join(f"(x{i}-x{j})" for i, j in pairs)
+    elif name == "coxeter-D4":
+        ring, f = x4, "*".join(f"(x{i}^2-x{j}^2)" for i, j in pairs)
+    else:
+        ring, f = x4[:3], "x1*x2*x3*(x1^2-x2^2)*(x1^2-x3^2)*(x2^2-x3^2)"
+    f = poly_from_text(f, ring)
+    return [f] + [partial_derivative(f, i) for i in range(len(ring))]
 
 
 def packed_det(rows):

@@ -24,7 +24,8 @@ from logdiv.poly import (Polynomial, WeightSystem, degrevlex_key, m_div,
                          m_lcm, partial_derivative, poly_from_text,
                          poly_to_text)
 
-from conftest import from_sympy, random_poly, to_sympy, unpacked
+from conftest import (coxeter_gens, from_sympy, random_poly, to_sympy,
+                      unpacked)
 
 R2 = ("x", "y")
 R3 = ("x", "y", "z")
@@ -575,19 +576,6 @@ class TestPackedTerms:
             buchberger([[P("x"), P(f"y^{top}")], [P("y"), P("0")]])
         assert len(buchberger([[P("x"), P(f"y^{top - 1}")],
                                [P("y"), P("0")]])) == 3
-
-
-def coxeter_gens(name):
-    x4 = ("x1", "x2", "x3", "x4")
-    pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
-    if name == "braid-A3":
-        ring, f = x4, "*".join(f"(x{i}-x{j})" for i, j in pairs)
-    elif name == "coxeter-D4":
-        ring, f = x4, "*".join(f"(x{i}^2-x{j}^2)" for i, j in pairs)
-    else:
-        ring, f = x4[:3], "x1*x2*x3*(x1^2-x2^2)*(x1^2-x3^2)*(x2^2-x3^2)"
-    f = poly_from_text(f, ring)
-    return [f] + [partial_derivative(f, i) for i in range(len(ring))]
 
 
 class TestPinnedEngine:

@@ -43,6 +43,12 @@
   from the stream and from the drained generators, keeps the fields of
   the reference scan in conftest.py, which splits and orders VectorFields
   by their Fraction terms.
+- Exact division, the reduction of the dividend by the divisor alone: a
+  zero dividend, a divisor with a negative lead coefficient, a first
+  quotient coefficient that is no integer multiple of the divisor's
+  primitive lead and a nonzero remainder give their answers, and the
+  packed determinant of B4's Saito matrix divided by f is the unit of
+  its basis.
 """
 
 import json
@@ -55,8 +61,8 @@ from math import lcm
 import pytest
 
 from ce_oracle import cohomology, ft1_equation_side
-from conftest import (corpus_member, corpus_names, reference_d0_rows,
-                      reference_d1_rows, reference_representatives,
+from conftest import (corpus_member, corpus_names, packed_div,
+                      reference_d0_rows, reference_d1_rows, reference_representatives,
                       reference_saito_fields, transpose)
 from logdiv import cohomology as slices
 from logdiv import groebner
@@ -64,10 +70,11 @@ from logdiv.classify import (LieAlgebra, is_koszul, is_linear, is_reductive,
                              lie_algebra_matrices, principal_symbols)
 from logdiv.cli import analyze_document
 from logdiv.cohomology import ft1, lft1, linear_basis
-from logdiv.errors import Budget, NotLinear, NotWeightedHomogeneous
+from logdiv.errors import (Budget, NotLinear, NotWeightedHomogeneous,
+                           current_budget)
 from logdiv.logder import compute_der_log, find_saito_basis, saito_basis
-from logdiv.poly import (Polynomial, detect_weight_system, poly_from_text,
-                         poly_to_text)
+from logdiv.poly import (Polynomial, _flatten, detect_weight_system,
+                         poly_from_text, poly_to_text)
 
 
 def residual(v, echelon):
@@ -477,3 +484,27 @@ def test_saito_basis_search_keeps_the_reference_fields(name):
     assert reference is not None
     assert saito_basis(f, w).fields == reference
     assert find_saito_basis(compute_der_log(f), f, w).fields == reference
+
+
+@pytest.mark.parametrize("p, d, q", [
+    ("0", "x - y", "0"),
+    ("x^2 - y^2", "-2*x + 2*y", "-1/2*x - 1/2*y"),
+    ("1/3*x^3*y + 1/3*y^4", "-x - y", "-1/3*x^2*y + 1/3*x*y^2 - 1/3*y^3"),
+    # x^2 = (2x + 3)(x/2 - 3/4) + 9/4: the lead 2x does not divide x^2
+    # over the integers
+    ("x^2", "2*x + 3", None),
+    ("x^2 + 1", "x - y", None),
+], ids=["zero", "negative-lead", "negative-lead-fractions", "no-integer",
+        "remainder"])
+def test_exact_division_known_answers(p, d, q):
+    R2 = ("x", "y")
+    quotient = packed_div(poly_from_text(p, R2), poly_from_text(d, R2))
+    assert quotient == (None if q is None else poly_from_text(q, R2))
+
+
+def test_saito_determinant_over_f_is_the_unit():
+    f, _, saito = rigid_arrangement("coxeter-B4")
+    mat = saito.table()
+    u = groebner._divide(mat.det(), _flatten([f], mat.lay), mat.lay,
+                         current_budget())
+    assert not saito.unit.is_zero() and mat.polynomial(u) == saito.unit

@@ -35,10 +35,9 @@ from logdiv.poly import (
     poly_to_text,
 )
 
-from conftest import (apply_field, corpus_member, corpus_names,
+from conftest import (apply_field, corpus_member, corpus_names, coxeter_gens,
                       field_sort_key, field_sum, random_poly,
                       reference_bracket, reference_weight_parts, unpacked)
-from test_groebner import coxeter_gens
 
 R2 = ("x", "y")
 R3 = ("x", "y", "z")

@@ -170,24 +170,23 @@ def test_structure_constants_rebuild_every_bracket(name):
 def test_structure_constants_are_charged_to_the_budget():
     # with the adjugate built, the brackets [delta_i, delta_j], the
     # products adj * [delta_i, delta_j] and their exact divisions by u * f
-    # spend 220 steps on coxeter-B3
+    # spend 175 steps on coxeter-B3
     saito = saito_basis(_arrangement("coxeter-B3"))
     saito.table().adjugate()
     with pytest.raises(BudgetExceeded):
-        with Budget(steps=219):
+        with Budget(steps=174):
             structure_constants(saito)
-    with Budget(steps=220) as budget:
+    with Budget(steps=175) as budget:
         structure_constants(saito)
     assert budget.left == 0
 
 
 def test_exact_division_is_charged_to_the_budget():
-    # (x + y)(x - y) / (x - y): two quotient terms, each times the two
-    # terms of the divisor
+    # (x + y)(x - y) / (x - y): two quotient terms, one step each
     p, d = poly_from_text("x^2 - y^2", R2), poly_from_text("x - y", R2)
     with pytest.raises(BudgetExceeded):
-        with Budget(steps=3):
+        with Budget(steps=1):
             packed_div(p, d)
-    with Budget(steps=4) as budget:
+    with Budget(steps=2) as budget:
         assert packed_div(p, d) == poly_from_text("x + y", R2)
     assert budget.left == 0

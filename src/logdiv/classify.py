@@ -3,9 +3,9 @@
 Decides: linearity, Koszul freeness, reductivity of the Lie algebra g_D
 of weight-zero logarithmic fields, the trace test, and the two
 connection-existence conditions on structure constants, which both hold
-exactly when every structure constant is a rational number. Weighted
+exactly when every bracket of basis fields is in their Q-span. Weighted
 homogeneity is poly.detect_weight_system. Everything about g_D is read
-from one basis, SaitoBasis.linear_part().
+from the bracket coordinates of one basis, SaitoBasis.linear_part().
 """
 
 from fractions import Fraction
@@ -110,18 +110,19 @@ class LieAlgebra:
 
 def lie_algebra_matrices(saito):
     """The Lie algebra g_D of a linear free divisor: the weight-zero basis
-    fields, bracketed by their structure constants, which are rational
-    numbers because brackets of weight-zero fields have weight zero."""
+    fields, bracketed by their coordinates in the basis, which are
+    rational numbers because brackets of weight-zero fields have weight
+    zero."""
     linear = saito.linear_part()
     if linear is None:
         raise NotLinear("divisor is not a linear free divisor")
-    sc = linear.structure_constants()
-    table = {(i, j): [sc.value(p) for p in sc.b[i][j]]
-             for i in range(sc.n) for j in range(i + 1, sc.n)}
-    if any(None in col for col in table.values()):
+    n = len(linear)
+    table = {(i, j): linear.bracket_coordinates(i, j)
+             for i in range(n) for j in range(i + 1, n)}
+    if None in table.values():
         raise InternalInconsistency(
             "weight-zero fields have nonconstant structure constants")
-    return LieAlgebra(sc.n, table)
+    return LieAlgebra(n, table)
 
 
 def is_reductive(g):
@@ -222,7 +223,7 @@ def trace_test(f):
     return TraceTestResult(not witnesses, witnesses)
 
 
-def connection_conditions(saito, sc):
+def connection_conditions(saito):
     """Two exact identities on the structure constants, as a pair.
 
     With a[i][j] the d/dx_j coefficient of field i and b[i][j][k] / u the
@@ -233,8 +234,11 @@ def connection_conditions(saito, sc):
     They read A * d(b[i][j] / u) / d x_l = 0 and A^T * grad(b[i][j][r] / u)
     = 0 for the Saito matrix A, and det A = u * f is not zero (Saito's
     criterion, K. Saito 1980): each holds exactly when every b / u has
-    zero derivatives, i.e. is a rational number, so both are
-    sc.is_constant().
+    zero derivatives, i.e. is a rational number, so when every bracket
+    lies in the Q-span of the fields (SaitoBasis.bracket_coordinates).
+    The brackets are asked in turn, up to the first outside that span.
     """
-    c = sc.is_constant()
+    n = len(saito)
+    c = all(saito.bracket_coordinates(i, j) is not None
+            for i in range(n) for j in range(i + 1, n))
     return (c, c)

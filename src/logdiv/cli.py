@@ -321,8 +321,7 @@ def analyze_document(doc, stages):
             else:
                 result["reductive"] = None
                 result["trace_witness"] = None
-            c1, c2 = connection_conditions(saito,
-                                           saito.structure_constants())
+            c1, c2 = connection_conditions(saito)
             result["connection_conditions"] = [c1, c2]
             return result
 

@@ -36,7 +36,7 @@ from .errors import (
 # buchberger is bound here too: perfbench's tracer test reads logder.buchberger
 from .groebner import (_buchberger, _divide, buchberger,  # noqa: F401
                        dimension_at_most, syzygy_stream)
-from .linalg import _ints
+from .linalg import _ints, kernel
 from .poly import (
     Polynomial,
     PolyMatrix,
@@ -309,6 +309,28 @@ class SaitoBasis:
             self._table = PolyMatrix(self.matrix())
         return self._table
 
+    def bracket_coordinates(self, i, j):
+        """The rational numbers c with [delta_i, delta_j] = sum_k c[k]
+        delta_k, or None when the bracket is not in the Q-span of the
+        fields. The fields are independent over Q(x) (Saito's criterion),
+        so the coordinates of the bracket over Q(x) are unique: they are
+        c, or one of them is not a constant. Decided by one kernel of the
+        columns of the fields' terms and the bracket's: it is at most a
+        line, and meets the bracket's column exactly when the bracket is
+        in the span. Only c is kept, for classify and ft1 to share."""
+        key = ("bracket", i, j)
+        if key not in self._memo:
+            cols = [d.terms() for d in self.fields]
+            cols.append(lie_bracket(self.fields[i], self.fields[j]).terms())
+            rows = {t: r for r, t in enumerate(dict.fromkeys(
+                t for col in cols for t in col))}
+            n, c = len(self.fields), None
+            for _, v in kernel([{rows[t]: a for t, a in col.items()}
+                                for col in cols], len(rows)):
+                c = [Fraction(-v.get(k, 0), v[n]) for k in range(n)]
+            self._memo[key] = c
+        return self._memo[key]
+
     def structure_constants(self):
         """The StructureConstants of this basis."""
         if "sc" not in self._memo:
@@ -517,42 +539,25 @@ class StructureConstants:
         self.b = b
         self.denominator = denominator
 
-    def value(self, p):
-        """p / u when that quotient is a rational number, else None: p is
-        zero, or has u's support with every coefficient c times u's."""
-        u = self.denominator.terms
-        if not p.terms:
-            return Fraction(0)
-        if p.terms.keys() != u.keys():
-            return None
-        m, a = next(iter(u.items()))
-        c = p.terms[m] / a
-        return c if all(p.terms[t] == c * b for t, b in u.items()) else None
-
-    def is_constant(self):
-        """True when every coefficient b / u is a rational number."""
-        return all(self.value(p) is not None
-                   for row in self.b for col in row for p in col)
-
 
 def structure_constants(basis):
     """Expand the brackets of a verified basis in the basis itself.
 
-    By Cramer's rule, unit * divisor * v = sum_k (adj * v)_k delta_k for
-    any field v, with adj the adjugate of the Saito matrix. For a
-    logarithmic v, (adj * v)_k is the determinant of that matrix with
-    column k replaced by v, a multiple of divisor; a remainder would mean
-    the fields are not logarithmic and raises InternalInconsistency. The
-    unit need not divide it, as Saito's criterion certifies a basis at the
-    origin only, so the unit is the denominator; a constant unit is folded
-    into the numerators instead. The brackets are formed term by term
-    (lie_bracket), adj * v and its division in the packed form of the
-    basis's PolyMatrix, all charged to the active budget.
+    A constant unit is folded into the numerators, otherwise the unit is
+    the denominator u. A bracket in the Q-span of the fields has its
+    coordinates c there (SaitoBasis.bracket_coordinates): b = c * u. Any
+    other is expanded by Cramer's rule: unit * divisor * v = sum_k (adj *
+    v)_k delta_k for any field v, with adj the adjugate of the Saito
+    matrix, built only for such a bracket. For a logarithmic v, (adj *
+    v)_k is the determinant of that matrix with column k replaced by v, a
+    multiple of divisor; a remainder would mean the fields are not
+    logarithmic and raises InternalInconsistency. The unit need not
+    divide it, as Saito's criterion certifies a basis at the origin only.
+    The brackets are formed term by term (lie_bracket), adj * v and its
+    division in the packed form of the basis's PolyMatrix, all charged to
+    the active budget.
     """
     n = len(basis.ring)
-    table = basis.table()
-    adj, lay = table.adjugate(), table.lay
-    budget = current_budget()
     zero = Polynomial.zero(basis.ring)
     if basis.unit.is_constant():
         divisor = basis.unit * basis.divisor
@@ -560,19 +565,25 @@ def structure_constants(basis):
     else:
         divisor = basis.divisor
         denominator = basis.unit
+    table = basis.table()
+    lay, budget = table.lay, current_budget()
     divisor = _flatten([divisor], lay)
     b = [[[zero] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            br = lie_bracket(basis.fields[i], basis.fields[j])
-            br = [_flatten([p], lay) for p in br.components]
-            qs = []
-            for row in adj:
-                q = _divide(_dot(row, br, lay, budget), divisor, lay, budget)
-                if q is None:
-                    raise InternalInconsistency(
-                        "bracket has a nonzero remainder over the basis")
-                qs.append(table.polynomial(q))
+            c = basis.bracket_coordinates(i, j)
+            if c is not None:
+                qs = [denominator.scale(x) for x in c]
+            else:
+                br = lie_bracket(basis.fields[i], basis.fields[j])
+                br = [_flatten([p], lay) for p in br.components]
+                qs = []
+                for row in table.adjugate():
+                    q = _divide(_dot(row, br, lay, budget), divisor, lay, budget)
+                    if q is None:
+                        raise InternalInconsistency(
+                            "bracket has a nonzero remainder over the basis")
+                    qs.append(table.polynomial(q))
             b[i][j] = qs
             b[j][i] = [q.scale(-1) for q in qs]
     return StructureConstants(basis.ring, n, b, denominator)

@@ -209,15 +209,15 @@ class TestConnectionConditions:
     def test_connection_conditions_koszul_examples(self):
         # constant structure constants: both identities hold
         nc = saito_for("x*y*z", R3)
-        assert connection_conditions(nc, structure_constants(nc)) == (True, True)
+        assert connection_conditions(nc) == (True, True)
         curve = saito_for("x^3*y - x*y^3", R2)
-        assert connection_conditions(curve, structure_constants(curve)) == (True, True)
+        assert connection_conditions(curve) == (True, True)
         # the Koszul discriminant divisor fails both exact identities
         disc = saito_for(DISCRIMINANT, R3)
-        assert connection_conditions(disc, structure_constants(disc)) == (False, False)
+        assert connection_conditions(disc) == (False, False)
         # and so does the non-Koszul four-lines divisor
         fl = saito_for(FOUR_LINES, R3)
-        assert connection_conditions(fl, structure_constants(fl)) == (False, False)
+        assert connection_conditions(fl) == (False, False)
 
     def test_nonconstant_denominator_against_sympy(self):
         # the identities on the rational functions b / u, differentiated
@@ -242,7 +242,7 @@ class TestConnectionConditions:
                                for k in range(2))) for i, j, l, r in idx)
         second = all(vanish(sum(a[l][k] * sympy.diff(b[i][j][r], syms[k])
                                 for k in range(2))) for i, j, l, r in idx)
-        assert connection_conditions(saito, sc) == (first, second)
+        assert connection_conditions(saito) == (first, second)
 
     @pytest.mark.parametrize("name", corpus_names() + [
         "braid-A3", "coxeter-B3", "coxeter-D4", "coxeter-B4",
@@ -259,9 +259,8 @@ class TestConnectionConditions:
         else:
             f = _arrangement(name)
             saito = find_saito_basis(compute_der_log(f), f)
-        sc = structure_constants(saito)
-        assert connection_conditions(saito, sc) \
-            == reference_connection_conditions(saito, sc)
+        assert connection_conditions(saito) \
+            == reference_connection_conditions(saito, structure_constants(saito))
 
     def test_corrected_printed_matrix_for_four_lines(self):
         # with the x^2 entry, the displayed matrix has determinant -f;

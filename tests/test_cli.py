@@ -47,6 +47,15 @@ def write_coxeter_b5(path):
     return str(path)
 
 
+def coxeter_b4():
+    """The document of the Coxeter arrangement B4, field weights 0, 2, 4
+    and 6."""
+    pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+    return {"label": "coxeter-B4", "variables": ["x1", "x2", "x3", "x4"],
+            "f": "x1*x2*x3*x4*" + "*".join(f"(x{i}^2-x{j}^2)"
+                                            for i, j in pairs)}
+
+
 def _inconsistent(saito):
     """Stands in for a stage routine that hits a bug."""
     from logdiv.errors import InternalInconsistency
@@ -295,17 +304,17 @@ class TestAnalyzeErrors:
         assert res.returncode == 5
 
     def test_budget_is_one_per_analysis(self):
-        # the largest single call, the classify stage's structure
-        # constants, spends 187 steps, the whole default analysis 425: only
-        # a budget shared by the calls runs out
+        # the largest single call, the basis stage's syzygy run, spends
+        # 128 steps, the whole default analysis 265: only a budget shared
+        # by the calls runs out
         res = run_cli("analyze", os.path.join(CORPUS, "discriminant-234.json"),
-                      env_extra={"LOGDIV_BUDGET": "300"})
+                      env_extra={"LOGDIV_BUDGET": "250"})
         assert res.returncode == 5
-        assert "step budget of 300 exhausted" in res.stdout
+        assert "step budget of 250 exhausted" in res.stdout
 
     def test_structure_constants_are_charged_to_the_classify_stage(self):
-        # the default analysis spends 183 steps up to the basis and 187 on
-        # the structure constants of the classify stage's connection
+        # the default analysis spends 168 steps up to the basis and 42 on
+        # the brackets and kernels of the classify stage's connection
         # conditions, before the Koszul test
         res = run_cli("analyze", os.path.join(CORPUS, "discriminant-234.json"),
                       env_extra={"LOGDIV_BUDGET": "200"})
@@ -628,8 +637,9 @@ class TestDeformationComplexIsBuiltOnce:
 class TestArtefactsComputedOnce:
     def test_structure_constants_and_weight_zero_parts(self, monkeypatch):
         # the supplied basis is its own weight-zero part: g_D, the trace
-        # test and lft1 need no syzygies and no basis search, and the
-        # structure constants and deformed equations share one adjugate
+        # test and lft1 need no syzygies and no basis search; its brackets
+        # all lie in the Q-span of the basis, so the structure constants
+        # need no adjugate, and the deformed equations build it once
         from logdiv import cli, cohomology, groebner, logder, poly
 
         calls = []
@@ -701,11 +711,11 @@ class TestArtefactsComputedOnce:
         assert len(callers) == h1 + 1
 
     def test_saito_matrix_minors_are_formed_once(self, monkeypatch):
-        # coxeter-B4's default analysis builds one table of the Saito
-        # matrix's minors, in the basis stage's determinant test; the
-        # classify stage's adjugate reads the column-suffix minors the
-        # determinant expanded from it, no minor is formed twice, and the
-        # memo is emptied once the adjugate is built
+        # coxeter-B4's analysis with every stage builds one table of the
+        # Saito matrix's minors, in the basis stage's determinant test;
+        # ft1's adjugate reads the column-suffix minors the determinant
+        # expanded from it, no minor is formed twice, and the memo is
+        # emptied once the adjugate is built
         from logdiv import cli, logder, poly
 
         tables, formed, reused = [], [], []
@@ -723,18 +733,14 @@ class TestArtefactsComputedOnce:
                 (reused if seen else formed).append((stage[0], rows, cols))
             return minor(self, rows, cols, budget)
 
-        def classify_stage(basis):
-            stage[0] = "classify"
+        def ft1_stage(basis):
+            stage[0] = "ft1"
             return structure_constants(basis)
 
         monkeypatch.setattr(poly.PolyMatrix, "__init__", counting_init)
         monkeypatch.setattr(poly.PolyMatrix, "_minor", counting_minor)
-        monkeypatch.setattr(logder, "structure_constants", classify_stage)
-        pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
-        doc = {"label": "coxeter-B4", "variables": ["x1", "x2", "x3", "x4"],
-               "f": "x1*x2*x3*x4*" + "*".join(f"(x{i}^2-x{j}^2)"
-                                               for i, j in pairs)}
-        report = cli.analyze_document(doc, ("classify", "koszul"))
+        monkeypatch.setattr(logder, "structure_constants", ft1_stage)
+        report = cli.analyze_document(coxeter_b4(), cli.ALL_STAGES)
         assert report["profile"]["field_weights"] == [0, 2, 4, 6]
         assert len(tables) == 1 and tables[0]._memo == {}
         keys = [(rows, cols) for _, rows, cols in formed]
@@ -743,8 +749,42 @@ class TestArtefactsComputedOnce:
         assert all(cols == tuple(range(4 - len(cols), 4))
                    for _, cols in suffixes)
         assert {(rows, cols) for s, rows, cols in reused
-                if s == "classify"} & suffixes
-        assert any(s == "classify" for s, _, _ in formed)
+                if s == "ft1"} & suffixes
+        assert any(s == "ft1" for s, _, _ in formed)
+
+    def test_default_analysis_builds_no_adjugate(self, monkeypatch):
+        # coxeter-B4's connection conditions stop at the first bracket
+        # outside the Q-span of its basis, found by a kernel: no adjugate
+        # is built, and no exact division runs after the basis stage
+        from logdiv import cli, groebner, logder, poly
+
+        calls = []
+        basis_done = []
+        select = cli._select_saito_basis
+        adjugate, divide = poly.PolyMatrix.adjugate, groebner._divide
+
+        def counting_select(*args):
+            try:
+                return select(*args)
+            finally:
+                basis_done.append(True)
+
+        def counting_adjugate(self):
+            calls.append("adjugate")
+            return adjugate(self)
+
+        def counting_divide(*args):
+            if basis_done:
+                calls.append("_divide")
+            return divide(*args)
+
+        monkeypatch.setattr(cli, "_select_saito_basis", counting_select)
+        monkeypatch.setattr(poly.PolyMatrix, "adjugate", counting_adjugate)
+        monkeypatch.setattr(groebner, "_divide", counting_divide)
+        monkeypatch.setattr(logder, "_divide", counting_divide)
+        report = cli.analyze_document(coxeter_b4(), ("classify", "koszul"))
+        assert report["profile"]["connection_conditions"] == [False, False]
+        assert basis_done and calls == []
 
     def test_one_groebner_basis_per_analysis(self, monkeypatch):
         # ft1, lft1, h0 and the bounds read one linear-algebra class
@@ -874,19 +914,15 @@ class TestBasisStageBudget:
             monkeypatch.setattr(mod, "_unflatten", counting_unflatten)
         monkeypatch.setattr(logder, "_determinant_test", counting_test)
         monkeypatch.setattr(cli, "_select_saito_basis", stage)
-        doc = {"label": "coxeter-B4", "variables": ["x1", "x2", "x3", "x4"],
-               "f": "x1*x2*x3*x4*" + "*".join(
-                   f"(x{i}^2-x{j}^2)" for i in range(1, 5)
-                   for j in range(i + 1, 5))}
-        report = cli.analyze_document(doc, ("classify",))
+        report = cli.analyze_document(coxeter_b4(), ("classify",))
         assert sorted(report["profile"]["field_weights"]) == [0, 2, 4, 6]
         assert tested == [(4, True)]
         assert sorted(unflattened) == [1, 5, 5, 5, 5]
 
     @pytest.mark.parametrize("name, steps", [
-        ("discriminant-234", 390),  # weighted, but (f, grad f) not homogeneous
-        ("curve-x5y4", 45),
-        ("four-lines-nonkoszul", 469)],  # not weighted homogeneous
+        ("discriminant-234", 265),  # weighted, but (f, grad f) not homogeneous
+        ("curve-x5y4", 41),
+        ("four-lines-nonkoszul", 437)],  # not weighted homogeneous
         ids=["discriminant-234", "curve-x5y4", "four-lines-nonkoszul"])
     def test_inhomogeneous_generators_spend_the_whole_run(self, name, steps,
                                                           monkeypatch):

@@ -49,6 +49,14 @@
   primitive lead and a nonzero remainder give their answers, and the
   packed determinant of B4's Saito matrix divided by f is the unit of
   its basis.
+- Structure constants: a bracket in the Q-span of the fields takes its
+  coordinates there, any other goes through Cramer's rule. Both equal
+  the reference in conftest.py, which expands every bracket by Cramer's
+  rule, on the corpus bases, braid A3, B3, D4 and B4 and the curve
+  x^3 + y^2 + x^2 y^2, whose basis has a nonconstant unit, and on a basis
+  of f = x whose unit (1 + y)^2 multiplies a bracket in the span; the
+  connection conditions hold exactly when the reference's b / u are all
+  rational.
 """
 
 import json
@@ -63,16 +71,20 @@ import pytest
 from ce_oracle import cohomology, ft1_equation_side
 from conftest import (corpus_member, corpus_names, packed_div,
                       reference_d0_rows, reference_d1_rows, reference_representatives,
-                      reference_saito_fields, transpose)
+                      reference_saito_fields, reference_structure_constants,
+                      transpose)
 from logdiv import cohomology as slices
 from logdiv import groebner
-from logdiv.classify import (LieAlgebra, is_koszul, is_linear, is_reductive,
-                             lie_algebra_matrices, principal_symbols)
+from logdiv.classify import (LieAlgebra, connection_conditions, is_koszul,
+                             is_linear, is_reductive, lie_algebra_matrices,
+                             principal_symbols)
 from logdiv.cli import analyze_document
 from logdiv.cohomology import ft1, lft1, linear_basis
 from logdiv.errors import (Budget, NotLinear, NotWeightedHomogeneous,
                            current_budget)
-from logdiv.logder import compute_der_log, find_saito_basis, saito_basis
+from logdiv.logder import (SaitoBasis, VectorField, compute_der_log,
+                           find_saito_basis, saito_basis, structure_constants,
+                           verify_saito)
 from logdiv.poly import (Polynomial, _flatten, detect_weight_system,
                          poly_from_text, poly_to_text)
 
@@ -484,6 +496,47 @@ def test_saito_basis_search_keeps_the_reference_fields(name):
     assert reference is not None
     assert saito_basis(f, w).fields == reference
     assert find_saito_basis(compute_der_log(f), f, w).fields == reference
+
+
+@pytest.mark.parametrize("name", corpus_names() + [
+    "braid-A3", "coxeter-B3", "coxeter-D4", "coxeter-B4", "x^3 + y^2 + x^2*y^2"])
+def test_structure_constants_match_cramers_rule(name):
+    # a bracket in the Q-span of the fields takes its coordinates there,
+    # any other is expanded by Cramer's rule; the reference expands every
+    # bracket by Cramer's rule, and the connection conditions hold exactly
+    # when its b / u are all rational numbers
+    if name.startswith("x"):
+        f = poly_from_text(name, ("x", "y"))
+        saito = find_saito_basis(compute_der_log(f), f)
+        assert not saito.unit.is_constant()
+    elif name in corpus_names():
+        saito = corpus_member(name)[2]
+    else:
+        saito = rigid_arrangement(name)[2]
+    reference = reference_structure_constants(saito)
+    sc = structure_constants(saito)
+    assert sc.denominator == reference.denominator
+    assert sc.b == reference.b
+    assert connection_conditions(saito) == (reference.is_constant(),) * 2
+
+
+def test_bracket_in_the_span_over_a_nonconstant_unit():
+    # f = x with d1 = x d/dx + (1 + y) d/dy and d2 = (1 + y)^2 d/dy, of
+    # determinant (1 + y)^2 * x: [d1, d2] = d2 lies in the Q-span of the
+    # basis, so its structure constants are its coordinates times u
+    ring = ("x", "y")
+    fields = [VectorField(ring, [poly_from_text(a, ring) for a in comps])
+              for comps in (("x", "1 + y"), ("0", "(1 + y)^2"))]
+    f = poly_from_text("x", ring)
+    saito = SaitoBasis(fields, f, verify_saito(fields, f).unit)
+    u = poly_from_text("(1 + y)^2", ring)
+    assert saito.unit == u and saito.bracket_coordinates(0, 1) == [0, 1]
+    reference = reference_structure_constants(saito)
+    sc = structure_constants(saito)
+    assert sc.denominator == reference.denominator == u
+    assert sc.b == reference.b and sc.b[0][1] == [Polynomial.zero(ring), u]
+    assert connection_conditions(saito) == (reference.is_constant(),) * 2 \
+        == (True, True)
 
 
 @pytest.mark.parametrize("p, d, q", [

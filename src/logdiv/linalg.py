@@ -127,6 +127,15 @@ def rank(rows):
     return len(_span(rows).rows)
 
 
+def _eliminate(col, tag, span):
+    """kernel's step: den * col, with den at the key tag after every row
+    key, reduced against the (pivot, row) pairs of span."""
+    v, den = _ints(col)
+    v[tag] = den
+    _reduce(v, span)
+    return v
+
+
 def kernel(cols, nrows):
     """Basis of the right kernel of the matrix with the given columns,
     over the row keys 0..nrows-1, as (c, v) for each free column c in
@@ -143,9 +152,7 @@ def kernel(cols, nrows):
     span = []
     out = []
     for c, col in enumerate(cols):
-        v, den = _ints(col)
-        v[nrows + c] = den
-        _reduce(v, span)
+        v = _eliminate(col, nrows + c, span)
         pivot = min(v)
         if pivot < nrows:
             span.append((pivot, v))

@@ -36,7 +36,7 @@ from .errors import (
 # buchberger is bound here too: perfbench's tracer test reads logder.buchberger
 from .groebner import (_buchberger, _divide, buchberger,  # noqa: F401
                        dimension_at_most, syzygy_stream)
-from .linalg import _ints, kernel
+from .linalg import _eliminate, _ints
 from .poly import (
     Polynomial,
     PolyMatrix,
@@ -309,25 +309,43 @@ class SaitoBasis:
             self._table = PolyMatrix(self.matrix())
         return self._table
 
+    def _field_columns(self):
+        """The row of each term of the fields, and kernel's elimination of
+        the fields' columns over those rows, column k tagged at row count
+        + k: a (pivot, row) pair for each, the fields being independent."""
+        if "columns" not in self._memo:
+            cols = [d.terms() for d in self.fields]
+            rows = {t: r for r, t in enumerate(dict.fromkeys(
+                t for col in cols for t in col))}
+            span = []
+            for k, col in enumerate(cols):
+                v = _eliminate({rows[t]: a for t, a in col.items()},
+                               len(rows) + k, span)
+                span.append((min(v), v))
+            self._memo["columns"] = rows, span
+        return self._memo["columns"]
+
     def bracket_coordinates(self, i, j):
         """The rational numbers c with [delta_i, delta_j] = sum_k c[k]
         delta_k, or None when the bracket is not in the Q-span of the
         fields. The fields are independent over Q(x) (Saito's criterion),
         so the coordinates of the bracket over Q(x) are unique: they are
-        c, or one of them is not a constant. Decided by one kernel of the
-        columns of the fields' terms and the bracket's: it is at most a
-        line, and meets the bracket's column exactly when the bracket is
-        in the span. Only c is kept, for classify and ft1 to share."""
+        c, or one of them is not a constant. A bracket with a term no
+        field has is outside the span; any other column is reduced, as
+        kernel does, against the fields' columns, eliminated once per
+        basis, and is in the span exactly when its row part clears. Only
+        c is kept, for the connection conditions and g_D to share."""
         key = ("bracket", i, j)
         if key not in self._memo:
-            cols = [d.terms() for d in self.fields]
-            cols.append(lie_bracket(self.fields[i], self.fields[j]).terms())
-            rows = {t: r for r, t in enumerate(dict.fromkeys(
-                t for col in cols for t in col))}
-            n, c = len(self.fields), None
-            for _, v in kernel([{rows[t]: a for t, a in col.items()}
-                                for col in cols], len(rows)):
-                c = [Fraction(-v.get(k, 0), v[n]) for k in range(n)]
+            rows, span = self._field_columns()
+            m, n, c = len(rows), len(self.fields), None
+            br = lie_bracket(self.fields[i], self.fields[j]).terms()
+            if br.keys() <= rows.keys():
+                v = _eliminate({rows[t]: a for t, a in br.items()}, m + n,
+                               span)
+                if min(v) >= m:
+                    c = [Fraction(-v.get(m + k, 0), v[m + n])
+                         for k in range(n)]
             self._memo[key] = c
         return self._memo[key]
 
@@ -543,21 +561,21 @@ class StructureConstants:
 def structure_constants(basis):
     """Expand the brackets of a verified basis in the basis itself.
 
-    A constant unit is folded into the numerators, otherwise the unit is
-    the denominator u. A bracket in the Q-span of the fields has its
-    coordinates c there (SaitoBasis.bracket_coordinates): b = c * u. Any
-    other is expanded by Cramer's rule: unit * divisor * v = sum_k (adj *
-    v)_k delta_k for any field v, with adj the adjugate of the Saito
-    matrix, built only for such a bracket. For a logarithmic v, (adj *
-    v)_k is the determinant of that matrix with column k replaced by v, a
-    multiple of divisor; a remainder would mean the fields are not
-    logarithmic and raises InternalInconsistency. The unit need not
-    divide it, as Saito's criterion certifies a basis at the origin only.
-    The brackets are formed term by term (lie_bracket), adj * v and its
-    division in the packed form of the basis's PolyMatrix, all charged to
-    the active budget.
+    By Cramer's rule, unit * divisor * v = sum_k (adj * v)_k delta_k for
+    any field v, with adj the adjugate of the Saito matrix. For a
+    logarithmic v, (adj * v)_k is the determinant of that matrix with
+    column k replaced by v, a multiple of divisor; a remainder would mean
+    the fields are not logarithmic and raises InternalInconsistency. The
+    unit need not divide it, as Saito's criterion certifies a basis at the
+    origin only, so the unit is the denominator; a constant unit is folded
+    into the numerators instead. The brackets are formed term by term
+    (lie_bracket), adj * v and its division in the packed form of the
+    basis's PolyMatrix, all charged to the active budget.
     """
     n = len(basis.ring)
+    table = basis.table()
+    adj, lay = table.adjugate(), table.lay
+    budget = current_budget()
     zero = Polynomial.zero(basis.ring)
     if basis.unit.is_constant():
         divisor = basis.unit * basis.divisor
@@ -565,25 +583,19 @@ def structure_constants(basis):
     else:
         divisor = basis.divisor
         denominator = basis.unit
-    table = basis.table()
-    lay, budget = table.lay, current_budget()
     divisor = _flatten([divisor], lay)
     b = [[[zero] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            c = basis.bracket_coordinates(i, j)
-            if c is not None:
-                qs = [denominator.scale(x) for x in c]
-            else:
-                br = lie_bracket(basis.fields[i], basis.fields[j])
-                br = [_flatten([p], lay) for p in br.components]
-                qs = []
-                for row in table.adjugate():
-                    q = _divide(_dot(row, br, lay, budget), divisor, lay, budget)
-                    if q is None:
-                        raise InternalInconsistency(
-                            "bracket has a nonzero remainder over the basis")
-                    qs.append(table.polynomial(q))
+            br = lie_bracket(basis.fields[i], basis.fields[j])
+            br = [_flatten([p], lay) for p in br.components]
+            qs = []
+            for row in adj:
+                q = _divide(_dot(row, br, lay, budget), divisor, lay, budget)
+                if q is None:
+                    raise InternalInconsistency(
+                        "bracket has a nonzero remainder over the basis")
+                qs.append(table.polynomial(q))
             b[i][j] = qs
             b[j][i] = [q.scale(-1) for q in qs]
     return StructureConstants(basis.ring, n, b, denominator)

@@ -9,9 +9,9 @@ from logdiv import cohomology, linalg
 from logdiv.groebner import _divide, buchberger
 from logdiv.logder import (SUBSET_BUDGET, SaitoBasis, StructureConstants,
                            VectorField, _add_bracket, compute_der_log,
-                           find_saito_basis, lie_bracket, verify_saito)
+                           find_saito_basis, verify_saito)
 from logdiv.errors import current_budget
-from logdiv.poly import (Polynomial, PolyMatrix, WeightSystem, _dot, _flatten,
+from logdiv.poly import (Polynomial, PolyMatrix, WeightSystem, _flatten,
                          _Packing, _unflatten, degrevlex_key,
                          detect_weight_system, m_mul, partial_derivative,
                          poly_from_text, weighted_degree)
@@ -360,38 +360,6 @@ class ReferenceConstants(StructureConstants):
         """True when every coefficient b / u is a rational number."""
         return all(self.value(p) is not None
                    for row in self.b for col in row for p in col)
-
-
-def reference_structure_constants(basis):
-    """The structure constants of a verified basis by Cramer's rule alone,
-    on a PolyMatrix of its own: unit * divisor * v = sum_k (adj * v)_k
-    delta_k for every bracket v, the unit folded into the divisor when it
-    is constant and the denominator otherwise."""
-    n = len(basis.ring)
-    table = PolyMatrix(basis.matrix())
-    adj, lay = table.adjugate(), table.lay
-    budget = current_budget()
-    zero = Polynomial.zero(basis.ring)
-    if basis.unit.is_constant():
-        divisor = basis.unit * basis.divisor
-        denominator = Polynomial.one(basis.ring)
-    else:
-        divisor = basis.divisor
-        denominator = basis.unit
-    divisor = _flatten([divisor], lay)
-    b = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = lie_bracket(basis.fields[i], basis.fields[j])
-            br = [_flatten([p], lay) for p in br.components]
-            qs = []
-            for row in adj:
-                q = _divide(_dot(row, br, lay, budget), divisor, lay, budget)
-                assert q is not None, "bracket has a remainder over the basis"
-                qs.append(table.polynomial(q))
-            b[i][j] = qs
-            b[j][i] = [q.scale(-1) for q in qs]
-    return ReferenceConstants(basis.ring, n, b, denominator)
 
 
 def reference_connection_conditions(saito, sc):

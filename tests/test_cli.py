@@ -637,9 +637,8 @@ class TestDeformationComplexIsBuiltOnce:
 class TestArtefactsComputedOnce:
     def test_structure_constants_and_weight_zero_parts(self, monkeypatch):
         # the supplied basis is its own weight-zero part: g_D, the trace
-        # test and lft1 need no syzygies and no basis search; its brackets
-        # all lie in the Q-span of the basis, so the structure constants
-        # need no adjugate, and the deformed equations build it once
+        # test and lft1 need no syzygies and no basis search, and the
+        # structure constants and deformed equations share one adjugate
         from logdiv import cli, cohomology, groebner, logder, poly
 
         calls = []
@@ -922,7 +921,7 @@ class TestBasisStageBudget:
     @pytest.mark.parametrize("name, steps", [
         ("discriminant-234", 265),  # weighted, but (f, grad f) not homogeneous
         ("curve-x5y4", 41),
-        ("four-lines-nonkoszul", 437)],  # not weighted homogeneous
+        ("four-lines-nonkoszul", 435)],  # not weighted homogeneous
         ids=["discriminant-234", "curve-x5y4", "four-lines-nonkoszul"])
     def test_inhomogeneous_generators_spend_the_whole_run(self, name, steps,
                                                           monkeypatch):

@@ -390,6 +390,25 @@ class TestStructureConstants:
         assert saito.bracket_coordinates(0, 1) == [0, 0]
         assert all(p.is_zero() for row in sc.b for col in row for p in col)
 
+    def test_fields_are_eliminated_once_per_basis(self, monkeypatch):
+        # the ten brackets of linear-nonreductive-5, all in the Q-span of
+        # its basis, reduce one column each after the five fields' columns
+        from logdiv import logder
+
+        tags = []
+        eliminate = logder._eliminate
+
+        def counting(col, tag, span):
+            tags.append(tag)
+            return eliminate(col, tag, span)
+
+        monkeypatch.setattr(logder, "_eliminate", counting)
+        saito = corpus_member("linear-nonreductive-5")[2]
+        assert all(saito.bracket_coordinates(i, j) is not None
+                   for i in range(5) for j in range(i + 1, 5))
+        m = tags[0]
+        assert tags == [m, m + 1, m + 2, m + 3, m + 4] + [m + 5] * 10
+
     def test_reconstruction_matches_bracket(self):
         f = P("x^3*y - x*y^3")
         saito = find_saito_basis(compute_der_log(f), f)

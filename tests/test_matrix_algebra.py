@@ -169,18 +169,15 @@ def test_structure_constants_rebuild_every_bracket(name):
 
 def test_structure_constants_are_charged_to_the_budget():
     # with the adjugate built, the brackets [delta_i, delta_j], the
-    # kernels that find two of the three in the Q-span of the fields, and
-    # for the third the product adj * [delta_i, delta_j] and its exact
-    # division by u * f spend 147 steps on coxeter-B3; each call gets a
-    # basis of its own, as the basis keeps the coordinates it finds
-    bases = [saito_basis(_arrangement("coxeter-B3")) for _ in range(2)]
-    for saito in bases:
-        saito.table().adjugate()
+    # products adj * [delta_i, delta_j] and their exact divisions by u * f
+    # spend 175 steps on coxeter-B3
+    saito = saito_basis(_arrangement("coxeter-B3"))
+    saito.table().adjugate()
     with pytest.raises(BudgetExceeded):
-        with Budget(steps=146):
-            structure_constants(bases[0])
-    with Budget(steps=147) as budget:
-        structure_constants(bases[1])
+        with Budget(steps=174):
+            structure_constants(saito)
+    with Budget(steps=175) as budget:
+        structure_constants(saito)
     assert budget.left == 0
 
 

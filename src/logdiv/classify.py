@@ -9,7 +9,6 @@ from the bracket coordinates of one basis, SaitoBasis.linear_part().
 """
 
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .errors import InternalInconsistency, NotLinear
@@ -65,9 +64,10 @@ class LieAlgebra:
     def __init__(self, dim, bracket_table):
         self.dim = dim
         self.bracket_table = bracket_table
-        den = lcm(*(x.denominator for v in bracket_table.values() for x in v))
-        self._table = {k: [x.numerator * (den // x.denominator) for x in v]
-                       for k, v in bracket_table.items()}
+        v = linalg._ints(((k, t), x) for k, row in bracket_table.items()
+                         for t, x in enumerate(row))[0]
+        self._table = {k: [v.get((k, t), 0) for t in range(dim)]
+                       for k in bracket_table}
 
     def _columns(self, i):
         """D times the coordinates of [e_i, e_j], for each j."""

@@ -291,8 +291,8 @@ def analyze_document(doc, stages):
     }
     report["profile"] = profile
 
-    # ft1, lft1, h0 and the bounds share one deformation report, with its
-    # slice complex and class space, per (graded basis, grading)
+    # ft1 (with h0 and the bounds) and lft1 share one deformation report,
+    # with its slice complex and class space, per (graded basis, grading)
     deformations = {}
 
     def deformation(basis, grading):
@@ -335,7 +335,10 @@ def analyze_document(doc, stages):
         def ft1_stage():
             if w is None:
                 return {"status": "refused: not weighted homogeneous"}
-            return _computed(deformation(saito, w))
+            rep = deformation(saito, w)
+            report["h0"] = rep.notes["h0"]
+            report["bounds"] = {"jacobian_degree_bound": rep.jacobian_degree_bound}
+            return _computed(rep)
 
         report["ft1"] = run_stage("ft1", ft1_stage)
 
@@ -348,22 +351,6 @@ def analyze_document(doc, stages):
             return _computed(deformation(basis, grading))
 
         report["lft1"] = run_stage("lft1", lft1_stage)
-
-    if "ft1" in stages:
-        def h0_stage():
-            if w is not None:
-                return deformation(saito, w).notes["h0"]
-            return "not computed"
-
-        report["h0"] = run_stage("h0", h0_stage)
-
-        def bounds_stage():
-            if w is not None:
-                bound = deformation(saito, w).jacobian_degree_bound
-                return {"jacobian_degree_bound": bound}
-            return "not computed"
-
-        report["bounds"] = run_stage("bounds", bounds_stage)
 
     return report
 

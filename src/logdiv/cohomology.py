@@ -114,7 +114,9 @@ class QuotientSlice:
     monomial x^e in component c has weight wt(e) - shifts[c]. Vector fields
     are the module with shifts w_1..w_n, Q[x] the one with shift 0.
     The relation matrix is charged to the budget, one step per term, a
-    term of a generator times a multiplier, before it is built.
+    term of a generator times a multiplier, before it is built. Classes
+    are den times their coordinates, read off linalg.rref's primitive int
+    rows: den is the lcm of their pivot entries.
     """
 
     __slots__ = ("ring", "weight", "ambient", "basis", "den", "_image")
@@ -131,12 +133,11 @@ class QuotientSlice:
                                    for gen, ms in multipliers))
         relations = []
         for gen, ms in multipliers:
-            lcd = lcm(*(a.denominator for p in gen for a in p.terms.values()))
-            gen = [(c, mm, a.numerator * (lcd // a.denominator))
-                   for c, p in enumerate(gen) for mm, a in p.terms.items()]
+            gen = linalg._ints(((c, mm), a) for c, p in enumerate(gen)
+                               for mm, a in p.terms.items())[0]
             for m in ms:
                 vec = {}
-                for c, mm, co in gen:
+                for (c, mm), co in gen.items():
                     k = index[(c, m_mul(mm, m))]
                     vec[k] = vec.get(k, 0) + co
                 relations.append(vec)
@@ -144,15 +145,16 @@ class QuotientSlice:
         pivot_set = set(pivots)
         self.basis = [k for k in range(len(self.ambient)) if k not in pivot_set]
         # den times the class of each ambient monomial, sparse in basis
-        # coordinates: a basis monomial is a unit vector, a pivot monomial
-        # minus the rest of its reduced echelon row
+        # coordinates: a basis monomial is a unit vector, pivot monomial pc
+        # minus the rest of its row over row[pc]; a row is primitive, so
+        # den is the lcm of the denominators of the reduced echelon rows
         coord = {k: j for j, k in enumerate(self.basis)}
-        self.den = den = lcm(*(x.denominator for row in ech for x in row.values()))
+        self.den = den = lcm(*(row[pc] for row, pc in zip(ech, pivots)))
         self._image = {self.ambient[k]: [(j, den)]
                        for j, k in enumerate(self.basis)}
         for row, pc in zip(ech, pivots):
             self._image[self.ambient[pc]] = [
-                (coord[k], -x.numerator * (den // x.denominator))
+                (coord[k], -x * (den // row[pc]))
                 for k, x in row.items() if k != pc]
 
     @property

@@ -11,33 +11,37 @@ a Span; rref is a Span and a back-substitution. kernel takes a matrix
 by its columns, the way every caller builds it, and eliminates them,
 each tagged with its own key after every row key: a column whose row
 part clears leaves a primitive int kernel vector on its tags, with no
-back-substitution. Fraction is formed only for the reduced echelon rows.
+back-substitution. No Fraction is formed: rref returns primitive int rows.
 The reduced row echelon form is unique, so every result is deterministic.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import current_budget
 
 
-def _ints(row):
-    """(v, den): v = den * row, the int dict of the nonzero entries of a
-    list or dict row, den the lcm of their denominators. An int row is
-    copied once."""
-    items = row.items() if isinstance(row, dict) else enumerate(row)
-    v = {c: x for c, x in items if x}
-    den = 1
-    if not all(type(x) is int for x in v.values()):
-        den = lcm(*(x.denominator for x in v.values()))
-        v = {c: x.numerator * (den // x.denominator) for c, x in v.items()}
+def _ints(pairs):
+    """(v, den): v the dict of den times the nonzero entries of the (key,
+    entry) pairs, in ints, den the lcm of their denominators: the one
+    scaling of Fractions to ints of the package, made in the one dict."""
+    v = {c: x for c, x in pairs if x}
+    if all(type(x) is int for x in v.values()):
+        return v, 1
+    den = lcm(*(x.denominator for x in v.values()))
+    for c, x in v.items():
+        v[c] = x.numerator * (den // x.denominator)
     return v, den
+
+
+def _pairs(row):
+    """The (key, entry) pairs of a list or dict row."""
+    return row.items() if isinstance(row, dict) else enumerate(row)
 
 
 def _int_row(row):
     """(v, den, g): v the primitive int dict of the nonzero entries of a
     list or dict row, v = (den / g) * row."""
-    v, den = _ints(row)
+    v, den = _ints(_pairs(row))
     g = gcd(*v.values()) or 1
     if g != 1:
         v = {c: x // g for c, x in v.items()}
@@ -82,7 +86,7 @@ class Span:
         self.rows = []  # (pivot, int row)
 
     def contains(self, row):
-        """Whether row lies in the span; no Fraction is formed."""
+        """Whether row lies in the span."""
         v = _int_row(row)[0]
         _reduce(v, self.rows)
         return not v
@@ -105,20 +109,18 @@ def _span(rows):
 
 
 def rref(rows, ncols):
-    """Reduced row echelon form.
-
-    Returns (echelon_rows, pivot_cols) with sparse rows of Fractions in
-    ascending pivot order. Input rows are not modified; zero rows are
-    dropped.
-    """
+    """Reduced row echelon form: (echelon_rows, pivot_cols), in ascending
+    pivot order, each row a primitive sparse int dict, nonzero (of either
+    sign) at its pivot and zero at every other pivot, so row / row[pivot]
+    is the echelon row over Q. Input rows are not modified; zero rows are
+    dropped."""
     span = _span(rows)
     done = []  # fully reduced rows, descending pivot
     for pivot, row in sorted(span.rows, key=lambda pr: pr[0], reverse=True):
         _reduce(row, done)
         done.append((pivot, row))
     done.reverse()
-    return ([{k: Fraction(x, row[p]) for k, x in row.items()}
-             for p, row in done], [p for p, _ in done])
+    return [row for _, row in done], [p for p, _ in done]
 
 
 def rank(rows):
@@ -130,7 +132,7 @@ def rank(rows):
 def _eliminate(col, tag, span):
     """kernel's step: den * col, with den at the key tag after every row
     key, reduced against the (pivot, row) pairs of span."""
-    v, den = _ints(col)
+    v, den = _ints(_pairs(col))
     v[tag] = den
     _reduce(v, span)
     return v

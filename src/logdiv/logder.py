@@ -127,16 +127,14 @@ def _bracket_parts(delta):
     (i, m, a) for each term a * x^m d/dx_i of d(den * delta)/dx_c."""
     if delta._parts is None:
         n = len(delta.ring)
-        den = lcm(*(a.denominator for a in delta.terms().values()))
+        v, den = _ints(delta.terms().items())
         terms, partials = [], [[] for _ in range(n)]
-        for i, p in enumerate(delta.components):
-            for m, a in p.terms.items():
-                a = a.numerator * (den // a.denominator)
-                terms.append((i, tuple(e - (k == i) for k, e in enumerate(m)), a))
-                for c in range(n):
-                    if m[c]:
-                        dm = tuple(e - (k == c) for k, e in enumerate(m))
-                        partials[c].append((i, dm, a * m[c]))
+        for (i, m), a in v.items():
+            terms.append((i, tuple(e - (k == i) for k, e in enumerate(m)), a))
+            for c in range(n):
+                if m[c]:
+                    dm = tuple(e - (k == c) for k, e in enumerate(m))
+                    partials[c].append((i, dm, a * m[c]))
         delta._parts = terms, partials, den
     return delta._parts
 
@@ -145,12 +143,15 @@ def _add_bracket(acc, k, delta, nu, budget):
     """acc += k * [delta, nu], nu and acc as term dicts {(c, e): a} (see
     VectorField.terms). The term a * x^e d/dx_c of nu contributes
     a * (delta(x^e) d/dx_c - x^e * d(delta)/dx_c), so only monomials are
-    multiplied, ints if nu's are and k is a multiple of delta's den. One
-    step per pair of a term of nu and a term of delta is charged before
-    any is formed; cancelled terms stay in acc as zeros."""
+    multiplied, ints if nu's are. k is a multiple of delta's den (as
+    _bracket_sum and SliceComplex.scale make it). One step per pair of a
+    term of nu and a term of delta is charged before any is formed;
+    cancelled terms stay in acc as zeros."""
     terms, partials, den = _bracket_parts(delta)
     budget.spend(len(nu) * len(terms))
-    k = k // den if k % den == 0 else Fraction(k, den)
+    k, r = divmod(k, den)
+    if r:
+        raise InternalInconsistency("bracket scale is not a multiple of den")
     get = acc.get
     for (c, e), a in nu.items():
         a *= k
@@ -167,7 +168,8 @@ def _bracket_sum(brackets):
     """sum k * [delta, nu] over the (k, delta, nu) in brackets, k an int,
     formed on ints, each nu scaled by the lcm dn of its denominators as
     _bracket_parts scales delta, and divided once per term of the sum."""
-    scaled = [(k, delta, *_ints(nu.terms())) for k, delta, nu in brackets]
+    scaled = [(k, delta, *_ints(nu.terms().items()))
+              for k, delta, nu in brackets]
     den = lcm(*(_bracket_parts(delta)[2] * dn for _, delta, _, dn in scaled))
     acc = {}
     for k, delta, terms, dn in scaled:
@@ -325,6 +327,13 @@ class SaitoBasis:
             self._memo["columns"] = rows, span
         return self._memo["columns"]
 
+    def bracket(self, i, j):
+        """[delta_i, delta_j], formed once per basis."""
+        key = ("bracket", i, j)
+        if key not in self._memo:
+            self._memo[key] = lie_bracket(self.fields[i], self.fields[j])
+        return self._memo[key]
+
     def bracket_coordinates(self, i, j):
         """The rational numbers c with [delta_i, delta_j] = sum_k c[k]
         delta_k, or None when the bracket is not in the Q-span of the
@@ -333,13 +342,13 @@ class SaitoBasis:
         c, or one of them is not a constant. A bracket with a term no
         field has is outside the span; any other column is reduced, as
         kernel does, against the fields' columns, eliminated once per
-        basis, and is in the span exactly when its row part clears. Only
-        c is kept, for the connection conditions and g_D to share."""
-        key = ("bracket", i, j)
+        basis, and is in the span exactly when its row part clears. c is
+        kept, for the connection conditions and g_D to share."""
+        key = ("coordinates", i, j)
         if key not in self._memo:
             rows, span = self._field_columns()
             m, n, c = len(rows), len(self.fields), None
-            br = lie_bracket(self.fields[i], self.fields[j]).terms()
+            br = self.bracket(i, j).terms()
             if br.keys() <= rows.keys():
                 v = _eliminate({rows[t]: a for t, a in br.items()}, m + n,
                                span)
@@ -462,9 +471,10 @@ SUBSET_BUDGET = 300
 
 def find_saito_basis(gens, f, w=None):
     """Select a free basis among generators of Der(-log f), after checking
-    that f is a reduced divisor equation."""
+    that f is a reduced divisor equation (w detected when not given)."""
     _check_divisor(f)
-    return _select_saito_basis([(None, _packed_fields(gens, f.ring))], f, w)
+    return _select_saito_basis([(None, _packed_fields(gens, f.ring))], f,
+                               w or detect_weight_system(f))
 
 
 def saito_basis(f, w=None):
@@ -472,15 +482,16 @@ def saito_basis(f, w=None):
     the generators read from der_log_stream(f): for f homogeneous the
     syzygy run stops once the graded scan has its basis."""
     _check_divisor(f)
-    return _select_saito_basis(der_log_stream(f), f, w)
+    return _select_saito_basis(der_log_stream(f), f,
+                               w or detect_weight_system(f))
 
 
-def _select_saito_basis(batches, f, w=None):
+def _select_saito_basis(batches, f, w):
     """find_saito_basis for an already checked divisor, its generators
     given as batches (c, fields) like those of der_log_stream: every
     field after a batch has coefficients of degree >= c, or there is
-    none when c is None. Only fields handed to _determinant_test are
-    unflattened.
+    none when c is None, and w the grading of f as given, None when f
+    has none. Only fields handed to _determinant_test are unflattened.
 
     Weighted homogeneous f: generators are split into weight-homogeneous
     parts and greedily minimalized in ascending weight order (a graded
@@ -496,8 +507,6 @@ def _select_saito_basis(batches, f, w=None):
     """
     n = len(f.ring)
     lay = _Packing(n)
-    if w is None:
-        w = detect_weight_system(f)
     if w is not None:
         lo, hi = min(w.weights), max(w.weights)
         waiting = []  # (tag, comps, part) of the parts not scanned yet
@@ -568,9 +577,9 @@ def structure_constants(basis):
     the fields are not logarithmic and raises InternalInconsistency. The
     unit need not divide it, as Saito's criterion certifies a basis at the
     origin only, so the unit is the denominator; a constant unit is folded
-    into the numerators instead. The brackets are formed term by term
-    (lie_bracket), adj * v and its division in the packed form of the
-    basis's PolyMatrix, all charged to the active budget.
+    into the numerators instead. The brackets are SaitoBasis.bracket's,
+    adj * v and its division formed in the packed form of the basis's
+    PolyMatrix, all charged to the active budget.
     """
     n = len(basis.ring)
     table = basis.table()
@@ -587,8 +596,7 @@ def structure_constants(basis):
     b = [[[zero] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            br = lie_bracket(basis.fields[i], basis.fields[j])
-            br = [_flatten([p], lay) for p in br.components]
+            br = [_flatten([p], lay) for p in basis.bracket(i, j).components]
             qs = []
             for row in adj:
                 q = _divide(_dot(row, br, lay, budget), divisor, lay, budget)

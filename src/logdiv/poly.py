@@ -379,9 +379,8 @@ class _Packing:
 
 def _flatten(vec, lay):
     """The (P, D) form of a list of polynomials, entry c as component c."""
-    D = math.lcm(*(co.denominator for p in vec for co in p.terms.values()))
-    return {lay.pack(c, m): co.numerator * (D // co.denominator)
-            for c, p in enumerate(vec) for m, co in p.terms.items()}, D
+    return linalg._ints((lay.pack(c, m), co) for c, p in enumerate(vec)
+                        for m, co in p.terms.items())
 
 
 def _unflatten(v, ring, rank, lay):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import random
 
@@ -137,6 +138,34 @@ def kernel_vectors(cx):
     """ker d1 of a SliceComplex as Fraction coordinate lists, each scaled
     to 1 at its free column."""
     return scaled_kernel(cx.kernel_d1(), cx.dim_c1)
+
+
+def reference_slice_images(space, gens, gen_weights, w):
+    """(den, images) of a QuotientSlice by the Fraction route: its
+    relations gen * x^m formed over Fraction on space.ambient, put in
+    reduced row echelon form by dense_rref, den the lcm of the
+    denominators of the echelon rows, and images[t] the sparse dict of
+    den times the class of the ambient term t: a unit vector at a basis
+    term, minus the rest of its echelon row at a pivot term."""
+    index = {t: k for k, t in enumerate(space.ambient)}
+    relations = []
+    for gen, wk in zip(gens, gen_weights):
+        if wk is None:
+            continue
+        for m in cohomology.weighted_monomials(w.weights, space.weight - wk):
+            row = [Fraction(0)] * len(index)
+            for c, p in enumerate(gen):
+                for mm, a in p.terms.items():
+                    row[index[(c, m_mul(mm, m))]] += a
+            relations.append(row)
+    ech, pivots = dense_rref(relations, len(index))
+    basis = [k for k in range(len(index)) if k not in pivots]
+    den = math.lcm(*(x.denominator for row in ech for x in row))
+    images = {space.ambient[k]: {j: den} for j, k in enumerate(basis)}
+    for row, pc in zip(ech, pivots):
+        images[space.ambient[pc]] = {j: int(-row[k] * den)
+                                     for j, k in enumerate(basis) if row[k]}
+    return den, images
 
 
 def reference_d0_rows(cx):

@@ -709,6 +709,33 @@ class TestArtefactsComputedOnce:
         assert callers.count("_check_coboundary_class") == 1
         assert len(callers) == h1 + 1
 
+    @pytest.mark.parametrize("name, counted, calls", [
+        ("linear-nonreductive-5", "lie_bracket", 10),
+        ("four-lines-nonkoszul", "detect_weight_system", 1)],
+        ids=["brackets", "weight-search"])
+    def test_run_once_per_analysis(self, name, counted, calls, monkeypatch):
+        # with every stage, each of the C(5, 2) brackets [delta_i, delta_j]
+        # of the basis is formed once for g_D, the connection conditions
+        # and ft1's structure constants; the weight search runs once, in
+        # the grading stage, also when it finds no weights
+        from logdiv import cli, cohomology, logder, poly
+
+        seen = []
+
+        def counting(fn):
+            def counted_fn(*args):
+                seen.append(args)
+                return fn(*args)
+            return counted_fn
+
+        for mod in (cli, cohomology, logder, poly):
+            if hasattr(mod, counted):
+                monkeypatch.setattr(mod, counted,
+                                    counting(getattr(mod, counted)))
+        doc = cli.load_document(os.path.join(CORPUS, f"{name}.json"))
+        cli.analyze_document(doc, cli.ALL_STAGES)
+        assert len(seen) == calls
+
     def test_saito_matrix_minors_are_formed_once(self, monkeypatch):
         # coxeter-B4's analysis with every stage builds one table of the
         # Saito matrix's minors, in the basis stage's determinant test;
@@ -921,7 +948,7 @@ class TestBasisStageBudget:
     @pytest.mark.parametrize("name, steps", [
         ("discriminant-234", 265),  # weighted, but (f, grad f) not homogeneous
         ("curve-x5y4", 41),
-        ("four-lines-nonkoszul", 435)],  # not weighted homogeneous
+        ("four-lines-nonkoszul", 434)],  # not weighted homogeneous
         ids=["discriminant-234", "curve-x5y4", "four-lines-nonkoszul"])
     def test_inhomogeneous_generators_spend_the_whole_run(self, name, steps,
                                                           monkeypatch):

@@ -40,8 +40,9 @@ from logdiv.poly import (
     poly_to_text,
 )
 
-from conftest import (CORPUS, corpus_member, dense_nullspace,
-                      kernel_vectors, leibniz, transpose)
+from conftest import (CORPUS, corpus_member, coxeter_gens, dense_nullspace,
+                      kernel_vectors, leibniz, reference_slice_images,
+                      transpose)
 
 R2 = ("x", "y")
 R3 = ("x", "y", "z")
@@ -223,6 +224,36 @@ def test_kernel_d1_is_the_dense_reference_kernel(name):
     assert kernel_vectors(cx) \
         == dense_nullspace(transpose(cx.d1, cx.dim_c2), cx.dim_c1)
     assert all(type(x) is int for _, v in cx.kernel_d1() for x in v.values())
+
+
+@pytest.mark.parametrize("name", graded_corpus_names()
+                         + ["coxeter-B3", "coxeter-D4"])
+def test_slices_match_the_fraction_route(name):
+    # each slice that ft1 builds, and its class space, reads den and its
+    # images off rref's primitive int rows; the Fraction route reads them
+    # off the reduced row echelon form
+    from logdiv.cohomology import _class_space
+    from logdiv.logder import saito_basis
+
+    if name.startswith("coxeter"):
+        f = coxeter_gens(name)[0]
+        w = detect_weight_system(f)
+        saito = saito_basis(f, w)
+    else:
+        f, w, saito = corpus_member(name)
+    saito = saito.graded(w)
+    cx = SliceComplex(saito, saito.structure_constants(), w)
+    gens = [d.components for d in saito.fields]
+    spaces = [(s, gens, cx.field_weights) for s in cx._slices.values()]
+    space = _class_space(f, w)
+    partials = [partial_derivative(f, i) for i in range(len(f.ring))]
+    spaces.append((space, [[g] for g in partials if not g.is_zero()],
+                   [w.degree - wi for g, wi in zip(partials, w.weights)
+                    if not g.is_zero()]))
+    for s, gens, weights in spaces:
+        den, images = reference_slice_images(s, gens, weights, w)
+        assert s.den == den
+        assert {t: dict(image) for t, image in s._image.items()} == images
 
 
 @pytest.mark.parametrize("name", ["quartic-cross", "linear-nonreductive-5"])

@@ -33,6 +33,15 @@ def random_matrix(rng, nrows, ncols):
     return rows
 
 
+def scaled_rows(ech, pivots, ncols):
+    """rref's rows, each checked to be a primitive int row, nonzero at
+    every key it holds, and scaled to 1 at its pivot as a dense list."""
+    assert all(type(x) is int and x for r in ech for x in r.values())
+    assert all(math.gcd(*r.values()) == 1 for r in ech)
+    return [as_dense({k: Fraction(x, r[p]) for k, x in r.items()}, ncols)
+            for r, p in zip(ech, pivots)]
+
+
 def as_dicts(rows):
     return [{c: x for c, x in enumerate(r) if x} for r in rows]
 
@@ -70,8 +79,7 @@ class TestAgainstDenseGaussJordan:
         ech, pivots = linalg.rref(given, ncols)
         ref_ech, ref_pivots = dense_rref(rows, ncols)
         assert pivots == ref_pivots
-        assert [as_dense(r, ncols) for r in ech] == ref_ech
-        assert all(all(x != 0 for x in r.values()) for r in ech)
+        assert scaled_rows(ech, pivots, ncols) == ref_ech
         assert linalg.rank(given) == len(ref_ech)
         cols = columns_of(given, ncols)
         assert scaled_kernel(linalg.kernel(cols, len(rows)), ncols) \
@@ -289,8 +297,8 @@ def random_vectors(rng, keys, count):
 
 class TestIntegerBoundary:
     """Rows are eliminated as primitive ints; what linalg hands back is
-    exact, in Fractions (rref) or primitive ints (kernel), and the budget
-    sees the rows eliminated."""
+    exact, in primitive ints (rref's rows and kernel's vectors), and the
+    budget sees the rows eliminated."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("kind", ["int", "str"])
@@ -330,10 +338,9 @@ class TestIntegerBoundary:
         rows = random_matrix(rng, nrows, ncols)
         ints = [[int(x * 60) for x in r] for r in rows]
         for given in (rows, ints):
-            ech, _ = linalg.rref(given, ncols)
-            assert [as_dense(r, ncols) for r in ech] \
+            ech, pivots = linalg.rref(given, ncols)
+            assert scaled_rows(ech, pivots, ncols) \
                 == dense_rref(given, ncols)[0]
-            assert all(type(x) is Fraction for r in ech for x in r.values())
             kernel = linalg.kernel(columns_of(given, ncols), len(given))
             null = scaled_kernel(kernel, ncols)
             assert null == dense_nullspace(given, ncols)

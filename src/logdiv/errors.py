@@ -63,16 +63,17 @@ _ACTIVE = contextvars.ContextVar("logdiv_budget", default=None)
 class Budget:
     """Steps left plus an optional time.monotonic() deadline.
 
-    A step is one Groebner reduction or S-pair, one row eliminated in linear
-    algebra, one term of a slice relation matrix (a term of a generator
-    times a multiplier), one exponent entry checked per candidate of the
-    weight search, one pair of terms multiplied in a polynomial power, a
-    parsed product, a Lie bracket or the packed algebra of a polynomial
-    matrix (determinant, adjugate, structure constants, deformed
-    equations); an exact division is a Groebner reduction by the divisor,
-    one step per quotient term. Inside ``with budget:`` every charge made in
-    this thread or task goes to ``budget``; see current_budget. The ``with``
-    may nest, also on the same budget.
+    A step is one Groebner reduction or S-pair, one node of the dimension
+    test's independent-set search, one row eliminated in linear algebra,
+    one term of a slice relation matrix (a term of a generator times a
+    multiplier), one exponent entry checked per candidate of the weight
+    search, one pair of terms multiplied in a polynomial power, a parsed
+    product, a Lie bracket or the packed algebra of a polynomial matrix
+    (determinant, adjugate, structure constants, deformed equations); an
+    exact division is a Groebner reduction by the divisor, one step per
+    quotient term. Inside ``with budget:`` every charge made in this thread
+    or task goes to ``budget``; see current_budget. The ``with`` may nest,
+    also on the same budget.
     """
 
     __slots__ = ("steps", "left", "seconds", "deadline", "_tokens")

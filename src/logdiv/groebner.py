@@ -21,8 +21,10 @@ Each lead term is found once: reduction pops the terms of the working
 element from a heap of those keys, and a Buchberger run keeps the lead of
 each basis element from the moment it is appended. The bookkeeping stays
 in ints too: an S-pair's lcm and its degree come from the packed leads
-(_Packing.lcm), and a tracked reduction keeps its quotients as ints over
-the working denominator, scaled and divided with it.
+(_Packing.lcm, inlined in the signature-based run, which skips a J-pair
+of coprime leads on their disjoint supports before any lcm is formed),
+and a tracked reduction keeps its quotients as ints over the working
+denominator, scaled and divided with it.
 
 Every term that an S-pair or a reduction step makes has degree at most the
 sugar (in the signature-based run, the degree of the pair's signature), so
@@ -43,7 +45,10 @@ advance accounts for: on a regular sequence, such as the principal
 symbols of a Koszul free divisor, no pair reduces to zero. It stops at
 the first lead that certifies its bound: a lead of an element of the
 ideal lies in the initial ideal, and the dimension is read off the
-supports of its generators. buchberger, syzygy_stream and
+supports of its generators. The certificate (_certify) keeps the minimal
+supports and one witness set of variables that holds none of them, and
+searches for a new witness by branch and bound over independent sets
+only when a lead's support lies in it. buchberger, syzygy_stream and
 dimension_at_most share one prologue, _prepare, which checks and packs
 the generators. Every polynomial reduction runs here: exact division
 (_divide) is _reduce_full by the divisor alone, its quotient tracked.
@@ -54,7 +59,8 @@ import itertools
 from math import gcd, lcm
 
 from .errors import InternalInconsistency, current_budget
-from .poly import Polynomial, _flatten, _lowest_terms, _Packing, _unflatten
+from .poly import (_FIELD, Polynomial, _flatten, _lowest_terms, _Packing,
+                   _unflatten)
 
 
 # ---- flattened module elements -----------------------------------------
@@ -488,8 +494,10 @@ def _signature_leads(gens, budget, lay):
     J-pair's degree bounds every term its reduction makes, as the sugar
     does.
     """
-    guards, dshift = lay.guards, lay.dshift
+    guards, dshift, ones, top = lay.guards, lay.dshift, lay.ones, lay.top
     low = (1 << dshift) - 1  # the exponent fields of a term
+    gl, fbits = guards & low, _FIELD - 1  # the exponents' guard bits
+    sum_at, fmask = dshift - _FIELD, (1 << _FIELD) - 1
     hi = dshift + max(1, (len(gens) - 1).bit_length())
     im = (1 << hi) - 1  # the index and monomial fields of a signature
     # (i, lt(gens[i]), the signature 1 * e_i) of each nonzero generator
@@ -497,7 +505,7 @@ def _signature_leads(gens, budget, lay):
               (lay.degree(P) << hi) | (i << dshift) | low)
              for i, (P, _) in enumerate(gens) if P]
     syz = {i: [] for i, _, _ in heads}  # minimal exponents m of syzygies m e_i
-    basis, leads, sigs, ims = [], [], [], []
+    basis, leads, sigs, ims, masks = [], [], [], [], []
     pairs = {}  # signature: (basis index, shift), or (-1, generator index)
     heap = []
 
@@ -564,17 +572,28 @@ def _signature_leads(gens, budget, lay):
             z, y = times(e, ld), times(s, hd)
             if z != y:
                 add_syzygy(max(z, y))
+        mk, ek, dk = _support(ld, lay), ld & low, ld >> dshift
+        masks.append(mk)
         for a in range(k):
-            la = leads[a]
-            l = lay.lcm(la, ld)
-            if la + ld == l:
+            if not masks[a] & mk:
                 continue  # coprime leads: a syzygy of this signature
-            ua, uk = l - la, l - ld
-            sa, sk = times(sigs[a], ua), times(s, uk)
+            # the lcm's exponents and the two shifts to it, as lay.lcm
+            la = leads[a]
+            ea = la & low
+            ge = ((ea | gl) - ek) & gl
+            keep = ge - (ge >> fbits)
+            m = ea & keep | ek & ~keep
+            ua, uk = m - ea, m - ek
+            da = (ua * ones) >> sum_at & fmask
+            dl = da + (la >> dshift)
+            if dl > top:
+                lay.check(dl)
+            sa = sigs[a] + (da << hi) - ua
+            sk = s + ((dl - dk) << hi) - uk
             if sa > sk:
-                push(sa, a, ua)
+                push(sa, a, ua + (da << dshift))
             elif sk > sa:
-                push(sk, k, uk)
+                push(sk, k, uk + ((dl - dk) << dshift))
 
 
 def _regular_reduce(P, s, basis, leads, sigs, hi, budget, lay):
@@ -618,36 +637,96 @@ def _regular_reduce(P, s, basis, leads, sigs, hi, budget, lay):
     return P
 
 
+def _support(t, lay):
+    """The guard bits of the nonzero exponents of the term t: terms of one
+    component are coprime exactly when their supports are disjoint."""
+    low = (1 << lay.dshift) - 1
+    return ((t & low) + lay.ones * lay.top) & lay.guards & low
+
+
 def dimension_at_most(gens, k):
     """True iff the Krull dimension of (polynomial ring)/(ideal gens) is at
     most k: the unit ideal has dimension -1, the zero ideal n.
 
     dim R/I = dim R/in(I), the largest size of a set of variables that
-    holds the support of no lead monomial of I. Every lead that the
-    signature-based run finds is one of I, so once each (k+1)-subset of
-    the variables holds the support of one found so far, the dimension is
-    at most k and the run stops at that lead; only a False answer runs it
-    to its end, where the leads generate in(I).
+    holds the support of no lead monomial of I (Kredel and Weispfenning,
+    J. Symbolic Comput. 6, 1988). Every lead that the signature-based run
+    finds is one of I, so once no k + 1 variables hold none of the supports
+    found so far, the dimension is at most k and the run stops at that
+    lead; only a False answer runs it to its end, where the leads generate
+    in(I).
     """
     ring, rank, lay, flats = _prepare(gens)
     if rank != 1:
         raise ValueError("dimension_at_most expects ideal generators")
-    n = len(ring)
+    if k < -1:
+        raise ValueError("k must be at least -1")
     budget = current_budget()
-    # a (k+1)-subset that holds no support found yet, as the exponent
-    # fields outside it: a lead has a support it holds iff it misses them
-    # (the deadline is read per 4096 subsets built and per lead filtered)
-    subsets = itertools.combinations(range(n), k + 1)
-    open_sets = []
-    while chunk := list(itertools.islice(subsets, 4096)):
-        budget.spend(0)
-        open_sets += [(lay.pack(0, [int(i not in c) for i in range(n)])
-                       & lay.ones) * lay.top for c in chunk]
-    if not open_sets:
+    return _certify(_signature_leads(flats, budget, lay), k, lay, budget)
+
+
+def _certify(leads, k, lay, budget):
+    """True at the first of the leads, a term iterator, after which every
+    k + 1 variables hold the support of one read so far; False when they
+    run out first. Kept: the minimal supports, and a witness, k + 1
+    variables that hold none, so a lead off the witness costs one AND
+    (its support waits in new); a lead on it merges the waiting supports
+    and has a witness searched for again. The deadline is read per
+    lead."""
+    if k >= lay.n:
         return True
-    for ld in _signature_leads(flats, budget, lay):
+    free = _support(lay.ones, lay)  # one bit per variable
+    # the first witness is the last k + 1 variables, which degrevlex leads
+    # tend to avoid; off holds the variables outside the witness
+    off = free & ((1 << _FIELD * (lay.n - k - 1)) - 1)
+    sups, new = [], set()
+    for ld in leads:
         budget.spend(0)
-        open_sets = [c for c in open_sets if c & ld]
-        if not open_sets:
+        new.add(m := _support(ld, lay))
+        if m & off:
+            continue
+        if not m:
+            return True  # a unit: every set holds the empty support
+        for m in new:
+            if not any(s & m == s for s in sups):
+                sups = [s for s in sups if s & m != m] + [m]
+        new = set()
+        witness = _independent_set(sups, lay.n, k + 1, budget)
+        if witness is None:
             return True
+        off = free ^ witness
     return False
+
+
+def _independent_set(sups, n, size, budget):
+    """size >= 1 of the n variables that hold none of the supports sups,
+    as the mask of their guard bits, or None: a depth-first branch and
+    bound that adds or drops the next open variable, those in fewest
+    supports first, one budget step per node. An added variable is tested
+    against the supports that contain it; a node is cut when its open
+    variables, less one per support of a pairwise disjoint family inside
+    the node's variables, are too few."""
+    sups = sorted(sups, key=int.bit_count)
+    bits = [1 << _FIELD * i + _FIELD - 1 for i in range(n)]
+    on = {v: [s for s in sups if s & v] for v in bits}
+    order = sorted(bits, key=lambda v: len(on[v]))
+    tails = list(itertools.accumulate(reversed(order), int.__or__, initial=0))
+    stack = [(0, n, size)]  # tails[i]: the i variables still open
+    while stack:
+        chosen, i, need = stack.pop()
+        budget.spend()
+        pool, used, cut = chosen | tails[i], 0, 0
+        for s in sups:  # each holds an open variable that must go
+            if s & pool == s and not s & used:
+                used |= s
+                cut += 1
+        if i - cut < need:
+            continue
+        v = order[-i]
+        stack.append((chosen, i - 1, need))
+        c = chosen | v
+        if not any(s & c == s for s in on[v]):
+            if need == 1:
+                return c
+            stack.append((c, i - 1, need - 1))
+    return None

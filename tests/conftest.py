@@ -296,6 +296,25 @@ def coxeter_gens(name):
     return [f] + [partial_derivative(f, i) for i in range(len(ring))]
 
 
+def reference_certificate(leads, k, lay):
+    """(answer, leads read) of the subset filter that dimension_at_most
+    ran before its independent-set search: every (k+1)-subset of the
+    variables that holds no support read so far, kept as the exponent
+    fields outside it and filtered at each lead; True once none is left,
+    at once when there is none, and False when the leads run out."""
+    n = lay.n
+    open_sets = [(lay.pack(0, [int(i not in c) for i in range(n)])
+                  & lay.ones) * lay.top
+                 for c in itertools.combinations(range(n), k + 1)]
+    if not open_sets:
+        return True, 0
+    for read, ld in enumerate(leads, 1):
+        open_sets = [c for c in open_sets if c & ld]
+        if not open_sets:
+            return True, read
+    return False, len(leads)
+
+
 def packed_det(rows):
     """The determinant of a square matrix of polynomials, by PolyMatrix."""
     mat = PolyMatrix(rows)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 from fractions import Fraction
 from math import lcm
@@ -321,11 +322,28 @@ class TestKrullDimension:
             assert [dimension_at_most(gens, k) for k in range(-1, n + 1)] \
                 == [d <= k for k in range(-1, n + 1)]
 
+    def test_deadline_is_read_in_the_independent_set_search(self):
+        # the edge ideal of 12 disjoint triangles in 36 variables has
+        # dimension 12, its independence number: no 13 variables hold none
+        # of the 36 edges, but the disjoint-support bound only removes one
+        # variable per triangle, so the search visits millions of nodes
+        # before it can answer True
+        ring = tuple(f"x{i}" for i in range(36))
+        x = [Polynomial.variable(ring, i) for i in range(36)]
+        gens = [x[3 * t + a] * x[3 * t + b] for t in range(12)
+                for a, b in ((0, 1), (0, 2), (1, 2))]
+        start = time.monotonic()
+        with pytest.raises(BudgetExceeded):
+            with Budget(seconds=0.3):
+                dimension_at_most(gens, 12)
+        assert time.monotonic() - start < 1
+
     def test_a_true_answer_stops_the_run(self):
         # the singular locus of the braid arrangement A3 in 4 variables is
         # the union of the planes where its hyperplanes meet: leads of
-        # (f, grad f) certify dimension <= 2 after 47 steps, before the
-        # run ends, which the False answer at 1 has to reach (61 steps)
+        # (f, grad f) certify dimension <= 2 after 53 steps (47 of the run,
+        # 6 of the independent-set search), before the run ends, which the
+        # False answer at 1 has to reach (61 steps, no search)
         gens = coxeter_gens("braid-A3")
         with Budget(10**9) as early:
             assert dimension_at_most(gens, 2)

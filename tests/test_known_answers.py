@@ -37,7 +37,15 @@
   arrangements are locally quasi-homogeneous and free, so they are
   Koszul free (Calderon-Moreno and Narvaez-Macarro, 2002); the four lines
   x^2 y^2 + x y^3 + x^3 y z + x^2 y^2 z are not. The Koszul step counts
-  of D4 and B4 are pinned.
+  of D4 and B4 are pinned, the run's and the search's apart.
+- The dimension certificate, minimal supports and one witness searched
+  for by branch and bound: it stops at the lead where the subset filter
+  of conftest.py stops, with its answer, on every dimension test of the
+  corpus and the six arrangements of the benchmark, on the random ideals
+  above at every k, and on the unit and zero ideals, k = -1 and k >= n.
+  Normal crossings in 12 variables are certified at the search's root.
+  Two terms of one component have disjoint supports exactly when their
+  lcm is their product: the J-pairs the run skips before any lcm.
 - The Saito basis search: on every corpus entry without a supplied Saito
   matrix and on braid A3, B3, D4 and B4, the search over packed fields,
   from the stream and from the drained generators, keeps the fields of
@@ -70,22 +78,22 @@ import pytest
 
 from ce_oracle import cohomology, ft1_equation_side
 from conftest import (ReferenceConstants, corpus_member, corpus_names,
-                      packed_div, reference_d0_rows, reference_d1_rows,
-                      reference_representatives, reference_saito_fields,
-                      transpose)
+                      packed_div, reference_certificate, reference_d0_rows,
+                      reference_d1_rows, reference_representatives,
+                      reference_saito_fields, transpose)
 from logdiv import cohomology as slices
 from logdiv import groebner
 from logdiv.classify import (LieAlgebra, connection_conditions, is_koszul,
                              is_linear, is_reductive, lie_algebra_matrices,
                              principal_symbols)
-from logdiv.cli import analyze_document
+from logdiv.cli import StageFailure, analyze_document, load_document
 from logdiv.cohomology import ft1, lft1, linear_basis
 from logdiv.errors import (Budget, NotLinear, NotWeightedHomogeneous,
                            current_budget)
 from logdiv.logder import (SaitoBasis, VectorField, compute_der_log,
                            find_saito_basis, saito_basis, structure_constants,
                            verify_saito)
-from logdiv.poly import (Polynomial, _flatten, detect_weight_system,
+from logdiv.poly import (Polynomial, _flatten, _Packing, detect_weight_system,
                          poly_from_text, poly_to_text)
 
 
@@ -464,14 +472,145 @@ def test_signature_run_is_complete_on_symbol_ideals(name):
     ("braid-A3", True, None), ("coxeter-B3", True, None),
     ("coxeter-D4", True, 133), ("coxeter-B4", True, 159),
     ("four-lines-nonkoszul", False, None)])
-def test_koszul_known_answers(name, koszul, steps):
-    # D4 and B4 spent 744 and 2846 steps in a Buchberger run with the
-    # pair criteria alone
+def test_koszul_known_answers(name, koszul, steps, monkeypatch):
+    # steps are the signature-based run's, which for D4 and B4 were 744
+    # and 2846 in a Buchberger run with the pair criteria alone; the
+    # independent-set search charges its nodes on top of them
+    nodes = {"coxeter-D4": 78, "coxeter-B4": 45}
     saito = koszul_saito(name)
+    _, searches = watched_certificates(monkeypatch)
     with Budget(10**9) as budget:
         assert is_koszul(saito) is koszul
     if steps is not None:
-        assert budget.steps - budget.left == steps
+        spent = sum(charge for _, charge in searches)
+        assert (spent, budget.steps - budget.left) \
+            == (nodes[name], steps + nodes[name])
+
+
+def watched_certificates(monkeypatch):
+    """Two lists that get, from now on, [leads read, k, lay, answer] for
+    each call of groebner._certify and (leads read so far, steps charged)
+    for each call of the independent-set search that it makes."""
+    tests, searches = [], []
+    certify, search = groebner._certify, groebner._independent_set
+
+    def reading(leads, k, lay, budget):
+        read = []
+        tests.append([read, k, lay, None])
+        tests[-1][3] = certify((read.append(ld) or ld for ld in leads),
+                               k, lay, budget)
+        return tests[-1][3]
+
+    def counting(sups, n, size, budget):
+        left = budget.left
+        try:
+            return search(sups, n, size, budget)
+        finally:
+            searches.append((len(tests[-1][0]), left - budget.left))
+
+    monkeypatch.setattr(groebner, "_certify", reading)
+    monkeypatch.setattr(groebner, "_independent_set", counting)
+    return tests, searches
+
+
+def test_normal_crossings_are_certified_at_the_root(monkeypatch):
+    # the symbols x_i * s_i of x_1 * ... * x_12 have 12 pairwise disjoint
+    # supports {x_i, s_i}: at the 12th lead, the disjoint-support bound
+    # leaves 24 - 12 of the 13 variables a witness needs, and the search
+    # stops at its root
+    ring = tuple(f"x{i + 1}" for i in range(12))
+    f = poly_from_text("*".join(ring), ring)
+    fields = [VectorField(ring, [Polynomial.variable(ring, i) if k == i
+                                 else Polynomial.zero(ring)
+                                 for k in range(12)]) for i in range(12)]
+    saito = SaitoBasis(fields, f, verify_saito(fields, f).unit)
+    _, searches = watched_certificates(monkeypatch)
+    assert is_koszul(saito)
+    assert searches[-1] == (12, 1)
+    assert sum(charge for at, charge in searches if at >= 12) <= 1
+
+
+def certificate(leads, k, lay):
+    """(answer, leads read) of groebner._certify on the list leads."""
+    rest = iter(leads)
+    with Budget(10**9) as budget:
+        answer = groebner._certify(rest, k, lay, budget)
+    return answer, len(leads) - len(list(rest))
+
+
+def analysis_docs():
+    """The corpus documents and the six arrangements of the benchmark:
+    braid A3 in four variables, Coxeter B3, D4 and B4, and the generic
+    arrangements of four and five planes, which are not free."""
+    docs = [load_document(os.path.join(CORPUS, f"{name}.json"))
+            for name in corpus_names()]
+    for name in ("braid-A3", "coxeter-B3", "coxeter-D4", "coxeter-B4"):
+        n, normals = arrangement(name)
+        docs.append({"label": name,
+                     "variables": [f"x{i + 1}" for i in range(n)],
+                     "f": "*".join(f"({linear_form(v)})" for v in normals)})
+    for f in ("x*y*z*(x+y+z)", "x*y*z*(x+y+z)*(x+2*y+3*z)"):
+        docs.append({"label": f, "variables": ["x", "y", "z"], "f": f})
+    return docs
+
+
+@pytest.mark.parametrize("doc", analysis_docs(), ids=lambda doc: doc["label"])
+def test_certificate_matches_the_subset_filter_on_the_analyses(doc,
+                                                               monkeypatch):
+    # every dimension test of the default analysis (the divisor stage's
+    # squarefree test and the Koszul test) stops at the lead where the
+    # subset filter of conftest.py stops, with its answer
+    tests, _ = watched_certificates(monkeypatch)
+    try:
+        analyze_document(doc, ("classify", "koszul"))
+    except StageFailure as e:
+        assert doc["label"].startswith("x*y*z") and e.stage == "basis"
+    assert tests
+    for read, k, lay, answer in tests:
+        assert reference_certificate(read, k, lay) == (answer, len(read))
+
+
+@pytest.mark.parametrize("homogeneous", [True, False],
+                         ids=["homogeneous", "inhomogeneous"])
+def test_certificate_matches_the_subset_filter_on_random_ideals(homogeneous):
+    rng = random.Random(2402 + homogeneous)
+    for _ in range(60):
+        _, _, lay, flats = groebner._prepare(random_ideal(rng, homogeneous))
+        with Budget(10**8) as budget:
+            leads = list(groebner._signature_leads(flats, budget, lay))
+        for k in range(-1, lay.n + 1):
+            assert certificate(leads, k, lay) \
+                == reference_certificate(leads, k, lay)
+
+
+def test_certificate_edge_cases():
+    lay = _Packing(3)
+    one, x, y = (lay.pack(0, e) for e in ((0, 0, 0), (1, 0, 0), (0, 1, 0)))
+    cases = [
+        ([one], -1, (True, 1)), ([x, one], 0, (True, 2)),  # the unit ideal
+        ([x, y], 3, (True, 0)), ([], 5, (True, 0)),  # k + 1 > n
+        ([x, y], -1, (False, 2)),  # k = -1: only a unit certifies
+        ([], -1, (False, 0)), ([], 2, (False, 0)),  # the zero ideal
+        ([x, y], 1, (True, 2)), ([x], 2, (True, 1)), ([x], 1, (False, 1))]
+    for leads, k, expected in cases:
+        assert certificate(leads, k, lay) == expected
+        assert reference_certificate(leads, k, lay) == expected
+
+
+def test_disjoint_supports_are_coprime_leads():
+    # the J-pair skip of the signature-based run: two terms of one
+    # component have disjoint supports exactly when their lcm is their
+    # product, with exponents up to the largest a field holds
+    rng = random.Random(2903)
+    for n in (1, 2, 3, 5, 8):
+        lay = _Packing(n)
+        big = lay.top // n
+        for _ in range(400):
+            a, b = (lay.pack(0, [rng.choice((0, 0, 1, 2, big,
+                                             rng.randint(0, big)))
+                                 for _ in range(n)]) for _ in range(2))
+            sa, sb = groebner._support(a, lay), groebner._support(b, lay)
+            assert (not sa & sb) == (lay.lcm(a, b) == a + b)
 
 
 def syzygy_route(name):

@@ -23,8 +23,8 @@ each basis element from the moment it is appended. The bookkeeping stays
 in ints too: an S-pair's lcm and its degree come from the packed leads
 (_Packing.lcm, inlined in the signature-based run, which skips a J-pair
 of coprime leads on their disjoint supports before any lcm is formed),
-and a tracked reduction keeps its quotients as ints over the working
-denominator, scaled and divided with it.
+and a tracked reduction records each quotient term once, an int over the
+working denominator of its step.
 
 Every term that an S-pair or a reduction step makes has degree at most the
 sugar (in the signature-based run, the degree of the pair's signature), so
@@ -102,26 +102,24 @@ def _combine(terms):
     return out, D
 
 
-def _less_quotients(quots, reps):
-    """The addends -q * x^shift * reps[j] of a reduction's quotients."""
-    Q, D = quots
-    return [(-a, D, shift, reps[j])
-            for j, q in enumerate(Q) for shift, a in q.items()]
+def _less_quotients(recs, reps):
+    """The addends -(c / D) * x^shift * reps[j] of the records recs."""
+    return [(-c, D, shift, reps[j]) for j, shift, c, D in recs]
 
 
 def _reduce_full(v, basis, leads, sugars, sugar, budget, lay, track=False):
     """Fully reduce v = (P, D) against monic basis elements (B, L).
 
-    Returns ((R, D'), (Q, D'), sugar) where Q[j] maps shifts to ints,
-    with v = sum_j Q[j] * basis[j] / D' + R / D'; (Q, D') is None unless
-    track is set. sugar bounds the degrees of v on entry and grows to
-    sugars[j] + deg(shift) at a step by basis[j]; sugars[j] bounds the
-    degrees of basis[j]. Terms wait in a min-heap of flipped terms,
-    largest first. An entry whose term has cancelled is skipped; a step
-    only adds terms below the one it removes. A step by (B, L) on the term
-    c / D adds c to the quotient, then scales the working element, the
-    remainder and the quotients by L / gcd(c, L), subtracts an integer
-    multiple of x^shift * B, and divides out the common content.
+    Returns ((R, D'), recs, sugar), v = R / D' + sum (c / D) * x^shift *
+    basis[j] over the records (j, shift, c, D) in recs, one per step in
+    step order; recs is None unless track is set. sugar bounds the
+    degrees of v on entry and grows to sugars[j] + deg(shift) at a step by
+    basis[j]; sugars[j] bounds the degrees of basis[j]. Terms wait in a
+    min-heap of flipped terms, largest first. An entry whose term has
+    cancelled is skipped; a step only adds terms below the one it removes.
+    A step by (B, L) on the term c / D records c over D, scales the working
+    element and the remainder in place by L / gcd(c, L), subtracts an
+    integer multiple of x^shift * B, and divides out their content.
     """
     P, D = v
     p = dict(P)
@@ -129,7 +127,7 @@ def _reduce_full(v, basis, leads, sugars, sugar, budget, lay, track=False):
     heap = [t ^ flip for t in p]
     heapq.heapify(heap)
     rem = {}
-    quots = [dict() for _ in basis] if track else []
+    recs = [] if track else None
     while heap:
         t = heapq.heappop(heap) ^ flip
         c = p.get(t)
@@ -148,29 +146,30 @@ def _reduce_full(v, basis, leads, sugars, sugar, budget, lay, track=False):
             sugar = sugars[j] + (shift >> dshift)
             lay.check(sugar)
         if track:
-            q = quots[j]
-            q[shift] = q.get(shift, 0) + c
+            recs.append((j, shift, c, D))
         B, L = basis[j]
         g = gcd(c, L)
         if g != L:
             k = L // g
-            p = {u: k * a for u, a in p.items()}
-            rem = {u: k * a for u, a in rem.items()}
-            quots = [{u: k * a for u, a in q.items()} for q in quots]
+            for u in p:
+                p[u] *= k
+            for u in rem:
+                rem[u] *= k
             D *= k
         c //= g
         for u, b in B.items():
             u += shift
-            a = p.get(u, 0) - c * b
-            if a:
-                if u not in p:
-                    heapq.heappush(heap, u ^ flip)
+            a = p.get(u)
+            if a is None:
+                heapq.heappush(heap, u ^ flip)
+                p[u] = -c * b
+            elif a := a - c * b:
                 p[u] = a
             else:
                 del p[u]
         if g != L:
-            D, p, rem, *quots = _lowest_terms(D, p, rem, *quots)
-    return (rem, D), (quots, D) if track else None, sugar
+            D, p, rem = _lowest_terms(D, p, rem)
+    return (rem, D), recs, sugar
 
 
 def _divide(x, g, lay, budget):
@@ -180,20 +179,21 @@ def _divide(x, g, lay, budget):
     if not x[0]:
         return {}, 1
     ld, b = _monic(g[0], lay)
-    (R, _), ([Q], D), _ = _reduce_full(x, [b], [ld], [lay.degree(b[0])],
-                                       lay.degree(x[0]), budget, lay, True)
+    (R, _), recs, _ = _reduce_full(x, [b], [ld], [lay.degree(b[0])],
+                                   lay.degree(x[0]), budget, lay, True)
     if R:
         return None
-    # x = Q * (B / L) / D and g = (G / Dg) = (G[ld] / L) * B / Dg
+    # x = sum (c / d) x^shift B / L, one shift per record; g = (G[ld] / L) B / Dg
     k = g[0][ld]
     s = g[1] if k > 0 else -g[1]
-    D, Q = _lowest_terms(D * abs(k), {t: a * s for t, a in Q.items()})
+    D = lcm(*(d for *_, d in recs))
+    D, Q = _lowest_terms(D * abs(k), {u: c * (D // d) * s for _, u, c, d in recs})
     return Q, D
 
 
-def _run_buchberger(gens, budget, track, lay):
+def _run_buchberger(gens, budget, units, lay):
     """Core loop, a generator. gens: list of (P, D) elements, zero ones
-    skipped.
+    skipped; units: None, or the (P, D) each of gens is represented by.
 
     Yields (s, state) with state = (basis, leads, sugars, reps,
     zero_syzygies): before the first S-pair and before each pair whose
@@ -202,13 +202,15 @@ def _run_buchberger(gens, budget, track, lay):
     has at least the sugar of the pair whose remainder made it); and last
     with s None, when the run is complete. The lists of state grow in
     place. leads[j] is the lead term of basis[j], sugars[j] bounds its
-    degrees, reps[j] expresses basis[j] over the input generators,
-    indexed by position in gens, and zero_syzygies are input-space
-    relations found from S-pairs reducing to zero. reps/zero_syzygies are
-    None unless track is set. Criteria pruning is disabled in track mode
-    so the collected relations generate the full first syzygy module.
+    degrees, reps[j] is basis[j]'s combination of gens taken of units, and
+    zero_syzygies are the relations of S-pairs reducing to zero. Unit rows
+    as units index a rep by position in gens; an empty unit drops its
+    component, and its work, from every rep. reps/zero_syzygies are None
+    unless units is given; then criteria pruning is disabled so the
+    collected relations generate the full first syzygy module.
     """
     rank1 = all(t < lay.unit for P, _ in gens for t in P)
+    track = units is not None
     basis, leads, sugars = [], [], []
     reps, zsyz = ([], []) if track else (None, None)
     state = (basis, leads, sugars, reps, zsyz)
@@ -243,7 +245,7 @@ def _run_buchberger(gens, budget, track, lay):
 
     for idx, v in enumerate(gens):
         if v[0]:
-            append(v, lay.degree(v[0]), ({idx * lay.unit: 1}, 1))
+            append(v, lay.degree(v[0]), units[idx] if track else None)
 
     last = None
     while heap:
@@ -260,23 +262,16 @@ def _run_buchberger(gens, budget, track, lay):
         budget.spend()
         si, sj = l - leads[i], l - leads[j]
         s = _combine([(1, 1, si, basis[i]), (-1, 1, sj, basis[j])])
-        rem, quots, sug = _reduce_full(s, basis, leads, sugars, sug, budget,
-                                       lay, track)
+        rem, recs, sug = _reduce_full(s, basis, leads, sugars, sug, budget,
+                                      lay, track)
         if track:
             rep = _combine([(1, 1, si, reps[i]), (-1, 1, sj, reps[j])]
-                           + _less_quotients(quots, reps))
+                           + _less_quotients(recs, reps))
         if rem[0]:
             append(rem, sug, rep if track else None)
         elif track and rep[0]:
             zsyz.append(rep)
     yield None, state
-
-
-def _completed(run):
-    """The state of a _run_buchberger run, run to its end."""
-    for _, state in run:
-        pass
-    return state
 
 
 def _chain_skip(i, j, l, leads, pending, lay):
@@ -387,7 +382,7 @@ def buchberger(gens):
 def _buchberger(ring, rank, lay, flats):
     """buchberger of the packed elements flats, of rank rank over ring."""
     b = current_budget()
-    basis, leads, sugars, _, _ = _completed(_run_buchberger(flats, b, False, lay))
+    *_, (_, (basis, leads, sugars, _, _)) = _run_buchberger(flats, b, None, lay)
     return GroebnerBasis(ring, rank, lay, _interreduce(basis, leads, sugars, b, lay))
 
 
@@ -407,7 +402,7 @@ def syzygy_stream(gens):
     the S-pairs that reduce to zero in a Buchberger run that tracks each
     basis element over the generators, in the order found, and the
     nonzero rows e_i - q_i, where q_i divides generator i by that basis
-    with tracked quotients. Yields (s, rows), the rows packed in the
+    with its quotient records. Yields (s, rows), the rows packed in the
     layout _Packing(len(ring)); the last yield has s None.
 
     When every generator is homogeneous, each sugar is a degree: the run
@@ -420,11 +415,20 @@ def syzygy_stream(gens):
     undone. Otherwise there is one yield, at the end of the run, with
     the rows e_i - q_i by i.
     """
+    yield from _syzygy_stream(gens, 0)
+
+
+def _syzygy_stream(gens, first):
+    """syzygy_stream(gens), its rows cut to their components from first on
+    (in lowest terms as cut), the generators below first represented by
+    zero. The same rows are dropped when the kept part of a syzygy fixes
+    the rest, as grad f's part of a syzygy of (f, grad f) does."""
     _, _, lay, flats = _prepare(gens)
     graded = all(len({t >> lay.dshift & lay.top for t in P}) <= 1
                  for P, _ in flats)
+    units = [({i * lay.unit: 1} if i >= first else {}, 1) for i in range(len(flats))]
     # a zero generator is annihilated by the corresponding unit vector
-    rows = [({i * lay.unit: 1}, 1) for i, (P, _) in enumerate(flats) if not P]
+    rows = [units[i] for i, (P, _) in enumerate(flats) if not P]
     todo = [(lay.degree(P), i) for i, (P, _) in enumerate(flats) if P]
     if graded:
         todo.sort()
@@ -433,16 +437,15 @@ def syzygy_stream(gens):
     def division_row(i, state):
         basis, leads, sugars, reps, _ = state
         f = flats[i]
-        rem, quots, _ = _reduce_full(f, basis, leads, sugars,
-                                     lay.degree(f[0]), budget, lay, True)
+        rem, recs, _ = _reduce_full(f, basis, leads, sugars,
+                                    lay.degree(f[0]), budget, lay, True)
         if rem[0]:
             raise InternalInconsistency("generator does not reduce to zero")
-        return _combine([(1, 1, 0, ({i * lay.unit: 1}, 1))]
-                        + _less_quotients(quots, reps))
+        return _combine([(1, 1, 0, units[i])] + _less_quotients(recs, reps))
 
     found = 0
     seen = {}
-    for s, state in _run_buchberger(flats, budget, True, lay):
+    for s, state in _run_buchberger(flats, budget, units, lay):
         if s is not None and not graded:
             continue
         zsyz = state[4]

@@ -33,9 +33,9 @@ from .errors import (
     ZeroOrConstantInput,
     current_budget,
 )
-# buchberger is bound here too: perfbench's tracer test reads logder.buchberger
-from .groebner import (_buchberger, _divide, buchberger,  # noqa: F401
-                       dimension_at_most, syzygy_stream)
+# buchberger and syzygy_stream stay bound here: perfbench and tests read them
+from .groebner import (_buchberger, _divide, _syzygy_stream,  # noqa: F401
+                       buchberger, dimension_at_most, syzygy_stream)
 from .linalg import _eliminate, _ints
 from .poly import (
     Polynomial,
@@ -221,24 +221,21 @@ def compute_der_log(f):
 
 
 def der_log_stream(f):
-    """Generators of Der(-log f), degree by degree, from
-    syzygy_stream(f, df/dx_1, ..., df/dx_n); each nonzero row gives its
-    field. Distinct rows give distinct fields, as row[0] = -sum_i row[i]
-    * df/dx_i / f.
-
-    A field is its packed row without component 0: d/dx_i is component
-    i + 1. Yields (c, fields): every field still to come has coefficients
-    of degree >= c, or none is to come when c is None. A row of degree s'
-    of the stream gives a field whose coefficients have degree s' - (d -
-    1), with d the degree of f, so a pause at s gives c = s + 2 - d.
+    """Generators of Der(-log f), degree by degree: the rows of
+    syzygy_stream(f, df/dx_1, ..., df/dx_n) cut to their fields, packed
+    rows whose component i + 1 is d/dx_i (the run forms no component 0).
+    Distinct rows give distinct fields, as row[0] = -sum_i row[i] *
+    df/dx_i / f. Yields (c, fields): every field still to come has
+    coefficients of degree >= c, or none is to come when c is None. A row
+    of degree s' of the stream gives a field whose coefficients have
+    degree s' - (d - 1), with d the degree of f, so a pause at s gives
+    c = s + 2 - d.
     """
     _check_equation(f)
     d = f.total_degree()
     gens = [f] + [partial_derivative(f, i) for i in range(len(f.ring))]
-    unit = _Packing(len(f.ring)).unit
-    for s, rows in syzygy_stream(gens):
-        fields = [({t: a for t, a in P.items() if t >= unit}, D) for P, D in rows]
-        yield (None if s is None else s + 2 - d, [v for v in fields if v[0]])
+    for s, fields in _syzygy_stream(gens, 1):
+        yield None if s is None else s + 2 - d, fields
 
 
 def _as_field(v, ring):

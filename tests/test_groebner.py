@@ -361,7 +361,10 @@ def packed_reduce(v, basis, leads, budget, track, sugar, sugars):
     """_reduce_full on Fraction dicts keyed by (component, exponent) terms
     and on monic basis elements, converted at its boundary: the remainder
     comes back as a Fraction dict in the kernel's term order, the
-    quotients keyed by exponent tuples, and the sugar in its box."""
+    quotient records summed, in step order, into one dict per basis
+    element keyed by exponent tuples, and the sugar in its box. The
+    records must sum back to v exactly: v = sum (c / D) * x^shift *
+    basis[j] + remainder."""
     lay = _Packing(len(leads[0][1]))
 
     def packed(d):
@@ -370,17 +373,23 @@ def packed_reduce(v, basis, leads, budget, track, sugar, sugars):
 
     if sugars is None:
         sugars = [max(sum(m) for _, m in b) for b in basis]
-    (rem, den), quots, sug = _reduce_full(
+    (rem, den), recs, sug = _reduce_full(
         packed(v), [packed(b) for b in basis],
         [lay.pack(*ld) for ld in leads], sugars, 0, budget, lay, track)
     if sugar is not None:
         sugar[0] = sug
-    if quots is not None:
-        Q, qden = quots  # ints over the working denominator, as the remainder
-        assert qden == den
-        quots = [{lay.unpack(s)[1]: Fraction(a, qden) for s, a in q.items()}
-                 for q in Q]
-    return ({lay.unpack(t): Fraction(a, den) for t, a in rem.items()}, quots)
+    rem = {lay.unpack(t): Fraction(a, den) for t, a in rem.items()}
+    quots = None
+    if recs is not None:
+        quots, total = [{} for _ in basis], dict(rem)
+        for j, s, c, d in recs:  # c over the working denominator d
+            e = lay.unpack(s)[1]
+            quots[j][e] = quots[j].get(e, 0) + Fraction(c, d)
+            for (bc, bm), co in basis[j].items():
+                u = (bc, tuple(a + b for a, b in zip(bm, e)))
+                total[u] = total.get(u, 0) + Fraction(c, d) * co
+        assert {t: co for t, co in total.items() if co} == v
+    return rem, quots
 
 
 def max_scan_reduce(v, basis, leads, budget, track, sugar, sugars):

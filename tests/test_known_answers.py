@@ -51,6 +51,12 @@
   from the stream and from the drained generators, keeps the fields of
   the reference scan in conftest.py, which splits and orders VectorFields
   by their Fraction terms.
+- Der(-log f) as the projection of the syzygies of (f, grad f): batch by
+  batch, the fields of der_log_stream, whose run never forms the f
+  component, are the nonzero field parts of the rows of syzygy_stream on
+  (f, grad f), as Fraction values, with the pause degree shifted by
+  deg f - 2; on the graded corpus entries, the whole inhomogeneous run of
+  the four lines, and braid A3, Coxeter B3 and D4.
 - Exact division, the reduction of the dividend by the divisor alone: a
   zero dividend, a divisor with a negative lead coefficient, a first
   quotient coefficient that is no integer multiple of the divisor's
@@ -78,9 +84,10 @@ import pytest
 
 from ce_oracle import cohomology, ft1_equation_side
 from conftest import (ReferenceConstants, corpus_member, corpus_names,
-                      packed_div, reference_certificate, reference_d0_rows,
-                      reference_d1_rows, reference_representatives,
-                      reference_saito_fields, transpose)
+                      coxeter_gens, packed_div, reference_certificate,
+                      reference_d0_rows, reference_d1_rows,
+                      reference_representatives, reference_saito_fields,
+                      transpose)
 from logdiv import cohomology as slices
 from logdiv import groebner
 from logdiv.classify import (LieAlgebra, connection_conditions, is_koszul,
@@ -91,10 +98,10 @@ from logdiv.cohomology import ft1, lft1, linear_basis
 from logdiv.errors import (Budget, NotLinear, NotWeightedHomogeneous,
                            current_budget)
 from logdiv.logder import (SaitoBasis, VectorField, compute_der_log,
-                           find_saito_basis, saito_basis, structure_constants,
-                           verify_saito)
+                           der_log_stream, find_saito_basis, saito_basis,
+                           structure_constants, verify_saito)
 from logdiv.poly import (Polynomial, _flatten, _Packing, detect_weight_system,
-                         poly_from_text, poly_to_text)
+                         partial_derivative, poly_from_text, poly_to_text)
 
 
 def residual(v, echelon):
@@ -635,6 +642,38 @@ def test_saito_basis_search_keeps_the_reference_fields(name):
     assert reference is not None
     assert saito_basis(f, w).fields == reference
     assert find_saito_basis(compute_der_log(f), f, w).fields == reference
+
+
+def fraction_batches(stream, first):
+    """The (s, values) batches of a stream of packed rows, each row's terms
+    from the packed term first on as {term: Fraction}, the empty ones
+    left out."""
+    out = []
+    for s, rows in stream:
+        values = [{t: Fraction(a, D) for t, a in P.items() if t >= first}
+                  for P, D in rows]
+        out.append((s, [v for v in values if v]))
+    return out
+
+
+@pytest.mark.parametrize("name", [name for name, _ in graded_goldens()]
+                         + ["four-lines-nonkoszul", "braid-A3", "coxeter-B3",
+                            "coxeter-D4"])
+def test_der_log_stream_is_the_field_part_of_the_syzygy_stream(name):
+    if name.startswith(("braid", "coxeter")):
+        gens = coxeter_gens(name)
+    else:
+        f = corpus_member(name)[0]
+        gens = [f] + [partial_derivative(f, i) for i in range(len(f.ring))]
+    f = gens[0]
+    d, unit = f.total_degree(), _Packing(len(f.ring)).unit
+    fields = fraction_batches(der_log_stream(f), 0)
+    rows = fraction_batches(groebner.syzygy_stream(gens), unit)
+    assert fields == [(None if s is None else s + 2 - d, v) for s, v in rows]
+    assert all(t >= unit for _, batch in fields for v in batch for t in v)
+    assert sum(len(batch) for _, batch in fields) >= len(f.ring)
+    if name == "four-lines-nonkoszul":
+        assert [s for s, _ in fields] == [None]  # one batch, the whole run
 
 
 @pytest.mark.parametrize("name", corpus_names() + [

@@ -8,12 +8,14 @@ g_0 f + sum_i g_i df/dx_i = 0 yields the field sum_i g_i d/dx_i.
 The fields come from one stream, der_log_stream; compute_der_log drains
 it. For f homogeneous the syzygies come degree by degree, and the graded
 search for a Saito basis reads them only up to the degree it needs: it
-scans the weight parts of tag t once no field still to come can have a
-part of tag <= t, and stops the run when n kept parts pass Saito's
-determinant test. The basis is the one a full run gives.
+takes the weight parts of tag t once no field still to come can have a
+part of tag <= t, and stops the run when the n fields kept pass Saito's
+determinant test. Those fields are a canonical form (_select_saito_basis):
+they depend on f, its weights and the term order alone, so the basis is
+the one a full run, or any generating set of Der(-log f), gives.
 
 The stream's fields stay packed, as rows of groebner's tracked run: the
-search splits, orders and reduces their weight parts on ints, and only
+search splits, reduces and echelons their weight parts on ints, and only
 the n fields handed to the determinant test become VectorFields (of
 Polynomials; compute_der_log unflattens all). Saito matrices are written
 with fields as columns: entry (i, j) is the d/dx_i coefficient of the
@@ -36,7 +38,7 @@ from .errors import (
 # buchberger and syzygy_stream stay bound here: perfbench and tests read them
 from .groebner import (_buchberger, _divide, _syzygy_stream,  # noqa: F401
                        buchberger, dimension_at_most, syzygy_stream)
-from .linalg import _eliminate, _ints
+from .linalg import _eliminate, _ints, rref
 from .poly import (
     Polynomial,
     PolyMatrix,
@@ -440,35 +442,33 @@ def _determinant_test(fields, f):
 
 
 def _weight_parts(v, w, lay):
-    """The weight parts (tag, comps, (P', D)) of the packed field v = (P,
-    D), comps[i] the (m, a) of its terms a / D * x^m d/dx_i, unpacked once."""
+    """The weight parts (tag, (P', D)) of the packed field v = (P, D)."""
     buckets = {}
     for t, a in v[0].items():
         c, m = lay.unpack(t)
         tag = m_weighted_degree(m, w.weights) - w.weights[c - 1]
-        if tag not in buckets:
-            buckets[tag] = ({}, [[] for _ in range(lay.n)])
-        buckets[tag][0][t] = a
-        buckets[tag][1][c - 1].append((m, a))
-    return [(tag, comps, (P, v[1])) for tag, (P, comps) in buckets.items()]
+        buckets.setdefault(tag, {})[t] = a
+    return [(tag, (P, v[1])) for tag, P in buckets.items()]
 
 
-def _sort_parts(parts):
-    """Sort the (tag, comps, (P, D)) of _weight_parts by tag, then by the
-    lists of (exponent, a / D) of each component sorted by exponent, the
-    a / D read as ints over the lcm of the denominators."""
-    den = lcm(*(p[2][1] for p in parts))
-    parts.sort(key=lambda p: (p[0], [
-        tuple(sorted((m, a * (den // p[2][1])) for m, a in comp))
-        for comp in p[1]]))
+def _echelon(forms, lay):
+    """The reduced row echelon basis over Q of the span of the packed
+    forms, pivots at lead terms (rref on the flipped terms), largest lead
+    first: primitive int rows over 1, each positive at its pivot."""
+    flip = lay.flip
+    rows = [{t ^ flip: a for t, a in P.items()} for P, _ in forms]
+    ech, pivots = rref(rows, len({t for row in rows for t in row}))
+    return [({t ^ flip: a if row[p] > 0 else -a for t, a in row.items()}, 1)
+            for row, p in zip(ech, pivots)]
 
 
 SUBSET_BUDGET = 300
 
 
 def find_saito_basis(gens, f, w=None):
-    """Select a free basis among generators of Der(-log f), after checking
-    that f is a reduced divisor equation (w detected when not given)."""
+    """A free basis of Der(-log f) from generators of it, the canonical
+    one for graded f, after checking that f is a reduced divisor equation
+    (w detected when not given)."""
     _check_divisor(f)
     return _select_saito_basis([(None, _packed_fields(gens, f.ring))], f,
                                w or detect_weight_system(f))
@@ -477,7 +477,7 @@ def find_saito_basis(gens, f, w=None):
 def saito_basis(f, w=None):
     """find_saito_basis(compute_der_log(f), f, w), the same basis, with
     the generators read from der_log_stream(f): for f homogeneous the
-    syzygy run stops once the graded scan has its basis."""
+    syzygy run stops once the graded search has its basis."""
     _check_divisor(f)
     return _select_saito_basis(der_log_stream(f), f,
                                w or detect_weight_system(f))
@@ -491,43 +491,43 @@ def _select_saito_basis(batches, f, w):
     has none. Only fields handed to _determinant_test are unflattened.
 
     Weighted homogeneous f: generators are split into weight-homogeneous
-    parts and greedily minimalized in ascending weight order (a graded
-    minimal generating set). A part of weight tag t is scanned once no
-    part of tag <= t is still to come: a coefficient of degree >= c gives
-    tags >= min(w) * c - max(w). Each tag's parts are scanned in
-    _sort_parts order, so the batches only decide how much of Der(-log
-    f) is read, not what is kept. The scan stops once n kept parts pass
-    the determinant test: by Saito's criterion they are a basis, so every
-    later part would reduce to zero. Otherwise all generators are read
-    and n-subsets are tried in order of total degree, up to
-    SUBSET_BUDGET of them.
+    parts, and each tag d is taken once, in ascending order, when no part
+    of tag <= d is still to come (a coefficient of degree >= c gives tags
+    >= min(w) * c - max(w)). The fields kept at d are the _echelon of the
+    normal forms of the tag-d parts modulo the fields kept below d. The
+    normal form is linear on the weight-d piece, with kernel the module
+    the fields below d generate there, so the normal forms span a fixed
+    space with a unique reduced echelon basis: neither the generators,
+    their order nor the batches decide the basis. The number kept through
+    d is a rank; once it is n and they pass the determinant test they are
+    a basis (Saito's criterion) and nothing more is read. Otherwise all
+    generators are read and n-subsets are tried in order of total
+    degree, up to SUBSET_BUDGET of them.
     """
     n = len(f.ring)
     lay = _Packing(n)
     if w is not None:
         lo, hi = min(w.weights), max(w.weights)
-        waiting = []  # (tag, comps, part) of the parts not scanned yet
-        kept = []
-        gb = None  # Groebner basis of kept, recomputed after a keep
+        waiting = {}  # tag: the parts of that tag not taken yet
+        kept, gb = [], None  # gb: kept's Groebner basis, None after a tag adds
         for c, fields in batches:
-            waiting += [p for v in fields for p in _weight_parts(v, w, lay)]
+            for v in fields:
+                for tag, part in _weight_parts(v, w, lay):
+                    waiting.setdefault(tag, []).append(part)
             floor = inf if c is None else lo * c - hi  # the least tag to come
-            ready = [p for p in waiting if p[0] < floor]
-            waiting = [p for p in waiting if p[0] >= floor]
-            _sort_parts(ready)
-            for _, _, v in ready:
-                if kept:
-                    if gb is None:
-                        gb = _buchberger(f.ring, n + 1, lay, kept)
-                    if not gb._remainder(v)[0]:
-                        continue
-                kept.append(v)
-                gb = None
-                if len(kept) == n:
-                    chosen = [_as_field(v, f.ring) for v in kept]
-                    res = _determinant_test(chosen, f)
-                    if res:
-                        return SaitoBasis(chosen, f, res.unit, res.table)
+            for tag in sorted(t for t in waiting if t < floor):
+                if kept and gb is None:
+                    gb = _buchberger(f.ring, n + 1, lay, kept)
+                new = _echelon([gb._remainder(v) if kept else v
+                                for v in waiting.pop(tag)], lay)
+                if new:
+                    kept += new
+                    gb = None
+                    if len(kept) == n:
+                        chosen = [_as_field(v, f.ring) for v in kept]
+                        res = _determinant_test(chosen, f)
+                        if res:
+                            return SaitoBasis(chosen, f, res.unit, res.table)
         if len(kept) != n:
             raise NotFree(f"graded minimal generating set has {len(kept)} elements, need {n}")
         raise NotFree(f"minimal generating set fails the determinant test: {res.reason}")

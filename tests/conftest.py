@@ -233,7 +233,8 @@ def unpacked(stream, ring, rank):
 # ---- the Saito basis search over VectorFields and Fraction polynomials --
 
 def field_sort_key(tag, delta):
-    """The scan order of a weight-homogeneous field of weight tag."""
+    """A total order on weight-homogeneous fields of weight tag, for
+    comparing lists of them as multisets."""
     return (tag, [tuple(sorted(p.terms.items())) for p in delta.components])
 
 
@@ -251,13 +252,41 @@ def reference_weight_parts(delta, w):
             for tag in sorted(buckets)]
 
 
+def reference_echelon(fields):
+    """The reduced row echelon basis over Q of the span of the fields, by
+    dense_rref: columns are the terms (i, m) of x^m d/dx_i, largest first
+    in the module order (position over term, d/dx_1 first, then degrevlex:
+    higher degree first, then the smaller exponent of the last variable),
+    so each pivot sits at a lead term; each row scaled to primitive ints,
+    positive at its pivot. Rows come in pivot order, largest lead first."""
+    if not fields:
+        return []
+    ring = fields[0].ring
+    cols = sorted({(i, m) for d in fields for i, p in enumerate(d.components)
+                   for m in p.terms},
+                  key=lambda t: (t[0], -sum(t[1]), tuple(reversed(t[1]))))
+    rows = [[d.components[i].terms.get(m, 0) for i, m in cols] for d in fields]
+    out = []
+    for row in dense_rref(rows, len(cols))[0]:
+        den = math.lcm(*(x.denominator for x in row))
+        ints = [int(x * den) for x in row]
+        g = math.gcd(*ints)
+        comps = [{} for _ in ring]
+        for (i, m), x in zip(cols, ints):
+            if x:
+                comps[i][m] = Fraction(x // g)
+        out.append(VectorField(ring, [Polynomial(ring, t) for t in comps]))
+    return out
+
+
 def reference_saito_fields(f, w):
-    """The fields of the Saito basis that the search keeps among the
-    generators compute_der_log(f), selected over VectorFields. With a
-    weight system w: every weight part, in field_sort_key order, kept
-    unless it reduces to zero by buchberger of the parts kept before it,
-    until n kept parts pass verify_saito. Without one: the first n-subset
-    in order of total degree that passes it. None when nothing does."""
+    """The Saito basis that the search selects among the generators
+    compute_der_log(f), selected over VectorFields. With a weight system
+    w: for each weight d of a part, ascending, the normal forms of the
+    weight-d parts modulo buchberger of the fields kept below d, put in
+    reference_echelon form and kept, until n kept fields pass
+    verify_saito. Without one: the first n-subset in order of total
+    degree that passes it. None when nothing does."""
     gens, n = compute_der_log(f), len(f.ring)
     if w is None:
         def total_deg(i):
@@ -269,15 +298,20 @@ def reference_saito_fields(f, w):
             if verify_saito([gens[i] for i in combo], f):
                 return [gens[i] for i in combo]
         return None
-    parts = sorted((p for delta in gens for p in reference_weight_parts(delta, w)),
-                   key=lambda p: field_sort_key(*p))
+    by_tag = {}
+    for delta in gens:
+        for tag, part in reference_weight_parts(delta, w):
+            by_tag.setdefault(tag, []).append(part)
     kept = []
-    for _, delta in parts:
-        if kept and buchberger([list(d.components) for d in kept]) \
-                .reduces_to_zero(list(delta.components)):
-            continue
-        kept.append(delta)
-        if len(kept) == n and verify_saito(kept, f):
+    for tag in sorted(by_tag):
+        forms = by_tag[tag]
+        if kept:
+            gb = buchberger([list(d.components) for d in kept])
+            forms = [VectorField(f.ring, gb.normal_form(list(d.components)))
+                     for d in forms]
+        new = reference_echelon(forms)
+        kept += new
+        if new and len(kept) == n and verify_saito(kept, f):
             return kept
     return None
 

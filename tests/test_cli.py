@@ -25,14 +25,15 @@ def write_doc(path, doc):
         json.dump(doc, fh)
 
 
-def write_braid_a4(path):
-    """The braid arrangement A4: its analysis with --all takes about 3.4-3.9
-    s, of which the basis search takes 0.24-0.28 s and ft1 3.0-3.6 s, so
-    a timeout of 0.3 s cuts it on any host."""
+def write_coxeter_d5(path):
+    """The Coxeter arrangement D5: its analysis with --all takes about
+    2.2-2.6 s on a 2-CPU host with Python 3.11, of which the squarefree
+    test and the basis search take about 0.5-0.7 s and ft1 1.6-1.8 s, so
+    a timeout of 0.3 s cuts it with a wide margin."""
     pairs = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
-    write_doc(path, {"label": "braid-A4",
+    write_doc(path, {"label": "coxeter-D5",
                      "variables": [f"x{i}" for i in range(1, 6)],
-                     "f": "*".join(f"(x{i} - x{j})" for i, j in pairs)})
+                     "f": "*".join(f"(x{i}^2 - x{j}^2)" for i, j in pairs)})
     return str(path)
 
 
@@ -80,7 +81,7 @@ class TestAnalyzeHuman:
             "label: quartic-cross",
             "f = x^3*y - x*y^3  in Q[x, y]",
             "weights: (1, 1), degree 4, field weights [0, 2]",
-            "free: yes (determinant unit -1/2)",
+            "free: yes (determinant unit 1)",
             "linear: False",
             "koszul: True",
             "connection conditions: True, True",
@@ -262,7 +263,7 @@ class TestAnalyzeErrors:
         assert res.returncode == 4
 
     def test_timeout_exits_5(self, tmp_path):
-        res = run_cli("analyze", write_braid_a4(tmp_path / "a4.json"),
+        res = run_cli("analyze", write_coxeter_d5(tmp_path / "d5.json"),
                       "--all", "--timeout", "0.3")
         assert res.returncode == 5
         assert "timed out" in res.stdout
@@ -278,7 +279,7 @@ class TestAnalyzeErrors:
     def test_timeout_works_outside_the_main_thread(self, capsys, tmp_path):
         from logdiv import cli
 
-        path = write_braid_a4(tmp_path / "a4.json")
+        path = write_coxeter_d5(tmp_path / "d5.json")
         codes = []
         worker = threading.Thread(target=lambda: codes.append(cli.main([
             "analyze", path, "--all", "--timeout", "0.3"])))
@@ -471,21 +472,21 @@ class TestCorpusRun:
         assert "Traceback" not in res.stderr
 
     def test_timeout_is_per_entry(self, tmp_path):
-        # the heavy entry runs twice (files run as a4, nc-2, copy): each
+        # the heavy entry runs twice (files run as d5, nc-2, copy): each
         # run gets its own deadline, and the light entry between them is
         # not touched by either. Nothing is known of the heavy report but
         # that it is cut, so its stored report is empty.
         for name in ("nc-2.json", "nc-2.expected.json"):
             shutil.copy(os.path.join(CORPUS, name), tmp_path / name)
-        for prefix in ("a4", "zz-copy-of-a4"):
-            write_braid_a4(tmp_path / f"{prefix}.json")
+        for prefix in ("d5", "zz-copy-of-d5"):
+            write_coxeter_d5(tmp_path / f"{prefix}.json")
             write_doc(tmp_path / f"{prefix}.expected.json", {})
         res = run_cli("corpus-run", str(tmp_path), "--timeout", "0.3")
         assert res.returncode == 1
         *heavy, light, total = res.stdout.splitlines()
         assert len(heavy) == 2
         for line in heavy:
-            assert line.startswith("braid-A4                 MISMATCH  ")
+            assert line.startswith("coxeter-D5               MISMATCH  ")
             assert "error (unexpected)" in line
         assert light == "nc-2                     ok"
         assert total == "3 corpus entries, 2 mismatched"
@@ -892,7 +893,7 @@ class TestBasisStageBudget:
         return failure, budget.steps - budget.left, basis_steps
 
     @pytest.mark.parametrize("name, steps", [
-        ("braid-A3", 1472), ("coxeter-B3", 289), ("coxeter-D4", 1274)],
+        ("braid-A3", 1062), ("coxeter-B3", 324), ("coxeter-D4", 1152)],
         ids=["braid-A3", "coxeter-B3", "coxeter-D4"])
     def test_graded_arrangements_stop_early(self, name, steps, monkeypatch):
         from logdiv.errors import Budget
@@ -946,7 +947,7 @@ class TestBasisStageBudget:
         assert sorted(unflattened) == [1, 5, 5, 5, 5]
 
     @pytest.mark.parametrize("name, steps", [
-        ("discriminant-234", 275),  # weighted, but (f, grad f) not homogeneous
+        ("discriminant-234", 273),  # weighted, but (f, grad f) not homogeneous
         ("curve-x5y4", 44),
         ("four-lines-nonkoszul", 438)],  # not weighted homogeneous
         ids=["discriminant-234", "curve-x5y4", "four-lines-nonkoszul"])
@@ -958,7 +959,7 @@ class TestBasisStageBudget:
         assert self.analyze(doc, monkeypatch)[:2] == (None, steps)
 
     @pytest.mark.parametrize("f, steps, size", [
-        ("x*y*z*(x+y+z)", 218, 4), ("x*y*z*(x+y+z)*(x+2*y+3*z)", 929, 5)],
+        ("x*y*z*(x+y+z)", 192, 4), ("x*y*z*(x+y+z)*(x+2*y+3*z)", 815, 5)],
         ids=["generic-4", "generic-5"])
     def test_not_free_reads_the_whole_run(self, f, steps, size, monkeypatch):
         doc = {"label": "generic", "variables": ["x", "y", "z"], "f": f}

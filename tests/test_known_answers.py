@@ -48,9 +48,17 @@
   lcm is their product: the J-pairs the run skips before any lcm.
 - The Saito basis search: on every corpus entry without a supplied Saito
   matrix and on braid A3, B3, D4 and B4, the search over packed fields,
-  from the stream and from the drained generators, keeps the fields of
-  the reference scan in conftest.py, which splits and orders VectorFields
-  by their Fraction terms.
+  from the stream and from the drained generators, returns the fields of
+  the reference in conftest.py, which takes the normal forms of the
+  weight parts of VectorFields with Polynomial-level buchberger and
+  normal_form and echelons them by a dense Fraction elimination; each
+  basis passes verify_saito. The basis is a canonical form: normal
+  crossings give diag(x_1, ..., x_n) with unit 1, and on the graded
+  corpus and the four arrangements another free basis, that basis under
+  a graded automorphism, the generators reversed and the generators with
+  their multiples by the variables all give the same fields and unit. At
+  most one Groebner basis of kept fields is built per field weight after
+  the first.
 - Der(-log f) as the projection of the syzygies of (f, grad f): batch by
   batch, the fields of der_log_stream, whose run never forms the f
   component, are the nonzero field parts of the rows of syzygy_stream on
@@ -477,7 +485,7 @@ def test_signature_run_is_complete_on_symbol_ideals(name):
 
 @pytest.mark.parametrize("name, koszul, steps", [
     ("braid-A3", True, None), ("coxeter-B3", True, None),
-    ("coxeter-D4", True, 133), ("coxeter-B4", True, 159),
+    ("coxeter-D4", True, 120), ("coxeter-B4", True, 129),
     ("four-lines-nonkoszul", False, None)])
 def test_koszul_known_answers(name, koszul, steps, monkeypatch):
     # steps are the signature-based run's, which for D4 and B4 were 744
@@ -631,17 +639,185 @@ def syzygy_route(name):
                          + ["braid-A3", "coxeter-B3", "coxeter-D4",
                             "coxeter-B4"])
 def test_saito_basis_search_keeps_the_reference_fields(name):
-    # the search splits and orders the weight parts on packed terms, their
-    # coefficients compared as ints; the reference scans VectorFields in
-    # the order of their Fraction terms
+    # the search reduces and echelons the weight parts on packed terms; the
+    # reference does both over VectorFields, with Polynomial-level
+    # buchberger and normal_form and a dense Fraction elimination
     if name.startswith(("braid", "coxeter")):
         f, w, _ = rigid_arrangement(name)
     else:
         f, w, _ = corpus_member(name)
     reference = reference_saito_fields(f, w)
     assert reference is not None
-    assert saito_basis(f, w).fields == reference
-    assert find_saito_basis(compute_der_log(f), f, w).fields == reference
+    for basis in (saito_basis(f, w), find_saito_basis(compute_der_log(f), f, w)):
+        assert basis.fields == reference
+        assert verify_saito(basis.fields, f)
+
+
+@pytest.mark.parametrize("name", ["nc-2", "nc-3", "nc-4"])
+def test_normal_crossings_basis_is_diagonal(name):
+    # f = x_1 ... x_n. A field of weight t has coefficients a_i of degree
+    # t + 1, and delta(f) / f = sum_i a_i / x_i is a polynomial exactly
+    # when x_i divides a_i; so no field has weight < 0, and the weight-0
+    # piece is the Q-span of the x_i d/dx_i, which generate Der(-log f).
+    # These monomial fields are their own reduced echelon basis, leads
+    # ordered d/dx_1 first, pivots 1: the matrix is diag(x_1, ..., x_n),
+    # its determinant f, its unit 1
+    f, w, _ = corpus_member(name)
+    n = len(f.ring)
+    for basis in (saito_basis(f, w), find_saito_basis(compute_der_log(f), f, w)):
+        assert [[poly_to_text(p) for p in row] for row in basis.matrix()] \
+            == [[x if i == j else "0" for j in range(n)]
+                for i, x in enumerate(f.ring)]
+        assert basis.unit == Polynomial.one(f.ring)
+
+
+# Other free bases of the modules below: the ones a greedy scan of the
+# weight parts kept before the basis became a canonical form (the stored
+# reports of the corpus held them), entry (i, j) the d/dx_i coefficient
+# of field j
+GREEDY_BASES = {
+    "curve-x5y4": [["-1/5*x", "1/5*y^3"], ["-1/4*y", "-1/4*x^4"]],
+    "discriminant-234": [
+        ["-1/12*x", "1/12*y", "-1/36*x^2 - 1/3*z"],
+        ["-1/8*y", "-1/36*x^2 + 1/9*z", "0"],
+        ["-1/6*z", "-1/72*x*y", "1/16*y^2 - 2/9*x*z"]],
+    "line-1": [["-1", "-y"], ["1", "-x"]],
+    "lines-2": [["1/2*y", "-1/2*x"], ["1/2*x", "-1/2*y"]],
+    "lines-3": [["-x", "-2*x^2 - 2*x*y"], ["-y", "0"]],
+    "lines-5": [["-x", "-1/4*x^4 - 1/2*x^3*y + 1/4*x^2*y^2 + 1/2*x*y^3"],
+                ["-y", "0"]],
+    "lines-6": [["-x", "-35/288*x^5 + 175/288*x^3*y^2 - 35/72*x*y^4"],
+                ["-y", "0"]],
+    "nc-2": [["0", "-x"], ["-y", "0"]],
+    "nc-3": [["0", "0", "-x"], ["0", "-y", "0"], ["-z", "0", "0"]],
+    "nc-4": [["0", "0", "0", "-x"], ["0", "0", "-y", "0"],
+             ["0", "-z", "0", "0"], ["-w", "0", "0", "0"]],
+    "quartic-cross": [["-x", "-1/2*x^3 + 1/2*x*y^2"], ["-y", "0"]],
+    "braid-A3": [
+        ["1", "-x1 + x3 + x4", "-2*x1^2 + 2*x1*x3 + 2*x1*x4 - 2*x3*x4",
+         "-3*x1^3 + x1^2*x2 + 2*x1^2*x3 - x1*x2*x3 + 2*x1*x3^2 - x3^3"
+         " + 2*x1^2*x4 - x1*x2*x4 + x2*x3*x4 - 2*x3^2*x4 + 2*x1*x4^2"
+         " - 2*x3*x4^2 - x4^3"],
+        ["1", "-x2 + x3 + x4", "-2*x2^2 + 2*x2*x3 + 2*x2*x4 - 2*x3*x4",
+         "-2*x2^3 + x2^2*x3 + 2*x2*x3^2 - x3^3 + x2^2*x4 + x2*x3*x4"
+         " - 2*x3^2*x4 + 2*x2*x4^2 - 2*x3*x4^2 - x4^3"],
+        ["1", "x4", "0", "-x4^3"],
+        ["1", "x3", "0", "-x3^3"]],
+    "coxeter-B3": [
+        ["-x1", "1/3*x1^3 - 1/3*x1*x3^2",
+         "-5/6*x1^5 + 7/6*x1^3*x2^2 + 7/6*x1^3*x3^2 - 7/6*x1*x2^2*x3^2"
+         " - 1/3*x1*x3^4"],
+        ["-x2", "1/3*x2^3 - 1/3*x2*x3^2", "1/3*x2^5 - 1/3*x2*x3^4"],
+        ["-x3", "0", "0"]],
+    "coxeter-D4": [
+        ["-1/2*x1", "1/6*x2*x3*x4", "1/4*x1^3 - 1/4*x1*x3^2",
+         "-1/2*x1^5 + 5/6*x1^3*x2^2 + 2/3*x1^3*x3^2 - 5/6*x1*x2^2*x3^2"
+         " - 1/6*x1*x3^4 - 1/6*x1^3*x4^2 + 1/6*x1*x3^2*x4^2"],
+        ["-1/2*x2", "1/6*x1*x3*x4", "1/4*x2^3 - 1/4*x2*x3^2",
+         "1/3*x2^5 - 1/6*x2^3*x3^2 - 1/6*x2*x3^4 - 1/6*x2^3*x4^2"
+         " + 1/6*x2*x3^2*x4^2"],
+        ["-1/2*x3", "1/6*x1*x2*x4", "0", "0"],
+        ["-1/2*x4", "1/6*x1*x2*x3", "-1/4*x3^2*x4 + 1/4*x4^3",
+         "-5/6*x2^2*x3^2*x4 - 1/6*x3^4*x4 + 5/6*x2^2*x4^3 + 5/6*x3^2*x4^3"
+         " - 2/3*x4^5"]],
+    "coxeter-B4": [
+        ["-x1", "1/3*x1^3 - 1/3*x1*x4^2",
+         "-1/2*x1^5 + 4/5*x1^3*x3^2 + 3/5*x1^3*x4^2 - 4/5*x1*x3^2*x4^2"
+         " - 1/10*x1*x4^4",
+         "-1/2*x1^7 + 1/2*x1^5*x2^2 + 1/2*x1^5*x3^2 - 1/2*x1^3*x2^2*x3^2"
+         " + 1/2*x1^3*x3^4 + 1/2*x1^5*x4^2 - 1/2*x1^3*x2^2*x4^2"
+         " + 1/2*x1*x2^2*x3^2*x4^2 - 1/2*x1*x3^4*x4^2 + 1/2*x1^3*x4^4"
+         " - 1/2*x1*x3^2*x4^4 - 1/2*x1*x4^6"],
+        ["-x2", "1/3*x2^3 - 1/3*x2*x4^2",
+         "-1/2*x2^5 + 4/5*x2^3*x3^2 + 3/5*x2^3*x4^2 - 4/5*x2*x3^2*x4^2"
+         " - 1/10*x2*x4^4",
+         "1/2*x2^3*x3^4 + 1/2*x2^3*x3^2*x4^2 - 1/2*x2*x3^4*x4^2"
+         " + 1/2*x2^3*x4^4 - 1/2*x2*x3^2*x4^4 - 1/2*x2*x4^6"],
+        ["-x3", "1/3*x3^3 - 1/3*x3*x4^2",
+         "3/10*x3^5 - 1/5*x3^3*x4^2 - 1/10*x3*x4^4",
+         "1/2*x3^7 - 1/2*x3*x4^6"],
+        ["-x4", "0", "0", "0"]],
+}
+
+
+def graded_module(name):
+    """(f, w, another basis) of a graded corpus entry or an arrangement:
+    the basis of GREEDY_BASES, or else the supplied Saito matrix."""
+    if name.startswith(("braid", "coxeter")):
+        f, w, _ = rigid_arrangement(name)
+    else:
+        f, w, supplied = corpus_member(name)
+        if name not in GREEDY_BASES:
+            return f, w, supplied.fields
+    rows = [[poly_from_text(t, f.ring) for t in row] for row in GREEDY_BASES[name]]
+    return f, w, [VectorField(f.ring, [row[j] for row in rows])
+                  for j in range(len(f.ring))]
+
+
+GRADED_MODULES = [name for name, _ in graded_goldens()] \
+    + ["braid-A3", "coxeter-B3", "coxeter-D4", "coxeter-B4"]
+
+
+@pytest.mark.parametrize("how", ["other-basis", "triangular", "reversed",
+                                 "multiples"])
+@pytest.mark.parametrize("name", GRADED_MODULES)
+def test_saito_basis_is_the_same_from_any_generators(name, how):
+    # the basis is a canonical form of the module: another free basis, that
+    # basis under a graded automorphism (field j to (j + 2) times itself
+    # plus the fields before it of its weight), the generators of
+    # compute_der_log in reverse order, and those generators with x_i
+    # times each of them all give the fields and the unit of saito_basis
+    f, w, other = graded_module(name)
+    gens = compute_der_log(f)
+    if how == "other-basis":
+        assert verify_saito(other, f)
+        gens = other
+    elif how == "triangular":
+        gens = []
+        for j, d in enumerate(other):
+            comps = [(j + 2) * p for p in d.components]
+            for e in other[:j]:
+                if e.weight(w) == d.weight(w):
+                    comps = [p + q for p, q in zip(comps, e.components)]
+            gens.append(VectorField(f.ring, comps))
+        assert verify_saito(gens, f)
+    elif how == "reversed":
+        gens = gens[::-1]
+    else:
+        xs = [poly_from_text(x, f.ring) for x in f.ring]
+        gens = gens + [VectorField(f.ring, [x * p for p in d.components])
+                       for d in gens for x in xs]
+    canonical = saito_basis(f, w)
+    basis = find_saito_basis(gens, f, w)
+    assert basis.fields == canonical.fields
+    assert basis.unit == canonical.unit
+
+
+@pytest.mark.parametrize("name", GRADED_MODULES)
+def test_one_groebner_basis_per_weight_that_adds_fields(name, monkeypatch):
+    # the parts of each weight are reduced modulo one Groebner basis of the
+    # fields kept below it, rebuilt only after a weight that added fields;
+    # the last weight ends the search, so when every field has one weight
+    # no Groebner basis of kept fields is built at all
+    from logdiv import logder
+
+    f, w, _ = graded_module(name)
+    calls = []
+    build = logder._buchberger
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(logder, "_buchberger", counting)
+    gens = compute_der_log(f)
+    for search in (lambda: saito_basis(f, w),
+                   lambda: find_saito_basis(gens, f, w)):
+        calls.clear()
+        weights = set(search().field_weights(w))
+        assert len(calls) <= len(weights) - 1
+        if len(weights) == 1:
+            assert not calls
 
 
 def fraction_batches(stream, first):

@@ -31,14 +31,14 @@ sugar (in the signature-based run, the degree of the pair's signature), so
 checking the degrees of the input and each sugar as it grows keeps every
 field in range: a degree past the field raises BudgetExceeded.
 
-A run takes its S-pairs in sugar order and can pause between two sugars
-(_run_buchberger); a pair made later never has a smaller sugar than the pair
-that made it. For homogeneous generators the sugar is the degree, so
-after the pairs of sugar <= s every basis element and every syzygy of
-degree <= s is found. syzygy_stream is the one tracked run: it yields
-the syzygy rows degree by degree when the generators are homogeneous,
-and a reader that has what it needs stops the run there; its rows stay
-packed, and only syzygies, which drains it, turns them into
+A run takes its S-pairs in sugar order, skips those that Buchberger's
+chain criterion covers and, on homogeneous generators, where the sugar is
+the degree, pauses between two sugars (_run_buchberger); a pair made later
+never has a smaller sugar than the pair that made it, so after the pairs
+of sugar <= s every basis element and every syzygy of degree <= s is
+found. syzygy_stream is the one tracked run: it yields its rows degree by
+degree, and a reader that has what it needs stops the run there; its rows
+stay packed, and only syzygies, which drains it, turns them into
 Polynomials. dimension_at_most reads the leads of a signature-based run
 (_signature_leads) instead, which reduces no pair that a syzygy known in
 advance accounts for: on a regular sequence, such as the principal
@@ -196,29 +196,35 @@ def _run_buchberger(gens, budget, units, lay):
     skipped; units: None, or the (P, D) each of gens is represented by.
 
     Yields (s, state) with state = (basis, leads, sugars, reps,
-    zero_syzygies): before the first S-pair and before each pair whose
-    sugar exceeds that of every pair run so far, with s one less than its
-    sugar, so that every pair of sugar <= s is done (a pair made later
-    has at least the sugar of the pair whose remainder made it); and last
-    with s None, when the run is complete. The lists of state grow in
-    place. leads[j] is the lead term of basis[j], sugars[j] bounds its
-    degrees, reps[j] is basis[j]'s combination of gens taken of units, and
-    zero_syzygies are the relations of S-pairs reducing to zero. Unit rows
-    as units index a rep by position in gens; an empty unit drops its
-    component, and its work, from every rep. reps/zero_syzygies are None
-    unless units is given; then criteria pruning is disabled so the
-    collected relations generate the full first syzygy module.
+    zero_syzygies): when every generator is homogeneous, before the first
+    S-pair and before each pair whose sugar exceeds that of every pair run
+    so far, with s one less than its sugar, so that every pair of sugar <=
+    s is done (a pair made later has at least the sugar of the pair whose
+    remainder made it); and last with s None, when the run is complete.
+    The lists of state grow in place. leads[j] is the lead term of
+    basis[j], sugars[j] bounds its degrees, reps[j] is basis[j]'s
+    combination of gens taken of units, and zero_syzygies are the
+    relations of S-pairs reducing to zero. Unit rows as units index a rep
+    by position in gens; an empty unit drops its component, and its work,
+    from every rep. reps/zero_syzygies are None unless units is given.
+
+    The chain criterion (_chain_skip) skips a pair (i, j) when a lead l_k
+    divides its lcm l_ij and the pairs (i, k) and (j, k) are done. Its
+    lead syzygy is (l_ij / l_ik) tau_ik - (l_ij / l_jk) tau_jk, so the
+    relations of the pairs run still generate the syzygy module, those of
+    degree <= s by the pause at s (Gebauer and Moeller 1988; Moeller, Mora
+    and Traverso 1992). A tracked run applies it on homogeneous generators
+    only, and never the product criterion, which would drop a Koszul row.
     """
     rank1 = all(t < lay.unit for P, _ in gens for t in P)
     track = units is not None
     basis, leads, sugars = [], [], []
     reps, zsyz = ([], []) if track else (None, None)
     state = (basis, leads, sugars, reps, zsyz)
-    pending = set()
-    heap = []
-    counter = itertools.count()
+    pending, heap = set(), []
 
     cshift, dshift, top = lay.unit.bit_length() - 1, lay.dshift, lay.top
+    graded = all(len({t >> dshift & top for t in P}) <= 1 for P, _ in gens)
 
     def push_pairs(j):
         lj = leads[j]
@@ -231,7 +237,7 @@ def _run_buchberger(gens, budget, units, lay):
             dl = l >> dshift & top
             sug = max(sugars[i] - (li >> dshift & top), rj) + dl
             lay.check(sug)
-            heapq.heappush(heap, (sug, dl, i, j, next(counter), l))
+            heapq.heappush(heap, (sug, dl, i, j, l))
             pending.add((i, j))
 
     def append(v, sug, rep):
@@ -249,16 +255,15 @@ def _run_buchberger(gens, budget, units, lay):
 
     last = None
     while heap:
-        if last is None or heap[0][0] > last:
+        if graded and (last is None or heap[0][0] > last):
             yield heap[0][0] - 1, state
-        sug, _, i, j, _, l = heapq.heappop(heap)
+        sug, _, i, j, l = heapq.heappop(heap)
         last = sug
         pending.discard((i, j))
-        if not track:
-            if rank1 and leads[i] + leads[j] == l:
-                continue  # coprime leads reduce to zero
-            if _chain_skip(i, j, l, leads, pending, lay):
-                continue
+        if not track and rank1 and leads[i] + leads[j] == l:
+            continue  # coprime leads reduce to zero
+        if (graded or not track) and _chain_skip(i, j, l, leads, pending, lay):
+            continue
         budget.spend()
         si, sj = l - leads[i], l - leads[j]
         s = _combine([(1, 1, si, basis[i]), (-1, 1, sj, basis[j])])
@@ -411,9 +416,9 @@ def syzygy_stream(gens):
     of degree > s (its component c has degree s' - deg(gens[c]) for some
     s' > s). e_i - q_i is made at the first pause with s >= deg(gens[i]),
     as its division uses only basis elements of degree <= deg(gens[i]),
-    all appended by then. Stopping early leaves the rest of the run
-    undone. Otherwise there is one yield, at the end of the run, with
-    the rows e_i - q_i by i.
+    all appended by then; rows of no larger degree generate the relation
+    of a pair the chain criterion skips. Stopping early leaves the rest of
+    the run undone. A run that never pauses yields once, rows e_i - q_i by i.
     """
     yield from _syzygy_stream(gens, 0)
 
@@ -424,14 +429,10 @@ def _syzygy_stream(gens, first):
     zero. The same rows are dropped when the kept part of a syzygy fixes
     the rest, as grad f's part of a syzygy of (f, grad f) does."""
     _, _, lay, flats = _prepare(gens)
-    graded = all(len({t >> lay.dshift & lay.top for t in P}) <= 1
-                 for P, _ in flats)
     units = [({i * lay.unit: 1} if i >= first else {}, 1) for i in range(len(flats))]
     # a zero generator is annihilated by the corresponding unit vector
     rows = [units[i] for i, (P, _) in enumerate(flats) if not P]
     todo = [(lay.degree(P), i) for i, (P, _) in enumerate(flats) if P]
-    if graded:
-        todo.sort()
     budget = current_budget()
 
     def division_row(i, state):
@@ -443,14 +444,12 @@ def _syzygy_stream(gens, first):
             raise InternalInconsistency("generator does not reduce to zero")
         return _combine([(1, 1, 0, units[i])] + _less_quotients(recs, reps))
 
-    found = 0
-    seen = {}
+    found, seen = 0, {}
     for s, state in _run_buchberger(flats, budget, units, lay):
-        if s is not None and not graded:
-            continue
-        zsyz = state[4]
-        rows += zsyz[found:]
-        found = len(zsyz)
+        if s is not None:
+            todo.sort()  # the run pauses only on homogeneous generators
+        rows += state[4][found:]
+        found = len(state[4])
         while todo and (s is None or todo[0][0] <= s):
             rows.append(division_row(todo.pop(0)[1], state))
         yield s, [row for row in _distinct(rows, seen) if row[0]]

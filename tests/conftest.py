@@ -6,7 +6,7 @@ import random
 
 from fractions import Fraction
 
-from logdiv import cohomology, linalg
+from logdiv import cohomology, groebner, linalg
 from logdiv.groebner import _divide, buchberger
 from logdiv.logder import (SUBSET_BUDGET, SaitoBasis, StructureConstants,
                            VectorField, _add_bracket, compute_der_log,
@@ -328,6 +328,20 @@ def coxeter_gens(name):
         ring, f = x4[:3], "x1*x2*x3*(x1^2-x2^2)*(x1^2-x3^2)*(x2^2-x3^2)"
     f = poly_from_text(f, ring)
     return [f] + [partial_derivative(f, i) for i in range(len(ring))]
+
+
+def assert_syzygies(rows, gens):
+    """Every row r satisfies sum_c r_c * g_c = 0."""
+    for row in rows:
+        assert sum((p * g for p, g in zip(row, gens)),
+                   Polynomial.zero(gens[0].ring)).is_zero()
+
+
+def without_chain_criterion(monkeypatch):
+    """Turn groebner's chain criterion off in every Buchberger run; a
+    tracked run then reduces every S-pair, as on inhomogeneous
+    generators."""
+    monkeypatch.setattr(groebner, "_chain_skip", lambda *args: False)
 
 
 def reference_certificate(leads, k, lay):

@@ -893,7 +893,7 @@ class TestBasisStageBudget:
         return failure, budget.steps - budget.left, basis_steps
 
     @pytest.mark.parametrize("name, steps", [
-        ("braid-A3", 1062), ("coxeter-B3", 324), ("coxeter-D4", 1152)],
+        ("braid-A3", 664), ("coxeter-B3", 122), ("coxeter-D4", 615)],
         ids=["braid-A3", "coxeter-B3", "coxeter-D4"])
     def test_graded_arrangements_stop_early(self, name, steps, monkeypatch):
         from logdiv.errors import Budget
@@ -959,7 +959,7 @@ class TestBasisStageBudget:
         assert self.analyze(doc, monkeypatch)[:2] == (None, steps)
 
     @pytest.mark.parametrize("f, steps, size", [
-        ("x*y*z*(x+y+z)", 192, 4), ("x*y*z*(x+y+z)*(x+2*y+3*z)", 815, 5)],
+        ("x*y*z*(x+y+z)", 51, 4), ("x*y*z*(x+y+z)*(x+2*y+3*z)", 120, 5)],
         ids=["generic-4", "generic-5"])
     def test_not_free_reads_the_whole_run(self, f, steps, size, monkeypatch):
         doc = {"label": "generic", "variables": ["x", "y", "z"], "f": f}

@@ -25,8 +25,8 @@ from logdiv.poly import (Polynomial, WeightSystem, degrevlex_key, m_div,
                          m_lcm, partial_derivative, poly_from_text,
                          poly_to_text)
 
-from conftest import (coxeter_gens, from_sympy, random_poly, to_sympy,
-                      unpacked)
+from conftest import (assert_syzygies, coxeter_gens, from_sympy, random_poly,
+                      to_sympy, unpacked, without_chain_criterion)
 
 R2 = ("x", "y")
 R3 = ("x", "y", "z")
@@ -611,7 +611,7 @@ class TestPinnedEngine:
     the same work and return the same rows."""
 
     @pytest.mark.parametrize("name, steps", [
-        ("braid-A3", 1030), ("coxeter-B3", 441), ("coxeter-D4", 4266)])
+        ("braid-A3", 156), ("coxeter-B3", 56), ("coxeter-D4", 215)])
     def test_step_counts(self, name, steps):
         gens = coxeter_gens(name)
         with Budget(10**9) as budget:
@@ -632,314 +632,23 @@ B3_SYZYGY_ROWS = [
      "-x1",
      "-x2",
      "-x3"),
-    ("5/2*x1^2 + 5/2*x2^2 - 2*x3^2",
-     "-1/2*x1^3 + 1/2*x1*x3^2",
-     "-1/2*x2^3 + 1/2*x2*x3^2",
-     "0"),
-    ("-5/3*x1^2 - 5/3*x2^2 + 4/3*x3^2",
-     "1/3*x1^3 - 1/3*x1*x3^2",
-     "1/3*x2^3 - 1/3*x2*x3^2",
-     "0"),
-    ("5*x1^2 - 4*x2^2 - 4*x3^2",
-     "-x1^3 + x1*x2^2 + x1*x3^2",
-     "x2*x3^2",
-     "x2^2*x3"),
-    ("5/2*x1^2 + 5/2*x2^2 - 11*x3^2",
-     "-1/2*x1^3 + 3/2*x1*x3^2",
-     "-1/2*x2^3 + 3/2*x2*x3^2",
-     "x3^3"),
     ("3/2*x1^2 + 3/2*x2^2 - 6/5*x3^2",
      "-3/10*x1^3 + 3/10*x1*x3^2",
      "-3/10*x2^3 + 3/10*x2*x3^2",
      "0"),
-    ("-9*x2*x3^2",
-     "x1*x2*x3^2",
-     "x2^2*x3^2",
-     "x2*x3^3"),
-    ("-5/2*x1^2*x2 - 5/2*x2^3 + 2*x2*x3^2",
-     "1/2*x1^3*x2 - 1/2*x1*x2*x3^2",
-     "1/2*x2^4 - 1/2*x2^2*x3^2",
+    ("5/2*x1^3 + 5/2*x1*x2^2 - 2*x1*x3^2",
+     "-1/2*x1^4 + 1/2*x1^2*x3^2",
+     "-1/2*x1*x2^3 + 1/2*x1*x2*x3^2",
      "0"),
-    ("15/2*x1^3 + 15/2*x1*x2^2 - 6*x1*x3^2",
-     "-3/2*x1^4 + 3/2*x1^2*x3^2",
-     "-3/2*x1*x2^3 + 3/2*x1*x2*x3^2",
+    ("60/7*x1^2*x2^2 - 15/14*x1^2*x3^2 - 15/14*x2^2*x3^2",
+     "-15/14*x1^3*x2^2 + 15/14*x1*x2^2*x3^2",
+     "-15/14*x1^2*x2^3 + 15/14*x1^2*x2*x3^2",
      "0"),
-    ("25/6*x1^4 - 5/2*x1^2*x2^2 - 5/2*x1^2*x3^2 + 5/6*x2^2*x3^2",
-     "-5/6*x1^5 + 5/6*x1^3*x2^2 + 5/6*x1^3*x3^2 - 5/6*x1*x2^2*x3^2",
-     "0",
-     "0"),
-    ("25/6*x1^4 - 25/6*x1^2*x2^2 - 5/3*x2^4 - 25/6*x1^2*x3^2"
-     " + 1/2*x2^2*x3^2 + 4/3*x3^4",
-     "-5/6*x1^5 + 7/6*x1^3*x2^2 + 7/6*x1^3*x3^2 - 7/6*x1*x2^2*x3^2"
-     " - 1/3*x1*x3^4",
-     "1/3*x2^5 - 1/3*x2*x3^4",
-     "0"),
-    ("15/2*x1^3*x2 + 15/2*x1*x2^3 - 6*x1*x2*x3^2",
-     "-3/2*x1^4*x2 + 3/2*x1^2*x2*x3^2",
-     "-3/2*x1*x2^4 + 3/2*x1*x2^2*x3^2",
-     "0"),
-    ("25/6*x1^4 + 5/2*x1^2*x2^2 - 4*x2^4 + 5/2*x1^2*x3^2"
-     " + 11/6*x2^2*x3^2 - 4*x3^4",
-     "-5/6*x1^5 - 1/6*x1^3*x2^2 + x1*x2^4 - 1/6*x1^3*x3^2"
-     " + 1/6*x1*x2^2*x3^2 + x1*x3^4",
-     "x2*x3^4",
-     "x2^4*x3"),
-    ("5/2*x1^2*x2^2 + 5/2*x2^4 + 5/2*x1^2*x3^2 + 1/2*x2^2*x3^2 - 2*x3^4",
-     "-1/2*x1^3*x2^2 - 1/2*x1^3*x3^2 + 1/2*x1*x2^2*x3^2 + 1/2*x1*x3^4",
-     "-1/2*x2^5 + 1/2*x2*x3^4",
-     "0"),
-    ("5/2*x1^4 - 3/2*x1^2*x2^2 - 3/2*x1^2*x3^2 + 1/2*x2^2*x3^2",
-     "-1/2*x1^5 + 1/2*x1^3*x2^2 + 1/2*x1^3*x3^2 - 1/2*x1*x2^2*x3^2",
-     "0",
-     "0"),
-    ("-75/14*x1^4 + 45/14*x1^2*x2^2 + 45/14*x1^2*x3^2 - 15/14*x2^2*x3^2",
-     "15/14*x1^5 - 15/14*x1^3*x2^2 - 15/14*x1^3*x3^2"
-     " + 15/14*x1*x2^2*x3^2",
-     "0",
-     "0"),
-    ("3/2*x1^2*x2^2 + 3/2*x2^4 + 1/2*x1^2*x3^2 - 7/10*x2^2*x3^2"
-     " - 2/5*x3^4",
-     "-3/10*x1^3*x2^2 - 1/10*x1^3*x3^2 + 3/10*x1*x2^2*x3^2"
-     " + 1/10*x1*x3^4",
-     "-3/10*x2^5 + 1/5*x2^3*x3^2 + 1/10*x2*x3^4",
-     "0"),
-    ("5/2*x1^4 - 3*x1^2*x2^2 - 3/2*x2^4 - 2*x1^2*x3^2 + 6/5*x2^2*x3^2"
-     " + 2/5*x3^4",
-     "-1/2*x1^5 + 4/5*x1^3*x2^2 + 3/5*x1^3*x3^2 - 4/5*x1*x2^2*x3^2"
-     " - 1/10*x1*x3^4",
-     "3/10*x2^5 - 1/5*x2^3*x3^2 - 1/10*x2*x3^4",
-     "0"),
-    ("-75/14*x1^4 + 45/14*x1^2*x2^2 + 12/7*x1^2*x3^2 - 18/7*x2^2*x3^2"
-     " + 6/5*x3^4",
-     "15/14*x1^5 - 15/14*x1^3*x2^2 - 27/35*x1^3*x3^2"
-     " + 15/14*x1*x2^2*x3^2 - 3/10*x1*x3^4",
-     "3/10*x2^3*x3^2 - 3/10*x2*x3^4",
-     "0"),
-    ("5/2*x1^5 - 3/2*x1^3*x2^2 - 3/2*x1^3*x3^2 + 1/2*x1*x2^2*x3^2",
-     "-1/2*x1^6 + 1/2*x1^4*x2^2 + 1/2*x1^4*x3^2 - 1/2*x1^2*x2^2*x3^2",
-     "0",
-     "0"),
-    ("-75/14*x1^5 + 45/14*x1^3*x2^2 + 45/14*x1^3*x3^2"
-     " - 15/14*x1*x2^2*x3^2",
-     "15/14*x1^6 - 15/14*x1^4*x2^2 - 15/14*x1^4*x3^2"
-     " + 15/14*x1^2*x2^2*x3^2",
-     "0",
-     "0"),
-    ("-9*x1*x3^4",
-     "x1^2*x3^4",
-     "x1*x2*x3^4",
-     "x1*x3^5"),
-    ("-75/14*x1^3*x2^2 - 75/14*x1*x2^4 - 25/14*x1^3*x3^2"
-     " + 5/2*x1*x2^2*x3^2 + 10/7*x1*x3^4",
-     "15/14*x1^4*x2^2 + 5/14*x1^4*x3^2 - 15/14*x1^2*x2^2*x3^2"
-     " - 5/14*x1^2*x3^4",
-     "15/14*x1*x2^5 - 5/7*x1*x2^3*x3^2 - 5/14*x1*x2*x3^4",
-     "0"),
-    ("5/2*x1^6 - 3/2*x1^4*x2^2 + 7/2*x1^4*x3^2 - 5/2*x1^2*x2^2*x3^2"
-     " - 3*x1^2*x3^4 + x2^2*x3^4",
-     "-1/2*x1^7 + 1/2*x1^5*x2^2 - 1/2*x1^5*x3^2 + 1/2*x1^3*x2^2*x3^2"
-     " + x1^3*x3^4 - x1*x2^2*x3^4",
-     "0",
-     "0"),
-    ("-75/14*x1^6 + 45/14*x1^4*x2^2 + 10/7*x1^4*x3^2 + 15/14*x1^2*x3^4"
-     " - 5/14*x2^2*x3^4",
-     "15/14*x1^7 - 15/14*x1^5*x2^2 - 5/7*x1^5*x3^2 + 5/7*x1^3*x2^2*x3^2"
-     " - 5/14*x1^3*x3^4 + 5/14*x1*x2^2*x3^4",
-     "0",
-     "0"),
-    ("5/2*x1^6 - 3/2*x1^4*x2^2 + 7/2*x1^4*x3^2 - 25/6*x1^2*x2^2*x3^2"
-     " - 5/3*x2^4*x3^2 - 14/3*x1^2*x3^4 + 2/3*x2^2*x3^4 + 4/3*x3^6",
-     "-1/2*x1^7 + 1/2*x1^5*x2^2 - 1/2*x1^5*x3^2 + 5/6*x1^3*x2^2*x3^2"
-     " + 4/3*x1^3*x3^4 - 4/3*x1*x2^2*x3^4 - 1/3*x1*x3^6",
-     "1/3*x2^5*x3^2 - 1/3*x2*x3^6",
-     "0"),
-    ("-75/14*x1^6 + 45/14*x1^4*x2^2 + 10/7*x1^4*x3^2 - 25/42*x1^2*x3^4"
-     " - 85/42*x2^2*x3^4 + 4/3*x3^6",
-     "15/14*x1^7 - 15/14*x1^5*x2^2 - 5/7*x1^5*x3^2 + 5/7*x1^3*x2^2*x3^2"
-     " - 1/42*x1^3*x3^4 + 5/14*x1*x2^2*x3^4 - 1/3*x1*x3^6",
-     "1/3*x2^3*x3^4 - 1/3*x2*x3^6",
-     "0"),
-    ("5/2*x1^6 - 3/2*x1^4*x2^2 + 7/2*x1^4*x3^2 + 5/2*x1^2*x2^2*x3^2"
-     " - 4*x2^4*x3^2 + 2*x1^2*x3^4 + 2*x2^2*x3^4 - 4*x3^6",
-     "-1/2*x1^7 + 1/2*x1^5*x2^2 - 1/2*x1^5*x3^2 - 1/2*x1^3*x2^2*x3^2"
-     " + x1*x2^4*x3^2 + x1*x3^6",
-     "x2*x3^6",
-     "x2^4*x3^3"),
-    ("-75/14*x1^6 + 45/14*x1^4*x2^2 + 10/7*x1^4*x3^2 + 85/14*x1^2*x3^4"
-     " - 61/14*x2^2*x3^4 - 4*x3^6",
-     "15/14*x1^7 - 15/14*x1^5*x2^2 - 5/7*x1^5*x3^2 + 5/7*x1^3*x2^2*x3^2"
-     " - 19/14*x1^3*x3^4 + 19/14*x1*x2^2*x3^4 + x1*x3^6",
-     "x2*x3^6",
-     "x2^2*x3^5"),
-    ("-5/2*x1^2*x2^4 - 5/2*x2^6 + 25/6*x1^4*x3^2 - 5*x1^2*x2^2*x3^2"
-     " - 1/2*x2^4*x3^2 - 5*x1^2*x3^4 + 1/3*x2^2*x3^4 + 2*x3^6",
-     "1/2*x1^3*x2^4 - 5/6*x1^5*x3^2 + 4/3*x1^3*x2^2*x3^2"
-     " - 1/2*x1*x2^4*x3^2 + 4/3*x1^3*x3^4 - 4/3*x1*x2^2*x3^4"
-     " - 1/2*x1*x3^6",
-     "1/2*x2^7 - 1/2*x2*x3^6",
-     "0"),
-    ("5/2*x1^6 - 3/2*x1^4*x2^2 - 5/2*x1^2*x2^4 - 5/2*x2^6"
-     " + 7/2*x1^4*x3^2 - 5*x1^2*x2^2*x3^2 - 1/2*x2^4*x3^2"
-     " - 11/2*x1^2*x3^4 + 1/2*x2^2*x3^4 + 2*x3^6",
-     "-1/2*x1^7 + 1/2*x1^5*x2^2 + 1/2*x1^3*x2^4 - 1/2*x1^5*x3^2"
-     " + x1^3*x2^2*x3^2 - 1/2*x1*x2^4*x3^2 + 3/2*x1^3*x3^4"
-     " - 3/2*x1*x2^2*x3^4 - 1/2*x1*x3^6",
-     "1/2*x2^7 - 1/2*x2*x3^6",
-     "0"),
-    ("-75/14*x1^6 + 45/14*x1^4*x2^2 + 10/7*x1^4*x3^2"
-     " - 5/2*x1^2*x2^2*x3^2 - 5/2*x2^4*x3^2 - 10/7*x1^2*x3^4"
-     " - 6/7*x2^2*x3^4 + 2*x3^6",
-     "15/14*x1^7 - 15/14*x1^5*x2^2 - 5/7*x1^5*x3^2"
-     " + 17/14*x1^3*x2^2*x3^2 + 1/7*x1^3*x3^4 - 1/7*x1*x2^2*x3^4"
-     " - 1/2*x1*x3^6",
-     "1/2*x2^5*x3^2 - 1/2*x2*x3^6",
-     "0"),
-    ("-12*x1^2*x2^4 - 65/7*x1^4*x3^2 + 43/14*x1^2*x2^2*x3^2"
-     " + 3/2*x2^4*x3^2 + 85/14*x1^2*x3^4 - 19/14*x2^2*x3^4",
-     "3/2*x1^3*x2^4 + 13/7*x1^5*x3^2 - 19/14*x1^3*x2^2*x3^2"
-     " - 3/2*x1*x2^4*x3^2 - 13/7*x1^3*x3^4 + 19/14*x1*x2^2*x3^4",
-     "3/2*x1^2*x2^5 - x1^2*x2^3*x3^2 - 1/2*x1^2*x2*x3^4",
-     "0"),
-    ("-65/7*x1^3*x2^2*x3^2 - 65/7*x1*x2^4*x3^2 - 25/42*x1^3*x3^4"
-     " + 41/6*x1*x2^2*x3^4 + 10/21*x1*x3^6",
-     "13/7*x1^4*x2^2*x3^2 + 5/42*x1^4*x3^4 - 13/7*x1^2*x2^2*x3^4"
-     " - 5/42*x1^2*x3^6",
-     "13/7*x1*x2^5*x3^2 - 73/42*x1*x2^3*x3^4 - 5/42*x1*x2*x3^6",
-     "0"),
-    ("-12*x1^3*x2^4 - 65/7*x1^5*x3^2 + 39/7*x1^3*x2^2*x3^2"
-     " + 4*x1*x2^4*x3^2 + 145/21*x1^3*x3^4 - 53/21*x1*x2^2*x3^4"
-     " - 2/3*x1*x3^6",
-     "3/2*x1^4*x2^4 + 13/7*x1^6*x3^2 - 13/7*x1^4*x2^2*x3^2"
-     " - 3/2*x1^2*x2^4*x3^2 - 85/42*x1^4*x3^4 + 13/7*x1^2*x2^2*x3^4"
-     " + 1/6*x1^2*x3^6",
-     "3/2*x1^3*x2^5 - x1^3*x2^3*x3^2 - 1/2*x1*x2^5*x3^2"
-     " - 1/2*x1^3*x2*x3^4 + 1/3*x1*x2^3*x3^4 + 1/6*x1*x2*x3^6",
-     "0"),
-    ("-75/14*x1^7 + 45/14*x1^5*x2^2 + 10/7*x1^5*x3^2"
-     " + 65/7*x1^3*x2^2*x3^2 + 65/7*x1*x2^4*x3^2 + 5/3*x1^3*x3^4"
-     " - 151/21*x1*x2^2*x3^4 - 10/21*x1*x3^6",
-     "15/14*x1^8 - 15/14*x1^6*x2^2 - 5/7*x1^6*x3^2 - 8/7*x1^4*x2^2*x3^2"
-     " - 10/21*x1^4*x3^4 + 31/14*x1^2*x2^2*x3^4 + 5/42*x1^2*x3^6",
-     "-13/7*x1*x2^5*x3^2 + 73/42*x1*x2^3*x3^4 + 5/42*x1*x2*x3^6",
-     "0"),
-    ("-93/14*x1^3*x2^4 + 75/14*x1*x2^6 - 65/7*x1^5*x3^2"
-     " + 598/49*x1^3*x2^2*x3^2 + 311/49*x1*x2^4*x3^2 + 835/98*x1^3*x3^4"
-     " - 87/14*x1*x2^2*x3^4 - 96/49*x1*x3^6",
-     "3/7*x1^4*x2^4 + 13/7*x1^6*x3^2 - 156/49*x1^4*x2^2*x3^2"
-     " - 3/7*x1^2*x2^4*x3^2 - 115/49*x1^4*x3^4 + 156/49*x1^2*x2^2*x3^4"
-     " + 24/49*x1^2*x3^6",
-     "3/2*x1^3*x2^5 - 15/14*x1*x2^7 - x1^3*x2^3*x3^2"
-     " - 37/49*x1*x2^5*x3^2 - 1/2*x1^3*x2*x3^4 + 131/98*x1*x2^3*x3^4"
-     " + 24/49*x1*x2*x3^6",
-     "0"),
-    ("-12*x1^4*x2^4 - 65/7*x1^6*x3^2 + 39/7*x1^4*x2^2*x3^2"
-     " + 135/14*x1^4*x3^4 - 5*x1^2*x2^2*x3^4 + 1/2*x2^4*x3^4"
-     " - 15/7*x1^2*x3^6 + 5/7*x2^2*x3^6",
-     "3/2*x1^5*x2^4 + 13/7*x1^7*x3^2 - 13/7*x1^5*x2^2*x3^2"
-     " - x1^3*x2^4*x3^2 - 18/7*x1^5*x3^4 + 18/7*x1^3*x2^2*x3^4"
-     " - 1/2*x1*x2^4*x3^4 + 5/7*x1^3*x3^6 - 5/7*x1*x2^2*x3^6",
-     "3/2*x1^4*x2^5 - x1^4*x2^3*x3^2 - 1/2*x1^4*x2*x3^4",
-     "0"),
-    ("-12*x1^4*x2^4 - 65/7*x1^6*x3^2 + 39/7*x1^4*x2^2*x3^2"
-     " - 3/2*x1^2*x2^4*x3^2 - 3/2*x2^6*x3^2 + 135/14*x1^4*x3^4"
-     " - 11/2*x1^2*x2^2*x3^4 + 6/5*x2^4*x3^4 - 37/14*x1^2*x3^6"
-     " + 43/70*x2^2*x3^6 + 2/5*x3^8",
-     "3/2*x1^5*x2^4 + 13/7*x1^7*x3^2 - 13/7*x1^5*x2^2*x3^2"
-     " - 7/10*x1^3*x2^4*x3^2 - 18/7*x1^5*x3^4 + 187/70*x1^3*x2^2*x3^4"
-     " - 4/5*x1*x2^4*x3^4 + 57/70*x1^3*x3^6 - 57/70*x1*x2^2*x3^6"
-     " - 1/10*x1*x3^8",
-     "3/2*x1^4*x2^5 - x1^4*x2^3*x3^2 + 3/10*x2^7*x3^2 - 1/2*x1^4*x2*x3^4"
-     " - 1/5*x2^5*x3^4 - 1/10*x2*x3^8",
-     "0"),
-    ("-12*x1^5*x2^4 - 65/7*x1^7*x3^2 + 39/7*x1^5*x2^2*x3^2"
-     " + 135/14*x1^5*x3^4 + 11/2*x1*x2^4*x3^4 - 10/21*x1^3*x3^6"
-     " - 34/21*x1*x2^2*x3^6 - 4/3*x1*x3^8",
-     "3/2*x1^6*x2^4 + 13/7*x1^8*x3^2 - 13/7*x1^6*x2^2*x3^2"
-     " - x1^4*x2^4*x3^2 - 18/7*x1^6*x3^4 + 11/7*x1^4*x2^2*x3^4"
-     " - 1/2*x1^2*x2^4*x3^4 + 8/21*x1^4*x3^6 + 2/7*x1^2*x2^2*x3^6"
-     " + 1/3*x1^2*x3^8",
-     "3/2*x1^5*x2^5 - x1^5*x2^3*x3^2 - 1/2*x1^5*x2*x3^4 - x1*x2^5*x3^4"
-     " + 2/3*x1*x2^3*x3^6 + 1/3*x1*x2*x3^8",
-     "0"),
-    ("-65/7*x1^3*x2^4*x3^2 - 65/7*x1*x2^6*x3^2 - 25/6*x1^5*x3^4"
-     " - 1690/147*x1^3*x2^2*x3^4 - 1931/294*x1*x2^4*x3^4"
-     " + 235/441*x1^3*x3^6 + 529/63*x1*x2^2*x3^6 + 694/441*x1*x3^8",
-     "13/7*x1^4*x2^4*x3^2 + 5/6*x1^6*x3^4 + 289/147*x1^4*x2^2*x3^4"
-     " - 13/7*x1^2*x2^4*x3^4 - 194/441*x1^4*x3^6"
-     " - 289/147*x1^2*x2^2*x3^6 - 347/882*x1^2*x3^8",
-     "13/7*x1*x2^7*x3^2 + 277/294*x1*x2^5*x3^4 - 1061/441*x1*x2^3*x3^6"
-     " - 347/882*x1*x2*x3^8",
-     "0"),
-    ("-5/2*x1^7*x3^2 + 3/2*x1^5*x2^2*x3^2 - 65/7*x1^3*x2^4*x3^2"
-     " - 65/7*x1*x2^6*x3^2 - 7/2*x1^5*x3^4 - 1690/147*x1^3*x2^2*x3^4"
-     " - 1931/294*x1*x2^4*x3^4 + 911/882*x1^3*x3^6"
-     " + 1037/126*x1*x2^2*x3^6 + 694/441*x1*x3^8",
-     "1/2*x1^8*x3^2 - 1/2*x1^6*x2^2*x3^2 + 13/7*x1^4*x2^4*x3^2"
-     " + 1/2*x1^6*x3^4 + 338/147*x1^4*x2^2*x3^4 - 13/7*x1^2*x2^4*x3^4"
-     " - 535/882*x1^4*x3^6 - 529/294*x1^2*x2^2*x3^6 - 347/882*x1^2*x3^8",
-     "13/7*x1*x2^7*x3^2 + 277/294*x1*x2^5*x3^4 - 1061/441*x1*x2^3*x3^6"
-     " - 347/882*x1*x2*x3^8",
-     "0"),
-    ("-12*x1^6*x2^4 - 65/7*x1^8*x3^2 + 39/7*x1^6*x2^2*x3^2"
-     " + 135/14*x1^6*x3^4 - 5/2*x1^2*x2^4*x3^4 - 25/7*x1^2*x2^2*x3^6"
-     " + x2^4*x3^6 - 9/7*x1^2*x3^8 + 3/7*x2^2*x3^8",
-     "3/2*x1^7*x2^4 + 13/7*x1^9*x3^2 - 13/7*x1^7*x2^2*x3^2"
-     " - x1^5*x2^4*x3^2 - 18/7*x1^7*x3^4 + 11/7*x1^5*x2^2*x3^4"
-     " + 1/2*x1^3*x2^4*x3^4 + 2/7*x1^5*x3^6 + 5/7*x1^3*x2^2*x3^6"
-     " - x1*x2^4*x3^6 + 3/7*x1^3*x3^8 - 3/7*x1*x2^2*x3^8",
-     "3/2*x1^6*x2^5 - x1^6*x2^3*x3^2 - 1/2*x1^6*x2*x3^4",
-     "0"),
-    ("-12*x1^6*x2^4 - 65/7*x1^8*x3^2 + 39/7*x1^6*x2^2*x3^2"
-     " + 135/14*x1^6*x3^4 - 25/6*x1^2*x2^4*x3^4 - 5/3*x2^6*x3^4"
-     " - 110/21*x1^2*x2^2*x3^6 + 2/3*x2^4*x3^6 - 62/21*x1^2*x3^8"
-     " + 2/21*x2^2*x3^8 + 4/3*x3^10",
-     "3/2*x1^7*x2^4 + 13/7*x1^9*x3^2 - 13/7*x1^7*x2^2*x3^2"
-     " - x1^5*x2^4*x3^2 - 18/7*x1^7*x3^4 + 11/7*x1^5*x2^2*x3^4"
-     " + 5/6*x1^3*x2^4*x3^4 + 2/7*x1^5*x3^6 + 22/21*x1^3*x2^2*x3^6"
-     " - 4/3*x1*x2^4*x3^6 + 16/21*x1^3*x3^8 - 16/21*x1*x2^2*x3^8"
-     " - 1/3*x1*x3^10",
-     "3/2*x1^6*x2^5 - x1^6*x2^3*x3^2 - 1/2*x1^6*x2*x3^4 + 1/3*x2^7*x3^4"
-     " - 1/3*x2*x3^10",
-     "0"),
-    ("-12*x1^6*x2^4 - 65/7*x1^8*x3^2 + 39/7*x1^6*x2^2*x3^2"
-     " + 135/14*x1^6*x3^4 + 5/2*x1^2*x2^4*x3^4 - 4*x2^6*x3^4"
-     " + 10/7*x1^2*x2^2*x3^6 + 2*x2^4*x3^6 + 26/7*x1^2*x3^8"
-     " + 10/7*x2^2*x3^8 - 4*x3^10",
-     "3/2*x1^7*x2^4 + 13/7*x1^9*x3^2 - 13/7*x1^7*x2^2*x3^2"
-     " - x1^5*x2^4*x3^2 - 18/7*x1^7*x3^4 + 11/7*x1^5*x2^2*x3^4"
-     " - 1/2*x1^3*x2^4*x3^4 + x1*x2^6*x3^4 + 2/7*x1^5*x3^6"
-     " - 2/7*x1^3*x2^2*x3^6 - 4/7*x1^3*x3^8 + 4/7*x1*x2^2*x3^8"
-     " + x1*x3^10",
-     "3/2*x1^6*x2^5 - x1^6*x2^3*x3^2 - 1/2*x1^6*x2*x3^4 + x2*x3^10",
-     "x2^6*x3^5"),
-    ("-12*x1^6*x2^4 - 65/7*x1^8*x3^2 + 39/7*x1^6*x2^2*x3^2"
-     " - 5/2*x1^2*x2^6*x3^2 - 5/2*x2^8*x3^2 + 135/14*x1^6*x3^4"
-     " - 5*x1^2*x2^4*x3^4 - 1/2*x2^6*x3^4 - 85/14*x1^2*x2^2*x3^6"
-     " + 1/2*x2^4*x3^6 - 53/14*x1^2*x3^8 - 1/14*x2^2*x3^8 + 2*x3^10",
-     "3/2*x1^7*x2^4 + 13/7*x1^9*x3^2 - 13/7*x1^7*x2^2*x3^2"
-     " - x1^5*x2^4*x3^2 + 1/2*x1^3*x2^6*x3^2 - 18/7*x1^7*x3^4"
-     " + 11/7*x1^5*x2^2*x3^4 + x1^3*x2^4*x3^4 - 1/2*x1*x2^6*x3^4"
-     " + 2/7*x1^5*x3^6 + 17/14*x1^3*x2^2*x3^6 - 3/2*x1*x2^4*x3^6"
-     " + 13/14*x1^3*x3^8 - 13/14*x1*x2^2*x3^8 - 1/2*x1*x3^10",
-     "3/2*x1^6*x2^5 - x1^6*x2^3*x3^2 + 1/2*x2^9*x3^2 - 1/2*x1^6*x2*x3^4"
-     " - 1/2*x2*x3^10",
-     "0"),
-    ("-12*x1^7*x2^4 - 65/7*x1^9*x3^2 + 39/7*x1^7*x2^2*x3^2"
-     " + 65/7*x1^3*x2^6*x3^2 + 65/7*x1*x2^8*x3^2 + 135/14*x1^7*x3^4"
-     " + 1690/147*x1^3*x2^4*x3^4 + 1931/294*x1*x2^6*x3^4"
-     " + 51220/3087*x1^3*x2^2*x3^6 + 30766/3087*x1*x2^4*x3^6"
-     " + 21113/9261*x1^3*x3^8 - 16057/1323*x1*x2^2*x3^8"
-     " - 26416/9261*x1*x3^10",
-     "3/2*x1^8*x2^4 + 13/7*x1^10*x3^2 - 13/7*x1^8*x2^2*x3^2"
-     " - x1^6*x2^4*x3^2 - 13/7*x1^4*x2^6*x3^2 - 18/7*x1^8*x3^4"
-     " + 11/7*x1^6*x2^2*x3^4 - 338/147*x1^4*x2^4*x3^4"
-     " + 13/7*x1^2*x2^6*x3^4 + 2/7*x1^6*x3^6 - 10244/3087*x1^4*x2^2*x3^6"
-     " + 529/294*x1^2*x2^4*x3^6 - 2635/9261*x1^4*x3^8"
-     " + 11126/3087*x1^2*x2^2*x3^8 + 6604/9261*x1^2*x3^10",
-     "3/2*x1^7*x2^5 - x1^7*x2^3*x3^2 - 13/7*x1*x2^9*x3^2"
-     " - 1/2*x1^7*x2*x3^4 - 277/294*x1*x2^7*x3^4"
-     " - 7615/6174*x1*x2^5*x3^6 + 30743/9261*x1*x2^3*x3^8"
-     " + 6604/9261*x1*x2*x3^10",
+    ("-12*x1^2*x2^4 + 173/14*x1^2*x2^2*x3^2 + 3/2*x2^4*x3^2"
+     " - 19/14*x1^2*x3^4 - 19/14*x2^2*x3^4",
+     "3/2*x1^3*x2^4 - 19/14*x1^3*x2^2*x3^2 - 3/2*x1*x2^4*x3^2"
+     " + 19/14*x1*x2^2*x3^4",
+     "3/2*x1^2*x2^5 - 20/7*x1^2*x2^3*x3^2 + 19/14*x1^2*x2*x3^4",
      "0"),
 ]
 
@@ -968,12 +677,12 @@ STREAM_INPUTS = {
 }
 
 
-# the sorted row texts of each drained stream; braid A3's 26 rows (16 kB
-# of text) are pinned by their count and the sha256 of repr(texts)
+# the sorted row texts of each drained stream; braid A3's 5 rows (4 kB of
+# text) are pinned by their count and the sha256 of repr(texts)
 STREAM_ROWS = {
     "coxeter-B3": sorted(B3_SYZYGY_ROWS),
-    "braid-A3": (26, "7a3c23e11c9fd5cdc2514a2d798d08df"
-                     "52613f125ab6b1cc099c3025d3bf4228"),
+    "braid-A3": (5, "0034da87fc2342d3e7d575f01a941955"
+                    "cad77d000f6e86a1e83dc868a3927b84"),
     "needs-a-pair": [("-x^2", "x^2 + y^2")],
     "zero-generator": [("0", "1", "0"), ("y", "0", "-x")],
 }
@@ -982,13 +691,6 @@ STREAM_ROWS = {
 def stream_rows(gens):
     """syzygy_stream(gens), its rows as lists of Polynomials."""
     return unpacked(syzygy_stream(gens), gens[0].ring, len(gens))
-
-
-def assert_syzygies(rows, gens):
-    """Every row r satisfies sum_c r_c * g_c = 0."""
-    for row in rows:
-        assert sum((p * g for p, g in zip(row, gens)),
-                   Polynomial.zero(gens[0].ring)).is_zero()
 
 
 class TestSyzygyStream:
@@ -1027,12 +729,21 @@ class TestSyzygyStream:
             ("y", "-x", "1"), ("-1", "y", "-x"), ("y^2 - x", "0", "-x^2 + y")]
         assert row_texts(batches[0][1]) == row_texts(syzygies(gens).elements)
 
-    def test_stopping_early_saves_the_rest_of_the_run(self):
+    def test_stopping_early_saves_the_rest_of_the_run(self, monkeypatch):
         # D4 has degree 12 and its top basis field weight 4: the basis
-        # search reads the rows of degree <= 16
+        # search reads the rows of degree <= 16; the chain criterion cuts
+        # the whole run to 110 steps against 77 for the early stop, so the
+        # quarter is asserted of the run without it
         gens = coxeter_gens("coxeter-D4")
+        with monkeypatch.context() as m:
+            without_chain_criterion(m)
+            with Budget(10**9) as budget:
+                next(s for s, _ in syzygy_stream(gens) if s is not None and s >= 16)
+            with Budget(10**9) as full:
+                syzygies(gens)
+        assert budget.steps - budget.left < (full.steps - full.left) // 4
         with Budget(10**9) as budget:
             next(s for s, _ in syzygy_stream(gens) if s is not None and s >= 16)
         with Budget(10**9) as full:
             syzygies(gens)
-        assert budget.steps - budget.left < (full.steps - full.left) // 4
+        assert budget.steps - budget.left < full.steps - full.left

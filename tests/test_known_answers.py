@@ -65,6 +65,10 @@
   (f, grad f), as Fraction values, with the pause degree shifted by
   deg f - 2; on the graded corpus entries, the whole inhomogeneous run of
   the four lines, and braid A3, Coxeter B3 and D4.
+- The chain criterion in the tracked syzygy run: on braid A3, Coxeter B3
+  and D4 its rows are syzygies of (f, grad f), and every row of the run
+  that reduces every S-pair reduces to zero modulo a module Groebner
+  basis of them, so they generate the same syzygy module.
 - Exact division, the reduction of the dividend by the divisor alone: a
   zero dividend, a divisor with a negative lead coefficient, a first
   quotient coefficient that is no integer multiple of the divisor's
@@ -91,11 +95,12 @@ from math import lcm
 import pytest
 
 from ce_oracle import cohomology, ft1_equation_side
-from conftest import (ReferenceConstants, corpus_member, corpus_names,
-                      coxeter_gens, packed_div, reference_certificate,
-                      reference_d0_rows, reference_d1_rows,
-                      reference_representatives, reference_saito_fields,
-                      transpose)
+from conftest import (ReferenceConstants, assert_syzygies, corpus_member,
+                      corpus_names, coxeter_gens, packed_div,
+                      reference_certificate, reference_d0_rows,
+                      reference_d1_rows, reference_representatives,
+                      reference_saito_fields, transpose,
+                      without_chain_criterion)
 from logdiv import cohomology as slices
 from logdiv import groebner
 from logdiv.classify import (LieAlgebra, connection_conditions, is_koszul,
@@ -850,6 +855,25 @@ def test_der_log_stream_is_the_field_part_of_the_syzygy_stream(name):
     assert sum(len(batch) for _, batch in fields) >= len(f.ring)
     if name == "four-lines-nonkoszul":
         assert [s for s, _ in fields] == [None]  # one batch, the whole run
+
+
+@pytest.mark.parametrize("name", ["braid-A3", "coxeter-B3", "coxeter-D4"])
+def test_chain_criterion_rows_generate_the_syzygies(name, monkeypatch):
+    # the run that skips pairs by the chain criterion: its rows are
+    # syzygies, and every row of the run that reduces every pair lies in
+    # the module they generate; a reduction to zero by elements built
+    # from those rows is a proof of membership, whatever the run that
+    # built them
+    gens = coxeter_gens(name)
+    rows = groebner.syzygies(gens).elements
+    assert_syzygies(rows, gens)
+    with monkeypatch.context() as m:
+        without_chain_criterion(m)
+        every_pair = groebner.syzygies(gens).elements
+    assert len(rows) < len(every_pair)
+    gb = groebner.buchberger(rows)
+    assert gb.rank == len(gens)
+    assert all(gb.reduces_to_zero(row) for row in every_pair)
 
 
 @pytest.mark.parametrize("name", corpus_names() + [

@@ -11,6 +11,13 @@ route (no supplied matrix), against their golden reports; every
 permutation is tried for n <= 3, a fixed seeded sample for n = 4.
 Shears: braid A3, B3 and D4, and every corpus input whose weights are
 all equal, a supplied Saito matrix carried along.
+
+The chain criterion of the Groebner runs is a third relation: it drops
+S-pairs, so a run with it yields fewer syzygy rows, but the Saito basis of
+a graded f is a canonical form of the module they generate. Every graded
+corpus input with every stage and the six arrangements of the benchmark
+with the default stages give the same report, or the same failure, with
+the criterion turned off.
 """
 
 import itertools
@@ -24,6 +31,8 @@ import pytest
 from logdiv import cli
 from logdiv.errors import Budget
 from logdiv.poly import detect_weight_system, poly_from_text
+
+from conftest import without_chain_criterion
 
 CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "corpus")
@@ -175,3 +184,56 @@ def test_corpus_invariants_under_shears(name, doc):
         want = invariants(json.load(fh))
     for shear in shears(len(doc["variables"])):
         assert invariants(analyze(sheared(doc, *shear), cli.ALL_STAGES)) == want, shear
+
+
+def graded_corpus():
+    return [(name, doc) for name, doc in corpus_documents()
+            if "weights" in doc or detect_weight_system(
+                poly_from_text(doc["f"], tuple(doc["variables"])))]
+
+
+# the free Coxeter arrangements and the two generic arrangements, which
+# are not free, with the default stages
+BENCH_ARRANGEMENTS = [
+    (label, {"label": label, "variables": [f"x{i}" for i in range(1, n + 1)],
+             "f": f}, DEFAULT_STAGES)
+    for label, n, f, _ in ARRANGEMENTS] + [
+    (label, {"label": label, "variables": ["x", "y", "z"], "f": f},
+     DEFAULT_STAGES)
+    for label, f in [("generic-4", "x*y*z*(x+y+z)"),
+                     ("generic-5", "x*y*z*(x+y+z)*(x+2*y+3*z)")]]
+
+
+def outcome(doc, stages):
+    """(report without timings, (code, stage, message) of the failure or
+    None, steps spent)."""
+    failure = None
+    with Budget(10**7) as budget:
+        try:
+            report = cli.analyze_document(doc, stages)
+        except cli.StageFailure as e:
+            report, failure = e.report, (e.code, e.stage, e.message)
+    return cli._strip_timings(report), failure, budget.steps - budget.left
+
+
+@pytest.mark.parametrize(
+    "label, doc, stages",
+    [(name, doc, cli.ALL_STAGES) for name, doc in graded_corpus()]
+    + BENCH_ARRANGEMENTS,
+    ids=[name for name, _ in graded_corpus()]
+    + [label for label, _, _ in BENCH_ARRANGEMENTS])
+def test_report_is_the_same_without_the_chain_criterion(label, doc, stages,
+                                                        monkeypatch):
+    report, failure, steps = outcome(doc, stages)
+    with monkeypatch.context() as m:
+        without_chain_criterion(m)
+        report_off, failure_off, steps_off = outcome(doc, stages)
+    assert (report, failure) == (report_off, failure_off)
+    if label.startswith("generic"):
+        size = int(label[-1])
+        assert failure == (4, "basis", f"graded minimal generating set has "
+                                       f"{size} elements, need 3")
+    else:
+        assert failure is None
+    if (label, doc, stages) in BENCH_ARRANGEMENTS:
+        assert steps < steps_off

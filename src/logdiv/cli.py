@@ -60,7 +60,7 @@ from .cylinder import split_cylindrical
 from .errors import (DEFAULT_STEPS, Budget, BudgetExceeded, LogdivError,
                      NonReduced, NotFree, NotHomogeneous, NotLinear,
                      ParseError, ZeroOrConstantInput, current_budget)
-from .logder import (SaitoBasis, VectorField, der_log_stream, format_field,
+from .logder import (SaitoBasis, VectorField, format_field, _certified_stream,
                      _check_divisor, _determinant_test, _select_saito_basis)
 from .poly import (WeightSystem, _NAME, detect_weight_system,
                    poly_from_text, poly_to_text, weighted_degree)
@@ -229,17 +229,22 @@ def analyze_document(doc, stages):
     work_ring = split.ring if split else ring
     work_f = split.poly if split else f
 
-    # the one squarefree check of the analysis: the basis stage calls the
-    # unchecked cores of verify_saito and saito_basis
+    # the one squarefree certificate of the analysis; the basis stage calls
+    # the unchecked cores of verify_saito and saito_basis. With a supplied
+    # matrix it reads the leads of the signature-based run; otherwise those
+    # of the tracked syzygy run, pulled only until they certify, which the
+    # basis stage resumes, with its packed f and gradient
     def divisor_stage():
         try:
+            if doc.get("saito_matrix") is None:
+                return _certified_stream(work_f)
             _check_divisor(work_f)
         except NonReduced:
             _fail(3, "divisor", "f is not squarefree")
         except (ValueError, ZeroOrConstantInput) as e:
             _fail(2, "divisor", str(e))
 
-    run_stage("divisor", divisor_stage)
+    stream = run_stage("divisor", divisor_stage)
 
     provided_weights = doc.get("weights")
     if provided_weights is not None and split:
@@ -258,12 +263,14 @@ def analyze_document(doc, stages):
             if not res.ok:
                 _fail(4, "basis", f"provided matrix is not a basis: {res.reason}")
             return SaitoBasis(fields, work_f, res.unit, res.table)
+        batches, jacobian = stream
         try:
-            return _select_saito_basis(der_log_stream(work_f), work_f, w)
+            return _select_saito_basis(batches, work_f, w, jacobian)
         except NotFree as e:
             _fail(4, "basis", str(e))
 
     saito = run_stage("basis", basis_stage)
+    stream = None  # the run's state is not kept through the later stages
     n = len(work_ring)
     field_weights = None
     if w:

@@ -39,19 +39,24 @@ of sugar <= s every basis element and every syzygy of degree <= s is
 found. syzygy_stream is the one tracked run: it yields its rows degree by
 degree, and a reader that has what it needs stops the run there; its rows
 stay packed, and only syzygies, which drains it, turns them into
-Polynomials. dimension_at_most reads the leads of a signature-based run
-(_signature_leads) instead, which reduces no pair that a syzygy known in
-advance accounts for: on a regular sequence, such as the principal
-symbols of a Koszul free divisor, no pair reduces to zero. It stops at
-the first lead that certifies its bound: a lead of an element of the
+Polynomials. Inside, _syzygy_stream also yields the leads of the basis
+elements appended since its last pause. dimension_at_most reads the
+leads of a signature-based run (_signature_leads), which reduces no pair
+that a syzygy known in advance accounts for: on a regular sequence, such
+as the principal symbols of a Koszul free divisor, no pair reduces to
+zero. Either source feeds the one certificate (_certify), which stops
+at the first lead that certifies the bound: a lead of an element of the
 ideal lies in the initial ideal, and the dimension is read off the
-supports of its generators. The certificate (_certify) keeps the minimal
-supports and one witness set of variables that holds none of them, and
-searches for a new witness by branch and bound over independent sets
-only when a lead's support lies in it. buchberger, syzygy_stream and
-dimension_at_most share one prologue, _prepare, which checks and packs
-the generators. Every polynomial reduction runs here: exact division
-(_divide) is _reduce_full by the divisor alone, its quotient tracked.
+supports of its generators. _certified_syzygy_stream reads the tracked
+run's leads, so that a caller that needs both the dimension and the
+syzygies of the same generators makes one run. The certificate keeps
+the minimal supports and one witness set of variables that holds none
+of them, and searches for a new witness by branch and bound over
+independent sets only when a lead's support lies in it. buchberger,
+syzygy_stream and dimension_at_most share one prologue, _prepare, which
+checks and packs the generators. Every polynomial reduction runs here:
+exact division (_divide) is _reduce_full by the divisor alone, its
+quotient tracked.
 """
 
 import heapq
@@ -396,7 +401,8 @@ def syzygies(gens):
     syzygy_stream(gens), drained and unflattened."""
     ring, _, lay, flats = _prepare(gens)
     return SyzygyBasis([_unflatten(row, ring, len(flats), lay)
-                        for _, rows in syzygy_stream(gens) for row in rows])
+                        for _, rows, _ in _syzygy_stream(lay, flats, 0)
+                        for row in rows])
 
 
 def syzygy_stream(gens):
@@ -420,15 +426,21 @@ def syzygy_stream(gens):
     of a pair the chain criterion skips. Stopping early leaves the rest of
     the run undone. A run that never pauses yields once, rows e_i - q_i by i.
     """
-    yield from _syzygy_stream(gens, 0)
-
-
-def _syzygy_stream(gens, first):
-    """syzygy_stream(gens), its rows cut to their components from first on
-    (in lowest terms as cut), the generators below first represented by
-    zero. The same rows are dropped when the kept part of a syzygy fixes
-    the rest, as grad f's part of a syzygy of (f, grad f) does."""
     _, _, lay, flats = _prepare(gens)
+    for s, rows, _ in _syzygy_stream(lay, flats, 0):
+        yield s, rows
+
+
+def _syzygy_stream(lay, flats, first):
+    """syzygy_stream of the packed generators flats, as (s, rows, leads),
+    leads the lead terms of the basis elements appended since the last
+    yield. Each lies in the initial ideal of flats, and once s is None
+    all of them generate it: the run is a Groebner basis, as the pairs
+    the chain criterion skips reduce to zero. The rows are cut to their
+    components from first on (in lowest terms as cut), the generators
+    below first represented by zero. The same rows are dropped when the
+    kept part of a syzygy fixes the rest, as grad f's part of a syzygy of
+    (f, grad f) does."""
     units = [({i * lay.unit: 1} if i >= first else {}, 1) for i in range(len(flats))]
     # a zero generator is annihilated by the corresponding unit vector
     rows = [units[i] for i, (P, _) in enumerate(flats) if not P]
@@ -444,7 +456,7 @@ def _syzygy_stream(gens, first):
             raise InternalInconsistency("generator does not reduce to zero")
         return _combine([(1, 1, 0, units[i])] + _less_quotients(recs, reps))
 
-    found, seen = 0, {}
+    found, led, seen = 0, 0, {}
     for s, state in _run_buchberger(flats, budget, units, lay):
         if s is not None:
             todo.sort()  # the run pauses only on homogeneous generators
@@ -452,8 +464,29 @@ def _syzygy_stream(gens, first):
         found = len(state[4])
         while todo and (s is None or todo[0][0] <= s):
             rows.append(division_row(todo.pop(0)[1], state))
-        yield s, [row for row in _distinct(rows, seen) if row[0]]
+        leads = state[1][led:]
+        led += len(leads)
+        yield s, [row for row in _distinct(rows, seen) if row[0]], leads
         rows = []
+
+
+def _certified_syzygy_stream(lay, flats, first, k):
+    """(dimension_at_most(flats, k), run), the answer read by _certify
+    from the leads of the tracked run _syzygy_stream(lay, flats, first)
+    instead of a signature-based run: the run is pulled until a lead
+    certifies, or to its end, where its leads generate the initial ideal.
+    run yields that run's (s, rows, leads), the batches pulled first,
+    then the rest of the run."""
+    run = _syzygy_stream(lay, flats, first)
+    pulled = []
+
+    def leads():
+        for batch in run:
+            pulled.append(batch)
+            yield from batch[2]
+
+    return (_certify(leads(), k, lay, current_budget()),
+            itertools.chain(pulled, run))
 
 
 def _distinct(rows, seen):

@@ -6,10 +6,12 @@ is obtained from the syzygies of (f, df/dx_1, ..., df/dx_n): the relation
 g_0 f + sum_i g_i df/dx_i = 0 yields the field sum_i g_i d/dx_i.
 
 The fields come from one stream, der_log_stream; compute_der_log drains
-it. For f homogeneous the syzygies come degree by degree, and the graded
-search for a Saito basis reads them only up to the degree it needs: it
-takes the weight parts of tag t once no field still to come can have a
-part of tag <= t, and stops the run when the n fields kept pass Saito's
+it. saito_basis first certifies f reduced from the leads of the same
+Groebner run (_certified_stream), so no other run is made. For f
+homogeneous the syzygies come degree by degree, and the graded search
+for a Saito basis reads them only up to the degree it needs: it takes
+the weight parts of tag t once no field still to come can have a part
+of tag <= t, and stops the run when the n fields kept pass Saito's
 determinant test. Those fields are a canonical form (_select_saito_basis):
 they depend on f, its weights and the term order alone, so the basis is
 the one a full run, or any generating set of Der(-log f), gives.
@@ -36,8 +38,9 @@ from .errors import (
     current_budget,
 )
 # buchberger and syzygy_stream stay bound here: perfbench and tests read them
-from .groebner import (_buchberger, _divide, _syzygy_stream,  # noqa: F401
-                       buchberger, dimension_at_most, syzygy_stream)
+from .groebner import (_buchberger, _certified_syzygy_stream,  # noqa: F401
+                       _divide, _syzygy_stream, buchberger,
+                       dimension_at_most, syzygy_stream)
 from .linalg import _eliminate, _ints, rref
 from .poly import (
     Polynomial,
@@ -202,6 +205,11 @@ def is_squarefree(f):
     g puts V(g), of dimension n - 1, inside it; a reduced hypersurface is
     smooth off a subset of codimension at least one in itself. Raises
     ZeroOrConstantInput for zero or constant input.
+
+    The leads come from dimension_at_most's signature-based run. Where
+    the syzygies of the same generators are computed anyway, as in
+    saito_basis, the same certificate reads the leads of that tracked run
+    instead (_certified_stream), and no run of its own is made.
     """
     if f.is_constant():
         raise ZeroOrConstantInput("squarefreeness needs a nonconstant polynomial")
@@ -218,8 +226,18 @@ def _check_divisor(f):
 
 def compute_der_log(f):
     """Generators of Der(-log f): the fields of der_log_stream(f), drained.
-    Squarefreeness is left to find_saito_basis and verify_saito."""
+    No certificate is kept: f is certified reduced by saito_basis, from
+    the leads of the same run, or by find_saito_basis and verify_saito."""
     return [_as_field(v, f.ring) for _, fields in der_log_stream(f) for v in fields]
+
+
+def _jacobian(f):
+    """f, df/dx_1, ..., df/dx_n, packed in _Packing(n), formed once: the
+    generators of the syzygy run of der_log_stream, and the divisor and
+    gradient that _determinant_test divides and pairs with the fields."""
+    lay = _Packing(len(f.ring))
+    gens = [f] + [partial_derivative(f, i) for i in range(len(f.ring))]
+    return lay, [_flatten([g], lay) for g in gens]
 
 
 def der_log_stream(f):
@@ -234,10 +252,30 @@ def der_log_stream(f):
     c = s + 2 - d.
     """
     _check_equation(f)
+    yield from _field_batches(_syzygy_stream(*_jacobian(f), 1), f)
+
+
+def _field_batches(run, f):
+    """der_log_stream's (c, fields) of the (s, rows, leads) of run."""
     d = f.total_degree()
-    gens = [f] + [partial_derivative(f, i) for i in range(len(f.ring))]
-    for s, fields in _syzygy_stream(gens, 1):
+    for s, fields, _ in run:
         yield None if s is None else s + 2 - d, fields
+
+
+def _certified_stream(f):
+    """(batches, jacobian) for a divisor equation f: batches yields what
+    der_log_stream(f) does, and jacobian is _jacobian(f)'s packed f and
+    gradient, the run's own generators. Before it returns, f is certified
+    reduced as is_squarefree does it, dim V(f, grad f) <= n - 2, but from
+    the leads of that same run, pulled only until they certify it; batches
+    yields the rows pulled, then resumes the run. Raises NonReduced when
+    the run ends first."""
+    _check_equation(f)
+    lay, gens = _jacobian(f)
+    reduced, run = _certified_syzygy_stream(lay, gens, 1, lay.n - 2)
+    if not reduced:
+        raise NonReduced("divisor polynomial is not squarefree")
+    return _field_batches(run, f), gens
 
 
 def _as_field(v, ring):
@@ -413,12 +451,13 @@ def verify_saito(fields, f):
     return _determinant_test(fields, f)
 
 
-def _determinant_test(fields, f):
+def _determinant_test(fields, f, jacobian=None):
     """verify_saito for n fields and an already checked divisor. The
     determinant of their matrix A, its division by f and the test that
     each column of grad(f) * A is a multiple of f (the fields are
     logarithmic) are formed in the packed form of A's PolyMatrix; only
-    the unit u leaves it."""
+    the unit u leaves it. jacobian: _jacobian(f)'s packed f and gradient,
+    formed here when not given."""
     n = len(f.ring)
     mat = PolyMatrix([[fields[j].components[i] for j in range(n)]
                       for i in range(n)])
@@ -427,13 +466,12 @@ def _determinant_test(fields, f):
     det = mat.det()
     if not det[0]:
         return VerifyResult(False, reason="determinant vanishes")
-    packed_f = _flatten([f], lay)
+    packed_f, *grad = jacobian or _jacobian(f)[1]
     u = _divide(det, packed_f, lay, budget)
     if u is None:
         return VerifyResult(False, reason="determinant is not a multiple of f")
     if not u[0].get(0):  # the packed term 0 is the constant term
         return VerifyResult(False, reason="cofactor of f vanishes at the origin")
-    grad = [_flatten([partial_derivative(f, i)], lay) for i in range(n)]
     for j in range(n):
         image = _dot([mat.entry(i, j) for i in range(n)], grad, lay, budget)
         if _divide(image, packed_f, lay, budget) is None:
@@ -476,19 +514,22 @@ def find_saito_basis(gens, f, w=None):
 
 def saito_basis(f, w=None):
     """find_saito_basis(compute_der_log(f), f, w), the same basis, with
-    the generators read from der_log_stream(f): for f homogeneous the
-    syzygy run stops once the graded search has its basis."""
-    _check_divisor(f)
-    return _select_saito_basis(der_log_stream(f), f,
-                               w or detect_weight_system(f))
+    the generators read from der_log_stream(f)'s run, which also certifies
+    f reduced (_certified_stream): one Groebner run of (f, grad f) serves
+    both, and for f homogeneous it stops once the certificate and the
+    graded search are done."""
+    batches, jacobian = _certified_stream(f)
+    return _select_saito_basis(batches, f, w or detect_weight_system(f),
+                               jacobian)
 
 
-def _select_saito_basis(batches, f, w):
+def _select_saito_basis(batches, f, w, jacobian=None):
     """find_saito_basis for an already checked divisor, its generators
     given as batches (c, fields) like those of der_log_stream: every
     field after a batch has coefficients of degree >= c, or there is
     none when c is None, and w the grading of f as given, None when f
-    has none. Only fields handed to _determinant_test are unflattened.
+    has none. Only fields handed to _determinant_test are unflattened;
+    jacobian (_jacobian(f)'s, formed here when not given) goes to it.
 
     Weighted homogeneous f: generators are split into weight-homogeneous
     parts, and each tag d is taken once, in ascending order, when no part
@@ -506,6 +547,7 @@ def _select_saito_basis(batches, f, w):
     """
     n = len(f.ring)
     lay = _Packing(n)
+    jacobian = jacobian or _jacobian(f)[1]
     if w is not None:
         lo, hi = min(w.weights), max(w.weights)
         waiting = {}  # tag: the parts of that tag not taken yet
@@ -525,7 +567,7 @@ def _select_saito_basis(batches, f, w):
                     gb = None
                     if len(kept) == n:
                         chosen = [_as_field(v, f.ring) for v in kept]
-                        res = _determinant_test(chosen, f)
+                        res = _determinant_test(chosen, f, jacobian)
                         if res:
                             return SaitoBasis(chosen, f, res.unit, res.table)
         if len(kept) != n:
@@ -542,7 +584,7 @@ def _select_saito_basis(batches, f, w):
     order = sorted(range(len(gens)), key=lambda i: (total_deg(gens[i]), i))
     for combo in itertools.islice(itertools.combinations(order, n), SUBSET_BUDGET):
         fields = [field(i) for i in combo]
-        res = _determinant_test(fields, f)
+        res = _determinant_test(fields, f, jacobian)
         if res:
             return SaitoBasis(fields, f, res.unit, res.table)
     if comb(len(gens), n) > SUBSET_BUDGET:

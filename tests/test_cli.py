@@ -664,10 +664,13 @@ class TestArtefactsComputedOnce:
                           (cli, "_select_saito_basis"),
                           (logder, "saito_basis"),
                           (cohomology, "saito_basis"),
-                          (cli, "der_log_stream"),
+                          (logder, "der_log_stream"),
+                          (cli, "_certified_stream"),
                           (groebner, "syzygies"),
                           (groebner, "syzygy_stream"),
-                          (logder, "syzygy_stream")):
+                          (logder, "syzygy_stream"),
+                          (groebner, "_syzygy_stream"),
+                          (logder, "_syzygy_stream")):
             monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
         doc = cli.load_document(os.path.join(CORPUS, "linear-nonreductive-5.json"))
         report = cli.analyze_document(doc, cli.ALL_STAGES)
@@ -680,7 +683,9 @@ class TestArtefactsComputedOnce:
         assert calls.count("syzygies") == 0
         assert calls.count("saito_basis") == 0
         assert calls.count("der_log_stream") == 0
+        assert calls.count("_certified_stream") == 0
         assert calls.count("syzygy_stream") == 0
+        assert calls.count("_syzygy_stream") == 0
 
     @pytest.mark.parametrize("name, h1", [("linear-nonreductive-5", 1),
                                           ("nc-4", 0)])
@@ -839,63 +844,136 @@ class TestArtefactsComputedOnce:
             golden = json.load(fh)
         assert strip_timings(report) == strip_timings(golden)
 
-    @pytest.mark.parametrize("name,ft1_dim", [
-        ("discriminant-234", 0),  # the basis is found by the search
-        ("linear-nonreductive-5", 1),  # the supplied matrix is verified
+    @pytest.mark.parametrize("name,ft1_dim,signature_runs", [
+        ("discriminant-234", 0, 0),  # the basis is found by the search
+        ("linear-nonreductive-5", 1, 1),  # the supplied matrix is verified
     ], ids=["discriminant-234", "linear-nonreductive-5"])
-    def test_squarefree_is_checked_once(self, name, ft1_dim, monkeypatch):
-        # in the divisor stage; the basis stage after it does not repeat it
-        from logdiv import cli, logder
+    def test_squarefree_is_checked_once(self, name, ft1_dim, signature_runs,
+                                        monkeypatch):
+        # in the divisor stage, as the one certificate with k = n - 2 (the
+        # Koszul test's has k = n, in 2n variables); the basis stage after
+        # it does not repeat it. The search path reads the leads of the
+        # tracked syzygy run, so no signature-based run is made on
+        # (f, grad f); a supplied matrix is checked by one
+        from logdiv import cli, groebner
 
-        calls = []
-        original = logder.is_squarefree
+        calls, jacobian_runs = [], []
+        certify, signature_leads = groebner._certify, groebner._signature_leads
 
-        def counting(f):
-            calls.append(f)
-            return original(f)
+        def counting(leads, k, lay, budget):
+            if k == lay.n - 2:
+                calls.append(k)
+            return certify(leads, k, lay, budget)
 
-        monkeypatch.setattr(logder, "is_squarefree", counting)
+        def counting_runs(gens, budget, lay):
+            if len(gens) == lay.n + 1:  # n + 1 generators in n variables
+                jacobian_runs.append(gens)
+            return signature_leads(gens, budget, lay)
+
+        monkeypatch.setattr(groebner, "_certify", counting)
+        monkeypatch.setattr(groebner, "_signature_leads", counting_runs)
         doc = cli.load_document(os.path.join(CORPUS, f"{name}.json"))
         report = cli.analyze_document(doc, cli.ALL_STAGES)
         assert report["ft1"]["dimension"] == ft1_dim
         assert len(calls) == 1
+        assert len(jacobian_runs) == signature_runs
+
+    @pytest.mark.parametrize("name", [
+        "discriminant-234",  # (f, grad f) not homogeneous: one whole run
+        "four-lines-nonkoszul",  # not weighted homogeneous: subset search
+        "coxeter-B4",  # the certificate reads past the basis's degree
+        "generic-4"])  # not free: the whole run, then exit 4
+    def test_one_groebner_run_of_the_jacobian_ideal(self, name, monkeypatch):
+        # a search-path analysis makes one Groebner run on (f, grad f),
+        # the tracked syzygy run: the divisor stage's certificate reads
+        # its leads and the basis stage its rows
+        from logdiv import cli, groebner, logder
+        from logdiv.poly import poly_from_text
+
+        runs, streams = [], []
+        run_buchberger, signature_leads = (groebner._run_buchberger,
+                                           groebner._signature_leads)
+        syzygy_stream = groebner._syzygy_stream
+
+        def tracked(gens, budget, units, lay):
+            runs.append(("buchberger", list(gens)))
+            return run_buchberger(gens, budget, units, lay)
+
+        def signature(gens, budget, lay):
+            runs.append(("signature", list(gens)))
+            return signature_leads(gens, budget, lay)
+
+        def stream(*args):
+            streams.append(args)
+            return syzygy_stream(*args)
+
+        monkeypatch.setattr(groebner, "_run_buchberger", tracked)
+        monkeypatch.setattr(groebner, "_signature_leads", signature)
+        monkeypatch.setattr(groebner, "_syzygy_stream", stream)
+        if name == "coxeter-B4":
+            doc = coxeter_b4()
+        elif name == "generic-4":
+            doc = {"label": name, "variables": ["x", "y", "z"],
+                   "f": "x*y*z*(x+y+z)"}
+        else:
+            doc = cli.load_document(os.path.join(CORPUS, f"{name}.json"))
+        try:
+            cli.analyze_document(doc, ("classify", "koszul"))
+        except cli.StageFailure as e:
+            assert (e.code, e.stage) == (4, "basis")
+        ring = tuple(doc["variables"])
+        _, jacobian = logder._jacobian(poly_from_text(doc["f"], ring))
+        assert [kind for kind, gens in runs if gens == jacobian] \
+            == ["buchberger"]
+        assert len(streams) == 1
 
 
 class TestBasisStageBudget:
-    """The basis stage stops the syzygy run of a graded free divisor once
-    its basis is found; other inputs spend what the whole run spends."""
+    """The divisor stage pulls the syzygy run of a graded free divisor
+    until its leads certify f reduced, and the basis stage resumes it and
+    stops it once its basis is found; other inputs spend what the whole
+    run spends."""
 
     @staticmethod
     def analyze(doc, monkeypatch):
-        """(failure, steps, basis_steps) of the default analysis: the
-        failure's (code, stage, message) or None, the steps spent, and
-        those spent in each call of the basis search."""
+        """(failure, steps, basis_steps, divisor_steps) of the default
+        analysis: the failure's (code, stage, message) or None, the steps
+        spent, those spent in each call of the basis search and those in
+        each call of the divisor stage's certified stream."""
         from logdiv import cli
         from logdiv.errors import Budget
 
-        basis_steps = []
-        original = cli._select_saito_basis
+        basis_steps, divisor_steps = [], []
 
-        def counting(*args):
-            left = budget.left
-            try:
-                return original(*args)
-            finally:
-                basis_steps.append(left - budget.left)
+        def counting(original, spent):
+            def counted(*args):
+                left = budget.left
+                try:
+                    return original(*args)
+                finally:
+                    spent.append(left - budget.left)
+            return counted
 
-        monkeypatch.setattr(cli, "_select_saito_basis", counting)
+        monkeypatch.setattr(cli, "_select_saito_basis",
+                            counting(cli._select_saito_basis, basis_steps))
+        monkeypatch.setattr(cli, "_certified_stream",
+                            counting(cli._certified_stream, divisor_steps))
         failure = None
         with Budget(10**9) as budget:
             try:
                 cli.analyze_document(doc, ("classify", "koszul"))
             except cli.StageFailure as e:
                 failure = (e.code, e.stage, e.message)
-        return failure, budget.steps - budget.left, basis_steps
+        return failure, budget.steps - budget.left, basis_steps, divisor_steps
 
-    @pytest.mark.parametrize("name, steps", [
-        ("braid-A3", 664), ("coxeter-B3", 122), ("coxeter-D4", 615)],
+    @pytest.mark.parametrize("name, steps, divisor", [
+        ("braid-A3", 601, 69), ("coxeter-B3", 97, 31),
+        ("coxeter-D4", 538, 96)],
         ids=["braid-A3", "coxeter-B3", "coxeter-D4"])
-    def test_graded_arrangements_stop_early(self, name, steps, monkeypatch):
+    def test_graded_arrangements_stop_early(self, name, steps, divisor,
+                                            monkeypatch):
+        # the run's steps, split between the two stages, with the
+        # certificate's in the divisor stage's, stay below the whole run's
         from logdiv.errors import Budget
         from logdiv.logder import _select_saito_basis, der_log_stream
         from logdiv.poly import detect_weight_system, poly_to_text
@@ -903,12 +981,13 @@ class TestBasisStageBudget:
 
         f = coxeter_gens(name)[0]
         doc = {"label": name, "variables": list(f.ring), "f": poly_to_text(f)}
-        failure, _, basis_steps = self.analyze(doc, monkeypatch)
+        failure, _, basis_steps, divisor_steps = self.analyze(doc, monkeypatch)
         assert failure is None and basis_steps == [steps]
+        assert divisor_steps == [divisor]
         with Budget(10**9) as full:
             fields = [v for _, batch in der_log_stream(f) for v in batch]
             _select_saito_basis([(None, fields)], f, detect_weight_system(f))
-        assert steps < full.steps - full.left
+        assert steps + divisor < full.steps - full.left
 
     def test_only_the_tested_fields_become_polynomials(self, monkeypatch):
         # coxeter-B4: the syzygy rows and the weight parts stay packed, so
@@ -925,8 +1004,8 @@ class TestBasisStageBudget:
                 unflattened.append(args[2])  # the rank
             return unflatten(*args)
 
-        def counting_test(fields, f):
-            res = determinant_test(fields, f)
+        def counting_test(fields, f, *jacobian):
+            res = determinant_test(fields, f, *jacobian)
             tested.append((len(fields), bool(res)))
             return res
 
@@ -947,9 +1026,9 @@ class TestBasisStageBudget:
         assert sorted(unflattened) == [1, 5, 5, 5, 5]
 
     @pytest.mark.parametrize("name, steps", [
-        ("discriminant-234", 273),  # weighted, but (f, grad f) not homogeneous
-        ("curve-x5y4", 44),
-        ("four-lines-nonkoszul", 438)],  # not weighted homogeneous
+        ("discriminant-234", 264),  # weighted, but (f, grad f) not homogeneous
+        ("curve-x5y4", 41),
+        ("four-lines-nonkoszul", 403)],  # not weighted homogeneous
         ids=["discriminant-234", "curve-x5y4", "four-lines-nonkoszul"])
     def test_inhomogeneous_generators_spend_the_whole_run(self, name, steps,
                                                           monkeypatch):
@@ -959,7 +1038,7 @@ class TestBasisStageBudget:
         assert self.analyze(doc, monkeypatch)[:2] == (None, steps)
 
     @pytest.mark.parametrize("f, steps, size", [
-        ("x*y*z*(x+y+z)", 51, 4), ("x*y*z*(x+y+z)*(x+2*y+3*z)", 120, 5)],
+        ("x*y*z*(x+y+z)", 44, 4), ("x*y*z*(x+y+z)*(x+2*y+3*z)", 99, 5)],
         ids=["generic-4", "generic-5"])
     def test_not_free_reads_the_whole_run(self, f, steps, size, monkeypatch):
         doc = {"label": "generic", "variables": ["x", "y", "z"], "f": f}

@@ -46,6 +46,11 @@
   Normal crossings in 12 variables are certified at the search's root.
   Two terms of one component have disjoint supports exactly when their
   lcm is their product: the J-pairs the run skips before any lcm.
+- The squarefree certificate read from the leads of the tracked syzygy
+  run, as the divisor stage of a search-path analysis reads it, agrees
+  with is_squarefree, whose leads come from the signature-based run, on
+  the corpus, the six arrangements, tests/frontier and five products
+  with a square factor; those five exit 3 at the divisor stage.
 - The Saito basis search: on every corpus entry without a supplied Saito
   matrix and on braid A3, B3, D4 and B4, the search over packed fields,
   from the stream and from the drained generators, returns the fields of
@@ -88,6 +93,7 @@
 import json
 import os
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -108,11 +114,12 @@ from logdiv.classify import (LieAlgebra, connection_conditions, is_koszul,
                              principal_symbols)
 from logdiv.cli import StageFailure, analyze_document, load_document
 from logdiv.cohomology import ft1, lft1, linear_basis
-from logdiv.errors import (Budget, NotLinear, NotWeightedHomogeneous,
-                           current_budget)
-from logdiv.logder import (SaitoBasis, VectorField, compute_der_log,
-                           der_log_stream, find_saito_basis, saito_basis,
-                           structure_constants, verify_saito)
+from logdiv.errors import (Budget, NonReduced, NotLinear,
+                           NotWeightedHomogeneous, current_budget)
+from logdiv.logder import (SaitoBasis, VectorField, _certified_stream,
+                           compute_der_log, der_log_stream, find_saito_basis,
+                           is_squarefree, saito_basis, structure_constants,
+                           verify_saito)
 from logdiv.poly import (Polynomial, _flatten, _Packing, detect_weight_system,
                          partial_derivative, poly_from_text, poly_to_text)
 
@@ -588,6 +595,59 @@ def test_certificate_matches_the_subset_filter_on_the_analyses(doc,
     assert tests
     for read, k, lay, answer in tests:
         assert reference_certificate(read, k, lay) == (answer, len(read))
+
+
+def non_reduced_docs():
+    """Products with a square factor: Coxeter B4 times x1, D4 and braid
+    A3 times x1 - x2, (y^2 + x z)^2 z and (x^5 - y^4)^2."""
+    arrangements = {doc["label"]: doc for doc in analysis_docs()}
+    docs = [dict(arrangements[name], label=f"{name}*({factor})",
+                 f=f"{arrangements[name]['f']}*({factor})")
+            for name, factor in (("coxeter-B4", "x1"), ("coxeter-D4", "x1-x2"),
+                                 ("braid-A3", "x1-x2"))]
+    docs += [{"label": f, "variables": ring, "f": f}
+             for f, ring in (("(y^2+x*z)^2*z", ["x", "y", "z"]),
+                             ("(x^5-y^4)^2", ["x", "y"]))]
+    return docs
+
+
+def frontier_docs():
+    frontier = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "frontier")
+    return [load_document(os.path.join(frontier, name))
+            for name in sorted(os.listdir(frontier))
+            if name.endswith(".json") and not name.endswith(".expected.json")]
+
+
+@pytest.mark.parametrize("doc, reduced", [
+    *(pytest.param(doc, True, id=doc["label"]) for doc in analysis_docs()),
+    *(pytest.param(doc, True, id=f"frontier-{doc['label']}")
+      for doc in frontier_docs()),
+    *(pytest.param(doc, False, id=doc["label"]) for doc in non_reduced_docs())])
+def test_run_read_certificate_agrees_with_is_squarefree(doc, reduced):
+    # the divisor stage's certificate, read from the leads of the tracked
+    # syzygy run, against is_squarefree, whose leads come from the
+    # signature-based run
+    f = poly_from_text(doc["f"], tuple(doc["variables"]))
+    try:
+        _certified_stream(f)
+        read = True
+    except NonReduced:
+        read = False
+    assert read is is_squarefree(f) is reduced
+
+
+@pytest.mark.parametrize("doc", non_reduced_docs(),
+                         ids=lambda doc: doc["label"])
+def test_non_reduced_products_exit_3_at_the_divisor_stage(doc):
+    # the run is read to its end, as no lead certifies: within 0.2 s
+    start = time.perf_counter()
+    with pytest.raises(StageFailure) as failure:
+        analyze_document(doc, ("classify", "koszul"))
+    elapsed = time.perf_counter() - start
+    e = failure.value
+    assert (e.code, e.stage, e.message) == (3, "divisor", "f is not squarefree")
+    assert elapsed < 0.2
 
 
 @pytest.mark.parametrize("homogeneous", [True, False],

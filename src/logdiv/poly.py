@@ -2,8 +2,12 @@
 
 A monomial is a plain exponent tuple whose length equals the number of ring
 variables; a ring is identified by its ordered tuple of variable names.
-Polynomials store a dict mapping exponent tuples to nonzero Fraction
-coefficients, so structural equality is dict equality.
+Polynomials store a dict mapping exponent tuples to nonzero coefficients,
+so structural equality is dict equality. A coefficient is an int when its
+value is an integer and a Fraction only when it is not, wherever one is
+formed: the constructors, scale, mul_term, _unflatten and the parser.
+Sums and products are not normalised, so an integral Fraction from them
+stays a valid coefficient: it compares, hashes and prints as the int does.
 
 Canonical term order for storage-independent printing is degrevlex with the
 ring's variable order.
@@ -61,6 +65,15 @@ def degrevlex_key(e):
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
+def _coefficient(c):
+    """c as a coefficient: an int when its value is an integer, else a
+    Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class Polynomial:
     __slots__ = ("ring", "terms")
 
@@ -69,7 +82,7 @@ class Polynomial:
         if terms is None:
             self.terms = {}
         elif prune:
-            self.terms = {m: Fraction(c) for m, c in terms.items() if c != 0}
+            self.terms = {m: _coefficient(c) for m, c in terms.items() if c != 0}
         else:
             self.terms = terms
 
@@ -80,7 +93,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, ring, c):
-        c = Fraction(c)
+        c = _coefficient(c)
         if c == 0:
             return cls(ring, {}, False)
         return cls(ring, {(0,) * len(ring): c}, False)
@@ -93,11 +106,11 @@ class Polynomial:
     def variable(cls, ring, i):
         e = [0] * len(ring)
         e[i] = 1
-        return cls(ring, {tuple(e): Fraction(1)}, False)
+        return cls(ring, {tuple(e): 1}, False)
 
     @classmethod
     def monomial(cls, ring, expo, c=1):
-        c = Fraction(c)
+        c = _coefficient(c)
         if c == 0:
             return cls(ring, {}, False)
         return cls(ring, {tuple(expo): c}, False)
@@ -172,16 +185,18 @@ class Polynomial:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _coefficient(c)
         if c == 0:
             return Polynomial.zero(self.ring)
-        return Polynomial(self.ring, {m: c * v for m, v in self.terms.items()}, False)
+        return Polynomial(self.ring, {m: _coefficient(c * v)
+                                      for m, v in self.terms.items()}, False)
 
     def mul_term(self, expo, c):
-        c = Fraction(c)
+        c = _coefficient(c)
         if c == 0:
             return Polynomial.zero(self.ring)
-        return Polynomial(self.ring, {m_mul(m, expo): c * v for m, v in self.terms.items()}, False)
+        return Polynomial(self.ring, {m_mul(m, expo): _coefficient(c * v)
+                                      for m, v in self.terms.items()}, False)
 
     def __pow__(self, n):
         """Repeated squaring; each product is charged to the budget, one
@@ -389,7 +404,7 @@ def _unflatten(v, ring, rank, lay):
     polys = [{} for _ in range(rank)]
     for t, a in P.items():
         c, m = lay.unpack(t)
-        polys[c][m] = Fraction(a, D)
+        polys[c][m] = a if D == 1 else _coefficient(Fraction(a, D))
     return [Polynomial(ring, t, False) for t in polys]
 
 

@@ -88,6 +88,11 @@
   connection conditions hold exactly when every b / u is rational. On a
   basis of f = x, the bracket x d/dy of x d/dx and (1 + x) d/dy has only
   terms of the fields and still no rational coordinates.
+- Coefficient types: on every corpus entry, each coefficient of f, of the
+  Saito fields and the unit, and of the deformed equations is an int or a
+  Fraction, never a float or a bool, and an int whenever its value is an
+  integer, as the parser, the constructors and the packed form's
+  _unflatten form them; the text of each polynomial reads back to it.
 """
 
 import json
@@ -332,6 +337,24 @@ def test_representatives_match_the_reference(name):
     for basis, grading in cases:
         assert texts(ft1(f, saito=basis, w=grading).deformed_equations) \
             == texts(reference_representatives(basis, grading))
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_integral_coefficients_are_ints(name):
+    f, w, saito = corpus_member(name)
+    polys = [f, saito.unit]
+    for basis, grading in [(saito, None), *graded_bases(f, w, saito)]:
+        polys += [p for d in basis.fields for p in d.components]
+        if grading is not None:
+            polys += [p for d in basis.graded(grading).fields
+                      for p in d.components]
+            polys += ft1(f, saito=basis, w=grading).deformed_equations
+    for p in polys:
+        for c in p.terms.values():
+            assert type(c) in (int, Fraction), (name, poly_to_text(p))
+            assert type(c) is int or c.denominator != 1, \
+                (name, poly_to_text(p))
+        assert poly_from_text(poly_to_text(p), p.ring) == p
 
 
 @pytest.mark.parametrize("name, h1", [

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logdiv.errors import (Budget, BudgetExceeded, NotHomogeneous, ParseError,
                            ZeroOrConstantInput, current_budget)
@@ -11,6 +12,9 @@ from logdiv.poly import (
     MAX_NESTING,
     Polynomial,
     WeightSystem,
+    _flatten,
+    _Packing,
+    _unflatten,
     detect_weight_system,
     partial_derivative,
     poly_from_text,
@@ -113,6 +117,51 @@ class TestParsePrint:
         assert P("-(" * 100 + "x" + ")" * 100) == P("x")
         with pytest.raises(ParseError, match="nested deeper than 100"):
             P("(" * 101 + "x" + ")" * 101)
+
+
+class TestCoefficientTypes:
+    """A coefficient is an int when its value is an integer and a Fraction
+    only when it is not, wherever one is formed."""
+
+    def test_constructors_form_ints(self):
+        half = Fraction(1, 2)
+        for p in (P("4/2*x + 3*y - 6/3"), Polynomial(R2, {(1, 0): Fraction(4, 2)}),
+                  Polynomial.constant(R2, Fraction(6, 3)),
+                  Polynomial.monomial(R2, (1, 1), Fraction(-8, 4)),
+                  Polynomial.variable(R2, 0), P("2*x + 4*y").scale(half),
+                  P("2*x").mul_term((0, 1), half), partial_derivative(P("x^3"), 0)):
+            assert all(type(c) is int for c in p.terms.values()), p
+        assert P("1/2*x + 3/6*y").terms == {(1, 0): half, (0, 1): half}
+        assert type(P("1/2*x").terms[(1, 0)]) is Fraction
+        assert type(Polynomial(R2, {(0, 0): True}).terms[(0, 0)]) is int
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * 3),
+        st.one_of(st.integers(-40, 40),
+                  st.fractions(min_value=-5, max_value=5, max_denominator=6)),
+        max_size=6), min_size=1, max_size=3))
+    def test_packed_round_trip_keeps_types(self, dicts):
+        vec = [Polynomial(R3, d) for d in dicts]
+        lay = _Packing(3)
+        back = _unflatten(_flatten(vec, lay), R3, len(vec), lay)
+        assert back == vec
+        for p, q in zip(vec, back):
+            assert {m: type(c) for m, c in p.terms.items()} \
+                == {m: type(c) for m, c in q.terms.items()}
+            assert all(type(c) is int or c.denominator != 1
+                       for c in q.terms.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 2),
+                           st.integers(-40, 40).filter(bool), max_size=5))
+    def test_integral_fraction_prints_as_int(self, terms):
+        ints = Polynomial(R2, terms, False)
+        fractions = Polynomial(R2, {m: Fraction(c) for m, c in terms.items()},
+                               False)
+        assert ints == fractions
+        assert poly_to_text(ints) == poly_to_text(fractions)
+        assert poly_from_text(poly_to_text(fractions), R2) == ints
 
 
 class TestCalculus:

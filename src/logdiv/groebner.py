@@ -39,31 +39,35 @@ of sugar <= s every basis element and every syzygy of degree <= s is
 found. syzygy_stream is the one tracked run: it yields its rows degree by
 degree, and a reader that has what it needs stops the run there; its rows
 stay packed, and only syzygies, which drains it, turns them into
-Polynomials. Inside, _syzygy_stream also yields the leads of the basis
-elements appended since its last pause. dimension_at_most reads the
-leads of a signature-based run (_signature_leads), which reduces no pair
-that a syzygy known in advance accounts for: on a regular sequence, such
-as the principal symbols of a Koszul free divisor, no pair reduces to
-zero. Either source feeds the one certificate (_certify), which stops
-at the first lead that certifies the bound: a lead of an element of the
-ideal lies in the initial ideal, and the dimension is read off the
-supports of its generators. _certified_syzygy_stream reads the tracked
-run's leads, so that a caller that needs both the dimension and the
-syzygies of the same generators makes one run. The certificate keeps
-the minimal supports and one witness set of variables that holds none
-of them, and searches for a new witness by branch and bound over
-independent sets only when a lead's support lies in it. buchberger,
-syzygy_stream and dimension_at_most share one prologue, _prepare, which
-checks and packs the generators. Every polynomial reduction runs here:
-exact division (_divide) is _reduce_full by the divisor alone, its
-quotient tracked.
+Polynomials. The rows are the relations of the S-pairs that reduce to
+zero. Every nonzero generator enters the basis with its own unit vector as
+its representation, so by Schreyer's theorem, in the form of Moeller, Mora
+and Traverso (1992), these relations generate the syzygy module of the
+generators, those of degree <= s by the pause at s. Inside, _syzygy_stream
+also yields the leads of the basis elements appended since its last pause.
+dimension_at_most reads the leads of a signature-based run
+(_signature_leads), which reduces no pair that a syzygy known in advance
+accounts for: on a regular sequence, such as the principal symbols of a
+Koszul free divisor, no pair reduces to zero. Either source feeds the one
+certificate (_certify), which stops at the first lead that certifies the
+bound: a lead of an element of the ideal lies in the initial ideal, and
+the dimension is read off the supports of its generators.
+_certified_syzygy_stream reads the tracked run's leads, so that a caller
+that needs both the dimension and the syzygies of the same generators
+makes one run. The certificate keeps the minimal supports and one witness
+set of variables that holds none of them, and searches for a new witness
+by branch and bound over independent sets only when a lead's support lies
+in it. buchberger, syzygy_stream and dimension_at_most share one prologue,
+_prepare, which checks and packs the generators. Every polynomial
+reduction runs here: exact division (_divide) is _reduce_full by the
+divisor alone, its quotient tracked.
 """
 
 import heapq
 import itertools
 from math import gcd, lcm
 
-from .errors import InternalInconsistency, current_budget
+from .errors import current_budget
 from .poly import (_FIELD, Polynomial, _flatten, _lowest_terms, _Packing,
                    _unflatten)
 
@@ -105,11 +109,6 @@ def _combine(terms):
                 del out[t]
     D, out = _lowest_terms(D, out)
     return out, D
-
-
-def _less_quotients(recs, reps):
-    """The addends -(c / D) * x^shift * reps[j] of the records recs."""
-    return [(-c, D, shift, reps[j]) for j, shift, c, D in recs]
 
 
 def _reduce_full(v, basis, leads, sugars, sugar, budget, lay, track=False):
@@ -213,6 +212,13 @@ def _run_buchberger(gens, budget, units, lay):
     by position in gens; an empty unit drops its component, and its work,
     from every rep. reps/zero_syzygies are None unless units is given.
 
+    Each nonzero generator is appended first, represented by its unit, so
+    a syzygy of gens is one of the basis. The relations of all S-pairs
+    generate those (Schreyer), and the relation of a pair whose remainder
+    is appended is zero over gens, as the remainder's rep is the pair's
+    combination of reps: with the unit rows of the zero generators, the
+    zero_syzygies generate the syzygies of gens taken of units.
+
     The chain criterion (_chain_skip) skips a pair (i, j) when a lead l_k
     divides its lcm l_ij and the pairs (i, k) and (j, k) are done. Its
     lead syzygy is (l_ij / l_ik) tau_ik - (l_ij / l_jk) tau_jk, so the
@@ -276,7 +282,7 @@ def _run_buchberger(gens, budget, units, lay):
                                       lay, track)
         if track:
             rep = _combine([(1, 1, si, reps[i]), (-1, 1, sj, reps[j])]
-                           + _less_quotients(recs, reps))
+                           + [(-c, D, u, reps[k]) for k, u, c, D in recs])
         if rem[0]:
             append(rem, sug, rep if track else None)
         elif track and rep[0]:
@@ -399,32 +405,33 @@ def _buchberger(ring, rank, lay, flats):
 def syzygies(gens):
     """Generating set of the first syzygy module of gens: the rows of
     syzygy_stream(gens), drained and unflattened."""
-    ring, _, lay, flats = _prepare(gens)
-    return SyzygyBasis([_unflatten(row, ring, len(flats), lay)
-                        for _, rows, _ in _syzygy_stream(lay, flats, 0)
-                        for row in rows])
+    ring, _, lay, _ = _prepare(gens)
+    return SyzygyBasis([_unflatten(row, ring, len(gens), lay)
+                        for _, rows in syzygy_stream(gens) for row in rows])
 
 
 def syzygy_stream(gens):
     """Generators of the first syzygy module of gens, degree by degree,
     each row once.
 
-    The rows are the unit rows of the zero generators, the relations of
-    the S-pairs that reduce to zero in a Buchberger run that tracks each
-    basis element over the generators, in the order found, and the
-    nonzero rows e_i - q_i, where q_i divides generator i by that basis
-    with its quotient records. Yields (s, rows), the rows packed in the
-    layout _Packing(len(ring)); the last yield has s None.
+    The rows are the unit rows of the zero generators and the relations
+    of the S-pairs that reduce to zero in a Buchberger run that tracks
+    each basis element over the generators, in the order found. They
+    generate the module: each nonzero generator enters the basis
+    represented by its own unit vector, so by Schreyer's theorem (Moeller,
+    Mora and Traverso 1992) the relations of the pairs generate the
+    syzygies of the generators, and a pair whose remainder is appended
+    adds none. Yields (s, rows), the rows packed in the layout
+    _Packing(len(ring)); the last yield has s None.
 
     When every generator is homogeneous, each sugar is a degree: the run
     pauses each time every S-pair of sugar <= s is done, yields the rows
     new since the last pause, and every row still to come is homogeneous
     of degree > s (its component c has degree s' - deg(gens[c]) for some
-    s' > s). e_i - q_i is made at the first pause with s >= deg(gens[i]),
-    as its division uses only basis elements of degree <= deg(gens[i]),
-    all appended by then; rows of no larger degree generate the relation
-    of a pair the chain criterion skips. Stopping early leaves the rest of
-    the run undone. A run that never pauses yields once, rows e_i - q_i by i.
+    s' > s). The relations of the pairs run of sugar <= s generate every
+    syzygy of degree <= s, the relations of the pairs the chain criterion
+    skips among them. Stopping early leaves the rest of the run undone. A
+    run that never pauses yields once.
     """
     _, _, lay, flats = _prepare(gens)
     for s, rows, _ in _syzygy_stream(lay, flats, 0):
@@ -436,34 +443,21 @@ def _syzygy_stream(lay, flats, first):
     leads the lead terms of the basis elements appended since the last
     yield. Each lies in the initial ideal of flats, and once s is None
     all of them generate it: the run is a Groebner basis, as the pairs
-    the chain criterion skips reduce to zero. The rows are cut to their
-    components from first on (in lowest terms as cut), the generators
-    below first represented by zero. The same rows are dropped when the
-    kept part of a syzygy fixes the rest, as grad f's part of a syzygy of
-    (f, grad f) does."""
+    the chain criterion skips reduce to zero. The rows are the unit rows
+    of the zero generators and the run's zero_syzygies, each yielded once
+    (an inhomogeneous run can find one relation twice). They are cut to
+    their components from first on (in lowest terms as cut), the
+    generators below first represented by zero; cut, they generate the
+    cut module, its image under the projection. The same rows are dropped
+    when the kept part of a syzygy fixes the rest, as grad f's part of a
+    syzygy of (f, grad f) does."""
     units = [({i * lay.unit: 1} if i >= first else {}, 1) for i in range(len(flats))]
     # a zero generator is annihilated by the corresponding unit vector
     rows = [units[i] for i, (P, _) in enumerate(flats) if not P]
-    todo = [(lay.degree(P), i) for i, (P, _) in enumerate(flats) if P]
-    budget = current_budget()
-
-    def division_row(i, state):
-        basis, leads, sugars, reps, _ = state
-        f = flats[i]
-        rem, recs, _ = _reduce_full(f, basis, leads, sugars,
-                                    lay.degree(f[0]), budget, lay, True)
-        if rem[0]:
-            raise InternalInconsistency("generator does not reduce to zero")
-        return _combine([(1, 1, 0, units[i])] + _less_quotients(recs, reps))
-
     found, led, seen = 0, 0, {}
-    for s, state in _run_buchberger(flats, budget, units, lay):
-        if s is not None:
-            todo.sort()  # the run pauses only on homogeneous generators
+    for s, state in _run_buchberger(flats, current_budget(), units, lay):
         rows += state[4][found:]
         found = len(state[4])
-        while todo and (s is None or todo[0][0] <= s):
-            rows.append(division_row(todo.pop(0)[1], state))
         leads = state[1][led:]
         led += len(leads)
         yield s, [row for row in _distinct(rows, seen) if row[0]], leads

@@ -37,10 +37,10 @@ from .errors import (
     ZeroOrConstantInput,
     current_budget,
 )
-# buchberger and syzygy_stream stay bound here: perfbench and tests read them
+# buchberger stays bound here: perfbench and tests read logder.buchberger
 from .groebner import (_buchberger, _certified_syzygy_stream,  # noqa: F401
                        _divide, _syzygy_stream, buchberger,
-                       dimension_at_most, syzygy_stream)
+                       dimension_at_most)
 from .linalg import _eliminate, _ints, rref
 from .poly import (
     Polynomial,

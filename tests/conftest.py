@@ -230,6 +230,84 @@ def unpacked(stream, ring, rank):
         yield s, [_unflatten(row, ring, rank, lay) for row in rows]
 
 
+def reference_syzygy_stream(lay, flats, first):
+    """groebner._syzygy_stream with division rows, as (s, rows, leads):
+    besides the unit rows of the zero generators and the relations of the
+    S-pairs that reduce to zero, one row e_i - q_i per nonzero generator
+    i, q_i the quotients of generator i's tracked reduction by the run's
+    basis, made at the first pause with s >= deg(gens[i]), or by i at the
+    end of a run that never pauses. Rows are cut and deduplicated as
+    _syzygy_stream's are."""
+    units = [({i * lay.unit: 1} if i >= first else {}, 1)
+             for i in range(len(flats))]
+    rows = [units[i] for i, (P, _) in enumerate(flats) if not P]
+    todo = [(lay.degree(P), i) for i, (P, _) in enumerate(flats) if P]
+    budget = current_budget()
+
+    def division_row(i, state):
+        basis, leads, sugars, reps, _ = state
+        rem, recs, _ = groebner._reduce_full(
+            flats[i], basis, leads, sugars, lay.degree(flats[i][0]), budget,
+            lay, True)
+        assert not rem[0], "a generator does not reduce to zero"
+        return groebner._combine([(1, 1, 0, units[i])]
+                                 + [(-c, D, u, reps[j])
+                                    for j, u, c, D in recs])
+
+    found, led, seen = 0, 0, {}
+    for s, state in groebner._run_buchberger(flats, budget, units, lay):
+        if s is not None:
+            todo.sort()
+        rows += state[4][found:]
+        found = len(state[4])
+        while todo and (s is None or todo[0][0] <= s):
+            rows.append(division_row(todo.pop(0)[1], state))
+        leads = state[1][led:]
+        led += len(leads)
+        yield s, [r for r in groebner._distinct(rows, seen) if r[0]], leads
+        rows = []
+
+
+def assert_relations_generate_the_reference(gens, first=0):
+    """The rows of groebner._syzygy_stream(gens) cut at first against
+    those of reference_syzygy_stream: each is a reference row, every
+    reference row reduces to zero modulo a module Groebner basis of them,
+    and at each pause s the rows yielded so far generate every reference
+    row of degree <= s (a row's degree is deg(row_c) + deg(gens[c]), the
+    unit row of a zero generator counting as degree -1)."""
+    ring, _, lay, flats = groebner._prepare(gens)
+    batches = [(s, rows) for s, rows, _ in
+               groebner._syzygy_stream(lay, flats, first)]
+    reference = [row for _, rows, _ in
+                 reference_syzygy_stream(lay, flats, first) for row in rows]
+    drained = [row for _, rows in batches for row in rows]
+    assert all(row in reference for row in drained)
+
+    def polys(rows):
+        return [_unflatten(row, ring, len(flats), lay) for row in rows]
+
+    def degree(row):
+        return max(sum(m) + (lay.degree(flats[c][0]) if flats[c][0] else -1)
+                   for c, m in map(lay.unpack, row[0]))
+
+    def generated(rows, targets):
+        if targets:
+            assert rows, "reference rows and no rows to generate them"
+            gb = buchberger(polys(rows))
+            assert all(gb.reduces_to_zero(row) for row in polys(targets))
+
+    generated(drained, reference)
+    so_far, checked = [], 0
+    for s, rows in batches:
+        so_far += rows
+        if s is None:
+            continue
+        targets = [row for row in reference if degree(row) <= s]
+        if len(targets) > checked:  # the rows so far only grow
+            generated(so_far, targets)
+            checked = len(targets)
+
+
 # ---- the Saito basis search over VectorFields and Fraction polynomials --
 
 def field_sort_key(tag, delta):

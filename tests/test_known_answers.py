@@ -74,6 +74,11 @@
   and D4 its rows are syzygies of (f, grad f), and every row of the run
   that reduces every S-pair reduces to zero modulo a module Groebner
   basis of them, so they generate the same syzygy module.
+- Syzygies from the S-pair relations alone: on the corpus Jacobians and
+  braid A3, Coxeter B3 and D4, whole and cut to their fields, each row of
+  the tracked run is a row of the reference stream in conftest.py, which
+  also forms one division row per generator, and the rows generate every
+  reference row, by each pause those of its degree.
 - Exact division, the reduction of the dividend by the divisor alone: a
   zero dividend, a divisor with a negative lead coefficient, a first
   quotient coefficient that is no integer multiple of the divisor's
@@ -106,8 +111,10 @@ from math import lcm
 import pytest
 
 from ce_oracle import cohomology, ft1_equation_side
-from conftest import (ReferenceConstants, assert_syzygies, corpus_member,
-                      corpus_names, coxeter_gens, packed_div,
+from conftest import (ReferenceConstants,
+                      assert_relations_generate_the_reference,
+                      assert_syzygies, corpus_member, corpus_names,
+                      coxeter_gens, packed_div,
                       reference_certificate, reference_d0_rows,
                       reference_d1_rows, reference_representatives,
                       reference_saito_fields, transpose,
@@ -957,6 +964,22 @@ def test_chain_criterion_rows_generate_the_syzygies(name, monkeypatch):
     gb = groebner.buchberger(rows)
     assert gb.rank == len(gens)
     assert all(gb.reduces_to_zero(row) for row in every_pair)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+@pytest.mark.parametrize("name", corpus_names()
+                         + ["braid-A3", "coxeter-B3", "coxeter-D4"])
+def test_pair_relations_generate_the_division_rows(name, first):
+    # the rows of the tracked run, the relations of the S-pairs that reduce
+    # to zero, against the stream that also made one division row per
+    # generator: they generate every one of its rows, cut at first as the
+    # basis stage cuts them, and at each pause those of its degree
+    if name in corpus_names():
+        f = corpus_member(name)[0]
+        gens = [f] + [partial_derivative(f, i) for i in range(len(f.ring))]
+    else:
+        gens = coxeter_gens(name)
+    assert_relations_generate_the_reference(gens, first)
 
 
 @pytest.mark.parametrize("name", corpus_names() + [

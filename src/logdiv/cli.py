@@ -60,7 +60,7 @@ from .cylinder import split_cylindrical
 from .errors import (DEFAULT_STEPS, Budget, BudgetExceeded, LogdivError,
                      NonReduced, NotFree, NotHomogeneous, NotLinear,
                      ParseError, ZeroOrConstantInput, current_budget)
-from .logder import (SaitoBasis, VectorField, format_field, _certified_stream,
+from .logder import (SaitoBasis, VectorField, der_log_stream, format_field,
                      _check_divisor, _determinant_test, _select_saito_basis)
 from .poly import (WeightSystem, _NAME, detect_weight_system,
                    poly_from_text, poly_to_text, weighted_degree)
@@ -229,22 +229,20 @@ def analyze_document(doc, stages):
     work_ring = split.ring if split else ring
     work_f = split.poly if split else f
 
-    # the one squarefree certificate of the analysis; the basis stage calls
-    # the unchecked cores of verify_saito and saito_basis. With a supplied
-    # matrix it reads the leads of the signature-based run; otherwise those
-    # of the tracked syzygy run, pulled only until they certify, which the
-    # basis stage resumes, with its packed f and gradient
+    # the one squarefree check of the analysis, is_squarefree's: f is
+    # squarefree when its restriction to a line is, mod a prime, and only
+    # when no line shows it does a dimension test of the singular locus
+    # decide; the basis stage calls the unchecked cores of verify_saito
+    # and saito_basis
     def divisor_stage():
         try:
-            if doc.get("saito_matrix") is None:
-                return _certified_stream(work_f)
             _check_divisor(work_f)
         except NonReduced:
             _fail(3, "divisor", "f is not squarefree")
         except (ValueError, ZeroOrConstantInput) as e:
             _fail(2, "divisor", str(e))
 
-    stream = run_stage("divisor", divisor_stage)
+    run_stage("divisor", divisor_stage)
 
     provided_weights = doc.get("weights")
     if provided_weights is not None and split:
@@ -263,14 +261,12 @@ def analyze_document(doc, stages):
             if not res.ok:
                 _fail(4, "basis", f"provided matrix is not a basis: {res.reason}")
             return SaitoBasis(fields, work_f, res.unit, res.table)
-        batches, jacobian = stream
         try:
-            return _select_saito_basis(batches, work_f, w, jacobian)
+            return _select_saito_basis(der_log_stream(work_f), work_f, w)
         except NotFree as e:
             _fail(4, "basis", str(e))
 
     saito = run_stage("basis", basis_stage)
-    stream = None  # the run's state is not kept through the later stages
     n = len(work_ring)
     field_weights = None
     if w:
@@ -426,17 +422,11 @@ def _emit(report, json_path):
 
 # ---- corpus ------------------------------------------------------------
 
-def _strip_timings(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_timings(v) for k, v in obj.items() if k != "timings"}
-    if isinstance(obj, list):
-        return [_strip_timings(v) for v in obj]
-    return obj
-
-
 def _diff_fields(expected, actual, path, out):
+    """Append to out the path of each field where actual differs from
+    expected; timings keys, at any depth, are not compared."""
     if isinstance(expected, dict) and isinstance(actual, dict):
-        for key in sorted(set(expected) | set(actual)):
+        for key in sorted((set(expected) | set(actual)) - {"timings"}):
             sub = f"{path}.{key}" if path else key
             if key not in expected:
                 out.append(f"{sub} (unexpected)")
@@ -489,8 +479,7 @@ def run_corpus(directory, steps=DEFAULT_STEPS, seconds=None):
         except (OSError, ValueError, RecursionError):
             mismatches.append("expected report unreadable")
         else:
-            _diff_fields(_strip_timings(golden), _strip_timings(report),
-                         "", mismatches)
+            _diff_fields(golden, report, "", mismatches)
         entries.append((doc["label"], name, mismatches))
     entries.sort(key=lambda t: t[0])
     bad = 0

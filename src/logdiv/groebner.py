@@ -43,18 +43,14 @@ Polynomials. The rows are the relations of the S-pairs that reduce to
 zero. Every nonzero generator enters the basis with its own unit vector as
 its representation, so by Schreyer's theorem, in the form of Moeller, Mora
 and Traverso (1992), these relations generate the syzygy module of the
-generators, those of degree <= s by the pause at s. Inside, _syzygy_stream
-also yields the leads of the basis elements appended since its last pause.
-dimension_at_most reads the leads of a signature-based run
-(_signature_leads), which reduces no pair that a syzygy known in advance
-accounts for: on a regular sequence, such as the principal symbols of a
-Koszul free divisor, no pair reduces to zero. Either source feeds the one
-certificate (_certify), which stops at the first lead that certifies the
-bound: a lead of an element of the ideal lies in the initial ideal, and
-the dimension is read off the supports of its generators.
-_certified_syzygy_stream reads the tracked run's leads, so that a caller
-that needs both the dimension and the syzygies of the same generators
-makes one run. The certificate keeps the minimal supports and one witness
+generators, those of degree <= s by the pause at s. dimension_at_most
+reads the leads of a signature-based run (_signature_leads), which
+reduces no pair that a syzygy known in advance accounts for: on a regular
+sequence, such as the principal symbols of a Koszul free divisor, no pair
+reduces to zero. They feed the certificate (_certify), which stops at the
+first lead that certifies the bound: a lead of an element of the ideal
+lies in the initial ideal, and the dimension is read off the supports of
+its generators. The certificate keeps the minimal supports and one witness
 set of variables that holds none of them, and searches for a new witness
 by branch and bound over independent sets only when a lead's support lies
 in it. buchberger, syzygy_stream and dimension_at_most share one prologue,
@@ -434,53 +430,27 @@ def syzygy_stream(gens):
     run that never pauses yields once.
     """
     _, _, lay, flats = _prepare(gens)
-    for s, rows, _ in _syzygy_stream(lay, flats, 0):
-        yield s, rows
+    yield from _syzygy_stream(lay, flats, 0)
 
 
 def _syzygy_stream(lay, flats, first):
-    """syzygy_stream of the packed generators flats, as (s, rows, leads),
-    leads the lead terms of the basis elements appended since the last
-    yield. Each lies in the initial ideal of flats, and once s is None
-    all of them generate it: the run is a Groebner basis, as the pairs
-    the chain criterion skips reduce to zero. The rows are the unit rows
-    of the zero generators and the run's zero_syzygies, each yielded once
-    (an inhomogeneous run can find one relation twice). They are cut to
-    their components from first on (in lowest terms as cut), the
-    generators below first represented by zero; cut, they generate the
-    cut module, its image under the projection. The same rows are dropped
-    when the kept part of a syzygy fixes the rest, as grad f's part of a
-    syzygy of (f, grad f) does."""
+    """syzygy_stream of the packed generators flats, as (s, rows). The
+    rows are the unit rows of the zero generators and the run's
+    zero_syzygies, each yielded once (an inhomogeneous run can find one
+    relation twice). They are cut to their components from first on (in
+    lowest terms as cut), the generators below first represented by zero;
+    cut, they generate the cut module, its image under the projection.
+    The same rows are dropped when the kept part of a syzygy fixes the
+    rest, as grad f's part of a syzygy of (f, grad f) does."""
     units = [({i * lay.unit: 1} if i >= first else {}, 1) for i in range(len(flats))]
     # a zero generator is annihilated by the corresponding unit vector
     rows = [units[i] for i, (P, _) in enumerate(flats) if not P]
-    found, led, seen = 0, 0, {}
+    found, seen = 0, {}
     for s, state in _run_buchberger(flats, current_budget(), units, lay):
         rows += state[4][found:]
         found = len(state[4])
-        leads = state[1][led:]
-        led += len(leads)
-        yield s, [row for row in _distinct(rows, seen) if row[0]], leads
+        yield s, [row for row in _distinct(rows, seen) if row[0]]
         rows = []
-
-
-def _certified_syzygy_stream(lay, flats, first, k):
-    """(dimension_at_most(flats, k), run), the answer read by _certify
-    from the leads of the tracked run _syzygy_stream(lay, flats, first)
-    instead of a signature-based run: the run is pulled until a lead
-    certifies, or to its end, where its leads generate the initial ideal.
-    run yields that run's (s, rows, leads), the batches pulled first,
-    then the rest of the run."""
-    run = _syzygy_stream(lay, flats, first)
-    pulled = []
-
-    def leads():
-        for batch in run:
-            pulled.append(batch)
-            yield from batch[2]
-
-    return (_certify(leads(), k, lay, current_budget()),
-            itertools.chain(pulled, run))
 
 
 def _distinct(rows, seen):

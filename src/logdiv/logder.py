@@ -5,16 +5,18 @@ f = 0 when delta(f) lies in the ideal (f). The whole module Der(-log f)
 is obtained from the syzygies of (f, df/dx_1, ..., df/dx_n): the relation
 g_0 f + sum_i g_i df/dx_i = 0 yields the field sum_i g_i d/dx_i.
 
-The fields come from one stream, der_log_stream; compute_der_log drains
-it. saito_basis first certifies f reduced from the leads of the same
-Groebner run (_certified_stream), so no other run is made. For f
-homogeneous the syzygies come degree by degree, and the graded search
-for a Saito basis reads them only up to the degree it needs: it takes
-the weight parts of tag t once no field still to come can have a part
-of tag <= t, and stops the run when the n fields kept pass Saito's
-determinant test. Those fields are a canonical form (_select_saito_basis):
-they depend on f, its weights and the term order alone, so the basis is
-the one a full run, or any generating set of Der(-log f), gives.
+f is certified reduced by is_squarefree alone, the one certificate of
+every caller: a squarefree restriction of f to a line, mod a large prime,
+certifies it with no Groebner run, and only when no line does, a
+dimension test of the singular locus decides. The fields come from one
+stream, der_log_stream; compute_der_log drains it. For f homogeneous the
+syzygies come degree by degree, and the graded search for a Saito basis
+reads them only up to the degree it needs: it takes the weight parts of
+tag t once no field still to come can have a part of tag <= t, and stops
+the run when the n fields kept pass Saito's determinant test. Those
+fields are a canonical form (_select_saito_basis): they depend on f, its
+weights and the term order alone, so the basis is the one a full run, or
+any generating set of Der(-log f), gives.
 
 The stream's fields stay packed, as rows of groebner's tracked run: the
 search splits, reduces and echelons their weight parts on ints, and only
@@ -26,8 +28,9 @@ j-th field.
 
 import functools
 import itertools
+import random
 from fractions import Fraction
-from math import comb, inf, lcm
+from math import comb, inf, lcm, prod
 
 from .errors import (
     InternalInconsistency,
@@ -38,9 +41,8 @@ from .errors import (
     current_budget,
 )
 # buchberger stays bound here: perfbench and tests read logder.buchberger
-from .groebner import (_buchberger, _certified_syzygy_stream,  # noqa: F401
-                       _divide, _syzygy_stream, buchberger,
-                       dimension_at_most)
+from .groebner import (_buchberger, _divide, _syzygy_stream,  # noqa: F401
+                       buchberger, dimension_at_most)
 from .linalg import _eliminate, _ints, rref
 from .poly import (
     Polynomial,
@@ -200,22 +202,75 @@ def _check_equation(f):
 def is_squarefree(f):
     """True iff f has no repeated irreducible factor over Q.
 
-    Decided by the dimension of the singular locus V(f, df/dx_1, ...,
-    df/dx_n): at most n - 2 exactly when f is squarefree. A square factor
-    g puts V(g), of dimension n - 1, inside it; a reduced hypersurface is
-    smooth off a subset of codimension at least one in itself. Raises
-    ZeroOrConstantInput for zero or constant input.
+    First up to three fixed lines x = a + t b are tried (_line_points,
+    _on_line). Let u(t) be f(a + t b), cleared of denominators. When u has
+    degree deg f and gcd(u, u') = 1 mod the prime p = 2^61 - 1, f is
+    squarefree.
+    Suppose f = g^2 h with deg g >= 1. g keeps its degree on the line, as
+    u does. By Gauss's lemma u = G^2 H over Z, and lc(G) divides lc(u),
+    a unit mod p; so G mod p is a square factor of positive degree, and
+    gcd(u, u') != 1. A True from a line is therefore never wrong; a
+    failure is only inconclusive.
 
-    The leads come from dimension_at_most's signature-based run. Where
-    the syzygies of the same generators are computed anyway, as in
-    saito_basis, the same certificate reads the leads of that tracked run
-    instead (_certified_stream), and no run of its own is made.
+    Then the dimension of the singular locus V(f, df/dx_1, ...,
+    df/dx_n) decides, which can also answer False: it is at most n - 2
+    exactly when f is squarefree. A square factor g puts V(g), of
+    dimension n - 1, inside it; a reduced hypersurface is smooth off a
+    subset of codimension at least one in itself. Its leads come from
+    dimension_at_most's signature-based run, which alone decides past
+    degree 256, where a line's gcd would cost about deg f ** 2 steps, and
+    first packs the generators: a degree past the packed field raises
+    BudgetExceeded. Raises ZeroOrConstantInput for zero or constant input.
     """
     if f.is_constant():
         raise ZeroOrConstantInput("squarefreeness needs a nonconstant polynomial")
     n = len(f.ring)
+    if f.total_degree() <= 256 and any(
+            _on_line(f, a, b) for a, b in _line_points(n)):
+        return True
     gens = [f] + [partial_derivative(f, i) for i in range(n)]
     return dimension_at_most(gens, n - 2)
+
+
+@functools.cache
+def _line_points(n):
+    """The lines (a, b) that is_squarefree tries in n variables: 16-bit
+    points drawn from a generator seeded with n, fixed, so that every run
+    reproduces, and with no arithmetic structure for a divisor to share
+    (points in arithmetic progression put the roots of x_i - x_j together
+    on the line whenever i + j agree)."""
+    rng = random.Random(n)
+    return tuple(tuple(tuple(rng.randrange(1 << 16) for _ in range(n))
+                       for _ in "ab") for _ in range(3))
+
+
+def _on_line(f, a, b):
+    """True when u(t) = f(a + t b), cleared of denominators, has degree
+    d = deg f and gcd(u, u') = 1 mod p = 2^61 - 1 (see is_squarefree). u
+    mod p is formed by Kronecker substitution, t = 2^s, on the residues
+    of f's coefficients: a slot of s bits holds each coefficient, at most
+    terms * p * (max a + max b)^d, so none carries into the next. Charged
+    (terms + d) * (d + 1) steps first, for u and Euclid's remainders."""
+    num, _ = _ints(f.terms.items())
+    d, p = f.total_degree(), (1 << 61) - 1
+    current_budget().spend((len(num) + d) * (d + 1))
+    s = d * (max(a) + max(b)).bit_length() + (len(num) * p).bit_length()
+    rows = [{e: (ai + (bi << s)) ** e for e in {m[i] for m in num}}
+            for i, (ai, bi) in enumerate(zip(a, b))]
+    packed = sum(c % p * prod(row[e] for row, e in zip(rows, m))
+                 for m, c in num.items())
+    u = [(packed >> s * k & (1 << s) - 1) % p for k in range(d, -1, -1)]
+    v = [c * (d - k) % p for k, c in enumerate(u[:-1])]  # u', leading first
+    # Euclid's algorithm, to a constant remainder v (coprime) or an empty
+    # one; u[0] is 0 only at the start, when deg u < d
+    while u[0] and len(v) > 1:
+        while len(u) >= len(v):  # u -= q t^j v, its leading term cancelled
+            q = u[0] * pow(v[0], -1, p) % p
+            u = [(x - q * y) % p for x, y in zip(u[1:], v[1:])] + u[len(v):]
+            while u and not u[0]:
+                del u[0]
+        u, v = v, u
+    return bool(u[0]) and len(v) == 1
 
 
 def _check_divisor(f):
@@ -226,8 +281,7 @@ def _check_divisor(f):
 
 def compute_der_log(f):
     """Generators of Der(-log f): the fields of der_log_stream(f), drained.
-    No certificate is kept: f is certified reduced by saito_basis, from
-    the leads of the same run, or by find_saito_basis and verify_saito."""
+    Squarefreeness is left to find_saito_basis and verify_saito."""
     return [_as_field(v, f.ring) for _, fields in der_log_stream(f) for v in fields]
 
 
@@ -252,30 +306,9 @@ def der_log_stream(f):
     c = s + 2 - d.
     """
     _check_equation(f)
-    yield from _field_batches(_syzygy_stream(*_jacobian(f), 1), f)
-
-
-def _field_batches(run, f):
-    """der_log_stream's (c, fields) of the (s, rows, leads) of run."""
     d = f.total_degree()
-    for s, fields, _ in run:
+    for s, fields in _syzygy_stream(*_jacobian(f), 1):
         yield None if s is None else s + 2 - d, fields
-
-
-def _certified_stream(f):
-    """(batches, jacobian) for a divisor equation f: batches yields what
-    der_log_stream(f) does, and jacobian is _jacobian(f)'s packed f and
-    gradient, the run's own generators. Before it returns, f is certified
-    reduced as is_squarefree does it, dim V(f, grad f) <= n - 2, but from
-    the leads of that same run, pulled only until they certify it; batches
-    yields the rows pulled, then resumes the run. Raises NonReduced when
-    the run ends first."""
-    _check_equation(f)
-    lay, gens = _jacobian(f)
-    reduced, run = _certified_syzygy_stream(lay, gens, 1, lay.n - 2)
-    if not reduced:
-        raise NonReduced("divisor polynomial is not squarefree")
-    return _field_batches(run, f), gens
 
 
 def _as_field(v, ring):
@@ -514,22 +547,21 @@ def find_saito_basis(gens, f, w=None):
 
 def saito_basis(f, w=None):
     """find_saito_basis(compute_der_log(f), f, w), the same basis, with
-    the generators read from der_log_stream(f)'s run, which also certifies
-    f reduced (_certified_stream): one Groebner run of (f, grad f) serves
-    both, and for f homogeneous it stops once the certificate and the
-    graded search are done."""
-    batches, jacobian = _certified_stream(f)
-    return _select_saito_basis(batches, f, w or detect_weight_system(f),
-                               jacobian)
+    the generators read from der_log_stream(f): for f homogeneous the
+    syzygy run stops once the graded search has its basis. f is checked
+    first, as find_saito_basis checks it."""
+    _check_divisor(f)
+    return _select_saito_basis(der_log_stream(f), f,
+                               w or detect_weight_system(f))
 
 
-def _select_saito_basis(batches, f, w, jacobian=None):
+def _select_saito_basis(batches, f, w):
     """find_saito_basis for an already checked divisor, its generators
     given as batches (c, fields) like those of der_log_stream: every
     field after a batch has coefficients of degree >= c, or there is
     none when c is None, and w the grading of f as given, None when f
-    has none. Only fields handed to _determinant_test are unflattened;
-    jacobian (_jacobian(f)'s, formed here when not given) goes to it.
+    has none. Only fields handed to _determinant_test are unflattened,
+    with _jacobian(f)'s packed f and gradient, formed once.
 
     Weighted homogeneous f: generators are split into weight-homogeneous
     parts, and each tag d is taken once, in ascending order, when no part
@@ -547,7 +579,7 @@ def _select_saito_basis(batches, f, w, jacobian=None):
     """
     n = len(f.ring)
     lay = _Packing(n)
-    jacobian = jacobian or _jacobian(f)[1]
+    jacobian = _jacobian(f)[1]
     if w is not None:
         lo, hi = min(w.weights), max(w.weights)
         waiting = {}  # tag: the parts of that tag not taken yet

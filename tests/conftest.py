@@ -21,6 +21,15 @@ CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
                       "corpus")
 
 
+def strip_timings(obj):
+    """A report without its timings blocks, at any depth."""
+    if isinstance(obj, dict):
+        return {k: strip_timings(v) for k, v in obj.items() if k != "timings"}
+    if isinstance(obj, list):
+        return [strip_timings(v) for v in obj]
+    return obj
+
+
 def corpus_names():
     return sorted(n[:-len(".json")] for n in os.listdir(CORPUS)
                   if n.endswith(".json") and not n.endswith(".expected.json"))
@@ -231,7 +240,7 @@ def unpacked(stream, ring, rank):
 
 
 def reference_syzygy_stream(lay, flats, first):
-    """groebner._syzygy_stream with division rows, as (s, rows, leads):
+    """groebner._syzygy_stream with division rows, as (s, rows):
     besides the unit rows of the zero generators and the relations of the
     S-pairs that reduce to zero, one row e_i - q_i per nonzero generator
     i, q_i the quotients of generator i's tracked reduction by the run's
@@ -254,7 +263,7 @@ def reference_syzygy_stream(lay, flats, first):
                                  + [(-c, D, u, reps[j])
                                     for j, u, c, D in recs])
 
-    found, led, seen = 0, 0, {}
+    found, seen = 0, {}
     for s, state in groebner._run_buchberger(flats, budget, units, lay):
         if s is not None:
             todo.sort()
@@ -262,9 +271,7 @@ def reference_syzygy_stream(lay, flats, first):
         found = len(state[4])
         while todo and (s is None or todo[0][0] <= s):
             rows.append(division_row(todo.pop(0)[1], state))
-        leads = state[1][led:]
-        led += len(leads)
-        yield s, [r for r in groebner._distinct(rows, seen) if r[0]], leads
+        yield s, [r for r in groebner._distinct(rows, seen) if r[0]]
         rows = []
 
 
@@ -276,9 +283,8 @@ def assert_relations_generate_the_reference(gens, first=0):
     row of degree <= s (a row's degree is deg(row_c) + deg(gens[c]), the
     unit row of a zero generator counting as degree -1)."""
     ring, _, lay, flats = groebner._prepare(gens)
-    batches = [(s, rows) for s, rows, _ in
-               groebner._syzygy_stream(lay, flats, first)]
-    reference = [row for _, rows, _ in
+    batches = list(groebner._syzygy_stream(lay, flats, first))
+    reference = [row for _, rows in
                  reference_syzygy_stream(lay, flats, first) for row in rows]
     drained = [row for _, rows in batches for row in rows]
     assert all(row in reference for row in drained)

@@ -7,6 +7,8 @@ import threading
 
 import pytest
 
+from conftest import strip_timings
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = os.path.join(REPO, "corpus")
 
@@ -27,9 +29,9 @@ def write_doc(path, doc):
 
 def write_coxeter_d5(path):
     """The Coxeter arrangement D5: its analysis with --all takes about
-    2.2-2.6 s on a 2-CPU host with Python 3.11, of which the squarefree
-    test and the basis search take about 0.5-0.7 s and ft1 1.6-1.8 s, so
-    a timeout of 0.3 s cuts it with a wide margin."""
+    2-3.5 s on a 2-CPU host with Python 3.11, of which the squarefree
+    test and the basis search take about 0.1 s and ft1 1.6-3.2 s, so a
+    timeout of 0.3 s cuts it with a wide margin."""
     pairs = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
     write_doc(path, {"label": "coxeter-D5",
                      "variables": [f"x{i}" for i in range(1, 6)],
@@ -37,13 +39,14 @@ def write_coxeter_d5(path):
     return str(path)
 
 
-def write_coxeter_b5(path):
-    """The Coxeter arrangement B5: the squarefree test of its divisor stage
-    takes 0.15-0.20 s, so a timeout of 0.05 s falls inside it."""
+def write_coxeter_b5_times_x1(path):
+    """The Coxeter arrangement B5 with x1 = 0 doubled: no line of its
+    squarefree test certifies it, and the signature-based run that then
+    decides takes 0.4-0.5 s, so a timeout of 0.05 s falls inside it."""
     pairs = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
-    write_doc(path, {"label": "coxeter-B5",
+    write_doc(path, {"label": "coxeter-B5*(x1)",
                      "variables": [f"x{i}" for i in range(1, 6)],
-                     "f": "x1*x2*x3*x4*x5*" + "*".join(
+                     "f": "x1^2*x2*x3*x4*x5*" + "*".join(
                          f"(x{i}^2 - x{j}^2)" for i, j in pairs)})
     return str(path)
 
@@ -62,14 +65,6 @@ def _inconsistent(saito):
     from logdiv.errors import InternalInconsistency
 
     raise InternalInconsistency("symbol ideal lost a generator")
-
-
-def strip_timings(obj):
-    if isinstance(obj, dict):
-        return {k: strip_timings(v) for k, v in obj.items() if k != "timings"}
-    if isinstance(obj, list):
-        return [strip_timings(v) for v in obj]
-    return obj
 
 
 class TestAnalyzeHuman:
@@ -271,7 +266,8 @@ class TestAnalyzeErrors:
     def test_timeout_in_the_squarefree_test_names_its_stage(self, tmp_path):
         # the squarefree test's Groebner basis reads the deadline, so the
         # timeout is not first noticed at the next stage
-        res = run_cli("analyze", write_coxeter_b5(tmp_path / "b5.json"),
+        res = run_cli("analyze",
+                      write_coxeter_b5_times_x1(tmp_path / "b5x1.json"),
                       "--timeout", "0.05")
         assert res.returncode == 5
         assert "error at stage divisor: timed out" in res.stdout
@@ -305,10 +301,10 @@ class TestAnalyzeErrors:
         assert res.returncode == 5
 
     def test_budget_is_one_per_analysis(self):
-        # the default analysis spends 260 steps, no stage more than 67:
-        # parsing f 31, the divisor stage's syzygy run 57, the basis
-        # stage's Saito search 67, classify 42 and the Koszul test 63;
-        # only a budget shared by the calls runs out
+        # the default analysis spends 325 steps, no stage more than 123:
+        # parsing f 31, the divisor stage's line 66, the basis stage's
+        # syzygy run and Saito search 123, classify 42 and the Koszul test
+        # 63; only a budget shared by the calls runs out
         res = run_cli("analyze", os.path.join(CORPUS, "discriminant-234.json"),
                       env_extra={"LOGDIV_BUDGET": "250"})
         assert res.returncode == 5
@@ -317,12 +313,12 @@ class TestAnalyzeErrors:
     def test_structure_constants_are_charged_to_the_classify_stage(self):
         # the default analysis runs out in the classify stage, on the
         # brackets and kernels of its connection conditions, with any
-        # budget from 155 to 196 steps: below it the basis stage runs out,
-        # above it the Koszul test; 176 is the middle of that window
+        # budget from 220 to 261 steps: below it the basis stage runs out,
+        # above it the Koszul test; 241 is the middle of that window
         res = run_cli("analyze", os.path.join(CORPUS, "discriminant-234.json"),
-                      env_extra={"LOGDIV_BUDGET": "176"})
+                      env_extra={"LOGDIV_BUDGET": "241"})
         assert res.returncode == 5
-        assert ("error at stage classify: step budget of 176 exhausted"
+        assert ("error at stage classify: step budget of 241 exhausted"
                 in res.stdout)
 
     def test_huge_power_is_refused_before_it_is_expanded(self, tmp_path):
@@ -519,6 +515,7 @@ class TestCorpusRun:
         with open(golden_path, encoding="utf-8") as fh:
             golden = json.load(fh)
         golden["timings"] = {"made": "up"}
+        golden["profile"]["timings"] = [1, 2]  # skipped at any depth
         write_doc(golden_path, golden)
         res = run_cli("corpus-run", str(tmp_path))
         assert res.returncode == 0
@@ -667,7 +664,7 @@ class TestArtefactsComputedOnce:
                           (logder, "saito_basis"),
                           (cohomology, "saito_basis"),
                           (logder, "der_log_stream"),
-                          (cli, "_certified_stream"),
+                          (cli, "der_log_stream"),
                           (groebner, "syzygies"),
                           (groebner, "syzygy_stream"),
                           (groebner, "_syzygy_stream"),
@@ -684,7 +681,6 @@ class TestArtefactsComputedOnce:
         assert calls.count("syzygies") == 0
         assert calls.count("saito_basis") == 0
         assert calls.count("der_log_stream") == 0
-        assert calls.count("_certified_stream") == 0
         assert calls.count("syzygy_stream") == 0
         assert calls.count("_syzygy_stream") == 0
 
@@ -821,9 +817,9 @@ class TestArtefactsComputedOnce:
 
     def test_one_groebner_basis_per_analysis(self, monkeypatch):
         # ft1, lft1, h0 and the bounds read one linear-algebra class
-        # space; only the dimension tests of the divisor stage's
-        # squarefree test and of the Koszul test run a Groebner basis, the
-        # signature-based run, and no Buchberger run is made
+        # space; only the dimension test of the Koszul test runs a
+        # Groebner basis, the signature-based run, as a line certifies f
+        # squarefree, and no Buchberger run is made
         from logdiv import cli, groebner
 
         callers = []
@@ -839,7 +835,7 @@ class TestArtefactsComputedOnce:
                                 counting(getattr(groebner, name)))
         doc = cli.load_document(os.path.join(CORPUS, "linear-nonreductive-5.json"))
         report = cli.analyze_document(doc, cli.ALL_STAGES)
-        assert callers == [("_signature_leads", "dimension_at_most")] * 2
+        assert callers == [("_signature_leads", "dimension_at_most")]
         with open(os.path.join(CORPUS, "linear-nonreductive-5.expected.json"),
                   encoding="utf-8") as fh:
             golden = json.load(fh)
@@ -847,24 +843,32 @@ class TestArtefactsComputedOnce:
 
     @pytest.mark.parametrize("name,ft1_dim,signature_runs", [
         ("discriminant-234", 0, 0),  # the basis is found by the search
-        ("linear-nonreductive-5", 1, 1),  # the supplied matrix is verified
+        ("linear-nonreductive-5", 1, 0),  # the supplied matrix is verified
     ], ids=["discriminant-234", "linear-nonreductive-5"])
     def test_squarefree_is_checked_once(self, name, ft1_dim, signature_runs,
                                         monkeypatch):
-        # in the divisor stage, as the one certificate with k = n - 2 (the
-        # Koszul test's has k = n, in 2n variables); the basis stage after
-        # it does not repeat it. The search path reads the leads of the
-        # tracked syzygy run, so no signature-based run is made on
-        # (f, grad f); a supplied matrix is checked by one
-        from logdiv import cli, groebner
+        # in the divisor stage, by is_squarefree, whose first line
+        # certifies f; the basis stage after it does not repeat it. No
+        # dimension test with k = n - 2 (the Koszul test's has k = n, in
+        # 2n variables) and no signature-based run on (f, grad f) is made
+        from logdiv import cli, groebner, logder
 
-        calls, jacobian_runs = [], []
+        calls, lines, jacobian_runs = [], [], []
         certify, signature_leads = groebner._certify, groebner._signature_leads
+        is_squarefree, on_line = logder.is_squarefree, logder._on_line
 
         def counting(leads, k, lay, budget):
             if k == lay.n - 2:
                 calls.append(k)
             return certify(leads, k, lay, budget)
+
+        def counting_squarefree(f):
+            calls.append("is_squarefree")
+            return is_squarefree(f)
+
+        def counting_lines(*args):
+            lines.append(on_line(*args))
+            return lines[-1]
 
         def counting_runs(gens, budget, lay):
             if len(gens) == lay.n + 1:  # n + 1 generators in n variables
@@ -873,28 +877,30 @@ class TestArtefactsComputedOnce:
 
         monkeypatch.setattr(groebner, "_certify", counting)
         monkeypatch.setattr(groebner, "_signature_leads", counting_runs)
+        monkeypatch.setattr(logder, "is_squarefree", counting_squarefree)
+        monkeypatch.setattr(logder, "_on_line", counting_lines)
         doc = cli.load_document(os.path.join(CORPUS, f"{name}.json"))
         report = cli.analyze_document(doc, cli.ALL_STAGES)
         assert report["ft1"]["dimension"] == ft1_dim
-        assert len(calls) == 1
+        assert calls == ["is_squarefree"] and lines == [True]
         assert len(jacobian_runs) == signature_runs
 
     @pytest.mark.parametrize("name", [
         "discriminant-234",  # (f, grad f) not homogeneous: one whole run
         "four-lines-nonkoszul",  # not weighted homogeneous: subset search
-        "coxeter-B4",  # the certificate reads past the basis's degree
+        "coxeter-B4",  # graded: the run stops at the basis's degree
         "generic-4"])  # not free: the whole run, then exit 4
     def test_one_groebner_run_of_the_jacobian_ideal(self, name, monkeypatch):
         # a search-path analysis makes one Groebner run on (f, grad f),
-        # the tracked syzygy run: the divisor stage's certificate reads
-        # its leads and the basis stage its rows
+        # the tracked syzygy run, whose rows the basis stage reads; a
+        # line certifies f squarefree, so no signature-based run is made
         from logdiv import cli, groebner, logder
         from logdiv.poly import poly_from_text
 
         runs, streams = [], []
         run_buchberger, signature_leads = (groebner._run_buchberger,
                                            groebner._signature_leads)
-        syzygy_stream = groebner._syzygy_stream
+        syzygy_stream = logder._syzygy_stream
 
         def tracked(gens, budget, units, lay):
             runs.append(("buchberger", list(gens)))
@@ -910,7 +916,7 @@ class TestArtefactsComputedOnce:
 
         monkeypatch.setattr(groebner, "_run_buchberger", tracked)
         monkeypatch.setattr(groebner, "_signature_leads", signature)
-        monkeypatch.setattr(groebner, "_syzygy_stream", stream)
+        monkeypatch.setattr(logder, "_syzygy_stream", stream)
         if name == "coxeter-B4":
             doc = coxeter_b4()
         elif name == "generic-4":
@@ -930,17 +936,17 @@ class TestArtefactsComputedOnce:
 
 
 class TestBasisStageBudget:
-    """The divisor stage pulls the syzygy run of a graded free divisor
-    until its leads certify f reduced, and the basis stage resumes it and
-    stops it once its basis is found; other inputs spend what the whole
-    run spends."""
+    """The divisor stage certifies f reduced on a line, with no Groebner
+    run; the basis stage stops the syzygy run of a graded free divisor
+    once its basis is found, and other inputs spend what the whole run
+    spends."""
 
     @staticmethod
     def analyze(doc, monkeypatch):
         """(failure, steps, basis_steps, divisor_steps) of the default
         analysis: the failure's (code, stage, message) or None, the steps
         spent, those spent in each call of the basis search and those in
-        each call of the divisor stage's certified stream."""
+        each call of the divisor stage's check."""
         from logdiv import cli
         from logdiv.errors import Budget
 
@@ -957,8 +963,8 @@ class TestBasisStageBudget:
 
         monkeypatch.setattr(cli, "_select_saito_basis",
                             counting(cli._select_saito_basis, basis_steps))
-        monkeypatch.setattr(cli, "_certified_stream",
-                            counting(cli._certified_stream, divisor_steps))
+        monkeypatch.setattr(cli, "_check_divisor",
+                            counting(cli._check_divisor, divisor_steps))
         failure = None
         with Budget(10**9) as budget:
             try:
@@ -968,13 +974,14 @@ class TestBasisStageBudget:
         return failure, budget.steps - budget.left, basis_steps, divisor_steps
 
     @pytest.mark.parametrize("name, steps, divisor", [
-        ("braid-A3", 601, 62), ("coxeter-B3", 97, 27),
-        ("coxeter-D4", 538, 91)],
+        ("braid-A3", 657, 210), ("coxeter-B3", 118, 150),
+        ("coxeter-D4", 610, 468)],
         ids=["braid-A3", "coxeter-B3", "coxeter-D4"])
     def test_graded_arrangements_stop_early(self, name, steps, divisor,
                                             monkeypatch):
-        # the run's steps, split between the two stages, with the
-        # certificate's in the divisor stage's, stay below the whole run's
+        # the basis stage's steps, the run's to the basis's degree and the
+        # search's, stay below those of the whole run and the search; the
+        # divisor stage's are its line's, and no part of the run
         from logdiv.errors import Budget
         from logdiv.logder import _select_saito_basis, der_log_stream
         from logdiv.poly import detect_weight_system, poly_to_text
@@ -988,7 +995,25 @@ class TestBasisStageBudget:
         with Budget(10**9) as full:
             fields = [v for _, batch in der_log_stream(f) for v in batch]
             _select_saito_basis([(None, fields)], f, detect_weight_system(f))
-        assert steps + divisor < full.steps - full.left
+        assert steps < full.steps - full.left
+
+    @pytest.mark.parametrize("name, divisor, basis", [
+        ("coxeter-B5", 3770, 9283), ("braid-A5-essential", 2160, 8662)],
+        ids=["coxeter-B5", "braid-A5-essential"])
+    def test_frontier_divisor_stage_makes_no_run(self, name, divisor, basis,
+                                                 monkeypatch):
+        # the divisor stage spends its first line's (terms + d) * (d + 1)
+        # steps, d = deg f: B5 has 120 terms of degree 25, braid A5 in
+        # its essential form 120 of degree 15; the basis stage pulls the
+        # syzygy run only to the degree its basis needs
+        pairs = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
+        e = "^2" if name == "coxeter-B5" else ""
+        doc = {"label": name, "variables": [f"x{i}" for i in range(1, 6)],
+               "f": "x1*x2*x3*x4*x5*" + "*".join(f"(x{i}{e}-x{j}{e})"
+                                                 for i, j in pairs)}
+        failure, _, basis_steps, divisor_steps = self.analyze(doc, monkeypatch)
+        assert failure is None
+        assert (divisor_steps, basis_steps) == ([divisor], [basis])
 
     def test_only_the_tested_fields_become_polynomials(self, monkeypatch):
         # coxeter-B4: the syzygy rows and the weight parts stay packed, so
@@ -1027,9 +1052,9 @@ class TestBasisStageBudget:
         assert sorted(unflattened) == [1, 5, 5, 5, 5]
 
     @pytest.mark.parametrize("name, steps", [
-        ("discriminant-234", 260),  # weighted, but (f, grad f) not homogeneous
-        ("curve-x5y4", 38),
-        ("four-lines-nonkoszul", 399)],  # not weighted homogeneous
+        ("discriminant-234", 325),  # weighted, but (f, grad f) not homogeneous
+        ("curve-x5y4", 79),
+        ("four-lines-nonkoszul", 449)],  # not weighted homogeneous
         ids=["discriminant-234", "curve-x5y4", "four-lines-nonkoszul"])
     def test_inhomogeneous_generators_spend_the_whole_run(self, name, steps,
                                                           monkeypatch):
@@ -1039,7 +1064,7 @@ class TestBasisStageBudget:
         assert self.analyze(doc, monkeypatch)[:2] == (None, steps)
 
     @pytest.mark.parametrize("f, steps, size", [
-        ("x*y*z*(x+y+z)", 40, 4), ("x*y*z*(x+y+z)*(x+2*y+3*z)", 95, 5)],
+        ("x*y*z*(x+y+z)", 71, 4), ("x*y*z*(x+y+z)*(x+2*y+3*z)", 157, 5)],
         ids=["generic-4", "generic-5"])
     def test_not_free_reads_the_whole_run(self, f, steps, size, monkeypatch):
         doc = {"label": "generic", "variables": ["x", "y", "z"], "f": f}

@@ -18,6 +18,8 @@ import pytest
 from logdiv import cli
 from logdiv.errors import Budget
 
+from conftest import strip_timings
+
 FRONTIER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "frontier")
 NAMES = sorted(n[:-len(".json")] for n in os.listdir(FRONTIER)
                if n.endswith(".json") and not n.endswith(".expected.json"))
@@ -36,5 +38,5 @@ def test_report_equals_the_stored_one(name):
         golden = json.load(fh)
     with Budget():
         report = cli.analyze_document(doc, cli.ALL_STAGES)
-    assert cli._strip_timings(report) == golden
+    assert strip_timings(report) == golden
     assert report["profile"]["free"] is True and report["ft1"]["dimension"] == 0

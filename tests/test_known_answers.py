@@ -46,11 +46,14 @@
   Normal crossings in 12 variables are certified at the search's root.
   Two terms of one component have disjoint supports exactly when their
   lcm is their product: the J-pairs the run skips before any lcm.
-- The squarefree certificate read from the leads of the tracked syzygy
-  run, as the divisor stage of a search-path analysis reads it, agrees
-  with is_squarefree, whose leads come from the signature-based run, on
-  the corpus, the six arrangements, tests/frontier and five products
-  with a square factor; those five exit 3 at the divisor stage.
+- The squarefree certificate on a line: its first line certifies every
+  reduced input of the corpus, the six arrangements and tests/frontier,
+  where dimension_at_most on the singular locus agrees; no line
+  certifies five products with a square factor, which exit 3 at the
+  divisor stage, nor (x1 - x2)^2 x3 (x1 + x3), (y^2 + x z)^2 z,
+  (x^5 - y^4)^2, x^2, or g^2 h for random small g and h in one to four
+  variables; and with every line made inconclusive, the fallback run
+  gives the same reports.
 - The Saito basis search: on every corpus entry without a supplied Saito
   matrix and on braid A3, B3, D4 and B4, the search over packed fields,
   from the stream and from the drained generators, returns the fields of
@@ -117,7 +120,7 @@ from conftest import (ReferenceConstants,
                       coxeter_gens, packed_div,
                       reference_certificate, reference_d0_rows,
                       reference_d1_rows, reference_representatives,
-                      reference_saito_fields, transpose,
+                      reference_saito_fields, strip_timings, transpose,
                       without_chain_criterion)
 from logdiv import cohomology as slices
 from logdiv import groebner
@@ -126,9 +129,10 @@ from logdiv.classify import (LieAlgebra, connection_conditions, is_koszul,
                              principal_symbols)
 from logdiv.cli import StageFailure, analyze_document, load_document
 from logdiv.cohomology import ft1, lft1, linear_basis
-from logdiv.errors import (Budget, NonReduced, NotLinear,
+from logdiv.errors import (Budget, NotLinear,
                            NotWeightedHomogeneous, current_budget)
-from logdiv.logder import (SaitoBasis, VectorField, _certified_stream,
+from logdiv import logder
+from logdiv.logder import (SaitoBasis, VectorField, _line_points, _on_line,
                            compute_der_log, der_log_stream, find_saito_basis,
                            is_squarefree, saito_basis, structure_constants,
                            verify_saito)
@@ -570,7 +574,7 @@ def watched_certificates(monkeypatch):
     return tests, searches
 
 
-def test_normal_crossings_are_certified_at_the_root(monkeypatch):
+def test_normal_crossings_certify_at_the_root(monkeypatch):
     # the symbols x_i * s_i of x_1 * ... * x_12 have 12 pairwise disjoint
     # supports {x_i, s_i}: at the 12th lead, the disjoint-support bound
     # leaves 24 - 12 of the 13 variables a witness needs, and the search
@@ -616,8 +620,11 @@ def test_certificate_matches_the_subset_filter_on_the_analyses(doc,
                                                                monkeypatch):
     # every dimension test of the default analysis (the divisor stage's
     # squarefree test and the Koszul test) stops at the lead where the
-    # subset filter of conftest.py stops, with its answer
+    # subset filter of conftest.py stops, with its answer; every line of
+    # the squarefree test is made inconclusive, so that its dimension
+    # test runs, as it runs on a non-reduced f
     tests, _ = watched_certificates(monkeypatch)
+    monkeypatch.setattr(logder, "_on_line", lambda f, a, b: False)
     try:
         analyze_document(doc, ("classify", "koszul"))
     except StageFailure as e:
@@ -655,22 +662,81 @@ def frontier_docs():
       for doc in frontier_docs()),
     *(pytest.param(doc, False, id=doc["label"]) for doc in non_reduced_docs())])
 def test_run_read_certificate_agrees_with_is_squarefree(doc, reduced):
-    # the divisor stage's certificate, read from the leads of the tracked
-    # syzygy run, against is_squarefree, whose leads come from the
-    # signature-based run
+    # the certificate read from the leads of the signature-based run,
+    # dimension_at_most on the singular locus, against is_squarefree,
+    # which answers from its first line on every reduced input here, so
+    # none takes the fallback run; on the products with a square factor
+    # every line is inconclusive and the run answers
     f = poly_from_text(doc["f"], tuple(doc["variables"]))
-    try:
-        _certified_stream(f)
-        read = True
-    except NonReduced:
-        read = False
-    assert read is is_squarefree(f) is reduced
+    n = len(f.ring)
+    gens = [f] + [partial_derivative(f, i) for i in range(n)]
+    lines = on_lines(f)
+    assert groebner.dimension_at_most(gens, n - 2) is is_squarefree(f) \
+        is reduced
+    assert lines == [True] * 3 if reduced else lines == [False] * 3
+
+
+def on_lines(f):
+    """The answer of each line that is_squarefree tries on f."""
+    return [_on_line(f, a, b) for a, b in _line_points(len(f.ring))]
+
+
+@pytest.mark.parametrize("f, ring", [
+    ("(x1-x2)^2*x3*(x1+x3)", ("x1", "x2", "x3")),
+    ("(y^2+x*z)^2*z", ("x", "y", "z")),
+    ("(x^5-y^4)^2", ("x", "y")),
+    ("x^2", ("x",))])
+def test_no_line_certifies_a_square(f, ring):
+    f = poly_from_text(f, ring)
+    assert on_lines(f) == [False] * 3
+    assert not is_squarefree(f)
+
+
+def test_no_line_certifies_a_square_times_anything():
+    # f = g^2 h with deg g >= 1: by Gauss's lemma every line keeps the
+    # square factor mod p, so none answers True. A hypothesis property,
+    # skipped where only the runtime and pytest are installed
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def small_polys(n):
+        return st.dictionaries(st.tuples(*[st.integers(0, 2)] * n),
+                               st.integers(-5, 5).filter(bool), min_size=1,
+                               max_size=3)
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(st.integers(1, 4).flatmap(
+        lambda n: st.tuples(small_polys(n), small_polys(n))))
+    def no_line_certifies(gh):
+        ring = tuple(f"x{i}" for i in range(len(next(iter(gh[0])))))
+        g, h = (Polynomial(ring, terms) for terms in gh)
+        hypothesis.assume(not g.is_constant())
+        assert on_lines(g * g * h) == [False] * 3
+
+    no_line_certifies()
+
+
+@pytest.mark.parametrize("doc", analysis_docs() + non_reduced_docs(),
+                         ids=lambda doc: doc["label"])
+def test_reports_are_the_same_with_every_line_inconclusive(doc, monkeypatch):
+    # is_squarefree's fallback, the signature-based run, decides alone
+    def outcome():
+        try:
+            return strip_timings(analyze_document(doc, ("classify",
+                                                         "koszul")))
+        except StageFailure as e:
+            return (e.code, e.stage, e.message, strip_timings(e.report))
+
+    by_line = outcome()
+    monkeypatch.setattr(logder, "_on_line", lambda f, a, b: False)
+    assert outcome() == by_line
 
 
 @pytest.mark.parametrize("doc", non_reduced_docs(),
                          ids=lambda doc: doc["label"])
 def test_non_reduced_products_exit_3_at_the_divisor_stage(doc):
-    # the run is read to its end, as no lead certifies: within 0.2 s
+    # no line certifies f, and the signature-based run is read to its
+    # end, as no lead certifies: within 0.2 s
     start = time.perf_counter()
     with pytest.raises(StageFailure) as failure:
         analyze_document(doc, ("classify", "koszul"))

@@ -32,7 +32,7 @@ from logdiv import cli
 from logdiv.errors import Budget
 from logdiv.poly import detect_weight_system, poly_from_text
 
-from conftest import without_chain_criterion
+from conftest import strip_timings, without_chain_criterion
 
 CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "corpus")
@@ -213,7 +213,7 @@ def outcome(doc, stages):
             report = cli.analyze_document(doc, stages)
         except cli.StageFailure as e:
             report, failure = e.report, (e.code, e.stage, e.message)
-    return cli._strip_timings(report), failure, budget.steps - budget.left
+    return strip_timings(report), failure, budget.steps - budget.left
 
 
 @pytest.mark.parametrize(

@@ -93,8 +93,6 @@ class LieAlgebra:
         rows = []
         for i in range(self.dim):
             rows.extend(self.ad(i))
-        if not rows:
-            return self.dim
         return self.dim - linalg.rank(rows)
 
     def radical_dimension(self):
@@ -103,8 +101,6 @@ class LieAlgebra:
         k = self.killing_form()
         rows = [[sum(k[e][t] * x for t, x in enumerate(v) if x)
                  for e in range(self.dim)] for v in self._table.values()]
-        if not rows:
-            return self.dim
         return self.dim - linalg.rank(rows)
 
 

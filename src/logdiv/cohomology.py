@@ -99,8 +99,7 @@ def weighted_monomials(weights, target):
             rec(i + 1, rest - e * w, acc)
             acc.pop()
 
-    if target >= 0:
-        rec(0, target, [])
+    rec(0, target, [])
     out.sort(key=degrevlex_key, reverse=True)
     return out
 

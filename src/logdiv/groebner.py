@@ -437,12 +437,14 @@ def _syzygy_stream(lay, flats, first):
     """syzygy_stream of the packed generators flats, as (s, rows). The
     rows are the unit rows of the zero generators and the run's
     zero_syzygies, each yielded once (an inhomogeneous run can find one
-    relation twice). They are cut to their components from first on (in
-    lowest terms as cut), the generators below first represented by zero;
-    cut, they generate the cut module, its image under the projection.
-    The same rows are dropped when the kept part of a syzygy fixes the
-    rest, as grad f's part of a syzygy of (f, grad f) does."""
-    units = [({i * lay.unit: 1} if i >= first else {}, 1) for i in range(len(flats))]
+    relation twice). Generator i >= first is represented by the unit of
+    component i - first and those below first by zero, so a row is a
+    syzygy's part from component first on, moved down by first (in
+    lowest terms), and the rows generate that image of the syzygy module.
+    The same rows are dropped when the kept part of a
+    syzygy fixes the rest, as grad f's part of a syzygy of (f, grad f)
+    does."""
+    units = [({(i - first) * lay.unit: 1} if i >= first else {}, 1) for i in range(len(flats))]
     # a zero generator is annihilated by the corresponding unit vector
     rows = [units[i] for i, (P, _) in enumerate(flats) if not P]
     found, seen = 0, {}

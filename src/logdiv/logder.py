@@ -18,12 +18,13 @@ fields are a canonical form (_select_saito_basis): they depend on f, its
 weights and the term order alone, so the basis is the one a full run, or
 any generating set of Der(-log f), gives.
 
-The stream's fields stay packed, as rows of groebner's tracked run: the
-search splits, reduces and echelons their weight parts on ints, and only
-the n fields handed to the determinant test become VectorFields (of
-Polynomials; compute_der_log unflattens all). Saito matrices are written
-with fields as columns: entry (i, j) is the d/dx_i coefficient of the
-j-th field.
+The stream's fields stay packed, as rows of groebner's tracked run with
+f represented by zero, so component i of a row is the coefficient of
+d/dx_i and f's coefficient is never formed: the search splits, reduces
+and echelons their weight parts on ints, and only the n fields handed to
+the determinant test become VectorFields (of Polynomials;
+compute_der_log unflattens all). Saito matrices are written with fields
+as columns: entry (i, j) is the d/dx_i coefficient of the j-th field.
 """
 
 import functools
@@ -297,13 +298,13 @@ def _jacobian(f):
 def der_log_stream(f):
     """Generators of Der(-log f), degree by degree: the rows of
     syzygy_stream(f, df/dx_1, ..., df/dx_n) cut to their fields, packed
-    rows whose component i + 1 is d/dx_i (the run forms no component 0).
-    Distinct rows give distinct fields, as row[0] = -sum_i row[i] *
-    df/dx_i / f. Yields (c, fields): every field still to come has
-    coefficients of degree >= c, or none is to come when c is None. A row
-    of degree s' of the stream gives a field whose coefficients have
-    degree s' - (d - 1), with d the degree of f, so a pause at s gives
-    c = s + 2 - d.
+    rows whose component i is d/dx_i (the run represents f by zero, so
+    it forms no coefficient of f). Distinct syzygies give distinct
+    fields, as f's coefficient is -sum_i a_i df/dx_i / f. Yields (c,
+    fields): every field still to come has coefficients of degree >= c,
+    or none is to come when c is None. A row of degree s' of the stream
+    gives a field whose coefficients have degree s' - (d - 1), with d the
+    degree of f, so a pause at s gives c = s + 2 - d.
     """
     _check_equation(f)
     d = f.total_degree()
@@ -313,13 +314,13 @@ def der_log_stream(f):
 
 def _as_field(v, ring):
     """The VectorField of a packed field (see der_log_stream)."""
-    return VectorField(ring, _unflatten(v, ring, len(ring) + 1, _Packing(len(ring)))[1:])
+    return VectorField(ring, _unflatten(v, ring, len(ring), _Packing(len(ring))))
 
 
 def _packed_fields(fields, ring):
     """VectorFields as packed fields (see der_log_stream)."""
     lay = _Packing(len(ring))
-    return [_flatten([Polynomial.zero(ring)] + d.components, lay) for d in fields]
+    return [_flatten(d.components, lay) for d in fields]
 
 
 class VerifyResult:
@@ -517,7 +518,7 @@ def _weight_parts(v, w, lay):
     buckets = {}
     for t, a in v[0].items():
         c, m = lay.unpack(t)
-        tag = m_weighted_degree(m, w.weights) - w.weights[c - 1]
+        tag = m_weighted_degree(m, w.weights) - w.weights[c]
         buckets.setdefault(tag, {})[t] = a
     return [(tag, (P, v[1])) for tag, P in buckets.items()]
 
@@ -591,7 +592,7 @@ def _select_saito_basis(batches, f, w):
             floor = inf if c is None else lo * c - hi  # the least tag to come
             for tag in sorted(t for t in waiting if t < floor):
                 if kept and gb is None:
-                    gb = _buchberger(f.ring, n + 1, lay, kept)
+                    gb = _buchberger(f.ring, n, lay, kept)
                 new = _echelon([gb._remainder(v) if kept else v
                                 for v in waiting.pop(tag)], lay)
                 if new:

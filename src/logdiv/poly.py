@@ -77,11 +77,9 @@ def _coefficient(c):
 class Polynomial:
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring, terms=None, prune=True):
+    def __init__(self, ring, terms, prune=True):
         self.ring = ring
-        if terms is None:
-            self.terms = {}
-        elif prune:
+        if prune:
             self.terms = {m: _coefficient(c) for m, c in terms.items() if c != 0}
         else:
             self.terms = terms
@@ -93,10 +91,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, ring, c):
-        c = _coefficient(c)
-        if c == 0:
-            return cls(ring, {}, False)
-        return cls(ring, {(0,) * len(ring): c}, False)
+        return cls.monomial(ring, (0,) * len(ring), c)
 
     @classmethod
     def one(cls, ring):
@@ -104,6 +99,8 @@ class Polynomial:
 
     @classmethod
     def variable(cls, ring, i):
+        if not 0 <= i < len(ring):
+            raise IndexError(f"variable index {i} out of range for ring {ring}")
         e = [0] * len(ring)
         e[i] = 1
         return cls(ring, {tuple(e): 1}, False)
@@ -156,14 +153,7 @@ class Polynomial:
         return Polynomial(self.ring, res, False)
 
     def __sub__(self, other):
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m, 0) - c
-            if s:
-                res[m] = s
-            elif m in res:
-                del res[m]
-        return Polynomial(self.ring, res, False)
+        return self + -other
 
     def __neg__(self):
         return Polynomial(self.ring, {m: -c for m, c in self.terms.items()}, False)
@@ -288,16 +278,16 @@ def detect_weight_system(f):
     (or none with weight sum <= WEIGHT_SUM_CAP when the solution space has
     dimension above one), at once when some weight is 0 on the whole
     solution space. Each candidate of that search is charged one step per
-    exponent entry of f before it is checked.
+    exponent entry of f before it is checked. A single term has no
+    exponent differences: the kernel is every unit vector, so in two or
+    more variables the search's first candidate (1, ..., 1) holds, charged
+    n steps, and in one variable the one kernel vector is (1).
     """
     if f.is_zero() or f.is_constant():
         return None
     n = len(f.ring)
     expos = sorted(f.terms)
     base = expos[0]
-    if len(expos) == 1:
-        w = (1,) * n
-        return WeightSystem(w, m_weighted_degree(base, w))
     cols = [[e[i] - base[i] for e in expos[1:]] for i in range(n)]
     null = linalg.kernel(cols, len(expos) - 1)
     if not null or not all(any(v.get(i) for _, v in null) for i in range(n)):

@@ -232,8 +232,8 @@ def random_poly(rng, ring, max_deg=3, n_terms=4, coeff_range=5):
 def unpacked(stream, ring, rank):
     """The (s, rows) batches of syzygy_stream or der_log_stream, each
     packed row (layout _Packing(len(ring))) as a list of rank
-    Polynomials; a field of der_log_stream has rank len(ring) + 1 and a
-    zero component 0."""
+    Polynomials; a field of der_log_stream has rank len(ring), component
+    i the coefficient of d/dx_i."""
     lay = _Packing(len(ring))
     for s, rows in stream:
         yield s, [_unflatten(row, ring, rank, lay) for row in rows]
@@ -245,9 +245,10 @@ def reference_syzygy_stream(lay, flats, first):
     S-pairs that reduce to zero, one row e_i - q_i per nonzero generator
     i, q_i the quotients of generator i's tracked reduction by the run's
     basis, made at the first pause with s >= deg(gens[i]), or by i at the
-    end of a run that never pauses. Rows are cut and deduplicated as
+    end of a run that never pauses. Rows are cut, generator i >= first
+    as the unit of component i - first, and deduplicated as
     _syzygy_stream's are."""
-    units = [({i * lay.unit: 1} if i >= first else {}, 1)
+    units = [({(i - first) * lay.unit: 1} if i >= first else {}, 1)
              for i in range(len(flats))]
     rows = [units[i] for i, (P, _) in enumerate(flats) if not P]
     todo = [(lay.degree(P), i) for i, (P, _) in enumerate(flats) if P]
@@ -280,8 +281,9 @@ def assert_relations_generate_the_reference(gens, first=0):
     those of reference_syzygy_stream: each is a reference row, every
     reference row reduces to zero modulo a module Groebner basis of them,
     and at each pause s the rows yielded so far generate every reference
-    row of degree <= s (a row's degree is deg(row_c) + deg(gens[c]), the
-    unit row of a zero generator counting as degree -1)."""
+    row of degree <= s (a row's degree is deg(row_c) + deg(gens[c +
+    first]), as its component c is generator c + first's, the unit row of
+    a zero generator counting as degree -1)."""
     ring, _, lay, flats = groebner._prepare(gens)
     batches = list(groebner._syzygy_stream(lay, flats, first))
     reference = [row for _, rows in
@@ -290,10 +292,12 @@ def assert_relations_generate_the_reference(gens, first=0):
     assert all(row in reference for row in drained)
 
     def polys(rows):
-        return [_unflatten(row, ring, len(flats), lay) for row in rows]
+        return [_unflatten(row, ring, len(flats) - first, lay)
+                for row in rows]
 
     def degree(row):
-        return max(sum(m) + (lay.degree(flats[c][0]) if flats[c][0] else -1)
+        return max(sum(m) + (lay.degree(flats[c + first][0])
+                             if flats[c + first][0] else -1)
                    for c, m in map(lay.unpack, row[0]))
 
     def generated(rows, targets):

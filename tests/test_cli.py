@@ -1049,7 +1049,7 @@ class TestBasisStageBudget:
         report = cli.analyze_document(coxeter_b4(), ("classify",))
         assert sorted(report["profile"]["field_weights"]) == [0, 2, 4, 6]
         assert tested == [(4, True)]
-        assert sorted(unflattened) == [1, 5, 5, 5, 5]
+        assert sorted(unflattened) == [1, 4, 4, 4, 4]
 
     @pytest.mark.parametrize("name, steps", [
         ("discriminant-234", 325),  # weighted, but (f, grad f) not homogeneous

@@ -465,6 +465,17 @@ def test_killing_form_and_reductivity(name):
     assert is_reductive(g) is reductive
 
 
+@pytest.mark.parametrize("dim, table", [
+    (0, {}), (1, {}), (2, {(0, 1): [0, 0]})], ids=["zero", "abelian-1",
+                                                   "abelian-2"])
+def test_abelian_centre_and_radical_are_everything(dim, table):
+    # no ad row at all (dimension 0), no bracket row (dimension 1) or
+    # only zero rows: ranks 0, so centre and radical are the whole algebra
+    g = LieAlgebra(dim, table)
+    assert g.killing_form() == [[0] * dim for _ in range(dim)]
+    assert (g.radical_dimension(), g.center_dimension()) == (dim, dim)
+
+
 def test_killing_form_of_sl2():
     assert LieAlgebra(3, LIE_ALGEBRAS["sl2"][1]).killing_form() \
         == [[8, 0, 0], [0, 0, 4], [0, 4, 0]]
@@ -983,12 +994,12 @@ def test_one_groebner_basis_per_weight_that_adds_fields(name, monkeypatch):
 
 def fraction_batches(stream, first):
     """The (s, values) batches of a stream of packed rows, each row's terms
-    from the packed term first on as {term: Fraction}, the empty ones
-    left out."""
+    from the packed term first on as {term - first: Fraction}, the empty
+    ones left out."""
     out = []
     for s, rows in stream:
-        values = [{t: Fraction(a, D) for t, a in P.items() if t >= first}
-                  for P, D in rows]
+        values = [{t - first: Fraction(a, D) for t, a in P.items()
+                   if t >= first} for P, D in rows]
         out.append((s, [v for v in values if v]))
     return out
 
@@ -1005,9 +1016,11 @@ def test_der_log_stream_is_the_field_part_of_the_syzygy_stream(name):
     f = gens[0]
     d, unit = f.total_degree(), _Packing(len(f.ring)).unit
     fields = fraction_batches(der_log_stream(f), 0)
+    # the syzygy rows past f's component, moved down one component
     rows = fraction_batches(groebner.syzygy_stream(gens), unit)
     assert fields == [(None if s is None else s + 2 - d, v) for s, v in rows]
-    assert all(t >= unit for _, batch in fields for v in batch for t in v)
+    assert all(t < len(f.ring) * unit
+               for _, batch in fields for v in batch for t in v)
     assert sum(len(batch) for _, batch in fields) >= len(f.ring)
     if name == "four-lines-nonkoszul":
         assert [s for s, _ in fields] == [None]  # one batch, the whole run

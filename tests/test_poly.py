@@ -43,6 +43,35 @@ class TestArithmetic:
         assert f - g == P("2*y")
         assert f - f == Polynomial.zero(R2)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sub_is_the_coefficientwise_difference(self, data):
+        # p - q against its definition: p's coefficient minus q's at each
+        # monomial, zeros dropped, p's surviving monomials first in p's
+        # order, then q's new ones in q's; q often shares terms with p,
+        # and p - p cancels in full
+        coeffs = st.one_of(st.integers(-9, 9), st.fractions(
+            min_value=-3, max_value=3, max_denominator=4))
+        monos = st.tuples(*[st.integers(0, 3)] * 2)
+        p = data.draw(st.dictionaries(monos, coeffs, max_size=6))
+        shared = data.draw(st.lists(st.sampled_from(sorted(p)), unique=True)
+                           if p else st.just([]))
+        q = {m: data.draw(st.sampled_from([p[m], data.draw(coeffs)]))
+             for m in shared}
+        q.update(data.draw(st.dictionaries(monos, coeffs, max_size=4)))
+        q = data.draw(st.sampled_from([q, dict(p)]))
+        p_poly, q_poly = Polynomial(R2, p), Polynomial(R2, q)
+        expected = {}
+        for m in list(p_poly.terms) + [m for m in q_poly.terms
+                                       if m not in p_poly.terms]:
+            c = p_poly.terms.get(m, 0) - q_poly.terms.get(m, 0)
+            if c:
+                expected[m] = c
+        diff = p_poly - q_poly
+        assert diff.terms == expected
+        assert list(diff.terms) == list(expected)
+        assert (p_poly - p_poly).is_zero()
+
     def test_mul(self):
         assert P("x + y") * P("x - y") == P("x^2 - y^2")
         assert P("x") * 3 == P("3*x")
@@ -135,6 +164,14 @@ class TestCoefficientTypes:
         assert type(P("1/2*x").terms[(1, 0)]) is Fraction
         assert type(Polynomial(R2, {(0, 0): True}).terms[(0, 0)]) is int
 
+    def test_constant_is_the_monomial_at_the_origin(self):
+        two = Polynomial.constant(R2, Fraction(4, 2))
+        assert two.terms == {(0, 0): 2} and type(two.terms[(0, 0)]) is int
+        assert Polynomial.constant(R2, 0).is_zero()
+        assert Polynomial.constant(R2, Fraction(0)).is_zero()
+        assert Polynomial.constant(R3, Fraction(-1, 3)).terms \
+            == {(0, 0, 0): Fraction(-1, 3)}
+
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.dictionaries(
         st.tuples(*[st.integers(0, 4)] * 3),
@@ -172,6 +209,12 @@ class TestCalculus:
         with pytest.raises(IndexError):
             partial_derivative(f, 2)
 
+    @pytest.mark.parametrize("i", [-1, -2, 2, 3])
+    def test_variable_index_out_of_range(self, i):
+        # as partial_derivative: a negative index is not read from the end
+        with pytest.raises(IndexError):
+            Polynomial.variable(R2, i)
+
     def test_euler_relation(self):
         # weighted Euler identity: sum w_i x_i df/dx_i = d * f
         f = P("x^5 + y^4")
@@ -207,6 +250,20 @@ class TestWeightSystem:
             assert detect_weight_system(f) == WeightSystem((1, 1, 1), 3)
         spent = budget.steps - budget.left
         assert spent == kernel.steps - kernel.left + 6
+
+    @pytest.mark.parametrize("n", [1, 2, 12])
+    def test_a_single_term_is_graded_by_the_kernel(self, n):
+        # one exponent: no differences, so the kernel is every unit
+        # vector; in two or more variables the search's first candidate,
+        # (1, ..., 1), holds, checked on 1 exponent of n entries, and in
+        # one variable the one kernel vector is the weight
+        ring = tuple(f"x{i}" for i in range(n))
+        f = Polynomial.monomial(ring, tuple(range(1, n + 1)), -3)
+        with Budget(10**6) as budget:
+            w = detect_weight_system(f)
+        assert w == WeightSystem((1,) * n, n * (n + 1) // 2)
+        assert w.degree == f.total_degree()
+        assert budget.steps - budget.left == (n if n > 1 else 0)
 
     def test_the_search_is_bounded_by_the_budget(self):
         # a kernel of dimension 6 in 8 variables and no positive weight

@@ -60,8 +60,8 @@ from .cylinder import split_cylindrical
 from .errors import (DEFAULT_STEPS, Budget, BudgetExceeded, LogdivError,
                      NonReduced, NotFree, NotHomogeneous, NotLinear,
                      ParseError, ZeroOrConstantInput, current_budget)
-from .logder import (SaitoBasis, VectorField, der_log_stream, format_field,
-                     _check_divisor, _determinant_test, _select_saito_basis)
+from .logder import (SaitoBasis, VectorField, format_field, _check_divisor,
+                     _determinant_test, _select_saito_basis)
 from .poly import (WeightSystem, _NAME, detect_weight_system,
                    poly_from_text, poly_to_text, weighted_degree)
 from . import __version__
@@ -262,7 +262,7 @@ def analyze_document(doc, stages):
                 _fail(4, "basis", f"provided matrix is not a basis: {res.reason}")
             return SaitoBasis(fields, work_f, res.unit, res.table)
         try:
-            return _select_saito_basis(der_log_stream(work_f), work_f, w)
+            return _select_saito_basis(work_f, w)
         except NotFree as e:
             _fail(4, "basis", str(e))
 

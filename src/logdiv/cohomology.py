@@ -455,7 +455,8 @@ def _select_representatives(cx, saito, space, cocycles, h1):
     if rank != h1:
         raise InternalInconsistency(
             f"class space dimension {rank} != cohomology dimension {h1}")
-    scan = sorted((e for _, e in space.ambient), key=degrevlex_key, reverse=True)
+    # one component, whose weighted_monomials are degrevlex descending
+    scan = [e for _, e in space.ambient]
     scan.sort(key=lambda e: max(e) - min(e))
     reps = []
     chosen = linalg.Span()  # classes of the selected representatives

@@ -9,16 +9,18 @@ f is certified reduced by is_squarefree alone, the one certificate of
 every caller: a squarefree restriction of f to a line, mod a large prime,
 certifies it with no Groebner run, and only when no line does, a
 dimension test of the singular locus decides. The fields come from one
-stream, der_log_stream; compute_der_log drains it. For f homogeneous the
-syzygies come degree by degree, and the graded search for a Saito basis
-reads them only up to the degree it needs: it takes the weight parts of
-tag t once no field still to come can have a part of tag <= t, and stops
-the run when the n fields kept pass Saito's determinant test. Those
+syzygy run of f's Jacobian (_jacobian), whose generators are formed and
+packed once; compute_der_log drains it, and _select_saito_basis, its one
+other reader, pulls it itself. For f homogeneous the syzygies come
+degree by degree, and the graded search for a Saito basis reads them
+only up to the degree it needs: it takes the weight parts of tag t once
+no field still to come can have a part of tag <= t, and stops the run
+when the n fields kept pass Saito's determinant test. Those
 fields are a canonical form (_select_saito_basis): they depend on f, its
 weights and the term order alone, so the basis is the one a full run, or
 any generating set of Der(-log f), gives.
 
-The stream's fields stay packed, as rows of groebner's tracked run with
+The run's fields stay packed, as rows of groebner's tracked run with
 f represented by zero, so component i of a row is the coefficient of
 d/dx_i and f's coefficient is never formed: the search splits, reduces
 and echelons their weight parts on ints, and only the n fields handed to
@@ -281,46 +283,35 @@ def _check_divisor(f):
 
 
 def compute_der_log(f):
-    """Generators of Der(-log f): the fields of der_log_stream(f), drained.
-    Squarefreeness is left to find_saito_basis and verify_saito."""
-    return [_as_field(v, f.ring) for _, fields in der_log_stream(f) for v in fields]
+    """Generators of Der(-log f): the field rows of f's syzygy run (see
+    _jacobian), drained and unflattened. Squarefreeness is left to
+    find_saito_basis and verify_saito."""
+    _check_equation(f)
+    return [_as_field(v, f.ring)
+            for _, fields in _syzygy_stream(*_jacobian(f), 1) for v in fields]
 
 
 def _jacobian(f):
-    """f, df/dx_1, ..., df/dx_n, packed in _Packing(n), formed once: the
-    generators of the syzygy run of der_log_stream, and the divisor and
-    gradient that _determinant_test divides and pairs with the fields."""
+    """f, df/dx_1, ..., df/dx_n, packed in _Packing(n): the generators of
+    f's syzygy run, and the divisor and gradient that _determinant_test
+    divides and pairs with the fields.
+
+    The run, _syzygy_stream(lay, jacobian, 1), represents f by zero and
+    df/dx_i by the unit of component i, so its rows are packed fields,
+    component i the coefficient of d/dx_i, and it forms no coefficient of
+    f. Distinct syzygies give distinct fields, as f's coefficient is
+    -sum_i a_i df/dx_i / f. A row of degree s' gives a field whose
+    coefficients have degree s' - (d - 1), d the degree of f, so every
+    field after a pause at s has coefficients of degree >= s + 2 - d.
+    """
     lay = _Packing(len(f.ring))
     gens = [f] + [partial_derivative(f, i) for i in range(len(f.ring))]
     return lay, [_flatten([g], lay) for g in gens]
 
 
-def der_log_stream(f):
-    """Generators of Der(-log f), degree by degree: the rows of
-    syzygy_stream(f, df/dx_1, ..., df/dx_n) cut to their fields, packed
-    rows whose component i is d/dx_i (the run represents f by zero, so
-    it forms no coefficient of f). Distinct syzygies give distinct
-    fields, as f's coefficient is -sum_i a_i df/dx_i / f. Yields (c,
-    fields): every field still to come has coefficients of degree >= c,
-    or none is to come when c is None. A row of degree s' of the stream
-    gives a field whose coefficients have degree s' - (d - 1), with d the
-    degree of f, so a pause at s gives c = s + 2 - d.
-    """
-    _check_equation(f)
-    d = f.total_degree()
-    for s, fields in _syzygy_stream(*_jacobian(f), 1):
-        yield None if s is None else s + 2 - d, fields
-
-
 def _as_field(v, ring):
-    """The VectorField of a packed field (see der_log_stream)."""
+    """The VectorField of a packed field (see _jacobian)."""
     return VectorField(ring, _unflatten(v, ring, len(ring), _Packing(len(ring))))
-
-
-def _packed_fields(fields, ring):
-    """VectorFields as packed fields (see der_log_stream)."""
-    lay = _Packing(len(ring))
-    return [_flatten(d.components, lay) for d in fields]
 
 
 class VerifyResult:
@@ -446,8 +437,8 @@ class SaitoBasis:
                 self.field_weights(w)
                 self._memo[key] = self
             except NotHomogeneous:
-                flat = [(None, _packed_fields(self.fields, self.ring))]
-                self._memo[key] = _select_saito_basis(flat, self.divisor, w)
+                self._memo[key] = _select_saito_basis(self.divisor, w,
+                                                      self.fields)
         return self._memo[key]
 
     def linear_part(self):
@@ -491,7 +482,8 @@ def _determinant_test(fields, f, jacobian=None):
     each column of grad(f) * A is a multiple of f (the fields are
     logarithmic) are formed in the packed form of A's PolyMatrix; only
     the unit u leaves it. jacobian: _jacobian(f)'s packed f and gradient,
-    formed here when not given."""
+    which _select_saito_basis forms once for all its tests; formed here
+    when not given, for a supplied matrix."""
     n = len(f.ring)
     mat = PolyMatrix([[fields[j].components[i] for j in range(n)]
                       for i in range(n)])
@@ -542,27 +534,28 @@ def find_saito_basis(gens, f, w=None):
     one for graded f, after checking that f is a reduced divisor equation
     (w detected when not given)."""
     _check_divisor(f)
-    return _select_saito_basis([(None, _packed_fields(gens, f.ring))], f,
-                               w or detect_weight_system(f))
+    return _select_saito_basis(f, w or detect_weight_system(f), gens)
 
 
 def saito_basis(f, w=None):
     """find_saito_basis(compute_der_log(f), f, w), the same basis, with
-    the generators read from der_log_stream(f): for f homogeneous the
-    syzygy run stops once the graded search has its basis. f is checked
-    first, as find_saito_basis checks it."""
+    the generators read from f's syzygy run: for f homogeneous the run
+    stops once the graded search has its basis. f is checked first, as
+    find_saito_basis checks it."""
     _check_divisor(f)
-    return _select_saito_basis(der_log_stream(f), f,
-                               w or detect_weight_system(f))
+    return _select_saito_basis(f, w or detect_weight_system(f))
 
 
-def _select_saito_basis(batches, f, w):
-    """find_saito_basis for an already checked divisor, its generators
-    given as batches (c, fields) like those of der_log_stream: every
-    field after a batch has coefficients of degree >= c, or there is
-    none when c is None, and w the grading of f as given, None when f
-    has none. Only fields handed to _determinant_test are unflattened,
-    with _jacobian(f)'s packed f and gradient, formed once.
+def _select_saito_basis(f, w, gens=None):
+    """find_saito_basis for an already checked divisor, w the grading of
+    f as given, None when f has none. The generators are the VectorFields
+    gens, or when gens is None the field rows of f's syzygy run, read
+    here from _syzygy_stream(lay, jacobian, 1) batch by batch (see
+    _jacobian): every field after a pause at s has coefficients of
+    degree >= c = s + 2 - deg f, and none is to come after the pause
+    None. f and its gradient are formed and packed once, by _jacobian,
+    for the run and every _determinant_test; only the fields handed to
+    that test are unflattened.
 
     Weighted homogeneous f: generators are split into weight-homogeneous
     parts, and each tag d is taken once, in ascending order, when no part
@@ -579,8 +572,13 @@ def _select_saito_basis(batches, f, w):
     degree, up to SUBSET_BUDGET of them.
     """
     n = len(f.ring)
-    lay = _Packing(n)
-    jacobian = _jacobian(f)[1]
+    lay, jacobian = _jacobian(f)
+    if gens is None:
+        d = f.total_degree()
+        batches = ((None if s is None else s + 2 - d, fields)
+                   for s, fields in _syzygy_stream(lay, jacobian, 1))
+    else:
+        batches = [(None, [_flatten(g.components, lay) for g in gens])]
     if w is not None:
         lo, hi = min(w.weights), max(w.weights)
         waiting = {}  # tag: the parts of that tag not taken yet
@@ -607,20 +605,20 @@ def _select_saito_basis(batches, f, w):
             raise NotFree(f"graded minimal generating set has {len(kept)} elements, need {n}")
         raise NotFree(f"minimal generating set fails the determinant test: {res.reason}")
     # non-homogeneous fallback: degree-ordered subset search
-    gens = [v for _, fields in batches for v in fields if v[0]]
-    field = functools.cache(lambda i: _as_field(gens[i], f.ring))
+    packed = [v for _, fields in batches for v in fields if v[0]]
+    field = functools.cache(lambda i: _as_field(packed[i], f.ring))
 
     def total_deg(v):  # the sum of the degrees of the components
         return sum(lay.degree(ts) for _, ts in
                    itertools.groupby(sorted(v[0]), lambda t: t // lay.unit))
 
-    order = sorted(range(len(gens)), key=lambda i: (total_deg(gens[i]), i))
+    order = sorted(range(len(packed)), key=lambda i: (total_deg(packed[i]), i))
     for combo in itertools.islice(itertools.combinations(order, n), SUBSET_BUDGET):
         fields = [field(i) for i in combo]
         res = _determinant_test(fields, f, jacobian)
         if res:
             return SaitoBasis(fields, f, res.unit, res.table)
-    if comb(len(gens), n) > SUBSET_BUDGET:
+    if comb(len(packed), n) > SUBSET_BUDGET:
         raise NotFree(f"no free basis found within {SUBSET_BUDGET} subsets")
     raise NotFree("no n-subset of the generators satisfies the determinant test")
 

@@ -230,10 +230,10 @@ def random_poly(rng, ring, max_deg=3, n_terms=4, coeff_range=5):
 
 
 def unpacked(stream, ring, rank):
-    """The (s, rows) batches of syzygy_stream or der_log_stream, each
-    packed row (layout _Packing(len(ring))) as a list of rank
-    Polynomials; a field of der_log_stream has rank len(ring), component
-    i the coefficient of d/dx_i."""
+    """The (s, rows) batches of syzygy_stream, or of the field rows of
+    _syzygy_stream(*logder._jacobian(f), 1), each packed row (layout
+    _Packing(len(ring))) as a list of rank Polynomials; a field row has
+    rank len(ring), component i the coefficient of d/dx_i."""
     lay = _Packing(len(ring))
     for s, rows in stream:
         yield s, [_unflatten(row, ring, rank, lay) for row in rows]

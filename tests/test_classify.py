@@ -73,6 +73,12 @@ class TestDetectWeights:
     def test_not_weighted_homogeneous(self):
         assert detect_weight_system(poly_from_text(FOUR_LINES, R3)) is None
 
+    def test_a_kernel_of_mixed_signs_has_no_weights(self):
+        # the kernel of x*y + x^2*y^2 is spanned by (1, -1), which no
+        # positive multiple makes a weight vector
+        assert detect_weight_system(poly_from_text("x*y + x^2*y^2", R2)) \
+            is None
+
     def test_a_weight_zero_on_the_kernel_skips_the_search(self):
         # the weights of a*c + a*b*c + c*d*e*g*h*k form a 6-dimensional
         # space on which the weight of b is 0, so none is positive; the
@@ -166,6 +172,13 @@ class TestKoszul:
             assert not dimension_at_most(symbols, expected - 1)
         symbols = principal_symbols(saito_for(FOUR_LINES, R3))
         assert not dimension_at_most(symbols, 3)
+
+    def test_symbol_names_are_fresh(self):
+        # s_x is taken by a variable, so the symbol of s_x is s_s_x and
+        # that of x is s_x with underscores until it is free
+        ring = ("s_x", "x")
+        symbols = principal_symbols(saito_for("s_x*x", ring))
+        assert {p.ring for p in symbols} == {("s_x", "x", "s_s_x", "s_x_")}
 
     def test_invariance_under_unimodular_change(self):
         def compose(f, images):

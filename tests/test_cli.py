@@ -103,6 +103,20 @@ class TestAnalyzeHuman:
         assert "reduced: dropped unused variables z" in res.stdout
         assert "ft1: dimension 1 (representatives: x^2*y^2)" in res.stdout
 
+    @pytest.mark.parametrize("f, weights, line", [
+        ("x*y", [1, 2, 3], "weights: (1, 2), degree 3"),
+        ("y*z", [5, 1, 1], "weights: (1, 1), degree 2")])
+    def test_supplied_weights_follow_the_kept_variables(self, f, weights,
+                                                        line):
+        # the reduce stage drops the unused variable, and the supplied
+        # weights are those of the variables it keeps
+        from logdiv import cli
+
+        doc = {"label": "cyl", "variables": ["x", "y", "z"], "f": f,
+               "weights": weights}
+        lines = cli._human_lines(cli.analyze_document(doc, ()))
+        assert any(text.startswith(line + ",") for text in lines)
+
 
 class TestAnalyzeJson:
     def test_matches_stored_report(self, tmp_path):
@@ -663,12 +677,12 @@ class TestArtefactsComputedOnce:
                           (cli, "_select_saito_basis"),
                           (logder, "saito_basis"),
                           (cohomology, "saito_basis"),
-                          (logder, "der_log_stream"),
-                          (cli, "der_log_stream"),
                           (groebner, "syzygies"),
                           (groebner, "syzygy_stream"),
                           (groebner, "_syzygy_stream"),
-                          (logder, "_syzygy_stream")):
+                          (logder, "_syzygy_stream"),
+                          (logder, "_jacobian"),
+                          (logder, "_check_equation")):
             monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
         doc = cli.load_document(os.path.join(CORPUS, "linear-nonreductive-5.json"))
         report = cli.analyze_document(doc, cli.ALL_STAGES)
@@ -680,9 +694,12 @@ class TestArtefactsComputedOnce:
         assert calls.count("_select_saito_basis") == 0
         assert calls.count("syzygies") == 0
         assert calls.count("saito_basis") == 0
-        assert calls.count("der_log_stream") == 0
         assert calls.count("syzygy_stream") == 0
         assert calls.count("_syzygy_stream") == 0
+        # f and grad f are formed for the supplied matrix's determinant
+        # test, and f's equation is checked by the divisor stage alone
+        assert calls.count("_jacobian") == 1
+        assert calls.count("_check_equation") == 1
 
     @pytest.mark.parametrize("name, h1", [("linear-nonreductive-5", 1),
                                           ("nc-4", 0)])
@@ -893,14 +910,24 @@ class TestArtefactsComputedOnce:
     def test_one_groebner_run_of_the_jacobian_ideal(self, name, monkeypatch):
         # a search-path analysis makes one Groebner run on (f, grad f),
         # the tracked syzygy run, whose rows the basis stage reads; a
-        # line certifies f squarefree, so no signature-based run is made
+        # line certifies f squarefree, so no signature-based run is made.
+        # f and grad f are formed and packed once, for the run and every
+        # determinant test, and f's equation is checked once, by the
+        # divisor stage
         from logdiv import cli, groebner, logder
         from logdiv.poly import poly_from_text
 
-        runs, streams = [], []
+        runs, streams, formed = [], [], []
         run_buchberger, signature_leads = (groebner._run_buchberger,
                                            groebner._signature_leads)
         syzygy_stream = logder._syzygy_stream
+        jacobian_of, check_equation = logder._jacobian, logder._check_equation
+
+        def counting(name, fn):
+            def counted(*args):
+                formed.append(name)
+                return fn(*args)
+            return counted
 
         def tracked(gens, budget, units, lay):
             runs.append(("buchberger", list(gens)))
@@ -917,6 +944,10 @@ class TestArtefactsComputedOnce:
         monkeypatch.setattr(groebner, "_run_buchberger", tracked)
         monkeypatch.setattr(groebner, "_signature_leads", signature)
         monkeypatch.setattr(logder, "_syzygy_stream", stream)
+        monkeypatch.setattr(logder, "_jacobian",
+                            counting("_jacobian", jacobian_of))
+        monkeypatch.setattr(logder, "_check_equation",
+                            counting("_check_equation", check_equation))
         if name == "coxeter-B4":
             doc = coxeter_b4()
         elif name == "generic-4":
@@ -929,10 +960,12 @@ class TestArtefactsComputedOnce:
         except cli.StageFailure as e:
             assert (e.code, e.stage) == (4, "basis")
         ring = tuple(doc["variables"])
-        _, jacobian = logder._jacobian(poly_from_text(doc["f"], ring))
+        _, jacobian = jacobian_of(poly_from_text(doc["f"], ring))
         assert [kind for kind, gens in runs if gens == jacobian] \
             == ["buchberger"]
         assert len(streams) == 1
+        assert formed.count("_jacobian") == 1
+        assert formed.count("_check_equation") == 1
 
 
 class TestBasisStageBudget:
@@ -983,7 +1016,7 @@ class TestBasisStageBudget:
         # search's, stay below those of the whole run and the search; the
         # divisor stage's are its line's, and no part of the run
         from logdiv.errors import Budget
-        from logdiv.logder import _select_saito_basis, der_log_stream
+        from logdiv.logder import _select_saito_basis, compute_der_log
         from logdiv.poly import detect_weight_system, poly_to_text
         from conftest import coxeter_gens
 
@@ -993,8 +1026,8 @@ class TestBasisStageBudget:
         assert failure is None and basis_steps == [steps]
         assert divisor_steps == [divisor]
         with Budget(10**9) as full:
-            fields = [v for _, batch in der_log_stream(f) for v in batch]
-            _select_saito_basis([(None, fields)], f, detect_weight_system(f))
+            _select_saito_basis(f, detect_weight_system(f),
+                                compute_der_log(f))
         assert steps < full.steps - full.left
 
     @pytest.mark.parametrize("name, divisor, basis", [

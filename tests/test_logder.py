@@ -4,21 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from logdiv import linalg
+from logdiv import linalg, logder
 from logdiv.classify import linear_annihilators
 from hypothesis import given, settings, strategies as st
 
 from logdiv.errors import (Budget, BudgetExceeded, NonReduced, NotFree,
                            ZeroOrConstantInput)
-from logdiv.groebner import buchberger
+from logdiv.groebner import _syzygy_stream, buchberger
 from logdiv.logder import (
     VectorField,
     _as_field,
-    _packed_fields,
+    _jacobian,
     _select_saito_basis,
     _weight_parts,
     compute_der_log,
-    der_log_stream,
     find_saito_basis,
     lie_bracket,
     saito_basis,
@@ -28,6 +27,7 @@ from logdiv.logder import (
 from logdiv.poly import (
     Polynomial,
     WeightSystem,
+    _flatten,
     _Packing,
     detect_weight_system,
     poly_from_text,
@@ -262,6 +262,18 @@ class TestFindSaitoBasis:
         assert len(runs) <= len(saito)
         assert runs == sorted(set(runs))
 
+    def test_cofactor_vanishing_at_the_origin_is_not_free(self):
+        # x^2*d_x and y*d_y are logarithmic for x*y and graded, but their
+        # determinant x^2*y is x times f: the graded search keeps both and
+        # the determinant test refuses them
+        f = P("x*y")
+        gens = [field(R2, "x^2", "0"), field(R2, "0", "y")]
+        with pytest.raises(NotFree) as err:
+            find_saito_basis(gens, f)
+        assert str(err.value) == ("minimal generating set fails the "
+                                  "determinant test: cofactor of f vanishes "
+                                  "at the origin")
+
     def test_subset_fallback_without_weights(self):
         f = poly_from_text("x^3*y*z + x^2*y^2*z + x^2*y^2 + x*y^3", R3)
         saito = find_saito_basis(compute_der_log(f), f)
@@ -310,7 +322,7 @@ class TestPackedParts:
                                     .map(lambda c: VectorField(ring, c)),
                                     min_size=1, max_size=6))
         for delta in fields:
-            P, D = _packed_fields([delta], ring)[0]
+            P, D = _flatten(delta.components, lay)
             k = data.draw(st.integers(1, 6))
             split = _weight_parts(({t: k * a for t, a in P.items()}, k * D),
                                   w, lay)
@@ -330,19 +342,27 @@ class TestGradedStop:
 
     @pytest.mark.parametrize("name", STANDARD_GRADED)
     def test_stream_fields_up_to_the_top_weight(self, name):
-        # the stream, read until no field of weight <= the top basis
-        # weight is still to come, has the full run's fields of those
-        # weights; on the arrangements that is before its end
+        # the field rows of f's syzygy run: every field after a pause at s
+        # has coefficients of degree >= s + 2 - deg f, and the run, read
+        # until no field of weight <= the top basis weight is still to
+        # come, has the full run's fields of those weights; on the
+        # arrangements that is before its end
         f, w = graded_input(name)
         full = compute_der_log(f)
         top = max(find_saito_basis(full, f, w).field_weights(w))
-        read = []
-        for c, rows in unpacked(der_log_stream(f), f.ring, len(f.ring)):
-            read += [VectorField(f.ring, row) for row in rows]
-            if c is not None and min(w.weights) * c - max(w.weights) > top:
-                break
+        d, least, read = f.total_degree(), 0, []
+        for s, rows in unpacked(_syzygy_stream(*_jacobian(f), 1), f.ring,
+                                len(f.ring)):
+            fields = [VectorField(f.ring, row) for row in rows]
+            assert all(sum(m) >= least for delta in fields
+                       for p in delta.components for m in p.terms)
+            read += fields
+            if s is not None:
+                least = s + 2 - d
+                if min(w.weights) * least - max(w.weights) > top:
+                    break
         if name in ARRANGEMENTS:
-            assert c is not None
+            assert s is not None
 
         def upto_top(fields):
             return sorted(field_sort_key(d.weight(w), d) for d in fields
@@ -350,18 +370,23 @@ class TestGradedStop:
 
         assert upto_top(read) == upto_top(full)
 
-    def test_a_tag_is_scanned_only_once_it_is_complete(self):
+    def test_a_tag_is_scanned_only_once_it_is_complete(self, monkeypatch):
         # the Euler field comes first but has coefficients of degree 1, as
         # the fields after it do: its tag 0 waits for them, and the scan
         # keeps the same basis as from one batch. The three fields span the
         # tag-0 space of x*d_x and y*d_y; its reduced echelon basis is those
-        # two, the lead in d_x first
+        # two, the lead in d_x first. The run is replaced by one that
+        # pauses at s = 1 after the Euler field, so every field after it
+        # has coefficients of degree >= s + 2 - deg f = 1
         f, w = P("x*y"), WeightSystem((1, 1), 2)
         fields = field(R2, "x", "y"), field(R2, "x", "0"), field(R2, "0", "y")
-        euler, fx, fy = _packed_fields(fields, R2)
-        batched = _select_saito_basis([(1, [euler]), (None, [fx, fy])], f, w)
+        lay = _Packing(len(R2))
+        euler, fx, fy = [_flatten(d.components, lay) for d in fields]
+        monkeypatch.setattr(logder, "_syzygy_stream", lambda *run: iter(
+            [(1, [euler]), (None, [fx, fy])]))
+        batched = _select_saito_basis(f, w)
         assert entries(batched) \
-            == entries(_select_saito_basis([(None, [euler, fx, fy])], f, w))
+            == entries(_select_saito_basis(f, w, fields))
         assert batched.fields == [fields[1], fields[2]]
 
 

@@ -43,7 +43,14 @@ Polynomials. The rows are the relations of the S-pairs that reduce to
 zero. Every nonzero generator enters the basis with its own unit vector as
 its representation, so by Schreyer's theorem, in the form of Moeller, Mora
 and Traverso (1992), these relations generate the syzygy module of the
-generators, those of degree <= s by the pause at s. dimension_at_most
+generators, those of degree <= s by the pause at s. On homogeneous
+generators that run top-reduces each S-pair, stopping at the first term
+no lead divides, as it reads only a remainder's lead and representation;
+a top-reduction to zero is a standard representation, so Buchberger's
+criterion and that theorem still hold. Every other reduction is full: an
+untracked run's basis is interreduced, which reads every tail, normal
+forms and exact division need the whole remainder, and inhomogeneous
+runs keep their counted work. dimension_at_most
 reads the leads of a signature-based run (_signature_leads), which
 reduces no pair that a syzygy known in advance accounts for: on a regular
 sequence, such as the principal symbols of a Koszul free divisor, no pair
@@ -107,8 +114,12 @@ def _combine(terms):
     return out, D
 
 
-def _reduce_full(v, basis, leads, sugars, sugar, budget, lay, track=False):
-    """Fully reduce v = (P, D) against monic basis elements (B, L).
+def _reduce_full(v, basis, leads, sugars, sugar, budget, lay, track=False,
+                 top=False):
+    """Fully reduce v = (P, D) against monic basis elements (B, L), or
+    with top set, only until a term that no lead divides is reached: that
+    term is the lead of the remainder, returned with the rest of the
+    working element unreduced (a top-reduction).
 
     Returns ((R, D'), recs, sugar), v = R / D' + sum (c / D) * x^shift *
     basis[j] over the records (j, shift, c, D) in recs, one per step in
@@ -138,6 +149,8 @@ def _reduce_full(v, basis, leads, sugars, sugar, budget, lay, track=False):
             if 0 <= shift < unit and not shift & guards:
                 break
         else:
+            if top:
+                return (p, D), recs, sugar
             rem[t] = c
             del p[t]
             continue
@@ -222,6 +235,11 @@ def _run_buchberger(gens, budget, units, lay):
     degree <= s by the pause at s (Gebauer and Moeller 1988; Moeller, Mora
     and Traverso 1992). A tracked run applies it on homogeneous generators
     only, and never the product criterion, which would drop a Koszul row.
+
+    A tracked run on homogeneous generators top-reduces each S-pair, and
+    its basis elements keep tails it never reads: a top-reduction to zero
+    is a standard representation, so the basis and the relations stay
+    what they were, to degree s by the pause at s.
     """
     rank1 = all(t < lay.unit for P, _ in gens for t in P)
     track = units is not None
@@ -275,7 +293,7 @@ def _run_buchberger(gens, budget, units, lay):
         si, sj = l - leads[i], l - leads[j]
         s = _combine([(1, 1, si, basis[i]), (-1, 1, sj, basis[j])])
         rem, recs, sug = _reduce_full(s, basis, leads, sugars, sug, budget,
-                                      lay, track)
+                                      lay, track, track and graded)
         if track:
             rep = _combine([(1, 1, si, reps[i]), (-1, 1, sj, reps[j])]
                            + [(-c, D, u, reps[k]) for k, u, c, D in recs])
@@ -400,7 +418,8 @@ def _buchberger(ring, rank, lay, flats):
 
 def syzygies(gens):
     """Generating set of the first syzygy module of gens: the rows of
-    syzygy_stream(gens), drained and unflattened."""
+    syzygy_stream(gens), drained and unflattened; on homogeneous gens,
+    other and sparser rows than a fully reducing run's (braid A3, B3)."""
     ring, _, lay, _ = _prepare(gens)
     return SyzygyBasis([_unflatten(row, ring, len(gens), lay)
                         for _, rows in syzygy_stream(gens) for row in rows])
@@ -428,6 +447,10 @@ def syzygy_stream(gens):
     syzygy of degree <= s, the relations of the pairs the chain criterion
     skips among them. Stopping early leaves the rest of the run undone. A
     run that never pauses yields once.
+
+    Such a run top-reduces its S-pairs, so its rows are other generators
+    of the module than a fully reducing run's: on (f, grad f) of braid A3,
+    B3 and D4, as many and sparser (53, 32, 141 terms, not 71, 37, 179).
     """
     _, _, lay, flats = _prepare(gens)
     yield from _syzygy_stream(lay, flats, 0)

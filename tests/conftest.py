@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -11,11 +12,11 @@ from logdiv.groebner import _divide, buchberger
 from logdiv.logder import (SUBSET_BUDGET, SaitoBasis, StructureConstants,
                            VectorField, _add_bracket, compute_der_log,
                            find_saito_basis, verify_saito)
-from logdiv.errors import current_budget
+from logdiv.errors import Budget, current_budget
 from logdiv.poly import (Polynomial, PolyMatrix, WeightSystem, _flatten,
                          _Packing, _unflatten, degrevlex_key,
                          detect_weight_system, m_mul, partial_derivative,
-                         poly_from_text, weighted_degree)
+                         poly_from_text, poly_to_text, weighted_degree)
 
 CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "corpus")
@@ -430,6 +431,56 @@ def without_chain_criterion(monkeypatch):
     tracked run then reduces every S-pair, as on inhomogeneous
     generators."""
     monkeypatch.setattr(groebner, "_chain_skip", lambda *args: False)
+
+
+def full_reduction(monkeypatch):
+    """Turn top-reduction off in every Buchberger run: each S-pair's
+    remainder is reduced in full, tail included, as on inhomogeneous
+    generators, and the run does the work and finds the rows of the
+    engine that reduced every remainder fully."""
+    reduce = groebner._reduce_full
+    monkeypatch.setattr(groebner, "_reduce_full",
+                        lambda *args, top=False: reduce(*args[:8]))
+
+
+# (steps, row count, sha256) of pinned_engine_run(name): of the engine,
+# whose tracked runs on homogeneous generators top-reduce their S-pairs,
+# and, under full_reduction, of the reference engine, which keeps the
+# values the engine had before it did
+ENGINE_PINS = {
+    "braid-A3": (133, 5, "b8df155c8d0e66d9753b66c6b8e5e733"
+                         "71eb7aa9708d55b949f8b2ae5e29b726"),
+    "coxeter-B3": (52, 5, "50a84db0af843ff4c3882c4ff75fe1d0"
+                          "86b00a48618c641a1b8d998688957353"),
+    "coxeter-D4": (196, 12, "11aa56f684caf7d3b6e35952ef3e0d33"
+                            "240dfbedcd9021123078837e3ae61763"),
+}
+REFERENCE_PINS = {
+    "braid-A3": (149, 5, "0034da87fc2342d3e7d575f01a941955"
+                         "cad77d000f6e86a1e83dc868a3927b84"),
+    "coxeter-B3": (52, 5, "00f668a254af4e6325f130a6bb16ee20"
+                          "02c568b01f7828ce26f49af9c67c98ff"),
+    "coxeter-D4": (210, 12, "f74391e518d58119d13b0e00a937e3d5"
+                            "17b8072d0c4f67247cac7a326e0dd22f"),
+}
+
+
+def row_digest(rows):
+    """(count, sha256 of repr) of the sorted texts of rows, lists of
+    Polynomials."""
+    texts = sorted(tuple(poly_to_text(p) for p in row) for row in rows)
+    return len(texts), hashlib.sha256(repr(texts).encode()).hexdigest()
+
+
+def pinned_engine_run(name):
+    """(steps, row count, sha256) of the Groebner engine on
+    coxeter_gens(name): the steps of syzygies and then buchberger in one
+    budget, and the row_digest of the rows of syzygies."""
+    gens = coxeter_gens(name)
+    with Budget(10**9) as budget:
+        rows = groebner.syzygies(gens).elements
+        groebner.buchberger(gens)
+    return (budget.steps - budget.left,) + row_digest(rows)
 
 
 def reference_certificate(leads, k, lay):

@@ -1007,8 +1007,8 @@ class TestBasisStageBudget:
         return failure, budget.steps - budget.left, basis_steps, divisor_steps
 
     @pytest.mark.parametrize("name, steps, divisor", [
-        ("braid-A3", 657, 210), ("coxeter-B3", 118, 150),
-        ("coxeter-D4", 610, 468)],
+        ("braid-A3", 644, 210), ("coxeter-B3", 118, 150),
+        ("coxeter-D4", 595, 468)],
         ids=["braid-A3", "coxeter-B3", "coxeter-D4"])
     def test_graded_arrangements_stop_early(self, name, steps, divisor,
                                             monkeypatch):
@@ -1031,7 +1031,7 @@ class TestBasisStageBudget:
         assert steps < full.steps - full.left
 
     @pytest.mark.parametrize("name, divisor, basis", [
-        ("coxeter-B5", 3770, 9283), ("braid-A5-essential", 2160, 8662)],
+        ("coxeter-B5", 3770, 8666), ("braid-A5-essential", 2160, 8391)],
         ids=["coxeter-B5", "braid-A5-essential"])
     def test_frontier_divisor_stage_makes_no_run(self, name, divisor, basis,
                                                  monkeypatch):
@@ -1097,7 +1097,7 @@ class TestBasisStageBudget:
         assert self.analyze(doc, monkeypatch)[:2] == (None, steps)
 
     @pytest.mark.parametrize("f, steps, size", [
-        ("x*y*z*(x+y+z)", 71, 4), ("x*y*z*(x+y+z)*(x+2*y+3*z)", 157, 5)],
+        ("x*y*z*(x+y+z)", 71, 4), ("x*y*z*(x+y+z)*(x+2*y+3*z)", 156, 5)],
         ids=["generic-4", "generic-5"])
     def test_not_free_reads_the_whole_run(self, f, steps, size, monkeypatch):
         doc = {"label": "generic", "variables": ["x", "y", "z"], "f": f}

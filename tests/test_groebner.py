@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import random
 import time
@@ -9,9 +8,11 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from logdiv import groebner
 from logdiv.cohomology import (QuotientSlice, ft1, jacobian_degree_bound,
                                weighted_monomials)
-from logdiv.errors import Budget, BudgetExceeded, NotHomogeneous
+from logdiv.errors import (Budget, BudgetExceeded, NotHomogeneous,
+                           current_budget)
 from logdiv.groebner import (
     GroebnerBasis,
     _Packing,
@@ -25,9 +26,12 @@ from logdiv.poly import (Polynomial, WeightSystem, degrevlex_key, m_div,
                          m_lcm, partial_derivative, poly_from_text,
                          poly_to_text)
 
-from conftest import (assert_relations_generate_the_reference,
-                      assert_syzygies, coxeter_gens, from_sympy, random_poly,
-                      to_sympy, unpacked, without_chain_criterion)
+from conftest import (ENGINE_PINS, REFERENCE_PINS,
+                      assert_relations_generate_the_reference,
+                      assert_syzygies, coxeter_gens, from_sympy,
+                      full_reduction, pinned_engine_run, random_poly,
+                      row_digest, to_sympy, unpacked,
+                      without_chain_criterion)
 
 R2 = ("x", "y")
 R3 = ("x", "y", "z")
@@ -371,7 +375,7 @@ def term_key(t):
     return (-t[0], degrevlex_key(t[1]))
 
 
-def packed_reduce(v, basis, leads, budget, track, sugar, sugars):
+def packed_reduce(v, basis, leads, budget, track, sugar, sugars, top=False):
     """_reduce_full on Fraction dicts keyed by (component, exponent) terms
     and on monic basis elements, converted at its boundary: the remainder
     comes back as a Fraction dict in the kernel's term order, the
@@ -389,7 +393,7 @@ def packed_reduce(v, basis, leads, budget, track, sugar, sugars):
         sugars = [max(sum(m) for _, m in b) for b in basis]
     (rem, den), recs, sug = _reduce_full(
         packed(v), [packed(b) for b in basis],
-        [lay.pack(*ld) for ld in leads], sugars, 0, budget, lay, track)
+        [lay.pack(*ld) for ld in leads], sugars, 0, budget, lay, track, top)
     if sugar is not None:
         sugar[0] = sug
     rem = {lay.unpack(t): Fraction(a, den) for t, a in rem.items()}
@@ -519,6 +523,26 @@ class TestReduceFullAgainstMaxScan:
             compare_with_max_scan(v, basis, leads, track=bool(seed % 2),
                                   sugars=sugars)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_top_reduction_stops_at_the_lead(self, seed):
+        # the top-reduced remainder is the working element at the full
+        # reduction's first remainder term, its lead, with the same
+        # coefficient; it takes no more steps, and its records still sum
+        # back to v (packed_reduce asserts that)
+        for v, basis, leads, sugars in random_reductions(seed):
+            full, cut = Budget(10**6), Budget(10**6)
+            rem, quots = packed_reduce(v, basis, leads, full, True, None,
+                                       sugars)
+            top, top_quots = packed_reduce(v, basis, leads, cut, True, None,
+                                           sugars, top=True)
+            assert cut.left >= full.left
+            if not rem:
+                assert (top, top_quots) == (rem, quots)
+                continue
+            lead = max(rem, key=term_key)
+            assert max(top, key=term_key) == lead
+            assert top[lead] == rem[lead]
+
     def test_random_inputs_include_returning_terms(self):
         returned = sum(compare_with_max_scan(v, basis, leads)
                        for seed in range(40)
@@ -621,26 +645,36 @@ class TestPackedTerms:
 
 class TestPinnedEngine:
     """The step counts and outputs of the Groebner engine on (f, grad f)
-    of three Coxeter arrangements, fixed so that a faster engine must do
-    the same work and return the same rows."""
+    of three Coxeter arrangements, fixed exactly: a faster engine must do
+    this work and return these rows, or restate them. Each is pinned
+    twice: for the engine, whose tracked runs on homogeneous generators
+    top-reduce their S-pairs, and, under full_reduction, for the
+    reference engine, which reduces every remainder in full and so keeps
+    the values the engine had before top-reduction."""
 
     @pytest.mark.parametrize("name, steps", [
-        ("braid-A3", 149), ("coxeter-B3", 52), ("coxeter-D4", 210)])
-    def test_step_counts(self, name, steps):
-        gens = coxeter_gens(name)
-        with Budget(10**9) as budget:
-            syzygies(gens)
-            buchberger(gens)
-        assert budget.steps - budget.left == steps
+        (name, pins[0]) for name, pins in REFERENCE_PINS.items()])
+    def test_step_counts(self, name, steps, monkeypatch):
+        full_reduction(monkeypatch)
+        assert pinned_engine_run(name)[0] == steps
 
-    def test_coxeter_b3_syzygy_rows(self):
+    @pytest.mark.parametrize("name, steps", [
+        (name, pins[0]) for name, pins in ENGINE_PINS.items()])
+    def test_top_reduced_step_counts(self, name, steps):
+        assert pinned_engine_run(name)[0] == steps
+
+    def test_coxeter_b3_syzygy_rows(self, monkeypatch):
         rows = syzygies(coxeter_gens("coxeter-B3")).elements
-        assert [tuple(poly_to_text(p) for p in row) for row in rows] \
-            == B3_SYZYGY_ROWS
+        assert row_texts(rows) == B3_TOP_REDUCED_ROWS
+        with monkeypatch.context() as m:
+            full_reduction(m)
+            rows = syzygies(coxeter_gens("coxeter-B3")).elements
+        assert row_texts(rows) == B3_SYZYGY_ROWS
 
 
 # syzygies(f, df/dx1, df/dx2, df/dx3) for the Coxeter arrangement B3,
-# f = x1*x2*x3*(x1^2 - x2^2)*(x1^2 - x3^2)*(x2^2 - x3^2), row by row
+# f = x1*x2*x3*(x1^2 - x2^2)*(x1^2 - x3^2)*(x2^2 - x3^2), row by row, of
+# the reference engine (under full_reduction)
 B3_SYZYGY_ROWS = [
     ("9",
      "-x1",
@@ -663,6 +697,15 @@ B3_SYZYGY_ROWS = [
      "3/2*x1^3*x2^4 - 19/14*x1^3*x2^2*x3^2 - 3/2*x1*x2^4*x3^2"
      " + 19/14*x1*x2^2*x3^4",
      "3/2*x1^2*x2^5 - 20/7*x1^2*x2^3*x3^2 + 19/14*x1^2*x2*x3^4",
+     "0"),
+]
+
+# the same of the engine: the top-reduced run finds the last row with
+# fewer terms
+B3_TOP_REDUCED_ROWS = B3_SYZYGY_ROWS[:4] + [
+    ("-12*x1^2*x2^4 + 3/2*x1^2*x2^2*x3^2 + 3/2*x2^4*x3^2",
+     "3/2*x1^3*x2^4 - 3/2*x1*x2^4*x3^2",
+     "3/2*x1^2*x2^5 - 3/2*x1^2*x2^3*x3^2",
      "0"),
 ]
 
@@ -697,15 +740,35 @@ STREAM_INPUTS = {
 
 
 # the sorted row texts of each drained stream; braid A3's 5 rows (4 kB of
-# text) are pinned by their count and the sha256 of repr(texts)
+# text) are pinned by their row_digest, the count and the sha256
 STREAM_ROWS = {
-    "coxeter-B3": sorted(B3_SYZYGY_ROWS),
-    "braid-A3": (5, "0034da87fc2342d3e7d575f01a941955"
-                    "cad77d000f6e86a1e83dc868a3927b84"),
+    "coxeter-B3": sorted(B3_TOP_REDUCED_ROWS),
+    "braid-A3": ENGINE_PINS["braid-A3"][1:],
     "needs-a-pair": [("-x^2", "x^2 + y^2")],
     "zero-generator": [("0", "1", "0"), ("y", "0", "-x")],
     "line-1": [("0", "1", "-1"), ("1", "-x - y", "0")],
 }
+# the same of the reference engine (under full_reduction)
+REFERENCE_STREAM_ROWS = dict(STREAM_ROWS, **{
+    "coxeter-B3": sorted(B3_SYZYGY_ROWS),
+    "braid-A3": REFERENCE_PINS["braid-A3"][1:]})
+
+
+def pauses_and_rows(gens):
+    """The tracked run of gens: [(s, leads so far)] at each of its pauses
+    and its end, and the rows of its stream as lists of Polynomials."""
+    ring, _, lay, flats = groebner._prepare(gens)
+    units = [({i * lay.unit: 1}, 1) for i in range(len(flats))]
+    pauses = [(s, list(state[1])) for s, state in groebner._run_buchberger(
+        flats, current_budget(), units, lay)]
+    rows = [row for _, batch in stream_rows(gens) for row in batch]
+    return pauses, rows
+
+
+def same_monomial_ideal(a, b, lay):
+    """True when the packed terms a and b generate one monomial ideal."""
+    return (all(any(lay.divides(x, y) for x in a) for y in b)
+            and all(any(lay.divides(y, x) for y in b) for x in a))
 
 
 def stream_rows(gens):
@@ -715,16 +778,23 @@ def stream_rows(gens):
 
 class TestSyzygyStream:
     @pytest.mark.parametrize("name", STREAM_INPUTS)
-    def test_drained_it_has_the_rows_of_syzygies(self, name):
+    def test_drained_it_has_the_rows_of_syzygies(self, name, monkeypatch):
+        # the engine's rows, then under full_reduction the reference
+        # engine's
         gens = STREAM_INPUTS[name]()
+        self.assert_drained(gens, STREAM_ROWS[name])
+        full_reduction(monkeypatch)
+        self.assert_drained(gens, REFERENCE_STREAM_ROWS[name])
+
+    @staticmethod
+    def assert_drained(gens, pinned):
+        """The drained stream's rows are syzygies, those of syzygies, and
+        pinned: their sorted texts, or their row_digest."""
         streamed = [row for _, rows in stream_rows(gens) for row in rows]
         assert_syzygies(streamed, gens)
         texts = sorted(row_texts(streamed))
-        if name == "braid-A3":
-            digest = hashlib.sha256(repr(texts).encode()).hexdigest()
-            assert (len(texts), digest) == STREAM_ROWS[name]
-        else:
-            assert texts == STREAM_ROWS[name]
+        got = row_digest(streamed) if isinstance(pinned, tuple) else texts
+        assert got == pinned
         assert texts == sorted(row_texts(syzygies(gens).elements))
 
     @pytest.mark.parametrize("name", STREAM_INPUTS)
@@ -751,6 +821,33 @@ class TestSyzygyStream:
         with Budget(10**6):
             assert_relations_generate_the_reference(gens, first)
             assert_syzygies(syzygies(gens).elements, gens)
+
+    @settings(max_examples=100, deadline=None)
+    @given(homogeneous_ideals())
+    def test_top_reduction_finds_the_reference_leads(self, ideal):
+        # at each pause s of the top-reduced run, its leads generate the
+        # monomial ideal that the leads of the reference run (under
+        # full_reduction) generate once its pairs of sugar <= s are done,
+        # at its first pause >= s: both hold in(I) up to degree s and the
+        # generators' leads; the rows of each run generate those of the
+        # other, and the division rows of their own run
+        gens, _ = ideal
+        with Budget(10**6):
+            top, top_rows = pauses_and_rows(gens)
+            with pytest.MonkeyPatch.context() as m:
+                full_reduction(m)
+                reference, reference_rows = pauses_and_rows(gens)
+            lay = groebner._prepare(gens)[2]
+            for s, leads in top:
+                ref = next(found for r, found in reference
+                           if r is None or (s is not None and r >= s))
+                assert same_monomial_ideal(leads, ref, lay)
+            for rows, others in ((top_rows, reference_rows),
+                                 (reference_rows, top_rows)):
+                if others:
+                    gb = buchberger(rows)
+                    assert all(gb.reduces_to_zero(row) for row in others)
+            assert_relations_generate_the_reference(gens)
 
     def test_inhomogeneous_generators_give_one_batch_in_order(self):
         gens = [P("x^2 - y"), P("x*y - 1"), P("y^2 - x")]

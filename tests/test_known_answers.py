@@ -77,6 +77,11 @@
   and D4 its rows are syzygies of (f, grad f), and every row of the run
   that reduces every S-pair reduces to zero modulo a module Groebner
   basis of them, so they generate the same syzygy module.
+- Top-reduction in the tracked syzygy run: on braid A3, Coxeter B3 and
+  D4 the engine's steps and rows, and, under full_reduction, those of
+  the reference engine, which reduces every remainder in full and keeps
+  the values the engine had before, are pinned; the rows of each reduce
+  to zero modulo a module Groebner basis of the other's.
 - Syzygies from the S-pair relations alone: on the corpus Jacobians and
   braid A3, Coxeter B3 and D4, whole and cut to their fields, each row of
   the tracked run is a row of the reference stream in conftest.py, which
@@ -114,14 +119,14 @@ from math import lcm
 import pytest
 
 from ce_oracle import cohomology, ft1_equation_side
-from conftest import (ReferenceConstants,
+from conftest import (ENGINE_PINS, REFERENCE_PINS, ReferenceConstants,
                       assert_relations_generate_the_reference,
                       assert_syzygies, corpus_member, corpus_names,
-                      coxeter_gens, packed_div,
-                      reference_certificate, reference_d0_rows,
-                      reference_d1_rows, reference_representatives,
-                      reference_saito_fields, strip_timings, transpose,
-                      without_chain_criterion)
+                      coxeter_gens, full_reduction, packed_div,
+                      pinned_engine_run, reference_certificate,
+                      reference_d0_rows, reference_d1_rows,
+                      reference_representatives, reference_saito_fields,
+                      strip_timings, transpose, without_chain_criterion)
 from logdiv import cohomology as slices
 from logdiv import groebner
 from logdiv.classify import (LieAlgebra, connection_conditions, is_koszul,
@@ -1045,6 +1050,24 @@ def test_chain_criterion_rows_generate_the_syzygies(name, monkeypatch):
     gb = groebner.buchberger(rows)
     assert gb.rank == len(gens)
     assert all(gb.reduces_to_zero(row) for row in every_pair)
+
+
+@pytest.mark.parametrize("name", ENGINE_PINS)
+def test_top_reduced_engine_against_its_reference(name, monkeypatch):
+    # the engine and, under full_reduction, the reference engine, which
+    # keeps the values the engine had before its tracked runs top-reduced:
+    # the steps and rows pinned for each, and the rows of each in the
+    # module that the other's generate
+    gens = coxeter_gens(name)
+    assert pinned_engine_run(name) == ENGINE_PINS[name]
+    rows = groebner.syzygies(gens).elements
+    with monkeypatch.context() as m:
+        full_reduction(m)
+        assert pinned_engine_run(name) == REFERENCE_PINS[name]
+        reference = groebner.syzygies(gens).elements
+    for some, others in ((rows, reference), (reference, rows)):
+        gb = groebner.buchberger(some)
+        assert all(gb.reduces_to_zero(row) for row in others)
 
 
 @pytest.mark.parametrize("first", [0, 1])

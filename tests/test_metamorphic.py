@@ -18,6 +18,15 @@ a graded f is a canonical form of the module they generate. Every graded
 corpus input with every stage and the six arrangements of the benchmark
 with the default stages give the same report, or the same failure, with
 the criterion turned off.
+
+Top-reduction is a fourth: a tracked run on homogeneous generators stops
+reducing an S-pair at its first term that no lead divides, so its rows
+differ from those of the run that reduces every remainder in full, but
+they generate the same module. Every corpus input whose basis comes from
+the syzygy route, with every stage, and the tests/frontier inputs and
+the benchmark's two generic arrangements, with the default stages, give
+the same report, or the same failure, under full_reduction, and spend no
+more steps without it.
 """
 
 import itertools
@@ -32,10 +41,11 @@ from logdiv import cli
 from logdiv.errors import Budget
 from logdiv.poly import detect_weight_system, poly_from_text
 
-from conftest import strip_timings, without_chain_criterion
+from conftest import full_reduction, strip_timings, without_chain_criterion
 
-CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "corpus")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+CORPUS = os.path.join(os.path.dirname(TESTS), "corpus")
+FRONTIER = os.path.join(TESTS, "frontier")
 SAMPLE = 2  # permutations drawn for n = 4, besides the identity
 DEFAULT_STAGES = ("classify", "koszul")
 
@@ -237,3 +247,28 @@ def test_report_is_the_same_without_the_chain_criterion(label, doc, stages,
         assert failure is None
     if (label, doc, stages) in BENCH_ARRANGEMENTS:
         assert steps < steps_off
+
+
+def top_reduction_cases():
+    """(label, doc, stages): the syzygy-route corpus with every stage, the
+    tests/frontier inputs and the arrangements of the benchmark that are
+    not among them with the default stages."""
+    frontier = sorted(n[:-len(".json")] for n in os.listdir(FRONTIER)
+                      if n.endswith(".json")
+                      and not n.endswith(".expected.json"))
+    return ([(name, doc, cli.ALL_STAGES) for name, doc in syzygy_route_corpus()]
+            + [(name, cli.load_document(os.path.join(FRONTIER, f"{name}.json")),
+                DEFAULT_STAGES) for name in frontier]
+            + [case for case in BENCH_ARRANGEMENTS if case[0] not in frontier])
+
+
+@pytest.mark.parametrize("label, doc, stages", top_reduction_cases(),
+                         ids=[label for label, _, _ in top_reduction_cases()])
+def test_report_is_the_same_with_full_reduction(label, doc, stages,
+                                                monkeypatch):
+    report, failure, steps = outcome(doc, stages)
+    with monkeypatch.context() as m:
+        full_reduction(m)
+        report_full, failure_full, steps_full = outcome(doc, stages)
+    assert (report, failure) == (report_full, failure_full)
+    assert steps <= steps_full

@@ -55,6 +55,7 @@ The tests check it against an independent Chevalley-Eilenberg oracle
 (tests/ce_oracle.py).
 """
 
+import functools
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -83,7 +84,14 @@ from .poly import (
 )
 
 def weighted_monomials(weights, target):
-    """All exponent tuples e with sum(w_i e_i) = target, degrevlex descending."""
+    """All exponent tuples e with sum(w_i e_i) = target, degrevlex
+    descending, as a new list: the slices of one complex ask for a few
+    (weights, target) pairs many times, and each is enumerated once."""
+    return list(_weighted_monomials(tuple(weights), target))
+
+
+@functools.lru_cache(maxsize=32)
+def _weighted_monomials(weights, target):
     n = len(weights)
     out = []
 
@@ -101,7 +109,7 @@ def weighted_monomials(weights, target):
 
     rec(0, target, [])
     out.sort(key=degrevlex_key, reverse=True)
-    return out
+    return tuple(out)
 
 
 class QuotientSlice:

@@ -11,8 +11,13 @@ a Span; rref is a Span and a back-substitution. kernel takes a matrix
 by its columns, the way every caller builds it, and eliminates them,
 each tagged with its own key after every row key: a column whose row
 part clears leaves a primitive int kernel vector on its tags, with no
-back-substitution. No Fraction is formed: rref returns primitive int rows.
-The reduced row echelon form is unique, so every result is deterministic.
+back-substitution. A column kernel keeps pivots at the row key that the
+fewest input columns have an entry at (a static Markowitz count, for
+less fill), the smallest such key on a tie; rref and Span keep the
+smallest key, as rref's pivots are the column-order ones. No Fraction is
+formed: rref returns primitive int rows. The reduced row echelon form is
+unique, and so is each kernel vector whatever its pivots (see kernel),
+so every result is deterministic.
 """
 
 from math import gcd, lcm
@@ -130,8 +135,9 @@ def rank(rows):
 
 
 def _eliminate(col, tag, span):
-    """kernel's step: den * col, with den at the key tag after every row
-    key, reduced against the (pivot, row) pairs of span."""
+    """A column kernel's step, for logder's Q-span tests: den * col, with
+    den at the key tag after every row key, reduced against the (pivot,
+    row) pairs of span."""
     v, den = _ints(_pairs(col))
     v[tag] = den
     _reduce(v, span)
@@ -150,12 +156,30 @@ def kernel(cols, nrows):
     columns), and is reduced against the columns kept before it; when its
     row part clears, what is left on the tags is a kernel vector with
     that support. The only such vector with a 1 at c is the reduced row
-    echelon form's, so v is that vector scaled."""
+    echelon form's, so v is that vector scaled.
+
+    A kept column's pivot is the row key k with the least (count[k], k),
+    count[k] the number of input columns with an entry in row k, counted
+    in one pass over the nonzeros before any is eliminated. Any nonzero
+    row key would do: _reduce needs only that each kept column is zero at
+    the pivots kept before it, and a column is free exactly when it lies
+    in the span of the columns before it, whatever their pivots. So the
+    free columns and their vectors are those of the smallest-key rule;
+    the count only keeps the rows that many columns share from becoming
+    pivots, where clearing them would fill every later column."""
+    cols = [_ints(_pairs(col)) for col in cols]
+    m = nrows + len(cols)
+    order = list(range(nrows))  # k + m * (the columns with an entry at k)
+    for v, _ in cols:
+        for k in v:
+            order[k] += m
+    order += range(m * m, m * m + len(cols))  # each tag after every row
     span = []
     out = []
-    for c, col in enumerate(cols):
-        v = _eliminate(col, nrows + c, span)
-        pivot = min(v)
+    for c, (v, den) in enumerate(cols):
+        v[nrows + c] = den
+        _reduce(v, span)
+        pivot = min(v, key=order.__getitem__)
         if pivot < nrows:
             span.append((pivot, v))
         else:

@@ -421,7 +421,12 @@ class SaitoBasis:
         return self._memo[key]
 
     def structure_constants(self):
-        """The StructureConstants of this basis."""
+        """The StructureConstants of this basis, formed once per basis.
+        With a constant unit, the brackets in the Q-span of the fields are
+        read from bracket_coordinates, which the connection conditions
+        and g_D have filled on this basis; only the others are divided by
+        Cramer's rule. The two agree, as a bracket's coordinates over
+        Q(x) are unique (see logder.structure_constants)."""
         if "sc" not in self._memo:
             self._memo["sc"] = structure_constants(self)
         return self._memo["sc"]
@@ -640,8 +645,17 @@ class StructureConstants:
 def structure_constants(basis):
     """Expand the brackets of a verified basis in the basis itself.
 
-    By Cramer's rule, unit * divisor * v = sum_k (adj * v)_k delta_k for
-    any field v, with adj the adjugate of the Saito matrix. For a
+    With a constant unit, a bracket in the Q-span of the fields takes
+    its coordinates from SaitoBasis.bracket_coordinates, memoised on the
+    basis, where the connection conditions and g_D read them too. The
+    fields are independent over Q(x) (Saito's criterion), so those
+    coordinates are the bracket's only ones, and its structure constants
+    are exactly them. A bracket whose column clears that elimination is
+    a Q-combination of the fields, so it is logarithmic by construction.
+
+    Every other bracket goes through Cramer's rule, with the adjugate
+    built only when one does: unit * divisor * v = sum_k (adj * v)_k
+    delta_k for any field v, adj the adjugate of the Saito matrix. For a
     logarithmic v, (adj * v)_k is the determinant of that matrix with
     column k replaced by v, a multiple of divisor; a remainder would mean
     the fields are not logarithmic and raises InternalInconsistency. The
@@ -652,28 +666,35 @@ def structure_constants(basis):
     PolyMatrix, all charged to the active budget.
     """
     n = len(basis.ring)
-    table = basis.table()
-    adj, lay = table.adjugate(), table.lay
     budget = current_budget()
     zero = Polynomial.zero(basis.ring)
-    if basis.unit.is_constant():
+    constant = basis.unit.is_constant()
+    if constant:
         divisor = basis.unit * basis.divisor
         denominator = Polynomial.one(basis.ring)
     else:
         divisor = basis.divisor
         denominator = basis.unit
-    divisor = _flatten([divisor], lay)
     b = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    table = None
     for i in range(n):
         for j in range(i + 1, n):
-            br = [_flatten([p], lay) for p in basis.bracket(i, j).components]
-            qs = []
-            for row in adj:
-                q = _divide(_dot(row, br, lay, budget), divisor, lay, budget)
-                if q is None:
-                    raise InternalInconsistency(
-                        "bracket has a nonzero remainder over the basis")
-                qs.append(table.polynomial(q))
+            c = basis.bracket_coordinates(i, j) if constant else None
+            if c is not None:
+                qs = [Polynomial.constant(basis.ring, x) for x in c]
+            else:
+                if table is None:
+                    table = basis.table()
+                    adj, lay = table.adjugate(), table.lay
+                    packed = _flatten([divisor], lay)
+                br = [_flatten([p], lay) for p in basis.bracket(i, j).components]
+                qs = []
+                for row in adj:
+                    q = _divide(_dot(row, br, lay, budget), packed, lay, budget)
+                    if q is None:
+                        raise InternalInconsistency(
+                            "bracket has a nonzero remainder over the basis")
+                    qs.append(table.polynomial(q))
             b[i][j] = qs
             b[j][i] = [q.scale(-1) for q in qs]
     return StructureConstants(basis.ring, n, b, denominator)

@@ -10,7 +10,9 @@ gl_n and on gl_n / g.  This module computes
 for V = gl_n or V = gl_n / g, from nothing but the text of the basis
 matrix, ``fractions.Fraction`` and Gaussian elimination.  It imports
 nothing from ``logdiv``, so it checks ``lft1`` by a path that shares no
-code with it.
+code with it.  Two more oracles read the same text: ``ft1_equation_side``
+(ft1 from the equations of a deformation) and ``koszul`` (Koszul
+freeness from the minors of the basis matrix, by sympy's Groebner bases).
 
 The vector field bracket is [xi_A, xi_B] = xi_(BA - AB), the matrix
 commutator with the opposite sign; X -> -X is an isomorphism between the
@@ -363,3 +365,69 @@ def ft1_equation_side(f_text, rows, variables, weights):
                     for k in range(n) for m in _monomials(weights, weights[k])]
                    + [f])
     return occurring - trivial
+
+
+# ---- Koszul freeness from the minors of the Saito matrix ---------------
+#
+# D is Koszul free when the principal symbols sum_r A[r][c] xi_r of the
+# columns c of its Saito matrix A form a regular sequence in Q[x, xi],
+# that is, when their variety in the 2n-dimensional (x, xi) space has
+# dimension n (never less, by Krull's principal ideal theorem).  Over a
+# point x the fibre is {xi : xi A(x) = 0}, the left kernel of A(x), of
+# dimension n - rank A(x).  So the variety has dimension the largest
+# dim{x : rank A(x) = r} + n - r, and it is n exactly when
+# dim V(I_(r+1)(A)) <= r for r = 0, ..., n - 2, with I_k(A) the ideal of
+# the k x k minors: rank A(x) < n only on D, of dimension n - 1.  The
+# dimensions are read off the lead monomials of sympy's grevlex Groebner
+# bases; nothing here comes from logdiv.groebner.
+
+
+def _sympy_polynomial(text, variables, symbols):
+    import sympy
+
+    out = sympy.Integer(0)
+    for m, c in polynomial(text, variables).items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for s, e in zip(symbols, m):
+            term *= s ** e
+        out += term
+    return out
+
+
+def dimension(gens, symbols):
+    """dim V(gens) in affine space over C, -1 when it is empty: the size
+    of the largest set of variables that contains the support of no lead
+    monomial of a Groebner basis."""
+    import sympy
+
+    gens = [g for g in gens if g != 0]
+    if not gens:
+        return len(symbols)
+    basis = sympy.groebner(gens, *symbols, order="grevlex")
+    leads = [{i for i, e in enumerate(
+        sympy.Poly(g, *symbols).monoms(order="grevlex")[0]) if e}
+        for g in basis.exprs]
+    for size in range(len(symbols), -1, -1):
+        for subset in combinations(range(len(symbols)), size):
+            if not any(lead <= set(subset) for lead in leads):
+                return size
+    return -1
+
+
+def koszul(rows, variables):
+    """Whether the free divisor whose Saito basis is given by the columns
+    of ``rows`` (entry [r][c] the coefficient of d/d variables[r] in
+    field c) is Koszul free: dim V(I_(r+1)(A)) <= r for every r < n - 1."""
+    import sympy
+
+    n = len(variables)
+    symbols = sympy.symbols(list(variables))
+    a = sympy.Matrix([[_sympy_polynomial(t, variables, symbols) for t in row]
+                      for row in rows])
+    for r in range(n - 1):
+        lines = list(combinations(range(n), r + 1))
+        minors = [sympy.expand(a.extract(list(rs), list(cs)).det(
+            method="berkowitz")) for rs in lines for cs in lines]
+        if dimension(minors, symbols) > r:
+            return False
+    return True

@@ -11,15 +11,16 @@ from logdiv import cohomology, groebner, linalg
 from logdiv.groebner import _divide, buchberger
 from logdiv.logder import (SUBSET_BUDGET, SaitoBasis, StructureConstants,
                            VectorField, _add_bracket, compute_der_log,
-                           find_saito_basis, verify_saito)
-from logdiv.errors import Budget, current_budget
-from logdiv.poly import (Polynomial, PolyMatrix, WeightSystem, _flatten,
+                           find_saito_basis, saito_basis, verify_saito)
+from logdiv.errors import Budget, InternalInconsistency, current_budget
+from logdiv.poly import (Polynomial, PolyMatrix, WeightSystem, _dot, _flatten,
                          _Packing, _unflatten, degrevlex_key,
                          detect_weight_system, m_mul, partial_derivative,
                          poly_from_text, poly_to_text, weighted_degree)
 
 CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "corpus")
+FRONTIER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "frontier")
 
 
 def strip_timings(obj):
@@ -53,6 +54,21 @@ def corpus_member(name):
     rows = [[poly_from_text(t, ring) for t in row] for row in doc["saito_matrix"]]
     fields = [VectorField(ring, [row[c] for row in rows]) for c in range(len(ring))]
     return f, w, SaitoBasis(fields, f, verify_saito(fields, f).unit)
+
+
+def frontier_names():
+    return sorted(n[:-len(".json")] for n in os.listdir(FRONTIER)
+                  if n.endswith(".json") and not n.endswith(".expected.json"))
+
+
+def frontier_member(name):
+    """(f, w, basis) of a tests/frontier arrangement: w its detected
+    weight system, the basis the one the analysis finds."""
+    with open(os.path.join(FRONTIER, f"{name}.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    f = poly_from_text(doc["f"], tuple(doc["variables"]))
+    w = detect_weight_system(f)
+    return f, w, saito_basis(f, w)
 
 
 def to_sympy(p, symbols):
@@ -595,6 +611,57 @@ class ReferenceConstants(StructureConstants):
         """True when every coefficient b / u is a rational number."""
         return all(self.value(p) is not None
                    for row in self.b for col in row for p in col)
+
+
+def cramer_structure_constants(basis):
+    """logder.structure_constants by Cramer's rule alone, the reference
+    for the route that reads SaitoBasis.bracket_coordinates: every
+    bracket [delta_i, delta_j] is multiplied by the adjugate of the Saito
+    matrix and divided exactly by unit * divisor (a constant unit, folded
+    into the numerators) or by divisor (the unit the denominator)."""
+    n = len(basis.ring)
+    table = basis.table()
+    adj, lay = table.adjugate(), table.lay
+    budget = current_budget()
+    zero = Polynomial.zero(basis.ring)
+    if basis.unit.is_constant():
+        divisor = basis.unit * basis.divisor
+        denominator = Polynomial.one(basis.ring)
+    else:
+        divisor = basis.divisor
+        denominator = basis.unit
+    divisor = _flatten([divisor], lay)
+    b = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            br = [_flatten([p], lay) for p in basis.bracket(i, j).components]
+            qs = []
+            for row in adj:
+                q = _divide(_dot(row, br, lay, budget), divisor, lay, budget)
+                if q is None:
+                    raise InternalInconsistency(
+                        "bracket has a nonzero remainder over the basis")
+                qs.append(table.polynomial(q))
+            b[i][j] = qs
+            b[j][i] = [q.scale(-1) for q in qs]
+    return StructureConstants(basis.ring, n, b, denominator)
+
+
+def smallest_key_kernel(cols, nrows):
+    """linalg.kernel with the pivot of each kept column at its smallest
+    row key, the rule before the static Markowitz count: the reference
+    whose vectors the counted pivot must give unchanged."""
+    span = []
+    out = []
+    for c, col in enumerate(cols):
+        v = linalg._eliminate(col, nrows + c, span)
+        pivot = min(v)
+        if pivot < nrows:
+            span.append((pivot, v))
+        else:
+            sign = 1 if v[nrows + c] > 0 else -1
+            out.append((c, {k - nrows: sign * x for k, x in v.items()}))
+    return out
 
 
 def reference_connection_conditions(saito, sc):

@@ -101,6 +101,13 @@
   connection conditions hold exactly when every b / u is rational. On a
   basis of f = x, the bracket x d/dy of x d/dx and (1 + x) d/dy has only
   terms of the fields and still no rational coordinates.
+- Structure constants and the kernel's pivot against their references
+  in conftest.py: the constants read from the bracket coordinates, and
+  divided by Cramer's rule only for the other brackets, equal those of
+  Cramer's rule on every bracket, on the corpus, frontier and two bases
+  of nonconstant unit, with the adjugate built only when a bracket needs
+  it; coxeter-B4's ker d1 under the counted pivot equals its kernel under
+  the smallest-key rule.
 - Coefficient types: on every corpus entry, each coefficient of f, of the
   Saito fields and the unit, and of the deformed equations is an int or a
   Fraction, never a float or a bool, and an int whenever its value is an
@@ -122,11 +129,13 @@ from ce_oracle import cohomology, ft1_equation_side
 from conftest import (ENGINE_PINS, REFERENCE_PINS, ReferenceConstants,
                       assert_relations_generate_the_reference,
                       assert_syzygies, corpus_member, corpus_names,
-                      coxeter_gens, full_reduction, packed_div,
-                      pinned_engine_run, reference_certificate,
+                      coxeter_gens, cramer_structure_constants,
+                      frontier_member, frontier_names, full_reduction,
+                      packed_div, pinned_engine_run, reference_certificate,
                       reference_d0_rows, reference_d1_rows,
                       reference_representatives, reference_saito_fields,
-                      strip_timings, transpose, without_chain_criterion)
+                      smallest_key_kernel, strip_timings, transpose,
+                      without_chain_criterion)
 from logdiv import cohomology as slices
 from logdiv import groebner
 from logdiv.classify import (LieAlgebra, connection_conditions, is_koszul,
@@ -1101,7 +1110,7 @@ def test_bracket_coordinates_match_cramers_rule(name):
         saito = corpus_member(name)[2]
     else:
         saito = rigid_arrangement(name)[2]
-    sc = structure_constants(saito)
+    sc = cramer_structure_constants(saito)
     reference = ReferenceConstants(sc.ring, sc.n, sc.b, sc.denominator)
     for i in range(sc.n):
         for j in range(i + 1, sc.n):
@@ -1111,20 +1120,75 @@ def test_bracket_coordinates_match_cramers_rule(name):
     assert connection_conditions(saito) == (reference.is_constant(),) * 2
 
 
-def test_bracket_of_field_terms_outside_the_span():
-    # f = x with x d/dx and (1 + x) d/dy, unit 1 + x: the bracket x d/dy
-    # has only terms the fields have, but its coordinates 0 and
-    # x / (1 + x) are not both constants, so its column does not clear
+def supplied_nonconstant_unit():
+    """f = x with the supplied fields x d/dx and (1 + x) d/dy: unit 1 + x."""
     ring = ("x", "y")
     fields = [VectorField(ring, [poly_from_text(a, ring) for a in comps])
               for comps in (("x", "0"), ("0", "1 + x"))]
     f = poly_from_text("x", ring)
-    saito = SaitoBasis(fields, f, verify_saito(fields, f).unit)
+    return SaitoBasis(fields, f, verify_saito(fields, f).unit)
+
+
+def test_bracket_of_field_terms_outside_the_span():
+    # f = x with x d/dx and (1 + x) d/dy, unit 1 + x: the bracket x d/dy
+    # has only terms the fields have, but its coordinates 0 and
+    # x / (1 + x) are not both constants, so its column does not clear
+    saito = supplied_nonconstant_unit()
+    ring = saito.ring
     sc = structure_constants(saito)
     assert sc.denominator == poly_from_text("1 + x", ring)
     assert sc.b[0][1] == [Polynomial.zero(ring), poly_from_text("x", ring)]
     assert saito.bracket_coordinates(0, 1) is None
     assert connection_conditions(saito) == (False, False)
+
+
+@pytest.mark.parametrize("name", corpus_names() + frontier_names() + [
+    "x^3 + y^2 + x^2*y^2", "supplied unit 1 + x"])
+def test_structure_constants_against_cramers_rule(name):
+    # with a constant unit, the brackets in the Q-span of the fields take
+    # their constants from bracket_coordinates and only the others go
+    # through Cramer's rule; under a nonconstant unit every bracket does;
+    # b and the denominator equal those of the reference, which divides
+    # every bracket, on the corpus bases, their ft1 and lft1 bases, the
+    # six frontier arrangements (the benchmark's four free ones among
+    # them), the subset search's basis of a curve and a supplied basis,
+    # both of nonconstant unit; the adjugate is built exactly when some
+    # bracket goes through Cramer's rule
+    if name == "supplied unit 1 + x":
+        bases = [supplied_nonconstant_unit()]
+    elif name.startswith("x"):
+        f = poly_from_text(name, ("x", "y"))
+        bases = [find_saito_basis(compute_der_log(f), f)]
+    else:
+        f, w, saito = (corpus_member(name) if name in corpus_names()
+                       else frontier_member(name))
+        bases = [saito] + [b.graded(g) for b, g in graded_bases(f, w, saito)]
+    if name in ("x^3 + y^2 + x^2*y^2", "supplied unit 1 + x"):
+        assert not bases[0].unit.is_constant()
+    for basis in {id(b): b for b in bases}.values():
+        n = len(basis)
+        cramer = not basis.unit.is_constant() or any(
+            basis.bracket_coordinates(i, j) is None
+            for i in range(n) for j in range(i + 1, n))
+        sc = structure_constants(basis)
+        assert (basis._table is not None
+                and basis._table._adj is not None) == cramer
+        reference = cramer_structure_constants(basis)
+        assert sc.b == reference.b
+        assert sc.denominator == reference.denominator
+
+
+def test_coxeter_b4_kernel_of_d1_against_the_smallest_key_rule():
+    # the kernel pivots each kept column at its row key with the fewest
+    # columns, not at its smallest; the vectors of ker d1 on B4's ft1
+    # complex, one per free column, are those of the smallest-key rule,
+    # and they number rank d0 = dim C0 = 15, as B4's ft1 and h0 are 0
+    _, w, saito = rigid_arrangement("coxeter-B4")
+    cx = slices.SliceComplex(saito, saito.structure_constants(), w)
+    assert (cx.dim_c0, cx.dim_c1, cx.dim_c2) == (15, 612, 2419)
+    kernel = cx.kernel_d1()
+    assert kernel == smallest_key_kernel(cx.d1, cx.dim_c2)
+    assert len(kernel) == cx.rank_d0() == 15
 
 
 @pytest.mark.parametrize("p, d, q", [

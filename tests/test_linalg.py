@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dense_nullspace, dense_rref, scaled_kernel, transpose
+from conftest import (dense_nullspace, dense_rref, scaled_kernel,
+                      smallest_key_kernel, transpose)
 from logdiv import linalg
 from logdiv.errors import Budget, BudgetExceeded
 
@@ -192,6 +193,46 @@ class TestColumnKernel:
         # rows route (rref) pays four
         with Budget(steps=1):
             assert linalg.kernel([[1, 3, 5], [2, 4, 6]], 3) == []
+
+
+class TestMarkowitzPivot:
+    """kernel pivots a kept column at its row key with the fewest input
+    columns, the smallest such key on a tie; its free columns and
+    vectors are those of the smallest-key rule (smallest_key_kernel in
+    conftest.py)."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_vectors_are_those_of_the_smallest_key_rule(self, seed):
+        rng = random.Random(seed)
+        nrows, ncols = rng.randint(1, 14), rng.randint(1, 14)
+        rows = random_matrix(rng, nrows, ncols)
+        ints = [[int(x * 60) for x in r] for r in rows]
+        for given in (rows, ints):
+            for cols in (columns_of(given, ncols),
+                         transpose(as_dicts(given), ncols)):
+                assert linalg.kernel(cols, len(given)) \
+                    == smallest_key_kernel(cols, len(given))
+
+    def test_pivots_avoid_the_row_every_column_shares(self, monkeypatch):
+        # row 0 has an entry in all three columns, rows 1 and 2 in two
+        # each: the kept columns pivot at rows 1 and 2, where the
+        # smallest-key rule takes row 0 first, and the one kernel vector
+        # is the same
+        pivots = []
+        reduce = linalg._reduce
+
+        def recording(v, rows):
+            pivots.append([p for p, _ in rows])
+            return reduce(v, rows)
+
+        monkeypatch.setattr(linalg, "_reduce", recording)
+        cols = [{0: 1, 1: 1}, {0: 1, 2: 1}, {0: 2, 1: 1, 2: 1}]
+        kernel = linalg.kernel(cols, 3)
+        assert pivots == [[], [1], [1, 2]]
+        assert kernel == [(2, {0: -1, 1: -1, 2: 1})]
+        pivots.clear()
+        assert smallest_key_kernel(cols, 3) == kernel
+        assert pivots == [[], [0], [0, 1]]
 
 
 class TestSpan:

@@ -169,17 +169,19 @@ def test_structure_constants_rebuild_every_bracket(name):
 
 def test_structure_constants_are_charged_to_the_budget():
     # with the adjugate built, the brackets [delta_i, delta_j], the
-    # products adj * [delta_i, delta_j] and their exact divisions by u * f
-    # spend 83 steps on coxeter-B3; each call gets a fresh basis, as a
-    # basis keeps the brackets it formed
+    # elimination of the fields' columns and of each bracket's column,
+    # two of which clear (the Euler field's brackets), and the product
+    # adj * [delta_1, delta_2] and its exact division by u * f spend 59
+    # steps on coxeter-B3; each call gets a fresh basis, as a basis keeps
+    # the brackets and eliminations it formed
     f = _arrangement("coxeter-B3")
     cut, whole = saito_basis(f), saito_basis(f)
     for saito in (cut, whole):
         saito.table().adjugate()
     with pytest.raises(BudgetExceeded):
-        with Budget(steps=82):
+        with Budget(steps=58):
             structure_constants(cut)
-    with Budget(steps=83) as budget:
+    with Budget(steps=59) as budget:
         structure_constants(whole)
     assert budget.left == 0
 
